@@ -18,11 +18,10 @@ import (
 // first-fit search.
 //
 // The outage is expressed as a faults.Plan (the whole-rack special case
-// faults.RackFailure) consumed by the simulator's fault event loop —
-// the same abstraction the stochastic `-exp faults` availability ladder
-// generates plans for. The plan path replays bit-identically to the
-// injection closures this experiment used before the fault subsystem
-// existed (asserted by sim's TestRunFaultPlanMatchesInjections).
+// faults.RackFailure) consumed by the simulator's event core — the same
+// abstraction the stochastic `-exp faults` availability ladder generates
+// plans for. A plan places exactly as the same faults applied step-wise
+// at their instants do (sim's TestRunFaultPlanMatchesDriverApply).
 type Resilience struct {
 	FailedRack     int
 	FailAt, HealAt int64

@@ -82,8 +82,8 @@ type Proposer interface {
 // no placement passed anywhere in the cluster at the settle point of
 // the round. The agent loop exploits the certificate: between a round's
 // settle and its commits, capacity and bandwidth only shrink (commits
-// allocate; departures, repairs and injections all flush the round
-// first), so nothing can have become feasible and the VM is dropped —
+// allocate; departures and repairs both flush the round first), so
+// nothing can have become feasible and the VM is dropped —
 // or re-queued, with the retry queue on — without any serial redo.
 // The certificate is deterministic but approximate in one corner: the
 // read-only checks pin the boxes a round-start choice takes, while a

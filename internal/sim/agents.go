@@ -10,10 +10,10 @@
 // original arrival sequence, so queue order never depends on scheduling
 // interleavings.
 //
-// The loop here is round-based: consecutive arrivals are staged into a
-// batch (bounded by StreamConcurrency.Round); any non-arrival event —
-// departure, fault, injection — flushes the batch first, because its
-// arrivals precede that event in simulated time. Determinism follows
+// The stream loop (streamRun.loop) stages consecutive arrivals into a
+// round (bounded by StreamConcurrency.Round); any heap event — departure
+// or fault — flushes the round first, because its arrivals precede that
+// event in simulated time. Determinism follows
 // from three fixed orders: VMs map to agents by arrival sequence, each
 // agent's proposals depend only on its own deterministic subsequence,
 // and commits replay in arrival order.
@@ -155,177 +155,59 @@ func (p *agentPool) stop() {
 	}
 }
 
-// loopAgents is the agent-mode event loop: the serial loop's event walk
-// with arrivals staged into propose rounds. A round flushes when it
-// reaches the round bound, when a non-arrival event is next (its
-// arrivals precede that event), when an arrival must tail-join a
-// non-empty retry queue, or at the end of the stream. Commits happen at
-// the last staged arrival's time — windows count arrivals at arrival
-// time and acceptances at commit time, exactly the retry queue's
-// existing accounting convention.
-func (sr *streamRun) loopAgents(pool *agentPool) error {
-	r, res, wind := sr.r, sr.res, sr.wind
-	batch := make([]batchItem, 0, pool.round)
-
-	flush := func() error {
-		tB := batch[len(batch)-1].t
-		// Settle the lazy index tiers so every read the agents perform
-		// is a pure read (topology.Cluster.Settle). SchedulingTime in
-		// agent mode accounts the scheduling CRITICAL PATH: the settle,
-		// the slowest agent's propose time for each round, and the
-		// serial commit/redo section — the cost the round imposes on
-		// hardware with a core per agent, and the figure scheduler
-		// throughput comparisons should use. WallTime stays the host's
-		// observed truth (see DESIGN.md §12).
-		s0 := time.Now()
-		r.st.Cluster.Settle()
-		crit := time.Since(s0) + pool.propose(batch)
-		res.SchedulingTime += crit
-		for i := range batch {
-			it := &batch[i]
-			var a *sched.Assignment
-			var err error
-			committed := false
-			s2 := time.Now()
-			if it.ok {
-				a, err = r.st.CommitProposal(it.prop)
-				if err == nil {
-					committed = true
-					res.AgentCommits++
-				} else {
-					// Generation moved, or joint flow allocation failed
-					// at unchanged generations: either way the claim is
-					// stale and the VM falls through to the serial redo.
-					res.AgentConflicts++
-				}
-			}
-			if !committed {
-				if !it.ok && pool.conclusive != nil {
-					// The failed proposal covered both placement tiers
-					// at the round's settle point, and capacity has only
-					// shrunk since — nothing can have opened up, so the
-					// VM needs no serial redo at all.
-					err = pool.conclusive.DropConclusive(it.vm)
-				} else {
-					a, err = r.sch.Schedule(it.vm)
-				}
-			}
-			res.SchedulingTime += time.Since(s2)
-			if err != nil {
-				if r.retry {
-					// The bug this ordering fixes: the loser re-queues
-					// under its ORIGINAL arrival sequence. A displaced
-					// VM evicted meanwhile may hold a later sequence and
-					// must stay behind this one.
-					sr.admit(queuedVM{vm: it.vm, seq: it.seq})
-					res.Enqueued++
-				} else {
-					res.TotalDropped++
-					res.Tiers[it.vm.Tier].TotalDropped++
-					if it.measured {
-						res.Dropped++
-						wind.cur.Dropped++
-						res.Tiers[it.vm.Tier].Dropped++
-					}
-				}
+// flush proposes and commits one staged round at the current instant
+// (the last staged arrival's time) and returns the emptied round. It is
+// the serial decision swapped for propose round + commit: every outcome
+// settles through the event core exactly like a serial one, a failed
+// redo re-queuing under the VM's ORIGINAL arrival sequence — a displaced
+// VM evicted meanwhile may hold a later sequence and must stay behind it.
+//
+// SchedulingTime in agent mode accounts the scheduling CRITICAL PATH:
+// settling the lazy index tiers so every read the agents perform is a
+// pure read (topology.Cluster.Settle), the slowest agent's propose time,
+// and the serial commit/redo section — the cost the round imposes on
+// hardware with a core per agent, and the figure scheduler throughput
+// comparisons should use. WallTime stays the host's observed truth (see
+// DESIGN.md §12).
+func (sr *streamRun) flush(pool *agentPool, batch []batchItem) []batchItem {
+	c, res := sr.c, sr.res
+	s0 := time.Now()
+	c.st.Cluster.Settle()
+	res.SchedulingTime += time.Since(s0) + pool.propose(batch)
+	for i := range batch {
+		it := &batch[i]
+		sr.measured = it.measured
+		var a *sched.Assignment
+		var err error
+		redo := true
+		s2 := time.Now()
+		switch {
+		case it.ok:
+			if a, err = c.st.CommitProposal(it.prop); err == nil {
+				res.AgentCommits++
+				redo = false
 			} else {
-				res.TotalAccepted++
-				res.Tiers[it.vm.Tier].TotalAccepted++
-				sr.resident++
-				if it.measured {
-					res.Accepted++
-					wind.cur.Accepted++
-					res.Tiers[it.vm.Tier].Accepted++
-					wind.cur.TierAccepted[it.vm.Tier]++
-				}
-				dep := it.t + it.vm.Lifetime
-				if dep < tB {
-					dep = tB // committed at tB: cannot depart earlier
-				}
-				sr.h.Push(event{t: dep, kind: departure, seq: sr.seq, vm: it.vm, a: a})
-				sr.seq++
+				// Generation moved, or joint flow allocation failed at
+				// unchanged generations: either way the claim is stale and
+				// the VM falls through to the serial redo.
+				res.AgentConflicts++
 			}
-			if sr.obs != nil {
-				_, binding := sr.utilNow()
-				sr.obs.ObserveUtilization(binding)
-			}
+		case pool.conclusive != nil:
+			// The failed proposal covered both placement tiers at the
+			// round's settle point, and capacity has only shrunk since —
+			// nothing can have opened up, so the VM needs no serial redo.
+			err = pool.conclusive.DropConclusive(it.vm)
+			redo = false
 		}
-		perRes, _ := sr.utilNow()
-		wind.set(perRes)
-		batch = batch[:0]
-		return nil
+		res.SchedulingTime += time.Since(s2)
+		if redo {
+			a, err = c.decide(it.vm, false)
+		}
+		c.settle(QueuedVMState{VM: it.vm, Seq: it.seq}, a, err, it.t)
+		if sr.obs != nil {
+			sr.sample(true) // an observing stream gets feedback per commit
+		}
 	}
-
-	for sr.more || sr.h.Len() > 0 {
-		if sr.more && !heapFirst(&sr.h, sr.pending, sr.more) {
-			// Next event is an arrival. An arrival that must tail-join a
-			// non-empty retry queue is handled serially, after the staged
-			// round (whose arrivals precede it) commits.
-			if r.retry && sr.wHead < len(sr.waiting) && len(batch) > 0 {
-				if err := flush(); err != nil {
-					return err
-				}
-				continue // re-evaluate: the flush pushed departures
-			}
-			e := sr.nextArrival()
-			if e.t < sr.lastT {
-				return fmt.Errorf("sim: stream %q time went backwards: %d < %d", sr.s.Name(), e.t, sr.lastT)
-			}
-			wind.advance(e.t)
-			sr.lastT = e.t
-			measured := e.t >= wind.warmup
-			if err := e.vm.Validate(); err != nil {
-				return err
-			}
-			res.Tiers[e.vm.Tier].TotalArrivals++
-			if measured {
-				res.Arrivals++
-				wind.cur.Arrivals++
-				res.Tiers[e.vm.Tier].Arrivals++
-				wind.cur.TierArrivals[e.vm.Tier]++
-			}
-			sr.admitSeq++
-			if r.retry && sr.wHead < len(sr.waiting) {
-				// Queue non-empty and batch empty: the serial loop's
-				// tail-join, unchanged.
-				sr.admit(queuedVM{vm: e.vm, seq: sr.admitSeq})
-				res.Enqueued++
-				sr.drainQueue(e.t, measured)
-				perRes, binding := sr.utilNow()
-				wind.set(perRes)
-				if sr.obs != nil {
-					sr.obs.ObserveUtilization(binding)
-				}
-			} else {
-				batch = append(batch, batchItem{vm: e.vm, t: e.t, seq: sr.admitSeq, measured: measured})
-			}
-			if !sr.more || len(batch) >= pool.round {
-				if len(batch) > 0 {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-				if !sr.more {
-					break // the arrival just committed was the last
-				}
-			}
-			continue
-		}
-		if len(batch) > 0 {
-			// A non-arrival event outranks the pending arrival, so the
-			// staged arrivals (all earlier) commit first.
-			if err := flush(); err != nil {
-				return err
-			}
-			continue // re-evaluate: the flush pushed departures
-		}
-		e := sr.h.Pop()
-		if e.t < sr.lastT {
-			return fmt.Errorf("sim: stream %q time went backwards: %d < %d", sr.s.Name(), e.t, sr.lastT)
-		}
-		wind.advance(e.t)
-		sr.lastT = e.t
-		sr.handleEvent(e, e.t >= wind.warmup)
-	}
-	return nil
+	sr.sample(false)
+	return batch[:0]
 }

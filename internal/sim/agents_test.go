@@ -231,23 +231,23 @@ func TestAgentsRetryQueue(t *testing.T) {
 // out-of-order admit must insert mid-queue, not append — and ties keep
 // append order so the serial path stays a pure append.
 func TestAdmitKeepsArrivalOrder(t *testing.T) {
-	sr := &streamRun{}
+	sr := &eventCore{}
 	vm := func(id int) workload.VM { return workload.VM{ID: id} }
-	for _, q := range []queuedVM{
-		{vm: vm(0), seq: 1},
-		{vm: vm(1), seq: 4},
-		{vm: vm(2), seq: 2}, // late conflict loser: belongs between 1 and 4
-		{vm: vm(3), seq: 4}, // tie: stays after the existing seq-4 entry
-		{vm: vm(4), seq: 7},
+	for _, q := range []QueuedVMState{
+		{VM: vm(0), Seq: 1},
+		{VM: vm(1), Seq: 4},
+		{VM: vm(2), Seq: 2}, // late conflict loser: belongs between 1 and 4
+		{VM: vm(3), Seq: 4}, // tie: stays after the existing seq-4 entry
+		{VM: vm(4), Seq: 7},
 	} {
-		sr.admit(q)
+		sr.insert(q)
 	}
 	want := []int{0, 2, 1, 3, 4}
 	for i, q := range sr.waiting {
-		if q.vm.ID != want[i] {
+		if q.VM.ID != want[i] {
 			ids := make([]int, len(sr.waiting))
 			for j, w := range sr.waiting {
-				ids[j] = w.vm.ID
+				ids[j] = w.VM.ID
 			}
 			t.Fatalf("queue order %v, want %v", ids, want)
 		}
@@ -255,11 +255,11 @@ func TestAdmitKeepsArrivalOrder(t *testing.T) {
 	// A consumed head (wHead > 0) must not be disturbed by a later
 	// low-seq admit: insertion stops at the head boundary.
 	sr.wHead = 2
-	sr.admit(queuedVM{vm: vm(5), seq: 0})
-	if sr.waiting[2].vm.ID != 5 {
-		t.Errorf("low-seq admit landed at %d, want the wHead boundary", sr.waiting[2].vm.ID)
+	sr.insert(QueuedVMState{VM: vm(5), Seq: 0})
+	if sr.waiting[2].VM.ID != 5 {
+		t.Errorf("low-seq admit landed at %d, want the wHead boundary", sr.waiting[2].VM.ID)
 	}
-	if sr.waiting[0].vm.ID != 0 || sr.waiting[1].vm.ID != 2 {
+	if sr.waiting[0].VM.ID != 0 || sr.waiting[1].VM.ID != 2 {
 		t.Error("admit disturbed the consumed prefix")
 	}
 }
@@ -270,24 +270,24 @@ func TestAdmitKeepsArrivalOrder(t *testing.T) {
 // original arrival-sequence discipline — so an all-tier-0 workload
 // orders exactly as the untiered queue did.
 func TestAdmitKeepsArrivalOrderPerTier(t *testing.T) {
-	sr := &streamRun{}
+	sr := &eventCore{}
 	vm := func(id, tier int) workload.VM { return workload.VM{ID: id, Tier: tier} }
-	for _, q := range []queuedVM{
-		{vm: vm(0, 2), seq: 1},
-		{vm: vm(1, 0), seq: 5}, // higher tier, later seq: drains first anyway
-		{vm: vm(2, 1), seq: 3},
-		{vm: vm(3, 0), seq: 2}, // tier 0, earlier seq: ahead of the other tier-0
-		{vm: vm(4, 2), seq: 0}, // tier 2, earliest seq: ahead of the first tier-2
-		{vm: vm(5, 1), seq: 9},
+	for _, q := range []QueuedVMState{
+		{VM: vm(0, 2), Seq: 1},
+		{VM: vm(1, 0), Seq: 5}, // higher tier, later seq: drains first anyway
+		{VM: vm(2, 1), Seq: 3},
+		{VM: vm(3, 0), Seq: 2}, // tier 0, earlier seq: ahead of the other tier-0
+		{VM: vm(4, 2), Seq: 0}, // tier 2, earliest seq: ahead of the first tier-2
+		{VM: vm(5, 1), Seq: 9},
 	} {
-		sr.admit(q)
+		sr.insert(q)
 	}
 	want := []int{3, 1, 2, 5, 4, 0}
 	for i, q := range sr.waiting {
-		if q.vm.ID != want[i] {
+		if q.VM.ID != want[i] {
 			ids := make([]int, len(sr.waiting))
 			for j, w := range sr.waiting {
-				ids[j] = w.vm.ID
+				ids[j] = w.VM.ID
 			}
 			t.Fatalf("queue order %v, want %v", ids, want)
 		}
@@ -295,11 +295,11 @@ func TestAdmitKeepsArrivalOrderPerTier(t *testing.T) {
 	// The consumed prefix stays untouched even for a tier-0 admit that
 	// would otherwise sort to the very front.
 	sr.wHead = 2
-	sr.admit(queuedVM{vm: vm(6, 0), seq: 0})
-	if sr.waiting[2].vm.ID != 6 {
-		t.Errorf("tier-0 admit landed at %d, want the wHead boundary", sr.waiting[2].vm.ID)
+	sr.insert(QueuedVMState{VM: vm(6, 0), Seq: 0})
+	if sr.waiting[2].VM.ID != 6 {
+		t.Errorf("tier-0 admit landed at %d, want the wHead boundary", sr.waiting[2].VM.ID)
 	}
-	if sr.waiting[0].vm.ID != 3 || sr.waiting[1].vm.ID != 1 {
+	if sr.waiting[0].VM.ID != 3 || sr.waiting[1].VM.ID != 1 {
 		t.Error("admit disturbed the consumed prefix")
 	}
 }

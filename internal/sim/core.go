@@ -1,0 +1,421 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"risa/internal/faults"
+	"risa/internal/sched"
+	"risa/internal/workload"
+)
+
+// eventKind ranks simultaneous events (see eventCore for the rule). The
+// numeric values are wire format: EventState.Kind stores them in gob
+// snapshots (risasim -snapshot files, risasvc data directories), so they
+// are pinned. 0 is reserved (a retired kind no snapshot could hold) and
+// rejected on restore.
+type eventKind int
+
+const (
+	fault eventKind = iota + 1
+	departure
+	arrival // never queued: the rank arrivals merge into the heap order with
+)
+
+// event is one heap entry: a fault-plan event or a resident VM's
+// departure.
+type event struct {
+	t    int64
+	kind eventKind
+	seq  int // tie-break: FIFO among equal (t, kind)
+	fx   int // fault only: index into the fault plan
+	vm   workload.VM
+	a    *sched.Assignment // departure only; nil marks a ghost (see unseat)
+}
+
+// Less orders events by (time, kind, sequence). It is the ordering the
+// event queue (heap4.go) pops by.
+func (e event) Less(o event) bool {
+	if e.t != o.t {
+		return e.t < o.t
+	}
+	if e.kind != o.kind {
+		return e.kind < o.kind
+	}
+	return e.seq < o.seq
+}
+
+// observer receives the outcomes of the event core's steps. It is what
+// the drivers differ in: Run integrates power and utilization, the stream
+// run fills windows and reservoirs, the Driver observes nothing (nil).
+type observer interface {
+	// advance fires before the clock moves to the time `to`.
+	advance(to int64)
+	// decided reports the wall clock of one scheduling attempt; direct
+	// marks an arrival's own first decision (not a retry or a preemption).
+	decided(vm workload.VM, d time.Duration, direct bool)
+	// placed reports a VM taking up residence under a — fresh, or a
+	// displaced/preempted one recovering; waited marks retry-queue exits.
+	placed(q QueuedVMState, a *sched.Assignment, waited bool)
+	// enqueued reports a VM entering the retry queue.
+	enqueued(q QueuedVMState)
+	// dropped reports a VM gone for good: rejected at arrival, lost to a
+	// failure, or still queued when the run ended.
+	dropped(q QueuedVMState)
+	// releasing fires while a's holdings are still attached: at the VM's
+	// departure, or (evicted) before a fault displaces it.
+	releasing(vm workload.VM, a *sched.Assignment, evicted bool)
+	// displaced reports one fault eviction; on recovery a holds the new
+	// placement and d is the re-placement's wall clock.
+	displaced(a *sched.Assignment, recovered bool, d time.Duration)
+}
+
+// errQueuedBehind is admit's verdict for an arrival that joined a
+// non-empty retry queue without a decision of its own.
+var errQueuedBehind = errors.New("sim: queued behind earlier arrivals")
+
+// eventCore is the one event machine every driver steps — Runner.Run,
+// RunStream/WarmStream/ResumeStream, the agent round and the service
+// Driver. It owns the pending-event heap, the clock, the resident count,
+// the fault plan's outage refcounts, the retry queue, eviction and
+// preemption. Drivers choose when to step and what to observe; the rules
+// below are stated here and nowhere else.
+//
+// Same-instant order. At one timestamp, faults apply first, then
+// departures release, then arrivals are admitted (eventKind order, FIFO
+// within a kind). Faults precede departures so a VM departing at the
+// instant its box fails still releases into a failed box (the
+// deferred-capacity path); since releases return shares even to failed
+// boxes, the planes end identical either way unless eviction is on.
+// Departures precede arrivals so releasing VMs make room for arriving
+// ones. An externally supplied event (an arrival, a Driver.Apply fault)
+// merges as if queued last among its kind: see due.
+//
+// Burst atomicity. Same-instant faults form one burst: every one of them
+// applies before any eviction or queue drain, so a correlated outage
+// cannot leak VMs onto hardware that fails in the same tick.
+//
+// Queue order. Under Retry, VMs that cannot be placed wait in
+// tier-then-admission-sequence order (queueBefore) and drain head-first —
+// a blocked head blocks the rest — after every departure and every burst
+// that repaired something. An arrival finding the queue non-empty joins
+// it instead of jumping it. A waiting VM's lifetime starts when placed.
+type eventCore struct {
+	st  *sched.State
+	sch sched.Scheduler
+	obs observer     // nil observes nothing
+	f   StreamFaults // the run's fault surface, resolved by value
+
+	h        eventQueue
+	seq      int
+	now      int64
+	resident int
+
+	// downCount is the per-box outage refcount (faults.go); burstFail and
+	// burstRepair describe the same-instant burst in flight.
+	downCount              []int
+	burstFail, burstRepair bool
+
+	// The retry queue lives behind a head cursor so the backing array is
+	// reused once drained; admitSeq feeds QueuedVMState.Seq.
+	waiting  []QueuedVMState
+	wHead    int
+	admitSeq int
+
+	scratch sched.Scratch // victim-selection workspace (preempt.go)
+}
+
+// newEventCore binds a core to one state, scheduler, observer and fault
+// surface. The plan's events are not queued yet: see seedPlan.
+func newEventCore(st *sched.State, sch sched.Scheduler, obs observer, f StreamFaults) *eventCore {
+	return &eventCore{st: st, sch: sch, obs: obs, f: f, downCount: make([]int, len(st.Cluster.Boxes()))}
+}
+
+// seedPlan queues the fault plan's events from time `from` on (0 for a
+// fresh run; a plan-free snapshot resumed under a plan starts its faults
+// at the snapshot point).
+func (c *eventCore) seedPlan(from int64) {
+	if c.f.Plan == nil {
+		return
+	}
+	for i, ev := range c.f.Plan.Events {
+		if ev.T >= from {
+			c.h.Push(event{t: ev.T, kind: fault, seq: c.seq, fx: i})
+			c.seq++
+		}
+	}
+}
+
+// due reports whether the heap's minimum precedes an external event of
+// kind k at time t — the merge rule between queued and supplied events.
+func (c *eventCore) due(t int64, k eventKind) bool {
+	if c.h.Len() == 0 {
+		return false
+	}
+	m := c.h.Min()
+	return m.t < t || (m.t == t && m.kind < k)
+}
+
+// heapFirst decides a stream driver's merge between the heap and its
+// single materialized pending arrival (more reports that one exists);
+// same-instant arrivals keep stream order because only one is
+// materialized at a time.
+func (c *eventCore) heapFirst(pendingArrival int64, more bool) bool {
+	return c.h.Len() > 0 && (!more || c.due(pendingArrival, arrival))
+}
+
+// tick moves the clock to t. Time never runs backwards.
+func (c *eventCore) tick(t int64) error {
+	if t < c.now {
+		return fmt.Errorf("sim: event time went backwards: %d < %d", t, c.now)
+	}
+	if c.obs != nil {
+		c.obs.advance(t)
+	}
+	c.now = t
+	return nil
+}
+
+// step pops and processes the heap's minimum: a fault-plan event, or a
+// departure with the queue drain its freed capacity allows.
+func (c *eventCore) step() error {
+	e := c.h.Pop()
+	if err := c.tick(e.t); err != nil {
+		return err
+	}
+	if e.kind == fault {
+		c.fault(c.f.Plan.Events[e.fx])
+	} else if c.release(e) && c.f.Retry {
+		c.drain()
+	}
+	return nil
+}
+
+// release returns a departing VM's holdings; ghosts (see unseat) hold
+// none and report false.
+func (c *eventCore) release(e event) bool {
+	if e.a == nil {
+		return false
+	}
+	if c.obs != nil {
+		c.obs.releasing(e.vm, e.a, false)
+	}
+	c.sch.Release(e.a)
+	c.resident--
+	return true
+}
+
+// fault applies one failure or repair at the current instant and, once
+// the same-instant burst is complete, evicts and drains.
+func (c *eventCore) fault(ev faults.Event) {
+	c.applyFault(ev)
+	if ev.Repair {
+		c.burstRepair = true
+	} else {
+		c.burstFail = true
+	}
+	if c.h.Len() > 0 && c.h.Min().t == c.now && c.h.Min().kind == fault {
+		return // finish the whole burst first
+	}
+	if c.f.Evict && c.burstFail {
+		c.evictDisplaced()
+	}
+	if c.f.Retry && c.burstRepair {
+		c.drain()
+	}
+	c.burstFail, c.burstRepair = false, false
+}
+
+// admit runs one arrival at the current instant through the admission
+// rule: join a non-empty queue, else decide and settle. It returns the
+// assignment when the VM was placed by its own decision, else why not.
+func (c *eventCore) admit(vm workload.VM) (*sched.Assignment, error) {
+	q := QueuedVMState{VM: vm, Seq: c.nextSeq()}
+	if c.queued() {
+		c.enqueue(q)
+		c.drain()
+		return nil, errQueuedBehind
+	}
+	a, err := c.decide(vm, true)
+	c.settle(q, a, err, c.now)
+	return a, err
+}
+
+// nextSeq stamps one admission sequence number.
+func (c *eventCore) nextSeq() int {
+	c.admitSeq++
+	return c.admitSeq
+}
+
+// decide is the one scheduling attempt: the bound scheduler, then — for
+// an arrival above the lowest tier under Preempt — displacement of
+// strictly-lower-tier victims.
+func (c *eventCore) decide(vm workload.VM, direct bool) (*sched.Assignment, error) {
+	var start time.Time
+	if c.obs != nil {
+		start = time.Now()
+	}
+	a, err := c.sch.Schedule(vm)
+	if c.obs != nil {
+		c.obs.decided(vm, time.Since(start), direct)
+	}
+	if err != nil && c.f.Preempt && vm.Tier < workload.NumTiers-1 {
+		a, err = c.tryPreempt(vm)
+	}
+	return a, err
+}
+
+// settle books a decision's outcome: place, enqueue or drop. at is the
+// VM's arrival time (an agent round commits later than it).
+func (c *eventCore) settle(q QueuedVMState, a *sched.Assignment, err error, at int64) {
+	switch {
+	case err == nil:
+		c.place(q, a, at, false)
+	case c.f.Retry:
+		c.enqueue(q)
+	case c.obs != nil:
+		c.obs.dropped(q)
+	}
+}
+
+// place makes a VM resident and queues its departure one lifetime after
+// at — never before now, when an agent round commits it.
+func (c *eventCore) place(q QueuedVMState, a *sched.Assignment, at int64, waited bool) {
+	c.resident++
+	if c.obs != nil {
+		c.obs.placed(q, a, waited)
+	}
+	c.h.Push(event{t: max(at+q.VM.Lifetime, c.now), kind: departure, seq: c.seq, vm: q.VM, a: a})
+	c.seq++
+}
+
+// queueBefore is the retry queue's total order: priority tier first
+// (tier 0 drains before tier 1), admission sequence within a tier.
+func queueBefore(a, b QueuedVMState) bool {
+	if a.VM.Tier != b.VM.Tier {
+		return a.VM.Tier < b.VM.Tier
+	}
+	return a.Seq < b.Seq
+}
+
+// queued reports whether any VM waits in the retry queue.
+func (c *eventCore) queued() bool { return c.wHead < len(c.waiting) }
+
+// enqueue reports and inserts one retry-queue entry.
+func (c *eventCore) enqueue(q QueuedVMState) {
+	c.obs.enqueued(q)
+	c.insert(q)
+}
+
+// insert slots one entry into the retry queue in queueBefore order.
+// Equal-tier serial admissions are monotone, so the common path is a
+// plain append; a higher-tier entry — or an agent-round conflict loser
+// re-queuing under its original arrival sequence after being overtaken by
+// a VM evicted in the same round — is slotted back where the order says.
+func (c *eventCore) insert(q QueuedVMState) {
+	n := len(c.waiting)
+	if n == c.wHead || !queueBefore(q, c.waiting[n-1]) {
+		c.waiting = append(c.waiting, q)
+		return
+	}
+	c.waiting = append(c.waiting, QueuedVMState{})
+	i := n
+	for i > c.wHead && queueBefore(q, c.waiting[i-1]) {
+		c.waiting[i] = c.waiting[i-1]
+		i--
+	}
+	c.waiting[i] = q
+}
+
+// drain retries the queue head-first. Under preemption a blocked head
+// gets its preemption attempt (decide) before it blocks the rest; victims
+// are strictly lower tier than the head, so they queue behind it and the
+// drain terminates — preemption chains strictly descend the tier order.
+func (c *eventCore) drain() {
+	for c.queued() {
+		q := c.waiting[c.wHead]
+		a, err := c.decide(q.VM, false)
+		if err != nil {
+			return // the head blocks the rest
+		}
+		c.waiting[c.wHead] = QueuedVMState{}
+		c.wHead++
+		c.place(q, a, c.now, true)
+	}
+	c.waiting = c.waiting[:0]
+	c.wHead = 0
+}
+
+// abandon reports every VM still queued at the end of a run as dropped.
+func (c *eventCore) abandon() {
+	for _, q := range c.waiting[c.wHead:] {
+		c.obs.dropped(q)
+	}
+}
+
+// unseat turns a resident VM whose holdings are already released into a
+// ghost — its departure event stays queued with a nil assignment, which
+// release skips — and sends the VM to the retry queue (waiting from now,
+// its lifetime restarting when re-placed) or, without one, drops it.
+func (c *eventCore) unseat(e *event, q QueuedVMState) {
+	c.st.ReleaseVM(e.a) // holdings already released: pools the shell
+	e.a = nil
+	c.resident--
+	if !c.f.Retry {
+		c.obs.dropped(q)
+		return
+	}
+	q.VM.Arrival = c.now
+	q.Seq = c.nextSeq()
+	c.enqueue(q)
+}
+
+// captureHeap serializes the pending events in the heap's backing-array
+// order (the order evictDisplaced scans) together with the datacenter
+// state behind them; events reference live assignments by index. It only
+// reads.
+func (c *eventCore) captureHeap() ([]EventState, *StateSnapshot, error) {
+	live := make([]*sched.Assignment, 0, c.h.Len())
+	events := make([]EventState, 0, c.h.Len())
+	for i := range c.h.s {
+		e := &c.h.s[i]
+		es := EventState{T: e.t, Kind: int(e.kind), Seq: e.seq, FX: e.fx, VM: e.vm, A: -1}
+		if e.a != nil {
+			es.A = len(live)
+			live = append(live, e.a)
+		}
+		events = append(events, es)
+	}
+	state, err := CaptureState(c.st, c.sch, live)
+	return events, state, err
+}
+
+// restoreHeap rebuilds the heap's backing array verbatim — the snapshot
+// recorded a valid heap in array order, so assigning it preserves the
+// heap property and the eviction scan order — and the outage refcounts
+// (nil when the snapshot ran without faults: the counts start at zero).
+// Only fault events of the core's plan and departures are restorable.
+func (c *eventCore) restoreHeap(events []EventState, live []*sched.Assignment, downCount []int) error {
+	if downCount != nil && len(downCount) != len(c.downCount) {
+		return fmt.Errorf("sim: snapshot carries %d outage refcounts, run tracks %d boxes", len(downCount), len(c.downCount))
+	}
+	copy(c.downCount, downCount)
+	c.h.s = make([]event, len(events))
+	for i, es := range events {
+		e := event{t: es.T, kind: eventKind(es.Kind), seq: es.Seq, fx: es.FX, vm: es.VM}
+		switch {
+		case e.kind == fault && c.f.Plan != nil && es.FX >= 0 && es.FX < len(c.f.Plan.Events):
+			// a pending event of this run's plan
+		case e.kind == departure && es.A < 0:
+			// a ghost
+		case e.kind == departure && es.A < len(live):
+			e.a = live[es.A]
+		default:
+			return fmt.Errorf("sim: snapshot event %d (kind %d, plan index %d, assignment %d of %d) cannot be restored",
+				i, es.Kind, es.FX, es.A, len(live))
+		}
+		c.h.s[i] = e
+	}
+	return nil
+}

@@ -1,11 +1,11 @@
 // Step-wise drive API: the placement-as-a-service daemon (internal/svc)
 // owns a live cluster but has no workload stream to pull from — arrivals
 // come one at a time over HTTP, interleaved with live cluster mutations.
-// Driver exposes the simulator's event machinery one externally supplied
-// event at a time: each Place advances virtual time to the VM's arrival
-// (releasing every departure due by then, departures-before-arrivals
-// exactly like the batch loops), each Apply toggles hardware failure
-// through the same per-box outage refcounts the fault plans use, and
+// Driver steps the simulator's event core one externally supplied event
+// at a time: each Place steps through everything that precedes an
+// arrival at the VM's time (releasing every departure due by then —
+// the core's departures-before-arrivals order), each Apply applies a
+// hardware failure or repair the way a fault-plan event would, and
 // Snapshot/RestoreDriver capture and restore the complete driver state
 // at a decision boundary — the foundation of the daemon's
 // restore-then-replay crash recovery.
@@ -23,43 +23,30 @@ import (
 
 	"risa/internal/faults"
 	"risa/internal/sched"
-	"risa/internal/topology"
 	"risa/internal/workload"
 )
 
 // Driver drives one scheduler over one datacenter state, one externally
-// supplied event at a time. It is single-writer: not safe for concurrent
-// use (the daemon serializes all calls through its worker loop).
+// supplied event at a time: it steps the simulator's event core with no
+// observer, no fault plan and no retry queue. It is single-writer: not
+// safe for concurrent use (the daemon serializes all calls through its
+// worker loop).
 type Driver struct {
-	st  *sched.State
-	sch sched.Scheduler
-
-	h        eventQueue
-	seq      int
-	lastT    int64
-	resident int
-
-	// downCount is the per-box outage refcount shared with the fault-plan
-	// machinery (see faults.go): overlapping box- and rack-scope outages
-	// only return a box to service at the last covering repair.
-	downCount []int
+	c *eventCore
 }
 
 // NewDriver binds a driver to st and sch. The scheduler must be bound to
 // st (sched.New does that).
 func NewDriver(st *sched.State, sch sched.Scheduler) *Driver {
-	return &Driver{st: st, sch: sch, downCount: make([]int, len(st.Cluster.Boxes()))}
+	return &Driver{c: newEventCore(st, sch, nil, StreamFaults{})}
 }
 
 // Now returns the driver's current virtual time: the time of the last
 // event processed.
-func (d *Driver) Now() int64 { return d.lastT }
+func (d *Driver) Now() int64 { return d.c.now }
 
 // Resident returns the number of VMs currently placed.
-func (d *Driver) Resident() int { return d.resident }
-
-// Scheduler returns the currently bound scheduler.
-func (d *Driver) Scheduler() sched.Scheduler { return d.sch }
+func (d *Driver) Resident() int { return d.c.resident }
 
 // SetScheduler hot-swaps the bound scheduler at a decision boundary: the
 // cluster's lazy index tiers are settled first (topology.Settle), so the
@@ -68,48 +55,44 @@ func (d *Driver) Scheduler() sched.Scheduler { return d.sch }
 // — Release operates on the shared State and its pools, exactly like a
 // cross-algorithm snapshot resume.
 func (d *Driver) SetScheduler(sch sched.Scheduler) {
-	d.st.Cluster.Settle()
-	d.sch = sch
+	d.c.st.Cluster.Settle()
+	d.c.sch = sch
 }
 
-// Advance moves virtual time to t, releasing every pending departure due
-// at or before t (departures precede arrivals at equal times, the batch
-// loops' event order). Time never goes backwards: t earlier than the
-// current time is clamped, and the effective time is returned.
-func (d *Driver) Advance(t int64) int64 {
-	if t < d.lastT {
-		t = d.lastT
+// reach steps the core through every pending event that precedes an
+// external event of kind k at time t, then moves the clock there. Time
+// never goes backwards: t earlier than the current time is clamped, and
+// the effective time is returned.
+func (d *Driver) reach(t int64, k eventKind) int64 {
+	c := d.c
+	t = max(t, c.now)
+	// Neither step nor tick can fail: the heap pops in time order, nothing
+	// is queued before the clock, and t is clamped.
+	for c.due(t, k) {
+		_ = c.step()
 	}
-	for d.h.Len() > 0 && d.h.Min().t <= t {
-		e := d.h.Pop()
-		if e.a != nil {
-			d.sch.Release(e.a)
-			d.resident--
-		}
-	}
-	d.lastT = t
+	_ = c.tick(t)
 	return t
 }
 
+// Advance moves virtual time to t, releasing every pending departure due
+// at or before t (departures precede arrivals at equal times, the event
+// core's order), and returns the effective time.
+func (d *Driver) Advance(t int64) int64 { return d.reach(t, arrival) }
+
 // Place advances virtual time to the VM's arrival (clamped to now — a
-// late-stamped request places at the current time) and schedules it. On
+// late-stamped request places at the current time) and admits it. On
 // success the VM's departure is queued at its lifetime's end and the
 // assignment returned with the effective placement time; on failure the
 // scheduling error describes why the VM was rejected, the state
 // untouched. Invalid VMs are rejected before time advances.
 func (d *Driver) Place(vm workload.VM) (*sched.Assignment, int64, error) {
 	if err := vm.Validate(); err != nil {
-		return nil, d.lastT, err
+		return nil, d.c.now, err
 	}
-	t := d.Advance(vm.Arrival)
-	a, err := d.sch.Schedule(vm)
-	if err != nil {
-		return nil, t, err
-	}
-	d.h.Push(event{t: t + vm.Lifetime, kind: departure, seq: d.seq, vm: vm, a: a})
-	d.seq++
-	d.resident++
-	return a, t, nil
+	t := d.reach(vm.Arrival, arrival)
+	a, err := d.c.admit(vm)
+	return a, t, err
 }
 
 // BatchResult is one VM's outcome from PlaceBatch, carrying exactly what
@@ -120,35 +103,13 @@ type BatchResult struct {
 	Err error
 }
 
-// PlaceBatch admits a burst of VMs in order, equivalent call for call to
-// invoking Place on each — same placements, same effective times, same
-// per-VM errors, invalid VMs rejected without advancing time. What the
-// batch amortizes is the departure-release sweep: Advance runs once per
-// distinct arrival instant instead of once per VM. The skip is provably
-// a no-op, not an approximation — the heap never holds a departure at or
-// before the current virtual time (every push lands at place-time plus a
-// positive lifetime, and time is monotone), so a repeated Advance to an
-// instant already reached could never pop anything.
+// PlaceBatch admits a burst of VMs in order: it is Place called on each,
+// the results gathered — same placements, same effective times, same
+// per-VM errors, invalid VMs rejected without advancing time.
 func (d *Driver) PlaceBatch(vms []workload.VM) []BatchResult {
 	out := make([]BatchResult, len(vms))
 	for i, vm := range vms {
-		if err := vm.Validate(); err != nil {
-			out[i] = BatchResult{T: d.lastT, Err: err}
-			continue
-		}
-		t := d.lastT
-		if vm.Arrival > t {
-			t = d.Advance(vm.Arrival)
-		}
-		a, err := d.sch.Schedule(vm)
-		if err != nil {
-			out[i] = BatchResult{T: t, Err: err}
-			continue
-		}
-		d.h.Push(event{t: t + vm.Lifetime, kind: departure, seq: d.seq, vm: vm, a: a})
-		d.seq++
-		d.resident++
-		out[i] = BatchResult{A: a, T: t}
+		out[i].A, out[i].T, out[i].Err = d.Place(vm)
 	}
 	return out
 }
@@ -156,34 +117,22 @@ func (d *Driver) PlaceBatch(vms []workload.VM) []BatchResult {
 // Apply advances virtual time to the event's timestamp and applies one
 // box- or rack-scope failure or repair through the per-box outage
 // refcounts (a box returns to service only at the last covering repair).
-// Resident VMs ride out the outage in place — their circuits are
-// established and releases return shares even on failed hardware — while
-// new arrivals route around the hole; this is the batch loops' default
-// (non-Evict) fault semantics. Pod-scope events are not supported: the
-// driver has no fault plan to carry a pod size.
+// Like a fault-plan event it precedes the departures of its own instant,
+// which release at the next step. Resident VMs ride out the outage in
+// place — their circuits are established and releases return shares even
+// on failed hardware — while new arrivals route around the hole; this is
+// the default (non-Evict) fault semantics. Pod-scope events are not
+// supported: the driver has no fault plan to carry a pod size.
 func (d *Driver) Apply(ev faults.Event) error {
-	cl := d.st.Cluster
-	switch ev.Tier {
-	case faults.BoxTier:
-		if ev.Rack < 0 || ev.Rack >= cl.NumRacks() || ev.Box < 0 || ev.Box >= cl.Config().BoxesPerRack() {
-			return fmt.Errorf("sim: mutation %v outside %d racks × %d boxes", ev, cl.NumRacks(), cl.Config().BoxesPerRack())
-		}
-	case faults.RackTier:
-		if ev.Rack < 0 || ev.Rack >= cl.NumRacks() {
-			return fmt.Errorf("sim: mutation %v outside %d racks", ev, cl.NumRacks())
-		}
-	default:
-		return fmt.Errorf("sim: driver mutations are box- or rack-scope, got %v", ev.Tier)
+	cl := d.c.st.Cluster
+	// A one-event plan without a pod size validates exactly the driver's
+	// scope: box and rack coordinates in range, pod tier refused.
+	one := faults.Plan{Events: []faults.Event{{Tier: ev.Tier, Rack: ev.Rack, Box: ev.Box, Pod: ev.Pod}}}
+	if err := one.Validate(cl.NumRacks(), cl.Config().BoxesPerRack()); err != nil {
+		return fmt.Errorf("sim: driver mutations are box- or rack-scope in range: %w", err)
 	}
-	d.Advance(ev.T)
-	switch ev.Tier {
-	case faults.BoxTier:
-		noteFault(cl, d.downCount, cl.Rack(ev.Rack).Boxes()[ev.Box], ev.Repair)
-	case faults.RackTier:
-		for _, b := range cl.Rack(ev.Rack).Boxes() {
-			noteFault(cl, d.downCount, b, ev.Repair)
-		}
-	}
+	d.reach(ev.T, fault)
+	d.c.fault(ev)
 	return nil
 }
 
@@ -204,31 +153,17 @@ type DriverSnapshot struct {
 // Snapshot captures the driver's complete state at the current decision
 // boundary. It only reads — the driver continues unperturbed.
 func (d *Driver) Snapshot() (*DriverSnapshot, error) {
-	live := make([]*sched.Assignment, 0, d.h.Len())
-	events := make([]EventState, 0, d.h.Len())
-	for i := range d.h.s {
-		e := &d.h.s[i]
-		if e.kind != departure {
-			return nil, fmt.Errorf("sim: driver heap holds a non-departure event (kind %d)", e.kind)
-		}
-		es := EventState{T: e.t, Kind: int(e.kind), Seq: e.seq, VM: e.vm, A: -1}
-		if e.a != nil {
-			es.A = len(live)
-			live = append(live, e.a)
-		}
-		events = append(events, es)
-	}
-	state, err := CaptureState(d.st, d.sch, live)
+	events, state, err := d.c.captureHeap()
 	if err != nil {
 		return nil, err
 	}
 	return &DriverSnapshot{
-		LastT:     d.lastT,
-		Seq:       d.seq,
-		Resident:  d.resident,
+		LastT:     d.c.now,
+		Seq:       d.c.seq,
+		Resident:  d.c.resident,
 		State:     *state,
 		Events:    events,
-		DownCount: append([]int(nil), d.downCount...),
+		DownCount: append([]int(nil), d.c.downCount...),
 	}, nil
 }
 
@@ -247,49 +182,9 @@ func RestoreDriver(st *sched.State, sch sched.Scheduler, snap *DriverSnapshot) (
 		return nil, err
 	}
 	d := NewDriver(st, sch)
-	d.lastT = snap.LastT
-	d.seq = snap.Seq
-	d.resident = snap.Resident
-	if len(snap.DownCount) != len(d.downCount) {
-		return nil, fmt.Errorf("sim: snapshot carries %d outage refcounts, cluster has %d boxes",
-			len(snap.DownCount), len(d.downCount))
-	}
-	copy(d.downCount, snap.DownCount)
-	// Rebuild the heap's backing array verbatim: the snapshot recorded a
-	// valid heap in array order, so assigning it preserves the heap
-	// property.
-	d.h.s = make([]event, len(snap.Events))
-	for i, es := range snap.Events {
-		e := event{t: es.T, kind: eventKind(es.Kind), seq: es.Seq, vm: es.VM}
-		if e.kind != departure {
-			return nil, fmt.Errorf("sim: driver snapshot event %d is not a departure (kind %d)", i, es.Kind)
-		}
-		if es.A >= 0 {
-			if es.A >= len(live) {
-				return nil, fmt.Errorf("sim: driver snapshot event %d references assignment %d of %d", i, es.A, len(live))
-			}
-			e.a = live[es.A]
-		}
-		d.h.s[i] = e
+	d.c.now, d.c.seq, d.c.resident = snap.LastT, snap.Seq, snap.Resident
+	if err := d.c.restoreHeap(snap.Events, live, snap.DownCount); err != nil {
+		return nil, err
 	}
 	return d, nil
-}
-
-// noteFault adjusts one box's outage refcount and toggles the topology
-// failure flag on the 0↔positive edges. It is the shared core of the
-// fault-plan machinery (Runner.applyFault) and the driver's live
-// mutations.
-func noteFault(cl *topology.Cluster, downCount []int, b *topology.Box, repair bool) {
-	i := b.Rack()*cl.Config().BoxesPerRack() + b.Index()
-	if repair {
-		if downCount[i] > 0 {
-			downCount[i]--
-		}
-		if downCount[i] == 0 {
-			cl.SetBoxFailed(b, false)
-		}
-		return
-	}
-	downCount[i]++
-	cl.SetBoxFailed(b, true)
 }

@@ -176,7 +176,7 @@ func TestDriverApplyScope(t *testing.T) {
 	if err := d.Apply(faults.Event{Tier: faults.BoxTier, Rack: 0, Box: 99}); err == nil {
 		t.Fatal("out-of-range box must be rejected")
 	}
-	for r := 0; r < d.st.Cluster.NumRacks(); r++ {
+	for r := 0; r < d.c.st.Cluster.NumRacks(); r++ {
 		if err := d.Apply(faults.Event{Tier: faults.RackTier, Rack: r}); err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestDriverApplyScope(t *testing.T) {
 	if _, _, err := d.Place(workload.VM{ID: 1, Lifetime: 10, Req: units.Vec(1, 1, 0)}); err == nil {
 		t.Fatal("placement on a fully failed cluster must be rejected")
 	}
-	for r := 0; r < d.st.Cluster.NumRacks(); r++ {
+	for r := 0; r < d.c.st.Cluster.NumRacks(); r++ {
 		if err := d.Apply(faults.Event{Repair: true, Tier: faults.RackTier, Rack: r}); err != nil {
 			t.Fatal(err)
 		}

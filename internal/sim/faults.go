@@ -5,83 +5,50 @@ import (
 
 	"risa/internal/core"
 	"risa/internal/faults"
-	"risa/internal/sched"
 	"risa/internal/topology"
-	"risa/internal/workload"
 )
 
-// resetFaultCounts prepares the per-box outage refcounts for one run.
-// Tiers overlap — a box can be inside a box-tier outage and a rack- or
-// pod-tier outage at once — so a box is healthy only when no scope
-// covering it is down; a plain boolean toggle would let the first
-// repair un-fail a box another tier still holds down. Ad-hoc Injections
-// bypass the counts (they call SetBoxFailed directly, as always).
-func (r *Runner) resetFaultCounts() {
-	if r.plan == nil {
-		return
+// applyFault applies one fault event's scope to the cluster through the
+// per-box outage refcounts. Tiers overlap — a box can be inside a
+// box-tier outage and a rack- or pod-tier outage at once — so a box is
+// healthy only when no scope covering it is down; a plain boolean toggle
+// would let the first repair un-fail a box another tier still holds down.
+// Repairs that bring a box's count to zero re-seed both topology index
+// tiers exactly (topology.SetBoxFailed), so post-repair scheduling is
+// bit-identical to a never-failed cluster.
+func (c *eventCore) applyFault(ev faults.Event) {
+	cl := c.st.Cluster
+	lo, hi := ev.Rack, ev.Rack+1
+	if ev.Tier == faults.PodTier {
+		lo, hi = c.f.Plan.PodRacks(ev.Pod, cl.NumRacks())
 	}
-	n := len(r.st.Cluster.Boxes())
-	if cap(r.downCount) < n {
-		r.downCount = make([]int, n)
-		return
-	}
-	r.downCount = r.downCount[:n]
-	for i := range r.downCount {
-		r.downCount[i] = 0
-	}
-}
-
-// applyFault applies one plan event's scope to the cluster through the
-// refcounts. Repairs that bring a box's count to zero re-seed both
-// topology index tiers exactly (topology.SetBoxFailed), so post-repair
-// scheduling is bit-identical to a never-failed cluster.
-func (r *Runner) applyFault(ev faults.Event) {
-	cl := r.st.Cluster
-	switch ev.Tier {
-	case faults.BoxTier:
-		r.noteFault(cl.Rack(ev.Rack).Boxes()[ev.Box], ev.Repair)
-	case faults.RackTier:
-		for _, b := range cl.Rack(ev.Rack).Boxes() {
-			r.noteFault(b, ev.Repair)
+	for ri := lo; ri < hi; ri++ {
+		boxes := cl.Rack(ri).Boxes()
+		if ev.Tier == faults.BoxTier {
+			boxes = boxes[ev.Box : ev.Box+1]
 		}
-	case faults.PodTier:
-		lo, hi := r.plan.PodRacks(ev.Pod, cl.NumRacks())
-		for ri := lo; ri < hi; ri++ {
-			for _, b := range cl.Rack(ri).Boxes() {
-				r.noteFault(b, ev.Repair)
-			}
+		for _, b := range boxes {
+			c.noteFault(b, ev.Repair)
 		}
 	}
 }
 
 // noteFault adjusts one box's outage refcount and toggles the topology
-// failure flag on the 0↔positive edges. The core lives in the
-// package-level noteFault (driver.go) so the daemon's live mutations
-// share the exact refcount semantics of the fault plans.
-func (r *Runner) noteFault(b *topology.Box, repair bool) {
-	noteFault(r.st.Cluster, r.downCount, b, repair)
-}
-
-// sameInstantFaultPending reports whether the queue's next event is
-// another fault event of the same instant — the condition under which
-// the event loops defer eviction and queue drains until the whole burst
-// has been applied.
-func sameInstantFaultPending(h *eventQueue, t int64) bool {
-	return h.Len() > 0 && h.Min().t == t && h.Min().kind == fault
-}
-
-// evictHooks customizes evictDisplaced for the two event loops' different
-// bookkeeping. Any hook may be nil.
-type evictHooks struct {
-	// before fires per displaced VM while its old holdings are still
-	// attached (Run detaches the circuits from the power accountant).
-	before func(a *sched.Assignment)
-	// after fires per displaced VM once re-placement was attempted; on
-	// recovery a holds the new placement, d its Schedule wall clock.
-	after func(a *sched.Assignment, recovered bool, d time.Duration)
-	// lost fires for VMs that could not be re-placed, after their record
-	// was pooled and their departure event neutralized.
-	lost func(vm workload.VM)
+// failure flag on the 0↔positive edges.
+func (c *eventCore) noteFault(b *topology.Box, repair bool) {
+	cl := c.st.Cluster
+	i := b.Rack()*cl.Config().BoxesPerRack() + b.Index()
+	if !repair {
+		c.downCount[i]++
+		cl.SetBoxFailed(b, true)
+		return
+	}
+	if c.downCount[i] > 0 {
+		c.downCount[i]--
+	}
+	if c.downCount[i] == 0 {
+		cl.SetBoxFailed(b, false)
+	}
 }
 
 // evictDisplaced scans the pending-event queue for departures whose
@@ -89,9 +56,8 @@ type evictHooks struct {
 // core.Displace. A recovered VM keeps its departure event — the record
 // the event references now holds the new placement, and the pooled
 // record of the transaction recycles, so eviction stays off the
-// allocator. An unrecoverable VM's record is pooled and its departure
-// event neutralized into a ghost (a = nil) that the event loops skip;
-// the hooks decide the VM's fate (drop, or the retry queue).
+// allocator. An unrecoverable VM is unseated: to the retry queue, or
+// lost.
 //
 // VMs whose departure is due at the failure instant itself (e.t == now)
 // are left alone: they are leaving this tick anyway — faults sort
@@ -101,28 +67,18 @@ type evictHooks struct {
 //
 // The scan order is the queue's array order: deterministic for a given
 // event history, which is all bit-identical replay needs.
-func (r *Runner) evictDisplaced(h *eventQueue, now int64, hooks evictHooks) {
-	for i := range h.s {
-		e := &h.s[i]
-		if e.kind != departure || e.a == nil || e.t <= now || !e.a.OnFailedHardware() {
+func (c *eventCore) evictDisplaced() {
+	for i := range c.h.s {
+		e := &c.h.s[i]
+		if e.kind != departure || e.a == nil || e.t <= c.now || !e.a.OnFailedHardware() {
 			continue
 		}
-		if hooks.before != nil {
-			hooks.before(e.a)
-		}
+		c.obs.releasing(e.vm, e.a, true)
 		start := time.Now()
-		recovered := core.Displace(r.st, r.sch, e.a)
-		d := time.Since(start)
-		if hooks.after != nil {
-			hooks.after(e.a, recovered, d)
-		}
+		recovered := core.Displace(c.st, c.sch, e.a)
+		c.obs.displaced(e.a, recovered, time.Since(start))
 		if !recovered {
-			vm := e.vm
-			r.st.ReleaseVM(e.a) // holdings already released: pools the shell
-			e.a = nil
-			if hooks.lost != nil {
-				hooks.lost(vm)
-			}
+			c.unseat(e, QueuedVMState{VM: e.vm, Displaced: true})
 		}
 	}
 }

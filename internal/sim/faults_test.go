@@ -45,10 +45,13 @@ func TestNewRunnerValidatesFaultConfig(t *testing.T) {
 	}
 }
 
-// TestRunFaultPlanMatchesInjections: a rack-outage plan must reproduce
-// the injection-based equivalent bit for bit — the property the
-// resilience experiment's rewrite onto the plan abstraction rests on.
-func TestRunFaultPlanMatchesInjections(t *testing.T) {
+// TestRunFaultPlanMatchesDriverApply: a rack-outage plan merged into Run
+// must reproduce, placement for placement, the same outage applied
+// step-wise through Driver.Apply at the same instants — the fault plan
+// is nothing but the event core applying faults at their timestamps. (It
+// replaces the comparison against the closure-based injections the
+// resilience experiment used before fault plans existed.)
+func TestRunFaultPlanMatchesDriverApply(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.N = 500
 	tr, err := workload.Synthetic(cfg)
@@ -56,38 +59,17 @@ func TestRunFaultPlanMatchesInjections(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := tr.VMs[tr.Len()-1].Arrival
-	fail := func(failed bool, at int64) Injection {
-		return Injection{T: at, Do: func(st *sched.State) {
-			for _, b := range st.Cluster.Rack(2).Boxes() {
-				st.Cluster.SetBoxFailed(b, failed)
-			}
-		}}
-	}
-	_, withInj := faultRunner(t, Config{Injections: []Injection{
-		fail(true, last/4), fail(false, last/2),
-	}})
-	a, err := withInj.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, withPlan := faultRunner(t, Config{Faults: faults.RackFailure(2, last/4, last/2)})
-	b, err := withPlan.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SchedulingTime, b.SchedulingTime = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("plan result differs from injection result:\n%+v\nvs\n%+v", a, b)
+	plan := faults.RackFailure(2, last/4, last/2)
+	tcfg := topology.DefaultConfig()
+
+	withPlan := logRun(t, tcfg, tr, plan)
+	stepped := logDriver(t, tcfg, tr, plan)
+	if !reflect.DeepEqual(withPlan, stepped) {
+		t.Errorf("plan placements differ from step-wise Driver.Apply placements:\n%v\nvs\n%v", withPlan, stepped)
 	}
 	// The fixture must actually bite: the same trace without the outage
-	// produces a different result (placements shifted off rack 2).
-	_, healthy := faultRunner(t, Config{})
-	c, err := healthy.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SchedulingTime = 0
-	if reflect.DeepEqual(a, c) {
+	// places differently (placements shifted off rack 2).
+	if reflect.DeepEqual(withPlan, logRun(t, tcfg, tr, nil)) {
 		t.Error("fixture too weak: the outage changed nothing")
 	}
 }
@@ -282,41 +264,37 @@ func TestRunStreamFaultDeterminism(t *testing.T) {
 // behind applyFault. Before the refcounts, the box-tier repair at t=300
 // un-failed the box mid-rack-outage.
 func TestOverlappingTierOutages(t *testing.T) {
-	plan := &faults.Plan{Events: []faults.Event{
-		{T: 100, Tier: faults.BoxTier, Rack: 0, Box: 0},
-		{T: 200, Tier: faults.RackTier, Rack: 0},
-		{T: 300, Repair: true, Tier: faults.BoxTier, Rack: 0, Box: 0},
-		{T: 800, Repair: true, Tier: faults.RackTier, Rack: 0},
-	}}
-	var during, after bool
-	probe := func(out *bool) func(st *sched.State) {
-		return func(st *sched.State) { *out = st.Cluster.Rack(0).Boxes()[0].Failed() }
-	}
 	st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, core.New(st), Config{
-		Faults: plan,
-		Injections: []Injection{
-			{T: 350, Do: probe(&during)},
-			{T: 900, Do: probe(&after)},
-		},
-	})
-	if err != nil {
+	d := NewDriver(st, core.New(st))
+	if _, _, err := d.Place(workload.VM{ID: 0, Arrival: 0, Lifetime: 1000, Req: units.Vec(1, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	tr := &workload.Trace{Name: "probe", VMs: []workload.VM{
-		{ID: 0, Arrival: 0, Lifetime: 1000, Req: units.Vec(1, 1, 1)},
-	}}
-	if _, err := r.Run(tr); err != nil {
-		t.Fatal(err)
+	box := st.Cluster.Rack(0).Boxes()[0]
+	for _, step := range []struct {
+		ev     faults.Event
+		failed bool
+		why    string
+	}{
+		{faults.Event{T: 100, Tier: faults.BoxTier, Rack: 0, Box: 0}, true, "box-tier failure"},
+		{faults.Event{T: 200, Tier: faults.RackTier, Rack: 0}, true, "rack-tier failure on top"},
+		{faults.Event{T: 300, Repair: true, Tier: faults.BoxTier, Rack: 0, Box: 0}, true,
+			"box un-failed by the box-tier repair while its rack was still down"},
+		{faults.Event{T: 800, Repair: true, Tier: faults.RackTier, Rack: 0}, false,
+			"box still failed after the last covering repair"},
+	} {
+		if err := d.Apply(step.ev); err != nil {
+			t.Fatal(err)
+		}
+		if box.Failed() != step.failed {
+			t.Errorf("after %v: failed = %v (%s)", step.ev, box.Failed(), step.why)
+		}
 	}
-	if !during {
-		t.Error("box un-failed by the box-tier repair while its rack was still down")
-	}
-	if after {
-		t.Error("box still failed after the last covering repair")
+	d.Advance(1000)
+	if d.Resident() != 0 {
+		t.Errorf("%d VMs resident after the last departure", d.Resident())
 	}
 	if err := st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -396,41 +374,81 @@ func TestDisplacedRequeueCountsOnce(t *testing.T) {
 	}
 }
 
-// TestEvictDisplacedSkipsHealthyAndGhosts exercises the queue scan
-// directly: only departures on failed hardware are touched.
+// spyObserver records the event core's eviction callbacks (SNIPPETS.md
+// spy idiom: inject, then assert the observable contract).
+type spyObserver struct {
+	released  []int // VM IDs detached before displacement
+	moved     []*sched.Assignment
+	recovered []bool
+	lost      []QueuedVMState
+}
+
+func (s *spyObserver) advance(int64)                                 {}
+func (s *spyObserver) decided(workload.VM, time.Duration, bool)      {}
+func (s *spyObserver) placed(QueuedVMState, *sched.Assignment, bool) {}
+func (s *spyObserver) enqueued(QueuedVMState)                        {}
+func (s *spyObserver) dropped(q QueuedVMState)                       { s.lost = append(s.lost, q) }
+func (s *spyObserver) releasing(vm workload.VM, _ *sched.Assignment, evicted bool) {
+	if evicted {
+		s.released = append(s.released, vm.ID)
+	}
+}
+func (s *spyObserver) displaced(a *sched.Assignment, recovered bool, _ time.Duration) {
+	s.moved = append(s.moved, a)
+	s.recovered = append(s.recovered, recovered)
+}
+
+// TestEvictDisplacedSkipsHealthyAndGhosts drives the event core's
+// eviction scan directly under a spy observer: only departures on failed
+// hardware are touched, each is announced before it is displaced, and a
+// VM with nowhere to go is dropped as a displaced loss and ghosted.
 func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 	st, r := faultRunner(t, Config{})
-	var h eventQueue
-	a1, err := r.sch.Schedule(workload.VM{ID: 1, Lifetime: 10, Req: units.Vec(8, 16, 128)})
+	spy := &spyObserver{}
+	c := newEventCore(st, r.sch, spy, StreamFaults{Evict: true})
+	vm := workload.VM{ID: 1, Lifetime: 10, Req: units.Vec(8, 16, 128)}
+	a1, err := c.decide(vm, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Push(event{t: 10, kind: departure, seq: 0, vm: workload.VM{ID: 1, Lifetime: 10}, a: a1})
-	h.Push(event{t: 11, kind: departure, seq: 1, a: nil}) // ghost
-	h.Push(event{t: 12, kind: fault, seq: 2})
-	var touched int
-	r.evictDisplaced(&h, 0, evictHooks{
-		after: func(_ *sched.Assignment, _ bool, _ time.Duration) { touched++ },
-	})
-	if touched != 0 {
-		t.Errorf("healthy departure displaced %d times", touched)
+	c.place(QueuedVMState{VM: vm}, a1, 0, false)
+	c.h.Push(event{t: 11, kind: departure, seq: 1, a: nil}) // ghost
+	c.h.Push(event{t: 12, kind: fault, seq: 2})
+	c.evictDisplaced()
+	if len(spy.moved) != 0 {
+		t.Errorf("healthy departure displaced %d times", len(spy.moved))
 	}
-	// Fail the VM's CPU rack: now exactly one displacement.
+	// Fail the VM's CPU rack: now exactly one displacement, recovered.
 	for _, b := range st.Cluster.Rack(a1.CPU.Box.Rack()).Boxes() {
 		st.Cluster.SetBoxFailed(b, true)
 	}
-	r.evictDisplaced(&h, 0, evictHooks{
-		after: func(a *sched.Assignment, recovered bool, _ time.Duration) {
-			touched++
-			if !recovered {
-				t.Error("displacement must recover on a near-empty cluster")
-			}
-			if a.OnFailedHardware() {
-				t.Error("recovered assignment still on failed hardware")
-			}
-		},
-	})
-	if touched != 1 {
-		t.Errorf("displaced %d, want 1", touched)
+	c.evictDisplaced()
+	if len(spy.moved) != 1 || !spy.recovered[0] {
+		t.Fatalf("displaced %d (recovered %v), want one recovery on a near-empty cluster", len(spy.moved), spy.recovered)
+	}
+	if !reflect.DeepEqual(spy.released, []int{1}) {
+		t.Errorf("released before displacement: %v, want [1]", spy.released)
+	}
+	if spy.moved[0] != a1 || a1.OnFailedHardware() {
+		t.Error("recovered VM must keep its record, now off the failed hardware")
+	}
+	// Fail everything: the VM has nowhere to go and is lost for good.
+	for _, b := range st.Cluster.Boxes() {
+		st.Cluster.SetBoxFailed(b, true)
+	}
+	c.evictDisplaced()
+	if len(spy.moved) != 2 || spy.recovered[1] {
+		t.Fatalf("displaced %d (recovered %v), want a second, failed displacement", len(spy.moved), spy.recovered)
+	}
+	if len(spy.lost) != 1 || !spy.lost[0].Displaced || spy.lost[0].VM.ID != 1 {
+		t.Errorf("lost = %+v, want VM 1 as a displaced loss", spy.lost)
+	}
+	if c.resident != 0 {
+		t.Errorf("resident = %d after the loss", c.resident)
+	}
+	for c.h.Len() > 0 {
+		if e := c.h.Pop(); e.a != nil {
+			t.Errorf("event %+v still holds an assignment: the lost VM must be a ghost", e)
+		}
 	}
 }

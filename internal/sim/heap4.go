@@ -1,12 +1,11 @@
 package sim
 
-// heap4 is a generic 4-ary min-heap ordered by the element's Less method.
-// It replaces container/heap for the simulator's event queue: the
-// heap.Interface API boxes every element through interface{}, which costs
-// one allocation per Push — on the steady-state churn path that was one
-// allocation per scheduled VM. This heap is monomorphized by the compiler
-// instead, so Push and Pop move concrete values and never touch the
-// allocator beyond the amortized growth of the backing slice.
+// eventQueue is the event core's pending-event queue: a 4-ary min-heap of
+// events ordered by event.Less. It replaces container/heap, whose
+// heap.Interface API boxes every element through interface{} — one
+// allocation per Push, which on the steady-state churn path was one
+// allocation per scheduled VM. This heap moves concrete values and never
+// touches the allocator beyond the amortized growth of the backing slice.
 //
 // A 4-ary layout (children of i at 4i+1..4i+4) halves the tree depth of
 // the binary heap: sift-down does more comparisons per level but those hit
@@ -18,28 +17,22 @@ package sim
 // Pop zeroes the vacated slot so popped elements do not linger in the
 // backing array: the old eventHeap.Pop left the last element (and through
 // it the departed VM's *Assignment) reachable until the slot was
-// overwritten, pinning arbitrarily old placements past their release (the
-// memory retention bug fixed in this refactor; see TestHeap4PopClearsSlot).
-type heap4[T lesser[T]] struct {
-	s []T
+// overwritten, pinning arbitrarily old placements past their release (see
+// TestHeap4PopClearsSlot).
+type eventQueue struct {
+	s []event
 }
 
-// lesser is the ordering constraint: a type orders itself via Less.
-type lesser[T any] interface {
-	// Less reports whether the receiver orders strictly before other.
-	Less(other T) bool
-}
+// Len returns the number of queued events.
+func (h *eventQueue) Len() int { return len(h.s) }
 
-// Len returns the number of queued elements.
-func (h *heap4[T]) Len() int { return len(h.s) }
-
-// Min returns the minimum element without removing it. It must not be
+// Min returns the minimum event without removing it. It must not be
 // called on an empty heap.
-func (h *heap4[T]) Min() T { return h.s[0] }
+func (h *eventQueue) Min() event { return h.s[0] }
 
-// Push adds v to the heap.
-func (h *heap4[T]) Push(v T) {
-	h.s = append(h.s, v)
+// Push adds e to the heap.
+func (h *eventQueue) Push(e event) {
+	h.s = append(h.s, e)
 	i := len(h.s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -51,14 +44,13 @@ func (h *heap4[T]) Push(v T) {
 	}
 }
 
-// Pop removes and returns the minimum element, zeroing the slot it
+// Pop removes and returns the minimum event, zeroing the slot it
 // vacates so the backing array retains nothing.
-func (h *heap4[T]) Pop() T {
+func (h *eventQueue) Pop() event {
 	n := len(h.s) - 1
 	min := h.s[0]
 	h.s[0] = h.s[n]
-	var zero T
-	h.s[n] = zero // do not retain the moved element in the dead slot
+	h.s[n] = event{} // do not retain the moved element in the dead slot
 	h.s = h.s[:n]
 
 	// Sift the relocated root down to its place.

@@ -18,7 +18,7 @@ func sameEvent(a, b event) bool {
 // isZeroEvent reports whether e holds nothing.
 func isZeroEvent(e event) bool {
 	return e.t == 0 && e.kind == 0 && e.seq == 0 &&
-		e.vm == (workload.VM{}) && e.a == nil && e.do == nil
+		e.vm == (workload.VM{}) && e.a == nil
 }
 
 // refHeap is a minimal container/heap implementation over events — the
@@ -79,18 +79,18 @@ func TestHeap4MatchesContainerHeap(t *testing.T) {
 }
 
 // TestHeap4OrdersSimultaneousEvents pins the simulator's event ordering
-// contract: at one timestamp, injections fire before departures before
+// contract: at one timestamp, faults fire before departures before
 // arrivals, FIFO within a class.
 func TestHeap4OrdersSimultaneousEvents(t *testing.T) {
 	var h eventQueue
 	h.Push(event{t: 5, kind: arrival, seq: 3})
 	h.Push(event{t: 5, kind: departure, seq: 2})
-	h.Push(event{t: 5, kind: inject, seq: 1})
+	h.Push(event{t: 5, kind: fault, seq: 1})
 	h.Push(event{t: 5, kind: departure, seq: 0})
 	h.Push(event{t: 4, kind: arrival, seq: 4})
 	want := []event{
 		{t: 4, kind: arrival, seq: 4},
-		{t: 5, kind: inject, seq: 1},
+		{t: 5, kind: fault, seq: 1},
 		{t: 5, kind: departure, seq: 0},
 		{t: 5, kind: departure, seq: 2},
 		{t: 5, kind: arrival, seq: 3},

@@ -14,7 +14,7 @@ import (
 // allocator.
 var errPreemptFailed = errors.New("sim: preemption found no admissible victim set")
 
-// tryPreempt attempts to admit an arrival that just failed placement by
+// tryPreempt attempts to admit a VM that just failed placement by
 // displacing strictly-lower-tier resident VMs. Candidates are gathered
 // from the event queue — every pending departure with a live assignment
 // is a resident VM; the queue's array order is deterministic for a given
@@ -22,44 +22,29 @@ var errPreemptFailed = errors.New("sim: preemption found no admissible victim se
 // set independent of it anyway. The transaction picks a cheapest-first
 // minimal prefix or restores everything (see core.Preempt).
 //
-// On success the consumed victims' departure events are neutralized into
-// ghosts exactly like lost displacements, and the victims re-enter the
-// retry queue as preempted entries: their wait measured from the
-// eviction, their lifetime restarting when re-placed, draining behind
-// every equal-or-higher-priority entry under the queue's tier order. The
-// whole attempt is billed to SchedulingTime.
-func (sr *streamRun) tryPreempt(vm workload.VM, now int64, measured bool) (*sched.Assignment, error) {
-	r, res, wind := sr.r, sr.res, sr.wind
-	ps := r.scratch.Preemption()
+// On success the consumed victims are unseated exactly like lost
+// displacements and re-enter the retry queue as preempted entries,
+// draining behind every equal-or-higher-priority entry under the queue's
+// tier order. The whole attempt is reported as one (indirect) decision.
+func (c *eventCore) tryPreempt(vm workload.VM) (*sched.Assignment, error) {
+	ps := c.scratch.Preemption()
 	ps.Reset()
 	start := time.Now()
-	for i := range sr.h.s {
-		e := &sr.h.s[i]
-		if e.kind != departure || e.a == nil || e.t <= now || e.vm.Tier <= vm.Tier {
+	for i := range c.h.s {
+		e := &c.h.s[i]
+		if e.kind != departure || e.a == nil || e.t <= c.now || e.vm.Tier <= vm.Tier {
 			continue
 		}
 		ps.Add(e.a, i)
 	}
-	a, consumed := core.Preempt(r.st, r.sch, ps, vm)
-	res.SchedulingTime += time.Since(start)
+	a, consumed := core.Preempt(c.st, c.sch, ps, vm)
+	c.obs.decided(vm, time.Since(start), false)
 	if a == nil {
 		return nil, errPreemptFailed
 	}
 	for k := 0; k < consumed; k++ {
-		e := &sr.h.s[ps.Ref(k)]
-		victim := e.vm
-		r.st.ReleaseVM(e.a) // holdings already released: pools the shell
-		e.a = nil           // ghost the departure, like a lost displacement
-		sr.resident--
-		res.Preempted++
-		res.Tiers[victim.Tier].Preempted++
-		if measured {
-			wind.cur.TierPreempted[victim.Tier]++
-		}
-		victim.Arrival = now
-		sr.admitSeq++
-		sr.admit(queuedVM{vm: victim, preempted: true, seq: sr.admitSeq})
-		res.Enqueued++
+		e := &c.h.s[ps.Ref(k)]
+		c.unseat(e, QueuedVMState{VM: e.vm, Preempted: true})
 	}
 	return a, nil
 }

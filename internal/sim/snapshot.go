@@ -30,7 +30,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"time"
 
 	"risa/internal/network"
 	"risa/internal/sched"
@@ -105,15 +104,20 @@ type EventState struct {
 	A    int
 }
 
-// QueuedVMState is one serialized retry-queue entry. Seq is the entry's
-// admission sequence (zero in snapshots written before sequences
-// existed — old snapshots decode and resume unchanged, because equal
-// sequences keep append order).
+// QueuedVMState is one retry-queue entry — the live queue's element type
+// and, being plain data, its serialized form. Displaced and Preempted
+// mark a VM that was already accepted at its arrival and then evicted —
+// off failed hardware, or by a higher-priority arrival (core.Preempt):
+// placing it again is a recovery, not a second acceptance, and losing it
+// for good is not a drop. Seq is the admission sequence: a monotone
+// counter stamped once per arrival and once per eviction, so an
+// agent-round conflict loser re-queues under its ORIGINAL arrival order,
+// not its commit-attempt order. (Snapshots from before sequences or
+// preemption existed decode with zero values and resume unchanged,
+// because equal sequences keep append order.)
 type QueuedVMState struct {
 	VM        workload.VM
 	Displaced bool
-	// Preempted marks a preemption victim awaiting re-placement (false
-	// in snapshots from before preemption existed).
 	Preempted bool
 	Seq       int
 }
@@ -220,7 +224,7 @@ func (s *Snapshot) Clone() *Snapshot {
 	c.Waiting = append([]QueuedVMState(nil), s.Waiting...)
 	c.DownCount = append([]int(nil), s.DownCount...)
 	c.Counters.Windows = append([]WindowStats(nil), s.Counters.Windows...)
-	c.Windower.Windows = append([]WindowStats(nil), s.Windower.Windows...)
+	c.Windower = s.Windower.clone()
 	c.Lat.Vals = append([]float64(nil), s.Lat.Vals...)
 	c.Rep.Vals = append([]float64(nil), s.Rep.Vals...)
 	for t := range c.TierLat {
@@ -412,7 +416,8 @@ func restoreFlow(f *network.Fabric, fs FlowState) (*network.Flow, error) {
 // capture assembles the full Snapshot at the current event boundary.
 // It only reads — the run can continue unperturbed afterwards.
 func (sr *streamRun) capture() (*Snapshot, error) {
-	if sr.burstFail || sr.burstRepair {
+	c := sr.c
+	if c.burstFail || c.burstRepair {
 		// Unreachable: a same-instant burst never spans the boundary
 		// (its events share one time < Snapshot.At). Guard loudly anyway.
 		return nil, fmt.Errorf("sim: internal: snapshot inside a same-instant fault burst")
@@ -421,53 +426,37 @@ func (sr *streamRun) capture() (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: stream %q does not support snapshots", sr.s.Name())
 	}
-	snap := &Snapshot{
-		T:        sr.snapAt,
-		LastT:    sr.lastT,
-		Seq:      sr.seq,
-		Resident: sr.resident,
-		WaitSum:  sr.waitSum,
-		AdmitSeq: sr.admitSeq,
-		PlanLen:  -1,
-	}
-	live := make([]*sched.Assignment, 0, sr.h.Len())
-	snap.Events = make([]EventState, 0, sr.h.Len())
-	for i := range sr.h.s {
-		e := &sr.h.s[i]
-		if e.kind == inject {
-			return nil, fmt.Errorf("sim: cannot snapshot with a pending ad-hoc injection at t=%d (closures are not serializable)", e.t)
-		}
-		es := EventState{T: e.t, Kind: int(e.kind), Seq: e.seq, FX: e.fx, VM: e.vm, A: -1}
-		if e.kind == departure && e.a != nil {
-			es.A = len(live)
-			live = append(live, e.a)
-		}
-		snap.Events = append(snap.Events, es)
-	}
-	state, err := CaptureState(sr.r.st, sr.r.sch, live)
+	events, state, err := c.captureHeap()
 	if err != nil {
 		return nil, err
 	}
-	snap.State = *state
-	for i := sr.wHead; i < len(sr.waiting); i++ {
-		q := sr.waiting[i]
-		snap.Waiting = append(snap.Waiting, QueuedVMState{VM: q.vm, Displaced: q.displaced, Preempted: q.preempted, Seq: q.seq})
+	snap := &Snapshot{
+		T:         sr.cfg.Snapshot.At,
+		LastT:     c.now,
+		State:     *state,
+		Events:    events,
+		Seq:       c.seq,
+		Resident:  c.resident,
+		Waiting:   append([]QueuedVMState(nil), c.waiting[c.wHead:]...),
+		WaitSum:   sr.waitSum,
+		AdmitSeq:  c.admitSeq,
+		PlanLen:   -1,
+		Counters:  *sr.res,
+		Windower:  WindowerState(*sr.wind).clone(),
+		Lat:       sr.lat.state(),
+		Rep:       sr.rep.state(),
+		Stream:    snapper.StreamState(),
+		PendingVM: sr.pending,
+		More:      sr.more,
 	}
-	if sr.r.plan != nil {
-		snap.PlanLen = len(sr.r.plan.Events)
-		snap.DownCount = append([]int(nil), sr.r.downCount...)
+	if c.f.Plan != nil {
+		snap.PlanLen = len(c.f.Plan.Events)
+		snap.DownCount = append([]int(nil), c.downCount...)
 	}
-	snap.Counters = *sr.res
 	snap.Counters.Windows = nil // res.Windows only materializes at finish
-	snap.Windower = sr.wind.state()
-	snap.Lat = sr.lat.state()
-	snap.Rep = sr.rep.state()
 	for t := range sr.tlat {
 		snap.TierLat[t] = sr.tlat[t].state()
 	}
-	snap.Stream = snapper.StreamState()
-	snap.PendingVM = sr.pending
-	snap.More = sr.more
 	return snap, nil
 }
 
@@ -487,12 +476,12 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 		return nil, err
 	}
 	sr.stopAtSnap = true
-	if err := sr.loop(); err != nil {
+	if err := sr.loop(nil); err != nil {
 		return nil, err
 	}
 	if sr.snap == nil {
 		return nil, fmt.Errorf("sim: stream %q ended at t=%d, before the snapshot point %d",
-			s.Name(), sr.lastT, cfg.Snapshot.At)
+			s.Name(), sr.c.now, cfg.Snapshot.At)
 	}
 	return sr.snap, nil
 }
@@ -506,37 +495,26 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // cfg.Workload.Drain, Snapshot.At and OnSnapshot apply to the resumed part).
 //
 // Fault-plan linkage follows Snapshot.PlanLen: a snapshot taken under a
-// plan requires this runner to carry an equally long plan (the pending
-// fault events reference it by index); a plan-free snapshot resumed on
-// a runner with a plan schedules the plan's events from the snapshot
-// point on — events before it are dropped, which is exactly the
-// clone-mode ladders' fault-free warm semantics. Ad-hoc injections are
-// not resumable.
+// plan requires this run to carry an equally long plan (the pending
+// fault events reference it by index); a plan-free snapshot resumed
+// under a plan schedules the plan's events from the snapshot point on —
+// events before it are dropped, which is exactly the clone-mode ladders'
+// fault-free warm semantics.
 //
 // The snapshot itself is never written to: many cells may resume the
 // same snapshot, including concurrently from separate goroutines each
 // with their own runner and stream.
 func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfig) (*SteadyState, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Concurrency.Agents > 1 {
 		return nil, fmt.Errorf("sim: agent mode (Agents=%d) cannot resume a snapshot", cfg.Concurrency.Agents)
 	}
-	if err := r.adoptStreamFaults(cfg.Faults); err != nil {
+	sr, err := r.streamShell(s, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if len(r.injections) > 0 {
-		return nil, fmt.Errorf("sim: cannot resume with ad-hoc injections (not part of the snapshot)")
-	}
-	if snap.PlanLen >= 0 {
-		if r.plan == nil || len(r.plan.Events) != snap.PlanLen {
-			got := 0
-			if r.plan != nil {
-				got = len(r.plan.Events)
-			}
-			return nil, fmt.Errorf("sim: snapshot was taken under a %d-event fault plan, runner has %d", snap.PlanLen, got)
-		}
+	c := sr.c
+	if snap.PlanLen >= 0 && (c.f.Plan == nil || len(c.f.Plan.Events) != snap.PlanLen) {
+		return nil, fmt.Errorf("sim: snapshot was taken under a %d-event fault plan, this run's plan differs", snap.PlanLen)
 	}
 	snapper, ok := s.(workload.StreamSnapshotter)
 	if !ok {
@@ -550,98 +528,48 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 		return nil, err
 	}
 
-	obs, _ := s.(workload.UtilizationObserver)
 	resCopy := snap.Counters
 	resCopy.Algorithm = r.sch.Name()
 	resCopy.Workload = s.Name()
 	resCopy.Windows = nil
-	sr := &streamRun{
-		r: r, s: s, cfg: cfg, obs: obs,
-		res:      &resCopy,
-		lat:      restoreReservoir(snap.Lat),
-		rep:      restoreReservoir(snap.Rep),
-		wind:     restoreWindower(snap.Windower),
-		seq:      snap.Seq,
-		resident: snap.Resident,
-		lastT:    snap.LastT,
-		waitSum:  snap.WaitSum,
-		pending:  snap.PendingVM,
-		more:     snap.More,
-		admitSeq: snap.AdmitSeq,
-		snapAt:   cfg.Snapshot.At,
-		onSnap:   cfg.Snapshot.OnSnapshot,
-	}
+	sr.res = &resCopy
+	sr.lat = restoreReservoir(snap.Lat)
+	sr.rep = restoreReservoir(snap.Rep)
 	for t := range sr.tlat {
 		sr.tlat[t] = restoreReservoir(snap.TierLat[t])
 	}
-	// Rebuild the heap's backing array verbatim: the snapshot recorded a
-	// valid heap in array order, so assigning it preserves both the heap
-	// property and the eviction scan order.
-	sr.h.s = make([]event, len(snap.Events))
-	for i, es := range snap.Events {
-		e := event{t: es.T, kind: eventKind(es.Kind), seq: es.Seq, fx: es.FX, vm: es.VM}
-		if es.A >= 0 {
-			if es.A >= len(live) {
-				return nil, fmt.Errorf("sim: event %d references assignment %d of %d", i, es.A, len(live))
-			}
-			e.a = live[es.A]
-		}
-		sr.h.s[i] = e
+	wind := windower(snap.Windower.clone())
+	sr.wind = &wind
+	sr.waitSum = snap.WaitSum
+	sr.pending, sr.more = snap.PendingVM, snap.More
+	c.now, c.seq, c.resident, c.admitSeq = snap.LastT, snap.Seq, snap.Resident, snap.AdmitSeq
+	if err := c.restoreHeap(snap.Events, live, snap.DownCount); err != nil {
+		return nil, err
 	}
-	for _, q := range snap.Waiting {
-		sr.waiting = append(sr.waiting, queuedVM{vm: q.VM, displaced: q.Displaced, preempted: q.Preempted, seq: q.Seq})
-	}
-	r.resetFaultCounts()
-	if snap.PlanLen >= 0 {
-		copy(r.downCount, snap.DownCount)
-	} else if r.plan != nil {
-		// Plan-free warm, planned resume: faults begin after the
-		// snapshot point. Events before it never apply.
-		for i := range r.plan.Events {
-			if r.plan.Events[i].T >= snap.T {
-				sr.h.Push(event{t: r.plan.Events[i].T, kind: fault, seq: sr.seq, fx: i})
-				sr.seq++
-			}
-		}
+	c.waiting = append(c.waiting, snap.Waiting...)
+	if snap.PlanLen < 0 {
+		// Plan-free warm, planned resume: faults begin at the snapshot
+		// point. Events before it never apply.
+		c.seedPlan(snap.T)
 	}
 	// The pending arrival was drawn under the warm bounds; re-apply this
 	// configuration's Duration to it (a no-op when the bounds agree). If
 	// it no longer fits, the run is already past its bound: stop before
 	// processing anything, exactly as a fresh run stops at its last
 	// in-bound arrival without draining the resident departures.
-	ranOut := false
 	if sr.more && cfg.Workload.Duration > 0 && sr.pending.Arrival > cfg.Workload.Duration {
 		sr.more = false
 		sr.res.TotalArrivals--
-		ranOut = true
-	}
-	sr.wallStart = time.Now()
-	if !ranOut {
-		if err := sr.loop(); err != nil {
-			return nil, err
-		}
+	} else if err := sr.loop(nil); err != nil {
+		return nil, err
 	}
 	return sr.finish(), nil
 }
 
-// state captures the windower's position.
-func (w *windower) state() WindowerState {
-	return WindowerState{
-		Warmup: w.warmup, Window: w.window,
-		Cur: w.cur, CurIntegral: w.curIntegral,
-		Windows: append([]WindowStats(nil), w.windows...),
-		Overall: w.overall, Val: w.val, LastT: w.lastT,
-	}
-}
-
-// restoreWindower rebuilds a windower from its captured position.
-func restoreWindower(ws WindowerState) *windower {
-	return &windower{
-		warmup: ws.Warmup, window: ws.Window,
-		cur: ws.Cur, curIntegral: ws.CurIntegral,
-		windows: append([]WindowStats(nil), ws.Windows...),
-		overall: ws.Overall, val: ws.Val, lastT: ws.LastT,
-	}
+// clone returns a copy sharing nothing with ws.
+func (ws WindowerState) clone() WindowerState {
+	ws.Windows = append([]WindowStats(nil), ws.Windows...)
+	return ws
 }
 
 // state captures the reservoir's position.

@@ -521,20 +521,6 @@ func TestSnapshotErrors(t *testing.T) {
 			t.Fatal("plan-bearing snapshot resumed without a plan")
 		}
 	})
-	t.Run("resume-with-injections", func(t *testing.T) {
-		_, rr := eqRunner(t, "RISA", Config{Injections: []Injection{{T: 5000, Do: func(*sched.State) {}}}})
-		if _, err := rr.ResumeStream(eqStream(t), snap, cfg); err == nil {
-			t.Fatal("resume with ad-hoc injections succeeded")
-		}
-	})
-	t.Run("capture-with-pending-injection", func(t *testing.T) {
-		inj := cfg
-		inj.Snapshot.At = 2000
-		_, r := eqRunner(t, "RISA", Config{Injections: []Injection{{T: 1 << 30, Do: func(*sched.State) {}}}})
-		if _, err := r.WarmStream(eqStream(t), inj); err == nil {
-			t.Fatal("capture with a pending injection succeeded")
-		}
-	})
 	t.Run("restore-into-dirty-state", func(t *testing.T) {
 		st, r := eqRunner(t, "RISA", Config{})
 		if _, err := r.sch.Schedule(workload.VM{ID: 1, Lifetime: 10, Req: units.Vec(4, 4, 4)}); err != nil {

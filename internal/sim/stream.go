@@ -49,18 +49,20 @@ type StreamWindows struct {
 }
 
 // StreamFaults is the stream-level fault surface: a fault plan merged
-// into the event loop, displaced-VM recovery and the retry queue. It is
-// the StreamConfig home of what Config.Faults/Evict/RetryDropped carry
-// for Runner.Run — a stream run accepts the surface through either, but
-// not both at once.
+// into the event order, displaced-VM recovery, the retry queue and
+// preemption. It is the StreamConfig home of what
+// Config.Faults/Evict/RetryDropped carry for Runner.Run — a stream run
+// accepts the surface through either, but not both at once. Each run
+// resolves it by value into its own event core; nothing is written back
+// to the Runner.
 type StreamFaults struct {
-	// Plan is the fault plan merged into the event loop (see
+	// Plan is the fault plan merged into the event order (see
 	// Config.Faults).
 	Plan *faults.Plan
 	// Evict, with Plan, activates displaced-VM recovery (see
 	// Config.Evict).
 	Evict bool
-	// Retry turns drop-on-failure into the FIFO wait queue (see
+	// Retry turns drop-on-failure into the wait queue (see
 	// Config.RetryDropped).
 	Retry bool
 	// Preempt lets a high-priority arrival that fails placement displace
@@ -98,20 +100,6 @@ type StreamConcurrency struct {
 	// propose barrier better; smaller rounds track capacity more
 	// closely.
 	Round int
-	// Batch coalesces every run of same-instant arrivals into one
-	// admission burst on the serial loop: the utilization sample behind
-	// the windowed averages is taken once at the end of the burst
-	// instead of after every arrival. The signal is piecewise-constant
-	// and time does not move inside a burst, so the intermediate samples
-	// the serial path takes are overwritten before any time is
-	// integrated against them — every placement, counter and window
-	// metric is bit-identical to the serial one-at-a-time oracle (the
-	// equivalence tests in stream_batch_test.go pin this). A workload
-	// that observes utilization (workload.UtilizationObserver) needs its
-	// feedback after every arrival, so such streams are never coalesced.
-	// Incompatible with agent mode, which batches through propose
-	// rounds already.
-	Batch bool
 }
 
 // StreamConfig parameterizes one open-ended steady-state run
@@ -175,9 +163,6 @@ func (c StreamConfig) Validate() error {
 	if c.Concurrency.Agents > 1 && c.Snapshot.At > 0 {
 		return fmt.Errorf("sim: agent mode (Agents=%d) is incompatible with snapshot capture", c.Concurrency.Agents)
 	}
-	if c.Concurrency.Batch && c.Concurrency.Agents > 1 {
-		return fmt.Errorf("sim: batch admission (Concurrency.Batch) is incompatible with agent mode (Agents=%d)", c.Concurrency.Agents)
-	}
 	return nil
 }
 
@@ -212,19 +197,19 @@ type WindowStats struct {
 // TierAcceptancePct returns the window's acceptance rate for one tier in
 // percent (100 for a tier with no arrivals in the window).
 func (w WindowStats) TierAcceptancePct(tier int) float64 {
-	if w.TierArrivals[tier] == 0 {
-		return 100
-	}
-	return float64(w.TierAccepted[tier]) / float64(w.TierArrivals[tier]) * 100
+	return acceptancePct(w.TierAccepted[tier], w.TierArrivals[tier])
 }
 
 // AcceptancePct returns the window's acceptance rate in percent (100 for
 // an empty window).
-func (w WindowStats) AcceptancePct() float64 {
-	if w.Arrivals == 0 {
+func (w WindowStats) AcceptancePct() float64 { return acceptancePct(w.Accepted, w.Arrivals) }
+
+// acceptancePct is accepted/arrivals in percent, 100 with no arrivals.
+func acceptancePct(accepted, arrivals int) float64 {
+	if arrivals == 0 {
 		return 100
 	}
-	return float64(w.Accepted) / float64(w.Arrivals) * 100
+	return float64(accepted) / float64(arrivals) * 100
 }
 
 // TierStats is the per-priority-tier breakdown of one open-ended run:
@@ -250,12 +235,7 @@ type TierStats struct {
 
 // AcceptancePct returns the tier's measured acceptance rate in percent
 // (100 when the tier saw no measured arrivals).
-func (t TierStats) AcceptancePct() float64 {
-	if t.Arrivals == 0 {
-		return 100
-	}
-	return float64(t.Accepted) / float64(t.Arrivals) * 100
-}
+func (t TierStats) AcceptancePct() float64 { return acceptancePct(t.Accepted, t.Arrivals) }
 
 // SteadyState aggregates one open-ended run. The "measured" figures
 // exclude the warmup period; the "Total" figures cover the whole run.
@@ -362,49 +342,44 @@ func (s *SteadyState) PlacementsPerSec() float64 {
 // the configured stop criterion, reporting warmup-excluded windowed
 // steady-state metrics instead of Run's whole-trace aggregates.
 //
-// Arrivals are pulled lazily — the event heap only ever holds the
-// resident VMs' departures plus the pending injections and fault-plan
-// events, so memory is bounded by occupancy and plan length, not run
-// length. The full Config fault surface applies: ad-hoc Injections, a
-// faults.Plan (merged into the event loop through the non-boxing heap),
-// displaced-VM recovery under Evict, and the RetryDropped FIFO queue
-// (drained on departures and repairs; a waiting VM's lifetime starts
-// when it is placed). If the stream implements
-// workload.UtilizationObserver it receives the binding-resource
-// utilization after every arrival, which is how the target-utilization
-// controller closes its loop.
+// Arrivals are pulled lazily — the event core's heap only ever holds the
+// resident VMs' departures plus the pending fault-plan events, so memory
+// is bounded by occupancy and plan length, not run length. The full fault
+// surface applies (see StreamFaults and the event core's ordering rules).
+// If the stream implements workload.UtilizationObserver it receives the
+// binding-resource utilization after every arrival, which is how the
+// target-utilization controller closes its loop; any other stream has
+// each run of same-instant arrivals admitted as one burst with a single
+// utilization sample at its end — exact, because the signal is
+// piecewise-constant and time does not move inside a burst.
 func (r *Runner) RunStream(s workload.Stream, cfg StreamConfig) (*SteadyState, error) {
 	sr, err := r.newStreamRun(s, cfg)
 	if err != nil {
 		return nil, err
 	}
+	var pool *agentPool
 	if cfg.Concurrency.Agents > 1 {
-		// Concurrent agent mode (agents.go): same stream, same stop
-		// criterion, arrivals fanned to the pool in rounds. Agents ≤ 1
-		// stays on the serial loop below, bit for bit.
-		pool, err := r.newAgentPool(cfg.Concurrency)
-		if err != nil {
+		// Concurrent agent mode (agents.go): same loop, arrivals staged
+		// into propose rounds. Agents ≤ 1 decides serially, bit for bit.
+		if pool, err = r.newAgentPool(cfg.Concurrency); err != nil {
 			return nil, err
 		}
 		defer pool.stop()
-		if err := sr.loopAgents(pool); err != nil {
-			return nil, err
-		}
-		return sr.finish(), nil
 	}
-	if err := sr.loop(); err != nil {
+	if err := sr.loop(pool); err != nil {
 		return nil, err
 	}
 	return sr.finish(), nil
 }
 
-// streamRun is the complete live state of one RunStream execution,
-// extracted into a struct so the same event loop can be entered three
-// ways: fresh (RunStream), stopped at the snapshot boundary (WarmStream)
-// and re-entered from a restored snapshot (ResumeStream). Every field is
-// either snapshot state or derived from the configuration.
+// streamRun is one RunStream execution: the stream driver of the event
+// core and its observer (windows, reservoirs, tier statistics). The same
+// loop is entered three ways: fresh (RunStream), stopped at the snapshot
+// boundary (WarmStream) and re-entered from a restored snapshot
+// (ResumeStream). Every field is either snapshot state or derived from
+// the configuration.
 type streamRun struct {
-	r   *Runner
+	c   *eventCore
 	s   workload.Stream
 	cfg StreamConfig
 	obs workload.UtilizationObserver
@@ -415,47 +390,46 @@ type streamRun struct {
 	tlat [workload.NumTiers]*reservoir // per-tier direct-decision latency
 	wind *windower
 
-	h        eventQueue
-	seq      int
-	resident int
-	lastT    int64
-
-	// Retry queue: FIFO behind a head cursor, so the backing array is
-	// reused once fully drained instead of reallocated per wave. Entries
-	// are kept in tier-then-admission-sequence order (see admit and
-	// queueBefore): tier-0 retries drain first, and within a tier the
-	// original PR 7 admission-sequence guarantee holds. admitSeq is the
-	// monotone admission counter the sequence numbers come from.
-	waiting  []queuedVM
-	wHead    int
-	waitSum  float64
-	admitSeq int
-
-	// Same-instant fault events form one atomic burst: all of them apply
-	// before any eviction or queue drain, so a correlated outage cannot
-	// leak VMs onto hardware that fails in the same tick.
-	burstFail, burstRepair bool
+	waitSum float64
+	// measured reports whether outcomes count into the post-warmup
+	// figures: set from the clock at every tick, and from the arrival's
+	// own time while an agent round commits it.
+	measured bool
 
 	pending workload.VM
 	more    bool
 
-	wallStart time.Time
-
-	// Snapshot plumbing (see StreamSnapshot.At and snapshot.go).
-	snapAt     int64
-	onSnap     func(*Snapshot)
+	// Snapshot plumbing (see StreamSnapshot and snapshot.go).
 	stopAtSnap bool
 	snap       *Snapshot
 }
 
-// newStreamRun validates the configuration and assembles a fresh run:
-// injections and fault-plan events seeded into the heap, counters at
-// zero, and the first arrival pulled.
-func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, error) {
+// streamShell validates the configuration, resolves the fault surface
+// and binds a stream run to a fresh event core; the caller fills in the
+// observer state (fresh, or from a snapshot).
+func (r *Runner) streamShell(s workload.Stream, cfg StreamConfig) (*streamRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := r.adoptStreamFaults(cfg.Faults); err != nil {
+	f := cfg.Faults
+	if f == (StreamFaults{}) {
+		f = r.faults
+	} else if r.faults != (StreamFaults{}) {
+		return nil, fmt.Errorf("sim: fault surface configured on both Config and StreamConfig.Faults")
+	} else if err := r.checkPlan(f.Plan); err != nil {
+		return nil, err
+	}
+	sr := &streamRun{s: s, cfg: cfg}
+	sr.obs, _ = s.(workload.UtilizationObserver)
+	sr.c = newEventCore(r.st, r.sch, sr, f)
+	return sr, nil
+}
+
+// newStreamRun assembles a fresh run: fault-plan events seeded, counters
+// at zero, and the first arrival pulled.
+func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, error) {
+	sr, err := r.streamShell(s, cfg)
+	if err != nil {
 		return nil, err
 	}
 	size := cfg.Windows.ReservoirSize
@@ -466,188 +440,115 @@ func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, 
 	if seed == 0 {
 		seed = 1
 	}
-	obs, _ := s.(workload.UtilizationObserver)
-	sr := &streamRun{
-		r: r, s: s, cfg: cfg, obs: obs,
-		res:    &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1},
-		lat:    newReservoir(size, seed),
-		rep:    newReservoir(size, seed+1), // re-placement latencies, own stream
-		wind:   &windower{warmup: cfg.Windows.Warmup, window: cfg.Windows.Window},
-		snapAt: cfg.Snapshot.At,
-		onSnap: cfg.Snapshot.OnSnapshot,
-	}
+	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
+	sr.lat = newReservoir(size, seed)
+	sr.rep = newReservoir(size, seed+1) // re-placement latencies, own stream
+	sr.wind = &windower{Warmup: cfg.Windows.Warmup, Window: cfg.Windows.Window}
 	for t := range sr.tlat {
 		// Per-tier latency reservoirs, each with its own counted stream
 		// (seeds seed+2.. — lat and rep hold seed and seed+1).
 		sr.tlat[t] = newReservoir(size, seed+2+int64(t))
 	}
-	for _, inj := range r.injections {
-		sr.h.Push(event{t: inj.T, kind: inject, seq: sr.seq, do: inj.Do})
-		sr.seq++
-	}
-	if r.plan != nil {
-		for i := range r.plan.Events {
-			sr.h.Push(event{t: r.plan.Events[i].T, kind: fault, seq: sr.seq, fx: i})
-			sr.seq++
-		}
-	}
-	sr.wallStart = time.Now()
-	r.resetFaultCounts()
+	sr.c.seedPlan(0)
+	sr.pull()
+	return sr, nil
+}
 
-	sr.pending, sr.more = s.Next()
-	if sr.more && cfg.Workload.Duration > 0 && sr.pending.Arrival > cfg.Workload.Duration {
-		sr.more = false // the very first arrival already lies beyond the bound
+// pull draws the next arrival into pending — unless it lies beyond the
+// simulated-time bound, which ends the arrivals.
+func (sr *streamRun) pull() {
+	sr.pending, sr.more = sr.s.Next()
+	if d := sr.cfg.Workload.Duration; sr.more && d > 0 && sr.pending.Arrival > d {
+		sr.more = false
 	}
 	if sr.more {
 		sr.res.TotalArrivals++
 	}
-	return sr, nil
 }
 
-// adoptStreamFaults moves a StreamConfig fault surface onto the runner,
-// where the shared event-loop machinery reads it. The surface may arrive
-// through either Config (NewRunner) or StreamConfig — carrying it in
-// both at once is ambiguous and rejected.
-func (r *Runner) adoptStreamFaults(f StreamFaults) error {
-	if f.Plan == nil && !f.Evict && !f.Retry && !f.Preempt {
-		return nil
+// nextArrival hands out the pending arrival and pulls its successor —
+// unless the arrival budget stops the run there.
+func (sr *streamRun) nextArrival() workload.VM {
+	vm := sr.pending
+	if n := sr.cfg.Workload.MaxArrivals; n > 0 && sr.res.TotalArrivals >= n {
+		sr.more = false
+	} else {
+		sr.pull()
 	}
-	if r.plan != nil || r.evict || r.retry {
-		return fmt.Errorf("sim: fault surface configured on both Config and StreamConfig.Faults")
+	return vm
+}
+
+// arrive moves the clock to the arrival and counts it; the caller admits
+// it (or stages it into an agent round).
+func (sr *streamRun) arrive(vm workload.VM) error {
+	if err := sr.c.tick(vm.Arrival); err != nil {
+		return fmt.Errorf("stream %q: %w", sr.s.Name(), err)
 	}
-	if f.Plan != nil {
-		cl := r.st.Cluster
-		if err := f.Plan.Validate(cl.NumRacks(), cl.Config().BoxesPerRack()); err != nil {
-			return err
-		}
+	if err := vm.Validate(); err != nil {
+		return err
 	}
-	r.plan = f.Plan
-	r.evict = f.Evict
-	r.retry = f.Retry
-	r.preempt = f.Preempt
+	sr.res.Tiers[vm.Tier].TotalArrivals++
+	if sr.measured {
+		sr.res.Arrivals++
+		sr.wind.Cur.Arrivals++
+		sr.res.Tiers[vm.Tier].Arrivals++
+		sr.wind.Cur.TierArrivals[vm.Tier]++
+	}
 	return nil
 }
 
-// queueBefore is the retry queue's total order: priority tier first
-// (tier 0 drains before tier 1), admission sequence within a tier — so
-// the PR 7 original-arrival-sequence guarantee still holds between VMs of
-// equal tier, and an all-tier-0 workload orders exactly as before.
-func queueBefore(a, b queuedVM) bool {
-	if a.vm.Tier != b.vm.Tier {
-		return a.vm.Tier < b.vm.Tier
-	}
-	return a.seq < b.seq
-}
-
-// admit inserts one entry into the retry queue in tier-then-admission-
-// sequence order (queueBefore). Equal-tier serial admissions are
-// monotone, so the common path is a plain append; a higher-tier entry —
-// or an agent-round conflict loser re-queuing under its original arrival
-// sequence after being overtaken by a displaced VM evicted in the same
-// round — is slotted back where the order says, never depending on which
-// agent lost the commit race.
-func (sr *streamRun) admit(q queuedVM) {
-	n := len(sr.waiting)
-	if n == sr.wHead || !queueBefore(q, sr.waiting[n-1]) {
-		sr.waiting = append(sr.waiting, q)
-		return
-	}
-	sr.waiting = append(sr.waiting, queuedVM{})
-	i := n
-	for i > sr.wHead && queueBefore(q, sr.waiting[i-1]) {
-		sr.waiting[i] = sr.waiting[i-1]
-		i--
-	}
-	sr.waiting[i] = q
-}
-
-// utilNow reads the compute utilization signal: per resource in percent,
-// plus the binding (maximum) fraction for controller feedback.
-func (sr *streamRun) utilNow() (perRes [units.NumResources]float64, binding float64) {
+// sample reads the compute utilization signal — per resource in percent,
+// plus the binding (maximum) fraction — and records it from the current
+// instant onward; after arrivals (feedback) an observing stream receives
+// the binding value, which is how its controller closes the loop.
+func (sr *streamRun) sample(feedback bool) {
+	var perRes [units.NumResources]float64
+	var binding float64
 	for _, k := range units.Resources() {
-		u := sr.r.st.Cluster.Utilization(k)
+		u := sr.c.st.Cluster.Utilization(k)
 		perRes[k] = u * 100
 		if u > binding {
 			binding = u
 		}
 	}
-	return
-}
-
-// drainQueue retries the waiting queue head-first at time now. Under
-// preemption a blocked head gets one preemption attempt before it blocks
-// the rest, so a queued tier-0 VM exercises the same displacement right a
-// fresh tier-0 arrival would; victims join the queue behind every
-// equal-or-higher-priority entry (they are strictly lower tier than the
-// head), so the drain still terminates — preemption chains strictly
-// descend the tier order.
-func (sr *streamRun) drainQueue(now int64, measured bool) {
-	r, res, wind := sr.r, sr.res, sr.wind
-	for sr.wHead < len(sr.waiting) {
-		q := sr.waiting[sr.wHead]
-		start := time.Now()
-		a, err := r.sch.Schedule(q.vm)
-		res.SchedulingTime += time.Since(start)
-		if err != nil && r.preempt && q.vm.Tier < workload.NumTiers-1 {
-			a, err = sr.tryPreempt(q.vm, now, measured)
-		}
-		if err != nil {
-			return // the head blocks the rest
-		}
-		sr.waiting[sr.wHead] = queuedVM{}
-		sr.wHead++
-		res.RetrySucceeded++
-		sr.waitSum += float64(now - q.vm.Arrival)
-		sr.resident++
-		switch {
-		case q.displaced:
-			// A late recovery: the VM already counted as accepted at
-			// its original arrival, so only the displacement outcome
-			// moves.
-			res.Recovered++
-			if measured {
-				wind.cur.Recovered++
-			}
-		case q.preempted:
-			// Same: a preemption victim re-placed, not a new acceptance.
-			res.PreemptRecovered++
-			res.Tiers[q.vm.Tier].PreemptRecovered++
-		default:
-			res.TotalAccepted++
-			res.Tiers[q.vm.Tier].TotalAccepted++
-			if measured {
-				res.Accepted++
-				res.Tiers[q.vm.Tier].Accepted++
-				wind.cur.Accepted++
-				wind.cur.TierAccepted[q.vm.Tier]++
-			}
-		}
-		sr.h.Push(event{t: now + q.vm.Lifetime, kind: departure, seq: sr.seq, vm: q.vm, a: a})
-		sr.seq++
+	sr.wind.set(perRes)
+	if feedback && sr.obs != nil {
+		sr.obs.ObserveUtilization(binding)
 	}
-	sr.waiting = sr.waiting[:0]
-	sr.wHead = 0
 }
 
-// nextEventTime returns the time of the event the loop would process
-// next; the loop condition guarantees one exists.
-func (sr *streamRun) nextEventTime() int64 {
-	if heapFirst(&sr.h, sr.pending, sr.more) {
-		return sr.h.Min().t
-	}
-	return sr.pending.Arrival
-}
-
-// loop runs the event loop to the stop criterion — or, for WarmStream,
+// loop steps the event core to the stop criterion — or, for WarmStream,
 // to the snapshot boundary. The run ends with the arrival budget:
 // simulating past the last arrival would only measure an emptying
 // cluster, which is not steady state (Drain releases the survivors
 // afterwards, unmetered). Fault events past the last arrival are
 // likewise never applied.
-func (sr *streamRun) loop() error {
-	wind := sr.wind
-	for sr.more || sr.h.Len() > 0 {
-		if sr.snapAt > 0 && sr.snap == nil && sr.nextEventTime() >= sr.snapAt {
+//
+// With an agent pool, arrivals are staged into propose rounds instead of
+// decided one by one. A round flushes when it reaches the round bound,
+// when a heap event is next (its arrivals precede that event), when an
+// arrival must tail-join a non-empty retry queue, or at the end of the
+// stream. Commits happen at the last staged arrival's time — windows
+// count arrivals at arrival time and acceptances at commit time, exactly
+// the retry queue's accounting convention.
+func (sr *streamRun) loop(pool *agentPool) error {
+	c := sr.c
+	defer func(start time.Time) { sr.res.WallTime += time.Since(start) }(time.Now())
+	var batch []batchItem
+	if pool != nil {
+		batch = make([]batchItem, 0, pool.round)
+	}
+	for sr.more || c.h.Len() > 0 {
+		arrivalNext := !c.heapFirst(sr.pending.Arrival, sr.more)
+		if len(batch) > 0 && (!arrivalNext || c.queued()) {
+			batch = sr.flush(pool, batch)
+			continue // re-evaluate: the flush pushed departures
+		}
+		next := sr.pending.Arrival
+		if !arrivalNext {
+			next = c.h.Min().t
+		}
+		if at := sr.cfg.Snapshot.At; at > 0 && sr.snap == nil && next >= at {
 			// The snapshot boundary: every event before Snapshot.At has been
 			// fully processed and nothing at or after it has started.
 			snap, err := sr.capture()
@@ -655,298 +556,179 @@ func (sr *streamRun) loop() error {
 				return err
 			}
 			sr.snap = snap
-			if sr.onSnap != nil {
-				sr.onSnap(snap)
+			if sr.cfg.Snapshot.OnSnapshot != nil {
+				sr.cfg.Snapshot.OnSnapshot(snap)
 			}
 			if sr.stopAtSnap {
 				return nil
 			}
 		}
-		var e event
-		if heapFirst(&sr.h, sr.pending, sr.more) {
-			e = sr.h.Pop()
-		} else {
-			e = sr.nextArrival()
-		}
-		if e.t < sr.lastT {
-			return fmt.Errorf("sim: stream %q time went backwards: %d < %d", sr.s.Name(), e.t, sr.lastT)
-		}
-		wind.advance(e.t)
-		sr.lastT = e.t
-		// wind.warmup, not Windows.Warmup: a resumed run inherits the warm
-		// phase's boundary from the snapshot (they agree on fresh runs).
-		measured := e.t >= wind.warmup
-
-		if e.kind != arrival {
-			sr.handleEvent(e, measured)
+		if !arrivalNext {
+			if err := c.step(); err != nil {
+				return err
+			}
+			sr.sample(false)
 			continue
 		}
-		if err := sr.processArrival(e, measured); err != nil {
+		vm := sr.nextArrival()
+		if err := sr.arrive(vm); err != nil {
 			return err
 		}
-		if sr.cfg.Concurrency.Batch && sr.obs == nil {
-			// Batch admission: the rest of a same-instant arrival burst is
-			// admitted before the utilization sample below. This is exact,
-			// not approximate: time does not move inside the burst
-			// (wind.advance at the same instant integrates nothing and the
-			// serial path's intermediate wind.set values are overwritten
-			// before any time passes), the snapshot boundary cannot fire
-			// mid-burst (its condition already held — or already fired —
-			// when the burst's first arrival was reached), and a departure
-			// pushed by a burst arrival lands strictly later than the
-			// burst (lifetimes are positive), so heapFirst keeps yielding
-			// the burst's arrivals exactly as the serial merge would. A
-			// utilization-observing stream needs feedback after every
-			// arrival and is never coalesced (the burst condition above).
-			for sr.more && sr.pending.Arrival == e.t && !heapFirst(&sr.h, sr.pending, sr.more) {
-				if err := sr.processArrival(sr.nextArrival(), measured); err != nil {
-					return err
-				}
+		if pool != nil && !c.queued() {
+			batch = append(batch, batchItem{vm: vm, t: c.now, seq: c.nextSeq(), measured: sr.measured})
+			if sr.more && len(batch) < pool.round {
+				continue
 			}
-		}
-		perRes, binding := sr.utilNow()
-		wind.set(perRes)
-		if sr.obs != nil {
-			sr.obs.ObserveUtilization(binding)
+			batch = sr.flush(pool, batch)
+		} else {
+			c.admit(vm)
+			if pool == nil && sr.obs == nil && sr.more && sr.pending.Arrival == c.now &&
+				!c.heapFirst(sr.pending.Arrival, sr.more) {
+				// Mid-burst: the next event is another arrival of this
+				// instant, so the one utilization sample waits for the
+				// burst's last (see RunStream). The snapshot boundary cannot
+				// fire in between — its condition already held, or already
+				// fired, at the burst's first arrival.
+				continue
+			}
+			sr.sample(true)
 		}
 		if !sr.more {
-			break // the arrival just processed was the last: stop here
+			break // the arrival just admitted was the last: stop here
 		}
 	}
 	return nil
 }
 
-// processArrival admits one arrival event: counters, the placement
-// decision (or retry-queue admission), and the departure push. It is the
-// serial loop's arrival block, extracted so batch admission
-// (StreamConcurrency.Batch) can run it back to back over a same-instant
-// burst; the caller owns the post-arrival utilization sample.
-func (sr *streamRun) processArrival(e event, measured bool) error {
-	r, res, wind := sr.r, sr.res, sr.wind
-	if err := e.vm.Validate(); err != nil {
-		return err
-	}
-	res.Tiers[e.vm.Tier].TotalArrivals++
-	if measured {
-		res.Arrivals++
-		wind.cur.Arrivals++
-		res.Tiers[e.vm.Tier].Arrivals++
-		wind.cur.TierArrivals[e.vm.Tier]++
-	}
-	sr.admitSeq++
-	if r.retry && sr.wHead < len(sr.waiting) {
-		// Queue fairness: waiting VMs of equal or higher priority go
-		// first; the arrival joins the queue at its tier-order slot
-		// and is not sampled as a direct decision.
-		sr.admit(queuedVM{vm: e.vm, seq: sr.admitSeq})
-		res.Enqueued++
-		sr.drainQueue(e.t, measured)
-		return nil
-	}
-	start := time.Now()
-	a, err := r.sch.Schedule(e.vm)
-	d := time.Since(start)
-	res.SchedulingTime += d
-	if measured {
+func (sr *streamRun) advance(to int64) {
+	sr.wind.advance(to)
+	// wind.Warmup, not Windows.Warmup: a resumed run inherits the warm
+	// phase's boundary from the snapshot (they agree on fresh runs).
+	sr.measured = to >= sr.wind.Warmup
+}
+
+// decided bills every attempt to SchedulingTime; only direct
+// arrival-time decisions feed the latency reservoirs.
+func (sr *streamRun) decided(vm workload.VM, d time.Duration, direct bool) {
+	sr.res.SchedulingTime += d
+	if direct && sr.measured {
 		sr.lat.add(float64(d))
-		sr.tlat[e.vm.Tier].add(float64(d))
+		sr.tlat[vm.Tier].add(float64(d))
 	}
-	if err != nil && r.preempt && e.vm.Tier < workload.NumTiers-1 {
-		// Both placement tiers failed: a high-priority arrival may
-		// displace strictly-lower-tier victims (core.Preempt).
-		a, err = sr.tryPreempt(e.vm, e.t, measured)
-	}
-	if err != nil {
-		if r.retry {
-			sr.admit(queuedVM{vm: e.vm, seq: sr.admitSeq})
-			res.Enqueued++
-		} else {
-			res.TotalDropped++
-			res.Tiers[e.vm.Tier].TotalDropped++
-			if measured {
-				res.Dropped++
-				wind.cur.Dropped++
-				res.Tiers[e.vm.Tier].Dropped++
-			}
-		}
-		return nil
-	}
-	res.TotalAccepted++
-	res.Tiers[e.vm.Tier].TotalAccepted++
-	sr.resident++
-	if measured {
-		res.Accepted++
-		wind.cur.Accepted++
-		res.Tiers[e.vm.Tier].Accepted++
-		wind.cur.TierAccepted[e.vm.Tier]++
-	}
-	sr.h.Push(event{t: e.t + e.vm.Lifetime, kind: departure, seq: sr.seq, vm: e.vm, a: a})
-	sr.seq++
-	return nil
 }
 
-// nextArrival materializes the pending arrival as an event and pulls its
-// successor — unless the arrival budget or the simulated-time bound stops
-// the run there. Shared between the serial and the agent loop.
-func (sr *streamRun) nextArrival() event {
-	cfg, res := sr.cfg, sr.res
-	e := event{t: sr.pending.Arrival, kind: arrival, vm: sr.pending}
-	if cfg.Workload.MaxArrivals > 0 && res.TotalArrivals >= cfg.Workload.MaxArrivals {
-		sr.more = false
-	} else {
-		sr.pending, sr.more = sr.s.Next()
-		if sr.more && cfg.Workload.Duration > 0 && sr.pending.Arrival > cfg.Workload.Duration {
-			sr.more = false
+func (sr *streamRun) placed(q QueuedVMState, _ *sched.Assignment, waited bool) {
+	res, tier := sr.res, &sr.res.Tiers[q.VM.Tier]
+	if waited {
+		res.RetrySucceeded++
+		sr.waitSum += float64(sr.c.now - q.VM.Arrival)
+	}
+	switch {
+	case q.Displaced:
+		// A late recovery: the VM already counted as accepted at its
+		// original arrival, so only the displacement outcome moves.
+		res.Recovered++
+		if sr.measured {
+			sr.wind.Cur.Recovered++
 		}
-		if sr.more {
-			res.TotalArrivals++
+	case q.Preempted:
+		// Same: a preemption victim re-placed, not a new acceptance.
+		res.PreemptRecovered++
+		tier.PreemptRecovered++
+	default:
+		res.TotalAccepted++
+		tier.TotalAccepted++
+		if sr.measured {
+			res.Accepted++
+			tier.Accepted++
+			sr.wind.Cur.Accepted++
+			sr.wind.Cur.TierAccepted[q.VM.Tier]++
 		}
 	}
-	return e
 }
 
-// handleEvent processes one non-arrival event — injection, fault-plan
-// event or departure — with its queue drains and window bookkeeping. The
-// machinery is shared verbatim between the serial loop and the agent
-// loop (which flushes any staged propose round before calling it).
-func (sr *streamRun) handleEvent(e event, measured bool) {
-	r, res, wind := sr.r, sr.res, sr.wind
-	if e.kind == inject || e.kind == fault {
-		drain := false
-		if e.kind == inject {
-			e.do(r.st)
-			drain = true // an injection may have freed capacity
-		} else {
-			ev := r.plan.Events[e.fx]
-			r.applyFault(ev)
-			if ev.Repair {
-				sr.burstRepair = true
-			} else {
-				sr.burstFail = true
-			}
-			if sameInstantFaultPending(&sr.h, e.t) {
-				return // finish the whole same-instant burst first
-			}
-			if r.evict && sr.burstFail {
-				r.evictDisplaced(&sr.h, e.t, evictHooks{
-					after: func(a *sched.Assignment, recovered bool, d time.Duration) {
-						res.Displaced++
-						if measured {
-							wind.cur.Displaced++
-						}
-						if recovered {
-							res.Recovered++
-							if measured {
-								wind.cur.Recovered++
-								sr.rep.add(float64(d))
-							}
-						}
-					},
-					lost: func(vm workload.VM) {
-						sr.resident--
-						if r.retry {
-							// Re-enters the queue now: wait measured
-							// from the eviction, lifetime restarting
-							// when re-placed.
-							vm.Arrival = e.t
-							sr.admitSeq++
-							sr.admit(queuedVM{vm: vm, displaced: true, seq: sr.admitSeq})
-							res.Enqueued++
-							res.DisplacedQueued++
-						} else {
-							res.DisplacedLost++
-						}
-					},
-				})
-			}
-			drain = sr.burstRepair
-			sr.burstFail, sr.burstRepair = false, false
-		}
-		if r.retry && drain {
-			sr.drainQueue(e.t, measured) // freed capacity retries the queue
-		}
-		perRes, _ := sr.utilNow()
-		wind.set(perRes)
-		return
-	}
-	// Departure. nil assignment: ghost of a displaced VM, already handled.
-	if e.a != nil {
-		r.sch.Release(e.a)
-		sr.resident--
-		if r.retry {
-			sr.drainQueue(e.t, measured)
+func (sr *streamRun) enqueued(q QueuedVMState) {
+	sr.res.Enqueued++
+	switch {
+	case q.Displaced:
+		sr.res.DisplacedQueued++
+	case q.Preempted:
+		sr.res.Preempted++
+		sr.res.Tiers[q.VM.Tier].Preempted++
+		if sr.measured {
+			sr.wind.Cur.TierPreempted[q.VM.Tier]++
 		}
 	}
-	perRes, _ := sr.utilNow()
-	wind.set(perRes)
+}
+
+func (sr *streamRun) dropped(q QueuedVMState) {
+	res, tier := sr.res, &sr.res.Tiers[q.VM.Tier]
+	switch {
+	case q.Displaced:
+		res.DisplacedLost++ // was accepted once; its re-admission failed
+	case q.Preempted:
+		res.PreemptLost++ // likewise: a victim never re-placed
+	default:
+		res.TotalDropped++
+		tier.TotalDropped++
+		if sr.measured {
+			res.Dropped++
+			tier.Dropped++
+			sr.wind.Cur.Dropped++
+		}
+	}
+}
+
+func (sr *streamRun) releasing(workload.VM, *sched.Assignment, bool) {}
+
+func (sr *streamRun) displaced(_ *sched.Assignment, recovered bool, d time.Duration) {
+	sr.res.Displaced++
+	if sr.measured {
+		sr.wind.Cur.Displaced++
+	}
+	if recovered {
+		sr.res.Recovered++
+		if sr.measured {
+			sr.wind.Cur.Recovered++
+			sr.rep.add(float64(d))
+		}
+	}
 }
 
 // finish seals the run: leftover queue entries, aggregate averages,
 // percentile estimates and the optional drain.
 func (sr *streamRun) finish() *SteadyState {
-	res := sr.res
-	res.WallTime = time.Since(sr.wallStart)
+	res, c := sr.res, sr.c
 
-	for i := sr.wHead; i < len(sr.waiting); i++ { // still queued: never placed
-		q := sr.waiting[i]
-		switch {
-		case q.displaced:
-			res.DisplacedLost++ // was accepted once; its re-admission failed
-		case q.preempted:
-			res.PreemptLost++ // likewise: a victim never re-placed
-		default:
-			res.TotalDropped++
-			res.Tiers[q.vm.Tier].TotalDropped++
-		}
-	}
+	// VMs still queued were never placed; their outcome is unresolved in
+	// the measured phase, so they count into the whole-run figures only.
+	sr.measured = false
+	c.abandon()
 	if res.RetrySucceeded > 0 {
 		res.MeanWait = sr.waitSum / float64(res.RetrySucceeded)
 	}
-	res.End = sr.lastT
-	res.Resident = sr.resident
-	res.Windows = sr.wind.close(sr.lastT)
-	res.AvgUtil = sr.wind.overallAvg(sr.lastT)
-	res.LatencySamples = sr.lat.samples()
-	res.LatencyP50 = time.Duration(sr.lat.percentile(50))
-	res.LatencyP95 = time.Duration(sr.lat.percentile(95))
-	res.LatencyP99 = time.Duration(sr.lat.percentile(99))
-	res.ReplaceSamples = sr.rep.samples()
-	res.ReplaceP50 = time.Duration(sr.rep.percentile(50))
-	res.ReplaceP95 = time.Duration(sr.rep.percentile(95))
-	res.ReplaceP99 = time.Duration(sr.rep.percentile(99))
+	res.End = c.now
+	res.Resident = c.resident
+	// A trailing partial window is folded into the overall average but not
+	// reported: it is not a full steady-state window.
+	sr.wind.advance(c.now)
+	res.Windows = sr.wind.Windows
+	res.AvgUtil = sr.wind.overallAvg(c.now)
+	res.LatencySamples, res.LatencyP50, res.LatencyP95, res.LatencyP99 = sr.lat.summary()
+	res.ReplaceSamples, res.ReplaceP50, res.ReplaceP95, res.ReplaceP99 = sr.rep.summary()
 	for t := range sr.tlat {
 		ts := &res.Tiers[t]
-		ts.LatencySamples = sr.tlat[t].samples()
-		ts.LatencyP50 = time.Duration(sr.tlat[t].percentile(50))
-		ts.LatencyP95 = time.Duration(sr.tlat[t].percentile(95))
-		ts.LatencyP99 = time.Duration(sr.tlat[t].percentile(99))
+		ts.LatencySamples, ts.LatencyP50, ts.LatencyP95, ts.LatencyP99 = sr.tlat[t].summary()
 	}
 	res.RateMultiplier = finalMultiplier(sr.s)
 
 	if sr.cfg.Workload.Drain {
 		// Unmetered: release the survivors so the state ends empty.
-		for sr.h.Len() > 0 {
-			e := sr.h.Pop()
-			if e.kind == departure && e.a != nil {
-				sr.r.sch.Release(e.a)
-			}
+		for c.h.Len() > 0 {
+			c.release(c.h.Pop())
 		}
 	}
 	return res
-}
-
-// heapFirst decides the merge order between the event heap's minimum and
-// the single materialized pending arrival — the ordering both event
-// loops (Run and RunStream) share: injections and departures outrank
-// arrivals at equal times (kind order), and arrivals at equal times keep
-// stream order because only one is materialized at a time.
-func heapFirst(h *eventQueue, pending workload.VM, more bool) bool {
-	if h.Len() == 0 {
-		return false
-	}
-	min := h.Min()
-	return !more || min.t < pending.Arrival ||
-		(min.t == pending.Arrival && min.kind < arrival)
 }
 
 // controlled is implemented by the workload generator streams that carry
@@ -968,49 +750,39 @@ func finalMultiplier(s workload.Stream) float64 {
 
 // windower integrates the piecewise-constant utilization signal into
 // fixed-length post-warmup windows plus an overall measured average, and
-// attributes arrival counts to the open window.
-type windower struct {
-	warmup, window int64
-
-	cur         WindowStats
-	curIntegral [units.NumResources]float64
-	windows     []WindowStats
-
-	overall [units.NumResources]float64 // integral since warmup
-
-	val   [units.NumResources]float64 // current signal, percent
-	lastT int64
-}
+// attributes arrival counts to the open window. Its whole position is the
+// serializable WindowerState, so a snapshot is a clone of it.
+type windower WindowerState
 
 // set records the signal's value from the last advanced time onward.
-func (w *windower) set(val [units.NumResources]float64) { w.val = val }
+func (w *windower) set(val [units.NumResources]float64) { w.Val = val }
 
 // advance integrates the current signal up to time to, splitting the
 // integral at window boundaries and closing every window it crosses.
 func (w *windower) advance(to int64) {
-	t := w.lastT
-	w.lastT = to
-	if to <= w.warmup {
+	t := w.LastT
+	w.LastT = to
+	if to <= w.Warmup {
 		return
 	}
-	if t < w.warmup {
-		t = w.warmup
+	if t < w.Warmup {
+		t = w.Warmup
 	}
-	if w.cur.End == 0 { // first measured segment: open window 0
-		w.cur.Start, w.cur.End = w.warmup, w.warmup+w.window
+	if w.Cur.End == 0 { // first measured segment: open window 0
+		w.Cur.Start, w.Cur.End = w.Warmup, w.Warmup+w.Window
 	}
 	for t < to {
 		seg := to
-		if w.cur.End < seg {
-			seg = w.cur.End
+		if w.Cur.End < seg {
+			seg = w.Cur.End
 		}
 		dt := float64(seg - t)
-		for k := range w.val {
-			w.curIntegral[k] += w.val[k] * dt
-			w.overall[k] += w.val[k] * dt
+		for k := range w.Val {
+			w.CurIntegral[k] += w.Val[k] * dt
+			w.Overall[k] += w.Val[k] * dt
 		}
 		t = seg
-		if t == w.cur.End {
+		if t == w.Cur.End {
 			w.closeCurrent()
 		}
 	}
@@ -1018,32 +790,24 @@ func (w *windower) advance(to int64) {
 
 // closeCurrent finalizes the open window and opens its successor.
 func (w *windower) closeCurrent() {
-	span := float64(w.cur.End - w.cur.Start)
-	for k := range w.curIntegral {
-		w.cur.AvgUtil[k] = w.curIntegral[k] / span
+	span := float64(w.Cur.End - w.Cur.Start)
+	for k := range w.CurIntegral {
+		w.Cur.AvgUtil[k] = w.CurIntegral[k] / span
 	}
-	w.windows = append(w.windows, w.cur)
-	w.cur = WindowStats{Start: w.cur.End, End: w.cur.End + w.window}
-	w.curIntegral = [units.NumResources]float64{}
-}
-
-// close ends the run at time end and returns the complete windows; a
-// trailing partial window is folded into the overall average but not
-// reported (it is not a full steady-state window).
-func (w *windower) close(end int64) []WindowStats {
-	w.advance(end)
-	return w.windows
+	w.Windows = append(w.Windows, w.Cur)
+	w.Cur = WindowStats{Start: w.Cur.End, End: w.Cur.End + w.Window}
+	w.CurIntegral = [units.NumResources]float64{}
 }
 
 // overallAvg returns the measured-span time average per resource.
 func (w *windower) overallAvg(end int64) [units.NumResources]float64 {
 	var out [units.NumResources]float64
-	if end <= w.warmup {
+	if end <= w.Warmup {
 		return out
 	}
-	span := float64(end - w.warmup)
-	for k := range w.overall {
-		out[k] = w.overall[k] / span
+	span := float64(end - w.Warmup)
+	for k := range w.Overall {
+		out[k] = w.Overall[k] / span
 	}
 	return out
 }
@@ -1086,6 +850,12 @@ func (r *reservoir) add(v float64) {
 
 // samples returns the number of observations currently held.
 func (r *reservoir) samples() int { return len(r.vals) }
+
+// summary returns the sample count and the 50th, 95th and 99th
+// percentiles as durations — the shape every latency report takes.
+func (r *reservoir) summary() (n int, p50, p95, p99 time.Duration) {
+	return r.samples(), time.Duration(r.percentile(50)), time.Duration(r.percentile(95)), time.Duration(r.percentile(99))
+}
 
 // percentile returns the p-th percentile (nearest-rank) of the held
 // sample, 0 when empty. Consecutive reads share one sorted scratch copy.

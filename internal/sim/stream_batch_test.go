@@ -18,8 +18,8 @@ import (
 // at every 10-tu tick a burst of 1–8 VMs arrives in one instant, sizes
 // and lifetimes varied deterministically so the run sees acceptances,
 // drops and same-instant departures interleaved with the bursts. It is the
-// batch-admission fixture: the serial loop samples utilization after
-// every arrival, the batched loop once per burst.
+// batch-admission fixture: the serial oracle samples utilization after
+// every arrival, the coalescing stream loop once per burst.
 func burstTrace(n int) *workload.Trace {
 	tr := &workload.Trace{Name: "burst-fixture"}
 	reqs := []units.Vector{
@@ -45,6 +45,23 @@ func burstTrace(n int) *workload.Trace {
 	return tr
 }
 
+// serialOracle wraps a trace stream in a no-op utilization observer. The
+// stream loop never coalesces a stream that observes utilization — it
+// owes it feedback after every arrival — so the wrapped stream runs the
+// serial one-at-a-time admission the coalesced path must reproduce.
+type serialOracle struct{ *workload.TraceStream }
+
+func (serialOracle) ObserveUtilization(float64) {}
+
+// burstStream returns tr as a stream: coalesced (the default), or the
+// serial one-at-a-time oracle.
+func burstStream(tr *workload.Trace, serial bool) workload.Stream {
+	if serial {
+		return serialOracle{workload.NewTraceStream(tr)}
+	}
+	return workload.NewTraceStream(tr)
+}
+
 // normalizeSteady zeroes every wall-clock-derived field of a SteadyState
 // so two runs can be compared on their deterministic outputs alone —
 // placements, counters, windows, utilization integrals and sample
@@ -62,12 +79,12 @@ func normalizeSteady(ss *SteadyState) *SteadyState {
 }
 
 // runBurst runs the burst fixture through RunStream under one scheduler
-// constructor and returns the normalized result plus the cluster's final
+// constructor, coalesced or as the serial oracle, and returns the normalized result plus the cluster's final
 // visible-free vectors.
-func runBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, cfg StreamConfig) (*SteadyState, [units.NumResources][]units.Amount) {
+func runBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, cfg StreamConfig, serial bool) (*SteadyState, [units.NumResources][]units.Amount) {
 	t.Helper()
 	st, r := newRunner(t, mk)
-	ss, err := r.RunStream(workload.NewTraceStream(burstTrace(500)), cfg)
+	ss, err := r.RunStream(burstStream(burstTrace(500), serial), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +113,8 @@ func TestBatchAdmissionMatchesSerial(t *testing.T) {
 	}
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
-			serial, serialVecs := runBurst(t, mk, base)
-			batched := base
-			batched.Concurrency.Batch = true
-			got, gotVecs := runBurst(t, mk, batched)
+			serial, serialVecs := runBurst(t, mk, base, true)
+			got, gotVecs := runBurst(t, mk, base, false)
 			if !reflect.DeepEqual(serial, got) {
 				t.Errorf("batched SteadyState diverges from serial:\nserial: %+v\nbatch:  %+v", serial, got)
 			}
@@ -128,10 +143,8 @@ func TestBatchAdmissionMatchesSerialUnderRetryAndPreempt(t *testing.T) {
 				Windows:  StreamWindows{Warmup: 100, Window: 150},
 				Faults:   tc.f,
 			}
-			serial, serialVecs := runBurst(t, mk, cfg)
-			batched := cfg
-			batched.Concurrency.Batch = true
-			got, gotVecs := runBurst(t, mk, batched)
+			serial, serialVecs := runBurst(t, mk, cfg, true)
+			got, gotVecs := runBurst(t, mk, cfg, false)
 			if !reflect.DeepEqual(serial, got) {
 				t.Errorf("batched SteadyState diverges from serial:\nserial: %+v\nbatch:  %+v", serial, got)
 			}
@@ -153,16 +166,15 @@ func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 	// boundary coincide with a burst's exact instant.
 	for _, at := range []int64{200, 205} {
 		t.Run(fmt.Sprintf("at=%d", at), func(t *testing.T) {
-			capture := func(batch bool) *Snapshot {
+			capture := func(serial bool) *Snapshot {
 				var snap *Snapshot
 				cfg := StreamConfig{
 					Workload: StreamWorkload{MaxArrivals: 500},
 					Windows:  StreamWindows{Warmup: 100, Window: 150},
 					Snapshot: StreamSnapshot{At: at, OnSnapshot: func(s *Snapshot) { snap = s.Clone() }},
 				}
-				cfg.Concurrency.Batch = batch
 				_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
-				if _, err := r.RunStream(workload.NewTraceStream(burstTrace(500)), cfg); err != nil {
+				if _, err := r.RunStream(burstStream(burstTrace(500), serial), cfg); err != nil {
 					t.Fatal(err)
 				}
 				if snap == nil {
@@ -186,24 +198,11 @@ func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 				}
 				return snap
 			}
-			serial, batched := capture(false), capture(true)
+			serial, batched := capture(true), capture(false)
 			if !reflect.DeepEqual(serial, batched) {
 				t.Errorf("snapshot at %d diverges between serial and batched runs", at)
 			}
 		})
-	}
-}
-
-// TestBatchRejectsAgentMode pins the Validate rule: batch admission is a
-// serial-loop construct and cannot combine with the agent pool.
-func TestBatchRejectsAgentMode(t *testing.T) {
-	cfg := StreamConfig{
-		Workload:    StreamWorkload{MaxArrivals: 10},
-		Windows:     StreamWindows{Window: 100},
-		Concurrency: StreamConcurrency{Agents: 2, Batch: true},
-	}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Batch with Agents=2 validated")
 	}
 }
 
@@ -334,11 +333,9 @@ func FuzzBatchAdmission(f *testing.F) {
 			Windows:  StreamWindows{Warmup: 20, Window: 60},
 			Faults:   StreamFaults{Retry: data[0]%2 == 1},
 		}
-		run := func(batch bool) (*SteadyState, [units.NumResources][]units.Amount) {
+		run := func(serial bool) (*SteadyState, [units.NumResources][]units.Amount) {
 			st, r := newRunner(t, mk)
-			c := cfg
-			c.Concurrency.Batch = batch
-			ss, err := r.RunStream(workload.NewTraceStream(tr), c)
+			ss, err := r.RunStream(burstStream(tr, serial), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,8 +345,8 @@ func FuzzBatchAdmission(f *testing.F) {
 			}
 			return normalizeSteady(ss), vecs
 		}
-		serial, serialVecs := run(false)
-		batched, batchedVecs := run(true)
+		serial, serialVecs := run(true)
+		batched, batchedVecs := run(false)
 		if !reflect.DeepEqual(serial, batched) {
 			t.Errorf("batched SteadyState diverges from serial:\nserial: %+v\nbatch:  %+v", serial, batched)
 		}
