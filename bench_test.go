@@ -782,34 +782,43 @@ func BenchmarkChurnAgents(b *testing.B) {
 }
 
 // BenchmarkProposeCommit pins the zero-allocation contract of the agent
-// commit path: one settle + Propose + CommitProposal + release per
-// iteration, the exact per-VM sequence the agent loop's happy path
-// performs. Guarded at 0 allocs/op by scripts/ci/allocguard.sh next to
-// the serial Schedule benchmarks.
+// commit path under every algorithm: one settle + Propose +
+// CommitProposal + release per iteration, the exact per-VM sequence the
+// agent loop's happy path performs (the shared State.Probe sits on every
+// Proposer's path). Guarded at 0 allocs/op by scripts/ci/allocguard.sh
+// next to the serial Schedule benchmarks.
 func BenchmarkProposeCommit(b *testing.B) {
-	st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := core.New(st)
-	vm := workload.VM{ID: 0, Lifetime: 1, Req: units.Vec(8, 16, 128)}
-	shard := make(sched.RackMask, st.Cluster.NumRacks())
-	for i := range shard {
-		shard[i] = true
-	}
-	st.Cluster.Settle()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		st.Cluster.Settle()
-		p, ok := s.Propose(vm, shard)
-		if !ok {
-			b.Fatal("fresh cluster must yield a proposal")
-		}
-		a, err := st.CommitProposal(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.ReleaseVM(a)
+	for _, alg := range experiments.Algorithms {
+		b.Run(alg, func(b *testing.B) {
+			st, err := experiments.DefaultSetup().NewState()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sch, err := experiments.NewScheduler(alg, st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := sch.(sched.Proposer)
+			vm := workload.VM{ID: 0, Lifetime: 1, Req: units.Vec(8, 16, 128)}
+			shard := make(sched.RackMask, st.Cluster.NumRacks())
+			for i := range shard {
+				shard[i] = true
+			}
+			st.Cluster.Settle()
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.Cluster.Settle()
+				p, ok := s.Propose(vm, shard)
+				if !ok {
+					b.Fatal("fresh cluster must yield a proposal")
+				}
+				a, err := st.CommitProposal(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.ReleaseVM(a)
+			}
+		})
 	}
 }

@@ -10,8 +10,11 @@
 //     descending order of their available uplink bandwidth, and the network
 //     phase picks the links with the most available bandwidth.
 //
-// Both schedulers also serve as RISA's SUPER_RACK fallback, which is why
-// Schedule is split into a maskable ScheduleMasked.
+// NULB's box choice is also what RISA hands its SUPER_RACK to
+// (NULBChoice). Each algorithm has one candidate computation, choose;
+// Schedule commits its result through State.AllocateVM, Propose — the
+// read-only form the concurrent agent pool drives (DESIGN.md §12) —
+// probes it through State.Probe.
 package baseline
 
 import (
@@ -24,15 +27,18 @@ import (
 	"risa/internal/workload"
 )
 
-// Masks restricts the candidate racks per resource; a nil entry allows all
-// racks for that resource. RISA's SUPER_RACK is expressed as one mask per
-// resource kind.
-type Masks [units.NumResources]sched.RackMask
-
 // zervas is the shared implementation of NULB and NALB.
 type zervas struct {
 	st   *sched.State
 	nalb bool // true → NALB: bandwidth-ordered BFS + max-avail links
+}
+
+// Compile-time check: the agent pool drives zervas through Propose.
+var _ sched.Proposer = (*zervas)(nil)
+
+func init() {
+	sched.Register("NULB", NewNULB)
+	sched.Register("NALB", NewNALB)
 }
 
 // NewNULB returns the network-unaware locality-based scheduler bound to st.
@@ -41,22 +47,17 @@ func NewNULB(st *sched.State) sched.Scheduler { return &zervas{st: st} }
 // NewNALB returns the network-aware locality-based scheduler bound to st.
 func NewNALB(st *sched.State) sched.Scheduler { return &zervas{st: st, nalb: true} }
 
-// MaskedScheduler is a Scheduler that can additionally be restricted to a
-// subset of racks per resource; RISA's SUPER_RACK fallback needs this.
-type MaskedScheduler interface {
-	sched.Scheduler
-	ScheduleMasked(vm workload.VM, masks Masks) (*sched.Assignment, error)
-	// ChooseMasked computes ScheduleMasked's placement choice alone —
-	// the scarce box and the BFS for the remaining resources — without
-	// touching the network phase or allocating anything. Pure reads
-	// against a settled cluster; the propose path builds fallback-tier
-	// claims from it.
-	ChooseMasked(vm workload.VM, masks Masks) (sched.BoxTriple, network.Policy, error)
+// NULBChoice computes NULB's box choice for vm over the whole cluster,
+// and the link policy NULB reserves its flows under, without allocating
+// anything: what RISA's SUPER_RACK tier commits or probes.
+func NULBChoice(st *sched.State, vm workload.VM) (sched.BoxTriple, network.Policy, error) {
+	z := zervas{st: st}
+	boxes, miss, home, ok := z.choose(vm, nil, false)
+	if !ok {
+		return boxes, z.policy(), noBox(vm, miss, home)
+	}
+	return boxes, z.policy(), nil
 }
-
-// NewNULBMasked returns NULB exposed with its maskable entry point for use
-// as RISA's fallback.
-func NewNULBMasked(st *sched.State) MaskedScheduler { return &zervas{st: st} }
 
 // Name implements sched.Scheduler.
 func (z *zervas) Name() string {
@@ -66,144 +67,150 @@ func (z *zervas) Name() string {
 	return "NULB"
 }
 
-// Schedule implements sched.Scheduler over the whole cluster.
+// policy is phase 2 of Algorithm 2, the network allocation: NULB takes
+// the first links that fit, NALB the links with the most available
+// bandwidth.
+func (z *zervas) policy() network.Policy {
+	if z.nalb {
+		return network.MaxAvail
+	}
+	return network.FirstFit
+}
+
+// Schedule implements sched.Scheduler: Algorithm 2 over the whole
+// cluster.
 func (z *zervas) Schedule(vm workload.VM) (*sched.Assignment, error) {
-	return z.ScheduleMasked(vm, Masks{})
+	boxes, miss, home, ok := z.choose(vm, nil, false)
+	if !ok {
+		return nil, noBox(vm, miss, home)
+	}
+	return z.st.AllocateVM(vm, boxes, z.policy())
+}
+
+// Propose implements sched.Proposer: Algorithm 2's choice restricted to
+// the case where every component lands in the scarce box's home rack.
+// The scarce resource takes the first fitting box among the shard's
+// racks; the remaining resources must be satisfied inside that home
+// rack under the usual level ordering. A VM whose placement would have
+// to leave the home rack returns ok=false and is scheduled serially —
+// the BFS over other racks has no single-rack claim to make.
+//
+// Like every Proposer, this requires the cluster's lazy index tiers to
+// be settled first (Cluster.Settle); NextRackWith and the level scans
+// are pure reads then.
+func (z *zervas) Propose(vm workload.VM, shard sched.RackMask) (sched.Proposal, bool) {
+	boxes, _, _, ok := z.choose(vm, shard, true)
+	if !ok {
+		return sched.Proposal{}, false
+	}
+	return z.st.Probe(vm, boxes, z.policy())
 }
 
 // Release implements sched.Scheduler.
 func (z *zervas) Release(a *sched.Assignment) { z.st.ReleaseVM(a) }
 
-// ScheduleMasked runs Algorithm 2 restricted to the masked racks.
-func (z *zervas) ScheduleMasked(vm workload.VM, masks Masks) (*sched.Assignment, error) {
-	boxes, policy, err := z.ChooseMasked(vm, masks)
-	if err != nil {
-		return nil, err
-	}
-	// Phase 2: network allocation. NULB takes the first links that fit,
-	// NALB the links with the most available bandwidth.
-	return z.st.AllocateVM(vm, boxes, policy)
-}
-
-// ChooseMasked implements MaskedScheduler: phases 1a and 1b of
-// Algorithm 2 — the box choice — with no allocation and no writes.
-func (z *zervas) ChooseMasked(vm workload.VM, masks Masks) (sched.BoxTriple, network.Policy, error) {
-	var boxes sched.BoxTriple
-	policy := network.FirstFit
-	if z.nalb {
-		policy = network.MaxAvail
-	}
-	cl := z.st.Cluster
-	resMax, ok := sched.ScarcestResource(cl, vm.Req)
+// choose is phases 1a and 1b of Algorithm 2 — the box choice — with no
+// allocation and no writes: the scarcest resource takes the first
+// fitting box among shard's racks (nil: the whole cluster), the others
+// are found by BFS outwards from that box's rack, or in that rack alone
+// when homeOnly is set. When no placement exists, miss names the
+// resource no box could hold (-1: nothing requested) and home the scarce
+// box's rack (-1: not even that box was found), which noBox renders as
+// Schedule's error; Propose only needs ok, so a declined proposal
+// formats nothing.
+func (z *zervas) choose(vm workload.VM, shard sched.RackMask, homeOnly bool) (boxes sched.BoxTriple, miss units.Resource, home int, ok bool) {
+	resMax, ok := sched.ScarcestResource(z.st.Cluster, vm.Req)
 	if !ok {
-		return boxes, policy, fmt.Errorf("baseline: VM %d requests nothing", vm.ID)
+		return boxes, -1, -1, false
 	}
-
-	// Phase 1a: the first box anywhere that can hold the scarcest
-	// resource (global rack-major, box-index order).
-	first := z.firstBox(resMax, vm.Req[resMax], masks[resMax])
+	first := z.firstBox(resMax, vm.Req[resMax], shard)
 	if first == nil {
-		return boxes, policy, fmt.Errorf("baseline: VM %d: no box with %d %s free",
-			vm.ID, vm.Req[resMax], resMax.Native())
+		return boxes, resMax, -1, false
 	}
-
-	// Phase 1b: BFS outwards from the scarce box for the other resources.
 	boxes[resMax] = first
 	for _, r := range units.Resources() {
 		if r == resMax || vm.Req[r] == 0 {
 			continue
 		}
-		b := z.bfsFind(first.Rack(), r, vm.Req[r], masks[r])
-		if b == nil {
-			return boxes, policy, fmt.Errorf("baseline: VM %d: no box with %d %s free reachable from rack %d",
-				vm.ID, vm.Req[r], r.Native(), first.Rack())
+		if boxes[r] = z.bfsFind(first.Rack(), r, vm.Req[r], homeOnly); boxes[r] == nil {
+			return boxes, r, first.Rack(), false
 		}
-		boxes[r] = b
 	}
-	return boxes, policy, nil
+	return boxes, -1, first.Rack(), true
+}
+
+// noBox renders a failed choose as the error Schedule drops the VM with.
+func noBox(vm workload.VM, miss units.Resource, home int) error {
+	switch {
+	case miss < 0:
+		return fmt.Errorf("baseline: VM %d requests nothing", vm.ID)
+	case home < 0:
+		return fmt.Errorf("baseline: VM %d: no box with %d %s free",
+			vm.ID, vm.Req[miss], miss.Native())
+	default:
+		return fmt.Errorf("baseline: VM %d: no box with %d %s free reachable from rack %d",
+			vm.ID, vm.Req[miss], miss.Native(), home)
+	}
 }
 
 // firstBox returns the first box in global order holding kind r with
-// enough free, honoring the rack mask. Candidate racks come from the
+// enough free among the shard's racks. Candidate racks come from the
 // cluster-level index (ascending rack order, racks without a large-enough
-// box never surface) and the box-level test reads the rack's contiguous
-// visible-free vector, which leaves the scan order (and thus the chosen
-// box) identical to a full rack-major sweep over the box pointers while
-// skipping the non-qualifying racks entirely.
-func (z *zervas) firstBox(r units.Resource, need units.Amount, mask sched.RackMask) *topology.Box {
+// box never surface), bounded by the shard's span so an agent does not
+// step over the racks below its shard on every proposal; a nil shard
+// scans the whole cluster. The box-level test reads the rack's
+// contiguous visible-free vector, which leaves the scan order (and thus
+// the chosen box) identical to a full rack-major sweep over the box
+// pointers while skipping the non-qualifying racks entirely.
+func (z *zervas) firstBox(r units.Resource, need units.Amount, shard sched.RackMask) *topology.Box {
 	cl := z.st.Cluster
-	for ri := cl.NextRackWith(r, need, 0); ri >= 0; ri = cl.NextRackWith(r, need, ri+1) {
-		if !mask.Allows(ri) {
+	lo, hi := shard.Span()
+	if hi < 0 {
+		hi = cl.NumRacks()
+	}
+	for ri := cl.NextRackWith(r, need, lo); ri >= 0 && ri < hi; ri = cl.NextRackWith(r, need, ri+1) {
+		if !shard.Allows(ri) {
 			continue
 		}
-		rack := cl.Rack(ri)
-		for i, f := range rack.FreeVecOf(r) {
-			if f >= need {
-				return rack.BoxesOf(r)[i]
-			}
+		if b := firstFit(cl.Rack(ri), r, need); b != nil {
+			return b
 		}
 	}
 	return nil
 }
 
 // bfsFind searches for a box of kind r with enough free space, visiting
-// the home rack's boxes first and then every other rack (ascending index —
-// all racks are equidistant through the inter-rack switch). NALB takes
-// each BFS level in descending order of available uplink bandwidth.
-func (z *zervas) bfsFind(homeRack int, r units.Resource, need units.Amount, mask sched.RackMask) *topology.Box {
+// the home rack's boxes first and then — unless homeOnly bounds the
+// search to that first level — every other rack (ascending index: all
+// racks are equidistant through the inter-rack switch). NALB takes each
+// BFS level in descending order of available uplink bandwidth.
+//
+// The second level is pruned through the cluster-level candidate index
+// so only racks with a large-enough box contribute their boxes; dropping
+// boxes that could never be picked does not change the choice (both
+// policies only ever select a fitting box). Neither policy materializes
+// the level. NULB scans it in construction order, so the first fitting
+// box in ascending (rack, box) order wins. NALB's level order is
+// descending uplink bandwidth with construction order breaking ties (the
+// historical stable sort), and the pick is the first FITTING box in that
+// order — equivalently, the fitting box with the maximum uplink
+// bandwidth, earliest first among equals, which one running max over
+// the level computes while probing the fabric only for boxes that fit.
+func (z *zervas) bfsFind(homeRack int, r units.Resource, need units.Amount, homeOnly bool) *topology.Box {
 	cl := z.st.Cluster
-	if mask.Allows(homeRack) {
-		if b := z.pickFromLevel(cl.Rack(homeRack), r, need); b != nil {
-			return b
-		}
+	if b := z.pickFromLevel(cl.Rack(homeRack), r, need); b != nil || homeOnly {
+		return b
 	}
-	// Second BFS level: all remaining racks, pruned through the
-	// cluster-level candidate index so only racks with a large-enough box
-	// contribute their boxes. Dropping boxes that could never be picked
-	// does not change the choice (both policies only ever select a
-	// fitting box).
-	if !z.nalb {
-		// NULB scans the level in construction order, so it never needs
-		// the level materialized at all: the first fitting box in
-		// ascending (rack, box) order wins.
-		for ri := cl.NextRackWith(r, need, 0); ri >= 0; ri = cl.NextRackWith(r, need, ri+1) {
-			if ri == homeRack || !mask.Allows(ri) {
-				continue
-			}
-			rack := cl.Rack(ri)
-			for i, f := range rack.FreeVecOf(r) {
-				if f >= need {
-					return rack.BoxesOf(r)[i]
-				}
-			}
-		}
-		return nil
-	}
-	// NALB's level order is descending uplink bandwidth with construction
-	// order breaking ties (the historical stable sort), and the pick is
-	// the first FITTING box in that order — equivalently, the fitting box
-	// with the maximum uplink bandwidth, earliest first among equals. The
-	// single max-scan below computes exactly that without materializing or
-	// sorting the level (the pre-SoA code built and stable-sorted every
-	// qualifying rack's boxes per decision, the dominant superlinear term
-	// in NALB's hyperscale decision time), and probes the fabric only for
-	// boxes that fit instead of for the whole level.
-	fab := z.st.Fabric
 	var chosen *topology.Box
 	var bestKey units.Bandwidth
 	for ri := cl.NextRackWith(r, need, 0); ri >= 0; ri = cl.NextRackWith(r, need, ri+1) {
-		if ri == homeRack || !mask.Allows(ri) {
+		if ri == homeRack {
 			continue
 		}
-		rack := cl.Rack(ri)
-		boxes := rack.BoxesOf(r)
-		for i, f := range rack.FreeVecOf(r) {
-			if f < need {
-				continue
-			}
-			if k := fab.BoxUplinkFree(boxes[i]); chosen == nil || k > bestKey {
-				chosen, bestKey = boxes[i], k
-			}
+		if z.nalb {
+			chosen, bestKey = z.maxUplink(cl.Rack(ri), r, need, chosen, bestKey)
+		} else if b := firstFit(cl.Rack(ri), r, need); b != nil {
+			return b
 		}
 	}
 	return chosen
@@ -214,26 +221,37 @@ func (z *zervas) bfsFind(homeRack int, r units.Resource, need units.Amount, mask
 // with the most available uplink bandwidth (ties to the earliest, the
 // stable-sort order) for NALB.
 func (z *zervas) pickFromLevel(rack *topology.Rack, res units.Resource, need units.Amount) *topology.Box {
-	free := rack.FreeVecOf(res)
 	if z.nalb {
-		fab := z.st.Fabric
-		boxes := rack.BoxesOf(res)
-		var chosen *topology.Box
-		var bestKey units.Bandwidth
-		for i, f := range free {
-			if f < need {
-				continue
-			}
-			if k := fab.BoxUplinkFree(boxes[i]); chosen == nil || k > bestKey {
-				chosen, bestKey = boxes[i], k
-			}
-		}
-		return chosen
+		b, _ := z.maxUplink(rack, res, need, nil, 0)
+		return b
 	}
-	for i, f := range free {
+	return firstFit(rack, res, need)
+}
+
+// firstFit returns the rack's first box of kind res, in index order,
+// with at least need free.
+func firstFit(rack *topology.Rack, res units.Resource, need units.Amount) *topology.Box {
+	for i, f := range rack.FreeVecOf(res) {
 		if f >= need {
 			return rack.BoxesOf(res)[i]
 		}
 	}
 	return nil
+}
+
+// maxUplink folds one rack into NALB's running pick: chosen stays the
+// fitting box with strictly the most available uplink bandwidth seen so
+// far, so among equals the earliest wins.
+func (z *zervas) maxUplink(rack *topology.Rack, res units.Resource, need units.Amount, chosen *topology.Box, bestKey units.Bandwidth) (*topology.Box, units.Bandwidth) {
+	fab := z.st.Fabric
+	boxes := rack.BoxesOf(res)
+	for i, f := range rack.FreeVecOf(res) {
+		if f < need {
+			continue
+		}
+		if k := fab.BoxUplinkFree(boxes[i]); chosen == nil || k > bestKey {
+			chosen, bestKey = boxes[i], k
+		}
+	}
+	return chosen, bestKey
 }

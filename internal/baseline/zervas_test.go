@@ -186,60 +186,6 @@ func TestNULBDropsOnEmptyRequest(t *testing.T) {
 	}
 }
 
-func TestMaskedScheduleRestrictsRacks(t *testing.T) {
-	st := defaultState(t)
-	nulb := NewNULBMasked(st)
-	// Only rack 3 allowed for every resource.
-	var masks Masks
-	for _, r := range units.Resources() {
-		mask := make(sched.RackMask, st.Cluster.NumRacks())
-		mask[3] = true
-		masks[r] = mask
-	}
-	a, err := nulb.ScheduleMasked(typicalVM(), masks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []topology.Placement{a.CPU, a.RAM, a.STO} {
-		if p.Box.Rack() != 3 {
-			t.Errorf("placement escaped the mask to rack %d", p.Box.Rack())
-		}
-	}
-}
-
-func TestMaskedScheduleSplitRacks(t *testing.T) {
-	st := defaultState(t)
-	nulb := NewNULBMasked(st)
-	var masks Masks
-	cpuMask := make(sched.RackMask, st.Cluster.NumRacks())
-	cpuMask[5] = true
-	ramMask := make(sched.RackMask, st.Cluster.NumRacks())
-	ramMask[7] = true
-	masks[units.CPU] = cpuMask
-	masks[units.RAM] = ramMask
-	// Storage unrestricted.
-	a, err := nulb.ScheduleMasked(typicalVM(), masks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.CPU.Box.Rack() != 5 || a.RAM.Box.Rack() != 7 {
-		t.Errorf("CPU r%d RAM r%d, want r5/r7", a.CPU.Box.Rack(), a.RAM.Box.Rack())
-	}
-	if !a.InterRack() {
-		t.Error("split masks force inter-rack")
-	}
-}
-
-func TestMaskedScheduleFailsWhenMaskEmpty(t *testing.T) {
-	st := defaultState(t)
-	nulb := NewNULBMasked(st)
-	var masks Masks
-	masks[units.RAM] = make(sched.RackMask, st.Cluster.NumRacks()) // all false
-	if _, err := nulb.ScheduleMasked(typicalVM(), masks); err == nil {
-		t.Error("empty RAM mask should drop the VM")
-	}
-}
-
 func TestNALBSpreadsNetworkLoad(t *testing.T) {
 	st := defaultState(t)
 	nalb := NewNALB(st)

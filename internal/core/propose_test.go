@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"risa/internal/network"
@@ -19,57 +18,6 @@ func proposeState(t *testing.T) *sched.State {
 		t.Fatal(err)
 	}
 	return st
-}
-
-// TestProposeCommitMatchesSerial is the commit oracle: driving RISA
-// through Propose + CommitProposal (with the serial fallback the agent
-// pool uses when Propose declines) must reproduce the pure serial
-// Schedule run placement-for-placement. A conflict-free commit is by
-// construction the same transaction Schedule would have performed — this
-// replays a mixed stream against both paths and compares every box.
-func TestProposeCommitMatchesSerial(t *testing.T) {
-	stA, stB := proposeState(t), proposeState(t)
-	sa, sb := New(stA), New(stB)
-	rng := rand.New(rand.NewSource(23))
-	sig := func(a *sched.Assignment) string {
-		return a.CPU.Box.String() + "/" + a.RAM.Box.String() + "/" + a.STO.Box.String()
-	}
-	for i := 0; i < 300; i++ {
-		vm := workload.VM{ID: i, Lifetime: 10, Req: units.Vec(
-			units.Amount(rng.Int63n(64)+1),
-			units.Amount(rng.Int63n(64)+1),
-			128)}
-		stA.Cluster.Settle()
-		var gotA string
-		if p, ok := sa.Propose(vm, nil); ok {
-			a, err := stA.CommitProposal(p)
-			if err != nil {
-				t.Fatalf("VM %d: conflict-free commit failed: %v", i, err)
-			}
-			gotA = sig(a)
-		} else if a, err := sa.Schedule(vm); err == nil {
-			gotA = "serial:" + sig(a)
-		} else {
-			gotA = "drop"
-		}
-		var gotB string
-		if a, err := sb.Schedule(vm); err == nil {
-			gotB = sig(a)
-		} else {
-			gotB = "drop"
-		}
-		// The serial-fallback marker only tags how A placed; the boxes
-		// must match B either way.
-		if wantA := gotB; gotA != wantA && gotA != "serial:"+wantA {
-			t.Fatalf("VM %d: propose+commit placed %q, serial replay %q", i, gotA, gotB)
-		}
-	}
-	if err := stA.Cluster.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if err := stA.Fabric.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestCommitConflictOnRackChange: a proposal must lose its commit when
@@ -250,45 +198,5 @@ func TestDropConclusive(t *testing.T) {
 	}
 	if err := stA.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestProposeIsReadOnly: a Propose that does not commit leaves cluster
-// and fabric untouched — the property that makes concurrent propose
-// rounds safe.
-func TestProposeIsReadOnly(t *testing.T) {
-	st := proposeState(t)
-	s := New(st)
-	st.Cluster.Settle()
-	before := [5]int64{
-		int64(st.Cluster.TotalFree(units.CPU)),
-		int64(st.Cluster.TotalFree(units.RAM)),
-		int64(st.Cluster.TotalFree(units.Storage)),
-		int64(st.Fabric.IntraRackFree()),
-		int64(st.Fabric.InterRackFree()),
-	}
-	gens := make([]uint64, st.Cluster.NumRacks())
-	for i := range gens {
-		gens[i] = st.Cluster.RackGen(i)
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok := s.Propose(workload.VM{ID: i, Lifetime: 10, Req: units.Vec(8, 16, 128)}, nil); !ok {
-			t.Fatalf("VM %d: fresh cluster must yield a proposal", i)
-		}
-	}
-	after := [5]int64{
-		int64(st.Cluster.TotalFree(units.CPU)),
-		int64(st.Cluster.TotalFree(units.RAM)),
-		int64(st.Cluster.TotalFree(units.Storage)),
-		int64(st.Fabric.IntraRackFree()),
-		int64(st.Fabric.InterRackFree()),
-	}
-	if before != after {
-		t.Errorf("Propose mutated capacity: %v -> %v", before, after)
-	}
-	for i := range gens {
-		if st.Cluster.RackGen(i) != gens[i] {
-			t.Errorf("Propose bumped rack %d generation", i)
-		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 //
 // The migration is transactional per VM: the old placement is released
 // first (so the VM may move within its own racks' freed space), the new
-// intra-rack placement is attempted through the usual pool walk, and on
+// intra-rack placement is attempted through the usual pool walk (the
+// candidate walk of Schedule, stopped short of the SUPER_RACK), and on
 // failure the original placement is restored exactly (same boxes, same
 // flows — the capacity was just freed, so restoration cannot fail).
 //
@@ -81,9 +82,12 @@ func (r *RISA) migrate(a *sched.Assignment) bool {
 	// pool (ReleaseVMKeep); the re-placement comes back as a fresh pooled
 	// record whose contents Adopt moves into a.
 	r.st.ReleaseVMKeep(a)
-	if moved, _ := r.scheduleIntra(vm); moved != nil {
-		r.st.Adopt(a, moved)
-		return true
+	w := r.newWalk(vm, nil)
+	for w.next() {
+		if moved := w.commit(); moved != nil {
+			r.st.Adopt(a, moved)
+			return true
+		}
 	}
 	restored, err := r.st.AllocateVM(vm, oldBoxes, network.FirstFit)
 	if err != nil {

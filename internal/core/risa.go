@@ -35,17 +35,13 @@ import (
 // RISA is the scheduler of Algorithm 1 (and, with best-fit box selection,
 // Algorithm 3). Not safe for concurrent use.
 type RISA struct {
-	st       *sched.State
-	fallback baseline.MaskedScheduler
-	opts     Options
-	cursor   int // round-robin rack cursor: next rack index to prefer
-	stats    Stats
+	st     *sched.State
+	opts   Options
+	cursor int // round-robin rack cursor: next rack index to prefer
+	stats  Stats
 
-	// scratch owns RISA's reusable decision buffers: the SUPER_RACK masks
-	// (one preallocated RackMask per resource, cleared per decision) and
-	// the per-rack, per-resource next-fit box cursors, stored densely by
-	// rack index instead of the map[int]*[...]int the pre-scratch code
-	// hashed through on every placement.
+	// scratch owns the per-rack, per-resource next-fit box cursors,
+	// stored densely by rack index.
 	//
 	// On the cursors themselves: the paper calls its intra-rack packing
 	// "first-fit, box 0 first, then box 1", but Table 4 shows the
@@ -54,6 +50,11 @@ type RISA struct {
 	// free) — i.e. next-fit. We reproduce Table 4 exactly; see
 	// DESIGN.md §4.
 	scratch sched.Scratch
+}
+
+func init() {
+	sched.Register("RISA", func(st *sched.State) sched.Scheduler { return New(st) })
+	sched.Register("RISA-BF", func(st *sched.State) sched.Scheduler { return NewBF(st) })
 }
 
 // New returns RISA bound to the given datacenter state.
@@ -66,11 +67,7 @@ func NewBF(st *sched.State) *RISA {
 
 // NewWithOptions returns an ablated RISA variant; see Options.
 func NewWithOptions(st *sched.State, opts Options) *RISA {
-	return &RISA{
-		st:       st,
-		fallback: baseline.NewNULBMasked(st),
-		opts:     opts,
-	}
+	return &RISA{st: st, opts: opts}
 }
 
 // Name implements sched.Scheduler.
@@ -88,94 +85,227 @@ func (r *RISA) Name() string {
 func (r *RISA) Release(a *sched.Assignment) { r.st.ReleaseVM(a) }
 
 // Schedule implements sched.Scheduler: Algorithm 1 / Algorithm 3 for one
-// VM.
+// VM — the candidate walk over the whole cluster, each candidate
+// committed through the shared AllocateVM transaction until one sticks
+// (a refused candidate rolls back completely, e.g. on per-link bandwidth
+// fragmentation, and the walk moves on).
 func (r *RISA) Schedule(vm workload.VM) (*sched.Assignment, error) {
 	if !vm.Req.NonNegative() || vm.Req.IsZero() {
 		return nil, fmt.Errorf("core: VM %d has unusable request %v", vm.ID, vm.Req)
 	}
-	a, poolSeen := r.scheduleIntra(vm)
-	if a != nil {
-		r.stats.IntraRack++
-		return a, nil
+	w := r.newWalk(vm, nil)
+	for w.next() || w.superRack() {
+		if a := w.commit(); a != nil {
+			return a, nil
+		}
 	}
-	if poolSeen {
-		// Pool racks exist but none has the network headroom (or a
-		// placement raced against bandwidth fragmentation): fall back.
+	r.stats.Dropped++
+	return nil, w.err
+}
+
+// walk is the one candidate enumeration of Algorithm 1, for one VM. It
+// yields placement candidates in the algorithm's preference order:
+//
+//  1. the INTRA_RACK_POOL round-robin — every rack whose per-resource
+//     maximum single-box availability covers the request and whose
+//     intra-rack links could carry both flows at all
+//     (AVAIL_INTRA_RACK_NET), starting at the cursor, each with the boxes
+//     the packing policy picks inside it;
+//  2. last, the SUPER_RACK hand-off: NULB's choice over the whole
+//     cluster, accepting an inter-rack placement.
+//
+// Schedule and Propose consume the same walk and differ only in the
+// acceptor they offer each candidate to — commit (State.AllocateVM) or
+// probe (State.Probe) — so the serial placement and the agents' proposal
+// cannot drift apart: a proposal that commits cleanly is the transaction
+// Schedule would have performed. The walk lives on the caller's stack.
+//
+// The pool is never materialized: qualifying racks are enumerated lazily
+// through the cluster-level candidate index (NextRackFits) in ascending
+// index order rotated at the cursor, so in the common case where an
+// early candidate is accepted the remaining racks are never visited and
+// the decision cost is independent of the cluster size. A refused
+// candidate cannot disturb the enumeration: commits roll back completely
+// and probes write nothing, so the candidate set later NextRackFits
+// calls see is the one a snapshot at entry would have produced.
+//
+// A shard (Propose only; nil for Schedule) reorders the pool tier, not
+// its contents: the shard's span is walked first, rotated at the cursor
+// — in-shard claims cannot collide across agents, so this is the
+// low-conflict fast path — and only when the shard yields nothing does
+// the walk spill over to the racks the mask rejects, in ascending order.
+// A spillover claim may lose its commit to the rack's own agent, which
+// the generation check resolves. The spillover is what makes an
+// exhausted walk conclusive: every rack in the cluster was tried.
+type walk struct {
+	r      *RISA
+	vm     workload.VM
+	shard  sched.RackMask
+	demand units.Bandwidth // both flows' bandwidth, for AVAIL_INTRA_RACK_NET
+
+	// The pool tier runs as up to three ascending segments [from, until):
+	// cursor → span end, span start → cursor, then (sharded only) the
+	// whole cluster minus the shard.
+	seg         int
+	from, until int
+	lo, start   int
+	poolSeen    bool // a qualifying rack existed (exhausted ⇒ all net-gated)
+
+	// The current candidate: rack is its pool rack, or -1 for the
+	// SUPER_RACK candidate.
+	rack   int
+	boxes  sched.BoxTriple
+	policy network.Policy
+	// err is why the latest candidate came to nothing: the SUPER_RACK
+	// tier had none to offer, or commit was refused. Once the walk is
+	// exhausted it is the error Schedule drops the VM with.
+	err error
+}
+
+// The walk's segments, in order.
+const (
+	segFromCursor = iota // shard span from the cursor to the span's end
+	segToCursor          // shard span from its start up to the cursor
+	segSpill             // every rack outside the shard (sharded walks only)
+	segPoolDone          // pool exhausted; the SUPER_RACK candidate is next
+	segDone
+)
+
+// newWalk starts the candidate walk for vm at the round-robin cursor,
+// clamped into the shard's span.
+func (r *RISA) newWalk(vm workload.VM, shard sched.RackMask) walk {
+	cfg := r.st.Units()
+	lo, hi := shard.Span()
+	if hi < 0 {
+		lo, hi = 0, r.st.Cluster.NumRacks()
+	}
+	start := r.cursor
+	if start < lo || start >= hi {
+		start = lo
+	}
+	return walk{
+		r: r, vm: vm, shard: shard,
+		demand: cfg.CPURAMDemand(vm.Req) + cfg.RAMSTODemand(vm.Req),
+		from:   start, until: hi, lo: lo, start: start,
+		policy: network.FirstFit,
+	}
+}
+
+// next advances to the following pool candidate and reports whether
+// there is one; the candidate is in w.rack, w.boxes and w.policy.
+func (w *walk) next() bool {
+	r := w.r
+	cl := r.st.Cluster
+	for w.seg < segPoolDone {
+		i := cl.NextRackFits(w.vm.Req, w.from)
+		if i < 0 || i >= w.until {
+			w.seg++
+			switch {
+			case w.seg == segToCursor:
+				w.from, w.until = w.lo, w.start
+			case w.seg == segSpill && w.shard != nil:
+				w.from, w.until = 0, cl.NumRacks()
+			default:
+				w.seg = segPoolDone
+			}
+			continue
+		}
+		w.from = i + 1
+		if w.shard.Allows(i) == (w.seg == segSpill) {
+			continue
+		}
+		w.poolSeen = true
+		r.stats.RacksProbed++
+		if r.st.Fabric.RackIntraFree(i) < w.demand {
+			continue
+		}
+		if boxes, ok := r.chooseBoxes(cl.Rack(i), w.vm.Req); ok {
+			w.rack, w.boxes = i, boxes
+			return true
+		}
+	}
+	return false
+}
+
+// superRack yields the walk's last candidate, once, after the pool is
+// exhausted: the SUPER_RACK hand-off to NULB. Rebalance, which only
+// wants intra-rack placements, stops short of it.
+func (w *walk) superRack() bool {
+	if w.seg == segDone {
+		return false
+	}
+	w.seg = segDone
+	r := w.r
+	cl := r.st.Cluster
+	if w.poolSeen {
+		// Pool racks exist but none has the network headroom (or every
+		// candidate was refused, e.g. on bandwidth fragmentation).
 		r.stats.NetGated++
 	} else {
 		r.stats.PoolEmpty++
 	}
-	a, err := r.scheduleSuperRack(vm)
-	if err != nil {
-		r.stats.Dropped++
-		return nil, err
+	// The SUPER_RACK — per resource, the racks whose best box could hold
+	// that component — is never materialized: NULB's own scans enumerate
+	// candidate racks through NextRackWith with exactly the per-resource
+	// needs, so a rack outside the SUPER_RACK can never surface in them.
+	// The one observable of its own is the per-resource emptiness error,
+	// reproduced by one O(log racks) candidate probe per resource.
+	for _, res := range units.Resources() {
+		if w.vm.Req[res] != 0 && cl.NextRackWith(res, w.vm.Req[res], 0) < 0 {
+			w.err = fmt.Errorf("core: VM %d: SUPER_RACK empty for %v (need %d %s)",
+				w.vm.ID, res, w.vm.Req[res], res.Native())
+			return false
+		}
 	}
-	r.stats.SuperRack++
-	return a, nil
+	w.rack = -1
+	w.boxes, w.policy, w.err = baseline.NULBChoice(r.st, w.vm)
+	return w.err == nil
 }
 
-// scheduleIntra walks the INTRA_RACK_POOL round-robin starting at the
-// cursor and attempts an intra-rack placement in each candidate until one
-// sticks. The pool is never materialized: qualifying racks are enumerated
-// lazily through the cluster-level candidate index (NextRackFits), in
-// ascending index order rotated at the cursor — exactly the order the
-// materialized pool walk used — so in the common case where an early
-// candidate accepts the VM, the remaining racks are never even visited and
-// the decision cost is independent of the cluster size. poolSeen reports
-// whether any qualifying rack existed (a nil assignment with poolSeen set
-// means every pool rack was network-gated).
-//
-// Probing a candidate cannot disturb the enumeration: a failed probe rolls
-// back completely, so the candidate set seen by later NextRackFits calls
-// is the one a snapshot at entry would have produced.
-func (r *RISA) scheduleIntra(vm workload.VM) (a *sched.Assignment, poolSeen bool) {
-	cfg := r.st.Units()
-	cl := r.st.Cluster
-	demand := cfg.CPURAMDemand(vm.Req) + cfg.RAMSTODemand(vm.Req)
-	try := func(rackIdx int) *sched.Assignment {
-		r.stats.RacksProbed++
-		// AVAIL_INTRA_RACK_NET: skip racks whose intra-rack links cannot
-		// carry both of the VM's flows at all.
-		if r.st.Fabric.RackIntraFree(rackIdx) < demand {
-			return nil
-		}
-		boxes, ok := r.chooseBoxes(cl.Rack(rackIdx), vm.Req)
-		if !ok {
-			return nil
-		}
-		a, err := r.st.AllocateVM(vm, boxes, network.FirstFit)
-		if err != nil {
-			return nil // e.g. per-link bandwidth fragmentation; try next rack
-		}
-		// Advance the round-robin cursor past the rack we just used and
-		// remember the next-fit box positions inside it.
-		if !r.opts.DisableRoundRobin {
-			r.cursor = (rackIdx + 1) % cl.NumRacks()
-		}
-		if r.opts.Packing == NextFit {
-			cur := r.scratch.Cursors(rackIdx)
-			for _, res := range units.Resources() {
-				if boxes[res] != nil {
-					cur[res] = boxes[res].KindIndex()
-				}
+// commit is the serial acceptor: it places the current candidate through
+// the shared AllocateVM transaction, or returns nil with the state
+// exactly as before.
+func (w *walk) commit() *sched.Assignment {
+	a, err := w.r.st.AllocateVM(w.vm, w.boxes, w.policy)
+	if err != nil {
+		w.err = err
+		return nil
+	}
+	w.accept()
+	return a
+}
+
+// probe is the agents' acceptor: it checks the current candidate
+// read-only and, when it would commit, returns the proposal claiming it.
+func (w *walk) probe() (sched.Proposal, bool) {
+	p, ok := w.r.st.Probe(w.vm, w.boxes, w.policy)
+	if ok {
+		w.accept()
+	}
+	return p, ok
+}
+
+// accept records that an acceptor took the current candidate: an
+// intra-rack placement advances the round-robin cursor past the rack
+// just used and remembers the next-fit box positions inside it.
+func (w *walk) accept() {
+	r := w.r
+	if w.rack < 0 {
+		r.stats.SuperRack++
+		return
+	}
+	r.stats.IntraRack++
+	if !r.opts.DisableRoundRobin {
+		r.cursor = (w.rack + 1) % r.st.Cluster.NumRacks()
+	}
+	if r.opts.Packing == NextFit {
+		cur := r.scratch.Cursors(w.rack)
+		for _, res := range units.Resources() {
+			if w.boxes[res] != nil {
+				cur[res] = w.boxes[res].KindIndex()
 			}
 		}
-		return a
 	}
-	start := r.cursor
-	for i := cl.NextRackFits(vm.Req, start); i >= 0; i = cl.NextRackFits(vm.Req, i+1) {
-		poolSeen = true
-		if a := try(i); a != nil {
-			return a, true
-		}
-	}
-	for i := cl.NextRackFits(vm.Req, 0); i >= 0 && i < start; i = cl.NextRackFits(vm.Req, i+1) {
-		poolSeen = true
-		if a := try(i); a != nil {
-			return a, true
-		}
-	}
-	return nil, poolSeen
 }
 
 // chooseBoxes picks one box per requested resource inside the rack
@@ -240,31 +370,6 @@ func (r *RISA) chooseBoxes(rack *topology.Rack, req units.Vector) (sched.BoxTrip
 		boxes[res] = rack.BoxesOf(res)[chosen]
 	}
 	return boxes, true
-}
-
-// scheduleSuperRack checks the SUPER_RACK (per resource, the racks whose
-// best box could hold that component) is non-empty and delegates to NULB,
-// accepting an inter-rack placement. The SUPER_RACK is never
-// materialized: NULB's own scans enumerate candidate racks through
-// NextRackWith with exactly the per-resource needs the masks were built
-// from, so a rack outside the SUPER_RACK can never surface in them — the
-// explicit masks the pre-SoA code built (O(racks) tree queries plus an
-// O(racks) mask clear per fallback decision) were bit-for-bit redundant.
-// The one observable the masks still carried is the per-resource
-// emptiness error, reproduced here by one O(log racks) candidate probe
-// per resource.
-func (r *RISA) scheduleSuperRack(vm workload.VM) (*sched.Assignment, error) {
-	cl := r.st.Cluster
-	for _, res := range units.Resources() {
-		if vm.Req[res] == 0 {
-			continue
-		}
-		if cl.NextRackWith(res, vm.Req[res], 0) < 0 {
-			return nil, fmt.Errorf("core: VM %d: SUPER_RACK empty for %v (need %d %s)",
-				vm.ID, res, vm.Req[res], res.Native())
-		}
-	}
-	return r.fallback.ScheduleMasked(vm, baseline.Masks{})
 }
 
 // Cursor exposes the round-robin position for tests and ablations.

@@ -26,7 +26,7 @@ var Algorithms = []string{"NULB", "NALB", "RISA", "RISA-BF"}
 // init functions (this package's use of core and baseline links all
 // four in), so there is no switch-on-name construction here anymore.
 func NewScheduler(name string, st *sched.State) (sched.Scheduler, error) {
-	return sched.New(name, st, sched.Options{})
+	return sched.New(name, st)
 }
 
 // Setup fixes the environment of one experiment: the cluster architecture,

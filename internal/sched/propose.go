@@ -12,6 +12,7 @@ import (
 	"errors"
 
 	"risa/internal/network"
+	"risa/internal/units"
 	"risa/internal/workload"
 )
 
@@ -54,11 +55,38 @@ type Proposal struct {
 	NClaims int
 }
 
-// Claim appends one rack's observed generations to the proposal's claim
-// set; callers must not claim the same rack twice.
-func (p *Proposal) Claim(rack int, compGen, netGen uint64) {
-	p.Claims[p.NClaims] = RackClaim{Rack: rack, CompGen: compGen, NetGen: netGen}
-	p.NClaims++
+// Probe is the read-only acceptor of a placement candidate, the
+// counterpart of AllocateVM's committing one: every Proposer enumerates
+// candidates with the walk its Schedule uses and hands each to Probe
+// where Schedule hands it to AllocateVM. It checks both optical flows
+// hop by hop (Fabric.FlowFeasible — the fit of each box was the walk's
+// own test) and, when they pass, returns the proposal with one claim per
+// distinct rack the boxes live in. Pure reads against a settled cluster.
+func (s *State) Probe(vm workload.VM, boxes BoxTriple, policy network.Policy) (Proposal, bool) {
+	cfg := s.Units()
+	cpu, ram, sto := boxes[units.CPU], boxes[units.RAM], boxes[units.Storage]
+	if cpu != nil && ram != nil && !s.Fabric.FlowFeasible(cpu, ram, cfg.CPURAMDemand(vm.Req), policy) {
+		return Proposal{}, false
+	}
+	if ram != nil && sto != nil && !s.Fabric.FlowFeasible(ram, sto, cfg.RAMSTODemand(vm.Req), policy) {
+		return Proposal{}, false
+	}
+	p := Proposal{VM: vm, Boxes: boxes, Policy: policy}
+claim:
+	for _, b := range boxes {
+		if b == nil {
+			continue
+		}
+		rack := b.Rack()
+		for _, c := range p.Claims[:p.NClaims] {
+			if c.Rack == rack {
+				continue claim
+			}
+		}
+		p.Claims[p.NClaims] = RackClaim{Rack: rack, CompGen: s.Cluster.RackGen(rack), NetGen: s.Fabric.RackGen(rack)}
+		p.NClaims++
+	}
+	return p, true
 }
 
 // Proposer is implemented by schedulers that can compute placement

@@ -5,16 +5,9 @@ import (
 	"sort"
 )
 
-// Options carries per-instance construction knobs for registered
-// scheduler factories. It is empty today — every algorithm's paper
-// variant is registered under its own name (RISA-BF is a separate entry,
-// not a RISA option) — and exists so New's signature can grow knobs
-// without touching every call site. The zero Options is always valid.
-type Options struct{}
-
 // Factory constructs one scheduler instance bound to st. Factories are
 // registered once per algorithm name via Register.
-type Factory func(st *State, opts Options) Scheduler
+type Factory func(st *State) Scheduler
 
 var registry = map[string]Factory{}
 
@@ -37,12 +30,12 @@ func Register(name string, f Factory) {
 // construction path for algorithms chosen by name — experiments, the
 // CLI and the concurrent agent pool all go through it — replacing the
 // switch-on-name construction that used to be scattered across callers.
-func New(name string, st *State, opts Options) (Scheduler, error) {
+func New(name string, st *State) (Scheduler, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown scheduler %q (registered: %v)", name, Registered())
 	}
-	return f(st, opts), nil
+	return f(st), nil
 }
 
 // Registered returns the registered algorithm names in sorted order.

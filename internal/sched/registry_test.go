@@ -29,10 +29,10 @@ func registryState(t *testing.T) *State {
 }
 
 func TestRegistryNewAndRegistered(t *testing.T) {
-	Register("test-stub", func(st *State, opts Options) Scheduler { return &stubScheduler{st: st} })
+	Register("test-stub", func(st *State) Scheduler { return &stubScheduler{st: st} })
 	defer delete(registry, "test-stub")
 	st := registryState(t)
-	s, err := New("test-stub", st, Options{})
+	s, err := New("test-stub", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRegistryNewAndRegistered(t *testing.T) {
 
 func TestRegistryUnknownName(t *testing.T) {
 	st := registryState(t)
-	if _, err := New("no-such-algorithm", st, Options{}); err == nil {
+	if _, err := New("no-such-algorithm", st); err == nil {
 		t.Fatal("unknown name must error")
 	} else if !strings.Contains(err.Error(), "no-such-algorithm") {
 		t.Errorf("error %q does not name the unknown algorithm", err)
@@ -66,14 +66,14 @@ func TestRegistryUnknownName(t *testing.T) {
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
-	Register("test-dup", func(st *State, opts Options) Scheduler { return &stubScheduler{st: st} })
+	Register("test-dup", func(st *State) Scheduler { return &stubScheduler{st: st} })
 	defer delete(registry, "test-dup")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration must panic")
 		}
 	}()
-	Register("test-dup", func(st *State, opts Options) Scheduler { return &stubScheduler{st: st} })
+	Register("test-dup", func(st *State) Scheduler { return &stubScheduler{st: st} })
 }
 
 func TestRegistryNilFactoryPanics(t *testing.T) {

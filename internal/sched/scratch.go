@@ -1,35 +1,23 @@
 package sched
 
-import (
-	"sort"
+import "risa/internal/units"
 
-	"risa/internal/topology"
-	"risa/internal/units"
-)
-
-// Scratch is a reusable per-scheduler decision workspace. Every scheduling
-// decision needs a handful of transient buffers — candidate rack masks,
-// candidate box lists, sort keys, per-rack packing cursors — and before
-// this type existed each algorithm allocated them fresh on every call
-// (RISA built a RackMask per resource per SUPER_RACK decision and kept its
-// box cursors in a map[int]; NULB/NALB grew a new BFS level slice per VM).
-// A Scratch owns one copy of each buffer and hands out cleared views, so
-// the steady-state decision path touches no allocator at all once the
-// buffers have reached their high-water size.
+// Scratch is a reusable per-owner decision workspace: the state a
+// scheduler or the event core keeps between decisions that is neither
+// cluster state nor part of an Assignment. It holds two things — RISA's
+// per-rack next-fit box cursors, stored densely by rack index, and the
+// pooled victim-selection buffers of the preemption transaction — so the
+// steady-state decision path touches no allocator once they have reached
+// their high-water size.
 //
 // Ownership discipline (DESIGN.md §9): a Scratch belongs to exactly one
-// scheduler instance and its buffers are valid only until that scheduler's
-// next decision. Nothing handed out by a Scratch may be retained across
-// Schedule calls — anything that outlives the decision (the Assignment,
-// its placements, its flows) lives in the State's pools instead, whose
+// owner, and nothing it hands out may be shared with another. Anything
+// that outlives a decision and belongs to a VM (the Assignment, its
+// placements, its flows) lives in the State's pools instead, whose
 // lifetime matches the VM's. Schedulers are not safe for concurrent use
 // and neither is their Scratch.
 type Scratch struct {
-	masks   [units.NumResources]RackMask
-	boxes   []*topology.Box
-	keys    []units.Bandwidth
 	cursors [][units.NumResources]int
-	sorter  boxSorter
 	preempt PreemptScratch
 }
 
@@ -37,31 +25,6 @@ type Scratch struct {
 // the preemption transaction (see PreemptScratch). The same ownership
 // rules apply: one driver, no concurrent use.
 func (s *Scratch) Preemption() *PreemptScratch { return &s.preempt }
-
-// Mask returns the scratch rack mask for resource r, resized to n racks
-// and cleared. The mask stays valid until the next Mask call for the same
-// resource; masks of distinct resources can be in flight together (RISA's
-// SUPER_RACK holds all three at once).
-func (s *Scratch) Mask(r units.Resource, n int) RackMask {
-	if cap(s.masks[r]) < n {
-		s.masks[r] = make(RackMask, n)
-	}
-	m := s.masks[r][:n]
-	for i := range m {
-		m[i] = false
-	}
-	return m
-}
-
-// Boxes returns the emptied scratch candidate-box buffer. Appending to the
-// returned slice may grow it; callers must store the result back via
-// SetBoxes (or simply not reuse the old header) — the usual
-// `level = append(level, ...)` idiom handles this naturally.
-func (s *Scratch) Boxes() []*topology.Box { return s.boxes[:0] }
-
-// SetBoxes stores a (possibly grown) candidate buffer back into the
-// scratch so its capacity is kept for the next decision.
-func (s *Scratch) SetBoxes(b []*topology.Box) { s.boxes = b }
 
 // Cursors returns the per-resource packing cursors of rack i, creating
 // dense storage up to that rack on first use. The cursors persist across
@@ -74,43 +37,4 @@ func (s *Scratch) Cursors(i int) *[units.NumResources]int {
 		s.cursors = append(s.cursors, [units.NumResources]int{})
 	}
 	return &s.cursors[i]
-}
-
-// SortBoxesByKeyDesc stable-sorts the candidate boxes in descending key
-// order, keys matching boxes by index (NALB's bandwidth-ordered BFS
-// level). Both slices must have equal length. Precomputing the keys — one
-// per box instead of one per comparison — is also what makes the sort
-// O(n log n) fabric probes cheaper, and sorting through a *boxSorter view
-// avoids the per-call closure and reflection allocations of
-// sort.SliceStable.
-func (s *Scratch) SortBoxesByKeyDesc(boxes []*topology.Box, keys []units.Bandwidth) {
-	s.sorter.boxes, s.sorter.keys = boxes, keys
-	sort.Stable(&s.sorter)
-	s.sorter.boxes, s.sorter.keys = nil, nil
-}
-
-// Keys returns the emptied scratch key buffer parallel to Boxes; the same
-// store-back rule applies (SetKeys).
-func (s *Scratch) Keys() []units.Bandwidth { return s.keys[:0] }
-
-// SetKeys stores a grown key buffer back into the scratch.
-func (s *Scratch) SetKeys(k []units.Bandwidth) { s.keys = k }
-
-// boxSorter is the reusable sort.Interface view SortBoxesByKeyDesc sorts
-// through.
-type boxSorter struct {
-	boxes []*topology.Box
-	keys  []units.Bandwidth
-}
-
-// Len implements sort.Interface.
-func (b *boxSorter) Len() int { return len(b.boxes) }
-
-// Less implements sort.Interface: descending key order.
-func (b *boxSorter) Less(i, j int) bool { return b.keys[i] > b.keys[j] }
-
-// Swap implements sort.Interface, keeping keys parallel to boxes.
-func (b *boxSorter) Swap(i, j int) {
-	b.boxes[i], b.boxes[j] = b.boxes[j], b.boxes[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }

@@ -27,44 +27,6 @@ func testTriple(st *State) BoxTriple {
 	}
 }
 
-func TestScratchMaskClearedAndSized(t *testing.T) {
-	var s Scratch
-	m := s.Mask(units.CPU, 4)
-	if len(m) != 4 {
-		t.Fatalf("mask len = %d, want 4", len(m))
-	}
-	m[1], m[3] = true, true
-	// Re-requesting must clear previous contents and keep independence
-	// between resources.
-	other := s.Mask(units.RAM, 4)
-	for i, v := range other {
-		if v {
-			t.Fatalf("RAM mask slot %d dirty", i)
-		}
-	}
-	if !m[1] || !m[3] {
-		t.Fatal("requesting another resource's mask disturbed the first")
-	}
-	m2 := s.Mask(units.CPU, 3)
-	for i, v := range m2 {
-		if v {
-			t.Fatalf("reused mask slot %d not cleared", i)
-		}
-	}
-}
-
-func TestScratchMaskReusesBacking(t *testing.T) {
-	var s Scratch
-	m := s.Mask(units.CPU, 64)
-	m2 := s.Mask(units.CPU, 32)
-	if &m[0] != &m2[0] {
-		t.Fatal("smaller mask request must reuse the grown backing array")
-	}
-	if avg := testing.AllocsPerRun(100, func() { s.Mask(units.CPU, 64) }); avg != 0 {
-		t.Fatalf("mask reuse allocates %.2f times per call, want 0", avg)
-	}
-}
-
 func TestScratchCursorsDenseAndPersistent(t *testing.T) {
 	var s Scratch
 	c5 := s.Cursors(5)
@@ -77,27 +39,6 @@ func TestScratchCursorsDenseAndPersistent(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { s.Cursors(5) }); avg != 0 {
 		t.Fatalf("cursor lookup allocates %.2f times per call, want 0", avg)
-	}
-}
-
-func TestScratchSortBoxesByKeyDescStable(t *testing.T) {
-	st := testState(t)
-	var s Scratch
-	boxes := s.Boxes()
-	keys := s.Keys()
-	// Three boxes with keys 1, 3, 1: descending stable order is the
-	// 3-key box first, then the two 1-key boxes in input order.
-	all := st.Cluster.Rack(0).Boxes()
-	boxes = append(boxes, all[0], all[1], all[2])
-	keys = append(keys, 1, 3, 1)
-	s.SetBoxes(boxes)
-	s.SetKeys(keys)
-	s.SortBoxesByKeyDesc(boxes, keys)
-	if boxes[0] != all[1] || boxes[1] != all[0] || boxes[2] != all[2] {
-		t.Fatalf("sorted order wrong: %v %v %v", boxes[0], boxes[1], boxes[2])
-	}
-	if keys[0] != 3 || keys[1] != 1 || keys[2] != 1 {
-		t.Fatalf("keys not permuted with boxes: %v", keys)
 	}
 }
 

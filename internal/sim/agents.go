@@ -78,7 +78,7 @@ func (r *Runner) newAgentPool(cc StreamConcurrency) (*agentPool, error) {
 	p := &agentPool{n: n, round: round, done: make(chan struct{}, n), busy: make([]time.Duration, n)}
 	p.conclusive, _ = r.sch.(sched.ConclusiveProposer)
 	for i := 0; i < n; i++ {
-		s, err := sched.New(r.sch.Name(), r.st, sched.Options{})
+		s, err := sched.New(r.sch.Name(), r.st)
 		if err != nil {
 			return nil, fmt.Errorf("sim: agent pool: %w", err)
 		}

@@ -54,7 +54,7 @@ func registryRunner(t *testing.T, algorithm string, cfg Config) (*sched.State, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.New(algorithm, st, sched.Options{})
+	s, err := sched.New(algorithm, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAgentsRetryQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.New("RISA", st, sched.Options{})
+	s, err := sched.New("RISA", st)
 	if err != nil {
 		t.Fatal(err)
 	}

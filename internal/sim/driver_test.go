@@ -21,7 +21,7 @@ func newTestDriver(t *testing.T, algo string) *Driver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := sched.New(algo, st, sched.Options{})
+	sch, err := sched.New(algo, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDriverSnapshotRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sch, err := sched.New(algo, st, sched.Options{})
+			sch, err := sched.New(algo, st)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,7 +26,7 @@ func eqTopology() topology.Config {
 
 func eqScheduler(t testing.TB, name string, st *sched.State) sched.Scheduler {
 	t.Helper()
-	s, err := sched.New(name, st, sched.Options{})
+	s, err := sched.New(name, st)
 	if err != nil {
 		t.Fatal(err)
 	}

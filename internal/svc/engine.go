@@ -134,7 +134,7 @@ func (e *Engine) genesis() error {
 	if err != nil {
 		return err
 	}
-	sch, err := sched.New(e.cfg.Algo, st, sched.Options{})
+	sch, err := sched.New(e.cfg.Algo, st)
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func (e *Engine) restore(snap *engineSnapshot) error {
 	if err != nil {
 		return err
 	}
-	sch, err := sched.New(snap.Algo, st, sched.Options{})
+	sch, err := sched.New(snap.Algo, st)
 	if err != nil {
 		return err
 	}
@@ -227,7 +227,7 @@ func (e *Engine) AddRack() (int, error) {
 // registered; the swap happens at a decision boundary with the topology
 // indexes settled (sim.Driver.SetScheduler).
 func (e *Engine) Swap(algo string) error {
-	if _, err := sched.New(algo, e.st, sched.Options{}); err != nil {
+	if _, err := sched.New(algo, e.st); err != nil {
 		return err
 	}
 	_, err := e.commit(Record{Kind: RecordSwap, Algo: algo})
@@ -290,7 +290,7 @@ func (e *Engine) apply(rec Record) (Outcome, error) {
 		e.inService++
 		return Outcome{}, nil
 	case RecordSwap:
-		sch, err := sched.New(rec.Algo, e.st, sched.Options{})
+		sch, err := sched.New(rec.Algo, e.st)
 		if err != nil {
 			return Outcome{}, err
 		}
