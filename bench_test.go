@@ -373,6 +373,67 @@ func BenchmarkDriverPlace(b *testing.B) {
 	}
 }
 
+// shellScheduler places nothing: Schedule hands out a recycled record and
+// Release takes it back, so a Driver over it costs the event core alone.
+type shellScheduler struct{ free []*sched.Assignment }
+
+func (s *shellScheduler) Name() string { return "shell" }
+
+func (s *shellScheduler) Schedule(vm workload.VM) (*sched.Assignment, error) {
+	var a *sched.Assignment
+	if n := len(s.free); n > 0 {
+		a, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		a = &sched.Assignment{}
+	}
+	a.VM = vm
+	return a, nil
+}
+
+func (s *shellScheduler) Release(a *sched.Assignment) { s.free = append(s.free, a) }
+
+// BenchmarkEventQueue measures the pending-event queue at steady state —
+// per op one arrival's push and, on average, one departure's pop — at the
+// resident counts of the repo benchmark's churn-18r (~560 departures
+// pending) and scale-4608r (~229 000) workloads. The queue is unexported,
+// so it is driven through sim.Driver over a scheduler that does nothing;
+// lifetimes spread over [pending/2, 3·pending/2) time units at one
+// arrival per unit, so pushes sift, pops descend the full depth, and
+// (t, kind) ties are constant. Pinned at 0 allocs/op by allocguard.sh and
+// run by benchguard.sh's interleaved rounds.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, pending := range []int64{560, 229_000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			st, err := experiments.DefaultSetup().NewState()
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := sim.NewDriver(st, &shellScheduler{})
+			var now int64
+			lcg := uint64(1)
+			round := func() {
+				now++
+				lcg = lcg*6364136223846793005 + 1442695040888963407
+				vm := workload.VM{ID: int(now), Arrival: now, Lifetime: pending/2 + int64(lcg>>33)%pending, Req: units.Vec(8, 16, 128)}
+				if _, _, err := d.Place(vm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := int64(0); i < 2*pending; i++ {
+				round()
+			}
+			if got := int64(d.Resident()); got < pending*9/10 || got > pending*11/10 {
+				b.Fatalf("%d departures pending at steady state, want about %d", got, pending)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
+}
+
 // BenchmarkScheduleOneScale is BenchmarkScheduleOne across cluster sizes:
 // the same per-VM decision on clusters from the paper's 18 racks up to
 // 16384 (~100k boxes), pre-loaded to the same per-rack operating point.

@@ -15,7 +15,7 @@ import (
 // snapshots (risasim -snapshot files, risasvc data directories), so they
 // are pinned. 0 is reserved (a retired kind no snapshot could hold) and
 // rejected on restore.
-type eventKind int
+type eventKind uint8
 
 const (
 	fault eventKind = iota + 1
@@ -24,19 +24,22 @@ const (
 )
 
 // event is one heap entry: a fault-plan event or a resident VM's
-// departure.
+// departure. The queue's cost is the bytes its sifts move, so the entry
+// carries no VM of its own: a live departure's VM is a.VM, and only a
+// ghost — a departure whose VM was unseated, a nil — holds the VM it had
+// behind a pointer, for the snapshot's EventState.VM.
 type event struct {
-	t    int64
-	kind eventKind
-	seq  int // tie-break: FIFO among equal (t, kind)
-	fx   int // fault only: index into the fault plan
-	vm   workload.VM
-	a    *sched.Assignment // departure only; nil marks a ghost (see unseat)
+	t     int64
+	seq   int               // tie-break: FIFO among equal (t, kind)
+	a     *sched.Assignment // departure only; nil marks a ghost (see unseat)
+	ghost *workload.VM      // ghost only
+	fx    int32             // fault only: index into the fault plan
+	kind  eventKind
 }
 
 // Less orders events by (time, kind, sequence). It is the ordering the
 // event queue (heap4.go) pops by.
-func (e event) Less(o event) bool {
+func (e *event) Less(o *event) bool {
 	if e.t != o.t {
 		return e.t < o.t
 	}
@@ -70,6 +73,11 @@ type observer interface {
 	// placement and d is the re-placement's wall clock.
 	displaced(a *sched.Assignment, recovered bool, d time.Duration)
 }
+
+// epoch is the origin every measured decision's two edges are read
+// against: time.Since is one monotonic clock read, where time.Now also
+// reads the wall clock.
+var epoch = time.Now()
 
 // errQueuedBehind is admit's verdict for an arrival that joined a
 // non-empty retry queue without a decision of its own.
@@ -141,7 +149,7 @@ func (c *eventCore) seedPlan(from int64) {
 	}
 	for i, ev := range c.f.Plan.Events {
 		if ev.T >= from {
-			c.h.Push(event{t: ev.T, kind: fault, seq: c.seq, fx: i})
+			c.h.Push(event{t: ev.T, kind: fault, seq: c.seq, fx: int32(i)})
 			c.seq++
 		}
 	}
@@ -186,7 +194,7 @@ func (c *eventCore) step() error {
 	}
 	if e.kind == fault {
 		c.fault(c.f.Plan.Events[e.fx])
-	} else if c.release(e) && c.f.Retry {
+	} else if c.release(e.a) && c.f.Retry {
 		c.drain()
 	}
 	return nil
@@ -194,14 +202,14 @@ func (c *eventCore) step() error {
 
 // release returns a departing VM's holdings; ghosts (see unseat) hold
 // none and report false.
-func (c *eventCore) release(e event) bool {
-	if e.a == nil {
+func (c *eventCore) release(a *sched.Assignment) bool {
+	if a == nil {
 		return false
 	}
 	if c.obs != nil {
-		c.obs.releasing(e.vm, e.a, false)
+		c.obs.releasing(a.VM, a, false)
 	}
-	c.sch.Release(e.a)
+	c.sch.Release(a)
 	c.resident--
 	return true
 }
@@ -252,13 +260,13 @@ func (c *eventCore) nextSeq() int {
 // an arrival above the lowest tier under Preempt — displacement of
 // strictly-lower-tier victims.
 func (c *eventCore) decide(vm workload.VM, direct bool) (*sched.Assignment, error) {
-	var start time.Time
+	var start time.Duration
 	if c.obs != nil {
-		start = time.Now()
+		start = time.Since(epoch)
 	}
 	a, err := c.sch.Schedule(vm)
 	if c.obs != nil {
-		c.obs.decided(vm, time.Since(start), direct)
+		c.obs.decided(vm, time.Since(epoch)-start, direct)
 	}
 	if err != nil && c.f.Preempt && vm.Tier < workload.NumTiers-1 {
 		a, err = c.tryPreempt(vm)
@@ -286,7 +294,7 @@ func (c *eventCore) place(q QueuedVMState, a *sched.Assignment, at int64, waited
 	if c.obs != nil {
 		c.obs.placed(q, a, waited)
 	}
-	c.h.Push(event{t: max(at+q.VM.Lifetime, c.now), kind: departure, seq: c.seq, vm: q.VM, a: a})
+	c.h.Push(event{t: max(at+q.VM.Lifetime, c.now), kind: departure, seq: c.seq, a: a})
 	c.seq++
 }
 
@@ -354,13 +362,15 @@ func (c *eventCore) abandon() {
 	}
 }
 
-// unseat turns a resident VM whose holdings are already released into a
-// ghost — its departure event stays queued with a nil assignment, which
-// release skips — and sends the VM to the retry queue (waiting from now,
-// its lifetime restarting when re-placed) or, without one, drops it.
+// unseat turns a resident VM (q.VM) whose holdings are already released
+// into a ghost — its departure event stays queued with a nil assignment,
+// which release skips, keeping the VM only for snapshots — and sends the
+// VM to the retry queue (waiting from now, its lifetime restarting when
+// re-placed) or, without one, drops it.
 func (c *eventCore) unseat(e *event, q QueuedVMState) {
 	c.st.ReleaseVM(e.a) // holdings already released: pools the shell
-	e.a = nil
+	vm := q.VM          // a copy: q's own restarts its wait below
+	e.a, e.ghost = nil, &vm
 	c.resident--
 	if !c.f.Retry {
 		c.obs.dropped(q)
@@ -380,10 +390,12 @@ func (c *eventCore) captureHeap() ([]EventState, *StateSnapshot, error) {
 	events := make([]EventState, 0, c.h.Len())
 	for i := range c.h.s {
 		e := &c.h.s[i]
-		es := EventState{T: e.t, Kind: int(e.kind), Seq: e.seq, FX: e.fx, VM: e.vm, A: -1}
+		es := EventState{T: e.t, Kind: int(e.kind), Seq: e.seq, FX: int(e.fx), A: -1}
 		if e.a != nil {
-			es.A = len(live)
+			es.VM, es.A = e.a.VM, len(live)
 			live = append(live, e.a)
+		} else if e.ghost != nil {
+			es.VM = *e.ghost
 		}
 		events = append(events, es)
 	}
@@ -395,7 +407,8 @@ func (c *eventCore) captureHeap() ([]EventState, *StateSnapshot, error) {
 // recorded a valid heap in array order, so assigning it preserves the
 // heap property and the eviction scan order — and the outage refcounts
 // (nil when the snapshot ran without faults: the counts start at zero).
-// Only fault events of the core's plan and departures are restorable.
+// Only fault events of the core's plan and departures are restorable, a
+// live departure only with the VM its assignment carries.
 func (c *eventCore) restoreHeap(events []EventState, live []*sched.Assignment, downCount []int) error {
 	if downCount != nil && len(downCount) != len(c.downCount) {
 		return fmt.Errorf("sim: snapshot carries %d outage refcounts, run tracks %d boxes", len(downCount), len(c.downCount))
@@ -403,13 +416,14 @@ func (c *eventCore) restoreHeap(events []EventState, live []*sched.Assignment, d
 	copy(c.downCount, downCount)
 	c.h.s = make([]event, len(events))
 	for i, es := range events {
-		e := event{t: es.T, kind: eventKind(es.Kind), seq: es.Seq, fx: es.FX, vm: es.VM}
+		e := event{t: es.T, kind: eventKind(es.Kind), seq: es.Seq, fx: int32(es.FX)}
 		switch {
-		case e.kind == fault && c.f.Plan != nil && es.FX >= 0 && es.FX < len(c.f.Plan.Events):
+		case es.Kind == int(fault) && c.f.Plan != nil && es.FX >= 0 && es.FX < len(c.f.Plan.Events):
 			// a pending event of this run's plan
-		case e.kind == departure && es.A < 0:
-			// a ghost
-		case e.kind == departure && es.A < len(live):
+		case es.Kind == int(departure) && es.A < 0:
+			vm := es.VM // a ghost
+			e.ghost = &vm
+		case es.Kind == int(departure) && es.A < len(live) && es.VM == live[es.A].VM:
 			e.a = live[es.A]
 		default:
 			return fmt.Errorf("sim: snapshot event %d (kind %d, plan index %d, assignment %d of %d) cannot be restored",

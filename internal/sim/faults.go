@@ -73,12 +73,12 @@ func (c *eventCore) evictDisplaced() {
 		if e.kind != departure || e.a == nil || e.t <= c.now || !e.a.OnFailedHardware() {
 			continue
 		}
-		c.obs.releasing(e.vm, e.a, true)
-		start := time.Now()
+		c.obs.releasing(e.a.VM, e.a, true)
+		start := time.Since(epoch)
 		recovered := core.Displace(c.st, c.sch, e.a)
-		c.obs.displaced(e.a, recovered, time.Since(start))
+		c.obs.displaced(e.a, recovered, time.Since(epoch)-start)
 		if !recovered {
-			c.unseat(e, QueuedVMState{VM: e.vm, Displaced: true})
+			c.unseat(e, QueuedVMState{VM: e.a.VM, Displaced: true})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -450,5 +451,88 @@ func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 		if e := c.h.Pop(); e.a != nil {
 			t.Errorf("event %+v still holds an assignment: the lost VM must be a ghost", e)
 		}
+	}
+}
+
+// TestGhostsSurviveHeapRoundTrip makes ghosts the way runs do — an
+// eviction with nowhere to go under Evict+Retry unseats the VM — and
+// requires captureHeap → restoreHeap → captureHeap to reproduce every
+// EventState. A ghost's entry holds no assignment to read its VM from, so
+// the VM it departed as (original arrival, not the retry queue's restarted
+// one) must ride along off the entry and come back byte for byte.
+func TestGhostsSurviveHeapRoundTrip(t *testing.T) {
+	st, r := faultRunner(t, Config{})
+	f := StreamFaults{Evict: true, Retry: true}
+	c := newEventCore(st, r.sch, &spyObserver{}, f)
+	place := func(vm workload.VM) {
+		t.Helper()
+		a, err := c.decide(vm, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.place(QueuedVMState{VM: vm}, a, vm.Arrival, false)
+	}
+	ghosts := []workload.VM{
+		{ID: 1, Arrival: 3, Lifetime: 40, Req: units.Vec(8, 16, 128), Tier: 2},
+		{ID: 2, Arrival: 4, Lifetime: 30, Req: units.Vec(4, 8, 64)},
+	}
+	for _, vm := range ghosts {
+		place(vm)
+	}
+	// Everything fails at t=5: both residents are unseated into ghosts.
+	c.now = 5
+	for _, b := range st.Cluster.Boxes() {
+		st.Cluster.SetBoxFailed(b, true)
+	}
+	c.evictDisplaced()
+	if c.resident != 0 || len(c.waiting) != 2 {
+		t.Fatalf("resident %d, waiting %d after total failure, want 0 and 2", c.resident, len(c.waiting))
+	}
+	for _, b := range st.Cluster.Boxes() {
+		st.Cluster.SetBoxFailed(b, false)
+	}
+	place(workload.VM{ID: 3, Arrival: 5, Lifetime: 10, Req: units.Vec(8, 16, 128)}) // a live departure beside them
+
+	events, state, err := c.captureHeap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []workload.VM
+	for _, es := range events {
+		if es.A < 0 {
+			got = append(got, es.VM)
+		}
+	}
+	slices.SortFunc(got, func(a, b workload.VM) int { return a.ID - b.ID })
+	if !reflect.DeepEqual(got, ghosts) {
+		t.Fatalf("captured ghost VMs %+v, want %+v", got, ghosts)
+	}
+
+	st2, r2 := faultRunner(t, Config{})
+	live, err := RestoreState(st2, r2.sch, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := newEventCore(st2, r2.sch, nil, f)
+	if err := c2.restoreHeap(events, live, nil); err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := c2.captureHeap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, events) {
+		t.Fatalf("heap round trip changed the events:\n got %+v\nwant %+v", again, events)
+	}
+
+	// A live departure whose recorded VM is not its assignment's is refused:
+	// the entry would silently depart as a different VM.
+	for i := range events {
+		if events[i].A >= 0 {
+			events[i].VM.Lifetime++
+		}
+	}
+	if err := c2.restoreHeap(events, live, nil); err == nil {
+		t.Error("restoreHeap accepted a live departure whose VM differs from its assignment's")
 	}
 }

@@ -3,22 +3,99 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"risa/internal/sched"
 	"risa/internal/workload"
 )
 
-// sameEvent compares the comparable projection of two events (the do
-// field is a func and only compares against nil).
-func sameEvent(a, b event) bool {
-	return a.t == b.t && a.kind == b.kind && a.seq == b.seq && a.vm == b.vm && a.a == b.a
+// TestEventSize pins the heap entry's size. Every sift level copies one
+// entry and every Pop copies two, so the queue's cost is entry bytes
+// moved: at 96 bytes (a workload.VM by value that duplicated
+// Assignment.VM, and word-sized kind and plan index) Pop was a fifth of
+// the churn loop, most of it runtime.duffcopy. A field added here is paid
+// on every event of every run; park it behind e.a or e.ghost instead.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 40 {
+		t.Fatalf("event is %d bytes, want <= 40", got)
+	}
 }
 
-// isZeroEvent reports whether e holds nothing.
-func isZeroEvent(e event) bool {
-	return e.t == 0 && e.kind == 0 && e.seq == 0 &&
-		e.vm == (workload.VM{}) && e.a == nil
+// swapQueue is the swap-based sift the hole-based eventQueue replaced,
+// kept as the oracle for the backing array's order: each level exchanges
+// parent and child where the hole sift writes the level once.
+type swapQueue struct{ s []event }
+
+func (h *swapQueue) Push(e event) {
+	h.s = append(h.s, e)
+	i := len(h.s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !h.s[i].Less(&h.s[parent]) {
+			break
+		}
+		h.s[i], h.s[parent] = h.s[parent], h.s[i]
+		i = parent
+	}
+}
+
+func (h *swapQueue) Pop() event {
+	n := len(h.s) - 1
+	top := h.s[0]
+	h.s[0] = h.s[n]
+	h.s[n] = event{}
+	h.s = h.s[:n]
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		smallest := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h.s[c].Less(&h.s[smallest]) {
+				smallest = c
+			}
+		}
+		if !h.s[smallest].Less(&h.s[i]) {
+			break
+		}
+		h.s[i], h.s[smallest] = h.s[smallest], h.s[i]
+		i = smallest
+	}
+	return top
+}
+
+// TestHeap4MatchesSwapSift drives the queue and the swap-sift oracle with
+// the same seeded push/pop sequences, heavy with (t, kind) ties, and
+// requires identical backing arrays after every operation. The pop order
+// alone is not the contract: snapshots persist the array verbatim and the
+// eviction and preemption scans walk it, so a sift that left the same
+// heap in another arrangement would change placements.
+func TestHeap4MatchesSwapSift(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h eventQueue
+		var ref swapQueue
+		for step := 0; step < 3000; step++ {
+			// Grow for the first third, hover, then shrink to empty.
+			if h.Len() == 0 || rng.Intn(6) < 4-step/1000 {
+				e := event{t: int64(rng.Intn(8)), kind: eventKind(1 + rng.Intn(2)), seq: step}
+				if e.kind == departure && rng.Intn(4) == 0 {
+					e.ghost = &workload.VM{ID: step}
+				}
+				h.Push(e)
+				ref.Push(e)
+			} else if got, want := h.Pop(), ref.Pop(); got != want {
+				t.Fatalf("seed %d step %d: popped %+v, oracle %+v", seed, step, got, want)
+			}
+			if !slices.Equal(h.s, ref.s) {
+				t.Fatalf("seed %d step %d: backing array diverged from the swap sift:\n got %+v\nwant %+v", seed, step, h.s, ref.s)
+			}
+		}
+	}
 }
 
 // refHeap is a minimal container/heap implementation over events — the
@@ -26,7 +103,7 @@ func isZeroEvent(e event) bool {
 type refHeap []event
 
 func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return h[i].Less(h[j]) }
+func (h refHeap) Less(i, j int) bool  { return h[i].Less(&h[j]) }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
 func (h *refHeap) Pop() interface{} {
@@ -64,14 +141,14 @@ func TestHeap4MatchesContainerHeap(t *testing.T) {
 			}
 			got := h.Pop()
 			want := heap.Pop(&ref).(event)
-			if !sameEvent(got, want) {
+			if got != want {
 				t.Fatalf("trial %d step %d: popped %+v, oracle %+v", trial, step, got, want)
 			}
 		}
 		for h.Len() > 0 {
 			got := h.Pop()
 			want := heap.Pop(&ref).(event)
-			if !sameEvent(got, want) {
+			if got != want {
 				t.Fatalf("trial %d drain: popped %+v, oracle %+v", trial, got, want)
 			}
 		}
@@ -96,7 +173,7 @@ func TestHeap4OrdersSimultaneousEvents(t *testing.T) {
 		{t: 5, kind: arrival, seq: 3},
 	}
 	for i, w := range want {
-		if got := h.Pop(); !sameEvent(got, w) {
+		if got := h.Pop(); got != w {
 			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
 		}
 	}
@@ -107,26 +184,25 @@ func TestHeap4OrdersSimultaneousEvents(t *testing.T) {
 // to the end of the backing array and re-sliced, leaving the event — and
 // through its *Assignment, the departed VM's whole placement record —
 // reachable until the slot happened to be overwritten. The new Pop must
-// zero every slot it vacates.
+// zero every slot it vacates — a ghost's slot too, whose VM lives off the
+// entry behind e.ghost.
 func TestHeap4PopClearsSlot(t *testing.T) {
 	var h eventQueue
 	for i := 0; i < 8; i++ {
-		h.Push(event{
-			t:    int64(i),
-			kind: departure,
-			seq:  i,
-			vm:   workload.VM{ID: i},
-			a:    &sched.Assignment{},
-		})
+		e := event{t: int64(i), kind: departure, seq: i, a: &sched.Assignment{}}
+		if i%2 == 1 {
+			e.a, e.ghost = nil, &workload.VM{ID: i}
+		}
+		h.Push(e)
 	}
 	backing := h.s[:cap(h.s)]
 	for h.Len() > 0 {
 		h.Pop()
 	}
 	for i, e := range backing {
-		if !isZeroEvent(e) {
-			t.Fatalf("backing slot %d still holds %+v after pop (assignment retained: %v)",
-				i, e, e.a != nil)
+		if e != (event{}) {
+			t.Fatalf("backing slot %d still holds %+v after pop (assignment retained: %v, ghost VM retained: %v)",
+				i, e, e.a != nil, e.ghost != nil)
 		}
 	}
 }

@@ -29,22 +29,22 @@ var errPreemptFailed = errors.New("sim: preemption found no admissible victim se
 func (c *eventCore) tryPreempt(vm workload.VM) (*sched.Assignment, error) {
 	ps := c.scratch.Preemption()
 	ps.Reset()
-	start := time.Now()
+	start := time.Since(epoch)
 	for i := range c.h.s {
 		e := &c.h.s[i]
-		if e.kind != departure || e.a == nil || e.t <= c.now || e.vm.Tier <= vm.Tier {
+		if e.kind != departure || e.a == nil || e.t <= c.now || e.a.VM.Tier <= vm.Tier {
 			continue
 		}
 		ps.Add(e.a, i)
 	}
 	a, consumed := core.Preempt(c.st, c.sch, ps, vm)
-	c.obs.decided(vm, time.Since(start), false)
+	c.obs.decided(vm, time.Since(epoch)-start, false)
 	if a == nil {
 		return nil, errPreemptFailed
 	}
 	for k := 0; k < consumed; k++ {
 		e := &c.h.s[ps.Ref(k)]
-		c.unseat(e, QueuedVMState{VM: e.vm, Preempted: true})
+		c.unseat(e, QueuedVMState{VM: e.a.VM, Preempted: true})
 	}
 	return a, nil
 }

@@ -725,7 +725,7 @@ func (sr *streamRun) finish() *SteadyState {
 	if sr.cfg.Workload.Drain {
 		// Unmetered: release the survivors so the state ends empty.
 		for c.h.Len() > 0 {
-			c.release(c.h.Pop())
+			c.release(c.h.Pop().a)
 		}
 	}
 	return res

@@ -44,6 +44,9 @@ type Engine struct {
 
 	history []Outcome
 	seen    map[int]int // VM ID → history index, the dedup map
+	// accepted and rejected count history's decisions per VM tier (see
+	// count), so GET /stats does not rescan the history on the worker.
+	accepted, rejected [workload.NumTiers]int64
 
 	snapEvery int
 	sinceSnap int
@@ -153,7 +156,7 @@ func (e *Engine) genesis() error {
 // restore rebuilds the engine from a snapshot: pristine state, scheduler
 // by the snapshot's algorithm, driver via sim.RestoreDriver (which
 // re-applies spare darkness from the snapshot's failure set), history
-// and dedup map verbatim.
+// verbatim, dedup map and decision counters rebuilt from it.
 func (e *Engine) restore(snap *engineSnapshot) error {
 	tcfg := e.cfg.Topology
 	tcfg.Racks += e.cfg.Spares
@@ -176,8 +179,23 @@ func (e *Engine) restore(snap *engineSnapshot) error {
 	e.history = snap.History
 	for i, o := range e.history {
 		e.seen[o.VMID] = i
+		e.count(o)
 	}
 	return nil
+}
+
+// count books one decision entering the history in the per-tier
+// counters: on the live path and in journal replay (apply), and for every
+// decision of a restored snapshot — which keeps them exact across a crash.
+func (e *Engine) count(out Outcome) {
+	if out.Tier < 0 || out.Tier >= workload.NumTiers {
+		return
+	}
+	if out.Accepted {
+		e.accepted[out.Tier]++
+	} else {
+		e.rejected[out.Tier]++
+	}
 }
 
 // Place journals and applies one placement request. A VM ID already
@@ -277,6 +295,7 @@ func (e *Engine) apply(rec Record) (Outcome, error) {
 		}
 		e.seen[out.VMID] = len(e.history)
 		e.history = append(e.history, out)
+		e.count(out)
 		return out, nil
 	case RecordMutate:
 		return Outcome{}, e.d.Apply(rec.Fault)

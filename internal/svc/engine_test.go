@@ -117,6 +117,8 @@ func assertTwins(t *testing.T, a, b *Engine) {
 		t.Fatalf("state diverged: now %d/%d resident %d/%d algo %s/%s racks %d/%d",
 			a.Now(), b.Now(), a.Resident(), b.Resident(), a.Algo(), b.Algo(), a.InService(), b.InService())
 	}
+	assertCountsMatchHistory(t, a)
+	assertCountsMatchHistory(t, b)
 	sa, err := a.d.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +129,63 @@ func assertTwins(t *testing.T, a, b *Engine) {
 	}
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("driver snapshots differ after identical op sequences")
+	}
+}
+
+// assertCountsMatchHistory requires the O(1) per-tier decision counters
+// behind GET /stats to equal a rescan of the placement history.
+func assertCountsMatchHistory(t *testing.T, e *Engine) {
+	t.Helper()
+	var accepted, rejected [workload.NumTiers]int64
+	for _, o := range e.History() {
+		if o.Accepted {
+			accepted[o.Tier]++
+		} else {
+			rejected[o.Tier]++
+		}
+	}
+	if e.accepted != accepted || e.rejected != rejected {
+		t.Fatalf("decision counters accepted %v rejected %v, history rescan says %v and %v",
+			e.accepted, e.rejected, accepted, rejected)
+	}
+}
+
+// TestDecisionCountersSurviveCrash kills an engine whose history holds
+// acceptances and rejections on every tier, part of it folded into a
+// snapshot and part only in the journal, and requires the reopened
+// engine's counters to equal both a rescan of its history and the
+// counters the dead process had.
+func TestDecisionCountersSurviveCrash(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, testConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= 24; id++ {
+		vm := workload.VM{ID: id, Arrival: int64(id), Lifetime: 1000, Tier: id % workload.NumTiers, Req: units.Vec(4, 8, 64)}
+		if id%4 == 0 {
+			vm.Req = units.Vec(1<<20, 8, 64) // larger than any box: rejected
+		}
+		if _, err := e.Place(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertCountsMatchHistory(t, e)
+	for tier := 0; tier < workload.NumTiers; tier++ {
+		if e.accepted[tier] == 0 || e.rejected[tier] == 0 {
+			t.Fatalf("script must accept and reject on every tier: accepted %v rejected %v", e.accepted, e.rejected)
+		}
+	}
+	e.crash()
+	e2, err := Open(dir, testConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.crash()
+	assertCountsMatchHistory(t, e2)
+	if e2.accepted != e.accepted || e2.rejected != e.rejected {
+		t.Fatalf("recovered counters accepted %v rejected %v, before the crash %v and %v",
+			e2.accepted, e2.rejected, e.accepted, e.rejected)
 	}
 }
 

@@ -116,8 +116,9 @@ func (s *Server) answer(it *item, err error, body any) {
 	it.res <- response{status: http.StatusOK, body: body}
 }
 
-// Stats is the GET /stats payload. Decision counters are recomputed
-// from the placement history, so they survive crash recovery exactly;
+// Stats is the GET /stats payload. Decision counters are kept beside the
+// placement history and rebuilt from it on recovery (Engine.count), so
+// they survive a crash exactly;
 // shed/expired counters are process-local backpressure telemetry.
 type Stats struct {
 	// Algo is the live scheduler algorithm.
@@ -145,7 +146,7 @@ type Stats struct {
 // stats assembles the Stats payload (worker goroutine only: it reads
 // engine state).
 func (s *Server) stats() Stats {
-	st := Stats{
+	return Stats{
 		Algo:           s.eng.Algo(),
 		Now:            s.eng.Now(),
 		Resident:       s.eng.Resident(),
@@ -153,20 +154,11 @@ func (s *Server) stats() Stats {
 		SpareRacks:     s.eng.Spares(),
 		QueueDepth:     s.q.depth(),
 		Draining:       s.draining.Load(),
+		AcceptedByTier: s.eng.accepted,
+		RejectedByTier: s.eng.rejected,
 		Shed:           s.shed.Load(),
 		Expired:        s.expired.Load(),
 	}
-	for _, o := range s.eng.History() {
-		if o.Tier < 0 || o.Tier >= workload.NumTiers {
-			continue
-		}
-		if o.Accepted {
-			st.AcceptedByTier[o.Tier]++
-		} else {
-			st.RejectedByTier[o.Tier]++
-		}
-	}
-	return st
 }
 
 // PlaceRequest is the POST /place body. Resource amounts are in native

@@ -30,7 +30,7 @@ set -euo pipefail
 ITERS=${ITERS:-1000x}
 OUT=${OUT:-alloc-guard}
 BASELINE=${BASELINE:-scripts/ci/allocs-baseline.txt}
-HOT='BenchmarkScheduleOne$|BenchmarkScheduleOneAllocs|BenchmarkScheduleOneUnderFaults|BenchmarkScheduleOneResumed|BenchmarkScheduleOnePreempt|BenchmarkDriverPlace|BenchmarkAllocateVM$|BenchmarkProposeCommit$'
+HOT='BenchmarkScheduleOne$|BenchmarkScheduleOneAllocs|BenchmarkScheduleOneUnderFaults|BenchmarkScheduleOneResumed|BenchmarkScheduleOnePreempt|BenchmarkDriverPlace|BenchmarkEventQueue$|BenchmarkAllocateVM$|BenchmarkProposeCommit$'
 RUN='BenchmarkChurnSteadyState$|BenchmarkChurnAgents/agents4'
 # The SoA hot path at hyperscale: the same zero-alloc contract on the
 # 16384-rack (~100k box) cluster, where a stray per-decision allocation

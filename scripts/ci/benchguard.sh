@@ -10,13 +10,15 @@
 # sides of a pair together, a real regression moves every pair.
 #
 # Usage: benchguard.sh <base-ref>
-# Environment: ROUNDS (default 4), BENCH (regex, default BenchmarkScheduleOne),
+# Environment: ROUNDS (default 4), BENCH (regex, default
+#   BenchmarkScheduleOne|BenchmarkEventQueue — the decision and the event
+#   queue under it),
 #   BENCHTIME (default 200ms), FACTOR (default 2.0), OUT (default bench-ab).
 set -euo pipefail
 
 BASE_REF=${1:?usage: benchguard.sh <base-ref>}
 ROUNDS=${ROUNDS:-4}
-BENCH=${BENCH:-BenchmarkScheduleOne}
+BENCH=${BENCH:-BenchmarkScheduleOne|BenchmarkEventQueue}
 BENCHTIME=${BENCHTIME:-200ms}
 FACTOR=${FACTOR:-2.0}
 OUT=${OUT:-bench-ab}
