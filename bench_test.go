@@ -777,11 +777,10 @@ func BenchmarkAllocateVM(b *testing.B) {
 func BenchmarkChurnSteadyState(b *testing.B) {
 	setup := experiments.DefaultSetup()
 	cfg := sim.StreamConfig{Workload: sim.StreamWorkload{MaxArrivals: 20000}, Windows: sim.StreamWindows{Warmup: 12600, Window: 6300}}
-	rung := experiments.ChurnRung{Label: "75%", Target: 0.75}
 	var perSec float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := setup.RunChurnCell("RISA", rung, cfg)
+		res, err := runChurnCell(setup, 0.75, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -791,6 +790,16 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 		perSec = res.PlacementsPerSec()
 	}
 	b.ReportMetric(perSec, "placements/s")
+}
+
+// runChurnCell runs one RISA steady-state cell at the target occupancy on
+// a fresh datacenter — construction included, as a ladder cell pays it.
+func runChurnCell(setup experiments.Setup, target float64, cfg sim.StreamConfig) (*sim.SteadyState, error) {
+	runner, stream, err := setup.NewCell("RISA", target, workload.TierMix{})
+	if err != nil {
+		return nil, err
+	}
+	return runner.RunStream(stream, cfg)
 }
 
 // BenchmarkChurnAgents measures the concurrent-agent speedup on a
@@ -822,11 +831,10 @@ func BenchmarkChurnAgents(b *testing.B) {
 				Windows:     sim.StreamWindows{Warmup: 12600, Window: 6300},
 				Concurrency: sim.StreamConcurrency{Agents: agents, Round: 64 * min(agents-1, 1)},
 			}
-			rung := experiments.ChurnRung{Label: "80%", Target: 0.80}
 			var wallPS, schedPS float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := setup.RunChurnCell("RISA", rung, cfg)
+				res, err := runChurnCell(setup, 0.80, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

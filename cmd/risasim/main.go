@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	risasim -exp all                 # every experiment
-//	risasim -exp fig5                # one figure: toy1 toy2 fig5..fig12
+//	risasim -exp all                 # every paper artifact and extension
+//	risasim -exp fig5                # one experiment; -h lists the names
 //	risasim -exp fig9 -seed 7        # different workload seed
 //	risasim -exp fig5 -uplinks 4     # fabric provisioning ablation
 //	risasim -exp azure -parallel 8   # experiment grid on 8 workers
@@ -31,8 +31,12 @@
 //	risasim -exp churn -cpuprofile cpu.pprof   # profile the hot path
 //	risasim -exp all -memprofile mem.pprof     # heap profile on clean exit
 //
-// The experiment ↔ paper mapping lives in DESIGN.md §5; measured-vs-paper
-// numbers are recorded in EXPERIMENTS.md.
+// The experiment names are listed once, in the catalog below: the -exp
+// help text, the all and azure groups and the unknown-name check are
+// computed from it. Ladder flags (-clone, -evict, -mtbf, -tiers, -preempt,
+// -agents, -snapshot/-restore) are rejected on experiments that never
+// read them. The experiment ↔ paper mapping lives in DESIGN.md §5;
+// measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 package main
 
 import (
@@ -42,6 +46,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,7 +89,7 @@ type options struct {
 func parseArgs(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("risasim", flag.ContinueOnError)
-	fs.StringVar(&o.exp, "exp", "all", "experiment to run: toy1, toy2, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, pool, seeds, scale, churn, faults, slo, resilience, defrag, stranding, queue, threetier, ablations, azure, all")
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run: "+strings.Join(experimentNames(), ", "))
 	fs.Int64Var(&o.seed, "seed", 1, "workload generation seed")
 	fs.IntVar(&o.uplinks, "uplinks", 0, "override box uplinks per box (0 = calibrated default)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width for experiment grids (0 = one per CPU, 1 = serial)")
@@ -135,16 +140,30 @@ func parseArgs(args []string) (options, error) {
 	if o.agents < 1 {
 		return o, fmt.Errorf("-agents must be at least 1, got %d", o.agents)
 	}
-	if o.agents > 1 && o.exp != "churn" {
-		return o, fmt.Errorf("-agents requires -exp churn, got -exp %s", o.exp)
+	if !slices.Contains(experimentNames(), o.exp) {
+		return o, fmt.Errorf("unknown experiment %q (-exp takes one of: %s)", o.exp, strings.Join(experimentNames(), ", "))
 	}
-	if o.preempt && o.exp != "faults" {
-		return o, fmt.Errorf("-preempt requires -exp faults (the slo experiment always preempts), got -exp %s", o.exp)
+	// A ladder flag on an experiment that never reads it is a mistake, not
+	// something to ignore silently.
+	for _, f := range []struct {
+		set  bool
+		flag string
+		exps []string
+		note string
+	}{
+		{o.agents > 1, "-agents", []string{"churn"}, ""},
+		{o.clone, "-clone", []string{"churn", "faults"}, ""},
+		{o.evict, "-evict", []string{"faults"}, " (the slo experiment always evicts)"},
+		{o.preempt, "-preempt", []string{"faults"}, " (the slo experiment always preempts)"},
+		{o.mtbf > 0, "-mtbf", []string{"faults", "slo"}, ""},
+		{o.tiers != "", "-tiers", []string{"faults", "slo"}, ""},
+		{o.snapshot != "" || o.restore != "", "-snapshot/-restore", []string{"churn"}, ""},
+	} {
+		if f.set && !slices.Contains(f.exps, o.exp) {
+			return o, fmt.Errorf("%s requires -exp %s%s, got -exp %s", f.flag, strings.Join(f.exps, " or -exp "), f.note, o.exp)
+		}
 	}
 	if o.tiers != "" {
-		if o.exp != "faults" && o.exp != "slo" {
-			return o, fmt.Errorf("-tiers requires -exp faults or -exp slo, got -exp %s", o.exp)
-		}
 		mix, err := parseTiers(o.tiers)
 		if err != nil {
 			return o, err
@@ -156,9 +175,6 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.snapshot != "" && o.restore != "" {
 		return o, fmt.Errorf("-snapshot and -restore are mutually exclusive")
-	}
-	if (o.snapshot != "" || o.restore != "") && o.exp != "churn" {
-		return o, fmt.Errorf("-snapshot/-restore require -exp churn, got -exp %s", o.exp)
 	}
 	return o, nil
 }
@@ -189,58 +205,30 @@ func parseTiers(s string) (workload.TierMix, error) {
 	return mix, nil
 }
 
-// faultsConfig turns the fault flags into the availability-ladder
-// configuration: the default MTBF × utilization grid, narrowed to one
-// MTBF rung by -mtbf (keeping the fault-free baseline for comparison)
-// and to one utilization rung by -target-util, time-capped by -duration.
-func faultsConfig(o options) experiments.FaultsConfig {
-	cfg := experiments.FaultsConfig{Duration: o.duration, MTTR: o.mttr, Evict: o.evict, Clone: o.clone, Tiers: o.tierMix, Preempt: o.preempt}
-	if o.mtbf > 0 {
-		cfg.Rungs = []experiments.FaultRung{
-			{Label: "none"},
-			{Label: fmt.Sprintf("mtbf=%d", o.mtbf), MTBF: o.mtbf, MTTR: o.mttr},
-		}
-	}
+// ladderConfig turns the ladder flags into the configuration of whichever
+// steady-state ladder -exp names (zero fields select that ladder's
+// defaults): time-capped by -duration, narrowed to one utilization rung by
+// -target-util and — for faults and slo, the ladders with a fault axis —
+// to the fault-free baseline plus one rung by -mtbf.
+func ladderConfig(o options) experiments.LadderConfig {
+	cfg := experiments.LadderConfig{Duration: o.duration, Evict: o.evict, Preempt: o.preempt, Tiers: o.tierMix, Clone: o.clone}
 	if o.targetUtil > 0 {
-		cfg.Targets = []float64{o.targetUtil}
+		// %.4g keeps labels clean for fractions like 0.55, where
+		// targetUtil*100 is not exactly 55 in float64.
+		cfg.Util = []experiments.ChurnRung{{Label: fmt.Sprintf("%.4g%%", o.targetUtil*100), Target: o.targetUtil}}
 	}
-	return cfg
-}
-
-// sloConfig turns the flags into the SLO-ladder configuration: the
-// default fault × utilization grid with the default priority mix,
-// narrowed to one MTBF rung by -mtbf and one utilization rung by
-// -target-util, time-capped by -duration, with -tiers overriding the
-// mix.
-func sloConfig(o options) experiments.SLOConfig {
-	cfg := experiments.SLOConfig{Duration: o.duration, MTTR: o.mttr, Tiers: o.tierMix}
-	if o.mtbf > 0 {
-		cfg.Rungs = []experiments.FaultRung{
-			{Label: "none"},
-			{Label: fmt.Sprintf("mtbf=%d", o.mtbf), MTBF: o.mtbf, MTTR: o.mttr},
-		}
-	}
-	if o.targetUtil > 0 {
-		cfg.Targets = []float64{o.targetUtil}
-	}
-	return cfg
-}
-
-// churnConfig turns the churn flags into the experiment configuration:
-// the default 100k-arrival ladder, narrowed to one custom rung when
-// -target-util is given and time-capped by -duration.
-func churnConfig(o options) experiments.ChurnConfig {
-	cfg := experiments.ChurnConfig{Duration: o.duration, Clone: o.clone}
 	if o.agents > 1 {
 		// Run the serial rung alongside the agent rung so the table shows
 		// the concurrency effect per utilization level.
 		cfg.Agents = []int{1, o.agents}
 	}
-	if o.targetUtil > 0 {
-		// %.4g keeps labels clean for fractions like 0.55, where
-		// targetUtil*100 is not exactly 55 in float64.
-		cfg.Rungs = []experiments.ChurnRung{
-			{Label: fmt.Sprintf("%.4g%%", o.targetUtil*100), Target: o.targetUtil},
+	if o.exp == "faults" || o.exp == "slo" {
+		cfg.Faults = experiments.DefaultFaultRungs(o.mttr)
+		if o.mtbf > 0 {
+			cfg.Faults = []experiments.FaultRung{
+				{Label: "none"},
+				{Label: fmt.Sprintf("mtbf=%d", o.mtbf), MTBF: o.mtbf, MTTR: o.mttr},
+			}
 		}
 	}
 	return cfg
@@ -388,7 +376,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(setup, opts.exp, scaleMaxRacks(opts), churnConfig(opts), faultsConfig(opts), sloConfig(opts)); err != nil {
+	if err := run(setup, opts.exp, scaleMaxRacks(opts), ladderConfig(opts)); err != nil {
 		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
 		os.Exit(1)
 	}
@@ -425,181 +413,144 @@ func record(results map[string]*sim.Result) {
 	}
 }
 
-// run executes one experiment name against the setup; scaleMax is the
-// largest point of the -exp scale ladder (≤ 0 selects the 16384-rack
-// default), churn the -exp churn configuration, faultsCfg the -exp
-// faults one and sloCfg the -exp slo one (zero values = default
-// ladders).
-func run(setup experiments.Setup, exp string, scaleMax int, churn experiments.ChurnConfig, faultsCfg experiments.FaultsConfig, sloCfg experiments.SLOConfig) error {
-	needMatrix := map[string]bool{
-		"fig7": true, "fig8": true, "fig9": true, "fig10": true, "fig12": true,
-		"azure": true, "all": true,
-	}
-	var matrix *experiments.AzureMatrix
-	if needMatrix[exp] {
-		// The practical-workload figures run under the storage-heavy rack
-		// composition (see experiments.AzureSetup), keeping the caller's
-		// seed, cluster size and fabric overrides.
-		azureSetup := experiments.AzureSetupFrom(setup)
-		var err error
-		matrix, err = azureSetup.RunAzureMatrix()
-		if err != nil {
-			return err
-		}
-		for _, perAlg := range matrix.Results {
-			record(perAlg)
-		}
-	}
+// experiment is one -exp name: whether -exp all includes it, whether it is
+// one of the practical-workload figures -exp azure selects, and what it
+// runs and prints.
+type experiment struct {
+	name       string
+	all, azure bool
+	run        func(*invocation) error
+}
 
-	show := func(name string) bool { return exp == name || exp == "all" || (exp == "azure" && needMatrix[name]) }
+// invocation is what a catalog entry runs against.
+type invocation struct {
+	setup    experiments.Setup
+	scaleMax int // largest point of the -exp scale ladder
+	ladder   experiments.LadderConfig
+	matrix   *experiments.AzureMatrix // shared by the azure figures, computed on first use
+}
 
-	if show("toy1") {
-		out, err := experiments.RunToy1()
-		if err != nil {
-			return err
+// catalog lists every experiment once, in -exp all's printing order; the
+// -exp help text, the all and azure groups and the unknown-name check are
+// all computed from it.
+var catalog = []experiment{
+	{name: "toy1", all: true, run: func(*invocation) error { return printed(experiments.RunToy1()) }},
+	{name: "toy2", all: true, run: func(*invocation) error { return printed(experiments.RunToy2()) }},
+	{name: "fig5", all: true, run: func(in *invocation) error {
+		f, err := in.setup.RunFig5()
+		if err == nil {
+			record(f.Results)
 		}
-		fmt.Println(out)
+		return rendered(f, err)
+	}},
+	{name: "fig6", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig6()) }},
+	{name: "fig7", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig7)},
+	{name: "fig8", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig8)},
+	{name: "fig9", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig9)},
+	{name: "fig10", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig10)},
+	{name: "fig11", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig11()) }},
+	{name: "fig12", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig12)},
+	{name: "seeds", run: func(in *invocation) error { return rendered(in.setup.RunSeedSweep([]int64{1, 2, 3, 4, 5})) }},
+	{name: "scale", run: func(in *invocation) error {
+		return rendered(in.setup.RunScale(experiments.ScaleLadder(in.scaleMax), 0))
+	}},
+	{name: "churn", run: ladder(experiments.Setup.RunChurn, (*experiments.Ladder).RenderChurn)},
+	{name: "faults", run: ladder(experiments.Setup.RunFaults, (*experiments.Ladder).RenderFaults)},
+	{name: "slo", run: ladder(experiments.Setup.RunSLO, (*experiments.Ladder).RenderSLO)},
+	{name: "threetier", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunThreeTier()) }},
+	{name: "queue", all: true, run: func(in *invocation) error { return rendered(in.setup.RunQueueing()) }},
+	{name: "stranding", all: true, run: func(in *invocation) error { return rendered(in.setup.RunStranding()) }},
+	{name: "defrag", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunDefrag(2000)) }},
+	{name: "resilience", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunResilience()) }},
+	{name: "pool", all: true, run: func(in *invocation) error { return rendered(in.setup.RunPoolOccupancy()) }},
+	{name: "ablations", all: true, run: func(in *invocation) error { return runAblations(in.setup) }},
+}
+
+// experimentNames returns every value -exp accepts: the catalog's names
+// and the two groups.
+func experimentNames() []string {
+	names := make([]string, 0, len(catalog)+2)
+	for _, e := range catalog {
+		names = append(names, e.name)
 	}
-	if show("toy2") {
-		out, err := experiments.RunToy2()
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
+	return append(names, "azure", "all")
+}
+
+// run executes the experiment, or group of experiments, exp names against
+// the setup; scaleMax is the largest point of the -exp scale ladder (≤ 0
+// selects the 16384-rack default) and ladder the configuration of the
+// churn, faults or slo ladder (the zero value selects its defaults).
+func run(setup experiments.Setup, exp string, scaleMax int, ladder experiments.LadderConfig) error {
+	if scaleMax <= 0 {
+		scaleMax = experiments.DefaultScaleMaxRacks
 	}
-	if show("fig5") {
-		f, err := setup.RunFig5()
-		if err != nil {
-			return err
-		}
-		record(f.Results)
-		fmt.Println(f.Render())
-	}
-	if show("fig6") {
-		f, err := setup.RunFig6()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if show("fig7") {
-		fmt.Println(matrix.RenderFig7())
-	}
-	if show("fig8") {
-		fmt.Println(matrix.RenderFig8())
-	}
-	if show("fig9") {
-		fmt.Println(matrix.RenderFig9())
-	}
-	if show("fig10") {
-		fmt.Println(matrix.RenderFig10())
-	}
-	if show("fig11") {
-		f, err := setup.RunFig11()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if show("fig12") {
-		fmt.Println(matrix.RenderFig12())
-	}
-	if exp == "seeds" {
-		sweep, err := setup.RunSeedSweep([]int64{1, 2, 3, 4, 5})
-		if err != nil {
-			return err
-		}
-		fmt.Println(sweep.Render())
-	}
-	if exp == "scale" {
-		if scaleMax <= 0 {
-			scaleMax = experiments.DefaultScaleMaxRacks
-		}
-		sweep, err := setup.RunScale(experiments.ScaleLadder(scaleMax), 0)
-		if err != nil {
-			return err
-		}
-		fmt.Println(sweep.Render())
-	}
-	if exp == "churn" {
-		c, err := setup.RunChurn(churn)
-		if err != nil {
-			return err
-		}
-		fmt.Println(c.Render())
-	}
-	if exp == "faults" {
-		f, err := setup.RunFaults(faultsCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if exp == "slo" {
-		o, err := setup.RunSLO(sloCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(o.Render())
-	}
-	if exp == "threetier" || exp == "all" {
-		azureSetup := experiments.AzureSetupFrom(setup)
-		tt, err := azureSetup.RunThreeTier()
-		if err != nil {
-			return err
-		}
-		fmt.Println(tt.Render())
-	}
-	if exp == "queue" || exp == "all" {
-		q, err := setup.RunQueueing()
-		if err != nil {
-			return err
-		}
-		fmt.Println(q.Render())
-	}
-	if exp == "stranding" || exp == "all" {
-		st, err := setup.RunStranding()
-		if err != nil {
-			return err
-		}
-		fmt.Println(st.Render())
-	}
-	if exp == "defrag" || exp == "all" {
-		azureSetup := experiments.AzureSetupFrom(setup)
-		d, err := azureSetup.RunDefrag(2000)
-		if err != nil {
-			return err
-		}
-		fmt.Println(d.Render())
-	}
-	if exp == "resilience" || exp == "all" {
-		azureSetup := experiments.AzureSetupFrom(setup)
-		r, err := azureSetup.RunResilience()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	}
-	if exp == "pool" || exp == "all" {
-		p, err := setup.RunPoolOccupancy()
-		if err != nil {
-			return err
-		}
-		fmt.Println(p.Render())
-	}
-	if exp == "ablations" || exp == "all" {
-		if err := runAblations(setup); err != nil {
-			return err
+	in := &invocation{setup: setup, scaleMax: scaleMax, ladder: ladder}
+	known := false
+	for _, e := range catalog {
+		if e.name == exp || (exp == "all" && e.all) || (exp == "azure" && e.azure) {
+			known = true
+			if err := e.run(in); err != nil {
+				return err
+			}
 		}
 	}
-	if !needMatrix[exp] {
-		switch exp {
-		case "toy1", "toy2", "fig5", "fig6", "fig11", "pool", "ablations", "seeds", "scale", "churn", "faults", "slo", "resilience", "defrag", "stranding", "queue", "threetier":
-		default:
-			return fmt.Errorf("unknown experiment %q", exp)
-		}
+	if !known {
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
+}
+
+// azureSetup switches to the storage-heavy rack composition of the
+// practical-workload experiments (see experiments.AzureSetup), keeping the
+// caller's seed, cluster size and fabric overrides.
+func (in *invocation) azureSetup() experiments.Setup { return experiments.AzureSetupFrom(in.setup) }
+
+// azureFigure is the catalog entry of a figure drawn from the shared Azure
+// result matrix.
+func azureFigure(render func(*experiments.AzureMatrix) string) func(*invocation) error {
+	return func(in *invocation) error {
+		if in.matrix == nil {
+			m, err := in.azureSetup().RunAzureMatrix()
+			if err != nil {
+				return err
+			}
+			for _, perAlg := range m.Results {
+				record(perAlg)
+			}
+			in.matrix = m
+		}
+		fmt.Println(render(in.matrix))
+		return nil
+	}
+}
+
+// ladder is the catalog entry of a steady-state ladder: one of the three
+// default-sets and its table.
+func ladder(run func(experiments.Setup, experiments.LadderConfig) (*experiments.Ladder, error), render func(*experiments.Ladder) string) func(*invocation) error {
+	return func(in *invocation) error {
+		l, err := run(in.setup, in.ladder)
+		if err != nil {
+			return err
+		}
+		fmt.Println(render(l))
+		return nil
+	}
+}
+
+// printed prints an experiment's text unless it failed.
+func printed(out string, err error) error {
+	if err == nil {
+		fmt.Println(out)
+	}
+	return err
+}
+
+// rendered prints an experiment's result unless it failed.
+func rendered[R interface{ Render() string }](res R, err error) error {
+	if err != nil {
+		return err
+	}
+	return printed(res.Render(), nil)
 }
 
 // runAblations executes the DESIGN.md §6 design-choice studies.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"risa/internal/experiments"
@@ -16,20 +17,45 @@ func quickSetup() experiments.Setup {
 
 func TestRunToyExperiments(t *testing.T) {
 	for _, exp := range []string{"toy1", "toy2"} {
-		if err := run(quickSetup(), exp, 0, experiments.ChurnConfig{}, experiments.FaultsConfig{}, experiments.SLOConfig{}); err != nil {
+		if err := run(quickSetup(), exp, 0, experiments.LadderConfig{}); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(quickSetup(), "fig99", 0, experiments.ChurnConfig{}, experiments.FaultsConfig{}, experiments.SLOConfig{}); err == nil {
+	if err := run(quickSetup(), "fig99", 0, experiments.LadderConfig{}); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
 
+// TestCatalogDrivesExpNames: every name -exp accepts comes from the
+// catalog (plus the two groups), each exactly once, and parseArgs accepts
+// them all.
+func TestCatalogDrivesExpNames(t *testing.T) {
+	names := experimentNames()
+	if len(names) != len(catalog)+2 {
+		t.Fatalf("%d names for %d catalog entries", len(names), len(catalog))
+	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Errorf("experiment %q listed twice", name)
+		}
+		seen[name] = true
+		if _, err := parseArgs([]string{"-exp", name}); err != nil {
+			t.Errorf("parseArgs rejects catalog name %q: %v", name, err)
+		}
+	}
+	for _, e := range catalog {
+		if e.azure && !e.all {
+			t.Errorf("%s: azure figure missing from -exp all", e.name)
+		}
+	}
+}
+
 func TestRunFig6(t *testing.T) {
-	if err := run(quickSetup(), "fig6", 0, experiments.ChurnConfig{}, experiments.FaultsConfig{}, experiments.SLOConfig{}); err != nil {
+	if err := run(quickSetup(), "fig6", 0, experiments.LadderConfig{}); err != nil {
 		t.Error(err)
 	}
 }
@@ -38,7 +64,7 @@ func TestRunFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthetic run")
 	}
-	if err := run(quickSetup(), "fig5", 0, experiments.ChurnConfig{}, experiments.FaultsConfig{}, experiments.SLOConfig{}); err != nil {
+	if err := run(quickSetup(), "fig5", 0, experiments.LadderConfig{}); err != nil {
 		t.Error(err)
 	}
 }
@@ -83,6 +109,11 @@ func TestParseArgsRejectsInvalidValues(t *testing.T) {
 		{"-uplinks", "-2"},
 		{"-racks", "x"},
 		{"-nosuchflag"},
+		// -exp is checked here, against the catalog, before anything
+		// (profiles included) is created or run.
+		{"-exp", "fig99"},
+		{"-exp", ""},
+		{"-exp", "fig99", "-cpuprofile", "cpu.pprof"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
@@ -133,7 +164,7 @@ func TestRunScaleExperimentWiring(t *testing.T) {
 	// scale experiment and render without error.
 	setup := quickSetup()
 	setup.Topology.Racks = 2
-	if err := run(setup, "scale", 2, experiments.ChurnConfig{}, experiments.FaultsConfig{}, experiments.SLOConfig{}); err != nil {
+	if err := run(setup, "scale", 2, experiments.LadderConfig{}); err != nil {
 		t.Error(err)
 	}
 }
@@ -154,19 +185,30 @@ func TestParseArgsChurnFlags(t *testing.T) {
 	if o.exp != "churn" || o.duration != 50000 || o.targetUtil != 0.8 {
 		t.Errorf("churn flags not plumbed: %+v", o)
 	}
-	cfg := churnConfig(o)
+	cfg := ladderConfig(o)
 	if cfg.Duration != 50000 {
 		t.Errorf("-duration not applied: %d", cfg.Duration)
 	}
-	if len(cfg.Rungs) != 1 || cfg.Rungs[0].Target != 0.8 || cfg.Rungs[0].Label != "80%" {
-		t.Errorf("-target-util not applied: %+v", cfg.Rungs)
+	if len(cfg.Util) != 1 || cfg.Util[0].Target != 0.8 || cfg.Util[0].Label != "80%" {
+		t.Errorf("-target-util not applied: %+v", cfg.Util)
+	}
+	if len(cfg.Faults) != 0 {
+		t.Errorf("the churn ladder must get no fault axis: %+v", cfg.Faults)
 	}
 
-	o, err = parseArgs(nil)
+	o, err = parseArgs([]string{"-exp", "churn", "-agents", "4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := churnConfig(o); len(cfg.Rungs) != 0 || cfg.Duration != 0 {
+	if cfg := ladderConfig(o); len(cfg.Agents) != 2 || cfg.Agents[0] != 1 || cfg.Agents[1] != 4 {
+		t.Errorf("-agents should run the serial rung beside the agent rung: %+v", cfg.Agents)
+	}
+
+	o, err = parseArgs([]string{"-exp", "churn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := ladderConfig(o); len(cfg.Util) != 0 || cfg.Duration != 0 || len(cfg.Agents) != 0 || len(cfg.Faults) != 0 {
 		t.Errorf("default churn config should select the ladder: %+v", cfg)
 	}
 
@@ -174,6 +216,13 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		{"-duration", "-1"},
 		{"-target-util", "-0.5"},
 		{"-target-util", "9"},
+		{"-exp", "churn", "-agents", "0"},
+		{"-exp", "faults", "-agents", "4"},
+		{"-exp", "churn", "-agents", "4", "-clone"},
+		{"-exp", "slo", "-clone"},
+		{"-clone"},
+		{"-exp", "faults", "-snapshot", "warm.gob"},
+		{"-exp", "churn", "-snapshot", "a.gob", "-restore", "b.gob"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
@@ -250,11 +299,11 @@ func TestStartProfilesRejectsBadPaths(t *testing.T) {
 
 func TestRunChurnExperimentWiring(t *testing.T) {
 	// A short duration-capped ladder keeps the wiring test fast.
-	if err := run(quickSetup(), "churn", 0, experiments.ChurnConfig{
+	if err := run(quickSetup(), "churn", 0, experiments.LadderConfig{
 		Arrivals: 4000,
 		Duration: 30000,
-		Rungs:    []experiments.ChurnRung{{Label: "50%", Target: 0.5}},
-	}, experiments.FaultsConfig{}, experiments.SLOConfig{}); err != nil {
+		Util:     []experiments.ChurnRung{{Label: "50%", Target: 0.5}},
+	}); err != nil {
 		t.Error(err)
 	}
 }
@@ -267,16 +316,39 @@ func TestParseArgsFaultFlags(t *testing.T) {
 	if o.exp != "faults" || o.mtbf != 10000 || o.mttr != 500 || !o.evict {
 		t.Errorf("fault flags not plumbed: %+v", o)
 	}
-	cfg := faultsConfig(o)
-	if cfg.Duration != 30000 || cfg.MTTR != 500 || !cfg.Evict {
+	cfg := ladderConfig(o)
+	if cfg.Duration != 30000 || !cfg.Evict || cfg.Preempt || cfg.Clone || cfg.Tiers.Enabled() {
 		t.Errorf("fault config not built: %+v", cfg)
 	}
 	// -mtbf narrows the ladder to the fault-free baseline plus one rung.
-	if len(cfg.Rungs) != 2 || cfg.Rungs[0].MTBF != 0 || cfg.Rungs[1].MTBF != 10000 || cfg.Rungs[1].MTTR != 500 {
-		t.Errorf("-mtbf not applied: %+v", cfg.Rungs)
+	if len(cfg.Faults) != 2 || cfg.Faults[0].MTBF != 0 || cfg.Faults[1].MTBF != 10000 || cfg.Faults[1].MTTR != 500 {
+		t.Errorf("-mtbf not applied: %+v", cfg.Faults)
 	}
-	if len(cfg.Targets) != 1 || cfg.Targets[0] != 0.75 {
-		t.Errorf("-target-util not applied: %+v", cfg.Targets)
+	if len(cfg.Util) != 1 || cfg.Util[0].Target != 0.75 {
+		t.Errorf("-target-util not applied: %+v", cfg.Util)
+	}
+
+	// Without -mtbf the default rungs come in with -mttr's repair time, for
+	// faults and slo alike; -tiers and -preempt ride along.
+	for _, exp := range []string{"faults", "slo"} {
+		o, err = parseArgs([]string{"-exp", exp, "-mttr", "700", "-tiers", "0.5,0.3,0.2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = ladderConfig(o)
+		if want := experiments.DefaultFaultRungs(700); !reflect.DeepEqual(cfg.Faults, want) {
+			t.Errorf("-exp %s -mttr 700: fault axis %+v, want %+v", exp, cfg.Faults, want)
+		}
+		if cfg.Tiers.Weights != [3]float64{0.5, 0.3, 0.2} || len(cfg.Util) != 0 {
+			t.Errorf("-exp %s: -tiers not applied or ladder narrowed: %+v", exp, cfg)
+		}
+	}
+	o, err = parseArgs([]string{"-exp", "faults", "-tiers", "0.2,0.3,0.5", "-preempt", "-clone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg = ladderConfig(o); !cfg.Preempt || !cfg.Clone || cfg.Evict {
+		t.Errorf("-preempt/-clone not applied: %+v", cfg)
 	}
 
 	o, err = parseArgs(nil)
@@ -286,14 +358,23 @@ func TestParseArgsFaultFlags(t *testing.T) {
 	if o.mttr != experiments.DefaultFaultMTTR || o.evict {
 		t.Errorf("fault flag defaults wrong: %+v", o)
 	}
-	if cfg := faultsConfig(o); len(cfg.Rungs) != 0 || len(cfg.Targets) != 0 {
-		t.Errorf("default fault config should select the ladders: %+v", cfg)
-	}
 
 	for _, args := range [][]string{
 		{"-mtbf", "-5"},
 		{"-mttr", "0"},
 		{"-mttr", "-2"},
+		// Ladder flags on experiments that never read them.
+		{"-exp", "churn", "-evict"},
+		{"-exp", "slo", "-evict"},
+		{"-evict"},
+		{"-exp", "churn", "-mtbf", "10000"},
+		{"-exp", "fig5", "-mtbf", "10000"},
+		{"-exp", "slo", "-preempt"},
+		{"-exp", "faults", "-preempt", "-agents", "2"},
+		{"-exp", "churn", "-tiers", "0.2,0.3,0.5"},
+		{"-exp", "faults", "-tiers", "0.2,0.3"},
+		{"-exp", "faults", "-tiers", "0,0,0"},
+		{"-exp", "faults", "-tiers", "-1,1,1"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
@@ -303,13 +384,16 @@ func TestParseArgsFaultFlags(t *testing.T) {
 
 func TestRunFaultsExperimentWiring(t *testing.T) {
 	// One short cell: a single MTBF rung at one target, time-capped.
-	if err := run(quickSetup(), "faults", 0, experiments.ChurnConfig{}, experiments.FaultsConfig{
+	smoke := experiments.LadderConfig{
 		Arrivals: 4000,
 		Duration: 20000,
-		Targets:  []float64{0.5},
-		Rungs:    []experiments.FaultRung{{Label: "smoke", MTBF: 4000, MTTR: 500}},
+		Util:     []experiments.ChurnRung{{Label: "50%", Target: 0.5}},
+		Faults:   []experiments.FaultRung{{Label: "smoke", MTBF: 4000, MTTR: 500}},
 		Evict:    true,
-	}, experiments.SLOConfig{}); err != nil {
-		t.Error(err)
+	}
+	for _, exp := range []string{"faults", "slo"} {
+		if err := run(quickSetup(), exp, 0, smoke); err != nil {
+			t.Errorf("%s: %v", exp, err)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"risa/internal/experiments"
 	"risa/internal/sim"
 	"risa/internal/units"
+	"risa/internal/workload"
 )
 
 // snapshotFile is the on-disk format of -snapshot: the warm snapshot
@@ -66,9 +67,14 @@ func (f snapshotFile) setupFor() experiments.Setup {
 	return setup
 }
 
-// rung returns the file's utilization rung in -exp churn label style.
-func (f snapshotFile) rung() experiments.ChurnRung {
-	return experiments.ChurnRung{Label: fmt.Sprintf("%.4g%%", f.Target*100), Target: f.Target}
+// resume builds the file's cell afresh and resumes snap on it to the end
+// of the budget.
+func (f snapshotFile) resume(snap *sim.Snapshot) (*sim.SteadyState, error) {
+	runner, stream, err := f.setupFor().NewCell("RISA", f.Target, workload.TierMix{})
+	if err != nil {
+		return nil, err
+	}
+	return runner.ResumeStream(stream, snap, f.streamCfg())
 }
 
 // streamCfg returns the cell's full-run stream configuration.
@@ -86,8 +92,11 @@ func runSnapshotSave(o options, path string) error {
 	f := snapshotCell(o)
 	warmCfg := f.streamCfg()
 	warmCfg.Snapshot.At = f.Warmup
-	setup := f.setupFor()
-	snap, err := setup.WarmChurnCell("RISA", f.rung(), warmCfg)
+	runner, stream, err := f.setupFor().NewCell("RISA", f.Target, workload.TierMix{})
+	if err != nil {
+		return fmt.Errorf("-snapshot: %w", err)
+	}
+	snap, err := runner.WarmStream(stream, warmCfg)
 	if err != nil {
 		return fmt.Errorf("-snapshot: %w", err)
 	}
@@ -104,7 +113,7 @@ func runSnapshotSave(o options, path string) error {
 		return fmt.Errorf("-snapshot %s: %w", path, err)
 	}
 	fmt.Fprintf(os.Stderr, "warm state at t=%d written to %s\n", snap.T, path)
-	res, err := setup.ResumeChurnCell("RISA", f.rung(), snap, f.streamCfg())
+	res, err := f.resume(snap)
 	if err != nil {
 		return fmt.Errorf("-snapshot: %w", err)
 	}
@@ -127,8 +136,7 @@ func runSnapshotRestore(path string) error {
 	if f.Snap == nil {
 		return fmt.Errorf("-restore %s: no snapshot in file", path)
 	}
-	setup := f.setupFor()
-	res, err := setup.ResumeChurnCell("RISA", f.rung(), f.Snap, f.streamCfg())
+	res, err := f.resume(f.Snap)
 	if err != nil {
 		return fmt.Errorf("-restore: %w", err)
 	}
@@ -143,8 +151,8 @@ func runSnapshotRestore(path string) error {
 // of its own file.
 func renderSnapshotCell(f snapshotFile, r *sim.SteadyState) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "churn cell RISA @ %s (seed %d, %d racks), resumed from warm state at t=%d\n",
-		f.rung().Label, f.Seed, f.Racks, f.Warmup)
+	fmt.Fprintf(&b, "churn cell RISA @ %.4g%% (seed %d, %d racks), resumed from warm state at t=%d\n",
+		f.Target*100, f.Seed, f.Racks, f.Warmup)
 	fmt.Fprintf(&b, "arrivals %d  accepted %d  dropped %d  resident %d  end t=%d\n",
 		r.Arrivals, r.Accepted, r.Dropped, r.Resident, r.End)
 	fmt.Fprintf(&b, "avg util  CPU %.2f%%  RAM %.2f%%  STO %.2f%%  rate-mult %.4f\n",

@@ -63,35 +63,13 @@ type Engine struct {
 // poisons the grid (FirstError helps). Results are deterministic and
 // independent of the pool width because no state is shared between jobs.
 func (e Engine) Run(jobs []Job) []Outcome {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = Parallelism()
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	out := make([]Outcome, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				job := jobs[i]
-				res, err := job.Setup.RunOne(job.Algorithm, job.Trace)
-				out[i] = Outcome{Job: job, Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	// Job errors travel in the outcomes, so the tasks themselves never fail.
+	_ = e.ForEach(len(jobs), func(i int) error {
+		res, err := jobs[i].Setup.RunOne(jobs[i].Algorithm, jobs[i].Trace)
+		out[i] = Outcome{Job: jobs[i], Result: res, Err: err}
+		return nil
+	})
 	return out
 }
 
@@ -107,11 +85,11 @@ func (e Engine) RunChecked(jobs []Job) ([]Outcome, error) {
 }
 
 // ForEach runs task(0..n-1) on the engine's worker pool and blocks until
-// all have returned. It is the generic form of Run for experiment cells
-// that are not (setup, algorithm, trace) jobs — e.g. the churn grid,
-// whose cells build their own streams. Tasks must be independent; they
-// run in arbitrary order.
-func (e Engine) ForEach(n int, task func(i int)) {
+// all have returned: every task runs whatever the others return, and the
+// error of the lowest-index failed task comes back (nil when none failed),
+// so the result does not depend on the pool width. Tasks must be
+// independent; they run in arbitrary order.
+func (e Engine) ForEach(n int, task func(i int) error) error {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = Parallelism()
@@ -120,8 +98,9 @@ func (e Engine) ForEach(n int, task func(i int)) {
 		workers = n
 	}
 	if n <= 0 {
-		return
+		return nil
 	}
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -133,11 +112,17 @@ func (e Engine) ForEach(n int, task func(i int)) {
 				if i >= n {
 					return
 				}
-				task(i)
+				errs[i] = task(i)
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FirstError returns the first failed outcome's error, annotated with the

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -66,6 +68,29 @@ func TestEngineErrorIsolation(t *testing.T) {
 	ferr := FirstError(outcomes)
 	if ferr == nil || !strings.Contains(ferr.Error(), "no-such-algorithm") {
 		t.Errorf("FirstError = %v, want the bad job named", ferr)
+	}
+}
+
+// TestForEachRunsAllReturnsFirst: a failing task stops nothing — every
+// task still runs — and the error that comes back is the lowest-index
+// one, whatever the pool width.
+func TestForEachRunsAllReturnsFirst(t *testing.T) {
+	errs := map[int]error{2: errors.New("task 2"), 5: errors.New("task 5")}
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int32
+		err := Engine{Workers: workers}.ForEach(8, func(i int) error {
+			ran.Add(1)
+			return errs[i]
+		})
+		if ran.Load() != 8 {
+			t.Errorf("%d workers: %d of 8 tasks ran", workers, ran.Load())
+		}
+		if err != errs[2] {
+			t.Errorf("%d workers: ForEach = %v, want task 2's error", workers, err)
+		}
+	}
+	if err := (Engine{}).ForEach(0, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("empty ForEach = %v", err)
 	}
 }
 

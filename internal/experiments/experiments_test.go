@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -558,6 +559,37 @@ func TestSeedSweep(t *testing.T) {
 	out := sweep.Render()
 	if !strings.Contains(out, "Seed robustness") || !strings.Contains(out, "RISA-BF") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestSeedSweepAzureFollowsRacks: the Azure half of the sweep runs on the
+// caller's cluster size like the synthetic half (it used to stay at 18
+// racks whatever -racks said), and at 18 racks it still reproduces the
+// Figure 7 Azure-3000 numbers.
+func TestSeedSweepAzureFollowsRacks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full runs at two cluster sizes")
+	}
+	sweepAt := func(racks int) *SeedSweep {
+		s := DefaultSetup()
+		s.Topology.Racks = racks
+		sweep, err := s.RunSeedSweep([]int64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweep
+	}
+	small, paper := sweepAt(9), sweepAt(18)
+	for alg, want := range map[string]float64{"NULB": 37.5, "NALB": 29.07, "RISA": 0, "RISA-BF": 0} {
+		if got := paper.Azure[alg].Mean(); math.Abs(got-want) > 0.005 {
+			t.Errorf("18 racks, %s: Azure inter-rack %.3f%%, want the Figure 7 value %.2f%%", alg, got, want)
+		}
+	}
+	for _, alg := range []string{"NULB", "NALB"} {
+		if small.Azure[alg].Mean() == paper.Azure[alg].Mean() {
+			t.Errorf("%s: Azure inter-rack %.3f%% at both 9 and 18 racks — the Azure half ignored the cluster size",
+				alg, paper.Azure[alg].Mean())
+		}
 	}
 }
 

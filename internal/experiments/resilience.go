@@ -49,17 +49,21 @@ func (s Setup) RunResilience() (*Resilience, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Faulty = make(map[string]*sim.Result, len(Algorithms))
-	faultyResults := make([]*sim.Result, len(Algorithms))
-	errs := make([]error, len(Algorithms))
-	Engine{}.ForEach(len(Algorithms), func(i int) {
-		faultyResults[i], errs[i] = s.runFaulty(Algorithms[i], tr, out.Plan)
-	})
-	for i, err := range errs {
+	faulty := make([]*sim.Result, len(Algorithms))
+	err = Engine{}.ForEach(len(Algorithms), func(i int) error {
+		res, err := s.runFaulty(Algorithms[i], tr, out.Plan)
 		if err != nil {
-			return nil, fmt.Errorf("%s under the rack outage: %w", Algorithms[i], err)
+			return fmt.Errorf("%s under the rack outage: %w", Algorithms[i], err)
 		}
-		out.Faulty[Algorithms[i]] = faultyResults[i]
+		faulty[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Faulty = make(map[string]*sim.Result, len(Algorithms))
+	for i, alg := range Algorithms {
+		out.Faulty[alg] = faulty[i]
 	}
 	return out, nil
 }

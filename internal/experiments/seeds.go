@@ -32,8 +32,7 @@ func (s Setup) RunSeedSweep(seeds []int64) (*SeedSweep, error) {
 		out.Synthetic[alg] = &metrics.Summary{}
 		out.Azure[alg] = &metrics.Summary{}
 	}
-	azureBase := AzureSetup()
-	azureBase.Network = s.Network
+	azureBase := AzureSetupFrom(s)
 	var jobs []Job
 	var synthetic []bool // per job: synthetic (true) or Azure (false)
 	for _, seed := range seeds {
