@@ -381,11 +381,18 @@ func (c *eventCore) unseat(e *event, q QueuedVMState) {
 	c.enqueue(q)
 }
 
-// captureHeap serializes the pending events in the heap's backing-array
-// order (the order evictDisplaced scans) together with the datacenter
-// state behind them; events reference live assignments by index. It only
-// reads.
-func (c *eventCore) captureHeap() ([]EventState, *StateSnapshot, error) {
+// capture records the core's whole position into snap, and only reads:
+// the pending events in the heap's backing-array order (the order
+// evictDisplaced scans) referencing live assignments by index, the
+// datacenter state behind them, the clock and counters, the retry queue,
+// the outage refcounts and the plan's length (-1 without one). The
+// observer half of a Snapshot is its driver's to fill.
+func (c *eventCore) capture(snap *Snapshot) error {
+	if c.burstFail || c.burstRepair {
+		// Unreachable: captures happen at event boundaries and a burst's
+		// events share one instant. Guard loudly anyway.
+		return fmt.Errorf("sim: internal: snapshot inside a same-instant fault burst")
+	}
 	live := make([]*sched.Assignment, 0, c.h.Len())
 	events := make([]EventState, 0, c.h.Len())
 	for i := range c.h.s {
@@ -400,25 +407,63 @@ func (c *eventCore) captureHeap() ([]EventState, *StateSnapshot, error) {
 		events = append(events, es)
 	}
 	state, err := CaptureState(c.st, c.sch, live)
-	return events, state, err
+	if err != nil {
+		return err
+	}
+	snap.State, snap.Events = *state, events
+	snap.LastT, snap.Seq, snap.Resident, snap.AdmitSeq = c.now, c.seq, c.resident, c.admitSeq
+	snap.Waiting = append([]QueuedVMState(nil), c.waiting[c.wHead:]...)
+	snap.DownCount = append([]int(nil), c.downCount...)
+	snap.PlanLen = -1
+	if c.f.Plan != nil {
+		snap.PlanLen = len(c.f.Plan.Events)
+	}
+	return nil
 }
 
-// restoreHeap rebuilds the heap's backing array verbatim — the snapshot
-// recorded a valid heap in array order, so assigning it preserves the
-// heap property and the eviction scan order — and the outage refcounts
-// (nil when the snapshot ran without faults: the counts start at zero).
-// Only fault events of the core's plan and departures are restorable, a
-// live departure only with the VM its assignment carries.
-func (c *eventCore) restoreHeap(events []EventState, live []*sched.Assignment, downCount []int) error {
-	if downCount != nil && len(downCount) != len(c.downCount) {
-		return fmt.Errorf("sim: snapshot carries %d outage refcounts, run tracks %d boxes", len(downCount), len(c.downCount))
+// restore positions a fresh core over a pristine state at snap, which it
+// never writes to. The heap's backing array is rebuilt verbatim — the
+// snapshot recorded a valid heap in array order, so assigning it
+// preserves the heap property and the eviction scan order. Only fault
+// events of the core's plan and departures are restorable, a live
+// departure only with the VM its assignment carries; absent refcounts
+// (a snapshot that ran without faults) start at zero.
+//
+// Fault-plan linkage follows Snapshot.PlanLen: a snapshot taken under a
+// plan requires this core to carry an equally long one (the pending fault
+// events reference it by index, a nil plan counting as empty); a
+// plan-free snapshot restored under a plan queues the plan's events from
+// the snapshot point on — events before it never apply, which is exactly
+// the clone-mode ladders' fault-free warm semantics.
+func (c *eventCore) restore(snap *Snapshot) error {
+	if snap == nil {
+		return errors.New("sim: no snapshot to restore")
 	}
-	copy(c.downCount, downCount)
-	c.h.s = make([]event, len(events))
-	for i, es := range events {
+	planLen := 0
+	if c.f.Plan != nil {
+		planLen = len(c.f.Plan.Events)
+	}
+	if snap.PlanLen >= 0 && snap.PlanLen != planLen {
+		return fmt.Errorf("sim: snapshot was taken under a %d-event fault plan, this run's has %d", snap.PlanLen, planLen)
+	}
+	if snap.DownCount != nil && len(snap.DownCount) != len(c.downCount) {
+		return fmt.Errorf("sim: snapshot carries %d outage refcounts, run tracks %d boxes", len(snap.DownCount), len(c.downCount))
+	}
+	for _, q := range snap.Waiting {
+		if err := q.VM.Validate(); err != nil {
+			return fmt.Errorf("sim: snapshot retry queue: %w", err)
+		}
+	}
+	live, err := RestoreState(c.st, c.sch, &snap.State)
+	if err != nil {
+		return err
+	}
+	copy(c.downCount, snap.DownCount)
+	c.h.s = make([]event, len(snap.Events))
+	for i, es := range snap.Events {
 		e := event{t: es.T, kind: eventKind(es.Kind), seq: es.Seq, fx: int32(es.FX)}
 		switch {
-		case es.Kind == int(fault) && c.f.Plan != nil && es.FX >= 0 && es.FX < len(c.f.Plan.Events):
+		case es.Kind == int(fault) && es.FX >= 0 && es.FX < planLen:
 			// a pending event of this run's plan
 		case es.Kind == int(departure) && es.A < 0:
 			vm := es.VM // a ghost
@@ -430,6 +475,11 @@ func (c *eventCore) restoreHeap(events []EventState, live []*sched.Assignment, d
 				i, es.Kind, es.FX, es.A, len(live))
 		}
 		c.h.s[i] = e
+	}
+	c.now, c.seq, c.resident, c.admitSeq = snap.LastT, snap.Seq, snap.Resident, snap.AdmitSeq
+	c.waiting = append(c.waiting[:0], snap.Waiting...)
+	if snap.PlanLen < 0 {
+		c.seedPlan(snap.T)
 	}
 	return nil
 }

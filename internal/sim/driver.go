@@ -7,8 +7,9 @@
 // the core's departures-before-arrivals order), each Apply applies a
 // hardware failure or repair the way a fault-plan event would, and
 // Snapshot/RestoreDriver capture and restore the complete driver state
-// at a decision boundary — the foundation of the daemon's
-// restore-then-replay crash recovery.
+// at a decision boundary — the event core's position in the same Snapshot
+// type a stream run fills, its observer half left zero — the foundation
+// of the daemon's restore-then-replay crash recovery.
 //
 // Determinism contract: a Driver's visible decisions are a pure function
 // of the sequence of Place/Apply/SetScheduler calls (and the initial
@@ -136,35 +137,15 @@ func (d *Driver) Apply(ev faults.Event) error {
 	return nil
 }
 
-// DriverSnapshot is the complete serializable state of a Driver at a
-// decision boundary: the datacenter planes and scheduler state
-// (StateSnapshot), the pending departures in heap array order, the
-// virtual clock, and the outage refcounts. It is plain data —
-// gob-serializable and immutable once captured.
-type DriverSnapshot struct {
-	LastT     int64
-	Seq       int
-	Resident  int
-	State     StateSnapshot
-	Events    []EventState
-	DownCount []int
-}
-
 // Snapshot captures the driver's complete state at the current decision
-// boundary. It only reads — the driver continues unperturbed.
-func (d *Driver) Snapshot() (*DriverSnapshot, error) {
-	events, state, err := d.c.captureHeap()
-	if err != nil {
+// boundary: the event core's position, the Snapshot's observer half left
+// zero. It only reads — the driver continues unperturbed.
+func (d *Driver) Snapshot() (*Snapshot, error) {
+	snap := &Snapshot{}
+	if err := d.c.capture(snap); err != nil {
 		return nil, err
 	}
-	return &DriverSnapshot{
-		LastT:     d.c.now,
-		Seq:       d.c.seq,
-		Resident:  d.c.resident,
-		State:     *state,
-		Events:    events,
-		DownCount: append([]int(nil), d.c.downCount...),
-	}, nil
+	return snap, nil
 }
 
 // RestoreDriver rebuilds a driver from a snapshot onto a pristine st:
@@ -176,14 +157,9 @@ func (d *Driver) Snapshot() (*DriverSnapshot, error) {
 // restores start sch from zero state). Continuing the restored driver
 // with the original call-sequence suffix reproduces the original's
 // decisions bit-identically.
-func RestoreDriver(st *sched.State, sch sched.Scheduler, snap *DriverSnapshot) (*Driver, error) {
-	live, err := RestoreState(st, sch, &snap.State)
-	if err != nil {
-		return nil, err
-	}
+func RestoreDriver(st *sched.State, sch sched.Scheduler, snap *Snapshot) (*Driver, error) {
 	d := NewDriver(st, sch)
-	d.c.now, d.c.seq, d.c.resident = snap.LastT, snap.Seq, snap.Resident
-	if err := d.c.restoreHeap(snap.Events, live, snap.DownCount); err != nil {
+	if err := d.c.restore(snap); err != nil {
 		return nil, err
 	}
 	return d, nil

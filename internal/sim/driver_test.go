@@ -99,6 +99,9 @@ func TestDriverSnapshotRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if snap.AdmitSeq != orig.c.admitSeq || snap.AdmitSeq == 0 {
+				t.Fatalf("snapshot AdmitSeq %d, driver admitted %d", snap.AdmitSeq, orig.c.admitSeq)
+			}
 			st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -110,6 +113,9 @@ func TestDriverSnapshotRoundtrip(t *testing.T) {
 			restored, err := RestoreDriver(st, sch, snap)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if restored.c.admitSeq != snap.AdmitSeq {
+				t.Fatalf("restored AdmitSeq %d, snapshot %d", restored.c.admitSeq, snap.AdmitSeq)
 			}
 			got := driverScript(t, restored, 11, n, split, split)
 			if !reflect.DeepEqual(want, got) {

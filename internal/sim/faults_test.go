@@ -456,8 +456,8 @@ func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 
 // TestGhostsSurviveHeapRoundTrip makes ghosts the way runs do — an
 // eviction with nowhere to go under Evict+Retry unseats the VM — and
-// requires captureHeap → restoreHeap → captureHeap to reproduce every
-// EventState. A ghost's entry holds no assignment to read its VM from, so
+// requires capture → restore → capture to reproduce every EventState
+// (and the rest of the core's position). A ghost's entry holds no assignment to read its VM from, so
 // the VM it departed as (original arrival, not the retry queue's restarted
 // one) must ride along off the entry and come back byte for byte.
 func TestGhostsSurviveHeapRoundTrip(t *testing.T) {
@@ -493,12 +493,12 @@ func TestGhostsSurviveHeapRoundTrip(t *testing.T) {
 	}
 	place(workload.VM{ID: 3, Arrival: 5, Lifetime: 10, Req: units.Vec(8, 16, 128)}) // a live departure beside them
 
-	events, state, err := c.captureHeap()
-	if err != nil {
+	var snap Snapshot
+	if err := c.capture(&snap); err != nil {
 		t.Fatal(err)
 	}
 	var got []workload.VM
-	for _, es := range events {
+	for _, es := range snap.Events {
 		if es.A < 0 {
 			got = append(got, es.VM)
 		}
@@ -509,30 +509,27 @@ func TestGhostsSurviveHeapRoundTrip(t *testing.T) {
 	}
 
 	st2, r2 := faultRunner(t, Config{})
-	live, err := RestoreState(st2, r2.sch, state)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c2 := newEventCore(st2, r2.sch, nil, f)
-	if err := c2.restoreHeap(events, live, nil); err != nil {
+	if err := c2.restore(&snap); err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := c2.captureHeap()
-	if err != nil {
+	var again Snapshot
+	if err := c2.capture(&again); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, events) {
-		t.Fatalf("heap round trip changed the events:\n got %+v\nwant %+v", again, events)
+	if !reflect.DeepEqual(again, snap) {
+		t.Fatalf("round trip changed the core's position:\n got %+v\nwant %+v", again, snap)
 	}
 
 	// A live departure whose recorded VM is not its assignment's is refused:
 	// the entry would silently depart as a different VM.
-	for i := range events {
-		if events[i].A >= 0 {
-			events[i].VM.Lifetime++
+	for i := range snap.Events {
+		if snap.Events[i].A >= 0 {
+			snap.Events[i].VM.Lifetime++
 		}
 	}
-	if err := c2.restoreHeap(events, live, nil); err == nil {
-		t.Error("restoreHeap accepted a live departure whose VM differs from its assignment's")
+	st3, r3 := faultRunner(t, Config{})
+	if err := newEventCore(st3, r3.sch, nil, f).restore(&snap); err == nil {
+		t.Error("restore accepted a live departure whose VM differs from its assignment's")
 	}
 }

@@ -17,7 +17,7 @@ package sim
 // simulator's loop pops once per departure.
 //
 // The backing array's order is load-bearing, not just the pop order:
-// snapshots persist it verbatim (captureHeap/restoreHeap) and the eviction
+// snapshots persist it verbatim (eventCore.capture/restore) and the eviction
 // and preemption scans walk it. A hole sift leaves exactly the array the
 // swap sift leaves — TestHeap4MatchesSwapSift keeps the swap code as the
 // oracle — and the total order (time, kind, sequence) is that of the old

@@ -27,9 +27,7 @@
 package sim
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"risa/internal/network"
 	"risa/internal/sched"
@@ -148,8 +146,12 @@ type WindowerState struct {
 }
 
 // Snapshot is the complete state of a RunStream execution at an event
-// boundary. It is plain data: gob-serializable (Encode/DecodeSnapshot),
-// deep-copyable (Clone), and immutable under ResumeStream.
+// boundary — or, with everything from WaitSum on and T left zero, of a
+// Driver at a decision boundary: the event core fills the position half
+// (capture in core.go), the stream run the observer half. It is plain
+// data: gob-serializable (the CLI and the daemon each wrap it in a file
+// struct of their own), deep-copyable (Clone), and immutable under
+// ResumeStream and RestoreDriver.
 type Snapshot struct {
 	// T is the snapshot boundary (the arming StreamSnapshot.At):
 	// every event with time < T is reflected in the state, nothing at or
@@ -174,11 +176,8 @@ type Snapshot struct {
 	AdmitSeq int
 
 	// PlanLen is the length of the fault plan the run was driven by, or
-	// -1 when it had none. Resuming a snapshot with PlanLen ≥ 0 requires
-	// the runner to carry a plan of exactly that length (the heap's fault
-	// events index into it); resuming a plan-free snapshot (PlanLen < 0)
-	// with a runner that has a plan schedules the plan's events from T on
-	// — the clone-mode ladders' "faults begin after the warm point".
+	// -1 when it had none (eventCore.restore states the linkage rule);
+	// DownCount holds the per-box outage refcounts.
 	PlanLen   int
 	DownCount []int
 
@@ -231,19 +230,6 @@ func (s *Snapshot) Clone() *Snapshot {
 		c.TierLat[t].Vals = append([]float64(nil), s.TierLat[t].Vals...)
 	}
 	return &c
-}
-
-// Encode writes the snapshot in gob form (the -snapshot/-restore CLI
-// crash-recovery format).
-func (s *Snapshot) Encode(w io.Writer) error { return gob.NewEncoder(w).Encode(s) }
-
-// DecodeSnapshot reads a snapshot written by Encode.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // CaptureState captures the datacenter planes and the scheduler's
@@ -413,34 +399,17 @@ func restoreFlow(f *network.Fabric, fs FlowState) (*network.Flow, error) {
 	return f.RestoreFlow(fs.BW, fs.Links, fs.InterRack, fs.InterPod)
 }
 
-// capture assembles the full Snapshot at the current event boundary.
-// It only reads — the run can continue unperturbed afterwards.
+// capture assembles the full Snapshot at the current event boundary:
+// the observer half here, the position half by the event core. It only
+// reads — the run can continue unperturbed afterwards.
 func (sr *streamRun) capture() (*Snapshot, error) {
-	c := sr.c
-	if c.burstFail || c.burstRepair {
-		// Unreachable: a same-instant burst never spans the boundary
-		// (its events share one time < Snapshot.At). Guard loudly anyway.
-		return nil, fmt.Errorf("sim: internal: snapshot inside a same-instant fault burst")
-	}
 	snapper, ok := sr.s.(workload.StreamSnapshotter)
 	if !ok {
 		return nil, fmt.Errorf("sim: stream %q does not support snapshots", sr.s.Name())
 	}
-	events, state, err := c.captureHeap()
-	if err != nil {
-		return nil, err
-	}
 	snap := &Snapshot{
 		T:         sr.cfg.Snapshot.At,
-		LastT:     c.now,
-		State:     *state,
-		Events:    events,
-		Seq:       c.seq,
-		Resident:  c.resident,
-		Waiting:   append([]QueuedVMState(nil), c.waiting[c.wHead:]...),
 		WaitSum:   sr.waitSum,
-		AdmitSeq:  c.admitSeq,
-		PlanLen:   -1,
 		Counters:  *sr.res,
 		Windower:  WindowerState(*sr.wind).clone(),
 		Lat:       sr.lat.state(),
@@ -449,15 +418,11 @@ func (sr *streamRun) capture() (*Snapshot, error) {
 		PendingVM: sr.pending,
 		More:      sr.more,
 	}
-	if c.f.Plan != nil {
-		snap.PlanLen = len(c.f.Plan.Events)
-		snap.DownCount = append([]int(nil), c.downCount...)
-	}
 	snap.Counters.Windows = nil // res.Windows only materializes at finish
 	for t := range sr.tlat {
 		snap.TierLat[t] = sr.tlat[t].state()
 	}
-	return snap, nil
+	return snap, sr.c.capture(snap)
 }
 
 // WarmStream runs the stream up to cfg.Snapshot.At (required) and returns
@@ -494,12 +459,9 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // Window and the reservoir parameters are inherited from the snapshot;
 // cfg.Workload.Drain, Snapshot.At and OnSnapshot apply to the resumed part).
 //
-// Fault-plan linkage follows Snapshot.PlanLen: a snapshot taken under a
-// plan requires this run to carry an equally long plan (the pending
-// fault events reference it by index); a plan-free snapshot resumed
-// under a plan schedules the plan's events from the snapshot point on —
-// events before it are dropped, which is exactly the clone-mode ladders'
-// fault-free warm semantics.
+// Fault-plan linkage follows Snapshot.PlanLen (see eventCore.restore): a
+// plan-free snapshot resumed under a plan starts its faults at the
+// snapshot point.
 //
 // The snapshot itself is never written to: many cells may resume the
 // same snapshot, including concurrently from separate goroutines each
@@ -512,16 +474,14 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 	if err != nil {
 		return nil, err
 	}
-	c := sr.c
-	if snap.PlanLen >= 0 && (c.f.Plan == nil || len(c.f.Plan.Events) != snap.PlanLen) {
-		return nil, fmt.Errorf("sim: snapshot was taken under a %d-event fault plan, this run's plan differs", snap.PlanLen)
-	}
 	snapper, ok := s.(workload.StreamSnapshotter)
 	if !ok {
 		return nil, fmt.Errorf("sim: stream %q does not support snapshots", s.Name())
 	}
-	live, err := RestoreState(r.st, r.sch, &snap.State)
-	if err != nil {
+	if err := sr.c.restore(snap); err != nil {
+		return nil, err
+	}
+	if err := snap.checkObserver(); err != nil {
 		return nil, err
 	}
 	if err := snapper.RestoreStreamState(snap.Stream); err != nil {
@@ -542,16 +502,6 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 	sr.wind = &wind
 	sr.waitSum = snap.WaitSum
 	sr.pending, sr.more = snap.PendingVM, snap.More
-	c.now, c.seq, c.resident, c.admitSeq = snap.LastT, snap.Seq, snap.Resident, snap.AdmitSeq
-	if err := c.restoreHeap(snap.Events, live, snap.DownCount); err != nil {
-		return nil, err
-	}
-	c.waiting = append(c.waiting, snap.Waiting...)
-	if snap.PlanLen < 0 {
-		// Plan-free warm, planned resume: faults begin at the snapshot
-		// point. Events before it never apply.
-		c.seedPlan(snap.T)
-	}
 	// The pending arrival was drawn under the warm bounds; re-apply this
 	// configuration's Duration to it (a no-op when the bounds agree). If
 	// it no longer fits, the run is already past its bound: stop before
@@ -564,6 +514,21 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 		return nil, err
 	}
 	return sr.finish(), nil
+}
+
+// checkObserver rejects an observer half no run could have captured: a
+// non-positive window would close windows forever, a reservoir larger
+// than its bound (or than reservoirSize) could not have been filled.
+func (s *Snapshot) checkObserver() error {
+	if s.Windower.Window <= 0 {
+		return fmt.Errorf("sim: snapshot window must be positive, got %d", s.Windower.Window)
+	}
+	for _, rs := range append([]ReservoirState{s.Lat, s.Rep}, s.TierLat[:]...) {
+		if rs.K < 0 || rs.K > reservoirSize || len(rs.Vals) > rs.K {
+			return fmt.Errorf("sim: snapshot reservoir holds %d of %d samples, bound %d", len(rs.Vals), rs.K, reservoirSize)
+		}
+	}
+	return nil
 }
 
 // clone returns a copy sharing nothing with ws.

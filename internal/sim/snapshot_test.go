@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"risa/internal/core"
 	"risa/internal/faults"
@@ -371,11 +373,11 @@ func TestSnapshotGobRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(&buf)
-	if err != nil {
+	decoded := new(Snapshot)
+	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -683,5 +685,88 @@ func TestReservoirSnapshotPercentiles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.vals, r2.vals) {
 		t.Error("reservoir buffers diverged — sampling RNG not restored to position")
+	}
+}
+
+// TestRestoreRejectsTamperedSnapshot feeds the restore path snapshots no
+// run could have written — what a damaged -restore file or daemon data
+// directory decodes to. Each must come back as an error: no panic, and no
+// spin (a zero-length window used to close windows forever), which the
+// watchdog would catch.
+func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
+	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 500}, Windows: StreamWindows{Window: 1000}}
+	warm := cfg
+	warm.Snapshot.At = 2000
+	_, wr := eqRunner(t, "RISA", Config{})
+	good, err := wr.WarmStream(eqStream(t), warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(snap *Snapshot) error {
+		_, r := eqRunner(t, "RISA", Config{})
+		_, err := r.ResumeStream(eqStream(t), snap, cfg)
+		return err
+	}
+	if err := resume(good.Clone()); err != nil {
+		t.Fatalf("untampered snapshot refused: %v", err)
+	}
+	tamper := func(f func(*Snapshot)) func() error {
+		return func() error {
+			snap := good.Clone()
+			f(snap)
+			return resume(snap)
+		}
+	}
+	queued := workload.VM{ID: 9000, Arrival: 1, Lifetime: 10, Req: units.Vec(1, 1, 1)}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"nil-resume", func() error { return resume(nil) }},
+		{"nil-restore-driver", func() error {
+			st, r := eqRunner(t, "RISA", Config{})
+			_, err := RestoreDriver(st, r.sch, nil)
+			return err
+		}},
+		{"zero-window", tamper(func(s *Snapshot) { s.Windower.Window = 0 })},
+		{"negative-window", tamper(func(s *Snapshot) { s.Windower.Window = -5 })},
+		{"reservoir-k-negative", tamper(func(s *Snapshot) { s.Lat.K = -1 })},
+		{"reservoir-k-huge", tamper(func(s *Snapshot) { s.Rep.K = 1 << 40 })},
+		{"reservoir-overfull", tamper(func(s *Snapshot) { s.TierLat[1].K, s.TierLat[1].Vals = 2, []float64{1, 2, 3} })},
+		{"queued-tier-out-of-range", tamper(func(s *Snapshot) {
+			vm := queued
+			vm.Tier = workload.NumTiers
+			s.Waiting = append(s.Waiting, QueuedVMState{VM: vm})
+		})},
+		{"queued-lifetime-zero", tamper(func(s *Snapshot) {
+			vm := queued
+			vm.Lifetime = 0
+			s.Waiting = append(s.Waiting, QueuedVMState{VM: vm})
+		})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				if err := tc.run(); err != nil {
+					done <- nil
+					return
+				}
+				done <- fmt.Errorf("restored without error")
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("restore still running after 3 s")
+			}
+		})
 	}
 }

@@ -28,8 +28,8 @@ type StreamWorkload struct {
 	Drain bool
 }
 
-// StreamWindows shapes the steady-state measurement: the warmup cut, the
-// reporting windows and the latency reservoir.
+// StreamWindows shapes the steady-state measurement: the warmup cut and
+// the reporting windows.
 type StreamWindows struct {
 	// Warmup excludes the first Warmup time units from every metric:
 	// windows, utilization averages, acceptance counts and the latency
@@ -40,13 +40,13 @@ type StreamWindows struct {
 	// Window is the steady-state reporting window length in time units;
 	// must be positive. Only complete windows are reported.
 	Window int64
-	// ReservoirSize bounds the placement-decision latency sample kept for
-	// the percentile estimates (default 4096).
-	ReservoirSize int
-	// ReservoirSeed seeds the reservoir's sampling randomness, so a run
-	// is reproducible end to end (default 1).
-	ReservoirSeed int64
 }
+
+// reservoirSize bounds every latency sample kept for the percentile
+// estimates. Size and sampling seeds (1 for decisions, 2 for
+// re-placements, 3+tier per tier) are fixed, so a run is reproducible end
+// to end.
+const reservoirSize = 4096
 
 // StreamFaults is the stream-level fault surface: a fault plan merged
 // into the event order, displaced-VM recovery, the retry queue and
@@ -134,9 +134,6 @@ func (c StreamConfig) Validate() error {
 	}
 	if c.Workload.Duration > 0 && c.Workload.Duration <= c.Windows.Warmup {
 		return fmt.Errorf("sim: duration %d must exceed warmup %d", c.Workload.Duration, c.Windows.Warmup)
-	}
-	if c.Windows.ReservoirSize < 0 {
-		return fmt.Errorf("sim: negative reservoir size %d", c.Windows.ReservoirSize)
 	}
 	if c.Faults.Evict && c.Faults.Plan == nil {
 		return fmt.Errorf("sim: Faults.Evict requires Faults.Plan")
@@ -432,22 +429,12 @@ func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, 
 	if err != nil {
 		return nil, err
 	}
-	size := cfg.Windows.ReservoirSize
-	if size == 0 {
-		size = 4096
-	}
-	seed := cfg.Windows.ReservoirSeed
-	if seed == 0 {
-		seed = 1
-	}
 	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
-	sr.lat = newReservoir(size, seed)
-	sr.rep = newReservoir(size, seed+1) // re-placement latencies, own stream
+	sr.lat = newReservoir(reservoirSize, 1)
+	sr.rep = newReservoir(reservoirSize, 2) // re-placement latencies, own stream
 	sr.wind = &windower{Warmup: cfg.Windows.Warmup, Window: cfg.Windows.Window}
 	for t := range sr.tlat {
-		// Per-tier latency reservoirs, each with its own counted stream
-		// (seeds seed+2.. — lat and rep hold seed and seed+1).
-		sr.tlat[t] = newReservoir(size, seed+2+int64(t))
+		sr.tlat[t] = newReservoir(reservoirSize, 3+int64(t)) // per tier, own stream each
 	}
 	sr.c.seedPlan(0)
 	sr.pull()

@@ -209,7 +209,7 @@ func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 // TestPlaceBatchMatchesSequentialPlace pins Driver.PlaceBatch against the
 // one-at-a-time oracle: same per-VM outcomes (assignment presence,
 // effective times, error text — including invalid VMs mid-batch) and a
-// bit-identical driver afterwards, compared through DriverSnapshot.
+// bit-identical driver afterwards, compared through Driver.Snapshot.
 func TestPlaceBatchMatchesSequentialPlace(t *testing.T) {
 	mkDriver := func(t *testing.T) *Driver {
 		st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())

@@ -61,7 +61,7 @@ type engineSnapshot struct {
 	JSeq      int64 // journal records ≤ JSeq are folded into this snapshot
 	Algo      string
 	InService int
-	Driver    *sim.DriverSnapshot
+	Driver    *sim.Snapshot
 	History   []Outcome
 }
 
@@ -331,7 +331,7 @@ func globalBox(cl *topology.Cluster, p topology.Placement) int {
 }
 
 // WriteSnapshot captures the engine at the current event boundary and
-// atomically replaces the snapshot file (write-temp, fsync, rename).
+// atomically replaces the snapshot file (write-temp, fsync, close, rename).
 // Journal records already folded in are remembered via JSeq, so the next
 // Open replays only the suffix.
 func (e *Engine) WriteSnapshot() error {
@@ -353,21 +353,18 @@ func (e *Engine) WriteSnapshot() error {
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(&snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = gob.NewEncoder(f).Encode(&snap)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
+		os.Remove(tmp) // whichever step failed, leave no temp file behind
 		return err
 	}
 	e.sinceSnap = 0

@@ -7,9 +7,9 @@
 //   - Engine (engine.go, journal.go): the single-writer state machine.
 //     Every state-changing operation — place, fail/heal, add-rack,
 //     scheduler swap — is appended to an fsync'd write-ahead journal
-//     before it is applied, and periodic snapshots (snapshot.gob,
-//     written at event boundaries via sim.DriverSnapshot) bound replay
-//     time. After a crash, Open restores the latest snapshot and
+//     before it is applied, and periodic snapshots (snapshot.gob: a
+//     sim.Snapshot from Driver.Snapshot at an event boundary, plus the
+//     decision history) bound replay time. After a crash, Open restores the latest snapshot and
 //     replays the journal suffix; because every decision is a pure
 //     function of the operation sequence, the recovered daemon is
 //     bit-identical to one that never crashed.

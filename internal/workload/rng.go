@@ -121,63 +121,26 @@ func (s *TraceStream) RestoreStreamState(st StreamState) error {
 	return nil
 }
 
-// controllerMult reads a controller's multiplier, defaulting to 1.
-func controllerMult(c *UtilizationController) float64 {
-	if c == nil {
-		return 1
+// StreamState implements StreamSnapshotter for every generator stream.
+func (g *generator) StreamState() StreamState {
+	st := StreamState{Name: g.name, Index: g.i, Now: g.now, Draws: g.src.Draws(), ControllerMult: 1}
+	if g.ctl != nil {
+		st.ControllerMult = g.ctl.Multiplier()
 	}
-	return c.Multiplier()
+	return st
 }
 
-// restoreControllerMult writes a captured multiplier back.
-func restoreControllerMult(c *UtilizationController, mult float64) {
-	if c != nil {
-		c.mult = mult
-	}
-}
-
-// StreamState implements StreamSnapshotter.
-func (s *SyntheticStream) StreamState() StreamState {
-	return StreamState{
-		Name:           s.Name(),
-		Index:          s.i,
-		Now:            s.now,
-		Draws:          s.src.Draws(),
-		ControllerMult: controllerMult(s.cfg.Controller),
-	}
-}
-
-// RestoreStreamState implements StreamSnapshotter.
-func (s *SyntheticStream) RestoreStreamState(st StreamState) error {
-	if err := checkStreamName(st.Name, s.Name()); err != nil {
+// RestoreStreamState implements StreamSnapshotter for every generator
+// stream: the random source is replayed to its draw count, the clock,
+// index and controller multiplier written back.
+func (g *generator) RestoreStreamState(st StreamState) error {
+	if err := checkStreamName(st.Name, g.name); err != nil {
 		return err
 	}
-	s.src.Replay(s.cfg.Seed, st.Draws)
-	s.i = st.Index
-	s.now = st.Now
-	restoreControllerMult(s.cfg.Controller, st.ControllerMult)
-	return nil
-}
-
-// StreamState implements StreamSnapshotter.
-func (s *AzureEmpiricalStream) StreamState() StreamState {
-	return StreamState{
-		Name:           s.Name(),
-		Index:          s.i,
-		Now:            s.now,
-		Draws:          s.src.Draws(),
-		ControllerMult: controllerMult(s.cfg.Controller),
+	g.src.Replay(g.seed, st.Draws)
+	g.i, g.now = st.Index, st.Now
+	if g.ctl != nil {
+		g.ctl.mult = st.ControllerMult
 	}
-}
-
-// RestoreStreamState implements StreamSnapshotter.
-func (s *AzureEmpiricalStream) RestoreStreamState(st StreamState) error {
-	if err := checkStreamName(st.Name, s.Name()); err != nil {
-		return err
-	}
-	s.src.Replay(s.cfg.Seed, st.Draws)
-	s.i = st.Index
-	s.now = st.Now
-	restoreControllerMult(s.cfg.Controller, st.ControllerMult)
 	return nil
 }
