@@ -47,24 +47,56 @@ func copyParentData(t *testing.T) string {
 // (a heal, an add-rack, 35 placements) the kill -9'd daemon never folded
 // in. Open must reproduce the placement log that daemon served, agree
 // with a replay of the whole journal from genesis, and keep placing.
+//
+// That journal is a risawal1 file (a gob stream per record), so the same
+// fixture pins the one-time migration: the first Open leaves a risawal2
+// journal and no temp file, a second Open of the migrated directory serves
+// the same log and keeps placing, and a directory where an earlier
+// migration died half-way through writing journal.wal.tmp opens to the
+// same log as well.
 func TestOpenParentDataDir(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "parent_placements.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := copyParentData(t)
-	e, err := Open(dir, parentConfig(), 64)
-	if err != nil {
-		t.Fatalf("parent-written data directory refused: %v", err)
+	// openTo opens dir, requires the parent daemon's placement log and a
+	// migrated journal, and returns the engine.
+	openTo := func(dir, what string) *Engine {
+		t.Helper()
+		e, err := Open(dir, parentConfig(), 64)
+		if err != nil {
+			t.Fatalf("%s refused: %v", what, err)
+		}
+		var got bytes.Buffer
+		if err := e.WritePlacements(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: placement log differs from the one the parent daemon served:\n got %d bytes\nwant %d bytes", what, got.Len(), len(want))
+		}
+		journal, err := os.ReadFile(filepath.Join(dir, journalFile))
+		if err != nil || !bytes.HasPrefix(journal, []byte(journalMagic)) {
+			t.Fatalf("%s: journal starts %q after Open, want %q (%v)", what, journal[:min(8, len(journal))], journalMagic, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, journalFile+".tmp")); !os.IsNotExist(err) {
+			t.Fatalf("%s: journal.wal.tmp left behind (stat: %v)", what, err)
+		}
+		return e
 	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_data", journalFile))
+	if err != nil || !bytes.HasPrefix(fixture, []byte(legacyMagic)) {
+		t.Fatalf("the fixture journal must stay a %s file (%v)", legacyMagic, err)
+	}
+	dir := copyParentData(t)
+	openTo(dir, "parent-written data directory").crash()
+	e := openTo(dir, "migrated data directory")
 	defer e.crash()
-	var got bytes.Buffer
-	if err := e.WritePlacements(&got); err != nil {
+
+	halfDir := copyParentData(t)
+	if err := os.WriteFile(filepath.Join(halfDir, journalFile+".tmp"), fixture[:len(fixture)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("placement log differs from the one the parent daemon served:\n got %d bytes\nwant %d bytes", got.Len(), len(want))
-	}
+	openTo(halfDir, "directory of an interrupted migration").crash()
 
 	genesisDir := copyParentData(t)
 	if err := os.Remove(filepath.Join(genesisDir, snapshotFile)); err != nil {
@@ -129,7 +161,8 @@ func TestOpenRefusesSnapshotWithoutDriver(t *testing.T) {
 
 // TestWriteSnapshotLeavesNoTempFile: a snapshot that cannot be moved into
 // place (snapshot.gob is a non-empty directory, so the rename fails) must
-// fail and take its temp file with it.
+// fail and take its temp file with it — and so must a journal migration,
+// which moves its file into place through the same replaceFile.
 func TestWriteSnapshotLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, testConfig(), 0)
@@ -149,5 +182,16 @@ func TestWriteSnapshotLeavesNoTempFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("snapshot.gob.tmp left behind (stat: %v)", err)
+	}
+
+	jpath := filepath.Join(t.TempDir(), journalFile)
+	if err := os.MkdirAll(filepath.Join(jpath, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := migrateJournal(jpath, testConfig(), []Record{{Seq: 1, Kind: RecordAddRack}}); err == nil {
+		t.Fatal("migrateJournal succeeded over a non-empty directory")
+	}
+	if _, err := os.Stat(jpath + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("journal.wal.tmp left behind (stat: %v)", err)
 	}
 }

@@ -408,3 +408,70 @@ func TestRecoveryWithoutSnapshot(t *testing.T) {
 	defer b2.crash()
 	assertTwins(t, a, b2)
 }
+
+// TestSnapshotFailureKeepsPlacing: by the time the periodic snapshot runs,
+// the placement that triggered it is fsync'd and applied, so a snapshot
+// that cannot be written must not fail it. snapshot.gob.tmp is made a
+// directory, so os.Create fails the way a full disk would: every placement
+// still answers, the error shows in SnapshotErr and in Stats, a reopen
+// recovers every acknowledged record from the journal, and once the
+// obstacle goes the next cadence point writes the snapshot and clears it.
+func TestSnapshotFailureKeepsPlacing(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, snapshotFile+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(dir, testConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := func(e *Engine, id int) {
+		t.Helper()
+		out, err := e.Place(workload.VM{ID: id, Arrival: int64(id), Lifetime: 1000, Req: units.Vec(4, 8, 64)})
+		if err != nil || !out.Accepted || out.VMID != id {
+			t.Fatalf("placement %d: %+v, %v", id, out, err)
+		}
+	}
+	for id := 1; id <= 10; id++ {
+		place(e, id)
+		if failed := e.SnapshotErr() != nil; failed != (id >= 4) {
+			t.Fatalf("after placement %d SnapshotErr = %v; the cadence is 4", id, e.SnapshotErr())
+		}
+	}
+	if e.sinceSnap != 2 {
+		t.Fatalf("%d records since the last attempt, want 2: a failed snapshot is retried a cadence later, not on every record", e.sinceSnap)
+	}
+	if st := NewServer(e, 0).stats(); st.LastSnapshotError == "" {
+		t.Fatal("Stats does not show the failed snapshot")
+	}
+	if err := e.WriteSnapshot(); err == nil {
+		t.Fatal("the explicit path must still return the error")
+	}
+	want := append([]Outcome(nil), e.History()...)
+	e.crash()
+
+	e2, err := Open(dir, testConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.crash()
+	if !reflect.DeepEqual(e2.History(), want) {
+		t.Fatalf("reopen recovered %d of %d acknowledged placements", len(e2.History()), len(want))
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	for id := 11; id <= 14; id++ {
+		place(e2, id)
+	}
+	if err := e2.SnapshotErr(); err != nil {
+		t.Fatalf("snapshot still failing with the obstacle gone: %v", err)
+	}
+	if st := NewServer(e2, 0).stats(); st.LastSnapshotError != "" {
+		t.Fatalf("Stats still shows %q", st.LastSnapshotError)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
+		t.Fatalf("no snapshot written at the next cadence point: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -8,14 +9,22 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"risa/internal/faults"
+	"risa/internal/units"
 	"risa/internal/workload"
 )
 
 // journalMagic identifies the journal file format; bump the trailing
-// digit on incompatible record changes.
-const journalMagic = "risawal1"
+// digit on incompatible record changes. legacyMagic is the format before
+// it (one self-contained gob stream per record), which openJournal
+// rewrites in place the first time it meets one.
+const (
+	journalMagic = "risawal2"
+	legacyMagic  = "risawal1"
+	frameHeader  = 8 // [4-byte length][4-byte CRC32] lead every frame
+)
 
 // RecordKind discriminates the operations a journal record can carry.
 type RecordKind uint8
@@ -44,10 +53,61 @@ type Record struct {
 	Algo  string       // RecordSwap
 }
 
+// recordInts is the number of signed varints that open a record payload:
+// Seq, Kind, the VM's seven (ID, Arrival, Lifetime, Req[CPU], Req[RAM],
+// Req[Storage], Tier) and the fault's six (T, Repair, Tier, Pod, Rack, Box).
+const recordInts = 15
+
+// appendRecord appends rec's payload to buf: the recordInts varints, then
+// Algo behind its uvarint length. Every field is written whatever the
+// kind — an unset one is a single zero byte — so there is one layout and a
+// placement is ≈23 bytes. It does not allocate once buf has the room.
+func appendRecord(buf []byte, rec *Record) []byte {
+	vm, ev := &rec.VM, &rec.Fault
+	var repair int64
+	if ev.Repair {
+		repair = 1
+	}
+	for _, v := range [recordInts]int64{rec.Seq, int64(rec.Kind),
+		int64(vm.ID), vm.Arrival, vm.Lifetime, int64(vm.Req[units.CPU]), int64(vm.Req[units.RAM]), int64(vm.Req[units.Storage]), int64(vm.Tier),
+		ev.T, repair, int64(ev.Tier), int64(ev.Pod), int64(ev.Rack), int64(ev.Box),
+	} {
+		buf = binary.AppendVarint(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Algo)))
+	return append(buf, rec.Algo...)
+}
+
+// decodeRecord inverts appendRecord and keeps no reference to p. It rejects a
+// payload that ends early, carries bytes past Algo, or names an unknown kind.
+func decodeRecord(p []byte) (Record, error) {
+	var f [recordInts]int64
+	for i := range f {
+		v, n := binary.Varint(p)
+		if n <= 0 {
+			return Record{}, io.ErrUnexpectedEOF
+		}
+		f[i], p = v, p[n:]
+	}
+	alen, n := binary.Uvarint(p)
+	if n <= 0 || alen != uint64(len(p)-n) {
+		return Record{}, fmt.Errorf("algo length %d with %d bytes left", alen, len(p)-n)
+	}
+	if f[1] < int64(RecordPlace) || f[1] > int64(RecordAddRack) {
+		return Record{}, fmt.Errorf("unknown record kind %d", f[1])
+	}
+	return Record{Seq: f[0], Kind: RecordKind(f[1]), Algo: string(p[n:]),
+		VM: workload.VM{ID: int(f[2]), Arrival: f[3], Lifetime: f[4], Tier: int(f[8]),
+			Req: units.Vec(units.Amount(f[5]), units.Amount(f[6]), units.Amount(f[7]))},
+		Fault: faults.Event{T: f[9], Repair: f[10] != 0, Tier: faults.Tier(f[11]), Pod: int(f[12]), Rack: int(f[13]), Box: int(f[14])},
+	}, nil
+}
+
 // Journal is an append-only write-ahead log with per-record CRC framing.
 // Every Append is fsync'd before it returns, so an acknowledged record
-// survives kill -9. The frame is [4-byte length][4-byte CRC32][gob
-// payload]; each record is a self-contained gob stream.
+// survives kill -9. The file is the magic, one frame holding the gob of
+// the Config, then one frame per record; a frame is [4-byte little-endian
+// length][4-byte CRC32 of the payload][payload: appendRecord's bytes].
 //
 // Torn-tail policy (see openJournal): a record that fails its checksum
 // or runs past end-of-file is tolerated — and truncated away — only if
@@ -57,129 +117,211 @@ type Record struct {
 type Journal struct {
 	f       *os.File
 	nextSeq int64
+	buf     []byte // Append's frame, reused
 }
 
 // openJournal opens (or creates) the journal at path, validates the
 // header against cfg, scans every intact record, truncates a torn tail,
 // and leaves the file positioned for append. The scanned records are
-// returned for replay.
-func openJournal(path string, cfg Config) (*Journal, []Record, error) {
+// returned for replay. A risawal1 file is first rewritten as risawal2 and
+// then opened like any other: past this function a migrated directory and
+// a fresh one are the same.
+func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	info, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	if info.Size() == 0 {
-		if err := writeJournalHeader(f, cfg); err != nil {
-			f.Close()
+		hdr, err := journalHeader(cfg)
+		if err == nil {
+			_, err = f.Write(hdr)
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("svc: initialize journal: %w", err)
 		}
 		return &Journal{f: f, nextSeq: 1}, nil, nil
 	}
-	recs, end, err := scanJournal(f, cfg, info.Size())
+	recs, end, legacy, err := scanJournal(f, cfg, info.Size())
 	if err != nil {
-		f.Close()
 		return nil, nil, err
+	}
+	if legacy {
+		f.Close()
+		if err := migrateJournal(path, cfg, recs); err != nil {
+			return nil, nil, fmt.Errorf("svc: migrate %s journal: %w", legacyMagic, err)
+		}
+		return openJournal(path, cfg)
 	}
 	if end < info.Size() {
 		// Torn tail from a crash mid-append: drop it so the next append
 		// starts at a clean frame boundary.
 		if err := f.Truncate(end); err != nil {
-			f.Close()
 			return nil, nil, err
 		}
 	}
 	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	next := int64(1)
-	if n := len(recs); n > 0 {
-		next = recs[n-1].Seq + 1
-	}
-	return &Journal{f: f, nextSeq: next}, recs, nil
+	return &Journal{f: f, nextSeq: int64(len(recs)) + 1}, recs, nil
 }
 
-// writeJournalHeader writes the magic and the config echo frame, fsync'd.
-func writeJournalHeader(f *os.File, cfg Config) error {
-	if _, err := f.Write([]byte(journalMagic)); err != nil {
-		return err
+// journalHeader returns what starts a journal file: the magic and the
+// config echo frame. The echo stays gob — it is written once per file.
+func journalHeader(cfg Config) ([]byte, error) {
+	var echo bytes.Buffer
+	if err := gob.NewEncoder(&echo).Encode(&cfg); err != nil {
+		return nil, err
 	}
-	payload, err := gobBytes(&cfg)
+	buf := append([]byte(journalMagic), make([]byte, frameHeader)...)
+	return sealFrame(append(buf, echo.Bytes()...), len(journalMagic)), nil
+}
+
+// migrateJournal rewrites a risawal1 journal's intact records in the current
+// format, built in memory and moved into place by replaceFile: a crash before
+// the rename leaves the old file whole and a stale .tmp for the next to truncate.
+func migrateJournal(path string, cfg Config, recs []Record) error {
+	buf, err := journalHeader(cfg)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(frame(payload)); err != nil {
+	for i := range recs {
+		buf = appendFrame(buf, &recs[i])
+	}
+	return replaceFile(path, func(f *os.File) error {
+		_, err := f.Write(buf)
+		return err
+	})
+}
+
+// replaceFile atomically replaces path with what write produces: write
+// path.tmp, fsync, close, rename over path, fsync the parent directory.
+// Whichever step fails, no temp file is left behind.
+func replaceFile(path string, write func(*os.File) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return f.Sync()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory: a rename inside it is not durable before.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // scanJournal validates the header and reads records until the end of
 // the intact prefix, returning the records and the file offset where the
 // intact prefix ends. A bad final frame is tolerated (torn tail); a bad
-// frame with data after it is an error.
-func scanJournal(f *os.File, cfg Config, size int64) ([]Record, int64, error) {
-	r := &offsetReader{f: f}
-	magic := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != journalMagic {
-		return nil, 0, fmt.Errorf("svc: %s is not a risasvc journal", f.Name())
+// frame with data after it is an error. legacy reports a risawal1 file.
+func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, legacy bool, err error) {
+	r := &frameReader{br: bufio.NewReaderSize(f, 1<<16), off: int64(len(journalMagic)), size: size}
+	magic, _ := r.br.Peek(len(journalMagic))
+	decode := decodeRecord
+	switch string(magic) {
+	case journalMagic:
+	case legacyMagic: // a self-contained gob stream per record, read only to be rewritten
+		legacy, decode = true, func(p []byte) (rec Record, err error) {
+			err = gob.NewDecoder(bytes.NewReader(p)).Decode(&rec)
+			return rec, err
+		}
+	default:
+		return nil, 0, false, fmt.Errorf("svc: %s is not a risasvc journal", f.Name())
 	}
-	hdr, _, err := readFrame(r, size)
-	if err != nil {
-		return nil, 0, fmt.Errorf("svc: journal header unreadable: %w", err)
-	}
+	r.br.Discard(len(magic)) // just peeked: cannot fail
 	var onDisk Config
-	if err := gob.NewDecoder(bytes.NewReader(hdr)).Decode(&onDisk); err != nil {
-		return nil, 0, fmt.Errorf("svc: journal header undecodable: %w", err)
+	hdr, _, err := r.next()
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(hdr)).Decode(&onDisk)
+	}
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("svc: journal header unreadable: %w", err)
 	}
 	if !sameShape(onDisk, cfg) {
-		return nil, 0, fmt.Errorf("svc: journal was written for a different datacenter shape (%+v)", onDisk.Topology)
+		return nil, 0, false, fmt.Errorf("svc: journal was written for a different datacenter shape (%+v)", onDisk.Topology)
 	}
-	var recs []Record
-	end := r.off
+	end = r.off
 	for r.off < size {
-		payload, torn, err := readFrame(r, size)
+		payload, torn, err := r.next()
 		if torn {
 			// The bad frame's declared extent reaches end-of-file: a crash
 			// mid-append. Everything before it is intact.
-			return recs, end, nil
+			return recs, end, legacy, nil
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("svc: journal corrupt at offset %d: %w", end, err)
+			return nil, 0, false, fmt.Errorf("svc: journal corrupt at offset %d: %w", end, err)
 		}
-		var rec Record
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
+		rec, derr := decode(payload)
+		if derr != nil {
 			if r.off >= size {
-				return recs, end, nil // undecodable final frame: torn tail
+				return recs, end, legacy, nil // undecodable final frame: torn tail
 			}
-			return nil, 0, fmt.Errorf("svc: journal record at offset %d undecodable: %v", end, derr)
+			return nil, 0, false, fmt.Errorf("svc: journal record at offset %d undecodable: %v", end, derr)
 		}
 		if want := int64(len(recs)) + 1; rec.Seq != want {
-			return nil, 0, fmt.Errorf("svc: journal record at offset %d has seq %d, want %d", end, rec.Seq, want)
+			return nil, 0, false, fmt.Errorf("svc: journal record at offset %d has seq %d, want %d", end, rec.Seq, want)
+		}
+		if recs == nil { // records are near-uniform in length: size the slice once
+			recs = make([]Record, 0, (size-end)/(r.off-end)+1)
 		}
 		recs = append(recs, rec)
 		end = r.off
 	}
-	return recs, end, nil
+	return recs, end, legacy, nil
 }
 
-// readFrame reads one [len][crc][payload] frame. torn is true when the
-// frame's declared extent runs past size (the only way a crash mid-append
-// can look); a checksum mismatch on a fully-present frame is an error and
-// the caller decides whether its position (final or not) excuses it.
-func readFrame(r *offsetReader, size int64) (payload []byte, torn bool, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads frames through one buffered reader into one reused
+// payload buffer, tracking the offset where the intact prefix ends.
+type frameReader struct {
+	br   *bufio.Reader
+	off  int64 // file offset of the next unread byte
+	size int64 // file size: a frame declared to reach past it is torn
+	buf  []byte
+}
+
+// next reads one [len][crc][payload] frame; the payload is valid until
+// the following call. torn is true when the frame's declared extent runs
+// past size (the only way a crash mid-append can look) or the file's last
+// frame fails its checksum; a mismatch anywhere else is only an error.
+func (r *frameReader) next() (payload []byte, torn bool, err error) {
+	hdr, err := r.br.Peek(frameHeader)
+	if err != nil {
 		return nil, true, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if r.off+int64(n) > size {
+	n, sum := binary.LittleEndian.Uint32(hdr), binary.LittleEndian.Uint32(hdr[4:])
+	r.off += frameHeader
+	if r.off+int64(n) > r.size {
 		// The declared extent runs past end-of-file — a torn append (even a
 		// garbage length lands here, since the payload was never written).
 		return nil, true, io.ErrUnexpectedEOF
@@ -187,29 +329,26 @@ func readFrame(r *offsetReader, size int64) (payload []byte, torn bool, err erro
 	if maxFrame := uint32(1 << 26); n > maxFrame {
 		return nil, false, fmt.Errorf("frame length %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	r.buf = append(r.buf[:0], make([]byte, n)...) // reused, grown on demand
+	r.br.Discard(frameHeader)                     // just peeked: cannot fail
+	if _, err := io.ReadFull(r.br, r.buf); err != nil {
 		return nil, true, err
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		if r.off >= size {
-			return nil, true, fmt.Errorf("final frame checksum mismatch")
-		}
-		return nil, false, fmt.Errorf("frame checksum mismatch")
+	r.off += int64(n)
+	if crc32.ChecksumIEEE(r.buf) != sum {
+		return nil, r.off >= r.size, fmt.Errorf("frame checksum mismatch")
 	}
-	return payload, false, nil
+	return r.buf, false, nil
 }
 
 // Append journals one record and forces it to stable storage. The
 // record's Seq is assigned here; the engine applies the operation only
-// after Append returns.
+// after Append returns. The frame is built in one reused buffer and
+// reaches the file in a single Write.
 func (j *Journal) Append(rec *Record) error {
 	rec.Seq = j.nextSeq
-	payload, err := gobBytes(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(frame(payload)); err != nil {
+	j.buf = appendFrame(j.buf[:0], rec)
+	if _, err := j.f.Write(j.buf); err != nil {
 		return err
 	}
 	if err := j.f.Sync(); err != nil {
@@ -225,34 +364,18 @@ func (j *Journal) NextSeq() int64 { return j.nextSeq }
 // Close closes the underlying file.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// frame wraps payload in the [len][crc][payload] on-disk framing.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
+// appendFrame appends rec to buf as one frame.
+func appendFrame(buf []byte, rec *Record) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	return sealFrame(appendRecord(buf, rec), start)
 }
 
-// gobBytes encodes v as one self-contained gob stream.
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// offsetReader tracks the read offset so the scanner can report where
-// the intact prefix ends.
-type offsetReader struct {
-	f   *os.File
-	off int64
-}
-
-// Read reads from the underlying file, advancing the tracked offset.
-func (r *offsetReader) Read(p []byte) (int, error) {
-	n, err := r.f.Read(p)
-	r.off += int64(n)
-	return n, err
+// sealFrame fills in the frame header reserved at buf[start:] for the
+// payload that runs from there to the end of buf.
+func sealFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }

@@ -1,10 +1,12 @@
 package svc
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"risa/internal/faults"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -189,4 +191,82 @@ func TestJournalNotAJournal(t *testing.T) {
 	if _, _, err := openJournal(path, testConfig()); err == nil {
 		t.Fatal("garbage file must be rejected")
 	}
+}
+
+// benchRecord is a placement the size the benchmark's service workloads
+// journal: five-digit sequence and VM ID, six-digit arrival.
+func benchRecord() Record {
+	return Record{Seq: 25_000, Kind: RecordPlace,
+		VM: workload.VM{ID: 25_000, Arrival: 312_500, Lifetime: 3_000, Tier: 2, Req: units.Vec(16, 64, 512)}}
+}
+
+// TestRecordSize pins a framed placement record at 48 bytes or fewer. The
+// daemon's round trip is one fsync of whatever Append wrote, and the
+// ledger's svc.journal.bytes_per_record gate is < 48 (it was 269 when each
+// record carried gob's type descriptors): a field added to the payload as
+// a fixed-width integer, or a second frame header, would pass every
+// round-trip test and show only here.
+func TestRecordSize(t *testing.T) {
+	rec := benchRecord()
+	if n := len(appendFrame(nil, &rec)); n > 48 {
+		t.Fatalf("framed placement record is %d bytes, want ≤ 48", n)
+	}
+}
+
+// TestRecordCodecRejects pins what decodeRecord refuses: every strict
+// prefix of a payload, a payload with a byte after Algo, and a kind no
+// engine would apply.
+func TestRecordCodecRejects(t *testing.T) {
+	rec := Record{Seq: 7, Kind: RecordSwap, Algo: "RISA-BF"}
+	p := appendRecord(nil, &rec)
+	if got, err := decodeRecord(p); err != nil || got != rec {
+		t.Fatalf("roundtrip: %+v, %v", got, err)
+	}
+	for n := 0; n < len(p); n++ {
+		if _, err := decodeRecord(p[:n]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte payload decoded", n, len(p))
+		}
+	}
+	if _, err := decodeRecord(append(p[:len(p):len(p)], 0)); err == nil {
+		t.Fatal("payload with a trailing byte decoded")
+	}
+	for _, kind := range []RecordKind{0, RecordAddRack + 1, 255} {
+		bad := Record{Seq: 1, Kind: kind}
+		if _, err := decodeRecord(appendRecord(nil, &bad)); err == nil {
+			t.Fatalf("record of unknown kind %d decoded", kind)
+		}
+	}
+}
+
+// FuzzRecordCodec holds the codec to two properties. Any record — negative
+// and extreme integers, arbitrary Algo bytes — encodes to a payload that
+// decodes to exactly that record, behind whatever the buffer already held.
+// And arbitrary payload bytes never panic the decoder; whatever it accepts
+// re-encodes to a payload that decodes to the same record.
+func FuzzRecordCodec(f *testing.F) {
+	f.Add(int64(1), uint8(0), int64(1), int64(0), int64(10), int64(1), int64(1), int64(0), int64(0),
+		int64(0), false, int64(0), int64(0), int64(0), int64(0), "", []byte{})
+	f.Add(int64(math.MaxInt64), uint8(2), int64(math.MinInt64), int64(-1), int64(math.MaxInt64), int64(-64), int64(1<<40), int64(0), int64(2),
+		int64(math.MinInt64), true, int64(-3), int64(math.MaxInt32), int64(17), int64(-17), "RISA-BF\x00\xff", appendRecord(nil, &Record{Seq: 3, Kind: RecordMutate}))
+	f.Fuzz(func(t *testing.T, seq int64, kind uint8, id, arrival, lifetime, cpu, ram, sto, tier,
+		ft int64, repair bool, ftier, pod, rack, box int64, algo string, raw []byte) {
+		rec := Record{Seq: seq, Kind: RecordPlace + RecordKind(kind%4), Algo: algo,
+			VM: workload.VM{ID: int(id), Arrival: arrival, Lifetime: lifetime, Tier: int(tier),
+				Req: units.Vec(units.Amount(cpu), units.Amount(ram), units.Amount(sto))},
+			Fault: faults.Event{T: ft, Repair: repair, Tier: faults.Tier(ftier), Pod: int(pod), Rack: int(rack), Box: int(box)}}
+		buf := appendRecord([]byte("prefix"), &rec)
+		if string(buf[:6]) != "prefix" {
+			t.Fatalf("appendRecord overwrote the buffer's contents: %q", buf[:6])
+		}
+		if got, err := decodeRecord(buf[6:]); err != nil || got != rec {
+			t.Fatalf("roundtrip of %+v: %+v, %v", rec, got, err)
+		}
+		got, err := decodeRecord(raw)
+		if err != nil {
+			return
+		}
+		if again, err := decodeRecord(appendRecord(nil, &got)); err != nil || again != got {
+			t.Fatalf("bytes %x decode to %+v, which re-encodes to %+v, %v", raw, got, again, err)
+		}
+	})
 }

@@ -141,12 +141,15 @@ type Stats struct {
 	// counts requests dropped at dequeue past their deadline.
 	Shed    int64 `json:"shed"`
 	Expired int64 `json:"expired"`
+	// LastSnapshotError is the most recent snapshot attempt's error, if it
+	// failed: the journal keeps serving, but reopens replay further back.
+	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
 }
 
 // stats assembles the Stats payload (worker goroutine only: it reads
 // engine state).
 func (s *Server) stats() Stats {
-	return Stats{
+	st := Stats{
 		Algo:           s.eng.Algo(),
 		Now:            s.eng.Now(),
 		Resident:       s.eng.Resident(),
@@ -159,6 +162,10 @@ func (s *Server) stats() Stats {
 		Shed:           s.shed.Load(),
 		Expired:        s.expired.Load(),
 	}
+	if err := s.eng.SnapshotErr(); err != nil {
+		st.LastSnapshotError = err.Error()
+	}
+	return st
 }
 
 // PlaceRequest is the POST /place body. Resource amounts are in native

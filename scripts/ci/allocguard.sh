@@ -39,6 +39,9 @@ RUN='BenchmarkChurnSteadyState$|BenchmarkChurnAgents/agents4'
 # so its 16k pre-load alone (~450k NALB decisions) would dominate the job.
 SCALE='BenchmarkScheduleOneScale$/^racks=16384$/^(NULB|RISA|RISA-BF)$'
 SCALE_NALB='BenchmarkScheduleOneScale$/^racks=1152$/^NALB$'
+# The daemon's journal encode (internal/svc): frame header, payload and
+# checksum into a reused buffer, on every placement's critical path.
+SVC='BenchmarkRecordEncode$'
 
 mkdir -p "$OUT"
 : >"$OUT/measured.txt"
@@ -69,6 +72,12 @@ for pat in "$SCALE" "$SCALE_NALB"; do
     | { grep -E '^Benchmark' || true; } \
     | awk "$normalize" >>"$OUT/measured.txt"
 done
+
+echo "== allocguard: journal record encode ($ITERS)"
+go test -run '^$' -bench "$SVC" -benchmem -benchtime "$ITERS" -count 1 ./internal/svc \
+  | tee -a "$OUT/bench.txt" \
+  | { grep -E '^Benchmark' || true; } \
+  | awk "$normalize" >>"$OUT/measured.txt"
 
 awk '
   FNR == NR {

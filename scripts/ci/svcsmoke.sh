@@ -12,6 +12,11 @@
 # byte-identical — a daemon that lost, duplicated or reordered a single
 # decision across the crash diffs here.
 #
+# Both daemons snapshot every 64 records (-snapshot-every 64): the kill
+# lands ≈100 records in, so the restart restores a snapshot and replays a
+# journal suffix. At the default cadence (4096) no snapshot would exist
+# yet and the smoke would only ever exercise replay from genesis.
+#
 # Both runs use one client worker: placement logs are sequence-exact, so
 # the comparison needs a deterministic request order (saturation runs
 # with -workers N>1 trade that away; this smoke does not).
@@ -44,7 +49,7 @@ wait_ready() {
 }
 
 echo "== svc-smoke: run A (uncrashed reference)"
-"$DIR/risasvc" -addr "127.0.0.1:$PORT" -dir "$DIR/a-data" &
+"$DIR/risasvc" -addr "127.0.0.1:$PORT" -dir "$DIR/a-data" -snapshot-every 64 &
 A_PID=$!
 wait_ready "http://127.0.0.1:$PORT"
 "$DIR/workloadgen" -url "http://127.0.0.1:$PORT" -count "$COUNT"
@@ -54,7 +59,7 @@ wait "$A_PID" || true
 
 echo "== svc-smoke: run B (kill -9 mid-run, restart, client retries through)"
 PORT_B=$((PORT + 1))
-"$DIR/risasvc" -addr "127.0.0.1:$PORT_B" -dir "$DIR/b-data" &
+"$DIR/risasvc" -addr "127.0.0.1:$PORT_B" -dir "$DIR/b-data" -snapshot-every 64 &
 B_PID=$!
 wait_ready "http://127.0.0.1:$PORT_B"
 # Pace the client so the crash lands mid-run (~1/3 through), not after it.
@@ -63,7 +68,11 @@ CLIENT_PID=$!
 sleep 1
 kill -9 "$B_PID"
 wait "$B_PID" || true
-"$DIR/risasvc" -addr "127.0.0.1:$PORT_B" -dir "$DIR/b-data" &
+if [ ! -s "$DIR/b-data/snapshot.gob" ]; then
+  echo "the kill landed before the first snapshot: the restart would replay from genesis only" >&2
+  exit 1
+fi
+"$DIR/risasvc" -addr "127.0.0.1:$PORT_B" -dir "$DIR/b-data" -snapshot-every 64 &
 B2_PID=$!
 wait "$CLIENT_PID"
 curl -fsS "http://127.0.0.1:$PORT_B/placements" >"$DIR/b.log"
