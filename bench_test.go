@@ -767,6 +767,45 @@ func BenchmarkAllocateVM(b *testing.B) {
 	}
 }
 
+// BenchmarkRunFresh is the cold path as a whole run: the §5.1 trace through
+// NULB on a datacenter nothing has been placed on yet, which is how every
+// cell of the paper's figures runs. Building the datacenter is outside the
+// timer, so allocs/op is what the 2500 placements and the run's own setup
+// allocate — every pool starts empty, and a resident VM must still cost one
+// slab-drawn record (DESIGN.md §9), not a handful of objects. Guarded at
+// -benchtime 1x by scripts/ci/allocguard.sh.
+func BenchmarkRunFresh(b *testing.B) {
+	setup := experiments.DefaultSetup()
+	tr, err := setup.SyntheticTrace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := setup.NewState()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sch, err := experiments.NewScheduler("NULB", st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runner, err := sim.NewRunner(st, sch, sim.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := runner.Run(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Scheduled != tr.Len() {
+			b.Fatalf("placed %d of %d", res.Scheduled, tr.Len())
+		}
+	}
+}
+
 // BenchmarkChurnSteadyState measures sustained steady-state scheduling
 // throughput: one 20 000-arrival controlled churn cell (RISA, 75 %
 // target occupancy) per iteration, reporting warmup-included

@@ -213,9 +213,11 @@ type Fabric struct {
 	rackIntraFree       []units.Bandwidth // per-rack free over its box uplinks
 	rackGen             []uint64          // per-rack network generation (see RackGen)
 
-	// freeFlows recycles released Flow records (and their link slices)
-	// into later AllocateFlow calls, so steady-state flow churn does not
-	// allocate. Fabrics, like schedulers, are single-goroutine.
+	// freeFlows recycles the Flow records AllocateFlow and RestoreFlow
+	// hand out, so direct users of the fabric do not allocate at steady
+	// state. The scheduling path does not come here: an Assignment owns
+	// its two flows by value and calls Reserve/Unreserve on them. Fabrics,
+	// like schedulers, are single-goroutine.
 	freeFlows []*Flow
 }
 
@@ -380,17 +382,25 @@ func pick(group []*Link, bw units.Bandwidth, policy Policy) *Link {
 	}
 }
 
+// maxFlowLinks is the longest shared-link path a flow can take: box,
+// rack, pod, pod, rack, box uplinks for an inter-pod flow on the three-tier
+// fabric (four without pods, two inside a rack). The bound is structural,
+// so a flow keeps its path in a fixed array and needs no memory of its own.
+const maxFlowLinks = 6
+
 // Flow is a reserved optical circuit between two boxes. Hop and switch
 // counts feed the power model; Links holds the shared links carrying the
-// reservation so it can be released. Flows are pooled by their Fabric:
-// ReleaseFlow recycles the record, so a flow must not be read after its
-// release.
+// reservation so it can be released. A Flow is plain memory its owner
+// provides — a sched.Assignment embeds its two, AllocateFlow draws one from
+// the fabric's pool — and Reserve/Unreserve fill and empty it; an emptied
+// flow must not be read.
 type Flow struct {
 	bw        units.Bandwidth
-	links     []*Link
+	links     [maxFlowLinks]*Link
+	n         uint8 // links[:n] carry the reservation
 	interRack bool
 	interPod  bool
-	pooled    bool // on the fabric's free list; guards double release
+	pooled    bool // on the fabric's free list; guards double ReleaseFlow
 }
 
 // BW returns the flow's reserved bandwidth.
@@ -403,8 +413,9 @@ func (fl *Flow) InterRack() bool { return fl.interRack }
 // two-tier fabric).
 func (fl *Flow) InterPod() bool { return fl.interPod }
 
-// Links returns the shared links carrying the flow (shared slice).
-func (fl *Flow) Links() []*Link { return fl.links }
+// Links returns the shared links carrying the flow, in hop order (a view
+// into the flow, valid until it is released).
+func (fl *Flow) Links() []*Link { return fl.links[:fl.n] }
 
 // LinkTraversals returns the number of optical link hops including the
 // two dedicated brick links: 4 intra-rack, 6 inter-rack, 8 inter-pod
@@ -450,26 +461,27 @@ func (fl *Flow) InterRackSwitchCrossings() int {
 	}
 }
 
-// AllocateFlow reserves bw between the source and destination boxes,
-// choosing one uplink per hop under the given policy. On any hop failure
-// the whole reservation is rolled back and an error returned. A zero
-// bandwidth flow is legal and reserves nothing but still records the path
-// shape (used by latency accounting for degenerate requests).
-func (f *Fabric) AllocateFlow(src, dst *topology.Box, bw units.Bandwidth, policy Policy) (*Flow, error) {
+// Reserve reserves bw between the source and destination boxes into the
+// caller-owned fl, choosing one uplink per hop under the given policy. On
+// any hop failure the whole reservation is rolled back, fl is left empty
+// and a sentinel tier error returned. A zero bandwidth flow is legal and
+// reserves nothing but still records the path shape (used by latency
+// accounting for degenerate requests). fl must be empty: overwriting a
+// held reservation would strand its bandwidth, so that panics.
+func (f *Fabric) Reserve(fl *Flow, src, dst *topology.Box, bw units.Bandwidth, policy Policy) error {
 	if bw < 0 {
-		return nil, fmt.Errorf("network: negative bandwidth %v", bw)
+		return fmt.Errorf("network: negative bandwidth %v", bw)
 	}
-	fl := f.getFlow()
-	fl.bw = bw
-	fl.interRack = src.Rack() != dst.Rack()
+	fl.mustBeEmpty()
+	*fl = Flow{bw: bw, interRack: src.Rack() != dst.Rack()}
 	fl.interPod = f.cfg.ThreeTier() && f.Pod(src.Rack()) != f.Pod(dst.Rack())
 	if bw == 0 {
-		return fl, nil
+		return nil
 	}
-	// The hop sequence lives in a fixed-size array — at most six shared
-	// groups (box, rack, pod, pod, rack, box) — so building it is
+	// The hop sequence lives in a fixed-size array — at most maxFlowLinks
+	// shared groups (box, rack, pod, pod, rack, box) — so building it is
 	// allocation-free.
-	var hops [6][]*Link
+	var hops [maxFlowLinks][]*Link
 	n := 0
 	hops[n] = f.boxUplinks[src.Rack()][src.Index()]
 	n++
@@ -491,17 +503,55 @@ func (f *Fabric) AllocateFlow(src, dst *topology.Box, bw units.Bandwidth, policy
 		l := pick(group, bw, policy)
 		if l == nil {
 			tier := group[0].tier
-			f.ReleaseFlow(fl)
-			return nil, tierError(tier)
+			f.Unreserve(fl)
+			return tierError(tier)
 		}
-		f.take(l, bw)
-		fl.links = append(fl.links, l)
+		f.extend(fl, l)
+	}
+	return nil
+}
+
+// extend takes fl's bandwidth on l and appends l to fl's path — the one
+// place a path grows, for Reserve's walk and Replay's alike.
+func (f *Fabric) extend(fl *Flow, l *Link) {
+	f.take(l, fl.bw)
+	fl.links[fl.n] = l
+	fl.n++
+}
+
+// mustBeEmpty panics when fl still carries a reservation, the state of a
+// flow about to be filled only through a bug in its owner.
+func (fl *Flow) mustBeEmpty() {
+	if fl.n != 0 {
+		panic(fmt.Sprintf("network: filling a flow that still holds %v on %d links", fl.bw, fl.n))
+	}
+}
+
+// Unreserve returns the bandwidth fl holds on every link of its path and
+// empties the record. It is also the rollback of a partially built path,
+// and a no-op on an empty flow.
+func (f *Fabric) Unreserve(fl *Flow) {
+	for _, l := range fl.links[:fl.n] {
+		f.put(l, fl.bw)
+	}
+	*fl = Flow{}
+}
+
+// AllocateFlow is Reserve into a record from the fabric's own pool, for
+// callers that hold a flow outside any Assignment (examples, the power
+// model's tests, the benchmark's direct loops). Release it with
+// ReleaseFlow.
+func (f *Fabric) AllocateFlow(src, dst *topology.Box, bw units.Bandwidth, policy Policy) (*Flow, error) {
+	fl := f.getFlow()
+	if err := f.Reserve(fl, src, dst, bw, policy); err != nil {
+		f.ReleaseFlow(fl)
+		return nil, err
 	}
 	return fl, nil
 }
 
-// getFlow pops a recycled flow record (with its link-slice capacity) off
-// the free list, or allocates a fresh one while the pool warms up.
+// getFlow pops a recycled flow record off the free list, or allocates a
+// fresh one while the pool warms up.
 func (f *Fabric) getFlow() *Flow {
 	n := len(f.freeFlows)
 	if n == 0 {
@@ -514,23 +564,15 @@ func (f *Fabric) getFlow() *Flow {
 	return fl
 }
 
-// ReleaseFlow returns a flow's reserved bandwidth and recycles the record
-// into the fabric's pool. Safe on nil and on partially built flows (used
-// internally for rollback); releasing the same flow twice is a guarded
-// no-op. The flow must not be used after this call.
+// ReleaseFlow returns the bandwidth of a flow obtained from AllocateFlow or
+// RestoreFlow and recycles the record into the fabric's pool. Safe on nil;
+// releasing the same flow twice is a guarded no-op. The flow must not be
+// used after this call.
 func (f *Fabric) ReleaseFlow(fl *Flow) {
 	if fl == nil || fl.pooled {
 		return
 	}
-	for _, l := range fl.links {
-		f.put(l, fl.bw)
-	}
-	for i := range fl.links {
-		fl.links[i] = nil
-	}
-	fl.links = fl.links[:0]
-	fl.bw = 0
-	fl.interRack, fl.interPod = false, false
+	f.Unreserve(fl)
 	fl.pooled = true
 	f.freeFlows = append(f.freeFlows, fl)
 }

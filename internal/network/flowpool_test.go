@@ -9,9 +9,8 @@ import (
 )
 
 // TestFlowPoolRecycles pins the fabric's flow pooling: a released flow
-// record is handed back by the next AllocateFlow with its link-slice
-// capacity intact, and the steady-state allocate/release cycle performs
-// zero heap allocations.
+// record is handed back by the next AllocateFlow, and the steady-state
+// allocate/release cycle performs zero heap allocations.
 func TestFlowPoolRecycles(t *testing.T) {
 	cl, f := testFabric(t)
 	src := cl.Rack(0).BoxesOf(units.CPU)[0]
@@ -106,6 +105,56 @@ func TestAllocateFlowSentinelErrors(t *testing.T) {
 	src2 := cl.Rack(0).BoxesOf(units.RAM)[0]
 	if _, err := f.AllocateFlow(src2, otherRackDst, 1, FirstFit); !errors.Is(err, ErrNoRackUplink) {
 		t.Fatalf("saturated rack uplink: err = %v, want ErrNoRackUplink", err)
+	}
+	f.ReleaseFlow(fl)
+}
+
+// TestRestoreFlowRefusals: the replay primitive refuses a recorded path it
+// cannot hold — more links than any path the fabric builds (what a damaged
+// snapshot decodes to), a failed link, a link without the bandwidth — and
+// in every case reserves nothing, even after taking earlier links of the
+// path.
+func TestRestoreFlowRefusals(t *testing.T) {
+	cl, f := testFabric(t)
+	src, dst := cl.Rack(0).BoxesOf(units.CPU)[0], cl.Rack(1).BoxesOf(units.RAM)[0]
+	fl, err := f.AllocateFlow(src, dst, 20, FirstFit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var path []LinkRef
+	for _, l := range fl.Links() {
+		path = append(path, f.Ref(l))
+	}
+	f.ReleaseFlow(fl)
+	if len(path) != 4 {
+		t.Fatalf("inter-rack path has %d links, want 4", len(path))
+	}
+	intra, inter := f.IntraRackFree(), f.InterRackFree()
+	refused := func(name string, bw units.Bandwidth, refs []LinkRef) {
+		t.Helper()
+		if _, err := f.RestoreFlow(bw, refs, true, false); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+		if f.IntraRackFree() != intra || f.InterRackFree() != inter {
+			t.Errorf("%s: a refused restore kept bandwidth reserved", name)
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// Seven healthy, roomy links: only the length is wrong.
+	refused("overlong", 1, append(append([]LinkRef(nil), path...), path[:3]...))
+	refused("too-wide", f.Config().LinkCapacity+1, path)
+	last, err := f.LinkByRef(path[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetLinkFailed(last, true)
+	intra, inter = f.IntraRackFree(), f.InterRackFree()
+	refused("failed-link", 20, path) // three links taken before the refusal
+	f.SetLinkFailed(last, false)
+	if fl, err = f.RestoreFlow(20, path, true, false); err != nil {
+		t.Fatalf("a valid six-or-fewer link path was refused: %v", err)
 	}
 	f.ReleaseFlow(fl)
 }

@@ -50,32 +50,46 @@ func (f *Fabric) LinkByRef(ref LinkRef) (*Link, error) {
 	}
 }
 
-// RestoreFlow rebuilds a flow on an exact recorded link path, reserving
-// bw on every named link. It is the replay primitive for snapshot
-// restoration: AllocateFlow picks links by policy against current load
-// and therefore cannot reproduce an arbitrary historical path, while
-// RestoreFlow reproduces the reservation link for link. All named links
-// must be healthy with enough free bandwidth — restore replays flows
-// onto a pristine fabric first and applies link failures afterwards. On
-// error nothing is reserved.
-func (f *Fabric) RestoreFlow(bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) (*Flow, error) {
+// Replay rebuilds a reservation on an exact recorded link path into the
+// caller-owned fl, reserving bw on every named link. It is the replay
+// primitive for snapshot restoration and for undoing a preemption: Reserve
+// picks links by policy against current load and therefore cannot
+// reproduce an arbitrary historical path, while Replay reproduces the
+// reservation link for link. All named links must be healthy with enough
+// free bandwidth — restore replays flows onto a pristine fabric first and
+// applies link failures afterwards — and a path longer than any the fabric
+// builds (a damaged snapshot) is refused. On error nothing is reserved and
+// fl is left empty, as it must be on entry (see Reserve).
+func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) error {
 	if bw < 0 {
-		return nil, fmt.Errorf("network: negative bandwidth %v", bw)
+		return fmt.Errorf("network: negative bandwidth %v", bw)
 	}
-	fl := f.getFlow()
-	fl.bw = bw
-	fl.interRack, fl.interPod = interRack, interPod
+	if len(refs) > maxFlowLinks {
+		return fmt.Errorf("network: restored flow names %d links, a path has at most %d", len(refs), maxFlowLinks)
+	}
+	fl.mustBeEmpty()
+	*fl = Flow{bw: bw, interRack: interRack, interPod: interPod}
 	for _, ref := range refs {
 		l, err := f.LinkByRef(ref)
 		if err == nil && (l.failed || l.free < bw) {
 			err = fmt.Errorf("network: restored flow of %v does not fit %v (free %v)", bw, l, l.Free())
 		}
 		if err != nil {
-			f.ReleaseFlow(fl)
-			return nil, err
+			f.Unreserve(fl)
+			return err
 		}
-		f.take(l, bw)
-		fl.links = append(fl.links, l)
+		f.extend(fl, l)
+	}
+	return nil
+}
+
+// RestoreFlow is Replay into a record from the fabric's own pool (see
+// AllocateFlow); release it with ReleaseFlow.
+func (f *Fabric) RestoreFlow(bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) (*Flow, error) {
+	fl := f.getFlow()
+	if err := f.Replay(fl, bw, refs, interRack, interPod); err != nil {
+		f.ReleaseFlow(fl)
+		return nil, err
 	}
 	return fl, nil
 }

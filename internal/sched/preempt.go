@@ -31,7 +31,7 @@ type PreemptScratch struct {
 }
 
 // victimHold is the exact holdings of one released victim: enough to
-// re-carve its placements (RestorePlacement) and flows (RestoreFlow)
+// re-carve its placements (RestorePlacement) and flows (Fabric.Replay)
 // should the preemption attempt fail. Buffers are pooled per slot.
 type victimHold struct {
 	boxes  [units.NumResources]*topology.Box
@@ -93,7 +93,7 @@ func (p *PreemptScratch) Ref(i int) int { return p.refs[i] }
 // preemptible), victims on failed hardware, and victims with a flow over
 // a failed link. The tier rule is the TierOrderRespected conformance
 // property enforced at the transaction itself, not just at call sites;
-// the hardware rules are restore safety — RestorePlacement/RestoreFlow
+// the hardware rules are restore safety — RestorePlacement/Replay
 // reject failed boxes and links, and a victim on failed hardware frees no
 // usable capacity anyway (its holdings are pending eviction, not supply).
 func (p *PreemptScratch) FilterEligible(tier int) {
@@ -159,12 +159,17 @@ func (p *PreemptScratch) Restore(st *State, i int) {
 		if err != nil {
 			panic(fmt.Sprintf("sched: preempt restore: %v", err))
 		}
-		dst := placementOf(a, r)
-		dst.Box, dst.Total = pl.Box, pl.Total
-		dst.Shares = append(dst.Shares[:0], pl.Shares...)
+		setPlacement(placementOf(a, r), pl)
 	}
-	a.CPURAMFlow = restoreFlow(st, &h.flows[0])
-	a.RAMSTOFlow = restoreFlow(st, &h.flows[1])
+	a.CPURAMFlow = restoreFlow(st, &a.flows[0], &h.flows[0])
+	a.RAMSTOFlow = restoreFlow(st, &a.flows[1], &h.flows[1])
+}
+
+// setPlacement copies a re-carved placement into a record's field,
+// keeping the field's own share buffer (p's was allocated for the replay).
+func setPlacement(dst *topology.Placement, p topology.Placement) {
+	dst.Box, dst.Total = p.Box, p.Total
+	dst.Shares = append(dst.Shares[:0], p.Shares...)
 }
 
 // placementOf maps a resource to its placement field on the assignment.
@@ -194,17 +199,17 @@ func holdFlow(st *State, h *flowHold, fl *network.Flow) {
 	}
 }
 
-// restoreFlow replays one held flow reservation; see Restore on why
-// failure panics.
-func restoreFlow(st *State, h *flowHold) *network.Flow {
+// restoreFlow replays one held flow reservation into slot, the victim
+// record's own storage for that circuit, and returns slot (nil for a
+// circuit the victim never had); see Restore on why failure panics.
+func restoreFlow(st *State, slot *network.Flow, h *flowHold) *network.Flow {
 	if !h.present {
 		return nil
 	}
-	fl, err := st.Fabric.RestoreFlow(h.bw, h.refs, h.interRack, h.interPod)
-	if err != nil {
+	if err := st.Fabric.Replay(slot, h.bw, h.refs, h.interRack, h.interPod); err != nil {
 		panic(fmt.Sprintf("sched: preempt restore: %v", err))
 	}
-	return fl
+	return slot
 }
 
 // flowOnFailedLink reports whether any link carrying the flow is failed.

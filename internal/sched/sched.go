@@ -27,17 +27,18 @@ const (
 
 // State bundles the mutable planes every scheduler operates on, plus the
 // assignment pool: released placement records are recycled into later
-// Schedule calls so the steady-state path allocates nothing (the optical
-// flows are pooled symmetrically inside the Fabric). The pool is part of
-// the memory discipline documented in DESIGN.md §9: an Assignment belongs
-// to its VM from AllocateVM until ReleaseVM, and must not be touched after
+// Schedule calls so the steady-state path allocates nothing, and a pool
+// miss refills it a slab at a time so a fresh datacenter's first
+// placements allocate next to nothing either. The pool is part of the
+// memory discipline documented in DESIGN.md §9: an Assignment belongs to
+// its VM from AllocateVM until ReleaseVM, and must not be touched after
 // release — ReleaseVM recycles it.
 type State struct {
 	Cluster *topology.Cluster
 	Fabric  *network.Fabric
 
 	freeAssignments []*Assignment
-	allocated       int
+	inUse, peak     int // records out of the pool now, and at most ever
 }
 
 // NewState builds a fresh datacenter from the two configurations.
@@ -57,9 +58,14 @@ func NewState(tcfg topology.Config, ncfg network.Config) (*State, error) {
 func (s *State) Units() units.Config { return s.Cluster.Config().Units }
 
 // Assignment records everything a scheduled VM holds so it can be
-// inspected (inter-rack? latency?) and released. Assignments are pooled:
-// AllocateVM takes them from the owning State's free list and ReleaseVM
-// returns them, so an assignment must not be read after its release.
+// inspected (inter-rack? latency?) and released — and it is the VM's only
+// heap record: in the architecture the paper evaluates a VM has exactly two
+// circuits (CPU–RAM, RAM–storage) of at most six shared links each, so both
+// live inside the assignment, and its three brick-share buffers are carved
+// from its slab (see getAssignment). Assignments are pooled: AllocateVM
+// takes them from the owning State's free list and ReleaseVM returns them,
+// so an assignment — and the flows it points to — must not be read after
+// its release, and must not be copied except through Adopt.
 type Assignment struct {
 	VM workload.VM
 
@@ -67,8 +73,13 @@ type Assignment struct {
 	// of that resource.
 	CPU, RAM, STO topology.Placement
 
-	// Optical circuits; nil when either endpoint requests nothing.
+	// Optical circuits; nil when either endpoint requests nothing,
+	// otherwise a pointer into flows below.
 	CPURAMFlow, RAMSTOFlow *network.Flow
+
+	// flows is the storage the two pointers above point into: slot 0 the
+	// CPU–RAM circuit, slot 1 RAM–storage.
+	flows [2]network.Flow
 
 	// pooled marks an assignment sitting on the State's free list, making
 	// a double ReleaseVM a no-op instead of a double pool insertion.
@@ -78,16 +89,15 @@ type Assignment struct {
 // InterRack reports whether the assignment spans racks at all, i.e. the
 // paper's "inter-rack VM assignment" (Figures 5 and 7).
 func (a *Assignment) InterRack() bool {
-	racks := make([]int, 0, 3)
-	for _, p := range []topology.Placement{a.CPU, a.RAM, a.STO} {
-		if !p.IsZero() {
-			racks = append(racks, p.Box.Rack())
+	rack := -1
+	for _, p := range [...]*topology.Placement{&a.CPU, &a.RAM, &a.STO} {
+		if p.IsZero() {
+			continue
 		}
-	}
-	for _, r := range racks[1:] {
-		if r != racks[0] {
+		if rack >= 0 && p.Box.Rack() != rack {
 			return true
 		}
+		rack = p.Box.Rack()
 	}
 	return false
 }
@@ -109,12 +119,8 @@ func (a *Assignment) CPURAMLatency() time.Duration {
 // (always false on the paper's two-tier fabric; see the three-tier
 // extension in package network).
 func (a *Assignment) InterPod() bool {
-	for _, fl := range a.Flows() {
-		if fl.InterPod() {
-			return true
-		}
-	}
-	return false
+	return (a.CPURAMFlow != nil && a.CPURAMFlow.InterPod()) ||
+		(a.RAMSTOFlow != nil && a.RAMSTOFlow.InterPod())
 }
 
 // OnFailedHardware reports whether any of the assignment's compute
@@ -156,10 +162,11 @@ type Scheduler interface {
 type BoxTriple [units.NumResources]*topology.Box
 
 // AllocateVM is the shared placement transaction: it carves the VM's
-// compute out of the chosen boxes and reserves both optical flows under
-// the given link policy. On any failure everything is rolled back and the
-// state is exactly as before. Because every compute mutation goes through
-// Cluster.Allocate/Release here, the per-rack free-capacity index
+// compute out of the chosen boxes and reserves both optical flows, into
+// the returned record's own slots, under the given link policy. On any
+// failure everything is rolled back, the record returns to the pool and
+// the state is exactly as before. Because every compute mutation goes
+// through Cluster.Allocate/Release here, the per-rack free-capacity index
 // (topology's MaxFree/FitsWholeVM/Free) stays current for every scheduler
 // with no extra bookkeeping on their part — including mid-transaction
 // rollbacks.
@@ -167,8 +174,7 @@ func (s *State) AllocateVM(vm workload.VM, boxes BoxTriple, policy network.Polic
 	a := s.getAssignment(vm)
 	cfg := s.Units()
 	fail := func(err error) (*Assignment, error) {
-		s.Fabric.ReleaseFlow(a.RAMSTOFlow)
-		s.Fabric.ReleaseFlow(a.CPURAMFlow)
+		s.releaseFlows(a)
 		s.Cluster.Release(a.STO)
 		s.Cluster.Release(a.RAM)
 		s.Cluster.Release(a.CPU)
@@ -185,18 +191,16 @@ func (s *State) AllocateVM(vm workload.VM, boxes BoxTriple, policy network.Polic
 		return fail(err)
 	}
 	if !a.CPU.IsZero() && !a.RAM.IsZero() {
-		fl, err := s.Fabric.AllocateFlow(a.CPU.Box, a.RAM.Box, cfg.CPURAMDemand(vm.Req), policy)
-		if err != nil {
+		if err := s.Fabric.Reserve(&a.flows[0], a.CPU.Box, a.RAM.Box, cfg.CPURAMDemand(vm.Req), policy); err != nil {
 			return fail(err)
 		}
-		a.CPURAMFlow = fl
+		a.CPURAMFlow = &a.flows[0]
 	}
 	if !a.RAM.IsZero() && !a.STO.IsZero() {
-		fl, err := s.Fabric.AllocateFlow(a.RAM.Box, a.STO.Box, cfg.RAMSTODemand(vm.Req), policy)
-		if err != nil {
+		if err := s.Fabric.Reserve(&a.flows[1], a.RAM.Box, a.STO.Box, cfg.RAMSTODemand(vm.Req), policy); err != nil {
 			return fail(err)
 		}
-		a.RAMSTOFlow = fl
+		a.RAMSTOFlow = &a.flows[1]
 	}
 	return a, nil
 }
@@ -221,21 +225,63 @@ func (s *State) place(vm workload.VM, boxes BoxTriple, r units.Resource, dst *to
 	return nil
 }
 
-// getAssignment pops a recycled assignment from the pool (or allocates the
-// pool's first few) and binds it to vm. The recycled record keeps its
-// brick-share buffers so re-placing through it allocates nothing.
+const (
+	// assignmentSlab is how many records one pool miss allocates. A fresh
+	// datacenter's pool is empty, so every VM resident at the peak costs
+	// a miss: 64 records (≈27 KB with their share buffers) turn one
+	// allocation per VM into one per 64, and the most a State can hold
+	// unused is one slab — the paper's traces peak at 1070–2143
+	// residents, a churn cell at about a thousand.
+	assignmentSlab = 64
+	// shareBufCap is the capacity a record's share buffers start with
+	// (BricksPerBox, when that is smaller). A box fills its bricks
+	// first-fit and no trace asks for more than a brick of anything, so a
+	// placement has one share, or two when it straddles a brick boundary;
+	// fragmentation can make it more, and then the buffer grows by
+	// append, once, and stays grown — over a whole replay of the paper's
+	// traces 0.03–4 % of the buffers do.
+	shareBufCap = 2
+)
+
+// getAssignment pops a recycled assignment from the pool — refilling the
+// pool first with a slab of fresh records when it is empty — and binds it
+// to vm. A record keeps its brick-share buffers for life, so re-placing
+// through it allocates nothing.
 func (s *State) getAssignment(vm workload.VM) *Assignment {
-	n := len(s.freeAssignments)
-	if n == 0 {
-		s.allocated++
-		return &Assignment{VM: vm}
+	if len(s.freeAssignments) == 0 {
+		s.refillAssignments()
 	}
+	n := len(s.freeAssignments)
 	a := s.freeAssignments[n-1]
 	s.freeAssignments[n-1] = nil
 	s.freeAssignments = s.freeAssignments[:n-1]
 	a.pooled = false
 	a.VM = vm
+	if s.inUse++; s.inUse > s.peak {
+		s.peak = s.inUse
+	}
 	return a
+}
+
+// refillAssignments allocates one slab: assignmentSlab records in one
+// array and their 3×assignmentSlab share buffers carved from another
+// (three-index slices, so a buffer that outgrows its carve reallocates
+// instead of running into its neighbour).
+func (s *State) refillAssignments() {
+	c := shareBufCap
+	if b := s.Cluster.Config().BricksPerBox; b < c {
+		c = b
+	}
+	recs := make([]Assignment, assignmentSlab)
+	shares := make([]topology.BrickShare, 3*c*assignmentSlab)
+	for i := range recs {
+		a, buf := &recs[i], shares[3*c*i:]
+		a.CPU.Shares = buf[0:0:c]
+		a.RAM.Shares = buf[c : c : 2*c]
+		a.STO.Shares = buf[2*c : 2*c : 3*c]
+		a.pooled = true
+		s.freeAssignments = append(s.freeAssignments, a)
+	}
 }
 
 // putAssignment clears a released assignment — keeping its share buffers —
@@ -247,16 +293,18 @@ func (s *State) putAssignment(a *Assignment) {
 	clearPlacement(&a.STO)
 	a.CPURAMFlow, a.RAMSTOFlow = nil, nil
 	a.pooled = true
+	s.inUse--
 	s.freeAssignments = append(s.freeAssignments, a)
 }
 
-// AllocatedAssignments returns how many assignment records this State has
-// ever allocated (pool misses). A record leak cannot be detected from the
-// pool's size — a leaked record is simply replaced by a fresh allocation
-// that does return — but it shows up here: replaying an identical warm
-// script must not grow this counter (the PreemptionNeverLeaks conformance
-// property).
-func (s *State) AllocatedAssignments() int { return s.allocated }
+// AllocatedAssignments returns the most assignment records this State has
+// ever had out of its pool at once — exactly, not rounded to the slabs
+// they were allocated in, which would hide a leak smaller than a slab. A
+// record leak cannot be detected from the pool's size — a leaked record is
+// simply replaced by the next one — but it shows up here: replaying an
+// identical warm script must not grow this high-water mark (the
+// PreemptionNeverLeaks conformance property).
+func (s *State) AllocatedAssignments() int { return s.peak }
 
 // clearPlacement empties a placement while keeping its share buffer's
 // capacity for reuse.
@@ -288,7 +336,6 @@ func (s *State) ReleaseVMKeep(a *Assignment) {
 		return
 	}
 	s.releaseResources(a)
-	a.CPURAMFlow, a.RAMSTOFlow = nil, nil
 	clearPlacement(&a.CPU)
 	clearPlacement(&a.RAM)
 	clearPlacement(&a.STO)
@@ -297,11 +344,23 @@ func (s *State) ReleaseVMKeep(a *Assignment) {
 // releaseResources returns the compute and network holdings of a without
 // touching the record's pool state.
 func (s *State) releaseResources(a *Assignment) {
-	s.Fabric.ReleaseFlow(a.CPURAMFlow)
-	s.Fabric.ReleaseFlow(a.RAMSTOFlow)
+	s.releaseFlows(a)
 	s.Cluster.Release(a.CPU)
 	s.Cluster.Release(a.RAM)
 	s.Cluster.Release(a.STO)
+}
+
+// releaseFlows unreserves whichever circuits a holds, CPU–RAM first, and
+// marks them absent: the one place a State gives bandwidth back, shared by
+// release and by AllocateVM's rollback (where at most the first is held).
+func (s *State) releaseFlows(a *Assignment) {
+	if a.CPURAMFlow != nil {
+		s.Fabric.Unreserve(a.CPURAMFlow)
+	}
+	if a.RAMSTOFlow != nil {
+		s.Fabric.Unreserve(a.RAMSTOFlow)
+	}
+	a.CPURAMFlow, a.RAMSTOFlow = nil, nil
 }
 
 // Adopt moves src's contents into dst and retires src's emptied shell to
@@ -316,11 +375,21 @@ func (s *State) releaseResources(a *Assignment) {
 // would re-grow all three share slices — a per-displacement allocation
 // the fault path's zero-alloc contract (BenchmarkScheduleOneUnderFaults)
 // forbids.
+//
+// The copy carries src's two flows over by value, so the flow pointers —
+// which after a plain copy would still point into src, a shell about to be
+// handed to another VM — are re-pointed at dst's own slots.
 func (s *State) Adopt(dst, src *Assignment) {
 	cpuBuf := dst.CPU.Shares[:0]
 	ramBuf := dst.RAM.Shares[:0]
 	stoBuf := dst.STO.Shares[:0]
 	*dst = *src
+	if dst.CPURAMFlow != nil {
+		dst.CPURAMFlow = &dst.flows[0]
+	}
+	if dst.RAMSTOFlow != nil {
+		dst.RAMSTOFlow = &dst.flows[1]
+	}
 	// Detach src's buffers before pooling the shell: dst now owns them,
 	// and the shell inherits dst's old buffers.
 	*src = Assignment{}

@@ -13,7 +13,7 @@ import "risa/internal/units"
 // Ownership discipline (DESIGN.md §9): a Scratch belongs to exactly one
 // owner, and nothing it hands out may be shared with another. Anything
 // that outlives a decision and belongs to a VM (the Assignment, its
-// placements, its flows) lives in the State's pools instead, whose
+// placements, its flows) lives in the State's pool instead, whose
 // lifetime matches the VM's. Schedulers are not safe for concurrent use
 // and neither is their Scratch.
 type Scratch struct {

@@ -74,21 +74,30 @@ func TestAssignmentPoolRecycles(t *testing.T) {
 }
 
 // TestAssignmentPoolFailedAllocateRecycles: a failed AllocateVM must roll
-// back fully and still return its record to the pool.
+// back fully, return no record, and hand the one it drew back to the pool
+// — the next placement reuses it instead of raising the high-water mark.
 func TestAssignmentPoolFailedAllocateRecycles(t *testing.T) {
 	st := testState(t)
 	free := st.Cluster.TotalFree(units.CPU)
 	boxes := testTriple(st)
 	// Request more CPU than one box holds: the placement fails.
 	vm := workload.VM{ID: 1, Lifetime: 1, Req: units.Vec(1<<40, 16, 128)}
-	if _, err := st.AllocateVM(vm, boxes, network.FirstFit); err == nil {
-		t.Fatal("oversized request must fail")
+	if a, err := st.AllocateVM(vm, boxes, network.FirstFit); err == nil || a != nil {
+		t.Fatalf("oversized request must fail without a record, got %v, %v", a, err)
 	}
 	if got := st.Cluster.TotalFree(units.CPU); got != free {
 		t.Fatalf("failed allocate leaked CPU: %d != %d", got, free)
 	}
-	if len(st.freeAssignments) != 1 {
-		t.Fatalf("failed allocate left %d pooled records, want 1", len(st.freeAssignments))
+	if st.inUse != 0 {
+		t.Fatalf("failed allocate left %d records in use, want 0", st.inUse)
+	}
+	vm.Req = units.Vec(8, 16, 128)
+	if _, err := st.AllocateVM(vm, boxes, network.FirstFit); err != nil {
+		t.Fatal(err)
+	}
+	if st.inUse != 1 || st.AllocatedAssignments() != 1 {
+		t.Fatalf("after one live placement: %d in use, high-water %d, want 1 and 1",
+			st.inUse, st.AllocatedAssignments())
 	}
 }
 
@@ -103,7 +112,7 @@ func TestReleaseVMKeepAdoptProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.ReleaseVMKeep(a)
-	if len(st.freeAssignments) != 0 {
+	if a.pooled || st.inUse != 1 {
 		t.Fatal("ReleaseVMKeep must not pool the record")
 	}
 	if !a.CPU.IsZero() || a.CPURAMFlow != nil {
@@ -117,10 +126,10 @@ func TestReleaseVMKeepAdoptProtocol(t *testing.T) {
 	if a.CPU.IsZero() || a.CPURAMFlow == nil {
 		t.Fatal("Adopt did not move the placement into the kept record")
 	}
-	if len(st.freeAssignments) != 1 {
+	if !fresh.pooled || st.inUse != 1 {
 		t.Fatal("Adopt must retire the donor shell to the pool")
 	}
-	donor := st.freeAssignments[0]
+	donor := st.freeAssignments[len(st.freeAssignments)-1]
 	if donor != fresh {
 		t.Fatal("pooled shell is not the donor")
 	}
@@ -148,8 +157,21 @@ func TestReleaseVMDoubleReleaseIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.ReleaseVM(a)
+	pooled := len(st.freeAssignments)
 	st.ReleaseVM(a)
-	if len(st.freeAssignments) != 1 {
-		t.Fatalf("double release pooled the record %d times, want 1", len(st.freeAssignments))
+	if len(st.freeAssignments) != pooled || st.inUse != 0 {
+		t.Fatalf("double release: pool %d → %d records, %d in use; want no change and 0",
+			pooled, len(st.freeAssignments), st.inUse)
+	}
+	b, err := st.AllocateVM(vm, testTriple(st), network.FirstFit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := st.AllocateVM(vm, testTriple(st), network.FirstFit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b == c {
+		t.Fatal("pool handed the same record to two live VMs")
 	}
 }

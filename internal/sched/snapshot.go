@@ -46,15 +46,33 @@ func (s *Scratch) RestoreCursorState(cur [][units.NumResources]int) {
 	s.cursors = append(s.cursors, cur...)
 }
 
-// RestoreAssignment binds already-restored placements and flows to a
-// pooled assignment record, completing the snapshot replay of one live
+// RestoreAssignment binds already-restored placements to a pooled
+// assignment record, the first half of the snapshot replay of one live
 // VM. The placements must have been re-carved via
-// Cluster.RestorePlacement and the flows via Fabric.RestoreFlow, so the
-// planes already account for them; this call only rebuilds the record
-// that ties them together.
-func (s *State) RestoreAssignment(vm workload.VM, cpu, ram, sto topology.Placement, cpuram, ramsto *network.Flow) *Assignment {
+// Cluster.RestorePlacement, so the compute plane already accounts for
+// them (their shares are copied into the record's own buffers); the VM's
+// circuits follow through RestoreFlow, which replays them into the record
+// this call returns.
+func (s *State) RestoreAssignment(vm workload.VM, cpu, ram, sto topology.Placement) *Assignment {
 	a := s.getAssignment(vm)
-	a.CPU, a.RAM, a.STO = cpu, ram, sto
-	a.CPURAMFlow, a.RAMSTOFlow = cpuram, ramsto
+	setPlacement(&a.CPU, cpu)
+	setPlacement(&a.RAM, ram)
+	setPlacement(&a.STO, sto)
 	return a
+}
+
+// RestoreFlow replays one recorded circuit of a restored assignment —
+// RAM–storage when ramsto is set, CPU–RAM otherwise — link for link into
+// the record's own slot (see network.Fabric.Replay for what is refused).
+// On error nothing is reserved and the record has no such circuit.
+func (s *State) RestoreFlow(a *Assignment, ramsto bool, bw units.Bandwidth, refs []network.LinkRef, interRack, interPod bool) error {
+	slot, ptr := &a.flows[0], &a.CPURAMFlow
+	if ramsto {
+		slot, ptr = &a.flows[1], &a.RAMSTOFlow
+	}
+	if err := s.Fabric.Replay(slot, bw, refs, interRack, interPod); err != nil {
+		return err
+	}
+	*ptr = slot
+	return nil
 }

@@ -426,3 +426,40 @@ func TestRetryQueuePreservesFIFO(t *testing.T) {
 		t.Errorf("makespan = %d, want 300 (strict FIFO)", res.Makespan)
 	}
 }
+
+// TestRunOnFreshDatacenterBarelyAllocates pins the cold path: the paper's
+// figures replay every trace on a fresh datacenter, so every pool starts
+// empty and each resident VM's first placement is a pool miss. A VM is one
+// record drawn from a slab — its two flows and their link paths live inside
+// it — so the §5.1 trace costs under a tenth of an allocation per VM, the
+// run's own setup included. Before the record owned its flows this read 6.8
+// (an Assignment, two Flows, their link slices grown by append, three share
+// slices, and the slice InterPod built per placement).
+func TestRunOnFreshDatacenterBarelyAllocates(t *testing.T) {
+	tr, err := workload.Synthetic(workload.DefaultSyntheticConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	var fresh []*Runner // AllocsPerRun makes one warm-up call, then runs
+	for i := 0; i <= runs; i++ {
+		_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return baseline.NewNULB(s) })
+		fresh = append(fresh, r)
+	}
+	perRun := testing.AllocsPerRun(runs, func() {
+		r := fresh[0]
+		fresh = fresh[1:]
+		res, err := r.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Scheduled != tr.Len() {
+			t.Fatalf("placed %d of %d", res.Scheduled, tr.Len())
+		}
+	})
+	perVM := perRun / float64(tr.Len())
+	t.Logf("%.0f allocations a run, %.3f per VM", perRun, perVM)
+	if perVM >= 0.1 {
+		t.Fatalf("a fresh-datacenter run allocates %.3f objects per VM (%.0f a run), want < 0.1", perVM, perRun)
+	}
+}

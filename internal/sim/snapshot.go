@@ -327,15 +327,14 @@ func RestoreState(st *sched.State, sch sched.Scheduler, snap *StateSnapshot) ([]
 		if err != nil {
 			return nil, fmt.Errorf("sim: VM %d STO: %w", as.VM.ID, err)
 		}
-		cpuram, err := restoreFlow(st.Fabric, as.CPURAM)
-		if err != nil {
+		a := st.RestoreAssignment(as.VM, cpu, ram, sto)
+		if err := restoreFlow(st, a, false, as.CPURAM); err != nil {
 			return nil, fmt.Errorf("sim: VM %d CPU-RAM flow: %w", as.VM.ID, err)
 		}
-		ramsto, err := restoreFlow(st.Fabric, as.RAMSTO)
-		if err != nil {
+		if err := restoreFlow(st, a, true, as.RAMSTO); err != nil {
 			return nil, fmt.Errorf("sim: VM %d RAM-STO flow: %w", as.VM.ID, err)
 		}
-		live = append(live, st.RestoreAssignment(as.VM, cpu, ram, sto, cpuram, ramsto))
+		live = append(live, a)
 	}
 	for _, bi := range snap.FailedBoxes {
 		if bi < 0 || bi >= len(boxes) {
@@ -391,12 +390,13 @@ func restorePlacement(cl *topology.Cluster, boxes []*topology.Box, ps PlacementS
 	return cl.RestorePlacement(boxes[ps.Box], ps.Shares)
 }
 
-// restoreFlow re-reserves one serialized flow (nil for the absent one).
-func restoreFlow(f *network.Fabric, fs FlowState) (*network.Flow, error) {
+// restoreFlow re-reserves one serialized flow into a's own slot for it
+// (nothing for the absent one).
+func restoreFlow(st *sched.State, a *sched.Assignment, ramsto bool, fs FlowState) error {
 	if !fs.Present {
-		return nil, nil
+		return nil
 	}
-	return f.RestoreFlow(fs.BW, fs.Links, fs.InterRack, fs.InterPod)
+	return st.RestoreFlow(a, ramsto, fs.BW, fs.Links, fs.InterRack, fs.InterPod)
 }
 
 // capture assembles the full Snapshot at the current event boundary:

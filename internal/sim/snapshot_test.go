@@ -738,6 +738,14 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 			vm.Tier = workload.NumTiers
 			s.Waiting = append(s.Waiting, QueuedVMState{VM: vm})
 		})},
+		{"flow-path-overlong", tamper(func(s *Snapshot) {
+			// Seven healthy links with room: only the fixed six-link path
+			// of a flow record refuses them.
+			fs := &s.State.Assignments[0].CPURAM
+			for len(fs.Links) < 7 {
+				fs.Links = append(fs.Links, fs.Links[0])
+			}
+		})},
 		{"queued-lifetime-zero", tamper(func(s *Snapshot) {
 			vm := queued
 			vm.Lifetime = 0

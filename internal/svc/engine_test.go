@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -473,5 +474,77 @@ func TestSnapshotFailureKeepsPlacing(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
 		t.Fatalf("no snapshot written at the next cadence point: %v", err)
+	}
+}
+
+// TestJournalFailureIsSticky: a journal that failed once refuses from then
+// on. The file is closed under the engine, so the next append fails the
+// way an EIO would; the descriptor is then replaced by a working one —
+// the retried write and fsync would now succeed, and prove nothing about
+// what the failure left behind — and the engine must still refuse with
+// the first error, ack nothing, leave the file alone, and recover exactly
+// the acknowledged log at the next open.
+func TestJournalFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, testConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := func(id int) workload.VM {
+		return workload.VM{ID: id, Arrival: int64(id), Lifetime: 1000, Req: units.Vec(4, 8, 64)}
+	}
+	for id := 1; id <= 5; id++ {
+		if out, err := e.Place(vm(id)); err != nil || !out.Accepted {
+			t.Fatalf("placement %d: %+v, %v", id, out, err)
+		}
+	}
+	want := append([]Outcome(nil), e.History()...)
+	path := filepath.Join(dir, journalFile)
+	size := func() int64 {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	durable := size()
+
+	e.j.f.Close()
+	_, first := e.Place(vm(6))
+	if !errors.Is(first, os.ErrClosed) {
+		t.Fatalf("append to a closed journal: %v, want os.ErrClosed", first)
+	}
+	healed, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.j.f = healed
+	for _, id := range []int{6, 7} {
+		if out, err := e.Place(vm(id)); !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("placement %d after the failure: %+v, %v; want the first error again", id, out, err)
+		}
+	}
+	if err := e.Mutate(faults.Event{Tier: faults.RackTier, Rack: 1}); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("mutation after the failure: %v; want the first error again", err)
+	}
+	if !reflect.DeepEqual(e.History(), want) {
+		t.Fatalf("a refused placement was acknowledged: history grew %d → %d", len(want), len(e.History()))
+	}
+	if got := size(); got != durable {
+		t.Fatalf("the journal was written after its failure: %d → %d bytes", durable, got)
+	}
+	e.crash()
+
+	e2, err := Open(dir, testConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.crash()
+	if !reflect.DeepEqual(e2.History(), want) {
+		t.Fatalf("reopen recovered %d placements, want the %d acknowledged", len(e2.History()), len(want))
+	}
+	if out, err := e2.Place(vm(6)); err != nil || !out.Accepted {
+		t.Fatalf("the reopened engine does not place: %+v, %v", out, err)
 	}
 }

@@ -118,6 +118,7 @@ type Journal struct {
 	f       *os.File
 	nextSeq int64
 	buf     []byte // Append's frame, reused
+	failed  error  // the first Write or Sync error; sticky, see Append
 }
 
 // openJournal opens (or creates) the journal at path, validates the
@@ -345,13 +346,24 @@ func (r *frameReader) next() (payload []byte, torn bool, err error) {
 // record's Seq is assigned here; the engine applies the operation only
 // after Append returns. The frame is built in one reused buffer and
 // reaches the file in a single Write.
+//
+// The first failed Write or Sync is final: the file may end in a partial
+// frame, or in pages a later fsync would report clean without having
+// written them, so every later Append returns that error without touching
+// the file. Reopening the directory, which truncates a torn tail, is the
+// recovery.
 func (j *Journal) Append(rec *Record) error {
+	if j.failed != nil {
+		return fmt.Errorf("journal unusable since an earlier append failed: %w", j.failed)
+	}
 	rec.Seq = j.nextSeq
 	j.buf = appendFrame(j.buf[:0], rec)
-	if _, err := j.f.Write(j.buf); err != nil {
-		return err
+	_, err := j.f.Write(j.buf)
+	if err == nil {
+		err = j.f.Sync()
 	}
-	if err := j.f.Sync(); err != nil {
+	if err != nil {
+		j.failed = err
 		return err
 	}
 	j.nextSeq++

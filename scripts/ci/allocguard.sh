@@ -14,9 +14,11 @@
 #   - per-decision benchmarks at ITERS (default 1000x) so one-time pool
 #     warm-up amortizes to zero and the steady-state contract is what is
 #     measured (the baseline records 0 for all of them);
-#   - whole-run benchmarks (the churn cell) at 1x, where the recorded
-#     value is the per-cell setup cost — state construction, stream,
-#     windows — that a regression in any layer's hot path would inflate.
+#   - whole-run benchmarks (the churn cells, the §5.1 replay on a fresh
+#     datacenter) at 1x, where the recorded value is the per-cell setup
+#     cost — state construction, stream, windows, the pools' slabs — that
+#     a regression in any layer's hot path, or in the cold path of a
+#     VM's first placement, would inflate.
 #
 # The baseline is recorded on the CI Go version (see ci.yml's allocs job);
 # other Go versions may count runtime-internal allocations differently,
@@ -31,7 +33,7 @@ ITERS=${ITERS:-1000x}
 OUT=${OUT:-alloc-guard}
 BASELINE=${BASELINE:-scripts/ci/allocs-baseline.txt}
 HOT='BenchmarkScheduleOne$|BenchmarkScheduleOneAllocs|BenchmarkScheduleOneUnderFaults|BenchmarkScheduleOneResumed|BenchmarkScheduleOnePreempt|BenchmarkDriverPlace|BenchmarkEventQueue$|BenchmarkAllocateVM$|BenchmarkProposeCommit$'
-RUN='BenchmarkChurnSteadyState$|BenchmarkChurnAgents/agents4'
+RUN='BenchmarkChurnSteadyState$|BenchmarkChurnAgents/agents4|BenchmarkRunFresh$'
 # The SoA hot path at hyperscale: the same zero-alloc contract on the
 # 16384-rack (~100k box) cluster, where a stray per-decision allocation
 # would also be a cache-behavior regression. NALB is pinned at 1152 racks
