@@ -22,13 +22,13 @@ func parentConfig() Config {
 	return Config{Topology: tcfg, Network: network.DefaultConfig(), Spares: 1, Algo: "RISA"}
 }
 
-// copyParentData copies the committed data directory (Open truncates and
-// appends, so tests never open the fixture itself).
-func copyParentData(t *testing.T) string {
+// copyDataDir copies a committed data directory (Open repairs, migrates
+// and appends, so tests never open a fixture itself).
+func copyDataDir(t *testing.T, fixture string) string {
 	t.Helper()
 	dir := t.TempDir()
 	for _, name := range []string{journalFile, snapshotFile} {
-		b, err := os.ReadFile(filepath.Join("testdata", "parent_data", name))
+		b, err := os.ReadFile(filepath.Join("testdata", fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,8 @@ func copyParentData(t *testing.T) string {
 // journal and no temp file, a second Open of the migrated directory serves
 // the same log and keeps placing, and a directory where an earlier
 // migration died half-way through writing journal.wal.tmp opens to the
-// same log as well.
+// same log as well; one whose last frame a crash cut short opens to the
+// log less that placement.
 func TestOpenParentDataDir(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "parent_placements.txt"))
 	if err != nil {
@@ -87,18 +88,38 @@ func TestOpenParentDataDir(t *testing.T) {
 	if err != nil || !bytes.HasPrefix(fixture, []byte(legacyMagic)) {
 		t.Fatalf("the fixture journal must stay a %s file (%v)", legacyMagic, err)
 	}
-	dir := copyParentData(t)
+	dir := copyDataDir(t, "parent_data")
 	openTo(dir, "parent-written data directory").crash()
 	e := openTo(dir, "migrated data directory")
 	defer e.crash()
 
-	halfDir := copyParentData(t)
+	halfDir := copyDataDir(t, "parent_data")
 	if err := os.WriteFile(filepath.Join(halfDir, journalFile+".tmp"), fixture[:len(fixture)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	openTo(halfDir, "directory of an interrupted migration").crash()
 
-	genesisDir := copyParentData(t)
+	// A risawal1 frame is longer than any this build writes (≈270 bytes):
+	// what is left of one cut short 40 bytes before its end must still
+	// read as a torn tail, within legacyMaxFrame of the log's end.
+	tornDir := copyDataDir(t, "parent_data")
+	if err := os.Truncate(filepath.Join(tornDir, journalFile), int64(len(fixture))-40); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := Open(tornDir, parentConfig(), 64)
+	if err != nil {
+		t.Fatalf("parent-written data directory with a torn tail refused: %v", err)
+	}
+	var got bytes.Buffer
+	if err := torn.WritePlacements(&got); err != nil {
+		t.Fatal(err)
+	}
+	torn.crash()
+	if short := want[:bytes.LastIndexByte(want[:len(want)-1], '\n')+1]; !bytes.Equal(got.Bytes(), short) {
+		t.Fatal("parent-written data directory with a torn tail: want the parent daemon's log less its last line")
+	}
+
+	genesisDir := copyDataDir(t, "parent_data")
 	if err := os.Remove(filepath.Join(genesisDir, snapshotFile)); err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +160,91 @@ func TestOpenParentDataDir(t *testing.T) {
 	sa.AdmitSeq = sb.AdmitSeq
 	if !reflect.DeepEqual(e.History(), twin.History()) || !reflect.DeepEqual(sa, sb) {
 		t.Fatal("snapshot + journal suffix and genesis replay ended in different states")
+	}
+}
+
+// TestOpenDenseDataDir is the same pin for the journal as the commit
+// before the zero room wrote it: testdata/dense_data is mkdaemon.sh driven
+// through that commit's risasvc — a dense risawal2 journal.wal, no byte
+// behind its last frame, and a snapshot short of it by a journal suffix
+// (the script is parent_data's, so parent_placements.txt is its log too).
+// It must open to the log that daemon served without being rewritten, take
+// an append that rounds it up to the chunk, and reopen with everything; and
+// a copy whose last frame the crash cut short must open to the log less
+// that one unacknowledged placement, then place it again and reopen.
+func TestOpenDenseDataDir(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_placements.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := func(e *Engine) []byte {
+		t.Helper()
+		var got bytes.Buffer
+		if err := e.WritePlacements(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got.Bytes()
+	}
+	next := workload.VM{ID: 5000, Arrival: 1 << 20, Lifetime: 300, Req: units.Vec(4, 8, 64)}
+
+	dir := copyDataDir(t, "dense_data")
+	path := filepath.Join(dir, journalFile)
+	fixture, err := os.ReadFile(path)
+	if offs := frameOffsets(t, fixture); err != nil || offs[len(offs)-1] != int64(len(fixture)) {
+		t.Fatalf("the fixture journal must stay dense: its log ends at %d of %d bytes (%v)", offs[len(offs)-1], len(fixture), err)
+	}
+	e, err := Open(dir, parentConfig(), 64)
+	if err != nil {
+		t.Fatalf("dense data directory refused: %v", err)
+	}
+	if !bytes.Equal(log(e), want) {
+		t.Fatal("dense data directory: placement log differs from the one the parent daemon served")
+	}
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, fixture) {
+		t.Fatal("opening a clean dense journal rewrote it")
+	}
+	out, err := e.Place(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() != journalChunk {
+		t.Fatalf("after its first append the journal is %d bytes, want one %d-byte chunk (%v)", info.Size(), journalChunk, err)
+	}
+	served := bytes.Clone(log(e))
+	e.crash()
+	e, err = Open(dir, parentConfig(), 64)
+	if err != nil {
+		t.Fatalf("dense data directory, extended: reopen refused: %v", err)
+	}
+	defer e.crash()
+	if !bytes.Equal(log(e), served) {
+		t.Fatal("dense data directory, extended: reopened to a different placement log")
+	}
+
+	tornDir := copyDataDir(t, "dense_data")
+	if err := os.Truncate(filepath.Join(tornDir, journalFile), int64(len(fixture))-5); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(tornDir, parentConfig(), 64)
+	if err != nil {
+		t.Fatalf("dense data directory with a torn tail refused: %v", err)
+	}
+	short := want[:bytes.LastIndexByte(want[:len(want)-1], '\n')+1]
+	if !bytes.Equal(log(e2), short) {
+		t.Fatal("dense data directory with a torn tail: want the parent daemon's log less its last line")
+	}
+	if again, err := e2.Place(next); err != nil || again.Accepted != out.Accepted {
+		t.Fatalf("placing after the torn tail: %+v, %v", again, err)
+	}
+	served = bytes.Clone(log(e2))
+	e2.crash()
+	e2, err = Open(tornDir, parentConfig(), 64)
+	if err != nil {
+		t.Fatalf("dense data directory with a torn tail, extended: reopen refused: %v", err)
+	}
+	defer e2.crash()
+	if !bytes.Equal(log(e2), served) {
+		t.Fatal("dense data directory with a torn tail, extended: reopened to a different placement log")
 	}
 }
 

@@ -81,7 +81,9 @@ type engineSnapshot struct {
 // process that executed the whole operation sequence without crashing.
 // snapEvery is the number of journal records between automatic
 // snapshots (≤0 uses DefaultSnapshotEvery). A journal in the risawal1 format
-// is rewritten in the current one before it is read (openJournal).
+// is rewritten in the current one before it is read, and a directory or
+// journal file made here has its name fsync'd into its parent before any
+// record is trusted to it (openJournal).
 func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -89,8 +91,14 @@ func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
 	if snapEvery <= 0 {
 		snapEvery = DefaultSnapshotEvery
 	}
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	if os.IsNotExist(statErr) { // just created: make its own name durable too
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, err
+		}
 	}
 	e := &Engine{cfg: cfg, dir: dir, seen: map[int]int{}, snapEvery: snapEvery}
 

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -344,13 +345,16 @@ func TestEngineShapeMismatch(t *testing.T) {
 // FuzzCrashReplay randomizes the crash-recovery twin test: a seeded op
 // script, a crash at an arbitrary op boundary with aggressive snapshot
 // cadence, recovery, and the script's remainder — recovered history and
-// driver state must match the uncrashed twin exactly.
+// driver state must match the uncrashed twin exactly. A non-zero tear makes
+// it a crash inside the last append instead: that frame is damaged the way
+// tearLastFrame says before the reopen, so the recovered engine must be the
+// one that never saw that op, and catches up from there.
 func FuzzCrashReplay(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(40), uint8(3))
-	f.Add(int64(99), uint8(0), uint8(25), uint8(1))
-	f.Add(int64(7), uint8(60), uint8(60), uint8(16))
+	f.Add(int64(1), uint8(10), uint8(40), uint8(3), uint8(0))
+	f.Add(int64(99), uint8(0), uint8(25), uint8(1), uint8(7))
+	f.Add(int64(7), uint8(60), uint8(60), uint8(16), uint8(200))
 	cfg := testConfig()
-	f.Fuzz(func(t *testing.T, seed int64, crashAt, nOps, snapEvery uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, crashAt, nOps, snapEvery, tear uint8) {
 		n := int(nOps)%64 + 1
 		k := int(crashAt) % (n + 1)
 		ops := genOps(seed, n)
@@ -369,11 +373,20 @@ func FuzzCrashReplay(f *testing.F) {
 		}
 		applyOps(t, b, ops[:k], 0)
 		b.crash()
+		// The crash can have been inside the last append only if nothing
+		// since — a snapshot holding that record — proves its Sync returned.
+		if mode := int(tear) % tearModes; mode != tearNone && b.sinceSnap > 0 &&
+			tearLastFrame(t, filepath.Join(dirB, journalFile), mode, int(tear)/tearModes) {
+			k--
+		}
 		b2, err := Open(dirB, cfg, int(snapEvery)%9)
 		if err != nil {
-			t.Fatalf("reopen after crash at op %d/%d: %v", k, n, err)
+			t.Fatalf("reopen after crash at op %d/%d (tear %d): %v", k, n, tear, err)
 		}
 		defer b2.crash()
+		if got := int(b2.j.NextSeq()) - 1; got != k {
+			t.Fatalf("reopen after crash at op %d/%d (tear %d) recovered %d records", k, n, tear, got)
+		}
 		applyOps(t, b2, ops, k)
 		assertTwins(t, a, b2)
 	})
@@ -482,8 +495,8 @@ func TestSnapshotFailureKeepsPlacing(t *testing.T) {
 // way an EIO would; the descriptor is then replaced by a working one —
 // the retried write and fsync would now succeed, and prove nothing about
 // what the failure left behind — and the engine must still refuse with
-// the first error, ack nothing, leave the file alone, and recover exactly
-// the acknowledged log at the next open.
+// the first error, ack nothing, leave the file alone byte for byte, and
+// recover exactly the acknowledged log at the next open.
 func TestJournalFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, testConfig(), 0)
@@ -500,22 +513,17 @@ func TestJournalFailureIsSticky(t *testing.T) {
 	}
 	want := append([]Outcome(nil), e.History()...)
 	path := filepath.Join(dir, journalFile)
-	size := func() int64 {
-		t.Helper()
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Size()
+	durable, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	durable := size()
 
 	e.j.f.Close()
 	_, first := e.Place(vm(6))
 	if !errors.Is(first, os.ErrClosed) {
 		t.Fatalf("append to a closed journal: %v, want os.ErrClosed", first)
 	}
-	healed, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	healed, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,8 +539,9 @@ func TestJournalFailureIsSticky(t *testing.T) {
 	if !reflect.DeepEqual(e.History(), want) {
 		t.Fatalf("a refused placement was acknowledged: history grew %d → %d", len(want), len(e.History()))
 	}
-	if got := size(); got != durable {
-		t.Fatalf("the journal was written after its failure: %d → %d bytes", durable, got)
+	// Bytes, not size: an append overwrites zero room and moves no size.
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, durable) {
+		t.Fatalf("the journal was written after its failure (%v)", err)
 	}
 	e.crash()
 

@@ -26,6 +26,27 @@ const (
 	frameHeader  = 8 // [4-byte length][4-byte CRC32] lead every frame
 )
 
+// journalChunk is how much zero-filled room the journal file takes at a
+// time. A flush of a write that changes the file's size also commits a
+// filesystem-journal transaction for the inode; a write into blocks that
+// are allocated, written and inside the size does not, so the file grows
+// rarely and by a lot: 64 KiB ÷ ≈31 bytes a placement ≈ 2100 appends a
+// growth, and at most that much of a file is room nobody wrote to.
+const journalChunk = 64 << 10
+
+// maxAlgoName bounds Record.Algo: "RISA-BF" is the longest name in the
+// sched registry (TestMaxFrameCoversRegistry fails when a longer one is
+// registered). maxFrame is W, the largest frame Append writes — the header,
+// recordInts varints and Algo's length at their longest, the longest name —
+// and so the most a crash mid-append can leave behind the log's end.
+// legacyMaxFrame is the same bound for a risawal1 gob frame: 271 bytes for
+// a placement, 385 with every integer at its extreme.
+const (
+	maxAlgoName    = 7 // len("RISA-BF")
+	maxFrame       = frameHeader + (recordInts+1)*binary.MaxVarintLen64 + maxAlgoName
+	legacyMaxFrame = 512
+)
+
 // RecordKind discriminates the operations a journal record can carry.
 type RecordKind uint8
 
@@ -103,30 +124,46 @@ func decodeRecord(p []byte) (Record, error) {
 	}, nil
 }
 
-// Journal is an append-only write-ahead log with per-record CRC framing.
-// Every Append is fsync'd before it returns, so an acknowledged record
-// survives kill -9. The file is the magic, one frame holding the gob of
-// the Config, then one frame per record; a frame is [4-byte little-endian
-// length][4-byte CRC32 of the payload][payload: appendRecord's bytes].
+// Journal is a write-ahead log with per-record CRC framing. Every Append
+// is fsync'd before it returns, so an acknowledged record survives
+// kill -9. The file is the magic, one frame holding the gob of the
+// Config, one frame per record, then zeros up to a multiple of
+// journalChunk: the log owns room ahead of its append position, and an
+// append overwrites zeros instead of growing the file. A frame is
+// [4-byte little-endian length][4-byte CRC32 of the payload][payload:
+// appendRecord's bytes]. The log ends at the first thing that does not
+// read as the next frame — a zero header, in a file this code wrote — or
+// at end-of-file: a file from before the room existed is dense, reads
+// under the same rule, and is rounded up by its first append.
 //
-// Torn-tail policy (see openJournal): a record that fails its checksum
-// or runs past end-of-file is tolerated — and truncated away — only if
-// it is the file's final frame, the signature of a crash mid-append.
-// A bad record with more data after it means mid-file corruption, which
-// recovery must refuse rather than silently replay around.
+// Torn-tail policy (see scanJournal): frame k+1 is never started before
+// frame k's Sync returned, so a crash leaves at most one unacknowledged
+// frame, within maxFrame bytes of the log's end — a prefix of it, or a
+// suffix under a header still zero, since the pages of an in-place write
+// may persist in either order. Non-zero bytes there are zeroed at open; a
+// non-zero byte further on is mid-file corruption, which recovery must
+// refuse rather than silently replay around.
 type Journal struct {
 	f       *os.File
 	nextSeq int64
+	off     int64  // the log's end: where the next frame goes
+	size    int64  // the file's size: off plus the zero room
 	buf     []byte // Append's frame, reused
-	failed  error  // the first Write or Sync error; sticky, see Append
+	failed  error  // the first WriteAt or Sync error; sticky, see Append
 }
 
+// chunkCeil rounds n up to a multiple of journalChunk.
+func chunkCeil(n int64) int64 { return (n + journalChunk - 1) / journalChunk * journalChunk }
+
 // openJournal opens (or creates) the journal at path, validates the
-// header against cfg, scans every intact record, truncates a torn tail,
-// and leaves the file positioned for append. The scanned records are
-// returned for replay. A risawal1 file is first rewritten as risawal2 and
-// then opened like any other: past this function a migrated directory and
-// a fresh one are the same.
+// header against cfg, scans every intact record, zeroes what a torn
+// append left behind them, and returns the records for replay and a
+// journal that appends after them. A new file is header plus zero room in
+// one Write and one Sync, then a sync of the directory: until its name is
+// durable a crash can lose the file and every record acknowledged into
+// it, so if that fails the file is removed, not left for a later open to
+// trust. A risawal1 file is first rewritten as risawal2 and then opened
+// like any other, as a dense one is: past this function all are the same.
 func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -143,18 +180,23 @@ func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error)
 	}
 	if info.Size() == 0 {
 		hdr, err := journalHeader(cfg)
+		size := chunkCeil(int64(len(hdr)))
 		if err == nil {
-			_, err = f.Write(hdr)
+			_, err = f.Write(append(hdr, make([]byte, size-int64(len(hdr)))...))
 		}
 		if err == nil {
-			err = f.Sync()
+			err = fsync(f)
+		}
+		if err == nil {
+			err = syncDir(filepath.Dir(path))
 		}
 		if err != nil {
+			os.Remove(path)
 			return nil, nil, fmt.Errorf("svc: initialize journal: %w", err)
 		}
-		return &Journal{f: f, nextSeq: 1}, nil, nil
+		return &Journal{f: f, nextSeq: 1, off: int64(len(hdr)), size: size}, nil, nil
 	}
-	recs, end, legacy, err := scanJournal(f, cfg, info.Size())
+	recs, end, torn, legacy, err := scanJournal(f, cfg, info.Size())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -165,17 +207,16 @@ func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error)
 		}
 		return openJournal(path, cfg)
 	}
-	if end < info.Size() {
-		// Torn tail from a crash mid-append: drop it so the next append
-		// starts at a clean frame boundary.
-		if err := f.Truncate(end); err != nil {
-			return nil, nil, err
+	if torn { // back to zeros: nothing behind the next frame for a later scan to take for data
+		_, err := f.WriteAt(make([]byte, min(maxFrame, info.Size()-end)), end)
+		if err == nil {
+			err = fsync(f)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("svc: clear torn journal tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		return nil, nil, err
-	}
-	return &Journal{f: f, nextSeq: int64(len(recs)) + 1}, recs, nil
+	return &Journal{f: f, nextSeq: int64(len(recs)) + 1, off: end, size: info.Size()}, recs, nil
 }
 
 // journalHeader returns what starts a journal file: the magic and the
@@ -217,7 +258,7 @@ func replaceFile(path string, write func(*os.File) error) error {
 	}
 	err = write(f)
 	if err == nil {
-		err = f.Sync()
+		err = fsync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -232,125 +273,153 @@ func replaceFile(path string, write func(*os.File) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory: a rename inside it is not durable before.
+// fsync forces a file, or a directory, to stable storage. Every flush in
+// the package goes through it: a variable so that tests can count flushes
+// and fail them.
+var fsync = (*os.File).Sync
+
+// syncDir fsyncs a directory: a name created in it or renamed into it is
+// not durable before.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return fsync(d)
 }
 
-// scanJournal validates the header and reads records until the end of
-// the intact prefix, returning the records and the file offset where the
-// intact prefix ends. A bad final frame is tolerated (torn tail); a bad
-// frame with data after it is an error. legacy reports a risawal1 file.
-func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, legacy bool, err error) {
+// scanJournal validates the header and reads records up to the log's
+// end: the first offset where the next frame is not there — a zero or
+// implausible header, a frame that fails its checksum or does not decode,
+// a Seq out of order, end-of-file. What follows the end decides what it
+// was (tornTail): bytes a torn append can have left are reported, anything
+// beyond them is an error. legacy reports a risawal1 file.
+func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, torn, legacy bool, err error) {
 	r := &frameReader{br: bufio.NewReaderSize(f, 1<<16), off: int64(len(journalMagic)), size: size}
 	magic, _ := r.br.Peek(len(journalMagic))
-	decode := decodeRecord
+	decode, window := decodeRecord, int64(maxFrame)
 	switch string(magic) {
 	case journalMagic:
 	case legacyMagic: // a self-contained gob stream per record, read only to be rewritten
-		legacy, decode = true, func(p []byte) (rec Record, err error) {
+		legacy, window = true, legacyMaxFrame
+		decode = func(p []byte) (rec Record, err error) {
 			err = gob.NewDecoder(bytes.NewReader(p)).Decode(&rec)
 			return rec, err
 		}
 	default:
-		return nil, 0, false, fmt.Errorf("svc: %s is not a risasvc journal", f.Name())
+		return nil, 0, false, false, fmt.Errorf("svc: %s is not a risasvc journal", f.Name())
 	}
 	r.br.Discard(len(magic)) // just peeked: cannot fail
 	var onDisk Config
-	hdr, _, err := r.next()
+	hdr, err := r.next()
 	if err == nil {
 		err = gob.NewDecoder(bytes.NewReader(hdr)).Decode(&onDisk)
 	}
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("svc: journal header unreadable: %w", err)
+		return nil, 0, false, false, fmt.Errorf("svc: journal header unreadable: %w", err)
 	}
 	if !sameShape(onDisk, cfg) {
-		return nil, 0, false, fmt.Errorf("svc: journal was written for a different datacenter shape (%+v)", onDisk.Topology)
+		return nil, 0, false, false, fmt.Errorf("svc: journal was written for a different datacenter shape (%+v)", onDisk.Topology)
 	}
-	end = r.off
-	for r.off < size {
-		payload, torn, err := r.next()
-		if torn {
-			// The bad frame's declared extent reaches end-of-file: a crash
-			// mid-append. Everything before it is intact.
-			return recs, end, legacy, nil
+	var stop error // why the log ends where it does
+	for end = r.off; stop == nil; {
+		var rec Record
+		payload, err := r.next()
+		if err == nil {
+			rec, err = decode(payload)
 		}
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("svc: journal corrupt at offset %d: %w", end, err)
+		if want := int64(len(recs)) + 1; err == nil && rec.Seq != want {
+			err = fmt.Errorf("seq %d, want %d", rec.Seq, want)
 		}
-		rec, derr := decode(payload)
-		if derr != nil {
-			if r.off >= size {
-				return recs, end, legacy, nil // undecodable final frame: torn tail
+		if stop = err; err == nil {
+			if recs == nil { // records are near-uniform in length: size the slice once
+				recs = make([]Record, 0, (size-end)/(r.off-end)+1)
 			}
-			return nil, 0, false, fmt.Errorf("svc: journal record at offset %d undecodable: %v", end, derr)
+			recs, end = append(recs, rec), r.off
 		}
-		if want := int64(len(recs)) + 1; rec.Seq != want {
-			return nil, 0, false, fmt.Errorf("svc: journal record at offset %d has seq %d, want %d", end, rec.Seq, want)
-		}
-		if recs == nil { // records are near-uniform in length: size the slice once
-			recs = make([]Record, 0, (size-end)/(r.off-end)+1)
-		}
-		recs = append(recs, rec)
-		end = r.off
 	}
-	return recs, end, legacy, nil
+	torn, err = tornTail(f, end, size, window)
+	if err != nil {
+		return nil, 0, false, false, fmt.Errorf("svc: journal corrupt at offset %d (%v): %w", end, stop, err)
+	}
+	return recs, end, torn, legacy, nil
+}
+
+// tornTail reads the file from the log's end to its own. Non-zero bytes
+// in the first window bytes are what one torn append can have left, and
+// are reported; a non-zero byte beyond them is not, and is an error.
+func tornTail(f *os.File, end, size, window int64) (torn bool, err error) {
+	buf := make([]byte, min(1<<16, size-end))
+	for off := end; off < size; off += int64(len(buf)) {
+		buf = buf[:min(int64(len(buf)), size-off)]
+		if _, err := f.ReadAt(buf, off); err != nil {
+			return false, err
+		}
+		for i, b := range buf {
+			if b == 0 {
+				continue
+			}
+			if at := off + int64(i); at >= end+window {
+				return false, fmt.Errorf("data at offset %d, further than a torn append reaches", at)
+			}
+			torn = true
+		}
+	}
+	return torn, nil
 }
 
 // frameReader reads frames through one buffered reader into one reused
-// payload buffer, tracking the offset where the intact prefix ends.
+// payload buffer, tracking the offset behind the last frame read.
 type frameReader struct {
 	br   *bufio.Reader
-	off  int64 // file offset of the next unread byte
-	size int64 // file size: a frame declared to reach past it is torn
+	off  int64 // file offset behind the last frame read
+	size int64 // file size: no frame reaches past it
 	buf  []byte
 }
 
 // next reads one [len][crc][payload] frame; the payload is valid until
-// the following call. torn is true when the frame's declared extent runs
-// past size (the only way a crash mid-append can look) or the file's last
-// frame fails its checksum; a mismatch anywhere else is only an error.
-func (r *frameReader) next() (payload []byte, torn bool, err error) {
+// the following call. Any error means there is no frame here — the zero
+// room or end-of-file after a clean log, and otherwise for the caller's
+// tail check to judge — and leaves off where it was.
+func (r *frameReader) next() (payload []byte, err error) {
 	hdr, err := r.br.Peek(frameHeader)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	n, sum := binary.LittleEndian.Uint32(hdr), binary.LittleEndian.Uint32(hdr[4:])
-	r.off += frameHeader
-	if r.off+int64(n) > r.size {
-		// The declared extent runs past end-of-file — a torn append (even a
-		// garbage length lands here, since the payload was never written).
-		return nil, true, io.ErrUnexpectedEOF
+	if n == 0 {
+		return nil, io.EOF // zero room: no record has an empty payload
 	}
-	if maxFrame := uint32(1 << 26); n > maxFrame {
-		return nil, false, fmt.Errorf("frame length %d exceeds limit", n)
+	if limit := uint32(1 << 26); n > limit || r.off+frameHeader+int64(n) > r.size {
+		return nil, fmt.Errorf("frame length %d", n)
 	}
 	r.buf = append(r.buf[:0], make([]byte, n)...) // reused, grown on demand
 	r.br.Discard(frameHeader)                     // just peeked: cannot fail
 	if _, err := io.ReadFull(r.br, r.buf); err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	r.off += int64(n)
 	if crc32.ChecksumIEEE(r.buf) != sum {
-		return nil, r.off >= r.size, fmt.Errorf("frame checksum mismatch")
+		return nil, fmt.Errorf("frame checksum mismatch")
 	}
-	return r.buf, false, nil
+	r.off += frameHeader + int64(n)
+	return r.buf, nil
 }
 
 // Append journals one record and forces it to stable storage. The
 // record's Seq is assigned here; the engine applies the operation only
 // after Append returns. The frame is built in one reused buffer and
-// reaches the file in a single Write.
+// placed over the zero room at the log's end with one WriteAt and one
+// Sync. When it does not fit, the same write carries zeros behind the
+// frame up to the next multiple of journalChunk: growing costs no second
+// flush, and only that one Sync in ≈2100 pays for a size change. A frame
+// longer than maxFrame is refused unwritten: the torn-tail policy rests
+// on that bound.
 //
-// The first failed Write or Sync is final: the file may end in a partial
-// frame, or in pages a later fsync would report clean without having
+// The first failed WriteAt or Sync is final: the file may hold a partial
+// frame, or pages a later fsync would report clean without having
 // written them, so every later Append returns that error without touching
-// the file. Reopening the directory, which truncates a torn tail, is the
+// the file. Reopening the directory, which clears a torn tail, is the
 // recovery.
 func (j *Journal) Append(rec *Record) error {
 	if j.failed != nil {
@@ -358,14 +427,23 @@ func (j *Journal) Append(rec *Record) error {
 	}
 	rec.Seq = j.nextSeq
 	j.buf = appendFrame(j.buf[:0], rec)
-	_, err := j.f.Write(j.buf)
+	if len(j.buf) > maxFrame {
+		return fmt.Errorf("record frame of %d bytes exceeds the %d-byte limit", len(j.buf), maxFrame)
+	}
+	end, size := j.off+int64(len(j.buf)), j.size
+	if end > size {
+		size = chunkCeil(end)
+		j.buf = append(j.buf, make([]byte, size-end)...)
+	}
+	_, err := j.f.WriteAt(j.buf, j.off)
 	if err == nil {
-		err = j.f.Sync()
+		err = fsync(j.f)
 	}
 	if err != nil {
 		j.failed = err
 		return err
 	}
+	j.off, j.size = end, size
 	j.nextSeq++
 	return nil
 }

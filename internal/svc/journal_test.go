@@ -1,12 +1,19 @@
 package svc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"risa/internal/faults"
+	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -73,103 +80,486 @@ func TestJournalRoundtrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailTolerated pins the crash-mid-append policy: a
-// truncated final record is dropped, everything before it survives, and
-// the file is usable for append again.
+// frameOffsets walks a risawal2 journal's bytes and returns where each
+// record frame starts, then the log's end (the first zero header, or the
+// end of a dense file).
+func frameOffsets(t testing.TB, data []byte) []int64 {
+	t.Helper()
+	le32 := func(off int) int {
+		return int(data[off]) | int(data[off+1])<<8 | int(data[off+2])<<16 | int(data[off+3])<<24
+	}
+	off := len(journalMagic)
+	off += frameHeader + le32(off) // the config echo
+	offs := []int64{int64(off)}
+	for off+frameHeader <= len(data) && le32(off) != 0 {
+		off += frameHeader + le32(off)
+		offs = append(offs, int64(off))
+	}
+	if off > len(data) {
+		t.Fatalf("journal's last frame runs past its %d bytes", len(data))
+	}
+	return offs
+}
+
+// lastFrame returns the journal's bytes and the extent [start, end) of its
+// last record frame.
+func lastFrame(t testing.TB, path string) (data []byte, start, end int64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := frameOffsets(t, data)
+	if len(offs) < 2 {
+		t.Fatal("journal holds no record to tear")
+	}
+	return data, offs[len(offs)-2], offs[len(offs)-1]
+}
+
+// The shapes a crash mid-append can give the frame being written. An
+// in-place write's pages may reach the disk in either order, so either end
+// of the frame can be the part that is missing.
+const (
+	tearNone   = iota
+	tearTail   // a prefix persisted: everything from the cut on is still zero
+	tearHead   // a suffix persisted: everything before the cut, header included, is still zero
+	tearLength // the header's length field reads as garbage
+	tearModes
+)
+
+// tearLastFrame damages the journal's last record frame the way mode says,
+// at a cut 1 ≤ cut < the frame's length (taken modulo it). The record in
+// that frame is no longer acknowledged — unless the tear changed nothing
+// (a placement's payload ends in the zero bytes of its unset fields, and
+// zeros over zeros is the whole frame), which torn reports.
+func tearLastFrame(t testing.TB, path string, mode, cut int) (torn bool) {
+	t.Helper()
+	data, start, end := lastFrame(t, path)
+	frame := data[start:end]
+	whole := bytes.Clone(frame)
+	cut = 1 + cut%(len(frame)-1)
+	switch mode {
+	case tearTail:
+		clear(frame[cut:])
+	case tearHead:
+		clear(frame[:cut])
+	case tearLength:
+		frame[cut%4] ^= 0x5a
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return !bytes.Equal(frame, whole)
+}
+
+// requireCleanAppend opens the journal and requires exactly want records
+// numbered from 1 with nothing but zeros left behind them, then appends
+// one more and reopens: the log must read back whole with the new record
+// last and the file a whole number of chunks.
+func requireCleanAppend(t *testing.T, what, path string, want int) {
+	t.Helper()
+	j, recs, err := openJournal(path, testConfig())
+	if err != nil {
+		t.Fatalf("%s: a torn tail must be tolerated, got %v", what, err)
+	}
+	if len(recs) != want {
+		t.Fatalf("%s: %d records survive, want %d", what, len(recs), want)
+	}
+	for i, rec := range recs {
+		if rec.Seq != int64(i+1) || rec.VM.ID != i+1 {
+			t.Fatalf("%s: record %d reads %+v", what, i, rec)
+		}
+	}
+	if data, err := os.ReadFile(path); err != nil || len(bytes.Trim(data[j.off:], "\x00")) != 0 {
+		t.Fatalf("%s: bytes of the torn frame survive the open (%v)", what, err)
+	}
+	rec := Record{Kind: RecordAddRack}
+	if err := j.Append(&rec); err != nil {
+		t.Fatalf("%s: append after the repair: %v", what, err)
+	}
+	if rec.Seq != int64(want+1) {
+		t.Fatalf("%s: append after the repair got seq %d, want %d", what, rec.Seq, want+1)
+	}
+	j.Close()
+	recs, err = reopen(t, path)
+	if err != nil || len(recs) != want+1 || recs[want].Kind != RecordAddRack {
+		t.Fatalf("%s: after repair and append the journal reads %d records, %v", what, len(recs), err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size()%journalChunk != 0 {
+		t.Fatalf("%s: file is %d bytes, not a multiple of the %d-byte chunk (%v)", what, info.Size(), journalChunk, err)
+	}
+}
+
+// TestJournalTornTailTolerated pins the crash-mid-append policy over every
+// tear of the final frame: any prefix of it kept, any suffix kept with the
+// head — header included — still zero, the header alone, a garbage length.
+// Each opens to exactly the records before it and appends cleanly. A reader
+// that merely stopped at the first zero header would take a kept suffix for
+// data behind the log, or leave it to corrupt the next append.
 func TestJournalTornTailTolerated(t *testing.T) {
-	path := journalWith(t, 5)
-	for _, chop := range []int64{1, 5, 9} {
+	rec := Record{Seq: 5, Kind: RecordPlace, VM: workload.VM{ID: 5, Lifetime: 10, Req: units.Vec(1, 1, 0)}}
+	frameLen := len(appendFrame(nil, &rec))
+	for mode := tearTail; mode < tearModes; mode++ {
+		for cut := 0; cut < frameLen-1; cut++ {
+			path := journalWith(t, 5)
+			want := 5
+			if tearLastFrame(t, path, mode, cut) {
+				want = 4
+			}
+			requireCleanAppend(t, fmt.Sprintf("mode %d cut %d", mode, cut+1), path, want)
+		}
+	}
+}
+
+// TestJournalTornTailTruncatedOnOpen is the same policy on a dense file,
+// the shape the commit before the zero room wrote and crashed into: the
+// file ends inside its last frame. Open drops the partial frame, the first
+// append lands at a clean frame boundary and rounds the file up to the
+// chunk, and the journal reads back whole.
+func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
+	for _, chop := range []int64{1, 2, 5, 9} {
+		path := journalWith(t, 3)
+		_, _, end := lastFrame(t, path)
+		if err := os.Truncate(path, end-chop); err != nil {
+			t.Fatal(err)
+		}
+		requireCleanAppend(t, fmt.Sprintf("dense file short by %d", chop), path, 2)
+	}
+	path := journalWith(t, 3)
+	_, _, end := lastFrame(t, path)
+	if err := os.Truncate(path, end); err != nil {
+		t.Fatal(err)
+	}
+	requireCleanAppend(t, "dense file, nothing torn", path, 3)
+}
+
+// TestJournalMidFileCorruptionRejected pins the other half of the policy:
+// damage a torn append cannot explain is corruption, and recovery must
+// refuse to replay around it. A torn append reaches at most maxFrame bytes
+// past the log's end, so a flipped byte in an acknowledged frame with more
+// than that behind it, a non-zero byte anywhere further into the zero
+// room, and a well-formed frame carrying the wrong Seq ahead of later
+// records are all refused — and the last byte a tear could reach is not.
+func TestJournalMidFileCorruptionRejected(t *testing.T) {
+	const n = 40
+	path := journalWith(t, n)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := frameOffsets(t, clean)
+	end := offs[n]
+	if end-offs[4] <= maxFrame {
+		t.Fatalf("frame 5 is %d bytes from the log's end, within reach of a %d-byte tear", end-offs[4], maxFrame)
+	}
+	wrongSeq := Record{Seq: 99, Kind: RecordPlace, VM: workload.VM{ID: 5, Lifetime: 10, Req: units.Vec(1, 1, 0)}}
+	for _, tc := range []struct {
+		what   string
+		damage func(data []byte)
+		refuse bool
+	}{
+		{"byte flipped in an acknowledged frame", func(d []byte) { d[offs[4]+frameHeader+2] ^= 0xff }, true},
+		{"header zeroed on an acknowledged frame", func(d []byte) { clear(d[offs[4] : offs[4]+frameHeader]) }, true},
+		{"well-formed frame with the wrong seq, records after it", func(d []byte) { copy(d[offs[4]:offs[5]], appendFrame(nil, &wrongSeq)) }, true},
+		{"non-zero byte just past a tear's reach", func(d []byte) { d[end+maxFrame] = 1 }, true},
+		{"non-zero byte at the end of the zero room", func(d []byte) { d[len(d)-1] = 1 }, true},
+		{"non-zero byte at the edge of a tear's reach", func(d []byte) { d[end+maxFrame-1] = 1 }, false},
+	} {
+		data := bytes.Clone(clean)
+		tc.damage(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := reopen(t, path)
+		if tc.refuse && err == nil {
+			t.Fatalf("%s: opened with %d records; must be rejected, not replayed around", tc.what, len(recs))
+		}
+		if !tc.refuse && (err != nil || len(recs) != n) {
+			t.Fatalf("%s: %d records, %v; want all %d", tc.what, len(recs), err, n)
+		}
+	}
+}
+
+// TestJournalBadFinalFrameTolerated: a frame that is all there but wrong —
+// a flipped payload byte, a checksum that does not match — is excusable
+// only as the log's final frame, where it is indistinguishable from a
+// torn append; the journal opens with one record fewer and appends on.
+func TestJournalBadFinalFrameTolerated(t *testing.T) {
+	for _, back := range []int64{1, 3} { // the payload's last byte, one mid-payload
+		path := journalWith(t, 4)
+		data, _, end := lastFrame(t, path)
+		data[end-back] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		requireCleanAppend(t, fmt.Sprintf("byte %d from the frame's end flipped", back), path, 3)
+	}
+	path := journalWith(t, 4)
+	data, start, _ := lastFrame(t, path)
+	data[start+4] ^= 0xff // the checksum itself
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireCleanAppend(t, "checksum flipped", path, 3)
+}
+
+// spyFsync records every flush the package makes — the file's or
+// directory's path, in order — and fails those whose path err names.
+type spyFsync struct {
+	synced []string
+	err    map[string]error
+}
+
+// newSpyFsync puts a spy behind the package's fsync seam for the rest of
+// the test. Flushes it does not fail still reach the disk.
+func newSpyFsync(t testing.TB) *spyFsync {
+	t.Helper()
+	spy, real := &spyFsync{err: map[string]error{}}, fsync
+	fsync = func(f *os.File) error {
+		spy.synced = append(spy.synced, f.Name())
+		if err := spy.err[f.Name()]; err != nil {
+			return err
+		}
+		return real(f)
+	}
+	t.Cleanup(func() { fsync = real })
+	return spy
+}
+
+// count returns how many times path was flushed.
+func (s *spyFsync) count(path string) (n int) {
+	for _, p := range s.synced {
+		if p == path {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJournalDirectoryEntryDurable: a new journal.wal is only as durable
+// as its name. POSIX lets a crash lose a file whose directory was never
+// fsync'd, and every record acknowledged into it with it.
+func TestJournalDirectoryEntryDurable(t *testing.T) {
+	t.Run("syncs the directory once when the journal is new, not when it exists", func(t *testing.T) {
+		spy := newSpyFsync(t)
+		dir := t.TempDir()
+		path := filepath.Join(dir, journalFile)
+		j, _, err := openJournal(path, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if got := spy.synced; len(got) != 2 || got[0] != path || got[1] != dir {
+			t.Fatalf("creating the journal flushed %q, want the file and then its directory", got)
+		}
+		if _, err := reopen(t, path); err != nil {
+			t.Fatal(err)
+		}
+		if spy.count(dir) != 1 {
+			t.Fatalf("reopening an existing journal flushed its directory again: %q", spy.synced)
+		}
+	})
+	t.Run("syncs the parent when Open creates the data directory", func(t *testing.T) {
+		spy := newSpyFsync(t)
+		parent := t.TempDir()
+		dir := filepath.Join(parent, "data")
+		e, err := Open(dir, testConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.crash()
+		if spy.count(parent) != 1 || spy.count(dir) != 1 {
+			t.Fatalf("first Open flushed %q, want the new directory's parent and the directory once each", spy.synced)
+		}
+		e, err = Open(dir, testConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.crash()
+		if spy.count(parent) != 1 || spy.count(dir) != 1 {
+			t.Fatalf("second Open flushed a directory again: %q", spy.synced)
+		}
+	})
+	t.Run("Open fails, creating nothing it will later trust, if that sync fails", func(t *testing.T) {
+		spy := newSpyFsync(t)
+		dir := t.TempDir()
+		spy.err[dir] = errors.New("some-error")
+		e, err := Open(dir, testConfig(), 0)
+		if !errors.Is(err, spy.err[dir]) {
+			if err == nil {
+				e.crash()
+			}
+			t.Fatalf("Open over a directory that cannot be flushed: %v, want the flush's error", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, journalFile)); !os.IsNotExist(err) {
+			t.Fatalf("a journal whose name may not be durable was left for the next Open to trust (stat: %v)", err)
+		}
+		delete(spy.err, dir)
+		e, err = Open(dir, testConfig(), 0)
+		if err != nil {
+			t.Fatalf("Open once the directory can be flushed: %v", err)
+		}
+		e.crash()
+		if spy.count(dir) != 2 {
+			t.Fatalf("the retry did not flush the directory again: %q", spy.synced)
+		}
+	})
+}
+
+// TestJournalGrowsByChunks appends across two chunk boundaries. Every
+// Append costs exactly one flush of the file and nothing else, the growing
+// ones included; the file's size is a multiple of the chunk throughout and
+// changes only twice; and a copy of the file taken right after each growth
+// — what a crash then would leave — reopens to every acknowledged record.
+func TestJournalGrowsByChunks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), journalFile)
+	j, _, err := openJournal(path, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	spy := newSpyFsync(t)
+	grown, size := 0, int64(journalChunk)
+	for n, past := 1, 0; past < 10; n++ { // until ten appends into the third chunk
+		if grown == 2 {
+			past++
+		}
+		rec := benchRecord()
+		rec.VM.ID = n
+		if err := j.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(spy.synced) != n || spy.count(path) != n {
+			t.Fatalf("append %d: %d flushes so far, %d of them the journal's; want one per append", n, len(spy.synced), spy.count(path))
+		}
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Truncate(path, info.Size()-chop); err != nil {
+		if info.Size()%journalChunk != 0 || info.Size() != j.size || j.off > j.size {
+			t.Fatalf("append %d: file is %d bytes, journal says %d allocated and %d used", n, info.Size(), j.size, j.off)
+		}
+		if info.Size() == size {
+			continue
+		}
+		grown, size = grown+1, info.Size()
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := reopen(t, path)
+		crashed := filepath.Join(t.TempDir(), journalFile)
+		if err := os.WriteFile(crashed, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := reopen(t, crashed)
+		if err != nil || len(recs) != n || recs[n-1].VM.ID != n {
+			t.Fatalf("crash copy after growth %d: %d of %d records, %v", grown, len(recs), n, err)
+		}
+	}
+	if grown != 2 || size != 3*journalChunk {
+		t.Fatalf("file grew %d times to %d bytes, want twice to %d", grown, size, 3*journalChunk)
+	}
+}
+
+// TestMaxFrameCoversRegistry holds maxFrame, the reach the torn-tail policy
+// allows a single append, to what Append can be asked to write: every
+// integer at its widest and the longest registered algorithm name fit, and
+// a frame that would not is refused with the file untouched and the
+// journal still usable.
+func TestMaxFrameCoversRegistry(t *testing.T) {
+	m := int64(math.MinInt64)
+	widest := Record{Seq: m, Kind: RecordSwap,
+		VM:    workload.VM{ID: math.MinInt64, Arrival: m, Lifetime: m, Tier: math.MinInt64, Req: units.Vec(units.Amount(m), units.Amount(m), units.Amount(m))},
+		Fault: faults.Event{T: m, Repair: true, Tier: faults.Tier(math.MinInt64), Pod: math.MinInt64, Rack: math.MinInt64, Box: math.MinInt64}}
+	for _, name := range sched.Registered() {
+		widest.Algo = name
+		if n := len(appendFrame(nil, &widest)); n > maxFrame {
+			t.Fatalf("a record naming %q frames to %d bytes, past maxFrame = %d: raise maxAlgoName", name, n, maxFrame)
+		}
+	}
+	path := journalWith(t, 2)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := openJournal(path, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	widest.Algo = strings.Repeat("x", maxFrame)
+	if err := j.Append(&widest); err == nil {
+		t.Fatalf("a %d-byte frame was appended past maxFrame = %d", len(appendFrame(nil, &widest)), maxFrame)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("the refused append wrote to the file")
+	}
+	ok := Record{Kind: RecordAddRack}
+	if err := j.Append(&ok); err != nil || ok.Seq != 3 {
+		t.Fatalf("append after a refused frame: seq %d, %v", ok.Seq, err)
+	}
+}
+
+// FuzzJournalTail writes arbitrary bytes where a crash could have left
+// them — over the maxFrame bytes behind a valid log — and, separately, one
+// byte anywhere in the zero room beyond. Open may refuse. If it opens, it
+// returns exactly the acknowledged records: never one more, never one
+// fewer, never a panic; and the journal then appends and reopens cleanly.
+// A byte beyond a tear's reach must be refused.
+func FuzzJournalTail(f *testing.F) {
+	f.Add(uint8(3), []byte{}, uint16(0), byte(0))
+	f.Add(uint8(0), []byte{1}, uint16(0), byte(0))
+	f.Add(uint8(9), []byte{0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7}, uint16(0), byte(0))
+	f.Add(uint8(5), []byte{23, 0, 0, 0, 1, 2, 3, 4, 5, 6}, uint16(40000), byte(0))
+	f.Add(uint8(5), []byte{}, uint16(0), byte(9))
+	f.Add(uint8(40), bytes.Repeat([]byte{0xff}, maxFrame), uint16(65535), byte(1))
+	f.Fuzz(func(t *testing.T, nRecs uint8, junk []byte, far uint16, farByte byte) {
+		n := int(nRecs) % 16
+		path := journalWith(t, n)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("chop %d: torn tail must be tolerated, got %v", chop, err)
+			t.Fatal(err)
 		}
-		if len(recs) != 4 {
-			t.Fatalf("chop %d: %d records survive, want 4", chop, len(recs))
+		offs := frameOffsets(t, data)
+		end := offs[len(offs)-1]
+		junk = junk[:min(len(junk), maxFrame)]
+		if len(junk) >= frameHeader {
+			if l := int(binary.LittleEndian.Uint32(junk)); l > 0 && l <= len(junk)-frameHeader &&
+				crc32.ChecksumIEEE(junk[frameHeader:frameHeader+l]) == binary.LittleEndian.Uint32(junk[4:]) {
+				t.Skip("the junk is a frame that passes its checksum: a whole record, not a tear")
+			}
 		}
-		// restore a full 5-record journal for the next chop size
-		path = journalWith(t, 5)
-	}
-}
-
-// TestJournalTornTailTruncatedOnOpen pins that open removes the torn
-// bytes: after reopening, an append lands at a clean frame boundary and
-// the journal reads back whole.
-func TestJournalTornTailTruncatedOnOpen(t *testing.T) {
-	path := journalWith(t, 3)
-	info, _ := os.Stat(path)
-	if err := os.Truncate(path, info.Size()-2); err != nil {
-		t.Fatal(err)
-	}
-	j, recs, err := openJournal(path, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("%d records survive the torn tail, want 2", len(recs))
-	}
-	rec := Record{Kind: RecordAddRack}
-	if err := j.Append(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Seq != 3 {
-		t.Fatalf("post-truncation append got seq %d, want 3", rec.Seq)
-	}
-	j.Close()
-	recs, err = reopen(t, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[2].Kind != RecordAddRack {
-		t.Fatalf("journal after truncate+append reads %+v", recs)
-	}
-}
-
-// TestJournalMidFileCorruptionRejected pins the other half of the
-// policy: a flipped byte with intact data after it is not a torn tail —
-// it is corruption, and recovery must refuse to replay around it.
-func TestJournalMidFileCorruptionRejected(t *testing.T) {
-	path := journalWith(t, 6)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reopen(t, path); err == nil {
-		t.Fatal("mid-file corruption must be rejected, not replayed around")
-	}
-}
-
-// TestJournalBadFinalFrameTolerated: a corrupted record is excusable
-// only as the file's final frame (indistinguishable from a torn
-// append); flip a byte in the last record's payload and the journal
-// opens with one record fewer.
-func TestJournalBadFinalFrameTolerated(t *testing.T) {
-	path := journalWith(t, 4)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := reopen(t, path)
-	if err != nil {
-		t.Fatalf("bad final frame must read as a torn tail, got %v", err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("%d records survive, want 3", len(recs))
-	}
+		copy(data[end:], junk)
+		beyond := data[end+maxFrame:]
+		beyond[int(far)%len(beyond)] = farByte
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, err := openJournal(path, testConfig())
+		if err != nil {
+			return // refusing is always allowed
+		}
+		defer j.Close()
+		if farByte != 0 {
+			t.Fatalf("opened with byte %#x at offset %d, %d past the log's end", farByte, int(end)+maxFrame+int(far)%len(beyond), maxFrame+int(far)%len(beyond))
+		}
+		if len(recs) != n {
+			t.Fatalf("%d records acknowledged, Open returned %d", n, len(recs))
+		}
+		for i, rec := range recs {
+			if rec.Seq != int64(i+1) || rec.VM.ID != i+1 {
+				t.Fatalf("record %d reads %+v", i, rec)
+			}
+		}
+		rec := Record{Kind: RecordAddRack}
+		if err := j.Append(&rec); err != nil || rec.Seq != int64(n+1) {
+			t.Fatalf("append after the repair: seq %d, %v", rec.Seq, err)
+		}
+		j.Close()
+		if recs, err := reopen(t, path); err != nil || len(recs) != n+1 {
+			t.Fatalf("after repair and append: %d records, %v; want %d", len(recs), err, n+1)
+		}
+	})
 }
 
 // TestJournalShapeMismatchRejected pins the header check.

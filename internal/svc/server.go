@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -141,6 +142,11 @@ type Stats struct {
 	// counts requests dropped at dequeue past their deadline.
 	Shed    int64 `json:"shed"`
 	Expired int64 `json:"expired"`
+	// JournalBytes is where the journal's log ends (header and records);
+	// JournalAllocatedBytes is the file's size, which runs ahead of it by
+	// the zero room appends overwrite.
+	JournalBytes          int64 `json:"journal_bytes"`
+	JournalAllocatedBytes int64 `json:"journal_allocated_bytes"`
 	// LastSnapshotError is the most recent snapshot attempt's error, if it
 	// failed: the journal keeps serving, but reopens replay further back.
 	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
@@ -150,17 +156,19 @@ type Stats struct {
 // engine state).
 func (s *Server) stats() Stats {
 	st := Stats{
-		Algo:           s.eng.Algo(),
-		Now:            s.eng.Now(),
-		Resident:       s.eng.Resident(),
-		InServiceRacks: s.eng.InService(),
-		SpareRacks:     s.eng.Spares(),
-		QueueDepth:     s.q.depth(),
-		Draining:       s.draining.Load(),
-		AcceptedByTier: s.eng.accepted,
-		RejectedByTier: s.eng.rejected,
-		Shed:           s.shed.Load(),
-		Expired:        s.expired.Load(),
+		Algo:                  s.eng.Algo(),
+		Now:                   s.eng.Now(),
+		Resident:              s.eng.Resident(),
+		InServiceRacks:        s.eng.InService(),
+		SpareRacks:            s.eng.Spares(),
+		QueueDepth:            s.q.depth(),
+		Draining:              s.draining.Load(),
+		AcceptedByTier:        s.eng.accepted,
+		RejectedByTier:        s.eng.rejected,
+		Shed:                  s.shed.Load(),
+		Expired:               s.expired.Load(),
+		JournalBytes:          s.eng.j.off,
+		JournalAllocatedBytes: s.eng.j.size,
 	}
 	if err := s.eng.SnapshotErr(); err != nil {
 		st.LastSnapshotError = err.Error()
@@ -223,6 +231,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBody bounds how much of a request body a handler reads: a
+// PlaceRequest, the largest of the three, is under 200 bytes of JSON with
+// every number at full width, so 4 KiB refuses no client and no client can
+// make the daemon buffer more.
+const maxBody = 4 << 10
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBody of it. On failure it has answered — 413 for a body past the
+// limit, 400 for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "bad JSON: "+err.Error())
+	return false
+}
+
 // handlePlace admits one placement request into the data lane and waits
 // for its verdict.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -231,8 +261,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	vm := workload.VM{
@@ -272,8 +301,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 // handleMutate serves /fail and /heal through the control lane.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, repair bool) {
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ev := faults.Event{Repair: repair, Rack: req.Rack, Box: req.Box}
@@ -293,8 +321,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, repair boo
 // before it decide under the old algorithm, later ones under the new.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Algo) > maxAlgoName { // no registered name is longer, and the journal's frame bound counts on it
+		writeError(w, http.StatusBadRequest, "unknown algorithm")
 		return
 	}
 	it := &item{kind: opSwap, tier: barrierTier, algo: req.Algo, res: make(chan response, 1)}

@@ -46,6 +46,20 @@ func post(t *testing.T, url string, body string) (*http.Response, map[string]any
 	return resp, m
 }
 
+// getStats fetches and decodes GET /stats.
+func getStats(t *testing.T, url string) (st Stats) {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestServerEndToEnd drives the whole HTTP surface: placements land,
 // mutations and swaps succeed, stats and the placement log reflect it
 // all, and bad requests answer 400.
@@ -91,20 +105,18 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal("invalid VM must answer 400 before touching the queue")
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	st := getStats(t, ts.URL)
 	if st.Algo != "NULB" || st.Resident != 5 || st.InServiceRacks != 5 {
 		t.Fatalf("stats after the script: %+v", st)
 	}
+	// Nine records so far (5 placements, fail, heal, addrack, swap) behind
+	// the header, in a file of one chunk: ls -l no longer says how much log
+	// there is, /stats does.
+	if st.JournalAllocatedBytes != journalChunk || st.JournalBytes <= 9*frameHeader || st.JournalBytes >= journalChunk/2 {
+		t.Fatalf("stats report %d journal bytes of %d allocated", st.JournalBytes, st.JournalAllocatedBytes)
+	}
 
-	resp, err = http.Get(ts.URL + "/placements")
+	resp, err := http.Get(ts.URL + "/placements")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,5 +197,46 @@ func TestServerDrain(t *testing.T) {
 	defer eng2.crash()
 	if len(eng2.History()) != 1 || eng2.Resident() != 1 {
 		t.Fatalf("reopened after graceful drain: %d decisions, %d resident", len(eng2.History()), eng2.Resident())
+	}
+}
+
+// TestServerBoundsRequestBodies: a body past maxBody is refused with 413
+// however well-formed, a body that stops mid-object or names an algorithm
+// longer than any registered with 400 — on all three endpoints that read
+// one, before the queue: nothing is journaled and no counter in /stats
+// moves.
+func TestServerBoundsRequestBodies(t *testing.T) {
+	_, ts := newTestServer(t)
+	if resp, m := post(t, ts.URL+"/place", `{"id":1,"tier":0,"lifetime":100,"cpu":1,"ram":1,"storage":0}`); resp.StatusCode != 200 {
+		t.Fatalf("warm-up place: %d %v", resp.StatusCode, m)
+	}
+	before := getStats(t, ts.URL)
+	pad := strings.Repeat(" ", maxBody)
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/place", `{"id":2,"tier":0,"lifetime":100,"cpu":1,"ram":1,` + pad + `"storage":0}`, http.StatusRequestEntityTooLarge},
+		{"/fail", `{"scope":"rack",` + pad + `"rack":1}`, http.StatusRequestEntityTooLarge},
+		{"/heal", `{"scope":"rack",` + pad + `"rack":1}`, http.StatusRequestEntityTooLarge},
+		{"/swap", `{` + pad + `"algo":"NULB"}`, http.StatusRequestEntityTooLarge},
+		{"/place", `{"id":2,"tier":0,"lifetime":100,"cpu":1,"ram":1,"stor`, http.StatusBadRequest},
+		{"/fail", `{"scope":"rack","rack":`, http.StatusBadRequest},
+		{"/heal", `{"scope":"ra`, http.StatusBadRequest},
+		{"/swap", `{"algo":"NU`, http.StatusBadRequest},
+		{"/swap", `{"algo":"` + strings.Repeat("R", maxAlgoName+1) + `"}`, http.StatusBadRequest},
+	} {
+		if resp, m := post(t, ts.URL+tc.path, tc.body); resp.StatusCode != tc.status {
+			t.Fatalf("%s with a %d-byte body answered %d (%v), want %d", tc.path, len(tc.body), resp.StatusCode, m, tc.status)
+		}
+	}
+	if after := getStats(t, ts.URL); after != before {
+		t.Fatalf("refused bodies moved /stats:\n before %+v\n after  %+v", before, after)
+	}
+	if resp, m := post(t, ts.URL+"/swap", `{"algo":"RISA-BF"}`); resp.StatusCode != 200 {
+		t.Fatalf("swap to the longest registered name: %d %v", resp.StatusCode, m)
+	}
+	if after := getStats(t, ts.URL); after.JournalBytes <= before.JournalBytes || after.Algo != "RISA-BF" {
+		t.Fatalf("an accepted swap did not move the journal: %d → %d bytes", before.JournalBytes, after.JournalBytes)
 	}
 }
