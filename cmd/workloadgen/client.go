@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -116,6 +117,14 @@ func sendOne(client *http.Client, opts clientOptions, bo *svc.Backoff, vm worklo
 			time.Sleep(bo.Next())
 			continue
 		}
+		if resp.StatusCode != http.StatusOK {
+			// Read the daemon's {"error": …} body (bounded by its
+			// writeError) to the end: net/http reuses a connection only
+			// once its response is drained, and a retry that dials anew
+			// adds load exactly when the daemon is shedding it.
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
 		switch resp.StatusCode {
 		case http.StatusOK:
 			var out svc.Outcome
@@ -145,15 +154,12 @@ func sendOne(client *http.Client, opts clientOptions, bo *svc.Backoff, vm worklo
 					delay = hinted
 				}
 			}
-			resp.Body.Close()
 			stats.note(func(s *clientStats) { s.shed++; s.retries++ })
 			time.Sleep(delay)
 		case http.StatusGatewayTimeout:
-			resp.Body.Close()
 			stats.note(func(s *clientStats) { s.expired++ })
 			return // the deadline was the contract: drop, don't retry
 		default:
-			resp.Body.Close()
 			stats.note(func(s *clientStats) { s.errors++ })
 			return
 		}

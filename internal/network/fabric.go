@@ -349,18 +349,6 @@ func (f *Fabric) BoxUplinkFree(box *topology.Box) units.Bandwidth {
 	return total
 }
 
-// BoxMaxUplinkFree returns the largest free bandwidth on any single uplink
-// of the box — the biggest single flow the box can still admit.
-func (f *Fabric) BoxMaxUplinkFree(box *topology.Box) units.Bandwidth {
-	var max units.Bandwidth
-	for _, l := range f.boxUplinks[box.Rack()][box.Index()] {
-		if l.free > max {
-			max = l.free
-		}
-	}
-	return max
-}
-
 // pick chooses a link from group under the policy; nil if none fits.
 func pick(group []*Link, bw units.Bandwidth, policy Policy) *Link {
 	switch policy {

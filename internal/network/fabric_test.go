@@ -272,18 +272,12 @@ func TestBoxUplinkFree(t *testing.T) {
 	if got := f.BoxUplinkFree(box); got != 16*200 {
 		t.Errorf("fresh BoxUplinkFree = %v", got)
 	}
-	if got := f.BoxMaxUplinkFree(box); got != 200 {
-		t.Errorf("fresh BoxMaxUplinkFree = %v", got)
-	}
 	dst := rack.BoxesOf(units.RAM)[0]
 	if _, err := f.AllocateFlow(box, dst, 30, FirstFit); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.BoxUplinkFree(box); got != 16*200-30 {
 		t.Errorf("BoxUplinkFree after flow = %v", got)
-	}
-	if got := f.BoxMaxUplinkFree(box); got != 200 {
-		t.Errorf("BoxMaxUplinkFree should still be 200, got %v", got)
 	}
 }
 

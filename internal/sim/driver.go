@@ -96,25 +96,6 @@ func (d *Driver) Place(vm workload.VM) (*sched.Assignment, int64, error) {
 	return a, t, err
 }
 
-// BatchResult is one VM's outcome from PlaceBatch, carrying exactly what
-// the corresponding Place call would have returned.
-type BatchResult struct {
-	A   *sched.Assignment
-	T   int64
-	Err error
-}
-
-// PlaceBatch admits a burst of VMs in order: it is Place called on each,
-// the results gathered — same placements, same effective times, same
-// per-VM errors, invalid VMs rejected without advancing time.
-func (d *Driver) PlaceBatch(vms []workload.VM) []BatchResult {
-	out := make([]BatchResult, len(vms))
-	for i, vm := range vms {
-		out[i].A, out[i].T, out[i].Err = d.Place(vm)
-	}
-	return out
-}
-
 // Apply advances virtual time to the event's timestamp and applies one
 // box- or rack-scope failure or repair through the per-box outage
 // refcounts (a box returns to service only at the last covering repair).

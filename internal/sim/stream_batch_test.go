@@ -7,9 +7,7 @@ import (
 
 	"risa/internal/baseline"
 	"risa/internal/core"
-	"risa/internal/network"
 	"risa/internal/sched"
-	"risa/internal/topology"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -203,72 +201,6 @@ func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 				t.Errorf("snapshot at %d diverges between serial and batched runs", at)
 			}
 		})
-	}
-}
-
-// TestPlaceBatchMatchesSequentialPlace pins Driver.PlaceBatch against the
-// one-at-a-time oracle: same per-VM outcomes (assignment presence,
-// effective times, error text — including invalid VMs mid-batch) and a
-// bit-identical driver afterwards, compared through Driver.Snapshot.
-func TestPlaceBatchMatchesSequentialPlace(t *testing.T) {
-	mkDriver := func(t *testing.T) *Driver {
-		st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewDriver(st, core.New(st))
-	}
-	vms := burstTrace(200).VMs
-	// Splice in invalid VMs (zero lifetime) and an over-sized request so
-	// the batch path's error handling is exercised mid-burst.
-	vms = append(vms[:50:50], append([]workload.VM{
-		{ID: 9000, Arrival: vms[49].Arrival, Lifetime: 0, Req: units.Vec(1, 1, 1)},
-		{ID: 9001, Arrival: vms[49].Arrival, Lifetime: 100, Req: units.Vec(1<<40, 1, 1)},
-	}, vms[50:]...)...)
-
-	serial := mkDriver(t)
-	var want []BatchResult
-	for _, vm := range vms {
-		a, at, err := serial.Place(vm)
-		want = append(want, BatchResult{A: a, T: at, Err: err})
-	}
-
-	batched := mkDriver(t)
-	var got []BatchResult
-	// Feed the VMs in uneven chunks so batches straddle burst boundaries.
-	for lo := 0; lo < len(vms); {
-		hi := lo + 1 + (lo % 7)
-		if hi > len(vms) {
-			hi = len(vms)
-		}
-		got = append(got, batched.PlaceBatch(vms[lo:hi])...)
-		lo = hi
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if (want[i].A == nil) != (got[i].A == nil) || want[i].T != got[i].T ||
-			fmt.Sprint(want[i].Err) != fmt.Sprint(got[i].Err) {
-			t.Errorf("vm %d: PlaceBatch = (%v, %d, %v), Place = (%v, %d, %v)",
-				vms[i].ID, got[i].A != nil, got[i].T, got[i].Err, want[i].A != nil, want[i].T, want[i].Err)
-		}
-	}
-	if serial.Now() != batched.Now() || serial.Resident() != batched.Resident() {
-		t.Fatalf("driver clocks/occupancy diverge: serial (%d, %d), batched (%d, %d)",
-			serial.Now(), serial.Resident(), batched.Now(), batched.Resident())
-	}
-	ss, err := serial.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := batched.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ss, bs) {
-		t.Error("driver snapshots diverge between Place and PlaceBatch")
 	}
 }
 

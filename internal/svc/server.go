@@ -119,8 +119,8 @@ func (s *Server) answer(it *item, err error, body any) {
 
 // Stats is the GET /stats payload. Decision counters are kept beside the
 // placement history and rebuilt from it on recovery (Engine.count), so
-// they survive a crash exactly;
-// shed/expired counters are process-local backpressure telemetry.
+// they survive a crash exactly; shed/expired counters are process-local
+// backpressure telemetry.
 type Stats struct {
 	// Algo is the live scheduler algorithm.
 	Algo string `json:"algo"`

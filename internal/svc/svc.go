@@ -9,10 +9,10 @@
 //     scheduler swap — is appended to an fsync'd write-ahead journal
 //     before it is applied, and periodic snapshots (snapshot.gob: a
 //     sim.Snapshot from Driver.Snapshot at an event boundary, plus the
-//     decision history) bound replay time. After a crash, Open restores the latest snapshot and
-//     replays the journal suffix; because every decision is a pure
-//     function of the operation sequence, the recovered daemon is
-//     bit-identical to one that never crashed.
+//     decision history) bound replay time. After a crash, Open restores
+//     the latest snapshot and replays the journal suffix; because every
+//     decision is a pure function of the operation sequence, the
+//     recovered daemon is bit-identical to one that never crashed.
 //
 //   - Queue (queue.go): bounded admission with tier-aware backpressure.
 //     Service order is strict FIFO (so a queued swap is a barrier:

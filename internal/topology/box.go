@@ -49,9 +49,6 @@ func (b *Box) KindIndex() int { return b.kindIx }
 // Kind returns the resource kind the box holds.
 func (b *Box) Kind() units.Resource { return b.kind }
 
-// Bricks returns the number of bricks in the box.
-func (b *Box) Bricks() int { return len(b.bricks) }
-
 // Brick returns a read-only view of brick i.
 func (b *Box) Brick(i int) *Brick { return &b.bricks[i] }
 

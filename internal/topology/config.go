@@ -98,9 +98,3 @@ func (c Config) BrickCapacity(r units.Resource) units.Amount {
 func (c Config) BoxCapacity(r units.Resource) units.Amount {
 	return c.BrickCapacity(r) * units.Amount(c.BricksPerBox)
 }
-
-// ClusterCapacity returns the total native amount of resource r in the
-// whole cluster.
-func (c Config) ClusterCapacity(r units.Resource) units.Amount {
-	return c.BoxCapacity(r) * units.Amount(c.BoxKindCount(r)*c.Racks)
-}

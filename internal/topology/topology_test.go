@@ -43,9 +43,6 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if got := cfg.BoxCapacity(units.Storage); got != 8192 {
 		t.Errorf("STO box = %d GB, want 8192", got)
 	}
-	if got := cfg.ClusterCapacity(units.CPU); got != 512*2*18 {
-		t.Errorf("cluster CPU = %d cores, want %d", got, 512*2*18)
-	}
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -11,10 +11,7 @@
 // matter only for deriving brick/box capacities and bandwidth demands.
 package units
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Resource identifies one of the three disaggregated resource kinds.
 type Resource int
@@ -59,21 +56,6 @@ func (r Resource) Native() string {
 		return "GB"
 	default:
 		return "?"
-	}
-}
-
-// ParseResource converts a case-insensitive resource name ("cpu", "ram",
-// "storage"/"sto") into a Resource.
-func ParseResource(s string) (Resource, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "cpu":
-		return CPU, nil
-	case "ram", "mem", "memory":
-		return RAM, nil
-	case "sto", "storage", "disk":
-		return Storage, nil
-	default:
-		return 0, fmt.Errorf("units: unknown resource %q", s)
 	}
 }
 
@@ -224,11 +206,4 @@ func (c Config) CPURAMDemand(req Vector) Bandwidth {
 // 1 Gb/s per storage unit (rounded up to whole units).
 func (c Config) RAMSTODemand(req Vector) Bandwidth {
 	return RAMSTOPerUnit * Bandwidth(c.UnitsCeil(Storage, req[Storage]))
-}
-
-// TotalDemand returns the sum of both flow demands of a request; it is the
-// bandwidth the RAM-side box link must carry (the RAM box terminates both
-// the CPU-RAM and the RAM-STO flow).
-func (c Config) TotalDemand(req Vector) Bandwidth {
-	return c.CPURAMDemand(req) + c.RAMSTODemand(req)
 }

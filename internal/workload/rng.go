@@ -19,15 +19,14 @@ import (
 // produces bit-identical value sequences to one over the bare source
 // with the same seed.
 type CountingSource struct {
-	src  rand.Source64
-	seed int64
-	n    uint64
+	src rand.Source64
+	n   uint64
 }
 
 // NewCountingSource returns a counting source seeded like
 // rand.NewSource(seed).
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // Int63 implements rand.Source.
@@ -46,20 +45,15 @@ func (s *CountingSource) Uint64() uint64 {
 // draw count.
 func (s *CountingSource) Seed(seed int64) {
 	s.src.Seed(seed)
-	s.seed = seed
 	s.n = 0
 }
-
-// SeedValue returns the seed the source was last (re)seeded with.
-func (s *CountingSource) SeedValue() int64 { return s.seed }
 
 // Draws returns how many times the source has been stepped since it was
 // last (re)seeded.
 func (s *CountingSource) Draws() uint64 { return s.n }
 
-// Replay repositions the source at exactly draws steps past seed, the
-// state a source reports as (SeedValue, Draws) after producing that many
-// values.
+// Replay repositions the source at exactly draws steps past seed: the
+// state of a source seeded with seed once Draws reports draws.
 func (s *CountingSource) Replay(seed int64, draws uint64) {
 	s.Seed(seed)
 	for i := uint64(0); i < draws; i++ {

@@ -137,15 +137,3 @@ func (t *Trace) Histogram(r units.Resource) []ValueCount {
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
 }
-
-// TotalDemandTime returns Σ lifetime·request per resource — the VM-time
-// integral used to compute time-averaged utilization upper bounds.
-func (t *Trace) TotalDemandTime() [units.NumResources]float64 {
-	var out [units.NumResources]float64
-	for _, v := range t.VMs {
-		for r := range v.Req {
-			out[r] += float64(v.Req[r]) * float64(v.Lifetime)
-		}
-	}
-	return out
-}

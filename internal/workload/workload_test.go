@@ -59,10 +59,6 @@ func TestTraceStats(t *testing.T) {
 	if mean[units.CPU] != 3 || mean[units.RAM] != 6 || mean[units.Storage] != 128 {
 		t.Errorf("MeanRequest = %v", mean)
 	}
-	demand := tr.TotalDemandTime()
-	if demand[units.CPU] != 2*10+4*20 {
-		t.Errorf("TotalDemandTime CPU = %g", demand[units.CPU])
-	}
 	empty := &Trace{}
 	if m := empty.MeanRequest(); m[units.CPU] != 0 {
 		t.Error("empty trace mean should be zero")

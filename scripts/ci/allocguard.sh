@@ -3,8 +3,8 @@
 #
 # Unlike timings, allocs/op is deterministic on a given Go version — the
 # allocator is not subject to machine drift — so this guard is a plain
-# ratchet against a recorded baseline rather than benchguard.sh's
-# interleaved A/B dance: run the guarded benchmarks with -benchmem,
+# ratchet against a recorded baseline rather than a timing judge's
+# interleaved A/B pairs: run the guarded benchmarks with -benchmem,
 # compare each benchmark's allocs/op against scripts/ci/allocs-baseline.txt,
 # and fail when any benchmark allocates MORE than its recorded value.
 # Allocating less prints a reminder to tighten the baseline (ratchets only

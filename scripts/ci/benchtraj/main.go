@@ -1,26 +1,24 @@
-// Command benchtraj prints the repository's performance trajectory on one
-// screen: one row per committed BENCH_<pr>.json — the metric that PR
-// claimed, the parent's and the change's median of it over the interleaved
-// runs the file holds, the change in the metric's better direction, and
-// how many of the seed-matched parent/change pairs the change won (ties
-// count for neither side).
+// Command benchtraj is the repository's one perf judge. With no argument
+// it prints the performance trajectory: one row per committed
+// BENCH_<pr>.json — the metric that PR claimed ("workload/metric"), the
+// parent's and the change's median of it over the interleaved runs the file
+// holds (each side the harness's results.json), the change in the metric's
+// better direction, which BENCHMARK.json names, and how many seed-matched
+// pairs the change won (ties count for neither side). The pairs verb runs
+// the procedure that produces such a file (pairs.go). Neither judges a
+// timing: the verdict is `bash bench/run.sh -compare [-claim]`, whose
+// output each file carries and pairs turns into an exit status.
 //
 // Usage (from the repository root):
 //
 //	go run ./scripts/ci/benchtraj
-//
-// A BENCH file is what a PR with a perf claim commits (ROADMAP item 18):
-// both sides' merged bench results ("parent" and "change", each the
-// harness's results.json) and the claim as "workload/metric". Which
-// direction is better comes from BENCHMARK.json. The printer reports and
-// never judges — the verdict is `bash bench/run.sh -compare -claim`, whose
-// output each file carries — so it exits non-zero only for a file it
-// cannot read.
+//	go run ./scripts/ci/benchtraj pairs <base-ref> <out.json> [<workload>/<metric>]
 package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,17 +43,30 @@ type benchFile struct {
 }
 
 func main() {
-	files, err := filepath.Glob("BENCH_*.json")
+	err := fmt.Errorf("usage: benchtraj [pairs <base-ref> <out.json> [<workload>/<metric>]]")
+	switch args := os.Args[1:]; {
+	case len(args) == 0:
+		err = trajectory(os.Stdout, ".")
+	case args[0] == "pairs" && (len(args) == 3 || len(args) == 4):
+		err = judge{head: ".", bench: runBench}.run(args[1], args[2], strings.Join(args[3:], ""))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtraj:", err)
+		os.Exit(1)
+	}
+}
+
+// trajectory prints one row per BENCH_*.json under root, in PR order.
+func trajectory(w io.Writer, root string) error {
+	files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
 	if err != nil || len(files) == 0 {
-		fmt.Fprintln(os.Stderr, "benchtraj: no BENCH_*.json here; run from the repository root")
-		os.Exit(2)
+		return fmt.Errorf("no BENCH_*.json in %s; run from the repository root", root)
 	}
 	var bm struct {
 		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
 	}
-	if err := readJSON("BENCHMARK.json", &bm); err != nil {
-		fmt.Fprintf(os.Stderr, "benchtraj: %v\n", err)
-		os.Exit(2)
+	if err := readJSON(filepath.Join(root, "BENCHMARK.json"), &bm); err != nil {
+		return err
 	}
 	higher := map[string]bool{}
 	for _, m := range bm.EndToEnd {
@@ -65,17 +76,16 @@ func main() {
 	for _, name := range files {
 		var b benchFile
 		if err := readJSON(name, &b); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtraj: %v\n", err)
-			os.Exit(2)
+			return err
 		}
 		rows = append(rows, b)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].PR < rows[j].PR })
-	fmt.Printf("%-4s %-30s %12s %12s %8s  %s\n", "PR", "claim", "parent", "change", "better", "pairs won")
+	fmt.Fprintf(w, "%-4s %-30s %12s %12s %8s  %s\n", "PR", "claim", "parent", "change", "better", "pairs won")
 	for _, b := range rows {
 		workload, metric, ok := strings.Cut(b.Claim, "/")
 		if !ok {
-			fmt.Printf("%-4d %-30s\n", b.PR, "(no claim)")
+			fmt.Fprintf(w, "%-4d %-30s\n", b.PR, "(no claim)")
 			continue
 		}
 		par, chg := b.Parent.bySeed(workload, metric), b.Change.bySeed(workload, metric)
@@ -95,8 +105,9 @@ func main() {
 		if higher[metric] {
 			gain = -gain
 		}
-		fmt.Printf("%-4d %-30s %12.5g %12.5g %+7.1f%%  %d of %d\n", b.PR, b.Claim, po, pn, 100*gain, won, pairs)
+		fmt.Fprintf(w, "%-4d %-30s %12.5g %12.5g %+7.1f%%  %d of %d\n", b.PR, b.Claim, po, pn, 100*gain, won, pairs)
 	}
+	return nil
 }
 
 // readJSON decodes the file at path into v.
