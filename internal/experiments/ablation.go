@@ -6,6 +6,7 @@ import (
 
 	"risa/internal/core"
 	"risa/internal/metrics"
+	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -96,22 +97,23 @@ func (s Setup) RunPackingAblation() (*PackingAblation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &PackingAblation{Results: make(map[string]packingOutcome)}
+	var jobs []Job
 	for _, p := range []core.BoxPolicy{core.NextFit, core.BestFit, core.FirstFit, core.WorstFit} {
-		name := p.String()
-		st, err := s.NewState()
-		if err != nil {
-			return nil, err
-		}
-		sch := core.NewWithOptions(st, core.Options{Packing: p, Name: name})
-		res, err := s.runOn(st, sch, tr)
-		if err != nil {
-			return nil, err
-		}
-		out.Results[name] = packingOutcome{
+		opts := core.Options{Packing: p, Name: p.String()}
+		jobs = append(jobs, Job{Setup: s, Algorithm: opts.Name, Trace: tr,
+			Scheduler: func(st *sched.State) sched.Scheduler { return core.NewWithOptions(st, opts) }})
+	}
+	outcomes, err := Engine{}.RunChecked(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := &PackingAblation{Results: make(map[string]packingOutcome)}
+	for _, o := range outcomes {
+		res := o.Result
+		out.Results[o.Job.Algorithm] = packingOutcome{
 			Scheduled: res.Scheduled, Dropped: res.Dropped, InterRack: res.InterRack,
 		}
-		out.Order = append(out.Order, name)
+		out.Order = append(out.Order, o.Job.Algorithm)
 	}
 	return out, nil
 }

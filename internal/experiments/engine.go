@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"risa/internal/power"
+	"risa/internal/sched"
 	"risa/internal/sim"
 	"risa/internal/workload"
 )
@@ -34,7 +36,7 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Job is one cell of an experiment grid: one algorithm replaying one trace
+// Job is one cell of an experiment grid: one scheduler replaying one trace
 // on a fresh datacenter built from the setup. Because every job builds its
 // own State, jobs never share mutable simulator state and a grid is
 // embarrassingly parallel.
@@ -42,13 +44,48 @@ type Job struct {
 	Setup     Setup
 	Algorithm string
 	Trace     *workload.Trace
+	// Sim is the run's configuration (retry queue, fault plan, …). Its
+	// PowerModel is always built from Setup.Optics, whatever it holds.
+	Sim sim.Config
+	// Scheduler, when non-nil, builds the scheduler on the job's fresh
+	// state instead of the registry lookup of Algorithm — for variants the
+	// registry does not name (the packing policies).
+	Scheduler func(*sched.State) sched.Scheduler
 }
 
-// Outcome pairs a job with its simulation result or error.
+// run is the one place an experiment's simulation is assembled: state,
+// scheduler, power model, runner, replay.
+func (j Job) run() Outcome {
+	fail := func(err error) Outcome { return Outcome{Job: j, Err: err} }
+	st, err := j.Setup.NewState()
+	if err != nil {
+		return fail(err)
+	}
+	var sch sched.Scheduler
+	if j.Scheduler != nil {
+		sch = j.Scheduler(st)
+	} else if sch, err = NewScheduler(j.Algorithm, st); err != nil {
+		return fail(err)
+	}
+	cfg := j.Sim
+	if cfg.PowerModel, err = power.NewModel(j.Setup.Optics); err != nil {
+		return fail(err)
+	}
+	runner, err := sim.NewRunner(st, sch, cfg)
+	if err != nil {
+		return fail(err)
+	}
+	res, err := runner.Run(j.Trace)
+	return Outcome{Job: j, Scheduler: sch, Result: res, Err: err}
+}
+
+// Outcome pairs a job with the scheduler instance it ran (whose decision
+// counters outlive the run) and its simulation result or error.
 type Outcome struct {
-	Job    Job
-	Result *sim.Result
-	Err    error
+	Job       Job
+	Scheduler sched.Scheduler
+	Result    *sim.Result
+	Err       error
 }
 
 // Engine executes experiment grids on a bounded worker pool. The zero
@@ -66,8 +103,7 @@ func (e Engine) Run(jobs []Job) []Outcome {
 	out := make([]Outcome, len(jobs))
 	// Job errors travel in the outcomes, so the tasks themselves never fail.
 	_ = e.ForEach(len(jobs), func(i int) error {
-		res, err := jobs[i].Setup.RunOne(jobs[i].Algorithm, jobs[i].Trace)
-		out[i] = Outcome{Job: jobs[i], Result: res, Err: err}
+		out[i] = jobs[i].run()
 		return nil
 	})
 	return out

@@ -11,7 +11,6 @@ package experiments
 import (
 	"risa/internal/network"
 	"risa/internal/optics"
-	"risa/internal/power"
 	"risa/internal/sched"
 	"risa/internal/sim"
 	"risa/internal/topology"
@@ -97,28 +96,8 @@ func (s Setup) NewState() (*sched.State, error) {
 // RunOne replays the trace through the named algorithm on a fresh
 // datacenter and returns the simulation result.
 func (s Setup) RunOne(algorithm string, tr *workload.Trace) (*sim.Result, error) {
-	st, err := s.NewState()
-	if err != nil {
-		return nil, err
-	}
-	sch, err := NewScheduler(algorithm, st)
-	if err != nil {
-		return nil, err
-	}
-	return s.runOn(st, sch, tr)
-}
-
-// runOn replays the trace through an already-bound scheduler.
-func (s Setup) runOn(st *sched.State, sch sched.Scheduler, tr *workload.Trace) (*sim.Result, error) {
-	model, err := power.NewModel(s.Optics)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewRunner(st, sch, sim.Config{PowerModel: model})
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run(tr)
+	out := Job{Setup: s, Algorithm: algorithm, Trace: tr}.run()
+	return out.Result, out.Err
 }
 
 // RunAll replays the trace through every algorithm and returns results

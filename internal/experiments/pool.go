@@ -22,52 +22,40 @@ type PoolOccupancy struct {
 // and the three Azure workloads (under the §5.2 setup) through RISA and
 // RISA-BF, collecting the decision-path counters.
 func (s Setup) RunPoolOccupancy() (*PoolOccupancy, error) {
-	out := &PoolOccupancy{Stats: make(map[string]map[string]core.Stats)}
-
-	collect := func(setup Setup, tr *workload.Trace) error {
-		per := make(map[string]core.Stats, 2)
-		for _, variant := range []struct {
-			name string
-			bf   bool
-		}{{"RISA", false}, {"RISA-BF", true}} {
-			st, err := setup.NewState()
-			if err != nil {
-				return err
-			}
-			var r *core.RISA
-			if variant.bf {
-				r = core.NewBF(st)
-			} else {
-				r = core.New(st)
-			}
-			// Drive through the simulator so departures happen exactly
-			// as in the headline experiments.
-			if _, err := setup.runOn(st, r, tr); err != nil {
-				return err
-			}
-			per[variant.name] = r.Stats()
+	// Driven through the simulator so departures happen exactly as in the
+	// headline experiments; the counters are read off the instance each
+	// job ran.
+	var jobs []Job
+	add := func(setup Setup, tr *workload.Trace) {
+		for _, variant := range []string{"RISA", "RISA-BF"} {
+			jobs = append(jobs, Job{Setup: setup, Algorithm: variant, Trace: tr})
 		}
-		out.Stats[tr.Name] = per
-		out.Order = append(out.Order, tr.Name)
-		return nil
 	}
-
 	synth, err := s.SyntheticTrace()
 	if err != nil {
 		return nil, err
 	}
-	if err := collect(s, synth); err != nil {
-		return nil, err
-	}
+	add(s, synth)
 	azure := AzureSetupFrom(s)
 	for _, sub := range workload.Subsets() {
 		tr, err := azure.AzureTrace(sub)
 		if err != nil {
 			return nil, err
 		}
-		if err := collect(azure, tr); err != nil {
-			return nil, err
+		add(azure, tr)
+	}
+	outcomes, err := Engine{}.RunChecked(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := &PoolOccupancy{Stats: make(map[string]map[string]core.Stats)}
+	for _, o := range outcomes {
+		name := o.Job.Trace.Name
+		if out.Stats[name] == nil {
+			out.Stats[name] = make(map[string]core.Stats, 2)
+			out.Order = append(out.Order, name)
 		}
+		out.Stats[name][o.Job.Algorithm] = o.Scheduler.(*core.RISA).Stats()
 	}
 	return out, nil
 }

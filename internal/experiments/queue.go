@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"risa/internal/power"
 	"risa/internal/sim"
 	"risa/internal/workload"
 )
@@ -26,35 +25,14 @@ func (s Setup) RunQueueing() (*Queueing, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Queueing{Racks: setup.Topology.Racks}
-	for _, retry := range []bool{false, true} {
-		st, err := setup.NewState()
-		if err != nil {
-			return nil, err
-		}
-		sch, err := NewScheduler("RISA", st)
-		if err != nil {
-			return nil, err
-		}
-		model, err := power.NewModel(setup.Optics)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewRunner(st, sch, sim.Config{PowerModel: model, RetryDropped: retry})
-		if err != nil {
-			return nil, err
-		}
-		res, err := runner.Run(tr)
-		if err != nil {
-			return nil, err
-		}
-		if retry {
-			out.Queue = res
-		} else {
-			out.Drop = res
-		}
+	outcomes, err := Engine{}.RunChecked([]Job{
+		{Setup: setup, Algorithm: "RISA", Trace: tr},
+		{Setup: setup, Algorithm: "RISA", Trace: tr, Sim: sim.Config{RetryDropped: true}},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &Queueing{Racks: setup.Topology.Racks, Drop: outcomes[0].Result, Queue: outcomes[1].Result}, nil
 }
 
 // Render draws the comparison.

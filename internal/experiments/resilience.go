@@ -45,45 +45,28 @@ func (s Setup) RunResilience() (*Resilience, error) {
 		HealAt:     lastArrival / 2,
 	}
 	out.Plan = faults.RackFailure(out.FailedRack, out.FailAt, out.HealAt)
-	out.Healthy, err = s.RunAll(tr)
-	if err != nil {
-		return nil, err
-	}
-	faulty := make([]*sim.Result, len(Algorithms))
-	err = Engine{}.ForEach(len(Algorithms), func(i int) error {
-		res, err := s.runFaulty(Algorithms[i], tr, out.Plan)
-		if err != nil {
-			return fmt.Errorf("%s under the rack outage: %w", Algorithms[i], err)
+	// Healthy then faulty, one pooled grid; the halves differ only in the
+	// plan their runs consume.
+	jobs := make([]Job, 0, 2*len(Algorithms))
+	for _, cfg := range []sim.Config{{}, {Faults: out.Plan}} {
+		for _, alg := range Algorithms {
+			jobs = append(jobs, Job{Setup: s, Algorithm: alg, Trace: tr, Sim: cfg})
 		}
-		faulty[i] = res
-		return nil
-	})
+	}
+	outcomes, err := Engine{}.RunChecked(jobs)
 	if err != nil {
 		return nil, err
 	}
+	out.Healthy = make(map[string]*sim.Result, len(Algorithms))
 	out.Faulty = make(map[string]*sim.Result, len(Algorithms))
-	for i, alg := range Algorithms {
-		out.Faulty[alg] = faulty[i]
+	for _, o := range outcomes {
+		half := out.Healthy
+		if o.Job.Sim.Faults != nil {
+			half = out.Faulty
+		}
+		half[o.Job.Algorithm] = o.Result
 	}
 	return out, nil
-}
-
-// runFaulty replays the trace through one algorithm on a fresh
-// datacenter consuming the outage plan.
-func (s Setup) runFaulty(algorithm string, tr *workload.Trace, plan *faults.Plan) (*sim.Result, error) {
-	st, err := s.NewState()
-	if err != nil {
-		return nil, err
-	}
-	sch, err := NewScheduler(algorithm, st)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewRunner(st, sch, sim.Config{Faults: plan})
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run(tr)
 }
 
 // Render draws the comparison.

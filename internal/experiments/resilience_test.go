@@ -121,3 +121,28 @@ func TestResiliencePlanShape(t *testing.T) {
 		t.Error("fixture too weak: the outage changed nothing for any algorithm")
 	}
 }
+
+// TestResilienceFaultyHalfHonoursOptics: both halves of the experiment are
+// accounted under Setup.Optics. The faulty half used to build its runner
+// without a power model, so it reported the default-α peak power whatever
+// the setup said while the healthy half moved.
+func TestResilienceFaultyHalfHonoursOptics(t *testing.T) {
+	tuned := AzureSetup()
+	tuned.Optics.Alpha = 0.5
+	def, err := AzureSetup().RunResilience()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tuned.RunResilience()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range Algorithms {
+		if got.Healthy[alg].PeakPowerW == def.Healthy[alg].PeakPowerW {
+			t.Fatalf("fixture too weak: α=0.5 leaves %s's healthy peak power at %g W", alg, def.Healthy[alg].PeakPowerW)
+		}
+		if got.Faulty[alg].PeakPowerW == def.Faulty[alg].PeakPowerW {
+			t.Errorf("%s under the outage: peak power %g W at α=0.5 and at the default α", alg, got.Faulty[alg].PeakPowerW)
+		}
+	}
+}

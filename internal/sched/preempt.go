@@ -16,7 +16,7 @@ import (
 // can restore every victim bit-for-bit. All of that state lives here in
 // reusable buffers, so the preempt decision path — like Schedule itself —
 // touches no allocator once the buffers reach their high-water size
-// (BenchmarkScheduleOnePreempt pins this at 0 allocs/op).
+// (TestAllocsScheduleOnePreempt pins this at 0 allocs/op).
 //
 // A PreemptScratch follows the Scratch ownership rules: it belongs to one
 // driver (the simulator's stream loop), is valid only between Reset and

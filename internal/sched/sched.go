@@ -373,7 +373,7 @@ func (s *State) releaseFlows(a *Assignment) {
 // rather than dropped: without that swap every adoption would retire a
 // buffer-less record, and the next Schedule drawing it from the pool
 // would re-grow all three share slices — a per-displacement allocation
-// the fault path's zero-alloc contract (BenchmarkScheduleOneUnderFaults)
+// the fault path's zero-alloc contract (TestAllocsScheduleOneUnderFaults)
 // forbids.
 //
 // The copy carries src's two flows over by value, so the flow pointers —

@@ -4,7 +4,8 @@
 // datacenter untouched, releases restore exactly what was taken,
 // scheduling is deterministic, and resource accounting is conserved under
 // churn. The baseline and core packages each run this suite over their
-// schedulers.
+// schedulers. ZeroAllocs, the judge of the hot path's zero-allocation
+// contract, lives here too so every package's tests share one.
 package schedtest
 
 import (
@@ -44,6 +45,20 @@ func Conformance(t *testing.T, name string, mk Factory) {
 		t.Run(name+"/ProposeMatchesSchedule", func(t *testing.T) { proposeMatchesSchedule(t, mk) })
 		t.Run(name+"/ProposeIsReadOnly", func(t *testing.T) { proposeIsReadOnly(t, mk) })
 		t.Run(name+"/ProposeStaysInShard", func(t *testing.T) { proposeStaysInShard(t, mk) })
+	}
+}
+
+// ZeroAllocs calls round warm times, so pools, slabs and scratch buffers
+// reach their high-water marks, and then fails the test unless 200 further
+// rounds average below one allocation — growth that amortises passes, an
+// allocation per round does not.
+func ZeroAllocs(t *testing.T, warm int, round func()) {
+	t.Helper()
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("%.0f allocs/op at steady state, want 0", avg)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -210,18 +211,31 @@ func TestHeap4PopClearsSlot(t *testing.T) {
 // TestHeap4PushPopDoesNotAllocate asserts the non-boxing contract: at
 // steady state (capacity already grown) a push/pop cycle performs zero
 // heap allocations, where the container/heap API boxed every pushed event.
+// The two depths are the departures pending in the repo benchmark's
+// churn-18r (~560) and scale-4608r (~229 000) workloads; due times spread
+// over [pending/2, 3·pending/2) ahead of a clock that ticks once per round,
+// so pushes sift and pops descend the full depth.
 func TestHeap4PushPopDoesNotAllocate(t *testing.T) {
-	var h eventQueue
-	for i := 0; i < 64; i++ {
-		h.Push(event{t: int64(i), seq: i})
-	}
-	i := 1000
-	avg := testing.AllocsPerRun(100, func() {
-		h.Push(event{t: int64(i), seq: i})
-		i++
-		h.Pop()
-	})
-	if avg != 0 {
-		t.Fatalf("push/pop allocates %.2f times per cycle at steady state, want 0", avg)
+	for _, pending := range []int64{560, 229_000} {
+		t.Run(fmt.Sprintf("pending=%d", pending), func(t *testing.T) {
+			var h eventQueue
+			var now int64
+			lcg := uint64(1)
+			push := func() {
+				now++
+				lcg = lcg*6364136223846793005 + 1442695040888963407
+				h.Push(event{t: now + pending/2 + int64(lcg>>33)%pending, seq: int(now)})
+			}
+			for int64(h.Len()) < pending {
+				push()
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				push()
+				h.Pop()
+			})
+			if avg != 0 {
+				t.Fatalf("push/pop allocates %.2f times per cycle at steady state, want 0", avg)
+			}
+		})
 	}
 }

@@ -427,14 +427,21 @@ func TestRetryQueuePreservesFIFO(t *testing.T) {
 	}
 }
 
+// freshRunAllocs bounds what one replay of the §5.1 trace allocates on a
+// datacenter built beforehand: the run's own setup plus two allocations
+// per 64-record slab (64–76 measured across Go 1.23/1.24 and under the race
+// detector, plus ~2 % headroom for runtime-internal differences; 17091
+// while a VM's record, two flows, their link slices grown by append, three
+// share slices and the slice InterPod built were separate objects). A
+// per-VM leak adds 2500, far past the headroom.
+const freshRunAllocs = 78
+
 // TestRunOnFreshDatacenterBarelyAllocates pins the cold path: the paper's
 // figures replay every trace on a fresh datacenter, so every pool starts
 // empty and each resident VM's first placement is a pool miss. A VM is one
 // record drawn from a slab — its two flows and their link paths live inside
-// it — so the §5.1 trace costs under a tenth of an allocation per VM, the
-// run's own setup included. Before the record owned its flows this read 6.8
-// (an Assignment, two Flows, their link slices grown by append, three share
-// slices, and the slice InterPod built per placement).
+// it — so a whole run stays under freshRunAllocs, a thirtieth of an
+// allocation per VM.
 func TestRunOnFreshDatacenterBarelyAllocates(t *testing.T) {
 	tr, err := workload.Synthetic(workload.DefaultSyntheticConfig())
 	if err != nil {
@@ -457,9 +464,8 @@ func TestRunOnFreshDatacenterBarelyAllocates(t *testing.T) {
 			t.Fatalf("placed %d of %d", res.Scheduled, tr.Len())
 		}
 	})
-	perVM := perRun / float64(tr.Len())
-	t.Logf("%.0f allocations a run, %.3f per VM", perRun, perVM)
-	if perVM >= 0.1 {
-		t.Fatalf("a fresh-datacenter run allocates %.3f objects per VM (%.0f a run), want < 0.1", perVM, perRun)
+	t.Logf("%.0f allocations a run, %.3f per VM", perRun, perRun/float64(tr.Len()))
+	if perRun > freshRunAllocs {
+		t.Fatalf("a fresh-datacenter run allocates %.0f objects, ceiling %d", perRun, freshRunAllocs)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"risa/internal/faults"
 	"risa/internal/network"
 	"risa/internal/sched"
+	"risa/internal/sched/schedtest"
 	"risa/internal/topology"
 	"risa/internal/units"
 	"risa/internal/workload"
@@ -556,4 +557,29 @@ func TestJournalFailureIsSticky(t *testing.T) {
 	if out, err := e2.Place(vm(6)); err != nil || !out.Accepted {
 		t.Fatalf("the reopened engine does not place: %+v, %v", out, err)
 	}
+}
+
+// TestAllocsEnginePlace pins the daemon's whole placement — journal append
+// and flush, the driver's decision, history and dedup bookkeeping — at zero
+// allocations per request at steady residency: one arrival per tick with a
+// fixed lifetime on a 2-rack engine, so each Place releases one departure.
+// The history slice and the dedup map grow, but their growth amortises
+// below one allocation a placement; the snapshot cadence is left past the
+// test's length because a snapshot is allowed to allocate.
+func TestAllocsEnginePlace(t *testing.T) {
+	cfg := testConfig()
+	cfg.Topology.Racks = 2
+	eng, err := Open(t.TempDir(), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var now int64
+	schedtest.ZeroAllocs(t, 500, func() {
+		now++
+		out, err := eng.Place(workload.VM{ID: int(now), Arrival: now, Lifetime: 16, Req: units.Vec(8, 16, 128)})
+		if err != nil || !out.Accepted {
+			t.Fatalf("place %d: %+v, %v", now, out, err)
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 
 	"risa/internal/faults"
 	"risa/internal/sched"
+	"risa/internal/sched/schedtest"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -600,6 +601,18 @@ func TestRecordSize(t *testing.T) {
 	rec := benchRecord()
 	if n := len(appendFrame(nil, &rec)); n > 48 {
 		t.Fatalf("framed placement record is %d bytes, want ≤ 48", n)
+	}
+}
+
+// TestAllocsRecordEncode pins Append's processor work per placement — frame
+// header, payload and checksum into a reused buffer — at zero allocations:
+// it is on every placement's critical path, ahead of the flush.
+func TestAllocsRecordEncode(t *testing.T) {
+	rec := benchRecord()
+	buf := make([]byte, 0, 64)
+	schedtest.ZeroAllocs(t, 1, func() { buf = appendFrame(buf[:0], &rec) })
+	if len(buf) == 0 {
+		t.Fatal("empty frame")
 	}
 }
 

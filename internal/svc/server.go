@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -253,6 +254,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration holds
+// (≈9.2e12 ms, 292 years). Above it the conversion wraps negative and the
+// request would be born expired — answered 504 instead of waiting.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // handlePlace admits one placement request into the data lane and waits
 // for its verdict.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -273,6 +279,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := vm.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if req.DeadlineMS > maxDeadlineMS {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("deadline_ms above %d", int64(maxDeadlineMS)))
 		return
 	}
 	ctx := r.Context()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,6 +162,32 @@ func TestServerExpiredRequestDropped(t *testing.T) {
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	s.Shutdown(shutCtx)
+}
+
+// TestServerDeadlineOutOfRange: a deadline_ms too large for a
+// time.Duration is refused with 400. Unchecked, the conversion wrapped
+// negative, the context was born expired, and the request was answered 504
+// and counted as expired instead of waiting; the largest value that fits
+// still places.
+func TestServerDeadlineOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t)
+	place := func(id int, deadlineMS int64) int {
+		resp, _ := post(t, ts.URL+"/place",
+			fmt.Sprintf(`{"id":%d,"lifetime":100,"cpu":1,"ram":1,"storage":0,"deadline_ms":%d}`, id, deadlineMS))
+		return resp.StatusCode
+	}
+	if got := place(1, maxDeadlineMS+1); got != http.StatusBadRequest {
+		t.Errorf("deadline_ms one past the bound answered %d, want 400", got)
+	}
+	if got := place(2, math.MaxInt64); got != http.StatusBadRequest {
+		t.Errorf("deadline_ms MaxInt64 answered %d, want 400", got)
+	}
+	if got := place(3, maxDeadlineMS); got != http.StatusOK {
+		t.Errorf("deadline_ms at the bound answered %d, want 200", got)
+	}
+	if st := getStats(t, ts.URL); st.Expired != 0 {
+		t.Errorf("%d requests counted as expired", st.Expired)
+	}
 }
 
 // TestServerDrain pins graceful shutdown: after Shutdown begins, new
