@@ -289,7 +289,8 @@ const (
 	// and three share slices separately.
 	churnCellAllocs = 2870
 	// agentsCellAllocs bounds the multi-agent commit path's whole run
-	// (7201–7211 measured, 71702 before the agent pool was built once): the
+	// (7214 measured in rounds of 4×Agents = 16; 7201–7211 in the rounds of
+	// 64 the cell used to set, 71702 before the agent pool was built once): the
 	// 96-rack cell's setup plus four registry-built scheduler instances and
 	// their channels — the propose/commit/drop steady state adds nothing
 	// per VM, which TestAllocsProposeCommit pins at zero.
@@ -306,7 +307,7 @@ func churnCellCeiling(t *testing.T, setup experiments.Setup, target float64, con
 		Concurrency: conc,
 	}
 	got := testing.AllocsPerRun(1, func() {
-		runner, stream, err := setup.NewCell("RISA", target, workload.TierMix{})
+		runner, stream, err := setup.NewCell("RISA", target, workload.TierMix{}, sim.Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,12 +333,12 @@ func TestAllocsChurnSteadyState(t *testing.T) {
 // TestAllocsChurnAgents: a network-gated cell — 96 racks with thin box
 // uplinks at an 80 % target, where a large fraction of arrivals exhausts
 // both placement tiers — with proposals fanned over four shards and
-// committed serially in rounds of 64.
+// committed serially in rounds of 16 (4×Agents).
 func TestAllocsChurnAgents(t *testing.T) {
 	t.Run("agents4", func(t *testing.T) {
 		setup := experiments.DefaultSetup()
 		setup.Topology.Racks = 96
 		setup.Network.BoxUplinks = 4
-		churnCellCeiling(t, setup, 0.80, sim.StreamConcurrency{Agents: 4, Round: 64}, agentsCellAllocs)
+		churnCellCeiling(t, setup, 0.80, sim.StreamConcurrency{Agents: 4}, agentsCellAllocs)
 	})
 }

@@ -70,7 +70,7 @@ func (f snapshotFile) setupFor() experiments.Setup {
 // resume builds the file's cell afresh and resumes snap on it to the end
 // of the budget.
 func (f snapshotFile) resume(snap *sim.Snapshot) (*sim.SteadyState, error) {
-	runner, stream, err := f.setupFor().NewCell("RISA", f.Target, workload.TierMix{})
+	runner, stream, err := f.setupFor().NewCell("RISA", f.Target, workload.TierMix{}, sim.Faults{})
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func runSnapshotSave(o options, path string) error {
 	f := snapshotCell(o)
 	warmCfg := f.streamCfg()
 	warmCfg.Snapshot.At = f.Warmup
-	runner, stream, err := f.setupFor().NewCell("RISA", f.Target, workload.TierMix{})
+	runner, stream, err := f.setupFor().NewCell("RISA", f.Target, workload.TierMix{}, sim.Faults{})
 	if err != nil {
 		return fmt.Errorf("-snapshot: %w", err)
 	}

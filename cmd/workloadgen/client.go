@@ -91,8 +91,10 @@ func runClient(tr *workload.Trace, opts clientOptions) error {
 
 // sendOne delivers one VM, retrying shed/unavailable/transport failures
 // with backoff until the daemon decides (or the daemon reports the
-// request expired past its deadline).
+// request expired past its deadline). Whatever the outcome, the next VM's
+// first retry starts from the first-attempt delay.
 func sendOne(client *http.Client, opts clientOptions, bo *svc.Backoff, vm workload.VM, stats *clientStats) {
+	defer bo.Reset()
 	req := svc.PlaceRequest{
 		ID:         vm.ID,
 		Tier:       vm.Tier,
@@ -145,7 +147,6 @@ func sendOne(client *http.Client, opts clientOptions, bo *svc.Backoff, vm worklo
 					s.latencies[vm.Tier] = append(s.latencies[vm.Tier], lat)
 				}
 			})
-			bo.Reset()
 			return
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			delay := bo.Next()

@@ -9,9 +9,10 @@
 // Beyond the paper's finite traces, a streaming workload engine
 // (workload.Stream + sim.RunStream) sustains open-ended arrival streams
 // at a controlled occupancy for steady-state churn experiments, and a
-// fault subsystem (internal/faults + sim.Config.Faults) plays stochastic
-// hardware outage plans — with optional displaced-VM recovery — for the
-// availability ladder.
+// fault subsystem (internal/faults + sim.Config.Faults, the one place a
+// run's fault surface is set) plays stochastic hardware outage plans —
+// with optional displaced-VM recovery, retry queue and preemption — for
+// the availability and SLO ladders.
 //
 // Start with DESIGN.md for the system inventory, experiment index and
 // steady-state methodology, EXPERIMENTS.md for measured-vs-paper

@@ -165,9 +165,9 @@ func ChurnPhases(duration int64) (warmup, window int64) {
 }
 
 // NewCell builds what one steady-state cell runs on: a pristine datacenter
-// bound to the named scheduler, and the controlled stream that holds it at
-// target; the caller picks RunStream, WarmStream or ResumeStream on the
-// runner (fault plans enter there, through StreamConfig.Faults).
+// bound to the named scheduler under the fault surface f, and the
+// controlled stream that holds it at target; the caller picks RunStream,
+// WarmStream or ResumeStream on the runner.
 //
 // The stream is the §5.1 request mix made stationary: fixed lifetimes
 // (LifetimeStep = 0), so occupancy converges instead of drifting with the
@@ -180,7 +180,7 @@ func ChurnPhases(duration int64) (warmup, window int64) {
 // which lands the cluster near the target before the controller has seen
 // any feedback; sub-unity targets then hold the point with a
 // UtilizationController, overload targets keep the fixed (infeasible) rate.
-func (s Setup) NewCell(algorithm string, target float64, mix workload.TierMix) (*sim.Runner, *workload.SyntheticStream, error) {
+func (s Setup) NewCell(algorithm string, target float64, mix workload.TierMix, f sim.Faults) (*sim.Runner, *workload.SyntheticStream, error) {
 	if target <= 0 {
 		return nil, nil, fmt.Errorf("experiments: cell target must be positive, got %g", target)
 	}
@@ -222,7 +222,7 @@ func (s Setup) NewCell(algorithm string, target float64, mix workload.TierMix) (
 	if err != nil {
 		return nil, nil, err
 	}
-	runner, err := sim.NewRunner(st, sch, sim.Config{})
+	runner, err := sim.NewRunner(st, sch, sim.Config{Faults: f})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -313,7 +313,7 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		warm := base
 		warm.Snapshot.At = warmup
 		err := Engine{}.ForEach(len(cfg.Util), func(i int) error {
-			runner, arrivals, err := s.NewCell("RISA", cfg.Util[i].Target, cfg.Tiers)
+			runner, arrivals, err := s.NewCell("RISA", cfg.Util[i].Target, cfg.Tiers, sim.Faults{})
 			if err == nil {
 				snaps[i], err = runner.WarmStream(arrivals, warm)
 			}
@@ -343,17 +343,18 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		cell := &out.Cells[i]
 		run := base
 		run.Concurrency.Agents = cell.Agents
+		var f sim.Faults
 		if plan := plans[i/perFault]; plan != nil {
-			run.Faults = sim.StreamFaults{Plan: plan, Evict: cfg.Evict}
+			f = sim.Faults{Plan: plan, Evict: cfg.Evict}
 		}
 		if cfg.Preempt {
-			run.Faults.Retry, run.Faults.Preempt = true, true
+			f.Retry, f.Preempt = true, true
 		}
 		var snap *sim.Snapshot
 		if cfg.Clone {
 			snap = snaps[i%perFault/perUtil]
 		}
-		if err := s.runCell(cell, cfg.Tiers, run, snap); err != nil {
+		if err := s.runCell(cell, cfg.Tiers, f, run, snap); err != nil {
 			return fmt.Errorf("%s at fault rung %s, utilization rung %s: %w", cell.Algorithm, cell.Fault.Label, cell.Util.Label, err)
 		}
 		return nil
@@ -364,12 +365,12 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 	return out, nil
 }
 
-// runCell fills in the cell's result: a fresh run under run, or — given a
-// warm snapshot — that snapshot resumed. A snapshot warmed under RISA
-// resumes under the cell's own scheduler starting from its zero decision
-// state.
-func (s Setup) runCell(cell *Cell, mix workload.TierMix, run sim.StreamConfig, snap *sim.Snapshot) error {
-	runner, arrivals, err := s.NewCell(cell.Algorithm, cell.Util.Target, mix)
+// runCell fills in the cell's result: a fresh run under run and the fault
+// surface f, or — given a warm snapshot — that snapshot resumed. A
+// snapshot warmed under RISA resumes under the cell's own scheduler
+// starting from its zero decision state.
+func (s Setup) runCell(cell *Cell, mix workload.TierMix, f sim.Faults, run sim.StreamConfig, snap *sim.Snapshot) error {
+	runner, arrivals, err := s.NewCell(cell.Algorithm, cell.Util.Target, mix, f)
 	if err != nil {
 		return err
 	}

@@ -230,7 +230,7 @@ func TestRunChurnValidation(t *testing.T) {
 // RunStream drives to the arrival budget, and refuses what it cannot
 // build.
 func TestNewCell(t *testing.T) {
-	runner, stream, err := DefaultSetup().NewCell("RISA", 0.5, workload.TierMix{})
+	runner, stream, err := DefaultSetup().NewCell("RISA", 0.5, workload.TierMix{}, sim.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +245,14 @@ func TestNewCell(t *testing.T) {
 	if res.PlacementsPerSec() <= 0 {
 		t.Error("placements/sec should be positive")
 	}
-	if _, _, err := DefaultSetup().NewCell("nope", 0.5, workload.TierMix{}); err == nil {
+	if _, _, err := DefaultSetup().NewCell("nope", 0.5, workload.TierMix{}, sim.Faults{}); err == nil {
 		t.Error("unknown algorithm must fail")
 	}
-	if _, _, err := DefaultSetup().NewCell("RISA", 0, workload.TierMix{}); err == nil {
+	if _, _, err := DefaultSetup().NewCell("RISA", 0, workload.TierMix{}, sim.Faults{}); err == nil {
 		t.Error("zero target must fail")
+	}
+	if _, _, err := DefaultSetup().NewCell("RISA", 0.5, workload.TierMix{}, sim.Faults{Evict: true}); err == nil {
+		t.Error("a fault surface the runner refuses (Evict without a plan) must fail")
 	}
 }
 
@@ -291,7 +294,7 @@ func TestChurnCloneMatchesFreshForWarmAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmup, window := ChurnPhases(cfg.Duration)
-	runner, stream, err := DefaultSetup().NewCell("RISA", cfg.Util[0].Target, workload.TierMix{})
+	runner, stream, err := DefaultSetup().NewCell("RISA", cfg.Util[0].Target, workload.TierMix{}, sim.Faults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,14 +454,13 @@ func TestFaultCellKeepRunningVsEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(evict bool) *sim.SteadyState {
-		runner, stream, err := s.NewCell("RISA", 0.6, workload.TierMix{})
+		runner, stream, err := s.NewCell("RISA", 0.6, workload.TierMix{}, sim.Faults{Plan: plan, Evict: evict})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := runner.RunStream(stream, sim.StreamConfig{
 			Workload: sim.StreamWorkload{MaxArrivals: 4000, Duration: 20000},
 			Windows:  sim.StreamWindows{Warmup: 5000, Window: 3000},
-			Faults:   sim.StreamFaults{Plan: plan, Evict: evict},
 		})
 		if err != nil {
 			t.Fatal(err)

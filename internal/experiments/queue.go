@@ -27,7 +27,7 @@ func (s Setup) RunQueueing() (*Queueing, error) {
 	}
 	outcomes, err := Engine{}.RunChecked([]Job{
 		{Setup: setup, Algorithm: "RISA", Trace: tr},
-		{Setup: setup, Algorithm: "RISA", Trace: tr, Sim: sim.Config{RetryDropped: true}},
+		{Setup: setup, Algorithm: "RISA", Trace: tr, Sim: sim.Config{Faults: sim.Faults{Retry: true}}},
 	})
 	if err != nil {
 		return nil, err

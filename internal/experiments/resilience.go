@@ -48,7 +48,7 @@ func (s Setup) RunResilience() (*Resilience, error) {
 	// Healthy then faulty, one pooled grid; the halves differ only in the
 	// plan their runs consume.
 	jobs := make([]Job, 0, 2*len(Algorithms))
-	for _, cfg := range []sim.Config{{}, {Faults: out.Plan}} {
+	for _, cfg := range []sim.Config{{}, {Faults: sim.Faults{Plan: out.Plan}}} {
 		for _, alg := range Algorithms {
 			jobs = append(jobs, Job{Setup: s, Algorithm: alg, Trace: tr, Sim: cfg})
 		}
@@ -61,7 +61,7 @@ func (s Setup) RunResilience() (*Resilience, error) {
 	out.Faulty = make(map[string]*sim.Result, len(Algorithms))
 	for _, o := range outcomes {
 		half := out.Healthy
-		if o.Job.Sim.Faults != nil {
+		if o.Job.Sim.Faults.Plan != nil {
 			half = out.Faulty
 		}
 		half[o.Job.Algorithm] = o.Result

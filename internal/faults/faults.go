@@ -7,7 +7,7 @@
 // what failure means. The simulator interprets it: each event toggles
 // topology.Cluster.SetBoxFailed over the event's scope, and the optional
 // eviction policy decides what happens to VMs resident on failed hardware
-// (sim.Config.Evict). DESIGN.md §10 documents the full fault model.
+// (sim.Faults.Evict). DESIGN.md §10 documents the full fault model.
 package faults
 
 import (

@@ -11,7 +11,7 @@
 // interleavings.
 //
 // The stream loop (streamRun.loop) stages consecutive arrivals into a
-// round (bounded by StreamConcurrency.Round); any heap event — departure
+// round (at most roundPerAgent×Agents of them); any heap event — departure
 // or fault — flushes the round first, because its arrivals precede that
 // event in simulated time. Determinism follows
 // from three fixed orders: VMs map to agents by arrival sequence, each
@@ -26,6 +26,10 @@ import (
 	"risa/internal/sched"
 	"risa/internal/workload"
 )
+
+// roundPerAgent sizes a propose round: 4×Agents consecutive arrivals
+// amortize the propose barrier while still tracking capacity closely.
+const roundPerAgent = 4
 
 // batchItem is one arrival staged into a propose round, plus the slot
 // its agent writes the proposal into — distinct slots per item, so the
@@ -67,15 +71,10 @@ type agentPool struct {
 // instances constructed through the sched.New registry, contiguous rack
 // shards, and the worker goroutines parked on their channels. It errors
 // when the scheduler is not registered or does not implement Propose.
-func (r *Runner) newAgentPool(cc StreamConcurrency) (*agentPool, error) {
-	n := cc.Agents
-	round := cc.Round
-	if round == 0 {
-		round = 4 * n
-	}
+func (r *Runner) newAgentPool(n int) (*agentPool, error) {
 	numRacks := r.st.Cluster.NumRacks()
 	per := (numRacks + n - 1) / n
-	p := &agentPool{n: n, round: round, done: make(chan struct{}, n), busy: make([]time.Duration, n)}
+	p := &agentPool{n: n, round: roundPerAgent * n, done: make(chan struct{}, n), busy: make([]time.Duration, n)}
 	p.conclusive, _ = r.sch.(sched.ConclusiveProposer)
 	for i := 0; i < n; i++ {
 		s, err := sched.New(r.sch.Name(), r.st)

@@ -77,29 +77,20 @@ func TestAgentsOneEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name string
 		cfg  Config
-		fl   StreamFaults
 	}{
 		{name: "churn"},
-		{name: "faults", cfg: Config{RetryDropped: true}, fl: StreamFaults{Plan: plan, Evict: true, Retry: true}},
+		{name: "faults", cfg: Config{Faults: Faults{Plan: plan, Evict: true, Retry: true}}},
 	}
 	for _, algorithm := range sched.Registered() {
 		for _, sc := range scenarios {
 			t.Run(algorithm+"/"+sc.name, func(t *testing.T) {
 				run := func(agents int) *SteadyState {
-					cfg := sc.cfg
-					if sc.fl.Retry {
-						cfg = Config{} // the fault surface rides in via StreamFaults
-					}
-					_, r := registryRunner(t, algorithm, cfg)
-					scfg := StreamConfig{
+					_, r := registryRunner(t, algorithm, sc.cfg)
+					ss, err := r.RunStream(workload.NewTraceStream(agentTrace(500)), StreamConfig{
 						Workload:    StreamWorkload{MaxArrivals: 500},
 						Windows:     StreamWindows{Warmup: 300, Window: 200},
 						Concurrency: StreamConcurrency{Agents: agents},
-					}
-					if sc.fl.Retry {
-						scfg.Faults = sc.fl
-					}
-					ss, err := r.RunStream(workload.NewTraceStream(agentTrace(500)), scfg)
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -155,7 +146,7 @@ func TestAgentsMatchSerialOutcome(t *testing.T) {
 	ss, err := r.RunStream(workload.NewTraceStream(agentTrace(600)), StreamConfig{
 		Workload:    StreamWorkload{MaxArrivals: 600},
 		Windows:     StreamWindows{Warmup: 300, Window: 200},
-		Concurrency: StreamConcurrency{Agents: 3, Round: 9},
+		Concurrency: StreamConcurrency{Agents: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +184,7 @@ func TestAgentsRetryQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, s, Config{RetryDropped: true})
+	r, err := NewRunner(st, s, Config{Faults: Faults{Retry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +317,8 @@ func TestTierTwoDrainsAfterPressure(t *testing.T) {
 	// tier-0 wall's departures (a finite trace otherwise ends the run at
 	// its last arrival, stranding the queue).
 	tr.VMs = append(tr.VMs, workload.VM{ID: id, Arrival: 2500, Lifetime: 100, Tier: 2, Req: units.Vec(1, 1, 32)})
-	_, r := eqRunner(t, "RISA", Config{})
+	_, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true, Preempt: true}})
 	cfg := StreamConfig{Workload: StreamWorkload{Duration: 3000}, Windows: StreamWindows{Window: 500}}
-	cfg.Faults = StreamFaults{Retry: true, Preempt: true}
 	ss, err := r.RunStream(workload.NewTraceStream(tr), cfg)
 	if err != nil {
 		t.Fatal(err)

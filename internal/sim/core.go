@@ -112,8 +112,8 @@ var errQueuedBehind = errors.New("sim: queued behind earlier arrivals")
 type eventCore struct {
 	st  *sched.State
 	sch sched.Scheduler
-	obs observer     // nil observes nothing
-	f   StreamFaults // the run's fault surface, resolved by value
+	obs observer // nil observes nothing
+	f   Faults   // the run's fault surface, by value
 
 	h        eventQueue
 	seq      int
@@ -136,7 +136,7 @@ type eventCore struct {
 
 // newEventCore binds a core to one state, scheduler, observer and fault
 // surface. The plan's events are not queued yet: see seedPlan.
-func newEventCore(st *sched.State, sch sched.Scheduler, obs observer, f StreamFaults) *eventCore {
+func newEventCore(st *sched.State, sch sched.Scheduler, obs observer, f Faults) *eventCore {
 	return &eventCore{st: st, sch: sch, obs: obs, f: f, downCount: make([]int, len(st.Cluster.Boxes()))}
 }
 

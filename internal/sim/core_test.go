@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"risa/internal/core"
@@ -56,7 +55,7 @@ func recorded(t *testing.T, tcfg topology.Config) (*sched.State, sched.Scheduler
 func logRun(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *faults.Plan) []decision {
 	t.Helper()
 	st, sch, log := recorded(t, tcfg)
-	r, err := NewRunner(st, sch, Config{Faults: plan})
+	r, err := NewRunner(st, sch, Config{Faults: Faults{Plan: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +65,17 @@ func logRun(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *faults
 	return *log
 }
 
-// logStream plays tr through Runner.RunStream, the plan carried by the
-// StreamConfig.
+// logStream plays tr through Runner.RunStream under plan.
 func logStream(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *faults.Plan, agents int) []decision {
 	t.Helper()
 	st, sch, log := recorded(t, tcfg)
-	r, err := NewRunner(st, sch, Config{})
+	r, err := NewRunner(st, sch, Config{Faults: Faults{Plan: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = r.RunStream(workload.NewTraceStream(tr), StreamConfig{
 		Workload:    StreamWorkload{MaxArrivals: tr.Len()},
 		Windows:     StreamWindows{Window: 1000},
-		Faults:      StreamFaults{Plan: plan},
 		Concurrency: StreamConcurrency{Agents: agents},
 	})
 	if err != nil {
@@ -198,12 +195,10 @@ func TestEventKindWireValues(t *testing.T) {
 	}
 }
 
-// TestRunnerReusableAcrossStreamRuns is the regression test for the
-// fault surface leaking onto the Runner: a second RunStream carrying the
-// same StreamFaults used to fail ("configured on both"), and a later
-// fault-free RunStream silently inherited the retry queue.
+// TestRunnerReusableAcrossStreamRuns is the regression test for run
+// state leaking onto the Runner: every run builds its own event core, so
+// two retry runs on one runner enqueue exactly alike.
 func TestRunnerReusableAcrossStreamRuns(t *testing.T) {
-	_, r := eqRunner(t, "RISA", Config{})
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.N = 1500
 	cfg.MeanInterarrival = 2
@@ -211,38 +206,26 @@ func TestRunnerReusableAcrossStreamRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(f StreamFaults) *SteadyState {
+	run := func(r *Runner) *SteadyState {
 		t.Helper()
 		ss, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{
 			Workload: StreamWorkload{MaxArrivals: tr.Len(), Drain: true},
 			Windows:  StreamWindows{Window: 1000},
-			Faults:   f,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ss
 	}
-	first := run(StreamFaults{Retry: true})
+	_, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true}})
+	first := run(r)
 	if first.Enqueued == 0 {
 		t.Fatal("fixture too weak: nothing ever queued")
 	}
-	if second := run(StreamFaults{Retry: true}); second.Enqueued != first.Enqueued {
+	if second := run(r); second.Enqueued != first.Enqueued {
 		t.Errorf("second retry run enqueued %d, first %d", second.Enqueued, first.Enqueued)
 	}
-	if plain := run(StreamFaults{}); plain.Enqueued != 0 || plain.TotalDropped == 0 {
-		t.Errorf("fault-free run after retry runs: enqueued %d, dropped %d — it inherited the retry queue",
-			plain.Enqueued, plain.TotalDropped)
-	}
-
-	// Both homes at once stays ambiguous — preemption included.
-	_, both := eqRunner(t, "RISA", Config{RetryDropped: true})
-	_, err = both.RunStream(workload.NewTraceStream(tr), StreamConfig{
-		Workload: StreamWorkload{MaxArrivals: 10},
-		Windows:  StreamWindows{Window: 1000},
-		Faults:   StreamFaults{Retry: true, Preempt: true},
-	})
-	if err == nil || !strings.Contains(err.Error(), "both") {
-		t.Errorf("fault surface on both Config and StreamConfig: err = %v", err)
+	if _, plain := eqRunner(t, "RISA", Config{}); run(plain).TotalDropped == 0 {
+		t.Error("fixture too weak: without the retry queue nothing drops")
 	}
 }

@@ -39,7 +39,7 @@ type Driver struct {
 // NewDriver binds a driver to st and sch. The scheduler must be bound to
 // st (sched.New does that).
 func NewDriver(st *sched.State, sch sched.Scheduler) *Driver {
-	return &Driver{c: newEventCore(st, sch, nil, StreamFaults{})}
+	return &Driver{c: newEventCore(st, sch, nil, Faults{})}
 }
 
 // Now returns the driver's current virtual time: the time of the last
@@ -75,11 +75,6 @@ func (d *Driver) reach(t int64, k eventKind) int64 {
 	_ = c.tick(t)
 	return t
 }
-
-// Advance moves virtual time to t, releasing every pending departure due
-// at or before t (departures precede arrivals at equal times, the event
-// core's order), and returns the effective time.
-func (d *Driver) Advance(t int64) int64 { return d.reach(t, arrival) }
 
 // Place advances virtual time to the VM's arrival (clamped to now — a
 // late-stamped request places at the current time) and admits it. On

@@ -75,7 +75,7 @@ func driverScript(t *testing.T, d *Driver, seed int64, n, applyFrom, recordFrom 
 		default:
 			adv := rng.Int63n(30)
 			if apply {
-				d.Advance(d.Now() + adv)
+				d.reach(d.Now()+adv, arrival)
 			}
 		}
 	}
@@ -85,7 +85,10 @@ func driverScript(t *testing.T, d *Driver, seed int64, n, applyFrom, recordFrom 
 // TestDriverSnapshotRoundtrip splits a script around Snapshot/
 // RestoreDriver and requires the restored driver to finish it with
 // decisions identical to the uncrashed twin's, ending in an identical
-// snapshot — per registered algorithm, cursor state included.
+// snapshot — per registered algorithm, cursor state included. The driver
+// that took the snapshot then finishes the script too, and must end the
+// same way: capture only reads, which is what lets the daemon snapshot
+// every few thousand records and keep serving.
 func TestDriverSnapshotRoundtrip(t *testing.T) {
 	for _, algo := range sched.Registered() {
 		t.Run(algo, func(t *testing.T) {
@@ -121,16 +124,21 @@ func TestDriverSnapshotRoundtrip(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("restored driver diverged from uncrashed twin:\nwant %v\ngot  %v", want, got)
 			}
+			if cont := driverScript(t, orig, 11, n, split, split); !reflect.DeepEqual(want, cont) {
+				t.Fatalf("snapshotted driver diverged from uncrashed twin:\nwant %v\ngot  %v", want, cont)
+			}
 			endA, err := whole.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			endB, err := restored.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(endA, endB) {
-				t.Fatal("final snapshots differ")
+			for name, d := range map[string]*Driver{"restored": restored, "snapshotted": orig} {
+				end, err := d.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(endA, end) {
+					t.Fatalf("%s driver's final snapshot differs from the uncrashed twin's", name)
+				}
 			}
 		})
 	}
@@ -150,11 +158,11 @@ func TestDriverDepartures(t *testing.T) {
 	if d.Resident() != 1 {
 		t.Fatalf("resident = %d", d.Resident())
 	}
-	d.Advance(99)
+	d.reach(99, arrival)
 	if d.Resident() != 1 {
 		t.Fatal("departed early")
 	}
-	d.Advance(100)
+	d.reach(100, arrival)
 	if d.Resident() != 0 {
 		t.Fatal("did not depart at T+L")
 	}

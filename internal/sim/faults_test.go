@@ -37,11 +37,11 @@ func TestNewRunnerValidatesFaultConfig(t *testing.T) {
 	}
 	// An out-of-range plan is rejected up front.
 	bad := &faults.Plan{Events: []faults.Event{{T: 0, Tier: faults.RackTier, Rack: 99}}}
-	if _, err := NewRunner(st, core.New(st), Config{Faults: bad}); err == nil {
+	if _, err := NewRunner(st, core.New(st), Config{Faults: Faults{Plan: bad}}); err == nil {
 		t.Error("out-of-range plan accepted")
 	}
 	// Evict without a plan is meaningless.
-	if _, err := NewRunner(st, core.New(st), Config{Evict: true}); err == nil {
+	if _, err := NewRunner(st, core.New(st), Config{Faults: Faults{Evict: true}}); err == nil {
 		t.Error("Evict without a fault plan accepted")
 	}
 }
@@ -94,7 +94,7 @@ func streamFor(t testing.TB) workload.Stream {
 // drains to pristine.
 func TestRunStreamFaultsNoEvict(t *testing.T) {
 	plan := faults.RackFailure(0, 400, 900)
-	st, r := faultRunner(t, Config{Faults: plan})
+	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan}})
 	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestRunStreamFaultsNoEvict(t *testing.T) {
 // after the repair.
 func TestRunStreamEviction(t *testing.T) {
 	plan := faults.RackFailure(0, 400, 900)
-	st, r := faultRunner(t, Config{Faults: plan, Evict: true})
+	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
 	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestRunStreamEvictionLoss(t *testing.T) {
 		plan.Events = append(plan.Events,
 			faults.Event{T: 600, Tier: faults.RackTier, Rack: rack, Repair: true})
 	}
-	st, r := faultRunner(t, Config{Faults: plan, Evict: true})
+	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
 	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestRunStreamEvictionRetryQueue(t *testing.T) {
 		plan.Events = append(plan.Events,
 			faults.Event{T: 600, Tier: faults.RackTier, Rack: rack, Repair: true})
 	}
-	st, r := faultRunner(t, Config{Faults: plan, Evict: true, RetryDropped: true})
+	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true, Retry: true}})
 	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestRunStreamFaultDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *SteadyState {
-		_, r := faultRunner(t, Config{Faults: plan, Evict: true})
+		_, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
 		res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +293,7 @@ func TestOverlappingTierOutages(t *testing.T) {
 			t.Errorf("after %v: failed = %v (%s)", step.ev, box.Failed(), step.why)
 		}
 	}
-	d.Advance(1000)
+	d.reach(1000, arrival)
 	if d.Resident() != 0 {
 		t.Errorf("%d VMs resident after the last departure", d.Resident())
 	}
@@ -317,7 +317,7 @@ func TestEvictionSparesSameInstantDepartures(t *testing.T) {
 		plan.Events = append(plan.Events,
 			faults.Event{T: 150, Repair: true, Tier: faults.RackTier, Rack: rack})
 	}
-	st, r := faultRunner(t, Config{Faults: plan, Evict: true})
+	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
 	tr := &workload.Trace{Name: "same-instant", VMs: []workload.VM{
 		{ID: 0, Arrival: 0, Lifetime: 100, Req: units.Vec(8, 16, 128)},
 	}}
@@ -338,7 +338,7 @@ func TestEvictionSparesSameInstantDepartures(t *testing.T) {
 	}
 }
 
-// TestDisplacedRequeueCountsOnce: with Evict+RetryDropped, a VM that is
+// TestDisplacedRequeueCountsOnce: with Evict+Retry, a VM that is
 // displaced, parked on the retry queue and re-placed after the repair
 // counts as ONE acceptance (at its arrival) plus one recovery — not
 // two acceptances.
@@ -352,7 +352,7 @@ func TestDisplacedRequeueCountsOnce(t *testing.T) {
 		plan.Events = append(plan.Events,
 			faults.Event{T: 60, Repair: true, Tier: faults.RackTier, Rack: rack})
 	}
-	_, r := faultRunner(t, Config{Faults: plan, Evict: true, RetryDropped: true})
+	_, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true, Retry: true}})
 	// One resident VM displaced by the total outage at t=50, re-admitted
 	// by the repair at t=60; a second arrival keeps the run going.
 	tr := &workload.Trace{Name: "requeue", VMs: []workload.VM{
@@ -406,7 +406,7 @@ func (s *spyObserver) displaced(a *sched.Assignment, recovered bool, _ time.Dura
 func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 	st, r := faultRunner(t, Config{})
 	spy := &spyObserver{}
-	c := newEventCore(st, r.sch, spy, StreamFaults{Evict: true})
+	c := newEventCore(st, r.sch, spy, Faults{Evict: true})
 	vm := workload.VM{ID: 1, Lifetime: 10, Req: units.Vec(8, 16, 128)}
 	a1, err := c.decide(vm, true)
 	if err != nil {
@@ -462,7 +462,7 @@ func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 // one) must ride along off the entry and come back byte for byte.
 func TestGhostsSurviveHeapRoundTrip(t *testing.T) {
 	st, r := faultRunner(t, Config{})
-	f := StreamFaults{Evict: true, Retry: true}
+	f := Faults{Evict: true, Retry: true}
 	c := newEventCore(st, r.sch, &spyObserver{}, f)
 	place := func(vm workload.VM) {
 		t.Helper()

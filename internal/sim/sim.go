@@ -3,8 +3,10 @@
 //
 // Events are VM arrivals (from a trace, a stream, or one at a time over
 // the Driver), departures (queued when a VM is placed) and fault-plan
-// events (hardware failing and recovering, see Config.Faults and
-// DESIGN.md §10). One unexported event core (core.go) owns the event
+// events (hardware failing and recovering, see Faults and DESIGN.md §10).
+// The fault surface — plan, eviction, retry queue, preemption — is set
+// once, on Config.Faults, and every run of the Runner plays under it. One
+// unexported event core (core.go) owns the event
 // heap, the clock, the retry queue, eviction and preemption, and states
 // the ordering rules — faults before departures before arrivals at one
 // instant, atomic same-instant fault bursts, tier-ordered queue drain —
@@ -15,11 +17,12 @@
 //     signals the paper reports: compute utilization per resource (§5.1's
 //     64.66/65.11/31.72 %), intra- and inter-rack network utilization
 //     (Figure 8), and optical power (Figure 9).
-//   - Runner.RunStream (with WarmStream/ResumeStream around a Snapshot)
-//     plays an open-ended stream and reports warmup-excluded windowed
-//     steady-state metrics.
+//   - Runner.RunStream plays an open-ended stream and reports
+//     warmup-excluded windowed steady-state metrics; WarmStream plays one
+//     up to a Snapshot and stops, ResumeStream continues from one.
 //   - The agent round (StreamConcurrency.Agents) is RunStream with the
-//     decision swapped for a concurrent propose round plus serial commit.
+//     decision swapped for a concurrent propose round of 4×Agents
+//     arrivals plus serial commit.
 //   - Driver steps the core one externally supplied event at a time and
 //     observes nothing; it is what the placement daemon embeds.
 //
@@ -92,7 +95,7 @@ type Result struct {
 	// Samples is the optional time series (see Config.SampleEvery).
 	Samples []Sample
 
-	// Retry-queue statistics (see Config.RetryDropped). Enqueued counts
+	// Retry-queue statistics (see Faults.Retry). Enqueued counts
 	// arrivals that found no capacity and waited; RetrySucceeded counts
 	// those eventually placed; MeanWait is their average queue time in
 	// time units. VMs still waiting at the end of the run count as
@@ -101,7 +104,7 @@ type Result struct {
 	RetrySucceeded int
 	MeanWait       float64
 
-	// Fault statistics (see Config.Faults/Evict). Displaced counts VMs
+	// Fault statistics (see Faults.Plan/Evict). Displaced counts VMs
 	// evicted off failed hardware; Recovered those re-placed elsewhere
 	// (immediately, or later from the retry queue — never a second
 	// acceptance in Scheduled); DisplacedLost those gone for good. All
@@ -121,7 +124,7 @@ type Sample struct {
 	Resident  int                         // VMs currently placed
 }
 
-// Config parameterizes a run.
+// Config parameterizes every run of a Runner.
 type Config struct {
 	// Power model; nil uses optics defaults.
 	PowerModel *power.Model
@@ -129,26 +132,40 @@ type Config struct {
 	// time crosses a multiple of this interval (plus one final sample at
 	// makespan). Zero disables the time series.
 	SampleEvery int64
-	// RetryDropped, when set, turns the paper's drop-on-failure semantics
-	// into a wait queue (an extension beyond the paper): arrivals that
-	// cannot be placed wait, and every departure retries the queue
-	// head-first. A waiting VM's lifetime starts when it is placed. The
-	// queue is the event core's tier-then-admission-sequence queue, which
-	// is plain FIFO on untiered traces — every trace Run is given.
-	RetryDropped bool
-	// Faults is an optional fault plan merged into the event order: each
+	// Faults is the fault surface every run of the Runner plays under:
+	// Run, RunStream, WarmStream and ResumeStream alike.
+	Faults Faults
+}
+
+// Faults is a run's fault surface: a fault plan merged into the event
+// order, displaced-VM recovery, the retry queue and preemption. Each run
+// copies it by value into its own event core.
+type Faults struct {
+	// Plan is an optional fault plan merged into the event order: each
 	// event toggles box failure over its scope (box, rack or pod) at its
-	// timestamp, before the departures of the same instant. Both Run and
-	// RunStream consume it.
-	Faults *faults.Plan
-	// Evict, with Faults, activates displaced-VM recovery: when hardware
+	// timestamp, before the departures of the same instant.
+	Plan *faults.Plan
+	// Evict, with Plan, activates displaced-VM recovery: when hardware
 	// fails, VMs resident on it are evicted and re-placed through the
 	// scheduler's own policy (core.Displace); a VM that cannot be
-	// re-placed is lost — or parks on the retry queue when RetryDropped
-	// is also set. Without Evict, resident VMs ride out the outage in
-	// place (their circuits are established) and only new arrivals route
-	// around the hole.
+	// re-placed is lost — or parks on the retry queue when Retry is also
+	// set. Without Evict, resident VMs ride out the outage in place
+	// (their circuits are established) and only new arrivals route around
+	// the hole.
 	Evict bool
+	// Retry turns the paper's drop-on-failure semantics into a wait queue
+	// (an extension beyond the paper): arrivals that cannot be placed
+	// wait, and every departure retries the queue head-first. A waiting
+	// VM's lifetime starts when it is placed. The queue orders by tier,
+	// then admission sequence, which is plain FIFO on untiered workloads.
+	Retry bool
+	// Preempt lets a high-priority arrival that fails placement displace
+	// strictly-lower-tier victims via core.Preempt, the victims entering
+	// the retry queue (hence Preempt requires Retry). Serial stream runs
+	// only: agent mode refuses it (preemption mutates the event heap
+	// mid-decision), and so does Run, whose power accountant tracks flow
+	// pointers a preemption restore would invalidate.
+	Preempt bool
 }
 
 // Runner binds a scheduler and a state and runs traces. It holds
@@ -159,7 +176,7 @@ type Runner struct {
 	sch         sched.Scheduler
 	model       *power.Model
 	sampleEvery int64
-	faults      StreamFaults // Config's fault surface (Preempt never set)
+	faults      Faults
 }
 
 // NewRunner builds a Runner. The scheduler must be bound to st.
@@ -175,33 +192,32 @@ func NewRunner(st *sched.State, sch sched.Scheduler, cfg Config) (*Runner, error
 	if cfg.SampleEvery < 0 {
 		return nil, fmt.Errorf("sim: negative sample interval %d", cfg.SampleEvery)
 	}
-	r := &Runner{st: st, sch: sch, model: m, sampleEvery: cfg.SampleEvery}
-	if err := r.checkPlan(cfg.Faults); err != nil {
-		return nil, err
+	f := cfg.Faults
+	if f.Plan != nil {
+		if err := f.Plan.Validate(st.Cluster.NumRacks(), st.Cluster.Config().BoxesPerRack()); err != nil {
+			return nil, err
+		}
 	}
-	if cfg.Evict && cfg.Faults == nil {
-		return nil, fmt.Errorf("sim: Evict requires a fault plan")
+	if f.Evict && f.Plan == nil {
+		return nil, fmt.Errorf("sim: Faults.Evict requires Faults.Plan")
 	}
-	r.faults = StreamFaults{Plan: cfg.Faults, Evict: cfg.Evict, Retry: cfg.RetryDropped}
-	return r, nil
-}
-
-// checkPlan validates a fault plan (nil is fine) against the cluster.
-func (r *Runner) checkPlan(p *faults.Plan) error {
-	if p == nil {
-		return nil
+	if f.Preempt && !f.Retry {
+		return nil, fmt.Errorf("sim: Faults.Preempt requires Faults.Retry (victims re-enter through the retry queue)")
 	}
-	return p.Validate(r.st.Cluster.NumRacks(), r.st.Cluster.Config().BoxesPerRack())
+	return &Runner{st: st, sch: sch, model: m, sampleEvery: cfg.SampleEvery, faults: f}, nil
 }
 
 // Run plays the whole trace and returns the aggregated result. The state
 // is left as the trace leaves it (all VMs depart by trace makespan, so a
-// full run restores the initial state).
+// full run restores the initial state). It refuses Faults.Preempt.
 //
 // Arrivals are pulled lazily through the workload.Stream adapter and
 // merged with the event core's heap, which only ever holds the pending
 // departures and fault-plan events.
 func (r *Runner) Run(tr *workload.Trace) (*Result, error) {
+	if r.faults.Preempt {
+		return nil, fmt.Errorf("sim: Run does not preempt (its power accountant tracks flow pointers); Faults.Preempt is for stream runs")
+	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}

@@ -335,7 +335,7 @@ func TestRetryQueuePlacesAfterDeparture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, core.New(st), Config{RetryDropped: true})
+	r, err := NewRunner(st, core.New(st), Config{Faults: Faults{Retry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestRetryQueueAbandonsAtEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, core.New(st), Config{RetryDropped: true})
+	r, err := NewRunner(st, core.New(st), Config{Faults: Faults{Retry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRetryQueuePreservesFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, core.New(st), Config{RetryDropped: true})
+	r, err := NewRunner(st, core.New(st), Config{Faults: Faults{Retry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

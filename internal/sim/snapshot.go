@@ -153,7 +153,7 @@ type WindowerState struct {
 // struct of their own), deep-copyable (Clone), and immutable under
 // ResumeStream and RestoreDriver.
 type Snapshot struct {
-	// T is the snapshot boundary (the arming StreamSnapshot.At):
+	// T is the snapshot boundary (WarmStream's StreamSnapshot.At):
 	// every event with time < T is reflected in the state, nothing at or
 	// after T is. LastT is the time of the last event actually processed
 	// (≤ T).
@@ -440,7 +440,6 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	sr.stopAtSnap = true
 	if err := sr.loop(nil); err != nil {
 		return nil, err
 	}
@@ -457,7 +456,8 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // (it is repositioned by replay), and cfg must carry the same stop
 // bounds as the warm run's for bit-identical equivalence (Warmup,
 // Window and the reservoir parameters are inherited from the snapshot;
-// cfg.Workload.Drain, Snapshot.At and OnSnapshot apply to the resumed part).
+// cfg.Workload.Drain applies to the resumed part). It refuses Snapshot.At:
+// a resumed run does not capture again.
 //
 // Fault-plan linkage follows Snapshot.PlanLen (see eventCore.restore): a
 // plan-free snapshot resumed under a plan starts its faults at the
@@ -467,6 +467,9 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // same snapshot, including concurrently from separate goroutines each
 // with their own runner and stream.
 func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfig) (*SteadyState, error) {
+	if err := noCapture(cfg); err != nil {
+		return nil, err
+	}
 	if cfg.Concurrency.Agents > 1 {
 		return nil, fmt.Errorf("sim: agent mode (Agents=%d) cannot resume a snapshot", cfg.Concurrency.Agents)
 	}

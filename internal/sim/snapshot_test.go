@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,7 +99,7 @@ func eqPlan(t testing.TB, horizon int64) *faults.Plan {
 // eqCase is one cell of the equivalence matrix.
 type eqCase struct {
 	name   string
-	sim    func(t testing.TB) Config       // runner config (fault plan, evict, retry)
+	sim    func(t testing.TB) Config       // runner config (the fault surface)
 	stream func(t testing.TB) StreamConfig // stop bounds shared by fresh/warm/resume
 	src    func(t testing.TB) workload.Stream
 }
@@ -115,33 +116,29 @@ func eqCases() []eqCase {
 		},
 		{
 			name:   "churn-retry",
-			sim:    func(testing.TB) Config { return Config{RetryDropped: true} },
+			sim:    func(testing.TB) Config { return Config{Faults: Faults{Retry: true}} },
 			stream: func(testing.TB) StreamConfig { return churn },
 			src:    eqStream,
 		},
 		{
 			name: "faults-evict-retry",
 			sim: func(t testing.TB) Config {
-				return Config{Faults: eqPlan(t, 160000), Evict: true, RetryDropped: true}
+				return Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true, Retry: true}}
 			},
 			stream: func(testing.TB) StreamConfig { return faulty },
 			src:    eqStream,
 		},
 		{
-			// The whole tiered fault surface at once, configured on the
-			// stream plane (Config{} keeps the runner plane empty — the
-			// two planes reject being mixed): priority mix on arrivals,
-			// fault plan, eviction, retry queue and preemption. The
-			// snapshot must carry tier counters, per-tier reservoirs and
-			// preempted retry entries across the warm/resume boundary.
+			// The whole tiered fault surface at once: priority mix on
+			// arrivals, fault plan, eviction, retry queue and preemption.
+			// The snapshot must carry tier counters, per-tier reservoirs
+			// and preempted retry entries across the warm/resume boundary.
 			name: "tiered-preempt",
-			sim:  func(testing.TB) Config { return Config{} },
-			stream: func(t testing.TB) StreamConfig {
-				cfg := faulty
-				cfg.Faults = StreamFaults{Plan: eqPlan(t, 160000), Evict: true, Retry: true, Preempt: true}
-				return cfg
+			sim: func(t testing.TB) Config {
+				return Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true, Retry: true, Preempt: true}}
 			},
-			src: tieredStream,
+			stream: func(testing.TB) StreamConfig { return faulty },
+			src:    tieredStream,
 		},
 	}
 }
@@ -226,57 +223,6 @@ func TestSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotObservationPurity: arming OnSnapshot on a full run must
-// not perturb it, and the mid-run capture must equal WarmStream's.
-func TestSnapshotObservationPurity(t *testing.T) {
-	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
-	_, plain := eqRunner(t, "RISA", Config{})
-	want, err := plain.RunStream(eqStream(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	observed := cfg
-	observed.Snapshot.At = 30000
-	var mid *Snapshot
-	observed.Snapshot.OnSnapshot = func(s *Snapshot) { mid = s }
-	_, obs := eqRunner(t, "RISA", Config{})
-	got, err := obs.RunStream(eqStream(t), observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqual(t, want, got)
-	if mid == nil {
-		t.Fatal("OnSnapshot never fired")
-	}
-
-	warm := cfg
-	warm.Snapshot.At = 30000
-	_, wr := eqRunner(t, "RISA", Config{})
-	snap, err := wr.WarmStream(eqStream(t), warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshots embed wall-clock observations (SchedulingTime, the
-	// reservoirs' sampled latency values); strip those before comparing
-	// — everything else must match exactly.
-	norm := func(s *Snapshot) *Snapshot {
-		c := s.Clone()
-		c.Counters = deterministic(&c.Counters)
-		c.Lat.Vals, c.Rep.Vals = nil, nil
-		for t := range c.TierLat {
-			c.TierLat[t].Vals = nil
-		}
-		return c
-	}
-	if !reflect.DeepEqual(norm(mid), norm(snap)) {
-		t.Error("mid-run snapshot differs from WarmStream snapshot")
-	}
-	if mid.Lat.N != snap.Lat.N || mid.Lat.Draws != snap.Lat.Draws || len(mid.Lat.Vals) != len(snap.Lat.Vals) {
-		t.Error("reservoir positions diverge between mid-run and warm captures")
-	}
-}
-
 // TestSnapshotSharedAcrossWidths resumes one snapshot from many
 // goroutines at once — the worker-pool pattern the experiment ladders
 // use — and every resume must agree with the serial one.
@@ -337,7 +283,7 @@ func TestSnapshotSharedAcrossWidths(t *testing.T) {
 // TestSnapshotCloneIsDeep: mutating a clone must not reach the original.
 func TestSnapshotCloneIsDeep(t *testing.T) {
 	warm := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}, Snapshot: StreamSnapshot{At: 30000}}
-	_, wr := eqRunner(t, "RISA", Config{Faults: eqPlan(t, 160000), Evict: true, RetryDropped: true})
+	_, wr := eqRunner(t, "RISA", Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true, Retry: true}})
 	snap, err := wr.WarmStream(eqStream(t), warm)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +388,7 @@ func TestResumePlanFreeWarmWithPlan(t *testing.T) {
 	}
 	var prev *SteadyState
 	for rep := 0; rep < 2; rep++ {
-		_, rr := eqRunner(t, "RISA", Config{Faults: eqPlan(t, 160000), Evict: true})
+		_, rr := eqRunner(t, "RISA", Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true}})
 		got, err := rr.ResumeStream(eqStream(t), snap, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -465,14 +411,6 @@ func TestSnapshotErrors(t *testing.T) {
 		_, r := eqRunner(t, "RISA", Config{})
 		if _, err := r.WarmStream(eqStream(t), cfg); err == nil {
 			t.Fatal("WarmStream without SnapshotAt succeeded")
-		}
-	})
-	t.Run("on-snapshot-requires-snapshot-at", func(t *testing.T) {
-		bad := cfg
-		bad.Snapshot.OnSnapshot = func(*Snapshot) {}
-		_, r := eqRunner(t, "RISA", Config{})
-		if _, err := r.RunStream(eqStream(t), bad); err == nil {
-			t.Fatal("OnSnapshot without SnapshotAt succeeded")
 		}
 	})
 	t.Run("stream-ends-before-boundary", func(t *testing.T) {
@@ -508,7 +446,7 @@ func TestSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plannedCfg := Config{Faults: eqPlan(t, 160000)}
+	plannedCfg := Config{Faults: Faults{Plan: eqPlan(t, 160000)}}
 	_, pwr := eqRunner(t, "RISA", plannedCfg)
 	warmPlanned := warmCfg
 	warmPlanned.Workload.Duration, warmPlanned.Workload.MaxArrivals = 160000, 0
@@ -521,6 +459,17 @@ func TestSnapshotErrors(t *testing.T) {
 		_, rr := eqRunner(t, "RISA", Config{})
 		if _, err := rr.ResumeStream(eqStream(t), plannedSnap, cfg); err == nil {
 			t.Fatal("plan-bearing snapshot resumed without a plan")
+		}
+	})
+	t.Run("resume-refuses-snapshot-at", func(t *testing.T) {
+		// A resumed run does not capture again: WarmStream is the one
+		// capture path.
+		_, rr := eqRunner(t, "RISA", Config{})
+		if _, err := rr.ResumeStream(eqStream(t), snap, warmCfg); err == nil || !strings.Contains(err.Error(), "only WarmStream") {
+			t.Fatalf("ResumeStream with Snapshot.At: err = %v", err)
+		}
+		if _, err := rr.ResumeStream(eqStream(t), snap, cfg); err != nil {
+			t.Fatalf("the refusal left the runner's state dirty: %v", err)
 		}
 	})
 	t.Run("restore-into-dirty-state", func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"risa/internal/faults"
 	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
@@ -48,78 +47,42 @@ type StreamWindows struct {
 // to end.
 const reservoirSize = 4096
 
-// StreamFaults is the stream-level fault surface: a fault plan merged
-// into the event order, displaced-VM recovery, the retry queue and
-// preemption. It is the StreamConfig home of what
-// Config.Faults/Evict/RetryDropped carry for Runner.Run — a stream run
-// accepts the surface through either, but not both at once. Each run
-// resolves it by value into its own event core; nothing is written back
-// to the Runner.
-type StreamFaults struct {
-	// Plan is the fault plan merged into the event order (see
-	// Config.Faults).
-	Plan *faults.Plan
-	// Evict, with Plan, activates displaced-VM recovery (see
-	// Config.Evict).
-	Evict bool
-	// Retry turns drop-on-failure into the wait queue (see
-	// Config.RetryDropped).
-	Retry bool
-	// Preempt lets a high-priority arrival that fails placement displace
-	// strictly-lower-tier victims via core.Preempt, the victims entering
-	// the retry queue (hence Preempt requires Retry). Serial stream runs
-	// only: agent mode is rejected (preemption mutates the event heap
-	// mid-decision), and Runner.Run's power accountant tracks flow
-	// pointers a preemption restore would invalidate.
-	Preempt bool
-}
-
 // StreamSnapshot arms warm-state capture (see snapshot.go).
 type StreamSnapshot struct {
-	// At, when positive, arms warm-state capture: at the first event
-	// boundary with next-event time ≥ At the run's complete state is
-	// captured as a Snapshot (see snapshot.go for the determinism
-	// contract). RunStream delivers it through OnSnapshot and continues
-	// unperturbed; WarmStream stops there and returns it.
+	// At is WarmStream's capture point: at the first event boundary with
+	// next-event time ≥ At the run's complete state is captured as a
+	// Snapshot (see snapshot.go for the determinism contract) and the run
+	// stops there. RunStream and ResumeStream refuse a positive At —
+	// WarmStream is the one capture path.
 	At int64
-	// OnSnapshot receives the captured snapshot during RunStream. The
-	// callback observes: it must not mutate the running simulation. It
-	// requires At > 0.
-	OnSnapshot func(*Snapshot)
 }
 
 // StreamConcurrency configures the optimistic agent pool (agents.go).
 type StreamConcurrency struct {
 	// Agents is the number of concurrent allocation agents proposing
-	// placements. 0 and 1 both mean the serial event loop — the pool
-	// machinery engages at 2 and above. Agent mode is incompatible with
-	// snapshot capture and resume.
+	// placements, in rounds of 4×Agents consecutive arrivals. 0 and 1
+	// both mean the serial event loop — the pool machinery engages at 2
+	// and above. Agent mode is incompatible with snapshot capture and
+	// resume, and with Faults.Preempt.
 	Agents int
-	// Round bounds how many consecutive arrivals are staged into one
-	// propose round (default 4×Agents). Larger rounds amortize the
-	// propose barrier better; smaller rounds track capacity more
-	// closely.
-	Round int
 }
 
 // StreamConfig parameterizes one open-ended steady-state run
-// (Runner.RunStream), grouped by concern.
+// (Runner.RunStream), grouped by concern. The fault surface is the
+// Runner's (Config.Faults).
 type StreamConfig struct {
 	// Workload bounds the arrival stream.
 	Workload StreamWorkload
 	// Windows shapes the warmup cut, reporting windows and reservoirs.
 	Windows StreamWindows
-	// Faults is the stream-level fault surface.
-	Faults StreamFaults
 	// Snapshot arms warm-state capture.
 	Snapshot StreamSnapshot
 	// Concurrency configures the optimistic agent pool.
 	Concurrency StreamConcurrency
 }
 
-// Validate checks the configuration, including the compatibility rules
-// between groups: eviction needs a fault plan, snapshot capture needs a
-// positive boundary, and agent mode excludes snapshot capture (a
+// Validate checks the configuration, including the one compatibility
+// rule between groups: agent mode excludes snapshot capture (a
 // multi-agent run has no serial event boundary to capture at).
 func (c StreamConfig) Validate() error {
 	if c.Workload.MaxArrivals <= 0 && c.Workload.Duration <= 0 {
@@ -135,27 +98,11 @@ func (c StreamConfig) Validate() error {
 	if c.Workload.Duration > 0 && c.Workload.Duration <= c.Windows.Warmup {
 		return fmt.Errorf("sim: duration %d must exceed warmup %d", c.Workload.Duration, c.Windows.Warmup)
 	}
-	if c.Faults.Evict && c.Faults.Plan == nil {
-		return fmt.Errorf("sim: Faults.Evict requires Faults.Plan")
-	}
-	if c.Faults.Preempt && !c.Faults.Retry {
-		return fmt.Errorf("sim: Faults.Preempt requires Faults.Retry (victims re-enter through the retry queue)")
-	}
-	if c.Faults.Preempt && c.Concurrency.Agents > 1 {
-		return fmt.Errorf("sim: preemption (Faults.Preempt) is incompatible with agent mode (Agents=%d)", c.Concurrency.Agents)
-	}
 	if c.Snapshot.At < 0 {
 		return fmt.Errorf("sim: negative snapshot point %d", c.Snapshot.At)
 	}
-	if c.Snapshot.OnSnapshot != nil && c.Snapshot.At <= 0 {
-		return fmt.Errorf("sim: OnSnapshot requires Snapshot.At")
-	}
-	if c.Concurrency.Agents < 0 || c.Concurrency.Round < 0 {
-		return fmt.Errorf("sim: negative concurrency parameters (agents %d, round %d)",
-			c.Concurrency.Agents, c.Concurrency.Round)
-	}
-	if c.Concurrency.Round > 0 && c.Concurrency.Agents <= 1 {
-		return fmt.Errorf("sim: Concurrency.Round requires Agents > 1")
+	if c.Concurrency.Agents < 0 {
+		return fmt.Errorf("sim: negative agent count %d", c.Concurrency.Agents)
 	}
 	if c.Concurrency.Agents > 1 && c.Snapshot.At > 0 {
 		return fmt.Errorf("sim: agent mode (Agents=%d) is incompatible with snapshot capture", c.Concurrency.Agents)
@@ -176,7 +123,7 @@ type WindowStats struct {
 	Arrivals, Accepted, Dropped int
 	// Displaced and Recovered count the window's fault evictions and the
 	// re-placements (attributed to the window the recovery happened in;
-	// see Config.Evict).
+	// see Faults.Evict).
 	Displaced, Recovered int
 	// TierArrivals, TierAccepted and TierPreempted break the window's
 	// arrival, acceptance and preemption counts down by priority tier
@@ -261,7 +208,7 @@ type SteadyState struct {
 	LatencySamples                     int
 
 	// Fault/availability counters (zero without a fault plan; see
-	// Config.Faults/Evict). Displaced counts VMs evicted off failed
+	// Faults.Plan/Evict). Displaced counts VMs evicted off failed
 	// hardware over the whole run, Recovered the subset re-placed
 	// (immediately, or later from the retry queue — a recovery never
 	// counts as a second acceptance), DisplacedLost those gone for good,
@@ -278,7 +225,7 @@ type SteadyState struct {
 	ReplaceP50, ReplaceP95, ReplaceP99 time.Duration
 	ReplaceSamples                     int
 
-	// Retry-queue statistics (Config.RetryDropped, mirroring Result):
+	// Retry-queue statistics (Faults.Retry, mirroring Result):
 	// Enqueued counts arrivals (and displaced VMs) that waited,
 	// RetrySucceeded those eventually placed, MeanWait their average
 	// queue time. Arrivals still waiting when the run stops count into
@@ -292,7 +239,7 @@ type SteadyState struct {
 	// TierStats); untiered workloads land entirely in tier 0.
 	Tiers [workload.NumTiers]TierStats
 
-	// Preemption counters (zero unless StreamFaults.Preempt): Preempted
+	// Preemption counters (zero unless Faults.Preempt): Preempted
 	// counts victims evicted to admit a higher-priority arrival,
 	// PreemptRecovered those later re-placed from the retry queue,
 	// PreemptLost those never re-placed (still waiting when the run
@@ -342,7 +289,7 @@ func (s *SteadyState) PlacementsPerSec() float64 {
 // Arrivals are pulled lazily — the event core's heap only ever holds the
 // resident VMs' departures plus the pending fault-plan events, so memory
 // is bounded by occupancy and plan length, not run length. The full fault
-// surface applies (see StreamFaults and the event core's ordering rules).
+// surface applies (see Faults and the event core's ordering rules).
 // If the stream implements workload.UtilizationObserver it receives the
 // binding-resource utilization after every arrival, which is how the
 // target-utilization controller closes its loop; any other stream has
@@ -350,15 +297,22 @@ func (s *SteadyState) PlacementsPerSec() float64 {
 // utilization sample at its end — exact, because the signal is
 // piecewise-constant and time does not move inside a burst.
 func (r *Runner) RunStream(s workload.Stream, cfg StreamConfig) (*SteadyState, error) {
+	if err := noCapture(cfg); err != nil {
+		return nil, err
+	}
+	agents := cfg.Concurrency.Agents
+	if agents > 1 && r.faults.Preempt {
+		return nil, fmt.Errorf("sim: preemption (Faults.Preempt) is incompatible with agent mode (Agents=%d)", agents)
+	}
 	sr, err := r.newStreamRun(s, cfg)
 	if err != nil {
 		return nil, err
 	}
 	var pool *agentPool
-	if cfg.Concurrency.Agents > 1 {
+	if agents > 1 {
 		// Concurrent agent mode (agents.go): same loop, arrivals staged
 		// into propose rounds. Agents ≤ 1 decides serially, bit for bit.
-		if pool, err = r.newAgentPool(cfg.Concurrency); err != nil {
+		if pool, err = r.newAgentPool(agents); err != nil {
 			return nil, err
 		}
 		defer pool.stop()
@@ -367,6 +321,15 @@ func (r *Runner) RunStream(s workload.Stream, cfg StreamConfig) (*SteadyState, e
 		return nil, err
 	}
 	return sr.finish(), nil
+}
+
+// noCapture refuses a capture point on a run that does not stop to
+// capture: WarmStream is the one capture path.
+func noCapture(cfg StreamConfig) error {
+	if cfg.Snapshot.At > 0 {
+		return fmt.Errorf("sim: Snapshot.At %d arms a capture, which only WarmStream takes", cfg.Snapshot.At)
+	}
+	return nil
 }
 
 // streamRun is one RunStream execution: the stream driver of the event
@@ -396,29 +359,19 @@ type streamRun struct {
 	pending workload.VM
 	more    bool
 
-	// Snapshot plumbing (see StreamSnapshot and snapshot.go).
-	stopAtSnap bool
-	snap       *Snapshot
+	snap *Snapshot // WarmStream's capture (see StreamSnapshot and snapshot.go)
 }
 
-// streamShell validates the configuration, resolves the fault surface
-// and binds a stream run to a fresh event core; the caller fills in the
-// observer state (fresh, or from a snapshot).
+// streamShell validates the configuration and binds a stream run to a
+// fresh event core under the runner's fault surface; the caller fills in
+// the observer state (fresh, or from a snapshot).
 func (r *Runner) streamShell(s workload.Stream, cfg StreamConfig) (*streamRun, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := cfg.Faults
-	if f == (StreamFaults{}) {
-		f = r.faults
-	} else if r.faults != (StreamFaults{}) {
-		return nil, fmt.Errorf("sim: fault surface configured on both Config and StreamConfig.Faults")
-	} else if err := r.checkPlan(f.Plan); err != nil {
-		return nil, err
-	}
 	sr := &streamRun{s: s, cfg: cfg}
 	sr.obs, _ = s.(workload.UtilizationObserver)
-	sr.c = newEventCore(r.st, r.sch, sr, f)
+	sr.c = newEventCore(r.st, r.sch, sr, r.faults)
 	return sr, nil
 }
 
@@ -535,20 +488,12 @@ func (sr *streamRun) loop(pool *agentPool) error {
 		if !arrivalNext {
 			next = c.h.Min().t
 		}
-		if at := sr.cfg.Snapshot.At; at > 0 && sr.snap == nil && next >= at {
-			// The snapshot boundary: every event before Snapshot.At has been
+		if at := sr.cfg.Snapshot.At; at > 0 && next >= at {
+			// WarmStream's boundary: every event before Snapshot.At has been
 			// fully processed and nothing at or after it has started.
-			snap, err := sr.capture()
-			if err != nil {
-				return err
-			}
-			sr.snap = snap
-			if sr.cfg.Snapshot.OnSnapshot != nil {
-				sr.cfg.Snapshot.OnSnapshot(snap)
-			}
-			if sr.stopAtSnap {
-				return nil
-			}
+			var err error
+			sr.snap, err = sr.capture()
+			return err
 		}
 		if !arrivalNext {
 			if err := c.step(); err != nil {

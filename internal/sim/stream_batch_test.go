@@ -7,7 +7,9 @@ import (
 
 	"risa/internal/baseline"
 	"risa/internal/core"
+	"risa/internal/network"
 	"risa/internal/sched"
+	"risa/internal/topology"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -76,13 +78,20 @@ func normalizeSteady(ss *SteadyState) *SteadyState {
 	return &c
 }
 
-// runBurst runs the burst fixture through RunStream under one scheduler
-// constructor, coalesced or as the serial oracle, and returns the normalized result plus the cluster's final
-// visible-free vectors.
-func runBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, cfg StreamConfig, serial bool) (*SteadyState, [units.NumResources][]units.Amount) {
+// runBurst runs tr through RunStream under one scheduler constructor and
+// fault surface, coalesced or as the serial oracle, and returns the
+// normalized result plus the cluster's final visible-free vectors.
+func runBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, f Faults, tr *workload.Trace, cfg StreamConfig, serial bool) (*SteadyState, [units.NumResources][]units.Amount) {
 	t.Helper()
-	st, r := newRunner(t, mk)
-	ss, err := r.RunStream(burstStream(burstTrace(500), serial), cfg)
+	st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(st, mk(st), Config{Faults: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := r.RunStream(burstStream(tr, serial), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +120,8 @@ func TestBatchAdmissionMatchesSerial(t *testing.T) {
 	}
 	for name, mk := range mks {
 		t.Run(name, func(t *testing.T) {
-			serial, serialVecs := runBurst(t, mk, base, true)
-			got, gotVecs := runBurst(t, mk, base, false)
+			serial, serialVecs := runBurst(t, mk, Faults{}, burstTrace(500), base, true)
+			got, gotVecs := runBurst(t, mk, Faults{}, burstTrace(500), base, false)
 			if !reflect.DeepEqual(serial, got) {
 				t.Errorf("batched SteadyState diverges from serial:\nserial: %+v\nbatch:  %+v", serial, got)
 			}
@@ -130,19 +139,18 @@ func TestBatchAdmissionMatchesSerialUnderRetryAndPreempt(t *testing.T) {
 	mk := func(s *sched.State) sched.Scheduler { return core.New(s) }
 	for _, tc := range []struct {
 		name string
-		f    StreamFaults
+		f    Faults
 	}{
-		{"retry", StreamFaults{Retry: true}},
-		{"retry+preempt", StreamFaults{Retry: true, Preempt: true}},
+		{"retry", Faults{Retry: true}},
+		{"retry+preempt", Faults{Retry: true, Preempt: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := StreamConfig{
 				Workload: StreamWorkload{MaxArrivals: 500},
 				Windows:  StreamWindows{Warmup: 100, Window: 150},
-				Faults:   tc.f,
 			}
-			serial, serialVecs := runBurst(t, mk, cfg, true)
-			got, gotVecs := runBurst(t, mk, cfg, false)
+			serial, serialVecs := runBurst(t, mk, tc.f, burstTrace(500), cfg, true)
+			got, gotVecs := runBurst(t, mk, tc.f, burstTrace(500), cfg, false)
 			if !reflect.DeepEqual(serial, got) {
 				t.Errorf("batched SteadyState diverges from serial:\nserial: %+v\nbatch:  %+v", serial, got)
 			}
@@ -165,18 +173,15 @@ func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 	for _, at := range []int64{200, 205} {
 		t.Run(fmt.Sprintf("at=%d", at), func(t *testing.T) {
 			capture := func(serial bool) *Snapshot {
-				var snap *Snapshot
 				cfg := StreamConfig{
 					Workload: StreamWorkload{MaxArrivals: 500},
 					Windows:  StreamWindows{Warmup: 100, Window: 150},
-					Snapshot: StreamSnapshot{At: at, OnSnapshot: func(s *Snapshot) { snap = s.Clone() }},
+					Snapshot: StreamSnapshot{At: at},
 				}
 				_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
-				if _, err := r.RunStream(burstStream(burstTrace(500), serial), cfg); err != nil {
+				snap, err := r.WarmStream(burstStream(burstTrace(500), serial), cfg)
+				if err != nil {
 					t.Fatal(err)
-				}
-				if snap == nil {
-					t.Fatal("no snapshot captured")
 				}
 				// Strip the wall-clock observations a snapshot carries:
 				// the aggregate Schedule time and the latency reservoirs'
@@ -260,25 +265,13 @@ func FuzzBatchAdmission(f *testing.F) {
 			baseline.NewNALB,
 		}
 		mk := mks[int(data[0])%len(mks)]
+		f := Faults{Retry: data[0]%2 == 1}
 		cfg := StreamConfig{
 			Workload: StreamWorkload{MaxArrivals: len(tr.VMs)},
 			Windows:  StreamWindows{Warmup: 20, Window: 60},
-			Faults:   StreamFaults{Retry: data[0]%2 == 1},
 		}
-		run := func(serial bool) (*SteadyState, [units.NumResources][]units.Amount) {
-			st, r := newRunner(t, mk)
-			ss, err := r.RunStream(burstStream(tr, serial), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var vecs [units.NumResources][]units.Amount
-			for _, k := range units.Resources() {
-				vecs[k] = append([]units.Amount(nil), st.Cluster.FreeVec(k)...)
-			}
-			return normalizeSteady(ss), vecs
-		}
-		serial, serialVecs := run(true)
-		batched, batchedVecs := run(false)
+		serial, serialVecs := runBurst(t, mk, f, tr, cfg, true)
+		batched, batchedVecs := runBurst(t, mk, f, tr, cfg, false)
 		if !reflect.DeepEqual(serial, batched) {
 			t.Errorf("batched SteadyState diverges from serial:\nserial: %+v\nbatch:  %+v", serial, batched)
 		}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"risa/internal/network"
+	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -124,52 +126,54 @@ func TestRunStreamDrainAfterRestore(t *testing.T) {
 	}
 }
 
-// TestRunStreamSnapshotAtValidation: negative SnapshotAt is rejected up
-// front, and a SnapshotAt past the run's end simply never fires during
-// RunStream (it is only an error for WarmStream, which needs the
-// snapshot).
+// TestRunStreamSnapshotAtValidation: a negative Snapshot.At is rejected
+// up front, and a positive one — even past the run's end — is refused:
+// RunStream does not capture, WarmStream is the one capture path.
 func TestRunStreamSnapshotAtValidation(t *testing.T) {
 	tr := edgeTrace(50)
 	_, r := eqRunner(t, "RISA", Config{})
-	if _, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{Workload: StreamWorkload{MaxArrivals: 50}, Windows: StreamWindows{Window: 100}, Snapshot: StreamSnapshot{At: -1}}); err == nil {
-		t.Fatal("negative SnapshotAt validated")
-	}
-
-	fired := false
-	_, r2 := eqRunner(t, "RISA", Config{})
-	ss, err := r2.RunStream(workload.NewTraceStream(tr), StreamConfig{Workload: StreamWorkload{MaxArrivals: 50}, Windows: StreamWindows{Window: 100}, Snapshot: StreamSnapshot{At: 1 << 40, OnSnapshot: func(*Snapshot) { fired = true }}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("OnSnapshot fired past the run's end")
-	}
-	if ss.TotalArrivals != 50 {
-		t.Errorf("arrivals = %d, want 50", ss.TotalArrivals)
+	for _, at := range []int64{-1, 200, 1 << 40} {
+		cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 50}, Windows: StreamWindows{Window: 100}, Snapshot: StreamSnapshot{At: at}}
+		if _, err := r.RunStream(workload.NewTraceStream(tr), cfg); err == nil {
+			t.Errorf("RunStream with Snapshot.At %d succeeded", at)
+		}
 	}
 }
 
 // TestPreemptConfigValidation: preemption is a serial, retry-queue
-// feature — Faults.Preempt without Faults.Retry is rejected, as is
-// combining it with agent-mode concurrency; both errors name the rule.
+// feature — Faults.Preempt without Faults.Retry is rejected by NewRunner,
+// and a preempting runner refuses agent mode; both errors name the rule.
 func TestPreemptConfigValidation(t *testing.T) {
-	tr := edgeTrace(10)
-	base := StreamConfig{Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 100}}
-
-	noRetry := base
-	noRetry.Faults = StreamFaults{Preempt: true}
-	_, r := eqRunner(t, "RISA", Config{})
-	_, err := r.RunStream(workload.NewTraceStream(tr), noRetry)
+	st, err := sched.NewState(eqTopology(), network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewRunner(st, eqScheduler(t, "RISA", st), Config{Faults: Faults{Preempt: true}})
 	if err == nil || !strings.Contains(err.Error(), "Faults.Preempt requires Faults.Retry") {
 		t.Fatalf("preempt without retry: got %v", err)
 	}
 
-	agents := base
-	agents.Faults = StreamFaults{Retry: true, Preempt: true}
+	_, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true, Preempt: true}})
+	agents := StreamConfig{Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 100}}
 	agents.Concurrency.Agents = 4
-	_, r2 := eqRunner(t, "RISA", Config{})
-	_, err = r2.RunStream(workload.NewTraceStream(tr), agents)
-	if err == nil || !strings.Contains(err.Error(), "incompatible with agent mode") {
+	if _, err := r.RunStream(workload.NewTraceStream(edgeTrace(10)), agents); err == nil || !strings.Contains(err.Error(), "incompatible with agent mode") {
 		t.Fatalf("preempt with agents: got %v", err)
+	}
+}
+
+// TestRunRefusesPreempt: Run's power accountant tracks flow pointers a
+// preemption restore would invalidate, so a preempting runner's Run is
+// refused before it touches the state — the same runner still streams.
+func TestRunRefusesPreempt(t *testing.T) {
+	tr := edgeTrace(10)
+	st, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true, Preempt: true}})
+	if _, err := r.Run(tr); err == nil || !strings.Contains(err.Error(), "Run does not preempt") {
+		t.Fatalf("preempt under Run: got %v", err)
+	}
+	if free, capacity := st.Cluster.TotalFree(units.CPU), st.Cluster.TotalCapacity(units.CPU); free != capacity {
+		t.Fatalf("refused Run left %d of %d CPU allocated", capacity-free, capacity)
+	}
+	if _, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 100}}); err != nil {
+		t.Fatal(err)
 	}
 }

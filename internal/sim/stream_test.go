@@ -169,7 +169,6 @@ func TestRunStreamConfigValidation(t *testing.T) {
 		"no window":         {Workload: StreamWorkload{MaxArrivals: 10}},
 		"negative warmup":   {Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 10, Warmup: -1}},
 		"warmup>=duration":  {Workload: StreamWorkload{Duration: 10}, Windows: StreamWindows{Warmup: 10, Window: 5}},
-		"round w/o agents":  {Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 10}, Concurrency: StreamConcurrency{Round: 4}},
 		"agents+snapshot":   {Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 10}, Snapshot: StreamSnapshot{At: 5}, Concurrency: StreamConcurrency{Agents: 2}},
 	} {
 		if _, err := r.RunStream(workload.NewTraceStream(tr), cfg); err == nil {
@@ -191,7 +190,7 @@ func TestRunStreamRetryQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, core.New(st), Config{RetryDropped: true})
+	r, err := NewRunner(st, core.New(st), Config{Faults: Faults{Retry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func TestRetryQueueUnderStreamAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(st, core.New(st), Config{RetryDropped: true})
+	r, err := NewRunner(st, core.New(st), Config{Faults: Faults{Retry: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

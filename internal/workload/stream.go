@@ -74,13 +74,13 @@ func Take(s Stream, n int) *Trace {
 	return tr
 }
 
-// Default controller constants. The occupancy the controller steers
-// responds to rate changes with a lag of one VM lifetime — hundreds of
-// arrivals — so the per-observation gain must keep the integrated
-// correction over that lag near unity or the loop limit-cycles between
-// overfilling (mass drops) and overcorrecting; 0.001 is stable for the
-// repository's workloads (≈600–900 arrivals per lifetime). The clamp
-// keeps a mis-seeded rate from over- or under-shooting by more than 64×.
+// Controller constants. The occupancy the controller steers responds to
+// rate changes with a lag of one VM lifetime — hundreds of arrivals — so
+// the per-observation gain must keep the integrated correction over that
+// lag near unity or the loop limit-cycles between overfilling (mass
+// drops) and overcorrecting; 0.001 is stable for the repository's
+// workloads (≈600–900 arrivals per lifetime). The clamp keeps a
+// mis-seeded rate from over- or under-shooting by more than 64×.
 const (
 	defaultControllerGain = 0.001
 	defaultMaxAdjust      = 64.0
@@ -90,10 +90,11 @@ const (
 // the cluster holds a target occupancy: a multiplicative-proportional
 // controller on the rate multiplier,
 //
-//	mult ← clamp(mult · exp(Gain · (Target − util)))
+//	mult ← clamp(mult · exp(gain · (Target − util)))
 //
-// which is stationary exactly when the observed binding-resource
-// utilization equals Target. A Target above 1 can never be reached, so
+// with gain defaultControllerGain and the clamp band
+// [1/defaultMaxAdjust, defaultMaxAdjust], which is stationary exactly
+// when the observed binding-resource utilization equals Target. A Target above 1 can never be reached, so
 // the multiplier rises to its clamp and the generator sustains overload —
 // that is how the churn experiment's overload rung is expressed.
 //
@@ -105,13 +106,6 @@ type UtilizationController struct {
 	// Target is the desired binding-resource occupancy as a fraction;
 	// must be positive.
 	Target float64
-	// Gain is the per-observation adjustment strength (default 0.001;
-	// see defaultControllerGain on why larger gains destabilize).
-	Gain float64
-	// MaxAdjust clamps the multiplier to [1/MaxAdjust, MaxAdjust]; it
-	// must be at least 1 (or 0 for the default of 64) — a band narrower
-	// than 1 would be empty.
-	MaxAdjust float64
 
 	mult float64
 }
@@ -120,12 +114,6 @@ type UtilizationController struct {
 func (c *UtilizationController) Validate() error {
 	if c.Target <= 0 {
 		return fmt.Errorf("workload: controller target must be positive, got %g", c.Target)
-	}
-	if c.Gain < 0 {
-		return fmt.Errorf("workload: negative controller gain %g", c.Gain)
-	}
-	if c.MaxAdjust != 0 && c.MaxAdjust < 1 {
-		return fmt.Errorf("workload: controller max-adjust must be >= 1 (or 0 for the default), got %g", c.MaxAdjust)
 	}
 	return nil
 }
@@ -141,20 +129,12 @@ func (c *UtilizationController) Multiplier() float64 {
 // ObserveUtilization feeds one occupancy observation (a fraction) back
 // into the controller.
 func (c *UtilizationController) ObserveUtilization(util float64) {
-	gain := c.Gain
-	if gain == 0 {
-		gain = defaultControllerGain
+	m := c.Multiplier() * math.Exp(defaultControllerGain*(c.Target-util))
+	if m > defaultMaxAdjust {
+		m = defaultMaxAdjust
 	}
-	max := c.MaxAdjust
-	if max == 0 {
-		max = defaultMaxAdjust
-	}
-	m := c.Multiplier() * math.Exp(gain*(c.Target-util))
-	if m > max {
-		m = max
-	}
-	if m < 1/max {
-		m = 1 / max
+	if m < 1/defaultMaxAdjust {
+		m = 1 / defaultMaxAdjust
 	}
 	c.mult = m
 }

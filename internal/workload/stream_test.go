@@ -221,9 +221,6 @@ func TestUtilizationController(t *testing.T) {
 	if err := (&UtilizationController{}).Validate(); err == nil {
 		t.Error("zero target must not validate")
 	}
-	if err := (&UtilizationController{Target: 0.5, MaxAdjust: 0.5}).Validate(); err == nil {
-		t.Error("max-adjust below 1 must not validate: the clamp band would be empty")
-	}
 }
 
 // TestControllerOnlyRescalesTime checks the controller contract that it
@@ -237,7 +234,7 @@ func TestControllerOnlyRescalesTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := &UtilizationController{Target: 0.9, Gain: 0.5}
+	ctl := &UtilizationController{Target: 0.9}
 	cfgC := cfg
 	cfgC.Controller = ctl
 	controlled, err := cfgC.NewStream()
