@@ -10,7 +10,7 @@
 //	risasvc -addr :8080 -dir /var/lib/risasvc -algo RISA -racks 18 -spare-racks 2
 //
 // Endpoints: POST /place /fail /heal /addrack /swap /snapshot,
-// GET /stats /placements /healthz.
+// GET /stats /metrics /placements /healthz.
 package main
 
 import (

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"risa/internal/network"
@@ -14,7 +13,7 @@ import (
 	"risa/internal/workload"
 )
 
-// parentConfig is the shape testdata/parent_data was written under
+// parentConfig is the shape testdata/dense_data was written under
 // (testdata/mkdaemon.sh: risasvc -racks 2 -spare-racks 1).
 func parentConfig() Config {
 	tcfg := topology.DefaultConfig()
@@ -22,8 +21,8 @@ func parentConfig() Config {
 	return Config{Topology: tcfg, Network: network.DefaultConfig(), Spares: 1, Algo: "RISA"}
 }
 
-// copyDataDir copies a committed data directory (Open repairs, migrates
-// and appends, so tests never open a fixture itself).
+// copyDataDir copies a committed data directory (Open repairs and
+// appends, so tests never open a fixture itself).
 func copyDataDir(t *testing.T, fixture string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -39,135 +38,12 @@ func copyDataDir(t *testing.T, fixture string) string {
 	return dir
 }
 
-// TestOpenParentDataDir pins on-disk compatibility against files, not
-// against this build's own writer: testdata/parent_data is a data
-// directory the commit before the one-Snapshot change wrote — a
-// snapshot.gob holding the old six-field driver snapshot (a failed box, a
-// dark spare, a swapped scheduler) and a journal whose last 37 records
-// (a heal, an add-rack, 35 placements) the kill -9'd daemon never folded
-// in. Open must reproduce the placement log that daemon served, agree
-// with a replay of the whole journal from genesis, and keep placing.
-//
-// That journal is a risawal1 file (a gob stream per record), so the same
-// fixture pins the one-time migration: the first Open leaves a risawal2
-// journal and no temp file, a second Open of the migrated directory serves
-// the same log and keeps placing, and a directory where an earlier
-// migration died half-way through writing journal.wal.tmp opens to the
-// same log as well; one whose last frame a crash cut short opens to the
-// log less that placement.
-func TestOpenParentDataDir(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "parent_placements.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// openTo opens dir, requires the parent daemon's placement log and a
-	// migrated journal, and returns the engine.
-	openTo := func(dir, what string) *Engine {
-		t.Helper()
-		e, err := Open(dir, parentConfig(), 64)
-		if err != nil {
-			t.Fatalf("%s refused: %v", what, err)
-		}
-		var got bytes.Buffer
-		if err := e.WritePlacements(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: placement log differs from the one the parent daemon served:\n got %d bytes\nwant %d bytes", what, got.Len(), len(want))
-		}
-		journal, err := os.ReadFile(filepath.Join(dir, journalFile))
-		if err != nil || !bytes.HasPrefix(journal, []byte(journalMagic)) {
-			t.Fatalf("%s: journal starts %q after Open, want %q (%v)", what, journal[:min(8, len(journal))], journalMagic, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, journalFile+".tmp")); !os.IsNotExist(err) {
-			t.Fatalf("%s: journal.wal.tmp left behind (stat: %v)", what, err)
-		}
-		return e
-	}
-	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_data", journalFile))
-	if err != nil || !bytes.HasPrefix(fixture, []byte(legacyMagic)) {
-		t.Fatalf("the fixture journal must stay a %s file (%v)", legacyMagic, err)
-	}
-	dir := copyDataDir(t, "parent_data")
-	openTo(dir, "parent-written data directory").crash()
-	e := openTo(dir, "migrated data directory")
-	defer e.crash()
-
-	halfDir := copyDataDir(t, "parent_data")
-	if err := os.WriteFile(filepath.Join(halfDir, journalFile+".tmp"), fixture[:len(fixture)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	openTo(halfDir, "directory of an interrupted migration").crash()
-
-	// A risawal1 frame is longer than any this build writes (≈270 bytes):
-	// what is left of one cut short 40 bytes before its end must still
-	// read as a torn tail, within legacyMaxFrame of the log's end.
-	tornDir := copyDataDir(t, "parent_data")
-	if err := os.Truncate(filepath.Join(tornDir, journalFile), int64(len(fixture))-40); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := Open(tornDir, parentConfig(), 64)
-	if err != nil {
-		t.Fatalf("parent-written data directory with a torn tail refused: %v", err)
-	}
-	var got bytes.Buffer
-	if err := torn.WritePlacements(&got); err != nil {
-		t.Fatal(err)
-	}
-	torn.crash()
-	if short := want[:bytes.LastIndexByte(want[:len(want)-1], '\n')+1]; !bytes.Equal(got.Bytes(), short) {
-		t.Fatal("parent-written data directory with a torn tail: want the parent daemon's log less its last line")
-	}
-
-	genesisDir := copyDataDir(t, "parent_data")
-	if err := os.Remove(filepath.Join(genesisDir, snapshotFile)); err != nil {
-		t.Fatal(err)
-	}
-	twin, err := Open(genesisDir, parentConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.crash()
-	more := func(e *Engine) (accepted int) {
-		for i := 0; i < 40; i++ {
-			out, err := e.Place(workload.VM{ID: 1000 + i, Arrival: e.Now() + 7, Lifetime: 300, Req: units.Vec(4, 8, 64)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Accepted {
-				accepted++
-			}
-		}
-		return accepted
-	}
-	if a, b := more(e), more(twin); a == 0 || a != b {
-		t.Fatalf("after reopening, %d of 40 further VMs placed (genesis-replay twin: %d)", a, b)
-	}
-	// The twins' driver positions agree except for AdmitSeq, which the
-	// parent's driver snapshot did not record (a Driver has no retry queue
-	// to order by it): the restored engine counts admissions from there.
-	sa, err := twin.d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := e.d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.AdmitSeq <= sb.AdmitSeq {
-		t.Fatalf("AdmitSeq %d from genesis, %d restored: want the restored count to start at the parent snapshot's zero", sa.AdmitSeq, sb.AdmitSeq)
-	}
-	sa.AdmitSeq = sb.AdmitSeq
-	if !reflect.DeepEqual(e.History(), twin.History()) || !reflect.DeepEqual(sa, sb) {
-		t.Fatal("snapshot + journal suffix and genesis replay ended in different states")
-	}
-}
-
-// TestOpenDenseDataDir is the same pin for the journal as the commit
-// before the zero room wrote it: testdata/dense_data is mkdaemon.sh driven
-// through that commit's risasvc — a dense risawal2 journal.wal, no byte
-// behind its last frame, and a snapshot short of it by a journal suffix
-// (the script is parent_data's, so parent_placements.txt is its log too).
+// TestOpenDenseDataDir pins on-disk compatibility against files, not
+// against this build's own writer: testdata/dense_data is mkdaemon.sh
+// driven through the risasvc of the commit before the zero room — a dense
+// risawal2 journal.wal, no byte behind its last frame, and a snapshot short
+// of it by a journal suffix — and parent_placements.txt is the placement
+// log that daemon served.
 // It must open to the log that daemon served without being rewritten, take
 // an append that rounds it up to the chunk, and reopen with everything; and
 // a copy whose last frame the crash cut short must open to the log less
@@ -267,8 +143,7 @@ func TestOpenRefusesSnapshotWithoutDriver(t *testing.T) {
 
 // TestWriteSnapshotLeavesNoTempFile: a snapshot that cannot be moved into
 // place (snapshot.gob is a non-empty directory, so the rename fails) must
-// fail and take its temp file with it — and so must a journal migration,
-// which moves its file into place through the same replaceFile.
+// fail and take its temp file with it.
 func TestWriteSnapshotLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, testConfig(), 0)
@@ -288,16 +163,5 @@ func TestWriteSnapshotLeavesNoTempFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("snapshot.gob.tmp left behind (stat: %v)", err)
-	}
-
-	jpath := filepath.Join(t.TempDir(), journalFile)
-	if err := os.MkdirAll(filepath.Join(jpath, "in-the-way"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := migrateJournal(jpath, testConfig(), []Record{{Seq: 1, Kind: RecordAddRack}}); err == nil {
-		t.Fatal("migrateJournal succeeded over a non-empty directory")
-	}
-	if _, err := os.Stat(jpath + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("journal.wal.tmp left behind (stat: %v)", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"risa/internal/faults"
 	"risa/internal/sched"
@@ -51,7 +52,13 @@ type Engine struct {
 
 	snapEvery int
 	sinceSnap int
-	snapErr   error // how the last WriteSnapshot ended
+	snapErr   error     // how the last WriteSnapshot ended
+	snapshots histogram // how long each WriteSnapshot took
+
+	// recovery is how long Open took, replayed how many journal records it
+	// applied behind the snapshot; GET /metrics reports both.
+	recovery time.Duration
+	replayed int
 }
 
 // DefaultSnapshotEvery is the number of journal records between automatic
@@ -80,11 +87,11 @@ type engineSnapshot struct {
 // from genesis. Either way the resulting state is bit-identical to a
 // process that executed the whole operation sequence without crashing.
 // snapEvery is the number of journal records between automatic
-// snapshots (≤0 uses DefaultSnapshotEvery). A journal in the risawal1 format
-// is rewritten in the current one before it is read, and a directory or
-// journal file made here has its name fsync'd into its parent before any
-// record is trusted to it (openJournal).
+// snapshots (≤0 uses DefaultSnapshotEvery). A directory or journal file
+// made here has its name fsync'd into its parent before any record is
+// trusted to it (openJournal).
 func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
+	began := time.Now()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,6 +146,7 @@ func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
 		}
 	}
 	e.sinceSnap = len(recs) - int(start)
+	e.recovery, e.replayed = time.Since(began), e.sinceSnap
 	return e, nil
 }
 
@@ -352,7 +360,11 @@ func globalBox(cl *topology.Cluster, p topology.Placement) int {
 // remembered via JSeq, so the next Open replays only the suffix. Succeed
 // or fail, the result is kept for SnapshotErr and the cadence starts over.
 func (e *Engine) WriteSnapshot() (err error) {
-	defer func() { e.sinceSnap, e.snapErr = 0, err }()
+	began := stageClock()
+	defer func() {
+		e.sinceSnap, e.snapErr = 0, err
+		e.snapshots.observe(stageClock() - began)
+	}()
 	ds, err := e.d.Snapshot()
 	if err != nil {
 		return err

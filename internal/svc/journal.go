@@ -17,12 +17,9 @@ import (
 )
 
 // journalMagic identifies the journal file format; bump the trailing
-// digit on incompatible record changes. legacyMagic is the format before
-// it (one self-contained gob stream per record), which openJournal
-// rewrites in place the first time it meets one.
+// digit on incompatible record changes.
 const (
 	journalMagic = "risawal2"
-	legacyMagic  = "risawal1"
 	frameHeader  = 8 // [4-byte length][4-byte CRC32] lead every frame
 )
 
@@ -39,12 +36,9 @@ const journalChunk = 64 << 10
 // registered). maxFrame is W, the largest frame Append writes — the header,
 // recordInts varints and Algo's length at their longest, the longest name —
 // and so the most a crash mid-append can leave behind the log's end.
-// legacyMaxFrame is the same bound for a risawal1 gob frame: 271 bytes for
-// a placement, 385 with every integer at its extreme.
 const (
-	maxAlgoName    = 7 // len("RISA-BF")
-	maxFrame       = frameHeader + (recordInts+1)*binary.MaxVarintLen64 + maxAlgoName
-	legacyMaxFrame = 512
+	maxAlgoName = 7 // len("RISA-BF")
+	maxFrame    = frameHeader + (recordInts+1)*binary.MaxVarintLen64 + maxAlgoName
 )
 
 // RecordKind discriminates the operations a journal record can carry.
@@ -150,6 +144,10 @@ type Journal struct {
 	size    int64  // the file's size: off plus the zero room
 	buf     []byte // Append's frame, reused
 	failed  error  // the first WriteAt or Sync error; sticky, see Append
+	// wrote and synced are the stage clock's readings when the last
+	// Append's WriteAt and Sync returned: the write and sync stages of the
+	// placement it journaled.
+	wrote, synced int64
 }
 
 // chunkCeil rounds n up to a multiple of journalChunk.
@@ -162,8 +160,8 @@ func chunkCeil(n int64) int64 { return (n + journalChunk - 1) / journalChunk * j
 // one Write and one Sync, then a sync of the directory: until its name is
 // durable a crash can lose the file and every record acknowledged into
 // it, so if that fails the file is removed, not left for a later open to
-// trust. A risawal1 file is first rewritten as risawal2 and then opened
-// like any other, as a dense one is: past this function all are the same.
+// trust. A dense file opens like any other: past this function all are the
+// same.
 func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -196,16 +194,9 @@ func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error)
 		}
 		return &Journal{f: f, nextSeq: 1, off: int64(len(hdr)), size: size}, nil, nil
 	}
-	recs, end, torn, legacy, err := scanJournal(f, cfg, info.Size())
+	recs, end, torn, err := scanJournal(f, cfg, info.Size())
 	if err != nil {
 		return nil, nil, err
-	}
-	if legacy {
-		f.Close()
-		if err := migrateJournal(path, cfg, recs); err != nil {
-			return nil, nil, fmt.Errorf("svc: migrate %s journal: %w", legacyMagic, err)
-		}
-		return openJournal(path, cfg)
 	}
 	if torn { // back to zeros: nothing behind the next frame for a later scan to take for data
 		_, err := f.WriteAt(make([]byte, min(maxFrame, info.Size()-end)), end)
@@ -228,23 +219,6 @@ func journalHeader(cfg Config) ([]byte, error) {
 	}
 	buf := append([]byte(journalMagic), make([]byte, frameHeader)...)
 	return sealFrame(append(buf, echo.Bytes()...), len(journalMagic)), nil
-}
-
-// migrateJournal rewrites a risawal1 journal's intact records in the current
-// format, built in memory and moved into place by replaceFile: a crash before
-// the rename leaves the old file whole and a stale .tmp for the next to truncate.
-func migrateJournal(path string, cfg Config, recs []Record) error {
-	buf, err := journalHeader(cfg)
-	if err != nil {
-		return err
-	}
-	for i := range recs {
-		buf = appendFrame(buf, &recs[i])
-	}
-	return replaceFile(path, func(f *os.File) error {
-		_, err := f.Write(buf)
-		return err
-	})
 }
 
 // replaceFile atomically replaces path with what write produces: write
@@ -294,21 +268,17 @@ func syncDir(dir string) error {
 // implausible header, a frame that fails its checksum or does not decode,
 // a Seq out of order, end-of-file. What follows the end decides what it
 // was (tornTail): bytes a torn append can have left are reported, anything
-// beyond them is an error. legacy reports a risawal1 file.
-func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, torn, legacy bool, err error) {
+// beyond them is an error.
+func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, torn bool, err error) {
 	r := &frameReader{br: bufio.NewReaderSize(f, 1<<16), off: int64(len(journalMagic)), size: size}
 	magic, _ := r.br.Peek(len(journalMagic))
-	decode, window := decodeRecord, int64(maxFrame)
 	switch string(magic) {
 	case journalMagic:
-	case legacyMagic: // a self-contained gob stream per record, read only to be rewritten
-		legacy, window = true, legacyMaxFrame
-		decode = func(p []byte) (rec Record, err error) {
-			err = gob.NewDecoder(bytes.NewReader(p)).Decode(&rec)
-			return rec, err
-		}
+	case "risawal1": // one gob stream per record, the format before this one
+		return nil, 0, false, fmt.Errorf("svc: %s is a risawal1 journal, which this build does not read: "+
+			"open the data directory once with a build at or before commit 2609937, which rewrites it as %s", f.Name(), journalMagic)
 	default:
-		return nil, 0, false, false, fmt.Errorf("svc: %s is not a risasvc journal", f.Name())
+		return nil, 0, false, fmt.Errorf("svc: %s is not a risasvc journal", f.Name())
 	}
 	r.br.Discard(len(magic)) // just peeked: cannot fail
 	var onDisk Config
@@ -317,17 +287,17 @@ func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, 
 		err = gob.NewDecoder(bytes.NewReader(hdr)).Decode(&onDisk)
 	}
 	if err != nil {
-		return nil, 0, false, false, fmt.Errorf("svc: journal header unreadable: %w", err)
+		return nil, 0, false, fmt.Errorf("svc: journal header unreadable: %w", err)
 	}
 	if !sameShape(onDisk, cfg) {
-		return nil, 0, false, false, fmt.Errorf("svc: journal was written for a different datacenter shape (%+v)", onDisk.Topology)
+		return nil, 0, false, fmt.Errorf("svc: journal was written for a different datacenter shape (%+v)", onDisk.Topology)
 	}
 	var stop error // why the log ends where it does
 	for end = r.off; stop == nil; {
 		var rec Record
 		payload, err := r.next()
 		if err == nil {
-			rec, err = decode(payload)
+			rec, err = decodeRecord(payload)
 		}
 		if want := int64(len(recs)) + 1; err == nil && rec.Seq != want {
 			err = fmt.Errorf("seq %d, want %d", rec.Seq, want)
@@ -339,17 +309,17 @@ func scanJournal(f *os.File, cfg Config, size int64) (recs []Record, end int64, 
 			recs, end = append(recs, rec), r.off
 		}
 	}
-	torn, err = tornTail(f, end, size, window)
+	torn, err = tornTail(f, end, size)
 	if err != nil {
-		return nil, 0, false, false, fmt.Errorf("svc: journal corrupt at offset %d (%v): %w", end, stop, err)
+		return nil, 0, false, fmt.Errorf("svc: journal corrupt at offset %d (%v): %w", end, stop, err)
 	}
-	return recs, end, torn, legacy, nil
+	return recs, end, torn, nil
 }
 
 // tornTail reads the file from the log's end to its own. Non-zero bytes
-// in the first window bytes are what one torn append can have left, and
+// in the first maxFrame bytes are what one torn append can have left, and
 // are reported; a non-zero byte beyond them is not, and is an error.
-func tornTail(f *os.File, end, size, window int64) (torn bool, err error) {
+func tornTail(f *os.File, end, size int64) (torn bool, err error) {
 	buf := make([]byte, min(1<<16, size-end))
 	for off := end; off < size; off += int64(len(buf)) {
 		buf = buf[:min(int64(len(buf)), size-off)]
@@ -360,7 +330,7 @@ func tornTail(f *os.File, end, size, window int64) (torn bool, err error) {
 			if b == 0 {
 				continue
 			}
-			if at := off + int64(i); at >= end+window {
+			if at := off + int64(i); at >= end+maxFrame {
 				return false, fmt.Errorf("data at offset %d, further than a torn append reaches", at)
 			}
 			torn = true
@@ -436,9 +406,11 @@ func (j *Journal) Append(rec *Record) error {
 		j.buf = append(j.buf, make([]byte, size-end)...)
 	}
 	_, err := j.f.WriteAt(j.buf, j.off)
+	j.wrote = stageClock()
 	if err == nil {
 		err = fsync(j.f)
 	}
+	j.synced = stageClock()
 	if err != nil {
 		j.failed = err
 		return err

@@ -573,7 +573,9 @@ func TestJournalShapeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestJournalNotAJournal pins the magic check.
+// TestJournalNotAJournal pins the magic check: a garbage file is refused,
+// and so is a risawal1 journal, the format before this one, with a message
+// naming the last commit whose build rewrites it.
 func TestJournalNotAJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	if err := os.WriteFile(path, []byte("definitely not a journal"), 0o644); err != nil {
@@ -581,6 +583,12 @@ func TestJournalNotAJournal(t *testing.T) {
 	}
 	if _, _, err := openJournal(path, testConfig()); err == nil {
 		t.Fatal("garbage file must be rejected")
+	}
+	if err := os.WriteFile(path, []byte("risawal1\x10\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openJournal(path, testConfig()); err == nil || !strings.Contains(err.Error(), "commit 2609937") {
+		t.Fatalf("a risawal1 journal: %v; want a refusal naming the commit that migrates it", err)
 	}
 }
 

@@ -24,7 +24,9 @@ const (
 
 // item is one queued operation plus its reply channel. Placement items
 // carry the request context so an expired or abandoned request can be
-// dropped at dequeue without ever touching the engine.
+// dropped at dequeue without ever touching the engine, and the clock
+// readings of their stages (the handler's and the worker's, ordered by
+// the queue and the reply channel).
 type item struct {
 	ctx   context.Context
 	kind  opKind
@@ -33,6 +35,7 @@ type item struct {
 	fault faults.Event
 	algo  string
 	res   chan response
+	at    stamps
 }
 
 // barrierTier marks data-lane entries that must never be shed: a queued
@@ -46,7 +49,7 @@ const barrierTier = -1
 type response struct {
 	status     int // HTTP status semantics
 	retryAfter int // seconds hint, set with status 429
-	outcome    *Outcome
+	outcome    Outcome
 	body       any    // JSON payload for non-place operations
 	text       []byte // plain-text payload (placement log)
 	err        error
@@ -83,12 +86,16 @@ func newQueue(capacity int) *queue {
 // enqueueData admits one data-lane item, shedding a worse-tier entry if
 // the lane is full. It reports whether the item was admitted; when it
 // was not, the caller answers 429 with the returned Retry-After hint.
+// Shedding the victim and admitting the newcomer is one critical section:
+// the victim is answered only after the lock is dropped.
 func (q *queue) enqueueData(it *item) (admitted bool, retryAfter int) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return false, 1
 	}
+	var shed *item
+	var hint int
 	if len(q.data) >= q.cap && it.tier != barrierTier {
 		victim := -1
 		worst := it.tier
@@ -101,20 +108,20 @@ func (q *queue) enqueueData(it *item) (admitted bool, retryAfter int) {
 			}
 		}
 		if victim < 0 {
-			hint := q.retryAfterLocked()
+			hint = q.retryAfterLocked()
 			q.mu.Unlock()
 			return false, hint
 		}
-		shed := q.data[victim]
+		shed = q.data[victim]
 		q.data = append(q.data[:victim], q.data[victim+1:]...)
-		hint := q.retryAfterLocked()
-		q.mu.Unlock()
-		shed.res <- response{status: 429, retryAfter: hint}
-		q.mu.Lock()
+		hint = q.retryAfterLocked()
 	}
 	q.data = append(q.data, it)
 	q.cond.Signal()
 	q.mu.Unlock()
+	if shed != nil {
+		shed.res <- response{status: 429, retryAfter: hint}
+	}
 	return true, 0
 }
 

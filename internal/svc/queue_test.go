@@ -1,6 +1,8 @@
 package svc
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -145,5 +147,39 @@ func TestQueueRejectAll(t *testing.T) {
 	}
 	if q.depth() != 0 {
 		t.Fatalf("depth after rejectAll = %d", q.depth())
+	}
+}
+
+// TestQueueShedKeepsCap: shedding a victim and admitting the newcomer is one
+// critical section. The victim's reply channel is unbuffered here, so the
+// shedding enqueue parks in its send; a second tier-0 newcomer arrives
+// while it is parked, after the victim has left the lane. Had the lock been
+// dropped between the two, the second newcomer would take the freed slot
+// and the shedder, once released, would append past the cap.
+func TestQueueShedKeepsCap(t *testing.T) {
+	q := newQueue(2)
+	mustAdmit(t, q, dataItem(0))
+	victim := &item{kind: opPlace, tier: 2, res: make(chan response)}
+	mustAdmit(t, q, victim)
+	shedder := make(chan bool)
+	go func() {
+		ok, _ := q.enqueueData(dataItem(0))
+		shedder <- ok
+	}()
+	for queued := true; queued; {
+		runtime.Gosched()
+		q.mu.Lock()
+		queued = slices.Contains(q.data, victim)
+		q.mu.Unlock()
+	}
+	q.enqueueData(dataItem(0))
+	if resp := <-victim.res; resp.status != 429 {
+		t.Fatalf("victim answered %d, want 429", resp.status)
+	}
+	if !<-shedder {
+		t.Fatal("the newcomer that shed the victim was not admitted")
+	}
+	if d := q.depth(); d > q.cap {
+		t.Fatalf("data lane holds %d, cap %d", d, q.cap)
 	}
 }

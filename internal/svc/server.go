@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -30,6 +31,8 @@ type Server struct {
 	expired    atomic.Int64
 	shed       atomic.Int64
 	workerDone chan struct{}
+
+	stages [clockPoints - 1]histogram // POST /place, stage by stage (stageNames)
 }
 
 // NewServer wires a server over an open engine. queueCap bounds the
@@ -60,62 +63,70 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // worker is the single engine writer: it pops queue items — control
-// lane first — applies them, and answers. Placement items whose context
-// expired while queued are dropped here with 504, before any journal or
-// scheduler work: never half-placed.
+// lane first — serves them, and answers.
+//
+// After each answer it yields the processor. The answer made the waiting
+// handler runnable in this P's runnext slot, and the next Append blocks
+// this thread in fsync while it still holds the P: without the yield the
+// handler waits out the flush until sysmon or an idle P steals it.
 func (s *Server) worker() {
 	defer close(s.workerDone)
-	for {
-		it := s.q.pop()
-		if it == nil {
-			return
+	for it := s.q.pop(); it != nil; it = s.q.pop() {
+		it.at[atPickUp] = stageClock()
+		it.res <- s.serve(it)
+		runtime.Gosched()
+	}
+}
+
+// serve applies one item. Placement items whose context expired while
+// queued are dropped here with 504, before any journal or scheduler work:
+// never half-placed.
+func (s *Server) serve(it *item) response {
+	if it.ctx != nil && it.ctx.Err() != nil {
+		s.expired.Add(1)
+		return response{status: http.StatusGatewayTimeout}
+	}
+	switch it.kind {
+	case opPlace:
+		// A retry the engine answers from its history journals nothing:
+		// its write and sync stages are empty.
+		s.eng.j.wrote, s.eng.j.synced = it.at[atPickUp], it.at[atPickUp]
+		out, err := s.eng.Place(it.vm)
+		it.at[atWritten], it.at[atSynced], it.at[atApplied] = s.eng.j.wrote, s.eng.j.synced, stageClock()
+		if err != nil {
+			return response{status: http.StatusInternalServerError, err: err}
 		}
-		if it.ctx != nil && it.ctx.Err() != nil {
-			s.expired.Add(1)
-			it.res <- response{status: http.StatusGatewayTimeout}
-			continue
+		return response{status: http.StatusOK, outcome: out}
+	case opMutate:
+		return answer(s.eng.Mutate(it.fault), map[string]bool{"ok": true})
+	case opAddRack:
+		rack, err := s.eng.AddRack()
+		return answer(err, map[string]int{"rack": rack, "in_service_racks": s.eng.InService()})
+	case opSwap:
+		return answer(s.eng.Swap(it.algo), map[string]string{"algo": it.algo})
+	case opSnapshot:
+		return answer(s.eng.WriteSnapshot(), map[string]bool{"ok": true})
+	case opStats:
+		return response{status: http.StatusOK, body: s.stats()}
+	case opPlacements:
+		var buf bytes.Buffer
+		if err := s.eng.WritePlacements(&buf); err != nil {
+			return response{status: http.StatusInternalServerError, err: err}
 		}
-		switch it.kind {
-		case opPlace:
-			out, err := s.eng.Place(it.vm)
-			if err != nil {
-				it.res <- response{status: http.StatusInternalServerError, err: err}
-				continue
-			}
-			it.res <- response{status: http.StatusOK, outcome: &out}
-		case opMutate:
-			s.answer(it, s.eng.Mutate(it.fault), map[string]bool{"ok": true})
-		case opAddRack:
-			rack, err := s.eng.AddRack()
-			s.answer(it, err, map[string]int{"rack": rack, "in_service_racks": s.eng.InService()})
-		case opSwap:
-			s.answer(it, s.eng.Swap(it.algo), map[string]string{"algo": it.algo})
-		case opSnapshot:
-			s.answer(it, s.eng.WriteSnapshot(), map[string]bool{"ok": true})
-		case opStats:
-			it.res <- response{status: http.StatusOK, body: s.stats()}
-		case opPlacements:
-			var buf bytes.Buffer
-			if err := s.eng.WritePlacements(&buf); err != nil {
-				it.res <- response{status: http.StatusInternalServerError, err: err}
-				continue
-			}
-			it.res <- response{status: http.StatusOK, text: buf.Bytes()}
-		default:
-			it.res <- response{status: http.StatusInternalServerError, err: fmt.Errorf("svc: unknown op kind %d", it.kind)}
-		}
+		return response{status: http.StatusOK, text: buf.Bytes()}
+	default:
+		return response{status: http.StatusInternalServerError, err: fmt.Errorf("svc: unknown op kind %d", it.kind)}
 	}
 }
 
 // answer maps an engine verdict onto a response: engine errors on the
 // operator endpoints are request problems (bad scope, unknown algorithm,
 // no spares), so they answer 400.
-func (s *Server) answer(it *item, err error, body any) {
+func answer(err error, body any) response {
 	if err != nil {
-		it.res <- response{status: http.StatusBadRequest, err: err}
-		return
+		return response{status: http.StatusBadRequest, err: err}
 	}
-	it.res <- response{status: http.StatusOK, body: body}
+	return response{status: http.StatusOK, body: body}
 }
 
 // Stats is the GET /stats payload. Decision counters are kept beside the
@@ -225,6 +236,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /placements", func(w http.ResponseWriter, r *http.Request) {
 		s.control(w, &item{kind: opPlacements, res: make(chan response, 1)})
 	})
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -238,20 +250,36 @@ func (s *Server) Handler() http.Handler {
 // make the daemon buffer more.
 const maxBody = 4 << 10
 
-// decodeBody decodes the request's JSON body into v, reading at most
-// maxBody of it. On failure it has answered — 413 for a body past the
-// limit, 400 for anything else — and returns false.
+// readBody reads the request body, at most maxBody bytes of it. On
+// failure it has answered — 413 for a body past the limit, 400 for one that
+// cannot be read — and returns false. /place encodes its answer into the
+// same buffer.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+		return nil, false
+	case len(body) > maxBody:
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body longer than %d bytes", maxBody))
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeBody decodes the request's JSON body into v through encoding/json,
+// reading at most maxBody of it. On failure it has answered — 413 for a
+// body past the limit, 400 for anything else — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
-	if err == nil {
-		return true
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
 	}
-	status := http.StatusBadRequest
-	if errors.As(err, new(*http.MaxBytesError)) {
-		status = http.StatusRequestEntityTooLarge
+	if err := json.Unmarshal(body, v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return false
 	}
-	writeError(w, status, "bad JSON: "+err.Error())
-	return false
+	return true
 }
 
 // maxDeadlineMS is the largest deadline_ms a time.Duration holds
@@ -259,15 +287,23 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // request would be born expired — answered 504 instead of waiting.
 const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
-// handlePlace admits one placement request into the data lane and waits
-// for its verdict.
+// handlePlace admits one placement request into the data lane, waits for
+// its verdict, and books the request's stages once it has answered
+// (DESIGN.md §14). Its body is decoded and its answer encoded by hand
+// (wire.go).
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
+	entry := stageClock()
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	var req PlaceRequest
-	if !decodeBody(w, r, &req) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := decodePlace(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	vm := workload.VM{
@@ -285,6 +321,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("deadline_ms above %d", int64(maxDeadlineMS)))
 		return
 	}
+	decoded := stageClock()
 	ctx := r.Context()
 	if req.DeadlineMS > 0 {
 		var cancel context.CancelFunc
@@ -292,6 +329,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	it := &item{ctx: ctx, kind: opPlace, tier: vm.Tier, vm: vm, res: make(chan response, 1)}
+	it.at[atEntry], it.at[atDecoded] = entry, decoded
 	if ok, hint := s.q.enqueueData(it); !ok {
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(hint))
@@ -299,13 +337,21 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := <-it.res
+	it.at[atResumed] = stageClock()
 	if resp.status == http.StatusTooManyRequests {
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfter))
 		writeError(w, resp.status, "shed by higher-priority load")
 		return
 	}
-	s.write(w, resp, func() any { return resp.outcome })
+	if resp.status != http.StatusOK {
+		s.write(w, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(appendOutcome(body[:0], &resp.outcome))
+	it.at[atResponded] = stageClock()
+	s.observe(&it.at)
 }
 
 // handleMutate serves /fail and /heal through the control lane.
@@ -343,8 +389,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	resp := <-it.res
-	s.write(w, resp, func() any { return resp.body })
+	s.write(w, <-it.res)
 }
 
 // control enqueues one control-lane item and writes its response.
@@ -353,13 +398,12 @@ func (s *Server) control(w http.ResponseWriter, it *item) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	resp := <-it.res
-	s.write(w, resp, func() any { return resp.body })
+	s.write(w, <-it.res)
 }
 
 // write renders one response: errors as {"error": ...}, text payloads
 // verbatim, everything else as JSON.
-func (s *Server) write(w http.ResponseWriter, resp response, body func() any) {
+func (s *Server) write(w http.ResponseWriter, resp response) {
 	if resp.status != http.StatusOK {
 		msg := http.StatusText(resp.status)
 		if resp.err != nil {
@@ -374,7 +418,7 @@ func (s *Server) write(w http.ResponseWriter, resp response, body func() any) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(body())
+	json.NewEncoder(w).Encode(resp.body)
 }
 
 // writeError answers one error as a JSON object.

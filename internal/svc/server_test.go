@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -265,5 +267,59 @@ func TestServerBoundsRequestBodies(t *testing.T) {
 	}
 	if after := getStats(t, ts.URL); after.JournalBytes <= before.JournalBytes || after.Algo != "RISA-BF" {
 		t.Fatalf("an accepted swap did not move the journal: %d → %d bytes", before.JournalBytes, after.JournalBytes)
+	}
+}
+
+// placeHandlerAllocs is the ceiling on allocations per POST /place through
+// the handler, the worker and the engine, ResponseRecorder's own six
+// included. It reads 14: the body read (its length limit and its buffer,
+// which the answer is encoded into), the queue item with its reply channel,
+// the data lane's append, two header values, and the recorder's.
+// encoding/json's decoder and encoder read 21 on the same harness.
+const placeHandlerAllocs = 14
+
+// TestAllocsPlaceHandler pins what one placement allocates between
+// ServeHTTP and the response: the same steady residency as
+// TestAllocsEnginePlace, one request and one ResponseRecorder per round.
+func TestAllocsPlaceHandler(t *testing.T) {
+	cfg := testConfig()
+	cfg.Topology.Racks = 2
+	eng, err := Open(t.TempDir(), cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(eng, 0)
+	s.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	h := s.Handler()
+	body := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, "/place", nil)
+	req.Body = io.NopCloser(body)
+	var buf []byte
+	var out bytes.Buffer // the recorder's, reused: how it grows differs under -race
+	var now int64
+	round := func() {
+		now++
+		buf = strconv.AppendInt(append(buf[:0], `{"id":`...), now, 10)
+		buf = strconv.AppendInt(append(buf, `,"arrival":`...), now, 10)
+		buf = append(buf, `,"lifetime":16,"cpu":8,"ram":16,"storage":128}`...)
+		body.Reset(buf)
+		out.Reset()
+		w := httptest.NewRecorder()
+		w.Body = &out
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("place %d: %d %s", now, w.Code, w.Body)
+		}
+	}
+	for range 100 {
+		round()
+	}
+	if got := testing.AllocsPerRun(200, round); got > placeHandlerAllocs {
+		t.Fatalf("POST /place allocates %v times, ceiling %d", got, placeHandlerAllocs)
 	}
 }

@@ -23,7 +23,9 @@
 //
 //   - Server (server.go): the HTTP/JSON surface and the worker loop
 //     draining the queue through the engine, plus graceful drain on
-//     shutdown.
+//     shutdown. POST /place has a hand-written wire codec (wire.go), and
+//     its stages are timed into histograms GET /metrics serves
+//     (metrics.go).
 //
 // Backoff (backoff.go) is the capped, seeded-jitter retry delay used by
 // clients (cmd/workloadgen's HTTP mode) when the daemon sheds them, and
