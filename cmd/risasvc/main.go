@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"time"
@@ -57,14 +58,22 @@ func main() {
 	srv := svc.NewServer(eng, *queueCap)
 	srv.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Listen before serving, so the line below names the bound address
+	// (-addr 127.0.0.1:0 picks a free port) and a client that reads it can
+	// connect at once.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "risasvc:", err)
+		os.Exit(1)
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errC := make(chan error, 1)
-	go func() { errC <- httpSrv.ListenAndServe() }()
+	go func() { errC <- httpSrv.Serve(ln) }()
 
 	sigC, release := svc.NotifyShutdown()
 	defer release()
 	fmt.Fprintf(os.Stderr, "risasvc: serving on %s (algo %s, %d racks + %d spares, data %s)\n",
-		*addr, eng.Algo(), eng.InService(), eng.Spares(), *dir)
+		ln.Addr(), eng.Algo(), eng.InService(), eng.Spares(), *dir)
 
 	select {
 	case err := <-errC:

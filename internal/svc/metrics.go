@@ -83,7 +83,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	st := (<-it.res).body.(Stats)
+	resp := <-it.res
+	if resp.status != http.StatusOK { // rejectAll's answer past a drain deadline carries no Stats
+		s.write(w, resp)
+		return
+	}
+	st := resp.body.(Stats)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metric := func(name, kind, help string) {
 		fmt.Fprintf(w, "# HELP risasvc_%s %s\n# TYPE risasvc_%s %s\n", name, help, name, kind)

@@ -256,3 +256,33 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("risasvc_recovery_seconds is not positive")
 	}
 }
+
+// TestMetricsAfterDrainDeadline: a GET /metrics still queued when the drain
+// deadline passes is answered by rejectAll, whose answer carries no Stats.
+// It must reach the client as that 503, not panic the handler. The worker
+// is never started, so the request stays queued until rejectAll.
+func TestMetricsAfterDrainDeadline(t *testing.T) {
+	e, err := Open(t.TempDir(), testConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.crash)
+	s := NewServer(e, 0)
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	}()
+	for queued := false; !queued; {
+		runtime.Gosched()
+		s.q.mu.Lock()
+		queued = len(s.q.control) > 0
+		s.q.mu.Unlock()
+	}
+	s.q.rejectAll(http.StatusServiceUnavailable)
+	<-done
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("GET /metrics answered %d after rejectAll, want 503", w.Code)
+	}
+}
