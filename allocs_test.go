@@ -228,34 +228,6 @@ func TestAllocsDriverPlace(t *testing.T) {
 	})
 }
 
-// TestAllocsProposeCommit: the agent commit path — one settle + Propose +
-// CommitProposal + release, the exact per-VM sequence the agent loop's
-// happy path performs (the shared State.Probe sits on every Proposer's
-// path).
-func TestAllocsProposeCommit(t *testing.T) {
-	forAlgorithms(t, func(t *testing.T, alg string) {
-		st, sch := newCluster(t, alg, 18)
-		s := sch.(sched.Proposer)
-		vm := workload.VM{ID: 0, Lifetime: 1, Req: typical}
-		shard := make(sched.RackMask, st.Cluster.NumRacks())
-		for i := range shard {
-			shard[i] = true
-		}
-		schedtest.ZeroAllocs(t, warmRounds, func() {
-			st.Cluster.Settle()
-			p, ok := s.Propose(vm, shard)
-			if !ok {
-				t.Fatal("fresh cluster must yield a proposal")
-			}
-			a, err := st.CommitProposal(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.ReleaseVM(a)
-		})
-	})
-}
-
 // TestAllocsAllocateVM: the shared compute+network placement transaction
 // in isolation, under no scheduler.
 func TestAllocsAllocateVM(t *testing.T) {
@@ -276,38 +248,28 @@ func TestAllocsAllocateVM(t *testing.T) {
 	})
 }
 
-// The two whole-run ceilings. A churn cell pays its setup — fresh
+// churnCellAllocs bounds one whole 20k-arrival RISA cell at 75 % on 18
+// racks (2810–2819 measured). A churn cell pays its setup — fresh
 // datacenter, stream, windows, the assignment pool's slabs — so its count
-// is not zero; each ceiling is the largest value measured on Go 1.24 plus
+// is not zero; the ceiling is the largest value measured on Go 1.24 plus
 // ~2 % headroom for runtime-internal differences between Go versions (1.23
 // read 19 fewer of 15894 before a resident VM became one record). A real
-// per-event or per-VM leak adds thousands, far past the headroom.
-const (
-	// churnCellAllocs bounds one whole 20k-arrival RISA cell at 75 % on 18
-	// racks (2810–2819 measured). It read 15894 while every resident VM's
-	// first placement allocated its record, two flows, their link slices
-	// and three share slices separately.
-	churnCellAllocs = 2870
-	// agentsCellAllocs bounds the multi-agent commit path's whole run
-	// (7214 measured in rounds of 4×Agents = 16; 7201–7211 in the rounds of
-	// 64 the cell used to set, 71702 before the agent pool was built once): the
-	// 96-rack cell's setup plus four registry-built scheduler instances and
-	// their channels — the propose/commit/drop steady state adds nothing
-	// per VM, which TestAllocsProposeCommit pins at zero.
-	agentsCellAllocs = 7360
-)
+// per-event or per-VM leak adds thousands, far past the headroom. It read
+// 15894 while every resident VM's first placement allocated its record,
+// two flows, their link slices and three share slices separately.
+const churnCellAllocs = 2870
 
-// churnCellCeiling runs one 20 000-arrival RISA steady-state cell at the
-// target occupancy on a fresh datacenter — construction included, as a
-// ladder cell pays it — and holds its allocations under the ceiling.
-func churnCellCeiling(t *testing.T, setup experiments.Setup, target float64, conc sim.StreamConcurrency, ceiling float64) {
+// TestAllocsChurnSteadyState: the cell `risasim -exp churn` runs per
+// worker — one 20 000-arrival RISA steady-state cell at 75 % occupancy on
+// a fresh datacenter, construction included, as a ladder cell pays it —
+// held under its ceiling.
+func TestAllocsChurnSteadyState(t *testing.T) {
 	cfg := sim.StreamConfig{
-		Workload:    sim.StreamWorkload{MaxArrivals: 20000},
-		Windows:     sim.StreamWindows{Warmup: 12600, Window: 6300},
-		Concurrency: conc,
+		Workload: sim.StreamWorkload{MaxArrivals: 20000},
+		Windows:  sim.StreamWindows{Warmup: 12600, Window: 6300},
 	}
 	got := testing.AllocsPerRun(1, func() {
-		runner, stream, err := setup.NewCell("RISA", target, workload.TierMix{}, sim.Faults{})
+		runner, stream, err := experiments.DefaultSetup().NewCell("RISA", 0.75, workload.TierMix{}, sim.Faults{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,25 +282,7 @@ func churnCellCeiling(t *testing.T, setup experiments.Setup, target float64, con
 		}
 	})
 	t.Logf("%.0f allocations a cell", got)
-	if got > ceiling {
-		t.Fatalf("a whole cell allocates %.0f objects, ceiling %.0f", got, ceiling)
+	if got > churnCellAllocs {
+		t.Fatalf("a whole cell allocates %.0f objects, ceiling %d", got, churnCellAllocs)
 	}
-}
-
-// TestAllocsChurnSteadyState: the cell `risasim -exp churn` runs per worker.
-func TestAllocsChurnSteadyState(t *testing.T) {
-	churnCellCeiling(t, experiments.DefaultSetup(), 0.75, sim.StreamConcurrency{}, churnCellAllocs)
-}
-
-// TestAllocsChurnAgents: a network-gated cell — 96 racks with thin box
-// uplinks at an 80 % target, where a large fraction of arrivals exhausts
-// both placement tiers — with proposals fanned over four shards and
-// committed serially in rounds of 16 (4×Agents).
-func TestAllocsChurnAgents(t *testing.T) {
-	t.Run("agents4", func(t *testing.T) {
-		setup := experiments.DefaultSetup()
-		setup.Topology.Racks = 96
-		setup.Network.BoxUplinks = 4
-		churnCellCeiling(t, setup, 0.80, sim.StreamConcurrency{Agents: 4}, agentsCellAllocs)
-	})
 }

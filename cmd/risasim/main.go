@@ -15,7 +15,6 @@
 //	risasim -exp churn               # steady-state ladder, 100k arrivals/rung
 //	risasim -exp churn -target-util 0.8   # one rung at 80% occupancy
 //	risasim -exp churn -duration 50000    # time-capped rungs (smoke)
-//	risasim -exp churn -agents 4          # serial vs 4 concurrent allocation agents
 //	risasim -exp faults              # availability ladder, MTBF × utilization
 //	risasim -exp faults -evict       # with displaced-VM recovery
 //	risasim -exp faults -mtbf 10000 -mttr 1000   # one custom MTBF rung
@@ -34,9 +33,10 @@
 // The experiment names are listed once, in the catalog below: the -exp
 // help text, the all and azure groups and the unknown-name check are
 // computed from it. Ladder flags (-clone, -evict, -mtbf, -tiers, -preempt,
-// -agents, -snapshot/-restore) are rejected on experiments that never
-// read them. The experiment ↔ paper mapping lives in DESIGN.md §5;
-// measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+// -snapshot/-restore) are rejected on experiments that never read them,
+// and so are the flags -snapshot and -restore would ignore. The
+// experiment ↔ paper mapping lives in DESIGN.md §5; measured-vs-paper
+// numbers are recorded in EXPERIMENTS.md.
 package main
 
 import (
@@ -78,7 +78,6 @@ type options struct {
 	tiers      string
 	tierMix    workload.TierMix // parsed -tiers (zero when the flag is absent)
 	clone      bool
-	agents     int
 	snapshot   string
 	restore    string
 	cpuprofile string
@@ -102,7 +101,6 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.evict, "evict", false, "for -exp faults: evict VMs from failed hardware and re-place them through the scheduler (default: VMs ride out outages in place)")
 	fs.BoolVar(&o.preempt, "preempt", false, "for -exp faults: let higher-tier arrivals preempt strictly-lower-tier residents when placement fails (victims re-enter through the retry queue; pair with -tiers)")
 	fs.StringVar(&o.tiers, "tiers", "", "for -exp faults/slo: priority mix as three comma-separated weights, highest tier first (e.g. 0.2,0.3,0.5; empty = faults untiered, slo default mix)")
-	fs.IntVar(&o.agents, "agents", 1, "for -exp churn: also run each rung with this many concurrent allocation agents (1 = serial only)")
 	fs.BoolVar(&o.clone, "clone", false, "for -exp churn/faults: share one warm state per rung across all algorithm cells instead of warming each cell separately (controlled comparison; not comparable to the fresh-warmup ladder)")
 	fs.StringVar(&o.snapshot, "snapshot", "", "for -exp churn: warm one RISA cell, save its warm state to this file, then finish the run")
 	fs.StringVar(&o.restore, "restore", "", "for -exp churn: resume a warm state saved by -snapshot, skipping the warmup")
@@ -111,11 +109,9 @@ func parseArgs(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "racks" {
-			o.racksSet = true
-		}
-	})
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	o.racksSet = set["racks"]
 	if o.racks < 1 {
 		return o, fmt.Errorf("-racks must be at least 1, got %d", o.racks)
 	}
@@ -137,9 +133,6 @@ func parseArgs(args []string) (options, error) {
 	if o.mttr <= 0 {
 		return o, fmt.Errorf("-mttr must be positive, got %d", o.mttr)
 	}
-	if o.agents < 1 {
-		return o, fmt.Errorf("-agents must be at least 1, got %d", o.agents)
-	}
 	if !slices.Contains(experimentNames(), o.exp) {
 		return o, fmt.Errorf("unknown experiment %q (-exp takes one of: %s)", o.exp, strings.Join(experimentNames(), ", "))
 	}
@@ -151,7 +144,6 @@ func parseArgs(args []string) (options, error) {
 		exps []string
 		note string
 	}{
-		{o.agents > 1, "-agents", []string{"churn"}, ""},
 		{o.clone, "-clone", []string{"churn", "faults"}, ""},
 		{o.evict, "-evict", []string{"faults"}, " (the slo experiment always evicts)"},
 		{o.preempt, "-preempt", []string{"faults"}, " (the slo experiment always preempts)"},
@@ -170,11 +162,21 @@ func parseArgs(args []string) (options, error) {
 		}
 		o.tierMix = mix
 	}
-	if o.agents > 1 && o.clone {
-		return o, fmt.Errorf("-agents and -clone are mutually exclusive (agent mode cannot resume snapshots)")
-	}
 	if o.snapshot != "" && o.restore != "" {
 		return o, fmt.Errorf("-snapshot and -restore are mutually exclusive")
+	}
+	// -snapshot and -restore run one cell of their own: no ladder and no
+	// JSON archive, and a restored cell is the one its file describes.
+	mode, ignored := "-snapshot", []string{"json", "clone"}
+	if o.restore != "" {
+		mode, ignored = "-restore", append(ignored, "racks", "seed", "uplinks", "target-util", "duration")
+	}
+	if o.snapshot != "" || o.restore != "" {
+		for _, name := range ignored {
+			if set[name] {
+				return o, fmt.Errorf("-%s is ignored by %s (one RISA churn cell, no ladder and no JSON archive; -restore takes the cell from its file)", name, mode)
+			}
+		}
 	}
 	return o, nil
 }
@@ -216,11 +218,6 @@ func ladderConfig(o options) experiments.LadderConfig {
 		// %.4g keeps labels clean for fractions like 0.55, where
 		// targetUtil*100 is not exactly 55 in float64.
 		cfg.Util = []experiments.ChurnRung{{Label: fmt.Sprintf("%.4g%%", o.targetUtil*100), Target: o.targetUtil}}
-	}
-	if o.agents > 1 {
-		// Run the serial rung alongside the agent rung so the table shows
-		// the concurrency effect per utilization level.
-		cfg.Agents = []int{1, o.agents}
 	}
 	if o.exp == "faults" || o.exp == "slo" {
 		cfg.Faults = experiments.DefaultFaultRungs(o.mttr)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"risa/internal/experiments"
@@ -196,19 +197,11 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		t.Errorf("the churn ladder must get no fault axis: %+v", cfg.Faults)
 	}
 
-	o, err = parseArgs([]string{"-exp", "churn", "-agents", "4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg := ladderConfig(o); len(cfg.Agents) != 2 || cfg.Agents[0] != 1 || cfg.Agents[1] != 4 {
-		t.Errorf("-agents should run the serial rung beside the agent rung: %+v", cfg.Agents)
-	}
-
 	o, err = parseArgs([]string{"-exp", "churn"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := ladderConfig(o); len(cfg.Util) != 0 || cfg.Duration != 0 || len(cfg.Agents) != 0 || len(cfg.Faults) != 0 {
+	if cfg := ladderConfig(o); len(cfg.Util) != 0 || cfg.Duration != 0 || len(cfg.Faults) != 0 {
 		t.Errorf("default churn config should select the ladder: %+v", cfg)
 	}
 
@@ -216,9 +209,6 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		{"-duration", "-1"},
 		{"-target-util", "-0.5"},
 		{"-target-util", "9"},
-		{"-exp", "churn", "-agents", "0"},
-		{"-exp", "faults", "-agents", "4"},
-		{"-exp", "churn", "-agents", "4", "-clone"},
 		{"-exp", "slo", "-clone"},
 		{"-clone"},
 		{"-exp", "faults", "-snapshot", "warm.gob"},
@@ -227,6 +217,36 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
 		}
+	}
+}
+
+// TestParseArgsRefusesFlagsSnapshotIgnores: -snapshot and -restore run
+// one RISA churn cell and write no JSON archive, and -restore rebuilds
+// the cell its file describes, so a flag either would drop is refused
+// with its name instead of being ignored.
+func TestParseArgsRefusesFlagsSnapshotIgnores(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-json", []string{"-exp", "churn", "-snapshot", "f.gob", "-json", "out.json"}},
+		{"-json", []string{"-exp", "churn", "-restore", "f.gob", "-json", "out.json"}},
+		{"-clone", []string{"-exp", "churn", "-snapshot", "f.gob", "-clone"}},
+		{"-clone", []string{"-exp", "churn", "-restore", "f.gob", "-clone"}},
+		{"-racks", []string{"-exp", "churn", "-restore", "f.gob", "-racks", "36"}},
+		{"-seed", []string{"-exp", "churn", "-restore", "f.gob", "-seed", "1"}},
+		{"-uplinks", []string{"-exp", "churn", "-restore", "f.gob", "-uplinks", "4"}},
+		{"-target-util", []string{"-exp", "churn", "-restore", "f.gob", "-target-util", "0.8"}},
+		{"-duration", []string{"-exp", "churn", "-restore", "f.gob", "-duration", "30000"}},
+	} {
+		_, err := parseArgs(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("parseArgs(%v) = %v, want an error naming %s", c.args, err, c.flag)
+		}
+	}
+	// -snapshot reads the cell's flags: they stay accepted there.
+	if _, err := parseArgs([]string{"-exp", "churn", "-snapshot", "f.gob", "-racks", "36", "-seed", "2", "-uplinks", "4", "-target-util", "0.8", "-duration", "30000"}); err != nil {
+		t.Errorf("-snapshot with cell flags: %v", err)
 	}
 }
 
@@ -370,7 +390,6 @@ func TestParseArgsFaultFlags(t *testing.T) {
 		{"-exp", "churn", "-mtbf", "10000"},
 		{"-exp", "fig5", "-mtbf", "10000"},
 		{"-exp", "slo", "-preempt"},
-		{"-exp", "faults", "-preempt", "-agents", "2"},
 		{"-exp", "churn", "-tiers", "0.2,0.3,0.5"},
 		{"-exp", "faults", "-tiers", "0.2,0.3"},
 		{"-exp", "faults", "-tiers", "0,0,0"},

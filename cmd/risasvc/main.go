@@ -3,7 +3,7 @@
 // HTTP/JSON through a bounded, tier-aware admission queue, with live
 // cluster mutation endpoints, scheduler hot-swap, graceful drain on
 // SIGTERM, and crash recovery from an fsync'd write-ahead journal plus
-// periodic snapshots (see internal/svc and DESIGN.md §14).
+// periodic snapshots (see internal/svc and DESIGN.md §13).
 //
 // Usage:
 //

@@ -12,9 +12,7 @@
 //
 // NULB's box choice is also what RISA hands its SUPER_RACK to
 // (NULBChoice). Each algorithm has one candidate computation, choose;
-// Schedule commits its result through State.AllocateVM, Propose — the
-// read-only form the concurrent agent pool drives (DESIGN.md §12) —
-// probes it through State.Probe.
+// Schedule commits its result through State.AllocateVM.
 package baseline
 
 import (
@@ -33,9 +31,6 @@ type zervas struct {
 	nalb bool // true → NALB: bandwidth-ordered BFS + max-avail links
 }
 
-// Compile-time check: the agent pool drives zervas through Propose.
-var _ sched.Proposer = (*zervas)(nil)
-
 func init() {
 	sched.Register("NULB", NewNULB)
 	sched.Register("NALB", NewNALB)
@@ -49,10 +44,10 @@ func NewNALB(st *sched.State) sched.Scheduler { return &zervas{st: st, nalb: tru
 
 // NULBChoice computes NULB's box choice for vm over the whole cluster,
 // and the link policy NULB reserves its flows under, without allocating
-// anything: what RISA's SUPER_RACK tier commits or probes.
+// anything: what RISA's SUPER_RACK tier commits.
 func NULBChoice(st *sched.State, vm workload.VM) (sched.BoxTriple, network.Policy, error) {
 	z := zervas{st: st}
-	boxes, miss, home, ok := z.choose(vm, nil, false)
+	boxes, miss, home, ok := z.choose(vm)
 	if !ok {
 		return boxes, z.policy(), noBox(vm, miss, home)
 	}
@@ -80,30 +75,11 @@ func (z *zervas) policy() network.Policy {
 // Schedule implements sched.Scheduler: Algorithm 2 over the whole
 // cluster.
 func (z *zervas) Schedule(vm workload.VM) (*sched.Assignment, error) {
-	boxes, miss, home, ok := z.choose(vm, nil, false)
+	boxes, miss, home, ok := z.choose(vm)
 	if !ok {
 		return nil, noBox(vm, miss, home)
 	}
 	return z.st.AllocateVM(vm, boxes, z.policy())
-}
-
-// Propose implements sched.Proposer: Algorithm 2's choice restricted to
-// the case where every component lands in the scarce box's home rack.
-// The scarce resource takes the first fitting box among the shard's
-// racks; the remaining resources must be satisfied inside that home
-// rack under the usual level ordering. A VM whose placement would have
-// to leave the home rack returns ok=false and is scheduled serially —
-// the BFS over other racks has no single-rack claim to make.
-//
-// Like every Proposer, this requires the cluster's lazy index tiers to
-// be settled first (Cluster.Settle); NextRackWith and the level scans
-// are pure reads then.
-func (z *zervas) Propose(vm workload.VM, shard sched.RackMask) (sched.Proposal, bool) {
-	boxes, _, _, ok := z.choose(vm, shard, true)
-	if !ok {
-		return sched.Proposal{}, false
-	}
-	return z.st.Probe(vm, boxes, z.policy())
 }
 
 // Release implements sched.Scheduler.
@@ -111,19 +87,17 @@ func (z *zervas) Release(a *sched.Assignment) { z.st.ReleaseVM(a) }
 
 // choose is phases 1a and 1b of Algorithm 2 — the box choice — with no
 // allocation and no writes: the scarcest resource takes the first
-// fitting box among shard's racks (nil: the whole cluster), the others
-// are found by BFS outwards from that box's rack, or in that rack alone
-// when homeOnly is set. When no placement exists, miss names the
-// resource no box could hold (-1: nothing requested) and home the scarce
-// box's rack (-1: not even that box was found), which noBox renders as
-// Schedule's error; Propose only needs ok, so a declined proposal
-// formats nothing.
-func (z *zervas) choose(vm workload.VM, shard sched.RackMask, homeOnly bool) (boxes sched.BoxTriple, miss units.Resource, home int, ok bool) {
+// fitting box in the cluster, the others are found by BFS outwards from
+// that box's rack. When no placement exists, miss names the resource no
+// box could hold (-1: nothing requested) and home the scarce box's rack
+// (-1: not even that box was found), which noBox renders as Schedule's
+// error.
+func (z *zervas) choose(vm workload.VM) (boxes sched.BoxTriple, miss units.Resource, home int, ok bool) {
 	resMax, ok := sched.ScarcestResource(z.st.Cluster, vm.Req)
 	if !ok {
 		return boxes, -1, -1, false
 	}
-	first := z.firstBox(resMax, vm.Req[resMax], shard)
+	first := z.firstBox(resMax, vm.Req[resMax])
 	if first == nil {
 		return boxes, resMax, -1, false
 	}
@@ -132,7 +106,7 @@ func (z *zervas) choose(vm workload.VM, shard sched.RackMask, homeOnly bool) (bo
 		if r == resMax || vm.Req[r] == 0 {
 			continue
 		}
-		if boxes[r] = z.bfsFind(first.Rack(), r, vm.Req[r], homeOnly); boxes[r] == nil {
+		if boxes[r] = z.bfsFind(first.Rack(), r, vm.Req[r]); boxes[r] == nil {
 			return boxes, r, first.Rack(), false
 		}
 	}
@@ -154,24 +128,15 @@ func noBox(vm workload.VM, miss units.Resource, home int) error {
 }
 
 // firstBox returns the first box in global order holding kind r with
-// enough free among the shard's racks. Candidate racks come from the
-// cluster-level index (ascending rack order, racks without a large-enough
-// box never surface), bounded by the shard's span so an agent does not
-// step over the racks below its shard on every proposal; a nil shard
-// scans the whole cluster. The box-level test reads the rack's
-// contiguous visible-free vector, which leaves the scan order (and thus
-// the chosen box) identical to a full rack-major sweep over the box
-// pointers while skipping the non-qualifying racks entirely.
-func (z *zervas) firstBox(r units.Resource, need units.Amount, shard sched.RackMask) *topology.Box {
+// enough free. Candidate racks come from the cluster-level index
+// (ascending rack order, racks without a large-enough box never
+// surface). The box-level test reads the rack's contiguous visible-free
+// vector, which leaves the scan order (and thus the chosen box)
+// identical to a full rack-major sweep over the box pointers while
+// skipping the non-qualifying racks entirely.
+func (z *zervas) firstBox(r units.Resource, need units.Amount) *topology.Box {
 	cl := z.st.Cluster
-	lo, hi := shard.Span()
-	if hi < 0 {
-		hi = cl.NumRacks()
-	}
-	for ri := cl.NextRackWith(r, need, lo); ri >= 0 && ri < hi; ri = cl.NextRackWith(r, need, ri+1) {
-		if !shard.Allows(ri) {
-			continue
-		}
+	for ri := cl.NextRackWith(r, need, 0); ri >= 0; ri = cl.NextRackWith(r, need, ri+1) {
 		if b := firstFit(cl.Rack(ri), r, need); b != nil {
 			return b
 		}
@@ -180,9 +145,8 @@ func (z *zervas) firstBox(r units.Resource, need units.Amount, shard sched.RackM
 }
 
 // bfsFind searches for a box of kind r with enough free space, visiting
-// the home rack's boxes first and then — unless homeOnly bounds the
-// search to that first level — every other rack (ascending index: all
-// racks are equidistant through the inter-rack switch). NALB takes each
+// the home rack's boxes first and then every other rack (ascending
+// index: all racks are equidistant through the inter-rack switch). NALB takes each
 // BFS level in descending order of available uplink bandwidth.
 //
 // The second level is pruned through the cluster-level candidate index
@@ -196,9 +160,9 @@ func (z *zervas) firstBox(r units.Resource, need units.Amount, shard sched.RackM
 // order — equivalently, the fitting box with the maximum uplink
 // bandwidth, earliest first among equals, which one running max over
 // the level computes while probing the fabric only for boxes that fit.
-func (z *zervas) bfsFind(homeRack int, r units.Resource, need units.Amount, homeOnly bool) *topology.Box {
+func (z *zervas) bfsFind(homeRack int, r units.Resource, need units.Amount) *topology.Box {
 	cl := z.st.Cluster
-	if b := z.pickFromLevel(cl.Rack(homeRack), r, need); b != nil || homeOnly {
+	if b := z.pickFromLevel(cl.Rack(homeRack), r, need); b != nil {
 		return b
 	}
 	var chosen *topology.Box

@@ -82,7 +82,7 @@ func (r *RISA) migrate(a *sched.Assignment) bool {
 	// pool (ReleaseVMKeep); the re-placement comes back as a fresh pooled
 	// record whose contents Adopt moves into a.
 	r.st.ReleaseVMKeep(a)
-	w := r.newWalk(vm, nil)
+	w := r.newWalk(vm)
 	for w.next() {
 		if moved := w.commit(); moved != nil {
 			r.st.Adopt(a, moved)

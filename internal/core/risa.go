@@ -93,7 +93,7 @@ func (r *RISA) Schedule(vm workload.VM) (*sched.Assignment, error) {
 	if !vm.Req.NonNegative() || vm.Req.IsZero() {
 		return nil, fmt.Errorf("core: VM %d has unusable request %v", vm.ID, vm.Req)
 	}
-	w := r.newWalk(vm, nil)
+	w := r.newWalk(vm)
 	for w.next() || w.superRack() {
 		if a := w.commit(); a != nil {
 			return a, nil
@@ -114,41 +114,27 @@ func (r *RISA) Schedule(vm workload.VM) (*sched.Assignment, error) {
 //  2. last, the SUPER_RACK hand-off: NULB's choice over the whole
 //     cluster, accepting an inter-rack placement.
 //
-// Schedule and Propose consume the same walk and differ only in the
-// acceptor they offer each candidate to — commit (State.AllocateVM) or
-// probe (State.Probe) — so the serial placement and the agents' proposal
-// cannot drift apart: a proposal that commits cleanly is the transaction
-// Schedule would have performed. The walk lives on the caller's stack.
+// Schedule and Rebalance offer each candidate to commit; Rebalance stops
+// short of the SUPER_RACK. The walk lives on the caller's stack.
 //
 // The pool is never materialized: qualifying racks are enumerated lazily
 // through the cluster-level candidate index (NextRackFits) in ascending
 // index order rotated at the cursor, so in the common case where an
 // early candidate is accepted the remaining racks are never visited and
 // the decision cost is independent of the cluster size. A refused
-// candidate cannot disturb the enumeration: commits roll back completely
-// and probes write nothing, so the candidate set later NextRackFits
-// calls see is the one a snapshot at entry would have produced.
-//
-// A shard (Propose only; nil for Schedule) reorders the pool tier, not
-// its contents: the shard's span is walked first, rotated at the cursor
-// — in-shard claims cannot collide across agents, so this is the
-// low-conflict fast path — and only when the shard yields nothing does
-// the walk spill over to the racks the mask rejects, in ascending order.
-// A spillover claim may lose its commit to the rack's own agent, which
-// the generation check resolves. The spillover is what makes an
-// exhausted walk conclusive: every rack in the cluster was tried.
+// candidate cannot disturb the enumeration: commits roll back completely,
+// so the candidate set later NextRackFits calls see is the one a
+// snapshot at entry would have produced.
 type walk struct {
 	r      *RISA
 	vm     workload.VM
-	shard  sched.RackMask
 	demand units.Bandwidth // both flows' bandwidth, for AVAIL_INTRA_RACK_NET
 
-	// The pool tier runs as up to three ascending segments [from, until):
-	// cursor → span end, span start → cursor, then (sharded only) the
-	// whole cluster minus the shard.
+	// The pool tier runs as two ascending segments [from, until):
+	// cursor → last rack, then rack 0 → cursor.
 	seg         int
 	from, until int
-	lo, start   int
+	start       int
 	poolSeen    bool // a qualifying rack existed (exhausted ⇒ all net-gated)
 
 	// The current candidate: rack is its pool rack, or -1 for the
@@ -164,29 +150,24 @@ type walk struct {
 
 // The walk's segments, in order.
 const (
-	segFromCursor = iota // shard span from the cursor to the span's end
-	segToCursor          // shard span from its start up to the cursor
-	segSpill             // every rack outside the shard (sharded walks only)
+	segFromCursor = iota // from the cursor to the last rack
+	segToCursor          // from rack 0 up to the cursor
 	segPoolDone          // pool exhausted; the SUPER_RACK candidate is next
 	segDone
 )
 
-// newWalk starts the candidate walk for vm at the round-robin cursor,
-// clamped into the shard's span.
-func (r *RISA) newWalk(vm workload.VM, shard sched.RackMask) walk {
+// newWalk starts the candidate walk for vm at the round-robin cursor.
+func (r *RISA) newWalk(vm workload.VM) walk {
 	cfg := r.st.Units()
-	lo, hi := shard.Span()
-	if hi < 0 {
-		lo, hi = 0, r.st.Cluster.NumRacks()
-	}
+	hi := r.st.Cluster.NumRacks()
 	start := r.cursor
-	if start < lo || start >= hi {
-		start = lo
+	if start < 0 || start >= hi {
+		start = 0
 	}
 	return walk{
-		r: r, vm: vm, shard: shard,
+		r: r, vm: vm,
 		demand: cfg.CPURAMDemand(vm.Req) + cfg.RAMSTODemand(vm.Req),
-		from:   start, until: hi, lo: lo, start: start,
+		from:   start, until: hi, start: start,
 		policy: network.FirstFit,
 	}
 }
@@ -200,20 +181,10 @@ func (w *walk) next() bool {
 		i := cl.NextRackFits(w.vm.Req, w.from)
 		if i < 0 || i >= w.until {
 			w.seg++
-			switch {
-			case w.seg == segToCursor:
-				w.from, w.until = w.lo, w.start
-			case w.seg == segSpill && w.shard != nil:
-				w.from, w.until = 0, cl.NumRacks()
-			default:
-				w.seg = segPoolDone
-			}
+			w.from, w.until = 0, w.start
 			continue
 		}
 		w.from = i + 1
-		if w.shard.Allows(i) == (w.seg == segSpill) {
-			continue
-		}
 		w.poolSeen = true
 		r.stats.RacksProbed++
 		if r.st.Fabric.RackIntraFree(i) < w.demand {
@@ -262,37 +233,20 @@ func (w *walk) superRack() bool {
 	return w.err == nil
 }
 
-// commit is the serial acceptor: it places the current candidate through
-// the shared AllocateVM transaction, or returns nil with the state
-// exactly as before.
+// commit places the current candidate through the shared AllocateVM
+// transaction, or returns nil with the state exactly as before. An
+// intra-rack placement advances the round-robin cursor past the rack
+// just used and remembers the next-fit box positions inside it.
 func (w *walk) commit() *sched.Assignment {
-	a, err := w.r.st.AllocateVM(w.vm, w.boxes, w.policy)
+	r := w.r
+	a, err := r.st.AllocateVM(w.vm, w.boxes, w.policy)
 	if err != nil {
 		w.err = err
 		return nil
 	}
-	w.accept()
-	return a
-}
-
-// probe is the agents' acceptor: it checks the current candidate
-// read-only and, when it would commit, returns the proposal claiming it.
-func (w *walk) probe() (sched.Proposal, bool) {
-	p, ok := w.r.st.Probe(w.vm, w.boxes, w.policy)
-	if ok {
-		w.accept()
-	}
-	return p, ok
-}
-
-// accept records that an acceptor took the current candidate: an
-// intra-rack placement advances the round-robin cursor past the rack
-// just used and remembers the next-fit box positions inside it.
-func (w *walk) accept() {
-	r := w.r
 	if w.rack < 0 {
 		r.stats.SuperRack++
-		return
+		return a
 	}
 	r.stats.IntraRack++
 	if !r.opts.DisableRoundRobin {
@@ -306,6 +260,7 @@ func (w *walk) accept() {
 			}
 		}
 	}
+	return a
 }
 
 // chooseBoxes picks one box per requested resource inside the rack

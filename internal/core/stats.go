@@ -4,10 +4,6 @@ package core
 // paper's §5.3 claims that "in practice INTRA_RACK_POOL is not always
 // empty. In fact for the simulation results discussed ... it was never
 // empty" — PoolEmpty lets an experiment verify that claim directly.
-//
-// The counters belong to the candidate walk, so an agent's instance
-// driven through Propose counts its proposals the way Schedule counts
-// placements; only Dropped and ConclusiveDrops are the entry points' own.
 type Stats struct {
 	// IntraRack counts VMs placed through the INTRA_RACK_POOL path.
 	IntraRack int
@@ -25,12 +21,6 @@ type Stats struct {
 	RacksProbed int
 	// Dropped counts VMs neither path could place.
 	Dropped int
-	// ConclusiveDrops counts agent-mode VMs dropped on a conclusive
-	// Propose failure — both tiers checked read-only, no serial redo
-	// (sched.ConclusiveProposer). These VMs bump Dropped but neither
-	// PoolEmpty nor NetGated on the instance recording the drop: the
-	// walk that distinguishes the two ran on an agent's instance.
-	ConclusiveDrops int
 }
 
 // Stats returns a copy of the counters.

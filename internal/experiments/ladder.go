@@ -1,7 +1,7 @@
 // The steady-state ladders (`-exp churn`, `-exp faults`, `-exp slo`) are
-// one grid — fault rung × utilization rung × agent count × algorithm, each
-// cell an open-ended controlled stream on a fresh datacenter — behind three
-// sets of defaults: churn sweeps utilization fault-free, faults adds the
+// one grid — fault rung × utilization rung × algorithm, each cell an
+// open-ended controlled stream on a fresh datacenter — behind three sets
+// of defaults: churn sweeps utilization fault-free, faults adds the
 // box-outage axis, slo is faults with a tier mix, eviction and preemption
 // forced on. runLadder is the only runner; ladder_render.go draws the
 // three tables.
@@ -83,12 +83,6 @@ type LadderConfig struct {
 	// Faults is the fault axis; hand DefaultFaultRungs(mttr) in to change
 	// the default rungs' repair time.
 	Faults []FaultRung
-	// Agents is the concurrent-agents axis: every rung runs once per
-	// entry, with that many allocation agents proposing placements
-	// optimistically (sim.StreamConcurrency). Empty means []int{1}, the
-	// serial ladder. Incompatible with Clone (agent mode cannot resume
-	// snapshots) and, in sim, with Preempt.
-	Agents []int
 	// Evict turns on displaced-VM recovery: VMs on failed hardware are
 	// evicted and re-placed through the scheduler instead of riding out
 	// the outage in place. It only engages on rungs that have a plan to
@@ -119,12 +113,10 @@ type LadderConfig struct {
 	Clone bool
 }
 
-// Cell is one steady-state run of a ladder. Agents is the concurrent-agent
-// count the cell ran under (1 = serial).
+// Cell is one steady-state run of a ladder.
 type Cell struct {
 	Fault     FaultRung
 	Util      ChurnRung
-	Agents    int
 	Algorithm string
 	Result    *sim.SteadyState
 }
@@ -135,8 +127,8 @@ type Ladder struct {
 	// Config is the configuration as run: defaults filled in, Duration the
 	// cap every cell actually ran under (a Clone ladder derives one).
 	Config LadderConfig
-	// Cells is fault-rung-major, then utilization rung, then agent count,
-	// then Algorithms order.
+	// Cells is fault-rung-major, then utilization rung, then Algorithms
+	// order.
 	Cells []Cell
 }
 
@@ -269,17 +261,6 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 			return nil, fmt.Errorf("experiments: fault rung %q has MTBF %d / MTTR %d", r.Label, r.MTBF, r.MTTR)
 		}
 	}
-	if len(cfg.Agents) == 0 {
-		cfg.Agents = []int{1}
-	}
-	for _, a := range cfg.Agents {
-		if a <= 0 {
-			return nil, fmt.Errorf("experiments: ladder agent count must be positive, got %d", a)
-		}
-		if cfg.Clone && a > 1 {
-			return nil, fmt.Errorf("experiments: the agents axis is incompatible with Clone (agent mode cannot resume snapshots)")
-		}
-	}
 	if err := cfg.Tiers.Validate(); err != nil {
 		return nil, err
 	}
@@ -330,19 +311,15 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 	out := &Ladder{Setup: s, Config: cfg}
 	for _, fault := range cfg.Faults {
 		for _, util := range cfg.Util {
-			for _, a := range cfg.Agents {
-				for _, alg := range Algorithms {
-					out.Cells = append(out.Cells, Cell{Fault: fault, Util: util, Agents: a, Algorithm: alg})
-				}
+			for _, alg := range Algorithms {
+				out.Cells = append(out.Cells, Cell{Fault: fault, Util: util, Algorithm: alg})
 			}
 		}
 	}
-	perUtil := len(cfg.Agents) * len(Algorithms)
+	perUtil := len(Algorithms)
 	perFault := len(cfg.Util) * perUtil
 	err := Engine{}.ForEach(len(out.Cells), func(i int) error {
 		cell := &out.Cells[i]
-		run := base
-		run.Concurrency.Agents = cell.Agents
 		var f sim.Faults
 		if plan := plans[i/perFault]; plan != nil {
 			f = sim.Faults{Plan: plan, Evict: cfg.Evict}
@@ -354,7 +331,7 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		if cfg.Clone {
 			snap = snaps[i%perFault/perUtil]
 		}
-		if err := s.runCell(cell, cfg.Tiers, f, run, snap); err != nil {
+		if err := s.runCell(cell, cfg.Tiers, f, base, snap); err != nil {
 			return fmt.Errorf("%s at fault rung %s, utilization rung %s: %w", cell.Algorithm, cell.Fault.Label, cell.Util.Label, err)
 		}
 		return nil

@@ -10,8 +10,7 @@ import (
 	"risa/internal/workload"
 )
 
-// RenderChurn draws the churn ladder as one table per (utilization rung,
-// agent count).
+// RenderChurn draws the churn ladder as one table per utilization rung.
 func (l *Ladder) RenderChurn() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Steady-state churn: open-ended synthetic stream, fixed %d tu lifetimes, %d racks, %d-arrival budget per cell",
@@ -27,11 +26,7 @@ func (l *Ladder) RenderChurn() string {
 	b.WriteString(" latency percentiles and placements/s are wall-clock — regenerate with -parallel 1 for honest timings)\n")
 	for _, cell := range l.Cells {
 		if cell.Algorithm == Algorithms[0] {
-			fmt.Fprintf(&b, "rung %-9s target %.0f%% binding utilization", cell.Util.Label, cell.Util.Target*100)
-			if cell.Agents > 1 {
-				fmt.Fprintf(&b, " — %d concurrent agents", cell.Agents)
-			}
-			b.WriteString("\n")
+			fmt.Fprintf(&b, "rung %-9s target %.0f%% binding utilization\n", cell.Util.Label, cell.Util.Target*100)
 			fmt.Fprintf(&b, "  %-8s %9s %7s %6s %17s %5s %14s %21s %9s\n",
 				"alg", "arrivals", "accept%", "drops", "util C/R/S %", "wins", "acc%/win", "p50/p95/p99 decision", "place/s")
 		}

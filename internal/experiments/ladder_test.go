@@ -88,11 +88,9 @@ func ladderDigestGrids() map[string]func(Setup) (*Ladder, error) {
 	evict, clone, tiered := faultsAt(0.6, true), faultsAt(0.6, true), faultsAt(0.9, false)
 	clone.Clone = true
 	tiered.Tiers, tiered.Preempt = workload.TierMix{Weights: [workload.NumTiers]float64{0.2, 0.3, 0.5}}, true
-	agents := LadderConfig{Arrivals: 5000, Duration: 30000, Util: []ChurnRung{{Label: "60%", Target: 0.60}}, Agents: []int{1, 4}}
 	return map[string]func(Setup) (*Ladder, error){
 		"churn":                func(s Setup) (*Ladder, error) { return s.RunChurn(smallChurn()) },
 		"churn-clone":          func(s Setup) (*Ladder, error) { return s.RunChurn(cloneChurn()) },
-		"churn-agents":         func(s Setup) (*Ladder, error) { return s.RunChurn(agents) },
 		"faults-evict":         func(s Setup) (*Ladder, error) { return s.RunFaults(evict) },
 		"faults-clone":         func(s Setup) (*Ladder, error) { return s.RunFaults(clone) },
 		"faults-tiers-preempt": func(s Setup) (*Ladder, error) { return s.RunFaults(tiered) },
@@ -100,12 +98,16 @@ func ladderDigestGrids() map[string]func(Setup) (*Ladder, error) {
 	}
 }
 
-// TestLadderDigests pins every cell of seven small ladders against
+// TestLadderDigests pins every cell of six small ladders against
 // digests recorded with the per-experiment runners this package had
 // before runLadder (commit 38bfc38): the sha256 of the %+v rendering of
 // each cell's wall-clock-stripped SteadyState. A mismatch means a ladder's
 // placements, counters or windows moved — regenerate the file only when
 // that is the point of the change.
+//
+// SteadyState carried two agent-mode counters when the digests were
+// recorded, always zero on the serial runs pinned here; the rendering
+// puts them back so the rows stay the recorded ones.
 func TestLadderDigests(t *testing.T) {
 	f, err := os.Open("testdata/ladder_digests.txt")
 	if err != nil {
@@ -138,10 +140,12 @@ func TestLadderDigests(t *testing.T) {
 		}
 		for i, cell := range l.Cells {
 			stripSS(cell.Result)
-			got := fmt.Sprintf("%s %x", cell.Algorithm, sha256.Sum256([]byte(fmt.Sprintf("%+v", *cell.Result))))
+			rendered := strings.Replace(fmt.Sprintf("%+v", *cell.Result),
+				" SchedulingTime:", " AgentCommits:0 AgentConflicts:0 SchedulingTime:", 1)
+			got := fmt.Sprintf("%s %x", cell.Algorithm, sha256.Sum256([]byte(rendered)))
 			if got != want[name][i] {
-				t.Errorf("%s cell %d (%s/%s/agents %d): got %s, want %s",
-					name, i, cell.Fault.Label, cell.Util.Label, cell.Agents, got, want[name][i])
+				t.Errorf("%s cell %d (%s/%s): got %s, want %s",
+					name, i, cell.Fault.Label, cell.Util.Label, got, want[name][i])
 			}
 		}
 	}
@@ -214,8 +218,6 @@ func TestRunChurnValidation(t *testing.T) {
 	bad := map[string]LadderConfig{
 		"negative arrivals":   {Arrivals: -1},
 		"zero target":         {Util: []ChurnRung{{Label: "bad", Target: 0}}},
-		"zero agents":         {Agents: []int{0}},
-		"agents under clone":  {Agents: []int{1, 4}, Clone: true},
 		"fault axis on churn": {Faults: DefaultFaultRungs(0)},
 		"negative tier":       {Tiers: workload.TierMix{Weights: [workload.NumTiers]float64{-1, 1, 1}}},
 	}

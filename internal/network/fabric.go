@@ -211,7 +211,6 @@ type Fabric struct {
 	interCap, interFree units.Bandwidth   // aggregate over all rack uplinks
 	podCap, podFree     units.Bandwidth   // aggregate over all pod uplinks
 	rackIntraFree       []units.Bandwidth // per-rack free over its box uplinks
-	rackGen             []uint64          // per-rack network generation (see RackGen)
 
 	// freeFlows recycles the Flow records AllocateFlow and RestoreFlow
 	// hand out, so direct users of the fabric do not allocate at steady
@@ -247,7 +246,6 @@ func NewFabric(cl *topology.Cluster, cfg Config) (*Fabric, error) {
 	f.boxUplinks = make([][][]*Link, len(racks))
 	f.rackUplinks = make([][]*Link, len(racks))
 	f.rackIntraFree = make([]units.Bandwidth, len(racks))
-	f.rackGen = make([]uint64, len(racks))
 	for ri, rack := range racks {
 		boxes := rack.Boxes()
 		f.boxUplinks[ri] = make([][]*Link, len(boxes))
@@ -577,7 +575,6 @@ func (f *Fabric) take(l *Link, bw units.Bandwidth) {
 	case BoxUplink:
 		f.intraFree -= bw
 		f.rackIntraFree[l.rack] -= bw
-		f.rackGen[l.rack]++
 	case RackUplink:
 		f.interFree -= bw
 	case PodUplink:
@@ -598,7 +595,6 @@ func (f *Fabric) put(l *Link, bw units.Bandwidth) {
 	case BoxUplink:
 		f.intraFree += bw
 		f.rackIntraFree[l.rack] += bw
-		f.rackGen[l.rack]++
 	case RackUplink:
 		f.interFree += bw
 	case PodUplink:
@@ -623,7 +619,6 @@ func (f *Fabric) SetLinkFailed(l *Link, failed bool) {
 	case BoxUplink:
 		f.intraFree += delta
 		f.rackIntraFree[l.rack] += delta
-		f.rackGen[l.rack]++
 	case RackUplink:
 		f.interFree += delta
 	case PodUplink:

@@ -27,9 +27,9 @@ func Register(name string, f Factory) {
 }
 
 // New constructs a registered scheduler bound to st. It is the single
-// construction path for algorithms chosen by name — experiments, the
-// CLI and the concurrent agent pool all go through it — replacing the
-// switch-on-name construction that used to be scattered across callers.
+// construction path for algorithms chosen by name — experiments and the
+// CLI go through it — replacing the switch-on-name construction that
+// used to be scattered across callers.
 func New(name string, st *State) (Scheduler, error) {
 	f, ok := registry[name]
 	if !ok {

@@ -15,7 +15,7 @@ type stubScheduler struct{ st *State }
 
 func (s *stubScheduler) Name() string { return "stub" }
 func (s *stubScheduler) Schedule(vm workload.VM) (*Assignment, error) {
-	return nil, ErrProposalConflict
+	return nil, nil
 }
 func (s *stubScheduler) Release(a *Assignment) {}
 
@@ -83,22 +83,4 @@ func TestRegistryNilFactoryPanics(t *testing.T) {
 		}
 	}()
 	Register("test-nil", nil)
-}
-
-// TestRackMaskAllows pins the shard vocabulary: a nil mask allows every
-// rack, a non-nil mask exactly its true entries (out of range: false).
-func TestRackMaskAllows(t *testing.T) {
-	var all RackMask
-	if !all.Allows(0) || !all.Allows(17) {
-		t.Error("nil mask must allow every rack")
-	}
-	m := RackMask{false, true, false}
-	for i, want := range []bool{false, true, false} {
-		if m.Allows(i) != want {
-			t.Errorf("mask.Allows(%d) = %v, want %v", i, m.Allows(i), want)
-		}
-	}
-	if m.Allows(3) {
-		t.Error("past-the-end racks must not be allowed")
-	}
 }

@@ -399,38 +399,6 @@ func (s *State) Adopt(dst, src *Assignment) {
 	s.putAssignment(src)
 }
 
-// RackMask restricts a search to a subset of racks; nil allows every rack.
-type RackMask []bool
-
-// Allows reports whether rack i passes the mask.
-func (m RackMask) Allows(i int) bool { return m == nil || (i < len(m) && m[i]) }
-
-// Span returns the half-open rack range [lo, hi) covering every allowed
-// rack, so a masked walk can clamp itself instead of probing racks the
-// mask would reject anyway (the agent pool's shards are contiguous, so
-// the span is exact there). A nil mask spans everything: hi is -1 and
-// the caller substitutes its own rack count. An all-false mask returns
-// lo == hi == 0, an empty walk.
-func (m RackMask) Span() (lo, hi int) {
-	if m == nil {
-		return 0, -1
-	}
-	lo = len(m)
-	for i, ok := range m {
-		if !ok {
-			continue
-		}
-		if i < lo {
-			lo = i
-		}
-		hi = i + 1
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
 // ScarcestResource returns the requested resource with the highest
 // contention ratio (request over cluster-wide availability), the first
 // step of NULB/NALB and of RISA's SUPER_RACK fallback. Ties break in

@@ -271,20 +271,6 @@ func TestReleaseVMIdempotent(t *testing.T) {
 	}
 }
 
-func TestRackMask(t *testing.T) {
-	var nilMask RackMask
-	if !nilMask.Allows(0) || !nilMask.Allows(99) {
-		t.Error("nil mask allows everything")
-	}
-	m := RackMask{true, false, true}
-	if !m.Allows(0) || m.Allows(1) || !m.Allows(2) {
-		t.Error("mask misbehaves")
-	}
-	if m.Allows(3) || m.Allows(99) {
-		t.Error("out-of-range rack should be denied")
-	}
-}
-
 func TestScarcestResource(t *testing.T) {
 	st := newState(t)
 	// Fresh cluster: CPU 18432 cores, RAM 18432 GB, STO 294912 GB free.

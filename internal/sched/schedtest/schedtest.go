@@ -41,11 +41,6 @@ func Conformance(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/TierOrderRespected", func(t *testing.T) { tierOrderRespected(t, mk) })
 	t.Run(name+"/PreemptionNeverLeaks", func(t *testing.T) { preemptionNeverLeaks(t, mk) })
 	t.Run(name+"/PreemptionHygiene", func(t *testing.T) { preemptionHygiene(t, mk) })
-	if _, ok := mk(newState(t)).(sched.Proposer); ok {
-		t.Run(name+"/ProposeMatchesSchedule", func(t *testing.T) { proposeMatchesSchedule(t, mk) })
-		t.Run(name+"/ProposeIsReadOnly", func(t *testing.T) { proposeIsReadOnly(t, mk) })
-		t.Run(name+"/ProposeStaysInShard", func(t *testing.T) { proposeStaysInShard(t, mk) })
-	}
 }
 
 // ZeroAllocs calls round warm times, so pools, slabs and scratch buffers
@@ -184,164 +179,6 @@ func churnConservation(t *testing.T, mk Factory) {
 	}
 	if snapshot(st) != before {
 		t.Fatal("full release did not restore the pristine state")
-	}
-	checkAll(t, st)
-}
-
-// proposer builds the factory's scheduler as the Proposer the propose
-// properties drive (Conformance only runs them for factories that are).
-func proposer(st *sched.State, mk Factory) sched.Proposer { return mk(st).(sched.Proposer) }
-
-// rackGens captures every rack's compute and network generation.
-func rackGens(st *sched.State) [][2]uint64 {
-	out := make([][2]uint64, st.Cluster.NumRacks())
-	for i := range out {
-		out[i] = [2]uint64{st.Cluster.RackGen(i), st.Fabric.RackGen(i)}
-	}
-	return out
-}
-
-// proposeMatchesSchedule is the commit oracle of the optimistic agents
-// (DESIGN.md §12): on twin states driven through one mixed
-// schedule/release stream, a successful
-// Propose(vm, nil) followed by CommitProposal must place exactly the
-// boxes the serial Schedule places on the twin. A declined proposal is
-// redone serially like the agent loop does, and must then match too; a
-// ConclusiveProposer's decline additionally certifies that the serial
-// Schedule drops the VM.
-//
-// The stream runs past the cluster's capacity with each resource
-// independently light (up to 1/32 of a box) or heavy (up to a whole
-// box), which fragments compute across racks and saturates rack links:
-// RISA meets intra-rack placements, network-gated and empty pools,
-// multi-rack SUPER_RACK proposals and drops in it.
-func proposeMatchesSchedule(t *testing.T, mk Factory) {
-	stA, stB := newState(t), newState(t)
-	sa, sb := proposer(stA, mk), mk(stB)
-	_, conclusive := sa.(sched.ConclusiveProposer)
-	sig := func(a *sched.Assignment) string {
-		if a == nil {
-			return "drop"
-		}
-		return fmt.Sprint(a.CPU.Box, a.RAM.Box, a.STO.Box)
-	}
-	var box units.Vector
-	for _, r := range units.Resources() {
-		box[r], _ = stA.Cluster.Rack(0).MaxFree(r)
-	}
-	rng := rand.New(rand.NewSource(20))
-	var liveA, liveB []*sched.Assignment
-	committed, declined := 0, 0
-	for step := 0; step < 600; step++ {
-		if len(liveA) > 0 && rng.Intn(4) == 0 {
-			i := rng.Intn(len(liveA))
-			sa.Release(liveA[i])
-			sb.Release(liveB[i])
-			liveA = append(liveA[:i], liveA[i+1:]...)
-			liveB = append(liveB[:i], liveB[i+1:]...)
-			continue
-		}
-		vm := workload.VM{ID: step, Lifetime: 10}
-		for _, r := range units.Resources() {
-			span := int64(box[r]) / 32
-			if rng.Intn(3) == 0 {
-				span = int64(box[r])
-			}
-			vm.Req[r] = units.Amount(rng.Int63n(span) + 1)
-		}
-		b, _ := sb.Schedule(vm)
-		stA.Cluster.Settle()
-		var a *sched.Assignment
-		if p, ok := sa.Propose(vm, nil); ok {
-			var err error
-			if a, err = stA.CommitProposal(p); err != nil {
-				t.Fatalf("step %d: conflict-free commit failed: %v", step, err)
-			}
-			committed++
-		} else {
-			if conclusive && b != nil {
-				t.Fatalf("step %d: Propose declined conclusively but Schedule placed %s", step, sig(b))
-			}
-			a, _ = sa.Schedule(vm)
-			declined++
-		}
-		if sig(a) != sig(b) {
-			t.Fatalf("step %d: propose+commit placed %s, serial Schedule %s", step, sig(a), sig(b))
-		}
-		if a != nil {
-			liveA, liveB = append(liveA, a), append(liveB, b)
-		}
-	}
-	if committed == 0 || declined == 0 {
-		t.Fatalf("stream is vacuous: %d commits, %d declined proposals", committed, declined)
-	}
-	checkAll(t, stA)
-}
-
-// proposeIsReadOnly: a Propose that is never committed leaves capacity
-// and every rack's compute and network generation untouched, with and
-// without a shard — the property that makes concurrent propose rounds
-// safe.
-func proposeIsReadOnly(t *testing.T, mk Factory) {
-	st := newState(t)
-	s := proposer(st, mk)
-	for i := 0; i < 40; i++ { // proposals against a part-loaded cluster
-		if _, err := s.Schedule(workload.VM{ID: i, Lifetime: 10, Req: units.Vec(16, 32, 128)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Cluster.Settle()
-	shard := make(sched.RackMask, st.Cluster.NumRacks())
-	shard[2], shard[3] = true, true
-	before, gens := snapshot(st), rackGens(st)
-	for i := 0; i < 60; i++ {
-		mask := shard
-		if i%2 == 0 {
-			mask = nil
-		}
-		if _, ok := s.Propose(workload.VM{ID: 100 + i, Lifetime: 10, Req: units.Vec(8, 16, 128)}, mask); !ok {
-			t.Fatalf("proposal %d: a cluster with free racks must yield a proposal", i)
-		}
-	}
-	if snapshot(st) != before {
-		t.Errorf("Propose mutated capacity: %v -> %v", before, snapshot(st))
-	}
-	if !reflect.DeepEqual(rackGens(st), gens) {
-		t.Error("Propose bumped a rack generation")
-	}
-}
-
-// proposeStaysInShard: while the shard has room, every claim of a
-// sharded proposal lies inside it — the low-conflict fast path the agent
-// pool's disjoint shards exist for — and a proposal leaves the shard
-// (RISA spills over to a foreign rack, NULB/NALB decline) only once the
-// shard is exhausted. Each VM takes a whole CPU box, so exhaustion is
-// exact: one commit per CPU box of the shard.
-func proposeStaysInShard(t *testing.T, mk Factory) {
-	st := newState(t)
-	s := proposer(st, mk)
-	shard := make(sched.RackMask, st.Cluster.NumRacks())
-	shard[3], shard[4] = true, true
-	room := len(st.Cluster.Rack(3).BoxesOf(units.CPU)) + len(st.Cluster.Rack(4).BoxesOf(units.CPU))
-	box, _ := st.Cluster.Rack(3).MaxFree(units.CPU)
-	req := units.Vector{}
-	req[units.CPU], req[units.RAM], req[units.Storage] = box, 1, 1
-	for i := 0; i <= room; i++ {
-		st.Cluster.Settle()
-		p, ok := s.Propose(workload.VM{ID: i, Lifetime: 10, Req: req}, shard)
-		inside := ok
-		for _, c := range p.Claims[:p.NClaims] {
-			inside = inside && shard.Allows(c.Rack)
-		}
-		if inside != (i < room) {
-			t.Fatalf("proposal %d of %d shard CPU boxes: ok=%v claims=%v", i, room, ok, p.Claims[:p.NClaims])
-		}
-		if !inside {
-			break
-		}
-		if _, err := st.CommitProposal(p); err != nil {
-			t.Fatalf("proposal %d: commit: %v", i, err)
-		}
 	}
 	checkAll(t, st)
 }

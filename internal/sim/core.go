@@ -84,11 +84,11 @@ var epoch = time.Now()
 var errQueuedBehind = errors.New("sim: queued behind earlier arrivals")
 
 // eventCore is the one event machine every driver steps — Runner.Run,
-// RunStream/WarmStream/ResumeStream, the agent round and the service
-// Driver. It owns the pending-event heap, the clock, the resident count,
-// the fault plan's outage refcounts, the retry queue, eviction and
-// preemption. Drivers choose when to step and what to observe; the rules
-// below are stated here and nowhere else.
+// RunStream/WarmStream/ResumeStream and the service Driver. It owns the
+// pending-event heap, the clock, the resident count, the fault plan's
+// outage refcounts, the retry queue, eviction and preemption. Drivers
+// choose when to step and what to observe; the rules below are stated
+// here and nowhere else.
 //
 // Same-instant order. At one timestamp, faults apply first, then
 // departures release, then arrivals are admitted (eventKind order, FIFO
@@ -246,7 +246,7 @@ func (c *eventCore) admit(vm workload.VM) (*sched.Assignment, error) {
 		return nil, errQueuedBehind
 	}
 	a, err := c.decide(vm, true)
-	c.settle(q, a, err, c.now)
+	c.settle(q, a, err)
 	return a, err
 }
 
@@ -274,12 +274,12 @@ func (c *eventCore) decide(vm workload.VM, direct bool) (*sched.Assignment, erro
 	return a, err
 }
 
-// settle books a decision's outcome: place, enqueue or drop. at is the
-// VM's arrival time (an agent round commits later than it).
-func (c *eventCore) settle(q QueuedVMState, a *sched.Assignment, err error, at int64) {
+// settle books a decision's outcome at the current instant: place,
+// enqueue or drop.
+func (c *eventCore) settle(q QueuedVMState, a *sched.Assignment, err error) {
 	switch {
 	case err == nil:
-		c.place(q, a, at, false)
+		c.place(q, a, c.now, false)
 	case c.f.Retry:
 		c.enqueue(q)
 	case c.obs != nil:
@@ -288,13 +288,13 @@ func (c *eventCore) settle(q QueuedVMState, a *sched.Assignment, err error, at i
 }
 
 // place makes a VM resident and queues its departure one lifetime after
-// at — never before now, when an agent round commits it.
+// at.
 func (c *eventCore) place(q QueuedVMState, a *sched.Assignment, at int64, waited bool) {
 	c.resident++
 	if c.obs != nil {
 		c.obs.placed(q, a, waited)
 	}
-	c.h.Push(event{t: max(at+q.VM.Lifetime, c.now), kind: departure, seq: c.seq, a: a})
+	c.h.Push(event{t: at + q.VM.Lifetime, kind: departure, seq: c.seq, a: a})
 	c.seq++
 }
 
@@ -318,9 +318,7 @@ func (c *eventCore) enqueue(q QueuedVMState) {
 
 // insert slots one entry into the retry queue in queueBefore order.
 // Equal-tier serial admissions are monotone, so the common path is a
-// plain append; a higher-tier entry — or an agent-round conflict loser
-// re-queuing under its original arrival sequence after being overtaken by
-// a VM evicted in the same round — is slotted back where the order says.
+// plain append; a higher-tier entry is slotted back where the order says.
 func (c *eventCore) insert(q QueuedVMState) {
 	n := len(c.waiting)
 	if n == c.wHead || !queueBefore(q, c.waiting[n-1]) {

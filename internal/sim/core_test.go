@@ -66,7 +66,7 @@ func logRun(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *faults
 }
 
 // logStream plays tr through Runner.RunStream under plan.
-func logStream(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *faults.Plan, agents int) []decision {
+func logStream(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *faults.Plan) []decision {
 	t.Helper()
 	st, sch, log := recorded(t, tcfg)
 	r, err := NewRunner(st, sch, Config{Faults: Faults{Plan: plan}})
@@ -74,9 +74,8 @@ func logStream(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *fau
 		t.Fatal(err)
 	}
 	_, err = r.RunStream(workload.NewTraceStream(tr), StreamConfig{
-		Workload:    StreamWorkload{MaxArrivals: tr.Len()},
-		Windows:     StreamWindows{Window: 1000},
-		Concurrency: StreamConcurrency{Agents: agents},
+		Workload: StreamWorkload{MaxArrivals: tr.Len()},
+		Windows:  StreamWindows{Window: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,10 +108,10 @@ func logDriver(t *testing.T, tcfg topology.Config, tr *workload.Trace, plan *fau
 }
 
 // TestDriversAgree plays one trace — dense enough to drop, under a box
-// outage overlapped by its rack's outage — through all four drivers of
+// outage overlapped by its rack's outage — through all three drivers of
 // the event core under the semantics they share (drop on failure, no
-// eviction): Run, RunStream, RunStream with Agents: 1, and a Driver
-// stepped with Place/Apply. Every decision, box for box, must agree.
+// eviction): Run, RunStream, and a Driver stepped with Place/Apply.
+// Every decision, box for box, must agree.
 func TestDriversAgree(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.N = 1500
@@ -147,9 +146,8 @@ func TestDriversAgree(t *testing.T) {
 		t.Fatal("fixture too weak: the fault plan changed no decision")
 	}
 	for name, got := range map[string][]decision{
-		"RunStream":          logStream(t, tcfg, tr, plan, 0),
-		"RunStream/Agents=1": logStream(t, tcfg, tr, plan, 1),
-		"Driver":             logDriver(t, tcfg, tr, plan),
+		"RunStream": logStream(t, tcfg, tr, plan),
+		"Driver":    logDriver(t, tcfg, tr, plan),
 	} {
 		if !reflect.DeepEqual(want, got) {
 			i := 0

@@ -49,14 +49,13 @@ func (d *Driver) Now() int64 { return d.c.now }
 // Resident returns the number of VMs currently placed.
 func (d *Driver) Resident() int { return d.c.resident }
 
-// SetScheduler hot-swaps the bound scheduler at a decision boundary: the
-// cluster's lazy index tiers are settled first (topology.Settle), so the
-// incoming algorithm starts from exact candidate bounds. Pending
-// departures made by the old scheduler release fine through the new one
-// — Release operates on the shared State and its pools, exactly like a
-// cross-algorithm snapshot resume.
+// SetScheduler hot-swaps the bound scheduler at a decision boundary.
+// Every index query is exact whatever its lazy tiers hold, so the
+// incoming algorithm needs no preparation. Pending departures made by
+// the old scheduler release fine through the new one — Release operates
+// on the shared State and its pools, exactly like a cross-algorithm
+// snapshot resume.
 func (d *Driver) SetScheduler(sch sched.Scheduler) {
-	d.c.st.Cluster.Settle()
 	d.c.sch = sch
 }
 

@@ -10,7 +10,7 @@
 // heap, the clock, the retry queue, eviction and preemption, and states
 // the ordering rules — faults before departures before arrivals at one
 // instant, atomic same-instant fault bursts, tier-ordered queue drain —
-// exactly once. The four entry points are thin drivers of its step
+// exactly once. The three entry points are thin drivers of its step
 // function that differ only in what they observe and when they stop:
 //
 //   - Runner.Run plays a finite trace and integrates the time-weighted
@@ -20,9 +20,6 @@
 //   - Runner.RunStream plays an open-ended stream and reports
 //     warmup-excluded windowed steady-state metrics; WarmStream plays one
 //     up to a Snapshot and stops, ResumeStream continues from one.
-//   - The agent round (StreamConcurrency.Agents) is RunStream with the
-//     decision swapped for a concurrent propose round of 4×Agents
-//     arrivals plus serial commit.
 //   - Driver steps the core one externally supplied event at a time and
 //     observes nothing; it is what the placement daemon embeds.
 //
@@ -161,10 +158,9 @@ type Faults struct {
 	Retry bool
 	// Preempt lets a high-priority arrival that fails placement displace
 	// strictly-lower-tier victims via core.Preempt, the victims entering
-	// the retry queue (hence Preempt requires Retry). Serial stream runs
-	// only: agent mode refuses it (preemption mutates the event heap
-	// mid-decision), and so does Run, whose power accountant tracks flow
-	// pointers a preemption restore would invalidate.
+	// the retry queue (hence Preempt requires Retry). Stream runs only:
+	// Run refuses it, because its power accountant tracks flow pointers a
+	// preemption restore would invalidate.
 	Preempt bool
 }
 

@@ -108,11 +108,9 @@ type EventState struct {
 // off failed hardware, or by a higher-priority arrival (core.Preempt):
 // placing it again is a recovery, not a second acceptance, and losing it
 // for good is not a drop. Seq is the admission sequence: a monotone
-// counter stamped once per arrival and once per eviction, so an
-// agent-round conflict loser re-queues under its ORIGINAL arrival order,
-// not its commit-attempt order. (Snapshots from before sequences or
-// preemption existed decode with zero values and resume unchanged,
-// because equal sequences keep append order.)
+// counter stamped once per arrival and once per eviction. (Snapshots
+// from before sequences or preemption existed decode with zero values
+// and resume unchanged, because equal sequences keep append order.)
 type QueuedVMState struct {
 	VM        workload.VM
 	Displaced bool
@@ -440,7 +438,7 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 	if err != nil {
 		return nil, err
 	}
-	if err := sr.loop(nil); err != nil {
+	if err := sr.loop(); err != nil {
 		return nil, err
 	}
 	if sr.snap == nil {
@@ -469,9 +467,6 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfig) (*SteadyState, error) {
 	if err := noCapture(cfg); err != nil {
 		return nil, err
-	}
-	if cfg.Concurrency.Agents > 1 {
-		return nil, fmt.Errorf("sim: agent mode (Agents=%d) cannot resume a snapshot", cfg.Concurrency.Agents)
 	}
 	sr, err := r.streamShell(s, cfg)
 	if err != nil {
@@ -513,7 +508,7 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 	if sr.more && cfg.Workload.Duration > 0 && sr.pending.Arrival > cfg.Workload.Duration {
 		sr.more = false
 		sr.res.TotalArrivals--
-	} else if err := sr.loop(nil); err != nil {
+	} else if err := sr.loop(); err != nil {
 		return nil, err
 	}
 	return sr.finish(), nil

@@ -57,16 +57,6 @@ type StreamSnapshot struct {
 	At int64
 }
 
-// StreamConcurrency configures the optimistic agent pool (agents.go).
-type StreamConcurrency struct {
-	// Agents is the number of concurrent allocation agents proposing
-	// placements, in rounds of 4×Agents consecutive arrivals. 0 and 1
-	// both mean the serial event loop — the pool machinery engages at 2
-	// and above. Agent mode is incompatible with snapshot capture and
-	// resume, and with Faults.Preempt.
-	Agents int
-}
-
 // StreamConfig parameterizes one open-ended steady-state run
 // (Runner.RunStream), grouped by concern. The fault surface is the
 // Runner's (Config.Faults).
@@ -77,13 +67,9 @@ type StreamConfig struct {
 	Windows StreamWindows
 	// Snapshot arms warm-state capture.
 	Snapshot StreamSnapshot
-	// Concurrency configures the optimistic agent pool.
-	Concurrency StreamConcurrency
 }
 
-// Validate checks the configuration, including the one compatibility
-// rule between groups: agent mode excludes snapshot capture (a
-// multi-agent run has no serial event boundary to capture at).
+// Validate checks the configuration.
 func (c StreamConfig) Validate() error {
 	if c.Workload.MaxArrivals <= 0 && c.Workload.Duration <= 0 {
 		return fmt.Errorf("sim: stream run needs a stop criterion (MaxArrivals or Duration)")
@@ -100,12 +86,6 @@ func (c StreamConfig) Validate() error {
 	}
 	if c.Snapshot.At < 0 {
 		return fmt.Errorf("sim: negative snapshot point %d", c.Snapshot.At)
-	}
-	if c.Concurrency.Agents < 0 {
-		return fmt.Errorf("sim: negative agent count %d", c.Concurrency.Agents)
-	}
-	if c.Concurrency.Agents > 1 && c.Snapshot.At > 0 {
-		return fmt.Errorf("sim: agent mode (Agents=%d) is incompatible with snapshot capture", c.Concurrency.Agents)
 	}
 	return nil
 }
@@ -249,16 +229,7 @@ type SteadyState struct {
 	PreemptRecovered int
 	PreemptLost      int
 
-	// Agent-pool counters, zero on serial runs (see StreamConcurrency).
-	// AgentCommits counts placements committed straight from an
-	// optimistic proposal; AgentConflicts counts proposals that lost the
-	// commit-time generation check (or failed joint flow allocation) and
-	// went through the serial redo instead.
-	AgentCommits   int
-	AgentConflicts int
-
-	// SchedulingTime is the wall clock spent inside Schedule calls (and,
-	// in agent mode, propose rounds plus commits);
+	// SchedulingTime is the wall clock spent inside Schedule calls;
 	// WallTime the whole run's wall clock (drain excluded).
 	SchedulingTime time.Duration
 	WallTime       time.Duration
@@ -300,24 +271,11 @@ func (r *Runner) RunStream(s workload.Stream, cfg StreamConfig) (*SteadyState, e
 	if err := noCapture(cfg); err != nil {
 		return nil, err
 	}
-	agents := cfg.Concurrency.Agents
-	if agents > 1 && r.faults.Preempt {
-		return nil, fmt.Errorf("sim: preemption (Faults.Preempt) is incompatible with agent mode (Agents=%d)", agents)
-	}
 	sr, err := r.newStreamRun(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var pool *agentPool
-	if agents > 1 {
-		// Concurrent agent mode (agents.go): same loop, arrivals staged
-		// into propose rounds. Agents ≤ 1 decides serially, bit for bit.
-		if pool, err = r.newAgentPool(agents); err != nil {
-			return nil, err
-		}
-		defer pool.stop()
-	}
-	if err := sr.loop(pool); err != nil {
+	if err := sr.loop(); err != nil {
 		return nil, err
 	}
 	return sr.finish(), nil
@@ -352,8 +310,7 @@ type streamRun struct {
 
 	waitSum float64
 	// measured reports whether outcomes count into the post-warmup
-	// figures: set from the clock at every tick, and from the arrival's
-	// own time while an agent round commits it.
+	// figures: set from the clock at every tick.
 	measured bool
 
 	pending workload.VM
@@ -419,7 +376,7 @@ func (sr *streamRun) nextArrival() workload.VM {
 }
 
 // arrive moves the clock to the arrival and counts it; the caller admits
-// it (or stages it into an agent round).
+// it.
 func (sr *streamRun) arrive(vm workload.VM) error {
 	if err := sr.c.tick(vm.Arrival); err != nil {
 		return fmt.Errorf("stream %q: %w", sr.s.Name(), err)
@@ -463,27 +420,11 @@ func (sr *streamRun) sample(feedback bool) {
 // cluster, which is not steady state (Drain releases the survivors
 // afterwards, unmetered). Fault events past the last arrival are
 // likewise never applied.
-//
-// With an agent pool, arrivals are staged into propose rounds instead of
-// decided one by one. A round flushes when it reaches the round bound,
-// when a heap event is next (its arrivals precede that event), when an
-// arrival must tail-join a non-empty retry queue, or at the end of the
-// stream. Commits happen at the last staged arrival's time — windows
-// count arrivals at arrival time and acceptances at commit time, exactly
-// the retry queue's accounting convention.
-func (sr *streamRun) loop(pool *agentPool) error {
+func (sr *streamRun) loop() error {
 	c := sr.c
 	defer func(start time.Time) { sr.res.WallTime += time.Since(start) }(time.Now())
-	var batch []batchItem
-	if pool != nil {
-		batch = make([]batchItem, 0, pool.round)
-	}
 	for sr.more || c.h.Len() > 0 {
 		arrivalNext := !c.heapFirst(sr.pending.Arrival, sr.more)
-		if len(batch) > 0 && (!arrivalNext || c.queued()) {
-			batch = sr.flush(pool, batch)
-			continue // re-evaluate: the flush pushed departures
-		}
 		next := sr.pending.Arrival
 		if !arrivalNext {
 			next = c.h.Min().t
@@ -506,25 +447,17 @@ func (sr *streamRun) loop(pool *agentPool) error {
 		if err := sr.arrive(vm); err != nil {
 			return err
 		}
-		if pool != nil && !c.queued() {
-			batch = append(batch, batchItem{vm: vm, t: c.now, seq: c.nextSeq(), measured: sr.measured})
-			if sr.more && len(batch) < pool.round {
-				continue
-			}
-			batch = sr.flush(pool, batch)
-		} else {
-			c.admit(vm)
-			if pool == nil && sr.obs == nil && sr.more && sr.pending.Arrival == c.now &&
-				!c.heapFirst(sr.pending.Arrival, sr.more) {
-				// Mid-burst: the next event is another arrival of this
-				// instant, so the one utilization sample waits for the
-				// burst's last (see RunStream). The snapshot boundary cannot
-				// fire in between — its condition already held, or already
-				// fired, at the burst's first arrival.
-				continue
-			}
-			sr.sample(true)
+		c.admit(vm)
+		if sr.obs == nil && sr.more && sr.pending.Arrival == c.now &&
+			!c.heapFirst(sr.pending.Arrival, sr.more) {
+			// Mid-burst: the next event is another arrival of this
+			// instant, so the one utilization sample waits for the
+			// burst's last (see RunStream). The snapshot boundary cannot
+			// fire in between — its condition already held, or already
+			// fired, at the burst's first arrival.
+			continue
 		}
+		sr.sample(true)
 		if !sr.more {
 			break // the arrival just admitted was the last: stop here
 		}

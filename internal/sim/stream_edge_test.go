@@ -140,9 +140,9 @@ func TestRunStreamSnapshotAtValidation(t *testing.T) {
 	}
 }
 
-// TestPreemptConfigValidation: preemption is a serial, retry-queue
-// feature — Faults.Preempt without Faults.Retry is rejected by NewRunner,
-// and a preempting runner refuses agent mode; both errors name the rule.
+// TestPreemptConfigValidation: preemption is a retry-queue feature —
+// Faults.Preempt without Faults.Retry is rejected by NewRunner, and the
+// error names the rule.
 func TestPreemptConfigValidation(t *testing.T) {
 	st, err := sched.NewState(eqTopology(), network.DefaultConfig())
 	if err != nil {
@@ -151,13 +151,6 @@ func TestPreemptConfigValidation(t *testing.T) {
 	_, err = NewRunner(st, eqScheduler(t, "RISA", st), Config{Faults: Faults{Preempt: true}})
 	if err == nil || !strings.Contains(err.Error(), "Faults.Preempt requires Faults.Retry") {
 		t.Fatalf("preempt without retry: got %v", err)
-	}
-
-	_, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true, Preempt: true}})
-	agents := StreamConfig{Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 100}}
-	agents.Concurrency.Agents = 4
-	if _, err := r.RunStream(workload.NewTraceStream(edgeTrace(10)), agents); err == nil || !strings.Contains(err.Error(), "incompatible with agent mode") {
-		t.Fatalf("preempt with agents: got %v", err)
 	}
 }
 

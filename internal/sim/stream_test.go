@@ -169,7 +169,6 @@ func TestRunStreamConfigValidation(t *testing.T) {
 		"no window":         {Workload: StreamWorkload{MaxArrivals: 10}},
 		"negative warmup":   {Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 10, Warmup: -1}},
 		"warmup>=duration":  {Workload: StreamWorkload{Duration: 10}, Windows: StreamWindows{Warmup: 10, Window: 5}},
-		"agents+snapshot":   {Workload: StreamWorkload{MaxArrivals: 10}, Windows: StreamWindows{Window: 10}, Snapshot: StreamSnapshot{At: 5}, Concurrency: StreamConcurrency{Agents: 2}},
 	} {
 		if _, err := r.RunStream(workload.NewTraceStream(tr), cfg); err == nil {
 			t.Errorf("%s: want error", name)

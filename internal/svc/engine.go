@@ -66,7 +66,7 @@ type Engine struct {
 // The former default, 256, dates from a gob decoder per record at ≈25 µs:
 // 256 × 25 µs ≈ 6.5 ms of replay. A record now costs 1–2.3 µs to decode and
 // apply (≈1.8 typical), and 6.5 ms ÷ 1.8 µs ≈ 3600: the bound holds at 4096.
-// Each snapshot stalls the single writer for 7–13 ms (DESIGN.md §14).
+// Each snapshot stalls the single writer for 7–13 ms (DESIGN.md §13).
 const DefaultSnapshotEvery = 4096
 
 // engineSnapshot is the on-disk snapshot: everything Open needs to
@@ -431,8 +431,9 @@ func (e *Engine) Resident() int { return e.d.Resident() }
 func (e *Engine) History() []Outcome { return e.history }
 
 // WritePlacements renders the placement log, one deterministic line per
-// decision — the artifact CI diffs between a crashed-and-recovered run
-// and an uncrashed one.
+// decision — what cmd/risasvc's TestDaemonMatchesDriverAcrossKill
+// compares between a crashed-and-recovered daemon, an uncrashed one and
+// an in-process sim.Driver.
 func (e *Engine) WritePlacements(w io.Writer) error {
 	for _, o := range e.history {
 		if _, err := fmt.Fprintln(w, o.String()); err != nil {

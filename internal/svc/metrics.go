@@ -125,7 +125,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("snapshot_failing", "1 when the last snapshot attempt failed.", oneIf(st.LastSnapshotError != ""))
 	gauge("recovery_seconds", "How long the last Open took to restore and replay.", s.eng.recovery.Seconds())
 	gauge("recovery_replayed_records", "Journal records the last Open replayed behind its snapshot.", float64(s.eng.replayed))
-	metric("place_stage_seconds", "histogram", "POST /place, stage by stage: decode, queue, write, sync, apply, handoff, respond (DESIGN.md §14).")
+	metric("place_stage_seconds", "histogram", "POST /place, stage by stage: decode, queue, write, sync, apply, handoff, respond (DESIGN.md §13).")
 	for i := range s.stages {
 		writeHistogram(w, "place_stage_seconds", `stage="`+stageNames[i]+`"`, &s.stages[i])
 	}

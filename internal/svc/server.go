@@ -289,7 +289,7 @@ const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // handlePlace admits one placement request into the data lane, waits for
 // its verdict, and books the request's stages once it has answered
-// (DESIGN.md §14). Its body is decoded and its answer encoded by hand
+// (DESIGN.md §13). Its body is decoded and its answer encoded by hand
 // (wire.go).
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	entry := stageClock()

@@ -10,7 +10,7 @@ import (
 // The POST /place wire codec. A PlaceRequest is a flat object of integers
 // and an Outcome a fixed shape, so both directions are written by hand
 // rather than through reflection: the same bytes on the wire without
-// reflection's cost on every placement (DESIGN.md §14). /fail, /heal and
+// reflection's cost on every placement (DESIGN.md §13). /fail, /heal and
 // /swap keep encoding/json.
 
 // placeKeys are PlaceRequest's JSON keys, in the order decodePlace numbers

@@ -14,7 +14,7 @@ import (
 )
 
 // TestDecodePlaceRefusesWhatJSONIgnores pins the bodies decodePlace
-// refuses, each for the reason DESIGN.md §14 gives. All but the fraction
+// refuses, each for the reason DESIGN.md §13 gives. All but the fraction
 // and the exponent encoding/json's Decoder reads without an error, which
 // is how /place read them before. And what decodePlace accepts — whitespace
 // anywhere JSON allows it included — is what encoding/json reads.

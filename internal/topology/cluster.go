@@ -19,7 +19,6 @@ type Rack struct {
 	// hyperscale rack counts.
 	vis [units.NumResources][]units.Amount
 	idx [units.NumResources]kindIndex // incremental free-capacity index
-	gen uint64                        // compute generation (see Gen)
 }
 
 // Index returns the rack's position in the cluster.
@@ -271,7 +270,6 @@ func (c *Cluster) SetBoxFailed(b *Box, failed bool) {
 // false so the rescan sees the box's true free amount.
 func (c *Cluster) reseedOnRepair(b *Box) {
 	rack := c.racks[b.rack]
-	rack.gen++
 	ix := &rack.idx[b.kind]
 	ix.total += b.free
 	ix.rescan(rack.byKind[b.kind], rack.vis[b.kind])

@@ -55,7 +55,6 @@ func (r *Rack) initIndex() {
 // into a healthy box, or a failed box being restored). b.Free() must
 // already reflect the change.
 func (r *Rack) noteIncrease(b *Box, delta units.Amount) {
-	r.gen++
 	ix := &r.idx[b.kind]
 	ix.total += delta
 	if ix.dirty {
@@ -71,7 +70,6 @@ func (r *Rack) noteIncrease(b *Box, delta units.Amount) {
 // (allocation, or the box failing). Only a shrink of the current best box
 // can lower the maximum, so only that case marks the index dirty.
 func (r *Rack) noteDecrease(b *Box, delta units.Amount) {
-	r.gen++
 	ix := &r.idx[b.kind]
 	ix.total -= delta
 	if b == ix.best {

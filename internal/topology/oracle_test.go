@@ -181,9 +181,6 @@ func TestClusterAgainstOracle(t *testing.T) {
 				c.SetBoxFailed(b, false)
 				o.setFailed(b, false)
 			}
-			if rng.Intn(16) == 0 {
-				c.Settle() // exercise the eager-repair path mid-sequence
-			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}

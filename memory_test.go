@@ -9,7 +9,7 @@ import (
 
 // TestMemoryPerBoxBudget pins the per-box heap footprint of a fully
 // indexed scheduler state (topology + SoA free vectors + candidate trees
-// + fabric + pools) at the hyperscale rungs: the budget in DESIGN.md §15
+// + fabric + pools) at the hyperscale rungs: the budget in DESIGN.md §14
 // is 2 KiB/box, measured ~1.7 KiB/box, and — the property that actually
 // matters — flat in cluster size, so a 16384-rack/98304-box state stays
 // under ~200 MB. A superlinear structure (per-box-pair tables, dense
@@ -33,7 +33,7 @@ func TestMemoryPerBoxBudget(t *testing.T) {
 		perBox := float64(after.HeapAlloc-before.HeapAlloc) / float64(boxes)
 		t.Logf("racks=%d boxes=%d: %.0f B/box", racks, boxes, perBox)
 		if perBox > budgetBytes {
-			t.Errorf("racks=%d: %.0f B/box exceeds the %d B budget (DESIGN.md §15)",
+			t.Errorf("racks=%d: %.0f B/box exceeds the %d B budget (DESIGN.md §14)",
 				racks, perBox, budgetBytes)
 		}
 		runtime.KeepAlive(st)
