@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -115,6 +116,36 @@ func TestDaemonMatchesDriverAcrossKill(t *testing.T) {
 	crashed := c.get(t, "/placements")
 	if n, g, w := firstDiff(crashed, uncrashed); n > 0 {
 		t.Fatalf("across kill -9 the daemon's /placements diverges from the uncrashed run's at line %d:\n crashed:   %s\n uncrashed: %s", n, g, w)
+	}
+}
+
+// TestDaemonDropsStalledConnections: the daemon closes the connection of a
+// client that sends half a request header and then nothing, once
+// readHeaderTimeout has passed, instead of holding it for good; and its
+// server carries both connection timeouts.
+func TestDaemonDropsStalledConnections(t *testing.T) {
+	t.Parallel()
+	if s := newHTTPServer(nil); readHeaderTimeout <= 0 || idleTimeout <= 0 ||
+		s.ReadHeaderTimeout != readHeaderTimeout || s.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts: header %v, idle %v; want %v and %v, both positive",
+			s.ReadHeaderTimeout, s.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	d := startDaemon(t, t.TempDir())
+	conn, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	began := time.Now()
+	if _, err := io.WriteString(conn, "POST /place HTTP/1.1\r\nHost: risasvc\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(began.Add(readHeaderTimeout + answerWithin))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("a half-sent header still holds its connection %v later: %v", time.Since(began), err)
+	}
+	if held := time.Since(began); held < readHeaderTimeout {
+		t.Fatalf("the connection closed after %v, before the %v header timeout", held, readHeaderTimeout)
 	}
 }
 

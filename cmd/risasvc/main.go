@@ -30,6 +30,22 @@ import (
 	_ "risa/internal/core"     // register RISA, RISA-BF
 )
 
+// The daemon's connection timeouts: constants, not flags. A client still
+// short of a whole request header readHeaderTimeout after it began one, and
+// a kept-alive connection idle for idleTimeout, lose the connection;
+// without them either holds a goroutine and a descriptor for good. A
+// header is a few hundred bytes, so the first bound refuses only a stalled
+// or hostile client. Neither bounds a request's wait for its answer.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's HTTP server over h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
@@ -66,7 +82,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "risasvc:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errC := make(chan error, 1)
 	go func() { errC <- httpSrv.Serve(ln) }()
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"risa/internal/faults"
 	"risa/internal/units"
@@ -30,6 +31,10 @@ const (
 // rarely and by a lot: 64 KiB ÷ ≈31 bytes a placement ≈ 2100 appends a
 // growth, and at most that much of a file is room nobody wrote to.
 const journalChunk = 64 << 10
+
+// directBlock is the unit of an O_DIRECT append: its offset, length and
+// buffer address are multiples of it. It is a multiple of any logical sector.
+const directBlock = 4 << 10
 
 // maxAlgoName bounds Record.Algo: "RISA-BF" is the longest name in the
 // sched registry (TestMaxFrameCoversRegistry fails when a longer one is
@@ -138,12 +143,15 @@ func decodeRecord(p []byte) (Record, error) {
 // non-zero byte further on is mid-file corruption, which recovery must
 // refuse rather than silently replay around.
 type Journal struct {
-	f       *os.File
+	f       *os.File // the append handle: O_DIRECT where the filesystem takes it
 	nextSeq int64
 	off     int64  // the log's end: where the next frame goes
 	size    int64  // the file's size: off plus the zero room
 	buf     []byte // Append's frame, reused
-	failed  error  // the first WriteAt or Sync error; sticky, see Append
+	// tail mirrors the file from the directBlock holding the log's end, then
+	// zeros for the next block and a chunk: as far as one Append writes.
+	tail   []byte
+	failed error // the first WriteAt or Sync error; sticky, see Append
 	// wrote and synced are the stage clock's readings when the last
 	// Append's WriteAt and Sync returned: the write and sync stages of the
 	// placement it journaled.
@@ -152,6 +160,21 @@ type Journal struct {
 
 // chunkCeil rounds n up to a multiple of journalChunk.
 func chunkCeil(n int64) int64 { return (n + journalChunk - 1) / journalChunk * journalChunk }
+
+// blockCeil rounds n up to a multiple of directBlock.
+func blockCeil(n int64) int64 { return (n + directBlock - 1) &^ (directBlock - 1) }
+
+// openDirect opens the append handle past the page cache: a variable so that
+// tests can refuse it, as a filesystem without direct I/O does.
+var openDirect = func(path string) (*os.File, error) { return os.OpenFile(path, os.O_RDWR|oDirect, 0) }
+
+// alignedBlock returns n zero bytes at a directBlock boundary in memory, as
+// O_DIRECT needs; the Go heap does not move objects.
+func alignedBlock(n int) []byte {
+	b := make([]byte, n+directBlock)
+	skip := -int(uintptr(unsafe.Pointer(&b[0]))) & (directBlock - 1)
+	return b[skip : skip+n : skip+n]
+}
 
 // openJournal opens (or creates) the journal at path, validates the
 // header against cfg, scans every intact record, zeroes what a torn
@@ -162,6 +185,8 @@ func chunkCeil(n int64) int64 { return (n + journalChunk - 1) / journalChunk * j
 // it, so if that fails the file is removed, not left for a later open to
 // trust. A dense file opens like any other: past this function all are the
 // same.
+// All that is done through a buffered handle; after the tail mirror is
+// loaded, an O_DIRECT handle replaces it unless the filesystem refuses one.
 func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -176,11 +201,12 @@ func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error)
 	if err != nil {
 		return nil, nil, err
 	}
-	if info.Size() == 0 {
+	j = &Journal{nextSeq: 1, size: info.Size(), tail: alignedBlock(2*directBlock + journalChunk)}
+	if j.size == 0 {
 		hdr, err := journalHeader(cfg)
-		size := chunkCeil(int64(len(hdr)))
+		j.off, j.size = int64(len(hdr)), chunkCeil(int64(len(hdr)))
 		if err == nil {
-			_, err = f.Write(append(hdr, make([]byte, size-int64(len(hdr)))...))
+			_, err = f.Write(append(hdr, make([]byte, j.size-j.off)...))
 		}
 		if err == nil {
 			err = fsync(f)
@@ -192,22 +218,39 @@ func openJournal(path string, cfg Config) (j *Journal, recs []Record, err error)
 			os.Remove(path)
 			return nil, nil, fmt.Errorf("svc: initialize journal: %w", err)
 		}
-		return &Journal{f: f, nextSeq: 1, off: int64(len(hdr)), size: size}, nil, nil
-	}
-	recs, end, torn, err := scanJournal(f, cfg, info.Size())
-	if err != nil {
-		return nil, nil, err
-	}
-	if torn { // back to zeros: nothing behind the next frame for a later scan to take for data
-		_, err := f.WriteAt(make([]byte, min(maxFrame, info.Size()-end)), end)
-		if err == nil {
-			err = fsync(f)
-		}
+	} else {
+		var torn bool
+		recs, j.off, torn, err = scanJournal(f, cfg, j.size)
 		if err != nil {
-			return nil, nil, fmt.Errorf("svc: clear torn journal tail: %w", err)
+			return nil, nil, err
 		}
+		if torn { // back to zeros: nothing behind the next frame for a later scan to take for data
+			_, err := f.WriteAt(make([]byte, min(maxFrame, j.size-j.off)), j.off)
+			if err == nil {
+				err = fsync(f)
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("svc: clear torn journal tail: %w", err)
+			}
+		}
+		j.nextSeq += int64(len(recs))
 	}
-	return &Journal{f: f, nextSeq: int64(len(recs)) + 1, off: end, size: info.Size()}, recs, nil
+	at := j.off &^ (directBlock - 1)
+	if _, err := f.ReadAt(j.tail[:min(directBlock, j.size-at)], at); err != nil {
+		return nil, nil, fmt.Errorf("svc: load journal tail: %w", err)
+	}
+	if d, err := openDirect(path); err == nil {
+		probe := j.tail[directBlock : 2*directBlock]
+		if n, _ := d.ReadAt(probe, 0); n > 0 { // an aligned transfer went through: so will Append's
+			f.Close() // only read since its last Sync
+			f = d
+		} else {
+			d.Close()
+		}
+		clear(probe)
+	}
+	j.f = f
+	return j, recs, nil
 }
 
 // journalHeader returns what starts a journal file: the magic and the
@@ -378,13 +421,13 @@ func (r *frameReader) next() (payload []byte, err error) {
 
 // Append journals one record and forces it to stable storage. The
 // record's Seq is assigned here; the engine applies the operation only
-// after Append returns. The frame is built in one reused buffer and
-// placed over the zero room at the log's end with one WriteAt and one
-// Sync. When it does not fit, the same write carries zeros behind the
-// frame up to the next multiple of journalChunk: growing costs no second
-// flush, and only that one Sync in ≈2100 pays for a size change. A frame
-// longer than maxFrame is refused unwritten: the torn-tail policy rests
-// on that bound.
+// after Append returns. The frame is built in one reused buffer, copied
+// into the tail mirror, and the directBlocks it touches go out whole with
+// one WriteAt and one Sync. When they pass the file's end, the same write
+// carries zeros up to the next multiple of journalChunk: growing costs no
+// second flush, and only that one Sync in ≈2100 pays for a size change. A
+// frame longer than maxFrame is refused unwritten: the torn-tail policy
+// rests on that bound.
 //
 // The first failed WriteAt or Sync is final: the file may hold a partial
 // frame, or pages a later fsync would report clean without having
@@ -400,12 +443,14 @@ func (j *Journal) Append(rec *Record) error {
 	if len(j.buf) > maxFrame {
 		return fmt.Errorf("record frame of %d bytes exceeds the %d-byte limit", len(j.buf), maxFrame)
 	}
-	end, size := j.off+int64(len(j.buf)), j.size
-	if end > size {
+	at, end, size := j.off&^(directBlock-1), j.off+int64(len(j.buf)), j.size
+	stop := blockCeil(end)
+	if stop > size { // end > size, but for the unaligned end of a dense file's torn tail
 		size = chunkCeil(end)
-		j.buf = append(j.buf, make([]byte, size-end)...)
+		stop = size
 	}
-	_, err := j.f.WriteAt(j.buf, j.off)
+	copy(j.tail[j.off-at:], j.buf)
+	_, err := j.f.WriteAt(j.tail[:stop-at], at)
 	j.wrote = stageClock()
 	if err == nil {
 		err = fsync(j.f)
@@ -417,6 +462,10 @@ func (j *Journal) Append(rec *Record) error {
 	}
 	j.off, j.size = end, size
 	j.nextSeq++
+	if next := end &^ (directBlock - 1); next > at { // the log's end crossed into the next block
+		copy(j.tail, j.tail[next-at:next-at+directBlock])
+		clear(j.tail[directBlock : next-at+directBlock])
+	}
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"risa/internal/faults"
@@ -459,6 +460,132 @@ func TestJournalGrowsByChunks(t *testing.T) {
 	}
 	if grown != 2 || size != 3*journalChunk {
 		t.Fatalf("file grew %d times to %d bytes, want twice to %d", grown, size, 3*journalChunk)
+	}
+}
+
+// scriptRecord is journalScript's i-th record: its varints widen and narrow
+// with i, so frames run from 24 to ≈60 bytes and their ends fall at every
+// offset of a directBlock.
+func scriptRecord(i int) Record {
+	return Record{Kind: RecordSwap, Algo: "RISA-BF"[:i%8],
+		VM:    workload.VM{ID: i, Arrival: int64(i) << (i % 50), Lifetime: 10, Req: units.Vec(1, 1, 0)},
+		Fault: faults.Event{T: -int64(i) << (i % 47), Pod: i % 7}}
+}
+
+// journalScript drives one journal from a copy of testdata/dense_data's
+// dense file: its first append rounds the file up to the chunk, appends
+// then grow it twice more with a clean reopen between the growths, and a
+// crash that tears the last frame is reopened, cleared and appended past.
+// After every append the maxFrame bytes behind the log's end must read as
+// zeros, and after every open it hands the journal to opened. It returns
+// the file's bytes and the log that must lead them: the fixture's bytes
+// and every acknowledged frame, in order.
+func journalScript(t *testing.T, opened func(*Journal)) (file, log []byte) {
+	t.Helper()
+	path := filepath.Join(copyDataDir(t, "dense_data"), journalFile)
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Journal {
+		j, _, err := openJournal(path, parentConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened(j)
+		return j
+	}
+	r, err := os.Open(path) // reads what a crash would leave behind each append
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	j, n, straddled, behind := open(), 0, 0, make([]byte, maxFrame)
+	appendUntil := func(size int64, extra int) {
+		for ; j.size < size || extra > 0; n++ {
+			if j.size >= size {
+				extra--
+			}
+			rec, off := scriptRecord(n), j.off
+			if err := j.Append(&rec); err != nil {
+				t.Fatal(err)
+			}
+			if off/directBlock != (j.off-1)/directBlock {
+				straddled++
+			}
+			log = appendFrame(log, &rec)
+			if k, _ := r.ReadAt(behind, j.off); len(bytes.Trim(behind[:k], "\x00")) != 0 {
+				t.Fatalf("append %d left non-zero bytes behind the log's end at %d", n, j.off)
+			}
+		}
+	}
+	appendUntil(2*journalChunk, 10)
+	j.Close()
+	j = open()
+	appendUntil(3*journalChunk, 10)
+	j.Close()
+	_, start, _ := lastFrame(t, path)
+	if !tearLastFrame(t, path, tearTail, 3) {
+		t.Fatal("the tear left the last frame whole")
+	}
+	log = log[:start]
+	j = open()
+	appendUntil(3*journalChunk, 200)
+	j.Close()
+	if straddled < 10 {
+		t.Fatalf("%d frames crossed a %d-byte block boundary, want at least 10", straddled, directBlock)
+	}
+	if file, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return file, log
+}
+
+// TestDirectJournalMatchesBuffered runs journalScript with appends through
+// the O_DIRECT handle, then twice with the buffered handle appending: once
+// with the O_DIRECT open refused, as a filesystem without direct I/O
+// refuses it, and once with the open granted but the aligned read behind
+// it failing. The three files must be byte for byte the file the buffered
+// writer has always written: the log, then zeros up to a multiple of the
+// chunk.
+func TestDirectJournalMatchesBuffered(t *testing.T) {
+	real := openDirect
+	t.Cleanup(func() { openDirect = real })
+	var direct *os.File // what the last open through the seam returned
+	openDirect = func(path string) (*os.File, error) {
+		f, err := real(path)
+		direct = f
+		return f, err
+	}
+	file, log := journalScript(t, func(j *Journal) {
+		if direct == nil {
+			t.Log("this filesystem refuses O_DIRECT: both runs append through the buffered handle")
+		} else if j.f != direct {
+			t.Fatal("the O_DIRECT handle opened, but the journal appends through another")
+		}
+	})
+	if want := append(bytes.Clone(log), make([]byte, chunkCeil(int64(len(log)))-int64(len(log)))...); !bytes.Equal(file, want) {
+		t.Fatalf("direct appends wrote %d bytes that are not the log's %d and zeros to %d", len(file), len(log), len(want))
+	}
+	for _, refuse := range []struct {
+		what string
+		open func(path string) (*os.File, error)
+	}{
+		{"open refused", func(string) (*os.File, error) { direct = nil; return nil, syscall.EINVAL }},
+		{"aligned read refused", func(path string) (f *os.File, err error) { // its reads fail as misaligned direct reads do
+			direct, err = os.OpenFile(path, os.O_WRONLY, 0)
+			return direct, err
+		}},
+	} {
+		openDirect = refuse.open
+		fallback, _ := journalScript(t, func(j *Journal) {
+			if j.f == direct {
+				t.Fatalf("%s: the journal appends through the refused handle", refuse.what)
+			}
+		})
+		if !bytes.Equal(fallback, file) {
+			t.Fatalf("%s: the buffered handle wrote other bytes", refuse.what)
+		}
 	}
 }
 

@@ -76,7 +76,8 @@ func (s *Server) observe(at *stamps) {
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format: the counters GET /stats reports, read on the control lane as it
-// reads them; the last recovery; and the stage and snapshot histograms.
+// reads them, the snapshot file's size and age among them; the last
+// recovery; and the stage and snapshot histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	it := &item{kind: opStats, res: make(chan response, 1)}
 	if !s.q.enqueueControl(it) {
@@ -123,6 +124,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("journal_bytes", "Where the journal's log ends.", float64(st.JournalBytes))
 	gauge("journal_allocated_bytes", "The journal file's size, zero room included.", float64(st.JournalAllocatedBytes))
 	gauge("snapshot_failing", "1 when the last snapshot attempt failed.", oneIf(st.LastSnapshotError != ""))
+	if st.SnapshotBytes > 0 { // no samples before the first snapshot
+		gauge("snapshot_bytes", "The size of the snapshot file in place.", float64(st.SnapshotBytes))
+		gauge("snapshot_age_seconds", "Time since the snapshot file in place was written.", st.SnapshotAgeSeconds)
+	}
 	gauge("recovery_seconds", "How long the last Open took to restore and replay.", s.eng.recovery.Seconds())
 	gauge("recovery_replayed_records", "Journal records the last Open replayed behind its snapshot.", float64(s.eng.replayed))
 	metric("place_stage_seconds", "histogram", "POST /place, stage by stage: decode, queue, write, sync, apply, handoff, respond (DESIGN.md §13).")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -167,7 +168,8 @@ func TestStagesSumToHandlerSpan(t *testing.T) {
 // TestMetricsEndpoint reads GET /metrics after a crash, a reopen and a
 // little traffic: every sample line parses, the counters GET /stats keeps
 // agree with it, the recovery figures name the replayed journal suffix,
-// and each histogram's buckets are cumulative up to its count.
+// the snapshot's size and age appear once there is a snapshot and match
+// its file, and each histogram's buckets are cumulative up to its count.
 func TestMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, testConfig(), 0)
@@ -198,10 +200,18 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("place %d: %d %v", id, resp.StatusCode, m)
 		}
 	}
+	if body := getBody(t, ts.URL+"/metrics"); strings.Contains(body, "risasvc_snapshot_bytes") {
+		t.Fatal("snapshot size reported before there is a snapshot")
+	}
+	taken := time.Now()
 	if resp, m := post(t, ts.URL+"/snapshot", `{}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %d %v", resp.StatusCode, m)
 	}
 	st := getStats(t, ts.URL)
+	snap, err := os.Stat(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -245,6 +255,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`risasvc_place_stage_seconds_count{stage="respond"}`:         3,
 		`risasvc_place_stage_seconds_bucket{stage="sync",le="+Inf"}`: 3,
 		"risasvc_snapshot_seconds_count":                             1,
+		"risasvc_snapshot_bytes":                                     float64(snap.Size()),
 		`risasvc_snapshot_seconds_bucket{le="+Inf"}`:                 1,
 		`risasvc_scheduler_info{algo="RISA"}`:                        1,
 	} {
@@ -255,6 +266,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	if samples["risasvc_recovery_seconds"] <= 0 {
 		t.Error("risasvc_recovery_seconds is not positive")
 	}
+	// A file's timestamp lags the clock by up to a kernel tick: a second of
+	// slack covers any.
+	if age, ok := samples["risasvc_snapshot_age_seconds"]; !ok || age < 0 || age > time.Since(taken).Seconds()+1 {
+		t.Errorf("risasvc_snapshot_age_seconds = %g (present %v), want 0 to %g", age, ok, time.Since(taken).Seconds()+1)
+	}
+}
+
+// getBody fetches url and returns its body.
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestMetricsAfterDrainDeadline: a GET /metrics still queued when the drain

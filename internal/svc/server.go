@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -162,6 +164,10 @@ type Stats struct {
 	// LastSnapshotError is the most recent snapshot attempt's error, if it
 	// failed: the journal keeps serving, but reopens replay further back.
 	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
+	// SnapshotBytes and SnapshotAgeSeconds are the snapshot file's size and
+	// the time since it was written; absent while there is none.
+	SnapshotBytes      int64   `json:"snapshot_bytes,omitempty"`
+	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds,omitempty"`
 }
 
 // stats assembles the Stats payload (worker goroutine only: it reads
@@ -184,6 +190,9 @@ func (s *Server) stats() Stats {
 	}
 	if err := s.eng.SnapshotErr(); err != nil {
 		st.LastSnapshotError = err.Error()
+	}
+	if fi, err := os.Stat(filepath.Join(s.eng.dir, snapshotFile)); err == nil {
+		st.SnapshotBytes, st.SnapshotAgeSeconds = fi.Size(), time.Since(fi.ModTime()).Seconds()
 	}
 	return st
 }
