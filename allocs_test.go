@@ -248,6 +248,23 @@ func TestAllocsAllocateVM(t *testing.T) {
 	})
 }
 
+// TestAllocsHoldReplay: one resident VM's exact holdings held, released
+// and replayed into its own record — the round an undone preemption and a
+// refused migration make per VM. Replay re-carves into the record's own
+// share buffers and flow slots, so it allocates nothing.
+func TestAllocsHoldReplay(t *testing.T) {
+	st, _, live := halfLoaded(t, "RISA", 18)
+	a := live[len(live)/2]
+	var held sched.AssignmentState
+	schedtest.ZeroAllocs(t, warmRounds, func() {
+		st.Hold(a, &held)
+		st.ReleaseVMKeep(a)
+		if _, err := st.Replay(a, &held); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // churnCellAllocs bounds one whole 20k-arrival RISA cell at 75 % on 18
 // racks (2810–2819 measured). A churn cell pays its setup — fresh
 // datacenter, stream, windows, the assignment pool's slabs — so its count

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"risa/internal/network"
-	"risa/internal/sched"
-	"risa/internal/units"
-)
+import "risa/internal/sched"
 
 // Rebalance is an extension beyond the paper (its conclusion motivates
 // minimizing inter-rack usage; migration is the natural follow-up): it
@@ -12,22 +8,24 @@ import (
 // whole request now fits inside a single rack, converting it to an
 // intra-rack placement. VMs already intra-rack are untouched.
 //
-// The migration is transactional per VM: the old placement is released
-// first (so the VM may move within its own racks' freed space), the new
-// intra-rack placement is attempted through the usual pool walk (the
-// candidate walk of Schedule, stopped short of the SUPER_RACK), and on
-// failure the original placement is restored exactly (same boxes, same
-// flows — the capacity was just freed, so restoration cannot fail).
+// The migration is transactional per VM: the old holdings are held
+// (State.Hold) and released first (so the VM may move within its own
+// racks' freed space), the new intra-rack placement is attempted through
+// the usual pool walk (the candidate walk of Schedule, stopped short of
+// the SUPER_RACK), and on failure State.Replay puts the held holdings
+// back exactly — same boxes, same brick shares, same uplinks for both
+// circuits; the capacity was just freed, so the replay cannot fail.
 //
 // It returns the number of VMs migrated. The entries of assignments are
 // updated in place to their new placements.
 func Rebalance(r *RISA, assignments []*sched.Assignment) int {
+	var held sched.AssignmentState
 	migrated := 0
 	for _, a := range assignments {
 		if a == nil || !a.InterRack() {
 			continue
 		}
-		if r.migrate(a) {
+		if r.migrate(a, &held) {
 			migrated++
 		}
 	}
@@ -62,39 +60,26 @@ func Displace(st *sched.State, sch sched.Scheduler, a *sched.Assignment) bool {
 	return true
 }
 
-// migrate attempts to move one inter-rack assignment intra-rack.
-func (r *RISA) migrate(a *sched.Assignment) bool {
-	// Remember the old placement so it can be restored byte-for-byte.
-	oldBoxes := sched.BoxTriple{}
-	if !a.CPU.IsZero() {
-		oldBoxes[units.CPU] = a.CPU.Box
-	}
-	if !a.RAM.IsZero() {
-		oldBoxes[units.RAM] = a.RAM.Box
-	}
-	if !a.STO.IsZero() {
-		oldBoxes[units.Storage] = a.STO.Box
-	}
-	vm := a.VM
-
-	// Release, try intra-rack, restore on failure. The caller keeps
+// migrate attempts to move one inter-rack assignment intra-rack, parking
+// its holdings in held meanwhile.
+func (r *RISA) migrate(a *sched.Assignment, held *sched.AssignmentState) bool {
+	// Hold, release, try intra-rack, replay on failure. The caller keeps
 	// holding a, so the release must not recycle it into the assignment
 	// pool (ReleaseVMKeep); the re-placement comes back as a fresh pooled
 	// record whose contents Adopt moves into a.
+	r.st.Hold(a, held)
 	r.st.ReleaseVMKeep(a)
-	w := r.newWalk(vm)
+	w := r.newWalk(held.VM)
 	for w.next() {
 		if moved := w.commit(); moved != nil {
 			r.st.Adopt(a, moved)
 			return true
 		}
 	}
-	restored, err := r.st.AllocateVM(vm, oldBoxes, network.FirstFit)
-	if err != nil {
+	if _, err := r.st.Replay(a, held); err != nil {
 		// Cannot happen: the exact capacity was freed above. Fail loudly
 		// rather than lose a VM silently.
 		panic("core: rebalance failed to restore a released placement: " + err.Error())
 	}
-	r.st.Adopt(a, restored)
 	return false
 }

@@ -1,19 +1,34 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"risa/internal/baseline"
+	"risa/internal/network"
 	"risa/internal/sched"
+	"risa/internal/topology"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
 
-// interRackState builds a 2-rack cluster with an assignment forced across
-// racks: CPU in rack 1, RAM+STO in rack 0.
-func interRackAssignment(t *testing.T) (*sched.State, *sched.Assignment) {
+// interRackAssignment builds a 2-rack cluster with an assignment forced
+// across racks: RAM in rack 0, CPU and storage in rack 1. With
+// busyUplink, uplink #0 of both of rack 1's CPU boxes is full while the VM
+// is placed (one filler circuit between them, released afterwards), so
+// its CPU–RAM circuit leaves its box on uplink #1 although #0 is free
+// again.
+func interRackAssignment(t *testing.T, busyUplink bool) (*sched.State, *sched.Assignment) {
 	t.Helper()
 	st := toyState(t)
+	var filler *network.Flow
+	if busyUplink {
+		cpus := st.Cluster.Rack(1).BoxesOf(units.CPU)
+		var err error
+		if filler, err = st.Fabric.AllocateFlow(cpus[0], cpus[1], st.Fabric.Config().LinkCapacity, network.FirstFit); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Exhaust rack 1's RAM so NULB splits the VM (toy example 1 shape).
 	nulb := baseline.NewNULB(st)
 	vm := workload.VM{ID: 0, Lifetime: 100, Req: units.Vec(8, 16, 128)}
@@ -24,11 +39,33 @@ func interRackAssignment(t *testing.T) (*sched.State, *sched.Assignment) {
 	if !a.InterRack() {
 		t.Fatal("setup should produce an inter-rack assignment")
 	}
+	st.Fabric.ReleaseFlow(filler)
+	want := 0
+	if busyUplink {
+		want = 1
+	}
+	if got := a.CPURAMFlow.Links()[0].Index(); got != want {
+		t.Fatalf("CPU–RAM circuit leaves its box on uplink #%d, want #%d", got, want)
+	}
 	return st, a
 }
 
+// heldBy reads what a record holds straight off it: both circuits' link
+// addresses and all three share slices.
+func heldBy(st *sched.State, a *sched.Assignment) (links [2][]network.LinkRef, shares [3][]topology.BrickShare) {
+	for i, fl := range [...]*network.Flow{a.CPURAMFlow, a.RAMSTOFlow} {
+		for _, l := range fl.Links() {
+			links[i] = append(links[i], st.Fabric.Ref(l))
+		}
+	}
+	for i, p := range [...]topology.Placement{a.CPU, a.RAM, a.STO} {
+		shares[i] = append([]topology.BrickShare(nil), p.Shares...)
+	}
+	return links, shares
+}
+
 func TestRebalanceMigratesInterRackVM(t *testing.T) {
-	st, a := interRackAssignment(t)
+	st, a := interRackAssignment(t, false)
 	r := New(st)
 	moved := Rebalance(r, []*sched.Assignment{a})
 	if moved != 1 {
@@ -75,33 +112,41 @@ func TestRebalanceSkipsIntraRackVMs(t *testing.T) {
 
 func TestRebalanceRestoresWhenNoRackFits(t *testing.T) {
 	// The inter-rack VM stays inter-rack when still no single rack can
-	// host it; the original placement must be restored exactly.
-	st, a := interRackAssignment(t)
-	// Shrink rack 1's RAM below the request (max 15 GB in one box) so
-	// migration is impossible: rack 0 has no CPU, rack 1 not enough RAM.
-	if _, err := st.Cluster.Preoccupy(1, 0, units.RAM, 17); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
-		t.Fatal(err)
-	}
-	r := New(st)
-	cpuBox := a.CPU.Box
-	ramBox := a.RAM.Box
-	if moved := Rebalance(r, []*sched.Assignment{a}); moved != 0 {
-		t.Fatalf("migration should be impossible")
-	}
-	if a.CPU.Box != cpuBox || a.RAM.Box != ramBox {
-		t.Error("failed migration must restore the original boxes")
-	}
-	if !a.InterRack() {
-		t.Error("assignment should remain inter-rack")
-	}
-	if err := st.Cluster.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if err := st.Fabric.CheckInvariants(); err != nil {
-		t.Error(err)
+	// host it; the original placement must be restored exactly — boxes,
+	// brick shares and the uplinks of both circuits, including an uplink
+	// a fresh first-fit reservation would no longer pick.
+	for _, busyUplink := range []bool{false, true} {
+		st, a := interRackAssignment(t, busyUplink)
+		// Shrink rack 1's RAM below the request (max 15 GB in one box) so
+		// migration is impossible: rack 0 has no CPU, rack 1 not enough RAM.
+		if _, err := st.Cluster.Preoccupy(1, 0, units.RAM, 17); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
+			t.Fatal(err)
+		}
+		r := New(st)
+		cpuBox, ramBox := a.CPU.Box, a.RAM.Box
+		links, shares := heldBy(st, a)
+		if moved := Rebalance(r, []*sched.Assignment{a}); moved != 0 {
+			t.Fatalf("busyUplink=%v: migration should be impossible", busyUplink)
+		}
+		if a.CPU.Box != cpuBox || a.RAM.Box != ramBox {
+			t.Errorf("busyUplink=%v: failed migration must restore the original boxes", busyUplink)
+		}
+		if gotLinks, gotShares := heldBy(st, a); !reflect.DeepEqual(gotLinks, links) || !reflect.DeepEqual(gotShares, shares) {
+			t.Errorf("busyUplink=%v: failed migration moved the VM's holdings:\n got %v %v\nwant %v %v",
+				busyUplink, gotLinks, gotShares, links, shares)
+		}
+		if !a.InterRack() {
+			t.Error("assignment should remain inter-rack")
+		}
+		if err := st.Cluster.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		if err := st.Fabric.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -212,10 +212,10 @@ type Fabric struct {
 	podCap, podFree     units.Bandwidth   // aggregate over all pod uplinks
 	rackIntraFree       []units.Bandwidth // per-rack free over its box uplinks
 
-	// freeFlows recycles the Flow records AllocateFlow and RestoreFlow
-	// hand out, so direct users of the fabric do not allocate at steady
-	// state. The scheduling path does not come here: an Assignment owns
-	// its two flows by value and calls Reserve/Unreserve on them. Fabrics,
+	// freeFlows recycles the Flow records AllocateFlow hands out, so
+	// direct users of the fabric do not allocate at steady state. The
+	// scheduling path does not come here: an Assignment owns its two flows
+	// by value and calls Reserve/Unreserve/Replay on them. Fabrics,
 	// like schedulers, are single-goroutine.
 	freeFlows []*Flow
 }
@@ -550,8 +550,8 @@ func (f *Fabric) getFlow() *Flow {
 	return fl
 }
 
-// ReleaseFlow returns the bandwidth of a flow obtained from AllocateFlow or
-// RestoreFlow and recycles the record into the fabric's pool. Safe on nil;
+// ReleaseFlow returns the bandwidth of a flow obtained from AllocateFlow
+// and recycles the record into the fabric's pool. Safe on nil;
 // releasing the same flow twice is a guarded no-op. The flow must not be
 // used after this call.
 func (f *Fabric) ReleaseFlow(fl *Flow) {

@@ -109,12 +109,12 @@ func TestAllocateFlowSentinelErrors(t *testing.T) {
 	f.ReleaseFlow(fl)
 }
 
-// TestRestoreFlowRefusals: the replay primitive refuses a recorded path it
+// TestReplayRefusals: the replay primitive refuses a recorded path it
 // cannot hold — more links than any path the fabric builds (what a damaged
 // snapshot decodes to), a failed link, a link without the bandwidth — and
-// in every case reserves nothing, even after taking earlier links of the
-// path.
-func TestRestoreFlowRefusals(t *testing.T) {
+// in every case reserves nothing and leaves the flow empty, even after
+// taking earlier links of the path.
+func TestReplayRefusals(t *testing.T) {
 	cl, f := testFabric(t)
 	src, dst := cl.Rack(0).BoxesOf(units.CPU)[0], cl.Rack(1).BoxesOf(units.RAM)[0]
 	fl, err := f.AllocateFlow(src, dst, 20, FirstFit)
@@ -130,10 +130,14 @@ func TestRestoreFlowRefusals(t *testing.T) {
 		t.Fatalf("inter-rack path has %d links, want 4", len(path))
 	}
 	intra, inter := f.IntraRackFree(), f.InterRackFree()
+	var replayed Flow
 	refused := func(name string, bw units.Bandwidth, refs []LinkRef) {
 		t.Helper()
-		if _, err := f.RestoreFlow(bw, refs, true, false); err == nil {
-			t.Errorf("%s: restored without error", name)
+		if err := f.Replay(&replayed, bw, refs, true, false); err == nil {
+			t.Errorf("%s: replayed without error", name)
+		}
+		if replayed != (Flow{}) {
+			t.Errorf("%s: a refused replay left the flow holding %d links", name, replayed.n)
 		}
 		if f.IntraRackFree() != intra || f.InterRackFree() != inter {
 			t.Errorf("%s: a refused restore kept bandwidth reserved", name)
@@ -153,10 +157,10 @@ func TestRestoreFlowRefusals(t *testing.T) {
 	intra, inter = f.IntraRackFree(), f.InterRackFree()
 	refused("failed-link", 20, path) // three links taken before the refusal
 	f.SetLinkFailed(last, false)
-	if fl, err = f.RestoreFlow(20, path, true, false); err != nil {
+	if err := f.Replay(&replayed, 20, path, true, false); err != nil {
 		t.Fatalf("a valid six-or-fewer link path was refused: %v", err)
 	}
-	f.ReleaseFlow(fl)
+	f.Unreserve(&replayed)
 }
 
 // newTinyFabricCluster builds a 2-rack cluster for saturation tests.

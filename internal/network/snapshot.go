@@ -51,15 +51,16 @@ func (f *Fabric) LinkByRef(ref LinkRef) (*Link, error) {
 }
 
 // Replay rebuilds a reservation on an exact recorded link path into the
-// caller-owned fl, reserving bw on every named link. It is the replay
-// primitive for snapshot restoration and for undoing a preemption: Reserve
-// picks links by policy against current load and therefore cannot
-// reproduce an arbitrary historical path, while Replay reproduces the
-// reservation link for link. All named links must be healthy with enough
-// free bandwidth — restore replays flows onto a pristine fabric first and
-// applies link failures afterwards — and a path longer than any the fabric
-// builds (a damaged snapshot) is refused. On error nothing is reserved and
-// fl is left empty, as it must be on entry (see Reserve).
+// caller-owned fl, reserving bw on every named link. It is the link half
+// of sched.State.Replay (snapshot restore, an undone preemption, a refused
+// migration): Reserve picks links by policy against current load and
+// therefore cannot reproduce an arbitrary historical path, while Replay
+// reproduces the reservation link for link. All named links must be
+// healthy with enough free bandwidth — restore replays flows onto a
+// pristine fabric first and applies link failures afterwards — and a path
+// longer than any the fabric builds (a damaged snapshot) is refused. On
+// error nothing is reserved and fl is left empty, as it must be on entry
+// (see Reserve).
 func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) error {
 	if bw < 0 {
 		return fmt.Errorf("network: negative bandwidth %v", bw)
@@ -81,17 +82,6 @@ func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack,
 		f.extend(fl, l)
 	}
 	return nil
-}
-
-// RestoreFlow is Replay into a record from the fabric's own pool (see
-// AllocateFlow); release it with ReleaseFlow.
-func (f *Fabric) RestoreFlow(bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) (*Flow, error) {
-	fl := f.getFlow()
-	if err := f.Replay(fl, bw, refs, interRack, interPod); err != nil {
-		f.ReleaseFlow(fl)
-		return nil, err
-	}
-	return fl, nil
 }
 
 // FailedLinks returns the structural addresses of every currently failed

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"risa/internal/network"
-	"risa/internal/topology"
-	"risa/internal/units"
 )
 
 // PreemptScratch is the pooled victim-selection workspace of the
@@ -25,27 +23,9 @@ type PreemptScratch struct {
 	cands []*Assignment
 	refs  []int
 	costs []int64
-	holds []victimHold
+	holds []AssignmentState
 
 	sorter victimSorter
-}
-
-// victimHold is the exact holdings of one released victim: enough to
-// re-carve its placements (RestorePlacement) and flows (Fabric.Replay)
-// should the preemption attempt fail. Buffers are pooled per slot.
-type victimHold struct {
-	boxes  [units.NumResources]*topology.Box
-	shares [units.NumResources][]topology.BrickShare
-	flows  [2]flowHold
-}
-
-// flowHold records one optical flow's reservation for exact replay.
-type flowHold struct {
-	present   bool
-	bw        units.Bandwidth
-	interRack bool
-	interPod  bool
-	refs      []network.LinkRef
 }
 
 // Reset empties the scratch for a new preemption attempt, keeping every
@@ -74,7 +54,7 @@ func (p *PreemptScratch) Add(a *Assignment, ref int) {
 	if n := len(p.cands); n <= cap(p.holds) {
 		p.holds = p.holds[:n] // reuse the slot's pooled buffers
 	} else {
-		p.holds = append(p.holds, victimHold{})
+		p.holds = append(p.holds, AssignmentState{})
 	}
 }
 
@@ -93,9 +73,9 @@ func (p *PreemptScratch) Ref(i int) int { return p.refs[i] }
 // preemptible), victims on failed hardware, and victims with a flow over
 // a failed link. The tier rule is the TierOrderRespected conformance
 // property enforced at the transaction itself, not just at call sites;
-// the hardware rules are restore safety — RestorePlacement/Replay
-// reject failed boxes and links, and a victim on failed hardware frees no
-// usable capacity anyway (its holdings are pending eviction, not supply).
+// the hardware rules are restore safety — State.Replay rejects failed
+// boxes and links, and a victim on failed hardware frees no usable
+// capacity anyway (its holdings are pending eviction, not supply).
 func (p *PreemptScratch) FilterEligible(tier int) {
 	w := 0
 	for i, a := range p.cands {
@@ -124,92 +104,26 @@ func (p *PreemptScratch) SortByCost() {
 	p.sorter.s = nil
 }
 
-// HoldAndRelease captures candidate i's exact holdings into its pooled
-// hold slot and releases them via ReleaseVMKeep: the capacity joins the
+// HoldAndRelease holds candidate i's exact holdings (State.Hold) in its
+// pooled slot and releases them via ReleaseVMKeep: the capacity joins the
 // free pool for the preemptor's next placement attempt while the cleared
 // record stays with its owner (the simulator's departure event), ready
 // for either Restore or final release.
 func (p *PreemptScratch) HoldAndRelease(st *State, i int) {
-	a := p.cands[i]
-	h := &p.holds[i]
-	for _, r := range units.Resources() {
-		pl := placementOf(a, r)
-		h.boxes[r] = pl.Box
-		h.shares[r] = append(h.shares[r][:0], pl.Shares...)
-	}
-	holdFlow(st, &h.flows[0], a.CPURAMFlow)
-	holdFlow(st, &h.flows[1], a.RAMSTOFlow)
-	st.ReleaseVMKeep(a)
+	st.Hold(p.cands[i], &p.holds[i])
+	st.ReleaseVMKeep(p.cands[i])
 }
 
-// Restore re-carves candidate i's held placements and flows back into its
+// Restore replays candidate i's held holdings (State.Replay) back into its
 // kept record, exactly as they were before HoldAndRelease. Between the
 // release and this call nothing else may mutate the state (the preemption
 // transaction runs inside one simulator event), so the freed capacity is
 // still free and replay cannot fail; an error here is a program bug and
 // panics.
 func (p *PreemptScratch) Restore(st *State, i int) {
-	a := p.cands[i]
-	h := &p.holds[i]
-	for _, r := range units.Resources() {
-		if h.boxes[r] == nil {
-			continue
-		}
-		pl, err := st.Cluster.RestorePlacement(h.boxes[r], h.shares[r])
-		if err != nil {
-			panic(fmt.Sprintf("sched: preempt restore: %v", err))
-		}
-		setPlacement(placementOf(a, r), pl)
-	}
-	a.CPURAMFlow = restoreFlow(st, &a.flows[0], &h.flows[0])
-	a.RAMSTOFlow = restoreFlow(st, &a.flows[1], &h.flows[1])
-}
-
-// setPlacement copies a re-carved placement into a record's field,
-// keeping the field's own share buffer (p's was allocated for the replay).
-func setPlacement(dst *topology.Placement, p topology.Placement) {
-	dst.Box, dst.Total = p.Box, p.Total
-	dst.Shares = append(dst.Shares[:0], p.Shares...)
-}
-
-// placementOf maps a resource to its placement field on the assignment.
-func placementOf(a *Assignment, r units.Resource) *topology.Placement {
-	switch r {
-	case units.CPU:
-		return &a.CPU
-	case units.RAM:
-		return &a.RAM
-	default:
-		return &a.STO
-	}
-}
-
-// holdFlow records one flow's reservation (bandwidth, link path, span
-// flags) into a pooled flowHold.
-func holdFlow(st *State, h *flowHold, fl *network.Flow) {
-	h.refs = h.refs[:0]
-	h.present = fl != nil
-	if fl == nil {
-		return
-	}
-	h.bw = fl.BW()
-	h.interRack, h.interPod = fl.InterRack(), fl.InterPod()
-	for _, l := range fl.Links() {
-		h.refs = append(h.refs, st.Fabric.Ref(l))
-	}
-}
-
-// restoreFlow replays one held flow reservation into slot, the victim
-// record's own storage for that circuit, and returns slot (nil for a
-// circuit the victim never had); see Restore on why failure panics.
-func restoreFlow(st *State, slot *network.Flow, h *flowHold) *network.Flow {
-	if !h.present {
-		return nil
-	}
-	if err := st.Fabric.Replay(slot, h.bw, h.refs, h.interRack, h.interPod); err != nil {
+	if _, err := st.Replay(p.cands[i], &p.holds[i]); err != nil {
 		panic(fmt.Sprintf("sched: preempt restore: %v", err))
 	}
-	return slot
 }
 
 // flowOnFailedLink reports whether any link carrying the flow is failed.

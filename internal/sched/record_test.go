@@ -103,9 +103,9 @@ func TestAssignmentOwnsItsFlows(t *testing.T) {
 	}
 }
 
-// TestPreemptRestoreIntoSameRecord: HoldAndRelease empties a victim's
-// circuits and Restore replays them, link for link, into the victim
-// record's own slots.
+// TestPreemptRestoreIntoSameRecord: Hold and ReleaseVMKeep empty a
+// victim's record and Replay puts its shares and circuits back, link for
+// link, into the record's own buffers and slots.
 func TestPreemptRestoreIntoSameRecord(t *testing.T) {
 	st := testState(t)
 	boxes := testTriple(st)
@@ -115,26 +115,58 @@ func TestPreemptRestoreIntoSameRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, held := holdingsOf(a), fabricFree(st)
+	bufs := [units.NumResources]*topology.BrickShare{&a.CPU.Shares[0], &a.RAM.Shares[0], &a.STO.Shares[0]}
 
-	var ps PreemptScratch
-	ps.Reset()
-	ps.Add(a, 0)
-	ps.HoldAndRelease(st, 0)
+	var h AssignmentState
+	st.Hold(a, &h)
+	st.ReleaseVMKeep(a)
 	if a.CPURAMFlow != nil || a.RAMSTOFlow != nil || st.Fabric.IntraRackFree() != st.Fabric.IntraRackCapacity() {
-		t.Fatal("HoldAndRelease left a circuit reserved")
+		t.Fatal("ReleaseVMKeep left a circuit reserved")
 	}
-	ps.Restore(st, 0)
+	if got, err := st.Replay(a, &h); err != nil || got != a {
+		t.Fatalf("Replay into the held record: %p, %v", got, err)
+	}
 	if !ownsFlows(a) {
-		t.Fatal("Restore put a circuit outside the victim's record")
+		t.Fatal("Replay put a circuit outside the victim's record")
+	}
+	for _, r := range units.Resources() {
+		if &placementOf(a, r).Shares[0] != bufs[r] {
+			t.Errorf("%v shares replayed outside the record's own buffer", r)
+		}
 	}
 	if got := holdingsOf(a); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored holdings differ:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("replayed holdings differ:\n got %+v\nwant %+v", got, want)
 	}
 	if got := fabricFree(st); !reflect.DeepEqual(got, held) {
 		t.Fatalf("fabric aggregates after restore:\n got %v\nwant %v", got, held)
 	}
+
+	// A replay refused at its last step — the RAM–storage circuit's last
+	// link failed — takes back the shares and the circuit it had already
+	// re-carved, and leaves the kept record empty.
+	st.Hold(a, &h)
+	st.ReleaseVMKeep(a)
+	released, cpuFree := fabricFree(st), st.Cluster.TotalFree(units.CPU)
+	l, err := st.Fabric.LinkByRef(h.RAMSTO.Links[len(h.RAMSTO.Links)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Fabric.SetLinkFailed(l, true)
+	if _, err := st.Replay(a, &h); err == nil {
+		t.Fatal("Replay onto a failed link succeeded")
+	}
+	st.Fabric.SetLinkFailed(l, false)
+	if !a.CPU.IsZero() || a.CPURAMFlow != nil || a.RAMSTOFlow != nil {
+		t.Fatal("a refused Replay left holdings on the kept record")
+	}
+	if got := fabricFree(st); !reflect.DeepEqual(got, released) || st.Cluster.TotalFree(units.CPU) != cpuFree {
+		t.Fatalf("a refused Replay kept capacity:\n got %v\nwant %v", got, released)
+	}
 	st.ReleaseVM(a)
 	if err := st.Fabric.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Cluster.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

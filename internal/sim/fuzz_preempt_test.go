@@ -159,12 +159,12 @@ func preemptWithOracle(t *testing.T, in *fuzzInstance, scr *sched.Scratch, vm wo
 }
 
 // FuzzPreemptionChain drives one instance through an arbitrary tiered
-// alloc/release/fail/heal/link/displace script in which every failed
-// schedule becomes a preemption attempt, and checks each attempt against
-// a brute-force oracle on a snapshot-restored twin: victims are exactly
-// the cheapest-first eligible prefix, the chain is minimal (k-1 victims
-// never suffice), refusals are genuine, and the datacenter holds its
-// invariants after every op.
+// alloc/release/fail/heal/link/displace/hold-replay script in which every
+// failed schedule becomes a preemption attempt, and checks each attempt
+// against a brute-force oracle on a snapshot-restored twin: victims are
+// exactly the cheapest-first eligible prefix, the chain is minimal (k-1
+// victims never suffice), refusals are genuine, and the datacenter holds
+// its invariants after every op.
 func FuzzPreemptionChain(f *testing.F) {
 	// One op is three bytes: opcode, selector, amount. The long seeds
 	// saturate the 3-rack instance with low-tier VMs, then land
@@ -197,7 +197,7 @@ func FuzzPreemptionChain(f *testing.F) {
 		}
 		for i := 0; i < nOps; i++ {
 			op, sel, amt := ops[i*3], ops[i*3+1], ops[i*3+2]
-			if op%6 == 0 {
+			if op%fuzzOps == 0 {
 				vm := workload.VM{
 					ID: vmID, Lifetime: 1000, Tier: int(sel) % workload.NumTiers,
 					Req: units.Vec(1+units.Amount(amt)%64, 1+units.Amount(amt>>2)%64, 32),

@@ -30,13 +30,16 @@ func newFuzzInstance(t *testing.T) *fuzzInstance {
 	return &fuzzInstance{st: st, sch: core.New(st)}
 }
 
+// fuzzOps is how many opcodes step decodes; an op byte selects op % fuzzOps.
+const fuzzOps = 7
+
 // step applies one decoded op. Both instances run the same script, so
 // any outcome divergence after the snapshot/restore split is a
 // roundtrip bug.
 func (in *fuzzInstance) step(t *testing.T, op, sel, amt byte, vmID int) (placed bool, sig string) {
 	t.Helper()
 	boxes := in.st.Cluster.Boxes()
-	switch op % 6 {
+	switch op % fuzzOps {
 	case 0: // schedule a VM shaped by amt
 		vm := workload.VM{
 			ID: vmID, Lifetime: 1000,
@@ -76,8 +79,59 @@ func (in *fuzzInstance) step(t *testing.T, op, sel, amt byte, vmID int) (placed 
 				in.live = append(in.live[:j], in.live[j+1:]...)
 			}
 		}
+	case 6: // hold a live VM, release it and replay it in place
+		if len(in.live) > 0 {
+			in.holdReplay(t, in.live[int(sel)%len(in.live)])
+		}
 	}
 	return false, ""
+}
+
+// recordHoldings is what a record holds, read straight off it: boxes,
+// brick shares, and each circuit's bandwidth and *Link pointers.
+type recordHoldings struct {
+	boxes  [units.NumResources]*topology.Box
+	shares [units.NumResources][]topology.BrickShare
+	bw     [2]units.Bandwidth
+	links  [2][]*network.Link
+}
+
+func recordHoldingsOf(a *sched.Assignment) recordHoldings {
+	var h recordHoldings
+	for r, p := range [...]topology.Placement{a.CPU, a.RAM, a.STO} {
+		h.boxes[r] = p.Box
+		h.shares[r] = append([]topology.BrickShare(nil), p.Shares...)
+	}
+	for i, fl := range [...]*network.Flow{a.CPURAMFlow, a.RAMSTOFlow} {
+		if fl != nil {
+			h.bw[i] = fl.BW()
+			h.links[i] = append([]*network.Link(nil), fl.Links()...)
+		}
+	}
+	return h
+}
+
+// holdReplay holds a's exact holdings, releases them and replays them into
+// the same record, then checks the record against what it held before,
+// read off the record itself: the twin comparison alone would miss a
+// Hold/Replay bug both instances share. A VM on failed hardware is left
+// alone — Replay refuses failed boxes and links, as preemption's
+// eligibility filter knows.
+func (in *fuzzInstance) holdReplay(t *testing.T, a *sched.Assignment) {
+	t.Helper()
+	if !assignmentEligible(a, -1) {
+		return
+	}
+	want := recordHoldingsOf(a)
+	var held sched.AssignmentState
+	in.st.Hold(a, &held)
+	in.st.ReleaseVMKeep(a)
+	if _, err := in.st.Replay(a, &held); err != nil {
+		t.Fatalf("VM %d: replay into its own record: %v", a.VM.ID, err)
+	}
+	if got := recordHoldingsOf(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("VM %d: replayed holdings differ:\n got %+v\nwant %+v", a.VM.ID, got, want)
+	}
 }
 
 // check asserts the instance's internal consistency.
@@ -124,7 +178,7 @@ func oracleEqual(t *testing.T, op int, a, b *fuzzInstance) {
 }
 
 // FuzzSnapshotRoundtrip drives one instance through an arbitrary
-// alloc/release/fail/heal/displace script, snapshots it mid-script via
+// alloc/release/fail/heal/displace/hold-replay script, snapshots it mid-script via
 // CaptureState, restores the snapshot into a second pristine instance,
 // and then runs the remainder of the script on both — asserting after
 // every op that both instances hold (CheckInvariants) and agree with
@@ -138,6 +192,7 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 4, 0, 2, 0, 1, 9, 4, 0, 1, 0, 2, 7})            // link fail/heal around allocs
 	f.Add([]byte{0, 0, 8, 0, 1, 9, 2, 0, 0, 5, 0, 0, 5, 1, 0, 3, 0, 0})   // fail then displace twice
 	f.Add([]byte{0, 5, 31, 0, 6, 15, 1, 1, 0, 2, 4, 0, 0, 7, 3, 5, 0, 0}) // mixed churn
+	f.Add([]byte{0, 0, 8, 0, 1, 9, 6, 1, 0, 2, 0, 0, 6, 0, 0, 6, 1, 0})   // hold-replay around a failed box
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		orig := newFuzzInstance(t)
 		nOps := len(ops) / 3
@@ -147,7 +202,7 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 		// First half: only the original runs.
 		for i := 0; i < splitAt; i++ {
 			op, sel, amt := ops[i*3], ops[i*3+1], ops[i*3+2]
-			if placed, _ := orig.step(t, op, sel, amt, vmID); placed || op%6 == 0 {
+			if placed, _ := orig.step(t, op, sel, amt, vmID); placed || op%fuzzOps == 0 {
 				vmID++
 			}
 			orig.check(t, i)
@@ -172,7 +227,7 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 			op, sel, amt := ops[i*3], ops[i*3+1], ops[i*3+2]
 			p1, s1 := orig.step(t, op, sel, amt, vmID)
 			p2, s2 := twin.step(t, op, sel, amt, vmID)
-			if op%6 == 0 {
+			if op%fuzzOps == 0 {
 				vmID++
 			}
 			if p1 != p2 || s1 != s2 {

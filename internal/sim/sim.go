@@ -159,8 +159,9 @@ type Faults struct {
 	// Preempt lets a high-priority arrival that fails placement displace
 	// strictly-lower-tier victims via core.Preempt, the victims entering
 	// the retry queue (hence Preempt requires Retry). Stream runs only:
-	// Run refuses it, because its power accountant tracks flow pointers a
-	// preemption restore would invalidate.
+	// Run refuses it, because a victim is released without the observer's
+	// releasing hook, so Run's power accountant would count the victim's
+	// circuits twice once the retry queue re-places it.
 	Preempt bool
 }
 
@@ -205,14 +206,16 @@ func NewRunner(st *sched.State, sch sched.Scheduler, cfg Config) (*Runner, error
 
 // Run plays the whole trace and returns the aggregated result. The state
 // is left as the trace leaves it (all VMs depart by trace makespan, so a
-// full run restores the initial state). It refuses Faults.Preempt.
+// full run restores the initial state). It refuses Faults.Preempt:
+// preemption releases its victims without the releasing hook, and the
+// accountant would count a re-placed victim's circuits twice.
 //
 // Arrivals are pulled lazily through the workload.Stream adapter and
 // merged with the event core's heap, which only ever holds the pending
 // departures and fault-plan events.
 func (r *Runner) Run(tr *workload.Trace) (*Result, error) {
 	if r.faults.Preempt {
-		return nil, fmt.Errorf("sim: Run does not preempt (its power accountant tracks flow pointers); Faults.Preempt is for stream runs")
+		return nil, fmt.Errorf("sim: Run does not preempt (victims leave without the releasing hook, so its power accountant would count a re-placed victim twice); Faults.Preempt is for stream runs")
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -301,10 +304,10 @@ func (o *runObserver) dropped(q QueuedVMState) {
 	}
 }
 
-// releasing detaches a's circuits from the accountant (which tracks flow
-// pointers, so this must precede the release). A departing VM's circuits
-// add their Equation 1 energy; an evicted VM's do not — their lifetime is
-// cut short.
+// releasing detaches a's circuits from the accountant (which reads each
+// circuit's shape, so this must precede the release that empties it). A
+// departing VM's circuits add their Equation 1 energy; an evicted VM's do
+// not — their lifetime is cut short.
 func (o *runObserver) releasing(vm workload.VM, a *sched.Assignment, evicted bool) {
 	life := time.Duration(float64(vm.Lifetime) * SecondsPerTimeUnit * float64(time.Second))
 	for _, fl := range [...]*network.Flow{a.CPURAMFlow, a.RAMSTOFlow} {

@@ -36,34 +36,6 @@ import (
 	"risa/internal/workload"
 )
 
-// PlacementState is the serializable form of one compute placement: the
-// box's rack-major global index and the exact per-brick shares. Box is
-// -1 for the zero placement (resource not requested).
-type PlacementState struct {
-	Box    int
-	Shares []topology.BrickShare
-	Total  units.Amount
-}
-
-// FlowState is the serializable form of one optical flow: the exact
-// links it reserves bandwidth on, by structural address. Present
-// distinguishes a real flow from an absent one (gob cannot round-trip
-// that through a nil pointer inside a slice element).
-type FlowState struct {
-	Present             bool
-	BW                  units.Bandwidth
-	Links               []network.LinkRef
-	InterRack, InterPod bool
-}
-
-// AssignmentState is the serializable form of one live assignment.
-type AssignmentState struct {
-	VM            workload.VM
-	CPU, RAM, STO PlacementState
-	CPURAM        FlowState
-	RAMSTO        FlowState
-}
-
 // StateSnapshot captures the datacenter planes — cluster occupancy,
 // fabric occupancy, hardware failures — plus the scheduler's carried
 // decision state, as the set of live assignments that produce them.
@@ -73,7 +45,7 @@ type AssignmentState struct {
 type StateSnapshot struct {
 	Racks        int
 	BoxesPerRack int
-	Assignments  []AssignmentState
+	Assignments  []sched.AssignmentState
 	FailedBoxes  []int // rack-major global box indices
 	FailedLinks  []network.LinkRef
 
@@ -205,7 +177,7 @@ type Snapshot struct {
 // directly.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
-	c.State.Assignments = make([]AssignmentState, len(s.State.Assignments))
+	c.State.Assignments = make([]sched.AssignmentState, len(s.State.Assignments))
 	for i, a := range s.State.Assignments {
 		a.CPU.Shares = append([]topology.BrickShare(nil), a.CPU.Shares...)
 		a.RAM.Shares = append([]topology.BrickShare(nil), a.RAM.Shares...)
@@ -231,32 +203,24 @@ func (s *Snapshot) Clone() *Snapshot {
 }
 
 // CaptureState captures the datacenter planes and the scheduler's
-// carried state, with the live assignments serialized in the given
-// order (callers that also serialize an event heap pass them in heap
-// order so events can reference them by index). The state is read, not
-// mutated.
+// carried state, with each live assignment's exact holdings (State.Hold)
+// in the given order (callers that also serialize an event heap pass them
+// in heap order so events can reference them by index). The state is
+// read, not mutated.
 func CaptureState(st *sched.State, sch sched.Scheduler, live []*sched.Assignment) (*StateSnapshot, error) {
 	cl := st.Cluster
-	bpr := cl.Config().BoxesPerRack()
 	snap := &StateSnapshot{
 		Racks:        cl.NumRacks(),
-		BoxesPerRack: bpr,
+		BoxesPerRack: cl.Config().BoxesPerRack(),
 		FailedBoxes:  cl.FailedBoxes(),
 		FailedLinks:  st.Fabric.FailedLinks(),
 	}
-	snap.Assignments = make([]AssignmentState, 0, len(live))
-	for _, a := range live {
+	snap.Assignments = make([]sched.AssignmentState, len(live))
+	for i, a := range live {
 		if a == nil {
 			return nil, fmt.Errorf("sim: cannot capture a nil assignment")
 		}
-		snap.Assignments = append(snap.Assignments, AssignmentState{
-			VM:     a.VM,
-			CPU:    capturePlacement(bpr, a.CPU),
-			RAM:    capturePlacement(bpr, a.RAM),
-			STO:    capturePlacement(bpr, a.STO),
-			CPURAM: captureFlow(st.Fabric, a.CPURAMFlow),
-			RAMSTO: captureFlow(st.Fabric, a.RAMSTOFlow),
-		})
+		st.Hold(a, &snap.Assignments[i])
 	}
 	if sch != nil {
 		snap.SchedName = sch.Name()
@@ -268,33 +232,9 @@ func CaptureState(st *sched.State, sch sched.Scheduler, live []*sched.Assignment
 	return snap, nil
 }
 
-// capturePlacement serializes one placement (Box -1 for the zero one).
-func capturePlacement(boxesPerRack int, p topology.Placement) PlacementState {
-	if p.IsZero() {
-		return PlacementState{Box: -1}
-	}
-	return PlacementState{
-		Box:    p.Box.Rack()*boxesPerRack + p.Box.Index(),
-		Shares: append([]topology.BrickShare(nil), p.Shares...),
-		Total:  p.Total,
-	}
-}
-
-// captureFlow serializes one flow (zero FlowState for nil).
-func captureFlow(f *network.Fabric, fl *network.Flow) FlowState {
-	if fl == nil {
-		return FlowState{}
-	}
-	fs := FlowState{Present: true, BW: fl.BW(), InterRack: fl.InterRack(), InterPod: fl.InterPod()}
-	for _, l := range fl.Links() {
-		fs.Links = append(fs.Links, f.Ref(l))
-	}
-	return fs
-}
-
 // RestoreState replays a captured state onto a pristine st: every live
-// assignment's placements are re-carved with their exact brick shares
-// and its flows re-reserved on their exact links, then hardware
+// assignment's holdings are put back into a fresh record through
+// State.Replay — exact brick shares, exact links — then hardware
 // failures are applied, then the scheduler's carried state is replayed
 // (only when sch bears the same name the state was captured under —
 // cross-algorithm restores start sch from its zero state). It returns
@@ -309,31 +249,15 @@ func RestoreState(st *sched.State, sch sched.Scheduler, snap *StateSnapshot) ([]
 	if err := checkPristine(st); err != nil {
 		return nil, err
 	}
-	boxes := cl.Boxes()
 	live := make([]*sched.Assignment, 0, len(snap.Assignments))
 	for i := range snap.Assignments {
-		as := &snap.Assignments[i]
-		cpu, err := restorePlacement(cl, boxes, as.CPU)
+		a, err := st.Replay(nil, &snap.Assignments[i])
 		if err != nil {
-			return nil, fmt.Errorf("sim: VM %d CPU: %w", as.VM.ID, err)
-		}
-		ram, err := restorePlacement(cl, boxes, as.RAM)
-		if err != nil {
-			return nil, fmt.Errorf("sim: VM %d RAM: %w", as.VM.ID, err)
-		}
-		sto, err := restorePlacement(cl, boxes, as.STO)
-		if err != nil {
-			return nil, fmt.Errorf("sim: VM %d STO: %w", as.VM.ID, err)
-		}
-		a := st.RestoreAssignment(as.VM, cpu, ram, sto)
-		if err := restoreFlow(st, a, false, as.CPURAM); err != nil {
-			return nil, fmt.Errorf("sim: VM %d CPU-RAM flow: %w", as.VM.ID, err)
-		}
-		if err := restoreFlow(st, a, true, as.RAMSTO); err != nil {
-			return nil, fmt.Errorf("sim: VM %d RAM-STO flow: %w", as.VM.ID, err)
+			return nil, err
 		}
 		live = append(live, a)
 	}
+	boxes := cl.Boxes()
 	for _, bi := range snap.FailedBoxes {
 		if bi < 0 || bi >= len(boxes) {
 			return nil, fmt.Errorf("sim: failed box index %d out of range", bi)
@@ -375,26 +299,6 @@ func checkPristine(st *sched.State) error {
 		return fmt.Errorf("sim: restore target not pristine: hardware failures present")
 	}
 	return nil
-}
-
-// restorePlacement re-carves one serialized placement.
-func restorePlacement(cl *topology.Cluster, boxes []*topology.Box, ps PlacementState) (topology.Placement, error) {
-	if ps.Box < 0 {
-		return topology.Placement{}, nil
-	}
-	if ps.Box >= len(boxes) {
-		return topology.Placement{}, fmt.Errorf("box index %d out of range", ps.Box)
-	}
-	return cl.RestorePlacement(boxes[ps.Box], ps.Shares)
-}
-
-// restoreFlow re-reserves one serialized flow into a's own slot for it
-// (nothing for the absent one).
-func restoreFlow(st *sched.State, a *sched.Assignment, ramsto bool, fs FlowState) error {
-	if !fs.Present {
-		return nil
-	}
-	return st.RestoreFlow(a, ramsto, fs.BW, fs.Links, fs.InterRack, fs.InterPod)
 }
 
 // capture assembles the full Snapshot at the current event boundary:

@@ -154,9 +154,10 @@ func TestPreemptConfigValidation(t *testing.T) {
 	}
 }
 
-// TestRunRefusesPreempt: Run's power accountant tracks flow pointers a
-// preemption restore would invalidate, so a preempting runner's Run is
-// refused before it touches the state — the same runner still streams.
+// TestRunRefusesPreempt: preemption releases its victims without the
+// observer's releasing hook, so Run's power accountant would count a
+// re-placed victim's circuits twice; a preempting runner's Run is refused
+// before it touches the state — the same runner still streams.
 func TestRunRefusesPreempt(t *testing.T) {
 	tr := edgeTrace(10)
 	st, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true, Preempt: true}})

@@ -13,8 +13,10 @@ import (
 // reproduce an arbitrary historical share pattern, while RestorePlacement
 // reproduces the bricks bit-for-bit. The box must be healthy — restore
 // replays placements onto a pristine cluster first and applies failures
-// afterwards. On error the box is left unchanged.
-func (c *Cluster) RestorePlacement(b *Box, shares []BrickShare) (Placement, error) {
+// afterwards. Like AllocateInto, the placement's Shares are appended onto
+// buf, the emptied buffer of the record the placement goes back into. On
+// error the box is left unchanged.
+func (c *Cluster) RestorePlacement(b *Box, shares, buf []BrickShare) (Placement, error) {
 	if b.failed {
 		return Placement{}, fmt.Errorf("topology: cannot restore placement onto failed %v", b)
 	}
@@ -40,9 +42,7 @@ func (c *Cluster) RestorePlacement(b *Box, shares []BrickShare) (Placement, erro
 	c.free[b.kind] -= total
 	c.syncVis(b)
 	c.racks[b.rack].noteDecrease(b, total)
-	p := Placement{Box: b, Total: total}
-	p.Shares = append(p.Shares, shares...)
-	return p, nil
+	return Placement{Box: b, Total: total, Shares: append(buf, shares...)}, nil
 }
 
 // rollbackShares undoes the brick carving of a partially applied restore.
