@@ -120,32 +120,46 @@ func TestDaemonMatchesDriverAcrossKill(t *testing.T) {
 }
 
 // TestDaemonDropsStalledConnections: the daemon closes the connection of a
-// client that sends half a request header and then nothing, once
-// readHeaderTimeout has passed, instead of holding it for good; and its
-// server carries both connection timeouts.
+// client that stalls mid-request instead of holding it for good — half a
+// request header and then nothing, once readHeaderTimeout has passed; a
+// whole header announcing a 64-byte body, 10 bytes of it and then
+// nothing, once readTimeout has — and its server carries all three
+// connection timeouts.
 func TestDaemonDropsStalledConnections(t *testing.T) {
 	t.Parallel()
-	if s := newHTTPServer(nil); readHeaderTimeout <= 0 || idleTimeout <= 0 ||
-		s.ReadHeaderTimeout != readHeaderTimeout || s.IdleTimeout != idleTimeout {
-		t.Fatalf("server timeouts: header %v, idle %v; want %v and %v, both positive",
-			s.ReadHeaderTimeout, s.IdleTimeout, readHeaderTimeout, idleTimeout)
+	if s := newHTTPServer(nil); readHeaderTimeout <= 0 || readTimeout < readHeaderTimeout || idleTimeout <= 0 ||
+		s.ReadHeaderTimeout != readHeaderTimeout || s.ReadTimeout != readTimeout || s.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts: header %v, request %v, idle %v; want %v, %v (no shorter than the header's) and %v, all positive",
+			s.ReadHeaderTimeout, s.ReadTimeout, s.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
 	}
 	d := startDaemon(t, t.TempDir())
-	conn, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	began := time.Now()
-	if _, err := io.WriteString(conn, "POST /place HTTP/1.1\r\nHost: risasvc\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(began.Add(readHeaderTimeout + answerWithin))
-	if _, err := io.ReadAll(conn); err != nil {
-		t.Fatalf("a half-sent header still holds its connection %v later: %v", time.Since(began), err)
-	}
-	if held := time.Since(began); held < readHeaderTimeout {
-		t.Fatalf("the connection closed after %v, before the %v header timeout", held, readHeaderTimeout)
+	for _, tc := range []struct {
+		name    string
+		partial string
+		bound   time.Duration
+	}{
+		{"header", "POST /place HTTP/1.1\r\nHost: risasvc\r\n", readHeaderTimeout},
+		{"body", "POST /place HTTP/1.1\r\nHost: risasvc\r\nContent-Length: 64\r\n\r\n{\"id\": 1, ", readTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			began := time.Now() // before the dial: the server's clock starts no earlier
+			conn, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := io.WriteString(conn, tc.partial); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(began.Add(tc.bound + answerWithin))
+			if _, err := io.ReadAll(conn); err != nil {
+				t.Fatalf("a stalled request still holds its connection %v later: %v", time.Since(began), err)
+			}
+			if held := time.Since(began); held < tc.bound {
+				t.Fatalf("the connection closed after %v, before the %v timeout", held, tc.bound)
+			}
+		})
 	}
 }
 

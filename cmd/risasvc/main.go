@@ -31,19 +31,25 @@ import (
 )
 
 // The daemon's connection timeouts: constants, not flags. A client still
-// short of a whole request header readHeaderTimeout after it began one, and
-// a kept-alive connection idle for idleTimeout, lose the connection;
-// without them either holds a goroutine and a descriptor for good. A
-// header is a few hundred bytes, so the first bound refuses only a stalled
-// or hostile client. Neither bounds a request's wait for its answer.
+// short of a whole request header readHeaderTimeout after it began one, a
+// client still short of its whole request body readTimeout after it began
+// the request, and a kept-alive connection idle for idleTimeout, lose the
+// connection; without them each holds a goroutine and a descriptor for
+// good, the middle one a handler too. A header or body is a few hundred
+// bytes, so the first two bounds refuse only a stalled or hostile client.
+// None bounds a request's wait for its answer: net/http clears the read
+// deadline as soon as the handler has read the body to its end (it starts
+// its background read, which watches for the client hanging up), and
+// there is no write timeout.
 const (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * readHeaderTimeout
 	idleTimeout       = 2 * time.Minute
 )
 
 // newHTTPServer is the daemon's HTTP server over h.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 func main() {

@@ -96,39 +96,6 @@ func (w *TimeWeighted) Average(end float64) float64 {
 // Peak returns the largest value the signal took.
 func (w *TimeWeighted) Peak() float64 { return w.peak }
 
-// sparkRunes are the eight block heights of a sparkline.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders a sequence of values as a one-line unicode chart,
-// scaled to the sequence's own maximum. Empty input yields an empty
-// string; an all-zero sequence renders the lowest block.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	var max float64
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	out := make([]rune, len(values))
-	for i, v := range values {
-		idx := 0
-		if max > 0 {
-			idx = int(v / max * float64(len(sparkRunes)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(sparkRunes) {
-				idx = len(sparkRunes) - 1
-			}
-		}
-		out[i] = sparkRunes[idx]
-	}
-	return string(out)
-}
-
 // Bar is one labeled value of a chart.
 type Bar struct {
 	Label string

@@ -152,37 +152,3 @@ func TestRenderBarsZeroValues(t *testing.T) {
 		t.Error("zero values should draw no bars")
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Error("empty input should render empty")
-	}
-	out := Sparkline([]float64{0, 0, 0})
-	if out != "▁▁▁" {
-		t.Errorf("all-zero sparkline = %q", out)
-	}
-	out = Sparkline([]float64{0, 50, 100})
-	runes := []rune(out)
-	if len(runes) != 3 {
-		t.Fatalf("length = %d", len(runes))
-	}
-	if runes[0] != '▁' || runes[2] != '█' {
-		t.Errorf("scaling wrong: %q", out)
-	}
-	// Monotone input renders monotone blocks.
-	out = Sparkline([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	prev := rune(0)
-	for _, r := range out {
-		if r < prev {
-			t.Errorf("non-monotone render: %q", out)
-		}
-		prev = r
-	}
-}
-
-func TestSparklineNegativeClamped(t *testing.T) {
-	out := []rune(Sparkline([]float64{-5, 10}))
-	if out[0] != '▁' {
-		t.Errorf("negative value should clamp to lowest block, got %q", string(out))
-	}
-}

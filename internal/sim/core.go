@@ -49,9 +49,11 @@ func (e *event) Less(o *event) bool {
 	return e.seq < o.seq
 }
 
-// observer receives the outcomes of the event core's steps. It is what
-// the drivers differ in: Run integrates power and utilization, the stream
-// run fills windows and reservoirs, the Driver observes nothing (nil).
+// observer receives the outcomes of the event core's steps. Its one
+// implementation is the run loop (streamRun), whose two settings differ
+// in what they add to the shared counters: Run's finite setting
+// integrates power and utilization in its accounting piece, a stream run
+// fills windows and reservoirs. The Driver observes nothing (nil).
 type observer interface {
 	// advance fires before the clock moves to the time `to`.
 	advance(to int64)

@@ -260,71 +260,6 @@ func TestResultUtilizationSanity(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(st, core.New(st), Config{SampleEvery: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run(smallTrace()) // makespan 110
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) == 0 {
-		t.Fatal("sampling enabled but no samples")
-	}
-	// First sample at t=0, last at makespan.
-	if res.Samples[0].T != 0 {
-		t.Errorf("first sample at %d", res.Samples[0].T)
-	}
-	if last := res.Samples[len(res.Samples)-1]; last.T != res.Makespan {
-		t.Errorf("last sample at %d, want %d", last.T, res.Makespan)
-	}
-	// Samples are time-ordered and resident counts return to zero.
-	for i := 1; i < len(res.Samples); i++ {
-		if res.Samples[i].T < res.Samples[i-1].T {
-			t.Fatal("samples out of order")
-		}
-	}
-	if res.Samples[len(res.Samples)-1].Resident != 0 {
-		t.Error("all VMs depart by makespan")
-	}
-	// Mid-run samples show residency and utilization.
-	sawResident := false
-	for _, s := range res.Samples {
-		if s.Resident > 0 && s.Util[units.Storage] > 0 && s.PowerW > 0 {
-			sawResident = true
-		}
-	}
-	if !sawResident {
-		t.Error("no mid-run sample captured live state")
-	}
-}
-
-func TestSamplingDisabledByDefault(t *testing.T) {
-	_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
-	res, err := r.Run(smallTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) != 0 {
-		t.Error("sampling should be off by default")
-	}
-}
-
-func TestNegativeSampleIntervalRejected(t *testing.T) {
-	st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner(st, core.New(st), Config{SampleEvery: -1}); err == nil {
-		t.Error("negative interval should fail")
-	}
-}
-
 func TestRetryQueuePlacesAfterDeparture(t *testing.T) {
 	// One-box-per-kind cluster: VM 1 arrives while VM 0 holds all CPU;
 	// with the retry queue it waits and is placed when VM 0 departs.

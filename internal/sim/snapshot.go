@@ -372,10 +372,10 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 	if err := noCapture(cfg); err != nil {
 		return nil, err
 	}
-	sr, err := r.streamShell(s, cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sr := r.bind(s, cfg)
 	snapper, ok := s.(workload.StreamSnapshotter)
 	if !ok {
 		return nil, fmt.Errorf("sim: stream %q does not support snapshots", s.Name())

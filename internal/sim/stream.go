@@ -253,6 +253,39 @@ func (s *SteadyState) PlacementsPerSec() float64 {
 	return float64(s.TotalAccepted) / s.WallTime.Seconds()
 }
 
+// Run plays the whole trace and returns the aggregated result: the
+// loop's finite setting over workload.NewTraceStream(tr). The state is
+// left as the trace leaves it (all VMs depart by trace makespan, so a
+// full run restores the initial state). It refuses Faults.Preempt:
+// preemption releases its victims without the releasing hook, and the
+// accounting piece would count a re-placed victim's circuits twice.
+func (r *Runner) Run(tr *workload.Trace) (*Result, error) {
+	if r.faults.Preempt {
+		return nil, fmt.Errorf("sim: Run does not preempt (victims leave without the releasing hook, so its power accountant would count a re-placed victim twice); Faults.Preempt is for stream runs")
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	return r.runFinite(workload.NewTraceStream(tr))
+}
+
+// runFinite plays a finite stream in the finite setting: past the last
+// arrival to an empty heap, departures and fault events metered, with
+// the accounting piece and no windows, reservoirs or drain.
+func (r *Runner) runFinite(s workload.Stream) (*Result, error) {
+	sr := r.bind(s, StreamConfig{})
+	sr.finite = true
+	sr.acct = newAccounting(r.model)
+	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
+	sr.c.seedPlan(0)
+	sr.sample(false) // the signals' reading at t = 0
+	sr.pull()
+	if err := sr.loop(); err != nil {
+		return nil, err
+	}
+	return sr.acct.result(sr.finish()), nil
+}
+
 // RunStream drives the scheduler over an open-ended arrival stream until
 // the configured stop criterion, reporting warmup-excluded windowed
 // steady-state metrics instead of Run's whole-trace aggregates.
@@ -290,23 +323,27 @@ func noCapture(cfg StreamConfig) error {
 	return nil
 }
 
-// streamRun is one RunStream execution: the stream driver of the event
-// core and its observer (windows, reservoirs, tier statistics). The same
-// loop is entered three ways: fresh (RunStream), stopped at the snapshot
-// boundary (WarmStream) and re-entered from a restored snapshot
-// (ResumeStream). Every field is either snapshot state or derived from
-// the configuration.
+// streamRun is the one run loop over the event core and its observer.
+// It has two settings. The stream setting (windows, reservoirs, tier
+// statistics) is entered three ways: fresh (RunStream), stopped at the
+// snapshot boundary (WarmStream) and re-entered from a restored snapshot
+// (ResumeStream); every field is then either snapshot state or derived
+// from the configuration. The finite setting (Run) plays to an empty
+// heap with the accounting piece and neither windows nor reservoirs.
 type streamRun struct {
 	c   *eventCore
 	s   workload.Stream
 	cfg StreamConfig
 	obs workload.UtilizationObserver
 
+	finite bool        // the finite setting: play past the last arrival
+	acct   *accounting // the paper's physics; nil in stream runs
+
 	res  *SteadyState
 	lat  *reservoir
 	rep  *reservoir
 	tlat [workload.NumTiers]*reservoir // per-tier direct-decision latency
-	wind *windower
+	wind *windower                     // nil in the finite setting
 
 	waitSum float64
 	// measured reports whether outcomes count into the post-warmup
@@ -319,26 +356,23 @@ type streamRun struct {
 	snap *Snapshot // WarmStream's capture (see StreamSnapshot and snapshot.go)
 }
 
-// streamShell validates the configuration and binds a stream run to a
-// fresh event core under the runner's fault surface; the caller fills in
-// the observer state (fresh, or from a snapshot).
-func (r *Runner) streamShell(s workload.Stream, cfg StreamConfig) (*streamRun, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// bind binds a run of s to a fresh event core under the runner's fault
+// surface; the caller fills in the observer state (fresh, or from a
+// snapshot).
+func (r *Runner) bind(s workload.Stream, cfg StreamConfig) *streamRun {
 	sr := &streamRun{s: s, cfg: cfg}
 	sr.obs, _ = s.(workload.UtilizationObserver)
 	sr.c = newEventCore(r.st, r.sch, sr, r.faults)
-	return sr, nil
+	return sr
 }
 
 // newStreamRun assembles a fresh run: fault-plan events seeded, counters
 // at zero, and the first arrival pulled.
 func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, error) {
-	sr, err := r.streamShell(s, cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sr := r.bind(s, cfg)
 	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
 	sr.lat = newReservoir(reservoirSize, 1)
 	sr.rep = newReservoir(reservoirSize, 2) // re-placement latencies, own stream
@@ -396,7 +430,8 @@ func (sr *streamRun) arrive(vm workload.VM) error {
 
 // sample reads the compute utilization signal — per resource in percent,
 // plus the binding (maximum) fraction — and records it from the current
-// instant onward; after arrivals (feedback) an observing stream receives
+// instant onward, into the windows and the accounting piece, whichever
+// the run has; after arrivals (feedback) an observing stream receives
 // the binding value, which is how its controller closes the loop.
 func (sr *streamRun) sample(feedback bool) {
 	var perRes [units.NumResources]float64
@@ -408,18 +443,24 @@ func (sr *streamRun) sample(feedback bool) {
 			binding = u
 		}
 	}
-	sr.wind.set(perRes)
+	if sr.wind != nil {
+		sr.wind.set(perRes)
+	}
+	if sr.acct != nil {
+		sr.acct.record(sr.c.now, perRes, sr.c.st.Fabric)
+	}
 	if feedback && sr.obs != nil {
 		sr.obs.ObserveUtilization(binding)
 	}
 }
 
 // loop steps the event core to the stop criterion — or, for WarmStream,
-// to the snapshot boundary. The run ends with the arrival budget:
+// to the snapshot boundary. A stream run ends with the arrival budget:
 // simulating past the last arrival would only measure an emptying
 // cluster, which is not steady state (Drain releases the survivors
-// afterwards, unmetered). Fault events past the last arrival are
-// likewise never applied.
+// afterwards, unmetered), and fault events past the last arrival are
+// likewise never applied. The finite setting plays on until the heap is
+// empty, every departure and fault event metered.
 func (sr *streamRun) loop() error {
 	c := sr.c
 	defer func(start time.Time) { sr.res.WallTime += time.Since(start) }(time.Now())
@@ -458,18 +499,26 @@ func (sr *streamRun) loop() error {
 			continue
 		}
 		sr.sample(true)
-		if !sr.more {
+		if !sr.more && !sr.finite {
 			break // the arrival just admitted was the last: stop here
 		}
 	}
 	return nil
 }
 
+// advance integrates the signals up to to. The finite setting has no
+// warmup and nothing in it is ever "measured": its figures are the
+// whole-run counters and the accounting piece.
 func (sr *streamRun) advance(to int64) {
-	sr.wind.advance(to)
-	// wind.Warmup, not Windows.Warmup: a resumed run inherits the warm
-	// phase's boundary from the snapshot (they agree on fresh runs).
-	sr.measured = to >= sr.wind.Warmup
+	if sr.acct != nil {
+		sr.acct.advance(to - sr.c.now)
+	}
+	if sr.wind != nil {
+		sr.wind.advance(to)
+		// wind.Warmup, not Windows.Warmup: a resumed run inherits the warm
+		// phase's boundary from the snapshot (they agree on fresh runs).
+		sr.measured = to >= sr.wind.Warmup
+	}
 }
 
 // decided bills every attempt to SchedulingTime; only direct
@@ -482,8 +531,11 @@ func (sr *streamRun) decided(vm workload.VM, d time.Duration, direct bool) {
 	}
 }
 
-func (sr *streamRun) placed(q QueuedVMState, _ *sched.Assignment, waited bool) {
+func (sr *streamRun) placed(q QueuedVMState, a *sched.Assignment, waited bool) {
 	res, tier := sr.res, &sr.res.Tiers[q.VM.Tier]
+	if sr.acct != nil {
+		sr.acct.placed(a)
+	}
 	if waited {
 		res.RetrySucceeded++
 		sr.waitSum += float64(sr.c.now - q.VM.Arrival)
@@ -544,15 +596,22 @@ func (sr *streamRun) dropped(q QueuedVMState) {
 	}
 }
 
-func (sr *streamRun) releasing(workload.VM, *sched.Assignment, bool) {}
+func (sr *streamRun) releasing(vm workload.VM, a *sched.Assignment, evicted bool) {
+	if sr.acct != nil {
+		sr.acct.releasing(vm, a, evicted)
+	}
+}
 
-func (sr *streamRun) displaced(_ *sched.Assignment, recovered bool, d time.Duration) {
+func (sr *streamRun) displaced(a *sched.Assignment, recovered bool, d time.Duration) {
 	sr.res.Displaced++
 	if sr.measured {
 		sr.wind.Cur.Displaced++
 	}
 	if recovered {
 		sr.res.Recovered++
+		if sr.acct != nil {
+			sr.acct.attach(a)
+		}
 		if sr.measured {
 			sr.wind.Cur.Recovered++
 			sr.rep.add(float64(d))
@@ -561,7 +620,9 @@ func (sr *streamRun) displaced(_ *sched.Assignment, recovered bool, d time.Durat
 }
 
 // finish seals the run: leftover queue entries, aggregate averages,
-// percentile estimates and the optional drain.
+// percentile estimates and the optional drain. The finite setting stops
+// after the counters: it has no windows or reservoirs, and its heap is
+// already empty.
 func (sr *streamRun) finish() *SteadyState {
 	res, c := sr.res, sr.c
 
@@ -574,6 +635,9 @@ func (sr *streamRun) finish() *SteadyState {
 	}
 	res.End = c.now
 	res.Resident = c.resident
+	if sr.finite {
+		return res
+	}
 	// A trailing partial window is folded into the overall average but not
 	// reported: it is not a full steady-state window.
 	sr.wind.advance(c.now)

@@ -102,11 +102,39 @@ func runBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, f Faults, tr 
 	return normalizeSteady(ss), vecs
 }
 
+// checkFiniteBurst runs tr through Run's finite setting twice, coalesced
+// and as the serial oracle, and fails unless both give the same Result:
+// every counter, peak, average, power, energy and latency figure, the
+// wall-clock SchedulingTime excepted.
+func checkFiniteBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, f Faults, tr *workload.Trace) {
+	t.Helper()
+	run := func(serial bool) *Result {
+		st, err := sched.NewState(topology.DefaultConfig(), network.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(st, mk(st), Config{Faults: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.runFinite(burstStream(tr, serial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.SchedulingTime = 0
+		return res
+	}
+	if serial, got := run(true), run(false); !reflect.DeepEqual(serial, got) {
+		t.Errorf("batched finite Result diverges from serial (retry %v):\nserial: %+v\nbatch:  %+v", f.Retry, serial, got)
+	}
+}
+
 // TestBatchAdmissionMatchesSerial pins the batch-admission equivalence:
 // for every scheduler, a batched run must reproduce the serial oracle's
 // SteadyState (wall-clock fields excluded) and leave the cluster in the
 // bit-identical free state — placements, counters, windows and window
-// metrics all agree.
+// metrics all agree. Run's finite setting must likewise reproduce the
+// serial oracle's Result, with and without the retry queue.
 func TestBatchAdmissionMatchesSerial(t *testing.T) {
 	mks := map[string]func(*sched.State) sched.Scheduler{
 		"RISA":    func(s *sched.State) sched.Scheduler { return core.New(s) },
@@ -128,6 +156,8 @@ func TestBatchAdmissionMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(serialVecs, gotVecs) {
 				t.Errorf("batched run leaves different cluster free state")
 			}
+			checkFiniteBurst(t, mk, Faults{}, burstTrace(500))
+			checkFiniteBurst(t, mk, Faults{Retry: true}, burstTrace(500))
 		})
 	}
 }
@@ -247,7 +277,7 @@ func fuzzBurstTrace(data []byte) *workload.Trace {
 // decoding for both runs), the first byte picks the scheduler and
 // whether the retry queue is armed, and the serial loop's SteadyState
 // and final free vectors are the oracle the batched loop must
-// reproduce exactly.
+// reproduce exactly — as its Result is for Run's finite setting.
 func FuzzBatchAdmission(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 7, 1, 3, 2, 2, 4})          // merged same-instant runs
 	f.Add([]byte{5, 3, 1, 1, 0, 0, 4, 2, 3, 7, 1, 0}) // mixed bursts, RISA-BF
@@ -278,5 +308,6 @@ func FuzzBatchAdmission(f *testing.F) {
 		if !reflect.DeepEqual(serialVecs, batchedVecs) {
 			t.Errorf("batched run leaves different cluster free state")
 		}
+		checkFiniteBurst(t, mk, f, tr)
 	})
 }

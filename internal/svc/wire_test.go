@@ -88,21 +88,7 @@ func FuzzPlaceRequest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	real := fsync
-	fsync = func(*os.File) error { return nil } // the durability path is not what is fuzzed here
-	f.Cleanup(func() { fsync = real })
-	eng, err := Open(f.TempDir(), testConfig(), 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	s := NewServer(eng, 0)
-	s.Start()
-	f.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	h := s.Handler()
+	eng, h := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := decodePlace(body)
 		var want PlaceRequest
@@ -121,17 +107,7 @@ func FuzzPlaceRequest(f *testing.F) {
 		}
 
 		before := eng.j.NextSeq() // the worker's last write to it happened before its last answer
-		w := httptest.NewRecorder()
-		answered := make(chan struct{})
-		go func() {
-			defer close(answered)
-			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/place", bytes.NewReader(body)))
-		}()
-		select {
-		case <-answered:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%q: no answer within 10 s", body)
-		}
+		w := serveWithin(t, h, "/place", body)
 		switch w.Code {
 		case http.StatusOK:
 			if err != nil {
@@ -147,6 +123,93 @@ func FuzzPlaceRequest(f *testing.F) {
 			}
 		default:
 			t.Fatalf("%q answered %d: %s", body, w.Code, w.Body)
+		}
+	})
+}
+
+// fuzzServer is a started server over a fresh engine for a request
+// fuzzer, with flushes stubbed out: the durability path is not what is
+// fuzzed. The engine is returned for its journal's sequence.
+func fuzzServer(f *testing.F) (*Engine, http.Handler) {
+	real := fsync
+	fsync = func(*os.File) error { return nil }
+	f.Cleanup(func() { fsync = real })
+	eng, err := Open(f.TempDir(), testConfig(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := NewServer(eng, 0)
+	s.Start()
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	return eng, s.Handler()
+}
+
+// serveWithin posts body to path through h and returns the answer; no
+// answer within 10 s fails the test.
+func serveWithin(t *testing.T, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	w := httptest.NewRecorder()
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	}()
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s %q: no answer within 10 s", path, body)
+	}
+	return w
+}
+
+// FuzzMutateRequest posts raw bodies to the operator endpoints POST
+// /fail, /heal and /swap (the first argument picks one). Every body is
+// answered 200, 400 or 413, never 500 and never a hang; a refused body
+// journals nothing and an accepted one exactly one record.
+func FuzzMutateRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"scope":"box","rack":1,"box":2}`,
+		`{"scope":"rack","rack":3}`,
+		`{"scope":"rack","rack":4}`,
+		`{"scope":"box","rack":0,"box":-1}`,
+		`{"scope":"pod","rack":0}`,
+		`{"algo":"NULB"}`,
+		`{"algo":"RISA"}`,
+		`{"algo":"risa"}`,
+		`{"algo":"` + strings.Repeat("X", 100) + `"}`,
+		`{"rack":1e3}`,
+		`{"scope":1}`,
+		`null`,
+		`[]`,
+		``,
+		strings.Repeat(" ", maxBody+1),
+	} {
+		for op := range 3 {
+			f.Add(uint8(op), []byte(body))
+		}
+	}
+	eng, h := fuzzServer(f)
+	paths := [...]string{"/fail", "/heal", "/swap"}
+	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
+		path := paths[int(op)%len(paths)]
+		before := eng.j.NextSeq() // the worker's last write to it happened before its last answer
+		w := serveWithin(t, h, path, body)
+		journaled := eng.j.NextSeq() - before
+		switch w.Code {
+		case http.StatusOK:
+			if journaled != 1 {
+				t.Fatalf("%s %q answered 200 but journaled %d records", path, body, journaled)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if journaled != 0 {
+				t.Fatalf("%s %q answered %d but journaled %d records", path, body, w.Code, journaled)
+			}
+		default:
+			t.Fatalf("%s %q answered %d: %s", path, body, w.Code, w.Body)
 		}
 	})
 }
