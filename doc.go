@@ -16,6 +16,6 @@
 //
 // Start with DESIGN.md for the system inventory, experiment index and
 // steady-state methodology, EXPERIMENTS.md for measured-vs-paper
-// numbers, cmd/risasim to regenerate any table or figure, and
-// examples/quickstart for the API.
+// numbers, cmd/risasim to regenerate any table or figure, and the
+// Example functions (core.ExampleNew first) for the API.
 package risa

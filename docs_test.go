@@ -40,8 +40,9 @@ var docExemptions = []finding{
 
 // TestDocs is the documentation check: relative links, cited files and
 // lines, Go identifiers, test names, DESIGN.md sections and metric names in
-// the standing docs all resolve against the tree, and every package and
-// exported declaration of the root module has a doc comment.
+// the standing docs all resolve against the tree, every ```go walkthrough
+// is the code of the Example it names, and every package and exported
+// declaration of the root module has a doc comment.
 func TestDocs(t *testing.T) {
 	s, err := scanDocs(os.DirFS("."), os.DirFS(filepath.Join(build.Default.GOROOT, "src")))
 	if err != nil {
@@ -105,16 +106,17 @@ var (
 // and the standard library packages it imports, parsed on first use.
 type docScan struct {
 	repo, std fs.FS
-	paths     []string             // every file and directory but .git's
-	src       map[string][]byte    // Go file → source
-	pkgs      map[string][]*goPkg  // package name → the repository's packages of that name
-	types     map[string][]*goType // type name → the repository's types of that name
-	stdPaths  map[string][]string  // package name → standard import paths the repository uses
-	stdPkgs   map[string]*stdPkg   // import path → the package, once read
-	tests     []string             // Test, Fuzz and Example functions
-	metrics   []string             // BENCHMARK.json names and the risasvc_ names of GET /metrics
-	spaces    map[string]bool      // first segments of the dotted metric names
-	sections  map[string]bool      // DESIGN.md's numbered headings
+	paths     []string              // every file and directory but .git's
+	src       map[string][]byte     // Go file → source
+	pkgs      map[string][]*goPkg   // package name → the repository's packages of that name
+	types     map[string][]*goType  // type name → the repository's types of that name
+	stdPaths  map[string][]string   // package name → standard import paths the repository uses
+	stdPkgs   map[string]*stdPkg    // import path → the package, once read
+	tests     []string              // Test, Fuzz and Example functions
+	examples  map[string][][]string // Example function → the code lines of each body so named
+	metrics   []string              // BENCHMARK.json names and the risasvc_ names of GET /metrics
+	spaces    map[string]bool       // first segments of the dotted metric names
+	sections  map[string]bool       // DESIGN.md's numbered headings
 	found     []finding
 	checked   map[string]int // references checked, by rule
 }
@@ -149,7 +151,7 @@ func (p *goPkg) typ(name string) *goType {
 func scanDocs(repo, std fs.FS) (*docScan, error) {
 	s := &docScan{repo: repo, std: std, src: map[string][]byte{}, pkgs: map[string][]*goPkg{},
 		types: map[string][]*goType{}, stdPaths: map[string][]string{}, stdPkgs: map[string]*stdPkg{},
-		spaces: map[string]bool{}, sections: map[string]bool{}, checked: map[string]int{}}
+		examples: map[string][][]string{}, spaces: map[string]bool{}, sections: map[string]bool{}, checked: map[string]int{}}
 	modules := map[string]bool{} // directories holding a go.mod below the root
 	err := fs.WalkDir(repo, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -189,6 +191,7 @@ func scanDocs(repo, std fs.FS) (*docScan, error) {
 		s.checkLinks(doc, string(b))
 		if slices.Contains(checkedDocs, doc) {
 			s.checkDoc(doc, string(b))
+			s.checkWalkthroughs(doc, string(b))
 		}
 	}
 	for _, p := range s.paths {
@@ -249,6 +252,10 @@ func (s *docScan) parseRepo(modules map[string]bool) error {
 			for _, d := range f.Decls {
 				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testRE.MatchString(fn.Name.Name) {
 					s.tests = append(s.tests, fn.Name.Name)
+					if strings.HasPrefix(fn.Name.Name, "Example") && fn.Body != nil {
+						body := b[fset.Position(fn.Body.Lbrace).Offset+1 : fset.Position(fn.Body.Rbrace).Offset]
+						s.examples[fn.Name.Name] = append(s.examples[fn.Name.Name], codeLines(string(body)))
+					}
 				}
 			}
 		}
@@ -664,6 +671,103 @@ func (s *docScan) checkDoc(doc, text string) {
 	}
 }
 
+// checkWalkthroughs holds each ```go block of a doc to the Example function
+// that a code span in the paragraph above it names: every code line of the
+// block must appear, in order, in that function's body. Lines compare as
+// codeLine reads them, so comment-only lines, `// …` elisions among them,
+// are skipped. A named Example that no test declares is the span rule's
+// finding, not this one's.
+func (s *docScan) checkWalkthroughs(doc, text string) {
+	lines := strings.Split(text, "\n")
+	for i := 0; i < len(lines); i++ {
+		if strings.TrimSpace(lines[i]) != "```go" {
+			continue
+		}
+		fence, end := i, i
+		for end > 0 && strings.TrimSpace(lines[end-1]) == "" {
+			end--
+		}
+		start := end
+		for start > 0 && strings.TrimSpace(lines[start-1]) != "" {
+			start--
+		}
+		var names []string
+		for _, m := range spanRE.FindAllStringSubmatch(strings.Join(lines[start:end], "\n"), -1) {
+			if strings.HasPrefix(m[1], "Example") {
+				names = append(names, m[1])
+			}
+		}
+		var code []string
+		var at []int // code[k] is on line at[k], 0-based
+		for i++; i < len(lines) && !strings.HasPrefix(strings.TrimSpace(lines[i]), "```"); i++ {
+			if c := codeLine(lines[i]); c != "" {
+				code, at = append(code, c), append(at, i)
+			}
+		}
+		s.checked["walkthroughs"]++
+		if len(names) == 0 {
+			s.report(doc, fence+1, "Example", "is named by no code span in the paragraph above this ```go block")
+			continue
+		}
+		matched := -1
+		for _, name := range names {
+			for _, body := range s.examples[name] {
+				matched = max(matched, inOrder(code, body))
+			}
+		}
+		if matched >= 0 && matched < len(code) {
+			s.report(doc, at[matched]+1, code[matched], "is not in the body of "+strings.Join(names, " or ")+" in this block's order")
+		}
+	}
+}
+
+// inOrder is how many of want, from the first, appear in body in order.
+func inOrder(want, body []string) int {
+	j := 0
+	for i, w := range want {
+		for j < len(body) && body[j] != w {
+			j++
+		}
+		if j == len(body) {
+			return i
+		}
+		j++
+	}
+	return len(want)
+}
+
+// codeLines is the non-empty code lines of Go source, as codeLine reads
+// them.
+func codeLines(src string) []string {
+	var out []string
+	for _, l := range strings.Split(src, "\n") {
+		if c := codeLine(l); c != "" {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// codeLine is one line of Go without its // comment and with its spacing
+// collapsed, so gofmt's tabs and alignment and a doc's spaces compare equal;
+// a comment-only line reads as "".
+func codeLine(l string) string {
+	var quote byte
+	for i := 0; i < len(l); i++ {
+		switch c := l[i]; {
+		case quote == 0 && strings.HasPrefix(l[i:], "//"):
+			l = l[:i]
+		case quote == 0 && (c == '"' || c == '\'' || c == '`'):
+			quote = c
+		case quote != 0 && quote != '`' && c == '\\':
+			i++ // the escaped byte cannot end the literal
+		case c == quote:
+			quote = 0
+		}
+	}
+	return strings.Join(strings.Fields(l), " ")
+}
+
 func (s *docScan) checkSection(file string, line int, num string) {
 	s.checked["sections"]++
 	if !s.sections[num] {
@@ -757,7 +861,7 @@ func docTree() fstest.MapFS {
 		"README.md": "# x\n\nSee [the design](DESIGN.md) and DESIGN.md §1: `p.New` returns a\n" +
 			"`Box`; `Holder.Box.Size`, `p/p.go:3`, `TestBox`, `svc.place_us` and\n`risasvc_up` all resolve.\n",
 		"DESIGN.md":                      "# D\n\n## 1. One\n\nSee §1.\n",
-		"EXPERIMENTS.md":                 "# E\n",
+		"EXPERIMENTS.md":                 "# E\n\n`ExampleNew` builds one:\n\n```go\nb := New() // a box\n// …\nb.Size++\n```\n",
 		"PAPERS.md":                      "# P\n",
 		"bench/README.md":                "# B\n",
 		".claude/skills/verify/SKILL.md": "# S\n",
@@ -765,7 +869,8 @@ func docTree() fstest.MapFS {
 		"internal/svc/metrics.go":        "// Package svc serves.\npackage svc\n\nfunc gauge(name string) {}\n\nfunc write() { gauge(\"up\") }\n",
 		"p/p.go": "// Package p holds boxes.\npackage p\n\n// Box is a box (DESIGN.md §1).\ntype Box struct{ Size int }\n\n" +
 			"// Holder holds one.\ntype Holder struct{ Box *Box }\n\n// New returns a box.\nfunc New() *Box { return &Box{} }\n",
-		"p/p_test.go": "package p\n\nimport \"testing\"\n\nfunc TestBox(t *testing.T) {}\n",
+		"p/p_test.go": "package p\n\nimport \"testing\"\n\nfunc TestBox(t *testing.T) {}\n\n" +
+			"func ExampleNew() {\n\tb := New()\n\tb.Size++\n\t// Output:\n}\n",
 	}
 	tree := fstest.MapFS{}
 	for name, data := range files {
@@ -795,6 +900,9 @@ func TestDocsRules(t *testing.T) {
 		{"missing test", "README.md", "", "`TestCrate`", "`TestCrate` is declared by no _test.go file"},
 		{"undocumented func", "p/p.go", "", "\nfunc Old() {}\n", "p/p.go:13: `Old` is an exported func with no doc comment"},
 		{"no package comment", "p/p.go", "// Package p holds boxes.\n", "", "p: `p` has no package comment"},
+		{"walkthrough names no Example", "EXPERIMENTS.md", "`ExampleNew` builds", "It builds", "EXPERIMENTS.md:5: `Example` is named by no code span"},
+		{"walkthrough names a missing Example", "EXPERIMENTS.md", "`ExampleNew`", "`ExampleOld`", "`ExampleOld` is declared by no _test.go file"},
+		{"walkthrough line not in its Example", "EXPERIMENTS.md", "b.Size++", "b.Size--", "EXPERIMENTS.md:8: `b.Size--` is not in the body of ExampleNew"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tree := docTree()

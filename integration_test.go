@@ -2,6 +2,7 @@ package risa
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"risa/internal/experiments"
@@ -70,6 +71,37 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if run.Scheduled != 300 {
 		t.Errorf("archived scheduled = %d", run.Scheduled)
+	}
+}
+
+// TestCSVReplayMatchesDirectRun: the default synthetic trace archived as
+// CSV and read back replays through RISA to the direct run's Result, field
+// for field; only SchedulingTime, a wall clock, may differ.
+func TestCSVReplayMatchesDirectRun(t *testing.T) {
+	setup := experiments.DefaultSetup()
+	tr, err := setup.SyntheticTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := trace.Read(&buf, tr.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := setup.RunOne("RISA", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCSV, err := setup.RunOne("RISA", replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.SchedulingTime, fromCSV.SchedulingTime = 0, 0
+	if !reflect.DeepEqual(direct, fromCSV) {
+		t.Errorf("CSV replay diverged from the direct run:\n direct %+v\nreplayed %+v", direct, fromCSV)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"risa/internal/units"
 )
 
-func ExampleFabric_AllocateFlow() {
+func ExampleFabric_Reserve() {
 	cl, err := topology.New(topology.DefaultConfig())
 	if err != nil {
 		panic(err)
@@ -17,17 +17,18 @@ func ExampleFabric_AllocateFlow() {
 	if err != nil {
 		panic(err)
 	}
-	// A 20 Gb/s CPU-RAM circuit across racks 0 and 5.
+	// A 20 Gb/s CPU-RAM circuit across racks 0 and 5, held in memory the
+	// caller owns — a sched.Assignment embeds its two flows the same way.
 	src := cl.Rack(0).BoxesOf(units.CPU)[0]
 	dst := cl.Rack(5).BoxesOf(units.RAM)[0]
-	fl, err := fab.AllocateFlow(src, dst, 20, network.FirstFit)
-	if err != nil {
+	var fl network.Flow
+	if err := fab.Reserve(&fl, src, dst, 20, network.FirstFit); err != nil {
 		panic(err)
 	}
 	fmt.Println("inter-rack:", fl.InterRack())
 	fmt.Println("link hops:", fl.LinkTraversals())
 	fmt.Println("switches:", fl.BoxSwitchCrossings(), fl.RackSwitchCrossings(), fl.InterRackSwitchCrossings())
-	fab.ReleaseFlow(fl)
+	fab.Unreserve(&fl)
 	// Output:
 	// inter-rack: true
 	// link hops: 6

@@ -27,7 +27,7 @@ import (
 	"risa/internal/units"
 )
 
-// Per-tier admission errors. AllocateFlow fails on the scheduling hot path
+// Per-tier admission errors. Reserve fails on the scheduling hot path
 // whenever a probe hits bandwidth fragmentation, so the errors are
 // preallocated sentinels (match with errors.Is) instead of per-failure
 // fmt.Errorf values — an allocation per failed probe would defeat the
@@ -377,9 +377,10 @@ const maxFlowLinks = 6
 // Flow is a reserved optical circuit between two boxes. Hop and switch
 // counts feed the power model; Links holds the shared links carrying the
 // reservation so it can be released. A Flow is plain memory its owner
-// provides — a sched.Assignment embeds its two, AllocateFlow draws one from
-// the fabric's pool — and Reserve/Unreserve fill and empty it; an emptied
-// flow must not be read.
+// provides — a sched.Assignment embeds its two, any other holder declares
+// one — and Reserve/Unreserve fill and empty it; an emptied flow must not
+// be read. AllocateFlow's pooled records serve, outside tests, only the
+// loops of bench/layers.go, until those move to Reserve.
 type Flow struct {
 	bw        units.Bandwidth
 	links     [maxFlowLinks]*Link
@@ -524,9 +525,8 @@ func (f *Fabric) Unreserve(fl *Flow) {
 }
 
 // AllocateFlow is Reserve into a record from the fabric's own pool, for
-// callers that hold a flow outside any Assignment (examples, the power
-// model's tests, the benchmark's direct loops). Release it with
-// ReleaseFlow.
+// callers that hold a flow outside any Assignment (the benchmark's direct
+// loops and tests). Release it with ReleaseFlow.
 func (f *Fabric) AllocateFlow(src, dst *topology.Box, bw units.Bandwidth, policy Policy) (*Flow, error) {
 	fl := f.getFlow()
 	if err := f.Reserve(fl, src, dst, bw, policy); err != nil {

@@ -68,45 +68,64 @@ func TestFlowPoolDoubleReleaseGuard(t *testing.T) {
 	}
 }
 
-// TestAllocateFlowSentinelErrors: admission failures return the
-// preallocated per-tier sentinels, matchable with errors.Is, so failed
-// probes on the scheduling hot path do not allocate error values.
-func TestAllocateFlowSentinelErrors(t *testing.T) {
-	cl, err := newTinyFabricCluster()
+// TestReserveSentinelErrors: a refused Reserve returns its tier's
+// preallocated sentinel, matchable with errors.Is, after rolling back every
+// hop it took: the flow is left empty, every tier's free bandwidth is
+// unchanged, and the refusal allocates nothing, so failed probes on the
+// scheduling hot path cost no garbage.
+func TestReserveSentinelErrors(t *testing.T) {
+	tcfg := topology.DefaultConfig()
+	tcfg.Racks = 4
+	cl, err := topology.New(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFabric(cl, Config{BoxUplinks: 1, RackUplinks: 1, LinkCapacity: 100})
+	// One link per group; pods {0, 1} and {2, 3}.
+	f, err := NewFabric(cl, Config{BoxUplinks: 1, RackUplinks: 1, PodUplinks: 1, RacksPerPod: 2, LinkCapacity: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cl.Rack(0).BoxesOf(units.CPU)[0]
-	sameRackDst := cl.Rack(0).BoxesOf(units.RAM)[0]
-	otherRackDst := cl.Rack(1).BoxesOf(units.RAM)[0]
-
-	// Saturate the source box uplink, then an intra-rack flow fails at
-	// the box tier.
-	fl, err := f.AllocateFlow(src, sameRackDst, 100, FirstFit)
-	if err != nil {
-		t.Fatal(err)
+	cpu := func(rack, i int) *topology.Box { return cl.Rack(rack).BoxesOf(units.CPU)[i] }
+	ram := func(rack int) *topology.Box { return cl.Rack(rack).BoxesOf(units.RAM)[0] }
+	for _, c := range []struct {
+		name               string
+		heldSrc, heldDst   *topology.Box // a full-capacity circuit saturating the tier
+		probeSrc, probeDst *topology.Box // refused at that tier
+		want               error
+	}{
+		// The probe's first hop is the full box uplink.
+		{"box", cpu(0, 0), ram(0), cpu(0, 0), ram(0), ErrNoBoxUplink},
+		// The probe takes its own box uplink, then meets rack 0's.
+		{"rack", cpu(0, 0), ram(1), cpu(0, 1), ram(1), ErrNoRackUplink},
+		// The probe takes its box and rack uplinks, then meets pod 0's.
+		{"pod", cpu(0, 0), ram(2), cpu(1, 0), ram(3), ErrNoPodUplink},
+	} {
+		var held, fl Flow
+		if err := f.Reserve(&held, c.heldSrc, c.heldDst, 100, FirstFit); err != nil {
+			t.Fatalf("%s: saturating circuit: %v", c.name, err)
+		}
+		intra, inter, pod := f.IntraRackFree(), f.InterRackFree(), f.InterPodFree()
+		if err := f.Reserve(&fl, c.probeSrc, c.probeDst, 1, FirstFit); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if fl != (Flow{}) {
+			t.Errorf("%s: a refused Reserve left the flow holding %d links", c.name, fl.n)
+		}
+		if f.IntraRackFree() != intra || f.InterRackFree() != inter || f.InterPodFree() != pod {
+			t.Errorf("%s: a refused Reserve kept bandwidth reserved", c.name)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if f.Reserve(&fl, c.probeSrc, c.probeDst, 1, FirstFit) == nil {
+				t.Fatalf("%s: probe admitted", c.name)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: a refused Reserve allocates %.2f times, want 0", c.name, avg)
+		}
+		f.Unreserve(&held)
+		if err := f.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
 	}
-	if _, err := f.AllocateFlow(src, sameRackDst, 1, FirstFit); !errors.Is(err, ErrNoBoxUplink) {
-		t.Fatalf("saturated box uplink: err = %v, want ErrNoBoxUplink", err)
-	}
-	f.ReleaseFlow(fl)
-
-	// Saturate the source rack uplink with an inter-rack flow, then a
-	// second inter-rack flow from another box of rack 0 fails at the rack
-	// tier.
-	fl, err = f.AllocateFlow(src, otherRackDst, 100, FirstFit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src2 := cl.Rack(0).BoxesOf(units.RAM)[0]
-	if _, err := f.AllocateFlow(src2, otherRackDst, 1, FirstFit); !errors.Is(err, ErrNoRackUplink) {
-		t.Fatalf("saturated rack uplink: err = %v, want ErrNoRackUplink", err)
-	}
-	f.ReleaseFlow(fl)
 }
 
 // TestReplayRefusals: the replay primitive refuses a recorded path it
@@ -161,11 +180,4 @@ func TestReplayRefusals(t *testing.T) {
 		t.Fatalf("a valid six-or-fewer link path was refused: %v", err)
 	}
 	f.Unreserve(&replayed)
-}
-
-// newTinyFabricCluster builds a 2-rack cluster for saturation tests.
-func newTinyFabricCluster() (*topology.Cluster, error) {
-	cfg := topology.DefaultConfig()
-	cfg.Racks = 2
-	return topology.New(cfg)
 }
