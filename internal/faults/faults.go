@@ -1,7 +1,7 @@
 // Package faults models hardware failure and repair for the simulator: a
-// time-ordered Plan of fail/repair events at box, rack or pod
-// granularity, plus a seeded stochastic generator that draws each unit's
-// outages from per-tier MTBF/MTTR exponentials (see gen.go).
+// time-ordered Plan of fail/repair events at box or rack granularity,
+// plus a seeded stochastic generator that draws each box's outages from
+// MTBF/MTTR exponentials (see gen.go).
 //
 // A Plan is pure data — it names hardware by index and says nothing about
 // what failure means. The simulator interprets it: each event toggles
@@ -23,9 +23,6 @@ const (
 	BoxTier Tier = iota
 	// RackTier fails or repairs every box of one rack at once.
 	RackTier
-	// PodTier fails or repairs every rack of one pod (a contiguous group
-	// of Plan.PodSize racks) at once.
-	PodTier
 )
 
 // String names the tier for logs and errors.
@@ -35,8 +32,6 @@ func (t Tier) String() string {
 		return "box"
 	case RackTier:
 		return "rack"
-	case PodTier:
-		return "pod"
 	default:
 		return fmt.Sprintf("tier(%d)", int(t))
 	}
@@ -44,7 +39,7 @@ func (t Tier) String() string {
 
 // Event is one timed fault or repair. Only the index fields of the
 // event's tier are meaningful: Rack and Box for BoxTier, Rack for
-// RackTier, Pod for PodTier.
+// RackTier.
 type Event struct {
 	// T is the simulated time the event fires.
 	T int64
@@ -52,8 +47,6 @@ type Event struct {
 	Repair bool
 	// Tier is the event's blast radius.
 	Tier Tier
-	// Pod is the failing/recovering pod index (PodTier only).
-	Pod int
 	// Rack is the rack index (BoxTier and RackTier).
 	Rack int
 	// Box is the box index within the rack, counted across all resource
@@ -73,7 +66,7 @@ func (e Event) String() string {
 	case RackTier:
 		return fmt.Sprintf("t=%d %s rack %d", e.T, verb, e.Rack)
 	default:
-		return fmt.Sprintf("t=%d %s pod %d", e.T, verb, e.Pod)
+		return fmt.Sprintf("t=%d %s %v", e.T, verb, e.Tier)
 	}
 }
 
@@ -93,9 +86,6 @@ func (e Event) less(o Event) bool {
 	if e.Tier != o.Tier {
 		return e.Tier > o.Tier
 	}
-	if e.Pod != o.Pod {
-		return e.Pod < o.Pod
-	}
 	if e.Rack != o.Rack {
 		return e.Rack < o.Rack
 	}
@@ -104,10 +94,6 @@ func (e Event) less(o Event) bool {
 
 // Plan is a time-ordered fault schedule.
 type Plan struct {
-	// PodSize is the racks-per-pod grouping PodTier events address; it
-	// must be positive when the plan contains pod events (align it with
-	// network.Config.RacksPerPod on three-tier fabrics).
-	PodSize int
 	// Events in canonical order (see Event.less).
 	Events []Event
 }
@@ -123,7 +109,7 @@ func RackFailure(rack int, failAt, healAt int64) *Plan {
 }
 
 // Validate checks the plan against a cluster of the given dimensions:
-// event order, index ranges, and pod addressing.
+// event order and index ranges.
 func (p *Plan) Validate(racks, boxesPerRack int) error {
 	for i, e := range p.Events {
 		if e.T < 0 {
@@ -141,29 +127,11 @@ func (p *Plan) Validate(racks, boxesPerRack int) error {
 			if e.Rack < 0 || e.Rack >= racks {
 				return fmt.Errorf("faults: event %d (%v) outside %d racks", i, e, racks)
 			}
-		case PodTier:
-			if p.PodSize <= 0 {
-				return fmt.Errorf("faults: event %d (%v) needs a positive PodSize, got %d", i, e, p.PodSize)
-			}
-			if e.Pod < 0 || e.Pod*p.PodSize >= racks {
-				return fmt.Errorf("faults: event %d (%v) outside %d racks at pod size %d", i, e, racks, p.PodSize)
-			}
 		default:
 			return fmt.Errorf("faults: event %d (%v) has invalid tier", i, e)
 		}
 	}
 	return nil
-}
-
-// PodRacks returns the rack index range [lo, hi) a pod event covers on a
-// cluster of the given rack count.
-func (p *Plan) PodRacks(pod, racks int) (lo, hi int) {
-	lo = pod * p.PodSize
-	hi = lo + p.PodSize
-	if hi > racks {
-		hi = racks
-	}
-	return lo, hi
 }
 
 // sortEvents puts events into canonical order.

@@ -12,10 +12,7 @@ func genConfig() GenConfig {
 		Horizon:      100000,
 		Racks:        18,
 		BoxesPerRack: 6,
-		PodSize:      6,
 		Box:          TierRates{MTBF: 20000, MTTR: 2000},
-		Rack:         TierRates{MTBF: 60000, MTTR: 4000},
-		Pod:          TierRates{MTBF: 90000, MTTR: 8000},
 	}
 }
 
@@ -62,15 +59,8 @@ func TestGenerateStableUnderGrowth(t *testing.T) {
 	filter := func(p *Plan, racks int) []Event {
 		var out []Event
 		for _, e := range p.Events {
-			switch e.Tier {
-			case BoxTier, RackTier:
-				if e.Rack < racks {
-					out = append(out, e)
-				}
-			case PodTier:
-				if e.Pod*p.PodSize < racks {
-					out = append(out, e)
-				}
+			if e.Rack < racks {
+				out = append(out, e)
 			}
 		}
 		return out
@@ -80,7 +70,7 @@ func TestGenerateStableUnderGrowth(t *testing.T) {
 	}
 }
 
-// TestGeneratePairing: per unit, events alternate fail/repair with
+// TestGeneratePairing: per box, events alternate fail/repair with
 // strictly increasing times, and every failure strikes before the
 // horizon.
 func TestGeneratePairing(t *testing.T) {
@@ -98,7 +88,10 @@ func TestGeneratePairing(t *testing.T) {
 	}
 	units := map[string]*unitState{}
 	for _, e := range p.Events {
-		key := fmt.Sprintf("%v/%d/%d/%d", e.Tier, e.Pod, e.Rack, e.Box)
+		if e.Tier != BoxTier {
+			t.Fatalf("%v: the generator draws box outages only", e)
+		}
+		key := fmt.Sprintf("%d/%d", e.Rack, e.Box)
 		st := units[key]
 		if st == nil {
 			st = &unitState{}
@@ -121,8 +114,6 @@ func TestGeneratePairing(t *testing.T) {
 func TestGenerateDisabledTiers(t *testing.T) {
 	cfg := genConfig()
 	cfg.Box = TierRates{}
-	cfg.Rack = TierRates{}
-	cfg.Pod = TierRates{}
 	p, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +129,6 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		func(c *GenConfig) { c.Racks = 0 },
 		func(c *GenConfig) { c.BoxesPerRack = 0 },
 		func(c *GenConfig) { c.Box.MTTR = 0 },
-		func(c *GenConfig) { c.PodSize = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := genConfig()
@@ -155,8 +145,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Events: []Event{{T: 5, Tier: RackTier}, {T: 4, Tier: RackTier}}},
 		{Events: []Event{{T: 0, Tier: RackTier, Rack: 18}}},
 		{Events: []Event{{T: 0, Tier: BoxTier, Rack: 0, Box: 6}}},
-		{Events: []Event{{T: 0, Tier: PodTier, Pod: 0}}},             // no PodSize
-		{PodSize: 6, Events: []Event{{T: 0, Tier: PodTier, Pod: 3}}}, // past last rack
+		{Events: []Event{{T: 0, Tier: RackTier + 1}}}, // the tier after RackTier does not exist
 		{Events: []Event{{T: 0, Tier: Tier(9)}}},
 		// Equal-time order violation: a failure sorted before a repair.
 		{Events: []Event{{T: 7, Tier: RackTier, Rack: 1}, {T: 7, Tier: RackTier, Rack: 0, Repair: true}}},
@@ -169,16 +158,5 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	good := RackFailure(0, 100, 200)
 	if err := good.Validate(18, 6); err != nil {
 		t.Errorf("RackFailure plan rejected: %v", err)
-	}
-}
-
-func TestPodRacks(t *testing.T) {
-	p := Plan{PodSize: 6}
-	if lo, hi := p.PodRacks(1, 18); lo != 6 || hi != 12 {
-		t.Errorf("pod 1 covers [%d,%d), want [6,12)", lo, hi)
-	}
-	// A trailing partial pod is clamped to the cluster.
-	if lo, hi := p.PodRacks(2, 16); lo != 12 || hi != 16 {
-		t.Errorf("trailing pod covers [%d,%d), want [12,16)", lo, hi)
 	}
 }

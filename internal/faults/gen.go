@@ -9,7 +9,9 @@ import (
 // TierRates parameterizes one tier's outage process: every unit of the
 // tier alternates exponentially distributed up and down periods (a
 // classic alternating-renewal availability model), so over a long horizon
-// a unit is down a fraction MTTR/(MTBF+MTTR) of the time.
+// a unit is down a fraction MTTR/(MTBF+MTTR) of the time. The generator
+// draws the box tier; rack outages come from RackFailure or hand-built
+// plans.
 type TierRates struct {
 	// MTBF is the mean up time between failures in simulated time units;
 	// zero or negative disables the tier.
@@ -25,9 +27,9 @@ func (r TierRates) enabled() bool { return r.MTBF > 0 }
 
 // GenConfig parameterizes the stochastic plan generator.
 type GenConfig struct {
-	// Seed fixes the generated plan completely: every unit derives its
-	// own random stream from (Seed, tier, unit index) via a splitmix64
-	// hash, so plans are reproducible and two units' outages are
+	// Seed fixes the generated plan completely: every box derives its
+	// own random stream from (Seed, BoxTier, box index) via a splitmix64
+	// hash, so plans are reproducible and two boxes' outages are
 	// independent but stable — adding racks does not reshuffle the
 	// outages of existing ones.
 	Seed int64
@@ -38,12 +40,9 @@ type GenConfig struct {
 	// Racks and BoxesPerRack give the cluster dimensions the plan
 	// addresses (match topology.Config.Racks / Config.BoxesPerRack()).
 	Racks, BoxesPerRack int
-	// PodSize groups racks into pods for the pod tier; required when Pod
-	// is enabled.
-	PodSize int
-	// Box, Rack and Pod are the per-tier outage processes; disabled tiers
-	// contribute no events.
-	Box, Rack, Pod TierRates
+	// Box is every box's outage process; a disabled one generates no
+	// events.
+	Box TierRates
 }
 
 // validate checks the generator configuration.
@@ -54,30 +53,20 @@ func (c GenConfig) validate() error {
 	if c.Racks <= 0 || c.BoxesPerRack <= 0 {
 		return fmt.Errorf("faults: generator needs cluster dimensions, got %d racks × %d boxes", c.Racks, c.BoxesPerRack)
 	}
-	for _, tier := range []struct {
-		name  string
-		rates TierRates
-	}{{"box", c.Box}, {"rack", c.Rack}, {"pod", c.Pod}} {
-		if tier.rates.enabled() && tier.rates.MTTR <= 0 {
-			return fmt.Errorf("faults: %s tier has MTBF %g but MTTR %g (must be positive)",
-				tier.name, tier.rates.MTBF, tier.rates.MTTR)
-		}
-	}
-	if c.Pod.enabled() && c.PodSize <= 0 {
-		return fmt.Errorf("faults: pod tier enabled but pod size is %d", c.PodSize)
+	if c.Box.enabled() && c.Box.MTTR <= 0 {
+		return fmt.Errorf("faults: box tier has MTBF %g but MTTR %g (must be positive)", c.Box.MTBF, c.Box.MTTR)
 	}
 	return nil
 }
 
 // Generate draws a Plan from the configuration: one independent
-// alternating-renewal outage process per box, rack and pod unit of the
-// enabled tiers, merged into canonical order. The result is a pure
-// function of the configuration.
+// alternating-renewal outage process per box, merged into canonical
+// order. The result is a pure function of the configuration.
 func Generate(cfg GenConfig) (*Plan, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{PodSize: cfg.PodSize}
+	p := &Plan{}
 	if cfg.Box.enabled() {
 		for rack := 0; rack < cfg.Racks; rack++ {
 			for box := 0; box < cfg.BoxesPerRack; box++ {
@@ -86,21 +75,6 @@ func Generate(cfg GenConfig) (*Plan, error) {
 					unitRNG(cfg.Seed, BoxTier, unit),
 					Event{Tier: BoxTier, Rack: rack, Box: box})
 			}
-		}
-	}
-	if cfg.Rack.enabled() {
-		for rack := 0; rack < cfg.Racks; rack++ {
-			p.Events = genUnit(p.Events, cfg.Rack, cfg.Horizon,
-				unitRNG(cfg.Seed, RackTier, rack),
-				Event{Tier: RackTier, Rack: rack})
-		}
-	}
-	if cfg.Pod.enabled() {
-		pods := (cfg.Racks + cfg.PodSize - 1) / cfg.PodSize
-		for pod := 0; pod < pods; pod++ {
-			p.Events = genUnit(p.Events, cfg.Pod, cfg.Horizon,
-				unitRNG(cfg.Seed, PodTier, pod),
-				Event{Tier: PodTier, Pod: pod})
 		}
 	}
 	sortEvents(p.Events)

@@ -195,7 +195,9 @@ func TestEventKindWireValues(t *testing.T) {
 
 // TestRunnerReusableAcrossStreamRuns is the regression test for run
 // state leaking onto the Runner: every run builds its own event core, so
-// two retry runs on one runner enqueue exactly alike.
+// two retry runs on one runner enqueue exactly alike. The runs are Run's
+// finite setting of the one run loop, which ends on an empty datacenter,
+// so the second starts from the state the first did.
 func TestRunnerReusableAcrossStreamRuns(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.N = 1500
@@ -204,16 +206,13 @@ func TestRunnerReusableAcrossStreamRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(r *Runner) *SteadyState {
+	run := func(r *Runner) *Result {
 		t.Helper()
-		ss, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{
-			Workload: StreamWorkload{MaxArrivals: tr.Len(), Drain: true},
-			Windows:  StreamWindows{Window: 1000},
-		})
+		res, err := r.Run(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss
+		return res
 	}
 	_, r := eqRunner(t, "RISA", Config{Faults: Faults{Retry: true}})
 	first := run(r)
@@ -223,7 +222,7 @@ func TestRunnerReusableAcrossStreamRuns(t *testing.T) {
 	if second := run(r); second.Enqueued != first.Enqueued {
 		t.Errorf("second retry run enqueued %d, first %d", second.Enqueued, first.Enqueued)
 	}
-	if _, plain := eqRunner(t, "RISA", Config{}); run(plain).TotalDropped == 0 {
+	if _, plain := eqRunner(t, "RISA", Config{}); run(plain).Dropped == 0 {
 		t.Error("fixture too weak: without the retry queue nothing drops")
 	}
 }

@@ -97,13 +97,12 @@ func (d *Driver) Place(vm workload.VM) (*sched.Assignment, int64, error) {
 // which release at the next step. Resident VMs ride out the outage in
 // place — their circuits are established and releases return shares even
 // on failed hardware — while new arrivals route around the hole; this is
-// the default (non-Evict) fault semantics. Pod-scope events are not
-// supported: the driver has no fault plan to carry a pod size.
+// the default (non-Evict) fault semantics.
 func (d *Driver) Apply(ev faults.Event) error {
 	cl := d.c.st.Cluster
-	// A one-event plan without a pod size validates exactly the driver's
-	// scope: box and rack coordinates in range, pod tier refused.
-	one := faults.Plan{Events: []faults.Event{{Tier: ev.Tier, Rack: ev.Rack, Box: ev.Box, Pod: ev.Pod}}}
+	// A one-event plan validates exactly the driver's scope: a known tier,
+	// box and rack coordinates in range.
+	one := faults.Plan{Events: []faults.Event{{Tier: ev.Tier, Rack: ev.Rack, Box: ev.Box}}}
 	if err := one.Validate(cl.NumRacks(), cl.Config().BoxesPerRack()); err != nil {
 		return fmt.Errorf("sim: driver mutations are box- or rack-scope in range: %w", err)
 	}

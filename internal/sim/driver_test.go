@@ -177,12 +177,12 @@ func TestDriverDepartures(t *testing.T) {
 }
 
 // TestDriverApplyScope pins mutation validation and the fail/heal
-// round-trip: pod scope and out-of-range coordinates are rejected, a
+// round-trip: an unknown tier and out-of-range coordinates are rejected, a
 // fully failed cluster places nothing, and healing restores placability.
 func TestDriverApplyScope(t *testing.T) {
 	d := newTestDriver(t, "RISA")
-	if err := d.Apply(faults.Event{Tier: faults.PodTier, Pod: 0}); err == nil {
-		t.Fatal("pod scope must be rejected")
+	if err := d.Apply(faults.Event{Tier: faults.RackTier + 1}); err == nil {
+		t.Fatal("a tier past RackTier must be rejected")
 	}
 	if err := d.Apply(faults.Event{Tier: faults.RackTier, Rack: 99}); err == nil {
 		t.Fatal("out-of-range rack must be rejected")

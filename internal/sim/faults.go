@@ -10,26 +10,19 @@ import (
 
 // applyFault applies one fault event's scope to the cluster through the
 // per-box outage refcounts. Tiers overlap — a box can be inside a
-// box-tier outage and a rack- or pod-tier outage at once — so a box is
+// box-tier outage and a rack-tier outage at once — so a box is
 // healthy only when no scope covering it is down; a plain boolean toggle
 // would let the first repair un-fail a box another tier still holds down.
 // Repairs that bring a box's count to zero re-seed both topology index
 // tiers exactly (topology.SetBoxFailed), so post-repair scheduling is
 // bit-identical to a never-failed cluster.
 func (c *eventCore) applyFault(ev faults.Event) {
-	cl := c.st.Cluster
-	lo, hi := ev.Rack, ev.Rack+1
-	if ev.Tier == faults.PodTier {
-		lo, hi = c.f.Plan.PodRacks(ev.Pod, cl.NumRacks())
+	boxes := c.st.Cluster.Rack(ev.Rack).Boxes()
+	if ev.Tier == faults.BoxTier {
+		boxes = boxes[ev.Box : ev.Box+1]
 	}
-	for ri := lo; ri < hi; ri++ {
-		boxes := cl.Rack(ri).Boxes()
-		if ev.Tier == faults.BoxTier {
-			boxes = boxes[ev.Box : ev.Box+1]
-		}
-		for _, b := range boxes {
-			c.noteFault(b, ev.Repair)
-		}
+	for _, b := range boxes {
+		c.noteFault(b, ev.Repair)
 	}
 }
 

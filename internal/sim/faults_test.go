@@ -89,40 +89,62 @@ func streamFor(t testing.TB) workload.Stream {
 	return s
 }
 
+// runEmptied plays streamFor's first 2000 arrivals under cfg with Run,
+// whose finite setting continues to an empty heap, and checks the
+// datacenter ends pristine and consistent: every placement, re-placement
+// and circuit the fault surface made was given back.
+func runEmptied(t *testing.T, cfg Config) {
+	t.Helper()
+	st, r := faultRunner(t, cfg)
+	if _, err := r.Run(workload.Take(streamFor(t), 2000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range units.Resources() {
+		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
+			t.Errorf("%v not pristine once every VM departed", k)
+		}
+	}
+	f := st.Fabric
+	if f.IntraRackFree() != f.IntraRackCapacity() || f.InterRackFree() != f.InterRackCapacity() {
+		t.Error("fabric still carries reservations once every VM departed")
+	}
+	if err := st.Cluster.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestRunStreamFaultsNoEvict: resident VMs ride out an outage in place —
-// nothing is displaced, the capacity dips and returns, and the state
-// drains to pristine.
+// nothing is displaced, the capacity dips and returns, and the same
+// arrivals played to the end leave the datacenter pristine.
 func TestRunStreamFaultsNoEvict(t *testing.T) {
 	plan := faults.RackFailure(0, 400, 900)
-	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan}})
-	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
+	cfg := Config{Faults: Faults{Plan: plan}}
+	st, r := faultRunner(t, cfg)
+	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Displaced != 0 || res.Recovered != 0 || res.DisplacedLost != 0 {
 		t.Errorf("no-evict run displaced %d/%d/%d VMs", res.Displaced, res.Recovered, res.DisplacedLost)
 	}
-	for _, k := range units.Resources() {
-		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
-			t.Errorf("%v not pristine after drain", k)
-		}
-	}
 	if err := st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if err := st.Fabric.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
+	runEmptied(t, cfg)
 }
 
 // TestRunStreamEviction: with Evict, VMs resident on the failed rack are
 // displaced; on the default cluster the 17 healthy racks absorb them
-// all, their departure events stay valid, and the run drains pristine
-// after the repair.
+// all, their departure events stay valid, and the same arrivals played
+// to the end leave the datacenter pristine after the repair.
 func TestRunStreamEviction(t *testing.T) {
 	plan := faults.RackFailure(0, 400, 900)
-	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
-	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
+	cfg := Config{Faults: Faults{Plan: plan, Evict: true}}
+	st, r := faultRunner(t, cfg)
+	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,22 +167,16 @@ func TestRunStreamEviction(t *testing.T) {
 		t.Errorf("windows count %d/%d displaced/recovered, run counts %d/%d",
 			winDisplaced, winRecovered, res.Displaced, res.Recovered)
 	}
-	for _, k := range units.Resources() {
-		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
-			t.Errorf("%v not pristine after drain", k)
-		}
-	}
 	if err := st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if err := st.Fabric.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
+	runEmptied(t, cfg)
 }
 
 // TestRunStreamEvictionLoss: when the whole cluster fails there is
 // nowhere to go — every resident VM is lost, its departure event turns
-// into a ghost, and the repaired cluster keeps serving fresh arrivals.
+// into a ghost, and the repaired cluster keeps serving fresh arrivals;
+// played to the end, it is left pristine.
 func TestRunStreamEvictionLoss(t *testing.T) {
 	plan := &faults.Plan{Events: []faults.Event{}}
 	for rack := 0; rack < topology.DefaultConfig().Racks; rack++ {
@@ -170,8 +186,9 @@ func TestRunStreamEvictionLoss(t *testing.T) {
 		plan.Events = append(plan.Events,
 			faults.Event{T: 600, Tier: faults.RackTier, Rack: rack, Repair: true})
 	}
-	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
-	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
+	cfg := Config{Faults: Faults{Plan: plan, Evict: true}}
+	st, r := faultRunner(t, cfg)
+	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +200,10 @@ func TestRunStreamEvictionLoss(t *testing.T) {
 	if res.TotalAccepted <= res.Displaced {
 		t.Error("no arrivals accepted after the repair")
 	}
-	for _, k := range units.Resources() {
-		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
-			t.Errorf("%v not pristine after drain", k)
-		}
-	}
 	if err := st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+	runEmptied(t, cfg)
 }
 
 // TestRunStreamEvictionRetryQueue: displaced VMs that cannot be
@@ -206,8 +219,9 @@ func TestRunStreamEvictionRetryQueue(t *testing.T) {
 		plan.Events = append(plan.Events,
 			faults.Event{T: 600, Tier: faults.RackTier, Rack: rack, Repair: true})
 	}
-	st, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true, Retry: true}})
-	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
+	cfg := Config{Faults: Faults{Plan: plan, Evict: true, Retry: true}}
+	st, r := faultRunner(t, cfg)
+	res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,25 +234,37 @@ func TestRunStreamEvictionRetryQueue(t *testing.T) {
 	if err := st.Cluster.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+	runEmptied(t, cfg)
 }
 
 // TestRunStreamFaultDeterminism: two identically configured fault runs
-// report identical metrics (wall-clock fields excluded), including under
-// a generated stochastic plan.
+// report identical metrics (wall-clock fields excluded) under a generated
+// box-outage plan with a rack outage laid over the first failed box, so a
+// box sits inside two overlapping outages.
 func TestRunStreamFaultDeterminism(t *testing.T) {
 	tcfg := topology.DefaultConfig()
 	plan, err := faults.Generate(faults.GenConfig{
 		Seed: 7, Horizon: 4000,
 		Racks: tcfg.Racks, BoxesPerRack: tcfg.BoxesPerRack(),
-		Box:  faults.TierRates{MTBF: 20000, MTTR: 300},
-		Rack: faults.TierRates{MTBF: 150000, MTTR: 500},
+		Box: faults.TierRates{MTBF: 20000, MTTR: 300},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// In canonical order a rack event precedes the box events of its
+	// instant: the failure goes first of all, the repair ahead of the
+	// first event at or after its time.
+	first := plan.Events[0]
+	heal := faults.Event{T: first.T + 500, Repair: true, Tier: faults.RackTier, Rack: first.Rack}
+	i := slices.IndexFunc(plan.Events, func(e faults.Event) bool { return e.T >= heal.T })
+	if i < 0 {
+		i = len(plan.Events)
+	}
+	plan.Events = slices.Insert(plan.Events, i, heal)
+	plan.Events = slices.Insert(plan.Events, 0, faults.Event{T: first.T, Tier: faults.RackTier, Rack: first.Rack})
 	run := func() *SteadyState {
 		_, r := faultRunner(t, Config{Faults: Faults{Plan: plan, Evict: true}})
-		res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000, Drain: true}, Windows: StreamWindows{Warmup: 200, Window: 200}})
+		res, err := r.RunStream(streamFor(t), StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 200, Window: 200}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +281,7 @@ func TestRunStreamFaultDeterminism(t *testing.T) {
 		t.Errorf("fault runs diverged:\n%+v\nvs\n%+v", a, b)
 	}
 	if a.Displaced == 0 {
-		t.Error("fixture too weak: the generated plan displaced nothing")
+		t.Error("fixture too weak: the plan displaced nothing")
 	}
 }
 

@@ -123,7 +123,7 @@ type Config struct {
 // copies it by value into its own event core.
 type Faults struct {
 	// Plan is an optional fault plan merged into the event order: each
-	// event toggles box failure over its scope (box, rack or pod) at its
+	// event toggles box failure over its scope (box or rack) at its
 	// timestamp, before the departures of the same instant.
 	Plan *faults.Plan
 	// Evict, with Plan, activates displaced-VM recovery: when hardware

@@ -357,9 +357,8 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // a pristine stream built with the same configuration as the snapshot's
 // (it is repositioned by replay), and cfg must carry the same stop
 // bounds as the warm run's for bit-identical equivalence (Warmup,
-// Window and the reservoir parameters are inherited from the snapshot;
-// cfg.Workload.Drain applies to the resumed part). It refuses Snapshot.At:
-// a resumed run does not capture again.
+// Window and the reservoir parameters are inherited from the snapshot).
+// It refuses Snapshot.At: a resumed run does not capture again.
 //
 // Fault-plan linkage follows Snapshot.PlanLen (see eventCore.restore): a
 // plan-free snapshot resumed under a plan starts its faults at the

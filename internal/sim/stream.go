@@ -19,12 +19,9 @@ type StreamWorkload struct {
 	MaxArrivals int
 	// Duration stops the run at this simulated time: arrivals beyond it
 	// are not consumed (0 = unbounded, then MaxArrivals must be set).
+	// Either way the run stops at its last arrival and leaves the state
+	// loaded; Run is the setting that plays to an empty cluster.
 	Duration int64
-	// Drain, when set, keeps simulating departures after the arrival
-	// budget is exhausted until the cluster is empty again (excluded from
-	// all metrics — an emptying cluster is not steady state). The default
-	// stops at the last arrival and leaves the state loaded.
-	Drain bool
 }
 
 // StreamWindows shapes the steady-state measurement: the warmup cut and
@@ -271,7 +268,7 @@ func (r *Runner) Run(tr *workload.Trace) (*Result, error) {
 
 // runFinite plays a finite stream in the finite setting: past the last
 // arrival to an empty heap, departures and fault events metered, with
-// the accounting piece and no windows, reservoirs or drain.
+// the accounting piece and no windows or reservoirs.
 func (r *Runner) runFinite(s workload.Stream) (*Result, error) {
 	sr := r.bind(s, StreamConfig{})
 	sr.finite = true
@@ -457,9 +454,8 @@ func (sr *streamRun) sample(feedback bool) {
 // loop steps the event core to the stop criterion — or, for WarmStream,
 // to the snapshot boundary. A stream run ends with the arrival budget:
 // simulating past the last arrival would only measure an emptying
-// cluster, which is not steady state (Drain releases the survivors
-// afterwards, unmetered), and fault events past the last arrival are
-// likewise never applied. The finite setting plays on until the heap is
+// cluster, which is not steady state, and fault events past the last
+// arrival are likewise never applied. The finite setting plays on until the heap is
 // empty, every departure and fault event metered.
 func (sr *streamRun) loop() error {
 	c := sr.c
@@ -619,8 +615,8 @@ func (sr *streamRun) displaced(a *sched.Assignment, recovered bool, d time.Durat
 	}
 }
 
-// finish seals the run: leftover queue entries, aggregate averages,
-// percentile estimates and the optional drain. The finite setting stops
+// finish seals the run: leftover queue entries, aggregate averages and
+// percentile estimates. The finite setting stops
 // after the counters: it has no windows or reservoirs, and its heap is
 // already empty.
 func (sr *streamRun) finish() *SteadyState {
@@ -650,13 +646,6 @@ func (sr *streamRun) finish() *SteadyState {
 		ts.LatencySamples, ts.LatencyP50, ts.LatencyP95, ts.LatencyP99 = sr.tlat[t].summary()
 	}
 	res.RateMultiplier = finalMultiplier(sr.s)
-
-	if sr.cfg.Workload.Drain {
-		// Unmetered: release the survivors so the state ends empty.
-		for c.h.Len() > 0 {
-			c.release(c.h.Pop().a)
-		}
-	}
 	return res
 }
 

@@ -75,54 +75,12 @@ func TestRunStreamMaxArrivalsZero(t *testing.T) {
 		t.Errorf("end = %d, want 490 (last arrival, not Duration)", ss.End)
 	}
 	if ss.Resident == 0 {
-		t.Error("resident = 0: run drained although Drain was unset")
+		t.Error("resident = 0: a stream run must stop at its last arrival, loaded")
 	}
 
 	_, r2 := eqRunner(t, "RISA", Config{})
 	if _, err := r2.RunStream(workload.NewTraceStream(tr), StreamConfig{Windows: StreamWindows{Window: 100}}); err == nil {
 		t.Fatal("MaxArrivals=0 with Duration=0 validated")
-	}
-}
-
-// TestRunStreamDrainAfterRestore: a resumed run with Drain set must
-// leave its restored state completely empty again — every restored
-// placement, flow and queue entry released.
-func TestRunStreamDrainAfterRestore(t *testing.T) {
-	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 1500}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
-	warm := cfg
-	warm.Snapshot.At = 25000
-	_, wr := eqRunner(t, "RISA", Config{})
-	snap, err := wr.WarmStream(eqStream(t), warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.State.Assignments) == 0 {
-		t.Fatal("warm snapshot carries no live placements — fixture too small")
-	}
-
-	drainCfg := cfg
-	drainCfg.Workload.Drain = true
-	st, rr := eqRunner(t, "RISA", Config{})
-	if _, err := rr.ResumeStream(eqStream(t), snap, drainCfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range units.Resources() {
-		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
-			t.Errorf("%v not fully released after drain: free %d, capacity %d",
-				k, st.Cluster.TotalFree(k), st.Cluster.TotalCapacity(k))
-		}
-	}
-	f := st.Fabric
-	if f.IntraRackFree() != f.IntraRackCapacity() ||
-		f.InterRackFree() != f.InterRackCapacity() ||
-		f.InterPodFree() != f.InterPodCapacity() {
-		t.Error("fabric still carries reservations after drain")
-	}
-	if err := st.Cluster.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Error(err)
 	}
 }
 

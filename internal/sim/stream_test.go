@@ -110,24 +110,6 @@ func TestRunStreamWarmupAndWindows(t *testing.T) {
 	}
 }
 
-func TestRunStreamDrain(t *testing.T) {
-	tr := streamTrace()
-	st, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
-	ss, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{Workload: StreamWorkload{MaxArrivals: tr.Len(), Drain: true}, Windows: StreamWindows{Window: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.TotalAccepted != 400 {
-		t.Fatalf("accepted %d, want 400", ss.TotalAccepted)
-	}
-	if free, cap := st.Cluster.TotalFree(units.CPU), st.Cluster.TotalCapacity(units.CPU); free != cap {
-		t.Errorf("drain left %d of %d CPU allocated", cap-free, cap)
-	}
-	if st.Fabric.IntraRackFree() != st.Fabric.IntraRackCapacity() {
-		t.Error("drain left bandwidth allocated")
-	}
-}
-
 func TestRunStreamDurationBound(t *testing.T) {
 	tr := streamTrace()
 	_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
@@ -206,7 +188,7 @@ func TestRunStreamRetryQueue(t *testing.T) {
 		{ID: 3, Arrival: 12, Lifetime: 10, Req: units.Vec(512, 16, 128)},
 		{ID: 4, Arrival: 22, Lifetime: 10, Req: units.Vec(512, 16, 128)},
 	}}
-	res, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{Workload: StreamWorkload{MaxArrivals: 5, Drain: true}, Windows: StreamWindows{Window: 10}})
+	res, err := r.RunStream(workload.NewTraceStream(tr), StreamConfig{Workload: StreamWorkload{MaxArrivals: 5}, Windows: StreamWindows{Window: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

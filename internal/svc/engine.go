@@ -54,6 +54,12 @@ type Engine struct {
 	sinceSnap int
 	snapErr   error     // how the last WriteSnapshot ended
 	snapshots histogram // how long each WriteSnapshot took
+	// snapBytes and snapAt describe the snapshot file in place: its size
+	// and when it was written (zero while there is none). A WriteSnapshot
+	// that succeeds sets them, and Open reads them once off a file already
+	// on disk, so GET /stats never touches the file system.
+	snapBytes int64
+	snapAt    time.Time
 
 	// recovery is how long Open took, replayed how many journal records it
 	// applied behind the snapshot; GET /metrics reports both.
@@ -109,7 +115,7 @@ func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, dir: dir, seen: map[int]int{}, snapEvery: snapEvery}
 
-	snap, err := readSnapshot(filepath.Join(dir, snapshotFile))
+	snap, fi, err := readSnapshot(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +126,7 @@ func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
 		if err := e.restore(snap); err != nil {
 			return nil, err
 		}
+		e.snapBytes, e.snapAt = fi.Size(), fi.ModTime()
 	} else {
 		if err := e.genesis(); err != nil {
 			return nil, err
@@ -358,7 +365,8 @@ func globalBox(cl *topology.Cluster, p topology.Placement) int {
 // atomically replaces the snapshot file (replaceFile), synchronously: the
 // file is in place when it returns. Journal records already folded in are
 // remembered via JSeq, so the next Open replays only the suffix. Succeed
-// or fail, the result is kept for SnapshotErr and the cadence starts over.
+// or fail, the result is kept for SnapshotErr and the cadence starts over;
+// only a success changes the size and time Stats reports.
 func (e *Engine) WriteSnapshot() (err error) {
 	began := stageClock()
 	defer func() {
@@ -377,31 +385,46 @@ func (e *Engine) WriteSnapshot() (err error) {
 		Driver:    ds,
 		History:   e.history,
 	}
-	return replaceFile(filepath.Join(e.dir, snapshotFile), func(f *os.File) error {
-		return gob.NewEncoder(f).Encode(&snap)
+	var size int64
+	err = replaceFile(filepath.Join(e.dir, snapshotFile), func(f *os.File) error {
+		if err := gob.NewEncoder(f).Encode(&snap); err != nil {
+			return err
+		}
+		var err error
+		size, err = f.Seek(0, io.SeekCurrent) // gob wrote straight to f
+		return err
 	})
+	if err == nil {
+		e.snapBytes, e.snapAt = size, time.Now()
+	}
+	return err
 }
 
 // SnapshotErr reports how the most recent snapshot attempt ended. An
 // automatic snapshot's failure shows only here and in Stats.
 func (e *Engine) SnapshotErr() error { return e.snapErr }
 
-// readSnapshot decodes the snapshot file; a missing file is not an
-// error (first run, or crash before the first snapshot).
-func readSnapshot(path string) (*engineSnapshot, error) {
+// readSnapshot decodes the snapshot file and returns it with the file's
+// size and time; a missing file is not an error (first run, or crash
+// before the first snapshot).
+func readSnapshot(path string) (*engineSnapshot, os.FileInfo, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
 	var snap engineSnapshot
 	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("svc: snapshot undecodable: %w", err)
+		return nil, nil, fmt.Errorf("svc: snapshot undecodable: %w", err)
 	}
-	return &snap, nil
+	return &snap, fi, nil
 }
 
 // Close writes a final snapshot and closes the journal. Skipping Close

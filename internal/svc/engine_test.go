@@ -491,6 +491,89 @@ func TestSnapshotFailureKeepsPlacing(t *testing.T) {
 	}
 }
 
+// TestSnapshotFactsOwnedByEngine: the snapshot size and age that Stats
+// reports are the engine's record of the file in place, not a read of the
+// file system: a reopened engine reports the file the previous process
+// wrote, and a failed WriteSnapshot leaves both describing the file that
+// is still there.
+func TestSnapshotFactsOwnedByEngine(t *testing.T) {
+	place := func(e *Engine, from, to int) {
+		t.Helper()
+		for id := from; id <= to; id++ {
+			if _, err := e.Place(workload.VM{ID: id, Arrival: int64(id), Lifetime: 1000, Req: units.Vec(4, 8, 64)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inPlace := func(dir string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	t.Run("a reopened engine reports the previous process's snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := Open(dir, testConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := NewServer(e, 0).stats(); st.SnapshotBytes != 0 || st.SnapshotAgeSeconds != 0 {
+			t.Fatalf("a fresh directory reports a snapshot of %d bytes, %g s old", st.SnapshotBytes, st.SnapshotAgeSeconds)
+		}
+		place(e, 1, 5)
+		if err := e.WriteSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		written := e.snapBytes
+		e.crash()
+		if fi := inPlace(dir); written != fi.Size() {
+			t.Fatalf("WriteSnapshot recorded %d bytes, the file holds %d", written, fi.Size())
+		}
+
+		e2, err := Open(dir, testConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e2.crash()
+		st := NewServer(e2, 0).stats()
+		if st.SnapshotBytes != written {
+			t.Fatalf("reopened engine reports %d snapshot bytes, the previous process wrote %d", st.SnapshotBytes, written)
+		}
+		if fi := inPlace(dir); !e2.snapAt.Equal(fi.ModTime()) || st.SnapshotAgeSeconds < 0 {
+			t.Fatalf("reopened engine dates the snapshot %v (age %g s), the file %v", e2.snapAt, st.SnapshotAgeSeconds, fi.ModTime())
+		}
+	})
+	t.Run("a failed WriteSnapshot leaves the facts of the file in place", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := Open(dir, testConfig(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.crash()
+		place(e, 1, 5)
+		if err := e.WriteSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		size, at := e.snapBytes, e.snapAt
+		place(e, 6, 40) // the next snapshot would be larger
+		spy := newSpyFsync(t)
+		spy.err[filepath.Join(dir, snapshotFile+".tmp")] = errors.New("some-error")
+		if err := e.WriteSnapshot(); err == nil {
+			t.Fatal("WriteSnapshot succeeded with its flush failing")
+		}
+		st := NewServer(e, 0).stats()
+		if fi := inPlace(dir); st.SnapshotBytes != size || size != fi.Size() || !e.snapAt.Equal(at) {
+			t.Fatalf("after a failed snapshot: %d bytes dated %v reported, %d bytes dated %v before it, %d bytes in place",
+				st.SnapshotBytes, e.snapAt, size, at, fi.Size())
+		}
+		if st.LastSnapshotError == "" {
+			t.Fatal("Stats does not show the failed snapshot")
+		}
+	})
+}
+
 // TestJournalFailureIsSticky: a journal that failed once refuses from then
 // on. The file is closed under the engine, so the next append fails the
 // way an EIO would; the descriptor is then replaced by a working one —

@@ -75,7 +75,9 @@ type Record struct {
 
 // recordInts is the number of signed varints that open a record payload:
 // Seq, Kind, the VM's seven (ID, Arrival, Lifetime, Req[CPU], Req[RAM],
-// Req[Storage], Tier) and the fault's six (T, Repair, Tier, Pod, Rack, Box).
+// Req[Storage], Tier) and the fault's six (T, Repair, Tier, a slot that is
+// always 0, Rack, Box). The zero slot held a pod index when faults had a
+// pod tier; keeping it keeps every record written before byte-compatible.
 const recordInts = 15
 
 // appendRecord appends rec's payload to buf: the recordInts varints, then
@@ -90,7 +92,7 @@ func appendRecord(buf []byte, rec *Record) []byte {
 	}
 	for _, v := range [recordInts]int64{rec.Seq, int64(rec.Kind),
 		int64(vm.ID), vm.Arrival, vm.Lifetime, int64(vm.Req[units.CPU]), int64(vm.Req[units.RAM]), int64(vm.Req[units.Storage]), int64(vm.Tier),
-		ev.T, repair, int64(ev.Tier), int64(ev.Pod), int64(ev.Rack), int64(ev.Box),
+		ev.T, repair, int64(ev.Tier), 0, int64(ev.Rack), int64(ev.Box),
 	} {
 		buf = binary.AppendVarint(buf, v)
 	}
@@ -99,7 +101,9 @@ func appendRecord(buf []byte, rec *Record) []byte {
 }
 
 // decodeRecord inverts appendRecord and keeps no reference to p. It rejects a
-// payload that ends early, carries bytes past Algo, or names an unknown kind.
+// payload that ends early, carries bytes past Algo, names an unknown kind, or
+// has a nonzero pod slot (no build wrote one: the daemon's mutations were
+// always box- or rack-scope, with the pod index left at zero).
 func decodeRecord(p []byte) (Record, error) {
 	var f [recordInts]int64
 	for i := range f {
@@ -116,10 +120,13 @@ func decodeRecord(p []byte) (Record, error) {
 	if f[1] < int64(RecordPlace) || f[1] > int64(RecordAddRack) {
 		return Record{}, fmt.Errorf("unknown record kind %d", f[1])
 	}
+	if f[12] != 0 {
+		return Record{}, fmt.Errorf("pod slot %d: faults have no pod tier", f[12])
+	}
 	return Record{Seq: f[0], Kind: RecordKind(f[1]), Algo: string(p[n:]),
 		VM: workload.VM{ID: int(f[2]), Arrival: f[3], Lifetime: f[4], Tier: int(f[8]),
 			Req: units.Vec(units.Amount(f[5]), units.Amount(f[6]), units.Amount(f[7]))},
-		Fault: faults.Event{T: f[9], Repair: f[10] != 0, Tier: faults.Tier(f[11]), Pod: int(f[12]), Rack: int(f[13]), Box: int(f[14])},
+		Fault: faults.Event{T: f[9], Repair: f[10] != 0, Tier: faults.Tier(f[11]), Rack: int(f[13]), Box: int(f[14])},
 	}, nil
 }
 

@@ -469,7 +469,7 @@ func TestJournalGrowsByChunks(t *testing.T) {
 func scriptRecord(i int) Record {
 	return Record{Kind: RecordSwap, Algo: "RISA-BF"[:i%8],
 		VM:    workload.VM{ID: i, Arrival: int64(i) << (i % 50), Lifetime: 10, Req: units.Vec(1, 1, 0)},
-		Fault: faults.Event{T: -int64(i) << (i % 47), Pod: i % 7}}
+		Fault: faults.Event{T: -int64(i) << (i % 47)}}
 }
 
 // journalScript drives one journal from a copy of testdata/dense_data's
@@ -598,7 +598,7 @@ func TestMaxFrameCoversRegistry(t *testing.T) {
 	m := int64(math.MinInt64)
 	widest := Record{Seq: m, Kind: RecordSwap,
 		VM:    workload.VM{ID: math.MinInt64, Arrival: m, Lifetime: m, Tier: math.MinInt64, Req: units.Vec(units.Amount(m), units.Amount(m), units.Amount(m))},
-		Fault: faults.Event{T: m, Repair: true, Tier: faults.Tier(math.MinInt64), Pod: math.MinInt64, Rack: math.MinInt64, Box: math.MinInt64}}
+		Fault: faults.Event{T: m, Repair: true, Tier: faults.Tier(math.MinInt64), Rack: math.MinInt64, Box: math.MinInt64}}
 	for _, name := range sched.Registered() {
 		widest.Algo = name
 		if n := len(appendFrame(nil, &widest)); n > maxFrame {
@@ -752,8 +752,8 @@ func TestAllocsRecordEncode(t *testing.T) {
 }
 
 // TestRecordCodecRejects pins what decodeRecord refuses: every strict
-// prefix of a payload, a payload with a byte after Algo, and a kind no
-// engine would apply.
+// prefix of a payload, a payload with a byte after Algo, a kind no
+// engine would apply, and a nonzero pod slot.
 func TestRecordCodecRejects(t *testing.T) {
 	rec := Record{Seq: 7, Kind: RecordSwap, Algo: "RISA-BF"}
 	p := appendRecord(nil, &rec)
@@ -774,13 +774,36 @@ func TestRecordCodecRejects(t *testing.T) {
 			t.Fatalf("record of unknown kind %d decoded", kind)
 		}
 	}
+	mut := Record{Seq: 8, Kind: RecordMutate, Fault: faults.Event{T: 5, Tier: faults.RackTier, Rack: 2}}
+	if got, err := decodeRecord(withPodSlot(appendRecord(nil, &mut), 0)); err != nil || got != mut {
+		t.Fatalf("a zero pod slot spliced in: %+v, %v", got, err)
+	}
+	for _, pod := range []int64{1, -1, math.MaxInt64} {
+		if _, err := decodeRecord(withPodSlot(appendRecord(nil, &mut), pod)); err == nil {
+			t.Fatalf("record with pod slot %d decoded", pod)
+		}
+	}
 }
 
-// FuzzRecordCodec holds the codec to two properties. Any record — negative
-// and extreme integers, arbitrary Algo bytes — encodes to a payload that
-// decodes to exactly that record, behind whatever the buffer already held.
-// And arbitrary payload bytes never panic the decoder; whatever it accepts
-// re-encodes to a payload that decodes to the same record.
+// withPodSlot returns a copy of payload p with its pod slot — the 13th
+// varint, which appendRecord always writes as the single byte 0 — replaced
+// by pod.
+func withPodSlot(p []byte, pod int64) []byte {
+	off := 0
+	for range 12 {
+		_, n := binary.Varint(p[off:])
+		off += n
+	}
+	out := binary.AppendVarint(append([]byte(nil), p[:off]...), pod)
+	return append(out, p[off+1:]...)
+}
+
+// FuzzRecordCodec holds the codec to three properties. Any record —
+// negative and extreme integers, arbitrary Algo bytes — encodes to a
+// payload that decodes to exactly that record, behind whatever the buffer
+// already held; the same payload with pod in its pod slot decodes only if
+// pod is 0. And arbitrary payload bytes never panic the decoder; whatever
+// it accepts re-encodes to a payload that decodes to the same record.
 func FuzzRecordCodec(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(1), int64(0), int64(10), int64(1), int64(1), int64(0), int64(0),
 		int64(0), false, int64(0), int64(0), int64(0), int64(0), "", []byte{})
@@ -791,13 +814,16 @@ func FuzzRecordCodec(f *testing.F) {
 		rec := Record{Seq: seq, Kind: RecordPlace + RecordKind(kind%4), Algo: algo,
 			VM: workload.VM{ID: int(id), Arrival: arrival, Lifetime: lifetime, Tier: int(tier),
 				Req: units.Vec(units.Amount(cpu), units.Amount(ram), units.Amount(sto))},
-			Fault: faults.Event{T: ft, Repair: repair, Tier: faults.Tier(ftier), Pod: int(pod), Rack: int(rack), Box: int(box)}}
+			Fault: faults.Event{T: ft, Repair: repair, Tier: faults.Tier(ftier), Rack: int(rack), Box: int(box)}}
 		buf := appendRecord([]byte("prefix"), &rec)
 		if string(buf[:6]) != "prefix" {
 			t.Fatalf("appendRecord overwrote the buffer's contents: %q", buf[:6])
 		}
 		if got, err := decodeRecord(buf[6:]); err != nil || got != rec {
 			t.Fatalf("roundtrip of %+v: %+v, %v", rec, got, err)
+		}
+		if _, err := decodeRecord(withPodSlot(buf[6:], pod)); (err == nil) != (pod == 0) {
+			t.Fatalf("pod slot %d: decode error %v", pod, err)
 		}
 		got, err := decodeRecord(raw)
 		if err != nil {

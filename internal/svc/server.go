@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -165,7 +163,8 @@ type Stats struct {
 	// failed: the journal keeps serving, but reopens replay further back.
 	LastSnapshotError string `json:"last_snapshot_error,omitempty"`
 	// SnapshotBytes and SnapshotAgeSeconds are the snapshot file's size and
-	// the time since it was written; absent while there is none.
+	// the time since it was written, as the engine recorded them when it
+	// wrote or opened the file; absent while there is none.
 	SnapshotBytes      int64   `json:"snapshot_bytes,omitempty"`
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds,omitempty"`
 }
@@ -191,8 +190,8 @@ func (s *Server) stats() Stats {
 	if err := s.eng.SnapshotErr(); err != nil {
 		st.LastSnapshotError = err.Error()
 	}
-	if fi, err := os.Stat(filepath.Join(s.eng.dir, snapshotFile)); err == nil {
-		st.SnapshotBytes, st.SnapshotAgeSeconds = fi.Size(), time.Since(fi.ModTime()).Seconds()
+	if s.eng.snapBytes > 0 {
+		st.SnapshotBytes, st.SnapshotAgeSeconds = s.eng.snapBytes, time.Since(s.eng.snapAt).Seconds()
 	}
 	return st
 }

@@ -86,15 +86,20 @@ func Spec(s AzureSubset) (AzureSpec, error) {
 	return sp, nil
 }
 
-// AzureConfig parameterizes the Azure-like generator. Zero-valued fields
-// fall back to the paper-calibrated defaults.
+// AzureConfig selects one Azure-like trace: the subset and the seed.
 type AzureConfig struct {
-	Subset           AzureSubset
-	MeanInterarrival float64 // default 10, like the synthetic workload
-	LifetimeMean     float64 // default per-subset calibrated value
-	StorageGB        units.Amount
-	Seed             int64
+	Subset AzureSubset
+	Seed   int64
 }
+
+// The Azure-like traces' fixed parameters: Poisson arrivals at the
+// synthetic workload's mean gap, and the 128 GB of storage the paper
+// assumes for every Azure VM. Lifetimes are exponential with the subset's
+// DefaultLifetimeMean.
+const (
+	azureInterarrival = 10
+	azureStorageGB    = 128
+)
 
 // AzureLike generates a trace whose CPU and RAM histograms match the
 // paper's Figure 6 exactly: the marginal multisets are fully enumerated
@@ -104,24 +109,6 @@ func AzureLike(c AzureConfig) (*Trace, error) {
 	spec, err := Spec(c.Subset)
 	if err != nil {
 		return nil, err
-	}
-	if c.MeanInterarrival == 0 {
-		c.MeanInterarrival = 10
-	}
-	if c.MeanInterarrival < 0 {
-		return nil, fmt.Errorf("workload: negative interarrival %g", c.MeanInterarrival)
-	}
-	if c.LifetimeMean == 0 {
-		c.LifetimeMean = spec.DefaultLifetimeMean
-	}
-	if c.LifetimeMean < 0 {
-		return nil, fmt.Errorf("workload: negative lifetime mean %g", c.LifetimeMean)
-	}
-	if c.StorageGB == 0 {
-		c.StorageGB = 128
-	}
-	if c.StorageGB < 0 {
-		return nil, fmt.Errorf("workload: negative storage %d", c.StorageGB)
 	}
 
 	rng := rand.New(rand.NewSource(c.Seed))
@@ -133,8 +120,8 @@ func AzureLike(c AzureConfig) (*Trace, error) {
 	tr := &Trace{Name: spec.Name, VMs: make([]VM, 0, spec.N)}
 	var now float64
 	for i := 0; i < spec.N; i++ {
-		now += rng.ExpFloat64() * c.MeanInterarrival
-		life := int64(math.Round(rng.ExpFloat64() * c.LifetimeMean))
+		now += rng.ExpFloat64() * azureInterarrival
+		life := int64(math.Round(rng.ExpFloat64() * spec.DefaultLifetimeMean))
 		if life < 1 {
 			life = 1
 		}
@@ -142,7 +129,7 @@ func AzureLike(c AzureConfig) (*Trace, error) {
 			ID:       i,
 			Arrival:  int64(math.Round(now)),
 			Lifetime: life,
-			Req:      units.Vec(cpus[i], rams[i], c.StorageGB),
+			Req:      units.Vec(cpus[i], rams[i], azureStorageGB),
 		})
 	}
 	return tr, nil

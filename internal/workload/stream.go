@@ -12,8 +12,7 @@ import (
 // counterpart of Trace. Next returns the next arrival and true, or a zero
 // VM and false once the stream is exhausted; arrivals must be yielded in
 // non-decreasing Arrival order. Finite traces adapt via NewTraceStream;
-// the generator streams (SyntheticConfig.NewStream, NewAzureEmpirical)
-// never exhaust and rely on the consumer's stop criterion.
+// the generator stream (SyntheticConfig.NewStream) never exhausts and rely on the consumer's stop criterion.
 //
 // A Stream owns all of its randomness, so a given seed yields one
 // arrival sequence regardless of how the consumer interleaves its pulls
@@ -230,110 +229,4 @@ func (s *SyntheticStream) Next() (VM, bool) {
 	cpu := c.CPUMin + units.Amount(s.rng.Int63n(int64(c.CPUMax-c.CPUMin)+1))
 	ram := c.RAMMin + units.Amount(s.rng.Int63n(int64(c.RAMMax-c.RAMMin)+1))
 	return s.emit(gap, c.LifetimeBase+c.LifetimeStep*int64(s.i/c.SetSize), units.Vec(cpu, ram, c.StorageGB))
-}
-
-// AzureEmpiricalConfig parameterizes the open-ended Azure-empirical
-// generator: CPU and RAM sizes are resampled with replacement from the
-// paper's Figure 6 per-subset histograms (so the long-run marginals
-// converge to the empirical ones instead of matching them exactly like
-// the finite AzureLike), lifetimes are exponential, arrivals Poisson.
-// Zero-valued fields fall back to the same defaults as AzureConfig.
-type AzureEmpiricalConfig struct {
-	Subset           AzureSubset
-	MeanInterarrival float64      // default 10, like the synthetic workload
-	LifetimeMean     float64      // default per-subset calibrated value
-	StorageGB        units.Amount // default 128
-	Seed             int64
-	// Controller optionally steers the arrival rate toward a target
-	// occupancy (see UtilizationController).
-	Controller *UtilizationController
-	// Tiers, when enabled, draws a priority tier per VM from the mix
-	// (one extra RNG draw at the end of each Next); the zero value keeps
-	// the random stream bit-identical to pre-tier runs.
-	Tiers TierMix
-}
-
-// AzureEmpiricalStream resamples the Azure request mix open-endedly.
-type AzureEmpiricalStream struct {
-	generator
-	cfg      AzureEmpiricalConfig
-	cpu, ram cumulativeHist
-}
-
-// NewAzureEmpirical returns the open-ended Azure-empirical stream.
-func NewAzureEmpirical(c AzureEmpiricalConfig) (*AzureEmpiricalStream, error) {
-	spec, err := Spec(c.Subset)
-	if err != nil {
-		return nil, err
-	}
-	if c.MeanInterarrival == 0 {
-		c.MeanInterarrival = 10
-	}
-	if c.LifetimeMean == 0 {
-		c.LifetimeMean = spec.DefaultLifetimeMean
-	}
-	if c.StorageGB == 0 {
-		c.StorageGB = 128
-	}
-	if c.MeanInterarrival < 0 || c.LifetimeMean < 0 || c.StorageGB < 0 {
-		return nil, fmt.Errorf("workload: negative azure-empirical parameters (interarrival %g, lifetime %g, storage %d)",
-			c.MeanInterarrival, c.LifetimeMean, c.StorageGB)
-	}
-	if c.Controller != nil {
-		if err := c.Controller.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Tiers.Validate(); err != nil {
-		return nil, err
-	}
-	return &AzureEmpiricalStream{
-		generator: newGenerator("azure-empirical-"+spec.Name, c.Seed, c.Controller, c.Tiers),
-		cfg:       c,
-		cpu:       newCumulativeHist(spec.CPU),
-		ram:       newCumulativeHist(spec.RAM),
-	}, nil
-}
-
-// Next implements Stream. Per call it draws one gap, one CPU sample, one
-// RAM sample and one lifetime, in that order — plus emit's tier draw.
-func (s *AzureEmpiricalStream) Next() (VM, bool) {
-	gap := s.rng.ExpFloat64() * s.cfg.MeanInterarrival
-	cpu := s.cpu.sample(s.rng)
-	ram := s.ram.sample(s.rng)
-	life := max(1, int64(math.Round(s.rng.ExpFloat64()*s.cfg.LifetimeMean)))
-	return s.emit(gap, life, units.Vec(cpu, ram, s.cfg.StorageGB))
-}
-
-// cumulativeHist supports weighted sampling with replacement from a
-// ValueCount histogram.
-type cumulativeHist struct {
-	values []units.Amount
-	cum    []int64 // cum[i] = Σ counts[0..i]
-	total  int64
-}
-
-// newCumulativeHist precomputes the cumulative counts.
-func newCumulativeHist(bars []ValueCount) cumulativeHist {
-	h := cumulativeHist{
-		values: make([]units.Amount, len(bars)),
-		cum:    make([]int64, len(bars)),
-	}
-	for i, b := range bars {
-		h.total += int64(b.Count)
-		h.values[i] = b.Value
-		h.cum[i] = h.total
-	}
-	return h
-}
-
-// sample draws one value with probability proportional to its count.
-func (h cumulativeHist) sample(rng *rand.Rand) units.Amount {
-	x := rng.Int63n(h.total)
-	for i, c := range h.cum {
-		if x < c {
-			return h.values[i]
-		}
-	}
-	return h.values[len(h.values)-1] // unreachable: cum[last] == total
 }

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"risa/internal/units"
-)
+import "testing"
 
 // pull drains n arrivals from a stream, failing the test if it exhausts.
 func pull(t *testing.T, s Stream, n int) []VM {
@@ -39,60 +35,38 @@ func sameVMs(t *testing.T, got, want []VM, label string) {
 // in irregular chunks interleaved with pulls from unrelated streams.
 func TestStreamDeterministicAcrossPullPatterns(t *testing.T) {
 	const n = 600
-	build := func(name string) []Stream {
-		switch name {
-		case "synthetic":
-			cfg := DefaultSyntheticConfig()
-			cfg.Seed = 42
-			a, err := cfg.NewStream()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := cfg.NewStream()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return []Stream{a, b}
-		case "azure-empirical":
-			cfg := AzureEmpiricalConfig{Subset: Azure5000, Seed: 42}
-			a, err := NewAzureEmpirical(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := NewAzureEmpirical(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return []Stream{a, b}
+	t.Run("synthetic", func(t *testing.T) {
+		cfg := DefaultSyntheticConfig()
+		cfg.Seed = 42
+		a, err := cfg.NewStream()
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("unknown generator %q", name)
-		return nil
-	}
-	for _, name := range []string{"synthetic", "azure-empirical"} {
-		t.Run(name, func(t *testing.T) {
-			pair := build(name)
-			straight := pull(t, pair[0], n)
+		b, err := cfg.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		straight := pull(t, a, n)
 
-			// Irregular pull pattern: chunks of growing size, interleaved
-			// with pulls from a decoy stream that must not perturb it.
-			decoyCfg := DefaultSyntheticConfig()
-			decoyCfg.Seed = 7
-			decoy, err := decoyCfg.NewStream()
-			if err != nil {
-				t.Fatal(err)
+		// Irregular pull pattern: chunks of growing size, interleaved
+		// with pulls from a decoy stream that must not perturb it.
+		decoyCfg := DefaultSyntheticConfig()
+		decoyCfg.Seed = 7
+		decoy, err := decoyCfg.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chunked []VM
+		for chunk := 1; len(chunked) < n; chunk = chunk*2 + 1 {
+			take := chunk
+			if take > n-len(chunked) {
+				take = n - len(chunked)
 			}
-			var chunked []VM
-			for chunk := 1; len(chunked) < n; chunk = chunk*2 + 1 {
-				take := chunk
-				if take > n-len(chunked) {
-					take = n - len(chunked)
-				}
-				chunked = append(chunked, pull(t, pair[1], take)...)
-				pull(t, decoy, 3)
-			}
-			sameVMs(t, chunked, straight, name)
-		})
-	}
+			chunked = append(chunked, pull(t, b, take)...)
+			pull(t, decoy, 3)
+		}
+		sameVMs(t, chunked, straight, "synthetic")
+	})
 }
 
 // TestSyntheticIsStreamPrefix pins Synthetic's implementation contract:
@@ -152,41 +126,6 @@ func TestTakeRoundTrip(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAzureEmpiricalSupport checks every resampled VM is valid and draws
-// its sizes from the Figure 6 histogram support.
-func TestAzureEmpiricalSupport(t *testing.T) {
-	spec, err := Spec(Azure3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	support := func(bars []ValueCount) map[units.Amount]bool {
-		m := make(map[units.Amount]bool)
-		for _, b := range bars {
-			m[b.Value] = true
-		}
-		return m
-	}
-	cpus, rams := support(spec.CPU), support(spec.RAM)
-	s, err := NewAzureEmpirical(AzureEmpiricalConfig{Subset: Azure3000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vm := range pull(t, s, 2000) {
-		if err := vm.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if !cpus[vm.Req[units.CPU]] {
-			t.Fatalf("CPU size %d outside the Figure 6 support", vm.Req[units.CPU])
-		}
-		if !rams[vm.Req[units.RAM]] {
-			t.Fatalf("RAM size %d outside the Figure 6 support", vm.Req[units.RAM])
-		}
-		if vm.Req[units.Storage] != 128 {
-			t.Fatalf("storage %d, want the default 128", vm.Req[units.Storage])
-		}
 	}
 }
 

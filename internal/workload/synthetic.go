@@ -16,11 +16,18 @@ const (
 	// Uniform draws gaps uniformly in [0, 2·mean] — same rate, bounded
 	// burstiness.
 	Uniform
-	// Bursty alternates on/off phases of BurstPeriod time units each:
-	// during the on phase the arrival rate is BurstFactor× the base rate,
-	// during the off phase 1/BurstFactor×. It stresses the schedulers
+	// Bursty alternates on/off phases of burstPeriod time units each:
+	// during the on phase the arrival rate is burstFactor× the base rate,
+	// during the off phase 1/burstFactor×. It stresses the schedulers
 	// with cloud-like demand spikes (an extension beyond the paper).
 	Bursty
+)
+
+// The Bursty model's fixed shape: 4× the base rate in the on phase, 1/4×
+// in the off phase, phases of 2000 time units.
+const (
+	burstFactor = 4
+	burstPeriod = 2000
 )
 
 // String names the model.
@@ -55,10 +62,6 @@ type SyntheticConfig struct {
 
 	// Arrivals selects the arrival process (default Poisson, the paper's).
 	Arrivals ArrivalModel
-	// BurstFactor and BurstPeriod parameterize the Bursty model; zero
-	// values default to 4× and 2000 time units.
-	BurstFactor float64
-	BurstPeriod float64
 
 	// Controller, when non-nil, scales the arrival rate by the
 	// controller's multiplier — only meaningful for the open-ended
@@ -118,9 +121,6 @@ func (c SyntheticConfig) validateStream() error {
 	if c.Arrivals < Poisson || c.Arrivals > Bursty {
 		return fmt.Errorf("workload: unknown arrival model %d", int(c.Arrivals))
 	}
-	if c.BurstFactor < 0 || c.BurstPeriod < 0 {
-		return fmt.Errorf("workload: negative burst parameters (%g, %g)", c.BurstFactor, c.BurstPeriod)
-	}
 	if c.Controller != nil {
 		if err := c.Controller.Validate(); err != nil {
 			return err
@@ -136,16 +136,9 @@ func (c *SyntheticConfig) gap(rng *rand.Rand, now float64) float64 {
 	case Uniform:
 		return rng.Float64() * 2 * c.MeanInterarrival
 	case Bursty:
-		factor, period := c.BurstFactor, c.BurstPeriod
-		if factor == 0 {
-			factor = 4
-		}
-		if period == 0 {
-			period = 2000
-		}
-		mean := c.MeanInterarrival / factor // on phase: factor× the rate
-		if int64(now/period)%2 == 1 {
-			mean = c.MeanInterarrival * factor // off phase
+		mean := c.MeanInterarrival / burstFactor // on phase: burstFactor× the rate
+		if int64(now/burstPeriod)%2 == 1 {
+			mean = c.MeanInterarrival * burstFactor // off phase
 		}
 		return rng.ExpFloat64() * mean
 	default:

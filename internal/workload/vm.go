@@ -9,7 +9,7 @@
 //
 // Both families also exist in open-ended form: Stream is a pull-based
 // arrival iterator, with the finite Trace adapted by NewTraceStream and
-// unbounded generators (SyntheticConfig.NewStream, NewAzureEmpirical)
+// the unbounded synthetic generator (SyntheticConfig.NewStream)
 // optionally rate-steered toward a target cluster occupancy by a
 // UtilizationController — the engine behind the steady-state churn
 // experiments (DESIGN.md §8).

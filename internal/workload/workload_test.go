@@ -292,12 +292,12 @@ func TestAzureLikeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Default interarrival 10 → last arrival around 30000.
+	// Interarrival 10 → last arrival around 30000.
 	last := float64(tr.VMs[tr.Len()-1].Arrival)
 	if last < 20000 || last > 40000 {
 		t.Errorf("last arrival = %g, want ≈30000", last)
 	}
-	// Default lifetime mean 18000 ± sampling noise.
+	// Azure-3000's lifetime mean 18000 ± sampling noise.
 	var sum float64
 	for _, v := range tr.VMs {
 		sum += float64(v.Lifetime)
@@ -308,15 +308,11 @@ func TestAzureLikeDefaults(t *testing.T) {
 	}
 }
 
+// TestAzureLikeRejectsNegatives: the subset is the one setting that can be
+// out of range, and a negative or unknown one is refused.
 func TestAzureLikeRejectsNegatives(t *testing.T) {
-	if _, err := AzureLike(AzureConfig{Subset: Azure3000, MeanInterarrival: -1}); err == nil {
-		t.Error("negative interarrival should fail")
-	}
-	if _, err := AzureLike(AzureConfig{Subset: Azure3000, LifetimeMean: -1}); err == nil {
-		t.Error("negative lifetime should fail")
-	}
-	if _, err := AzureLike(AzureConfig{Subset: Azure3000, StorageGB: -1}); err == nil {
-		t.Error("negative storage should fail")
+	if _, err := AzureLike(AzureConfig{Subset: AzureSubset(-1)}); err == nil {
+		t.Error("negative subset should fail")
 	}
 	if _, err := AzureLike(AzureConfig{Subset: AzureSubset(9)}); err == nil {
 		t.Error("unknown subset should fail")
@@ -395,29 +391,10 @@ func TestBurstyArrivalsAlternate(t *testing.T) {
 	}
 }
 
-func TestBurstyCustomParameters(t *testing.T) {
-	cfg := DefaultSyntheticConfig()
-	cfg.Arrivals = Bursty
-	cfg.BurstFactor = 10
-	cfg.BurstPeriod = 500
-	tr, err := Synthetic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestArrivalModelValidation(t *testing.T) {
 	cfg := DefaultSyntheticConfig()
 	cfg.Arrivals = ArrivalModel(9)
 	if _, err := Synthetic(cfg); err == nil {
 		t.Error("unknown arrival model should fail")
-	}
-	cfg = DefaultSyntheticConfig()
-	cfg.BurstFactor = -1
-	if _, err := Synthetic(cfg); err == nil {
-		t.Error("negative burst factor should fail")
 	}
 }
