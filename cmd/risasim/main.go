@@ -25,24 +25,22 @@
 //	risasim -exp slo -tiers 0.5,0.3,0.2          # custom priority mix
 //	risasim -exp churn -clone        # ladder on shared warm snapshots (one warmup per rung)
 //	risasim -exp faults -clone       # availability ladder on shared fault-free warm states
-//	risasim -exp churn -snapshot warm.gob     # save the warm state, then finish the run
-//	risasim -exp churn -restore warm.gob      # resume the saved warm state (skips warmup)
 //	risasim -exp churn -cpuprofile cpu.pprof   # profile the hot path
 //	risasim -exp all -memprofile mem.pprof     # heap profile on clean exit
 //
 // The experiment names are listed once, in the catalog below: the -exp
 // help text, the all and azure groups and the unknown-name check are
-// computed from it. Ladder flags (-clone, -evict, -mtbf, -tiers, -preempt,
-// -snapshot/-restore) are rejected on experiments that never read them,
-// and so are the flags -snapshot and -restore would ignore. The
-// experiment ↔ paper mapping lives in DESIGN.md §5; measured-vs-paper
-// numbers are recorded in EXPERIMENTS.md.
+// computed from it. Ladder flags (-clone, -evict, -duration, -target-util,
+// -mtbf, -mttr, -tiers, -preempt) are rejected on experiments that never
+// read them. The experiment ↔ paper mapping lives in DESIGN.md §5;
+// measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -78,8 +76,6 @@ type options struct {
 	tiers      string
 	tierMix    workload.TierMix // parsed -tiers (zero when the flag is absent)
 	clone      bool
-	snapshot   string
-	restore    string
 	cpuprofile string
 	memprofile string
 }
@@ -102,8 +98,6 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.preempt, "preempt", false, "for -exp faults: let higher-tier arrivals preempt strictly-lower-tier residents when placement fails (victims re-enter through the retry queue; pair with -tiers)")
 	fs.StringVar(&o.tiers, "tiers", "", "for -exp faults/slo: priority mix as three comma-separated weights, highest tier first (e.g. 0.2,0.3,0.5; empty = faults untiered, slo default mix)")
 	fs.BoolVar(&o.clone, "clone", false, "for -exp churn/faults: share one warm state per rung across all algorithm cells instead of warming each cell separately (controlled comparison; not comparable to the fresh-warmup ladder)")
-	fs.StringVar(&o.snapshot, "snapshot", "", "for -exp churn: warm one RISA cell, save its warm state to this file, then finish the run")
-	fs.StringVar(&o.restore, "restore", "", "for -exp churn: resume a warm state saved by -snapshot, skipping the warmup")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on clean exit")
 	if err := fs.Parse(args); err != nil {
@@ -145,11 +139,13 @@ func parseArgs(args []string) (options, error) {
 		note string
 	}{
 		{o.clone, "-clone", []string{"churn", "faults"}, ""},
+		{o.duration > 0, "-duration", []string{"churn", "faults", "slo"}, ""},
+		{o.targetUtil > 0, "-target-util", []string{"churn", "faults", "slo"}, ""},
 		{o.evict, "-evict", []string{"faults"}, " (the slo experiment always evicts)"},
 		{o.preempt, "-preempt", []string{"faults"}, " (the slo experiment always preempts)"},
 		{o.mtbf > 0, "-mtbf", []string{"faults", "slo"}, ""},
+		{set["mttr"], "-mttr", []string{"faults", "slo"}, ""}, // its default is nonzero
 		{o.tiers != "", "-tiers", []string{"faults", "slo"}, ""},
-		{o.snapshot != "" || o.restore != "", "-snapshot/-restore", []string{"churn"}, ""},
 	} {
 		if f.set && !slices.Contains(f.exps, o.exp) {
 			return o, fmt.Errorf("%s requires -exp %s%s, got -exp %s", f.flag, strings.Join(f.exps, " or -exp "), f.note, o.exp)
@@ -161,22 +157,6 @@ func parseArgs(args []string) (options, error) {
 			return o, err
 		}
 		o.tierMix = mix
-	}
-	if o.snapshot != "" && o.restore != "" {
-		return o, fmt.Errorf("-snapshot and -restore are mutually exclusive")
-	}
-	// -snapshot and -restore run one cell of their own: no ladder and no
-	// JSON archive, and a restored cell is the one its file describes.
-	mode, ignored := "-snapshot", []string{"json", "clone"}
-	if o.restore != "" {
-		mode, ignored = "-restore", append(ignored, "racks", "seed", "uplinks", "target-util", "duration")
-	}
-	if o.snapshot != "" || o.restore != "" {
-		for _, name := range ignored {
-			if set[name] {
-				return o, fmt.Errorf("-%s is ignored by %s (one RISA churn cell, no ladder and no JSON archive; -restore takes the cell from its file)", name, mode)
-			}
-		}
 	}
 	return o, nil
 }
@@ -329,6 +309,11 @@ func main() {
 	experiments.SetParallelism(opts.parallel)
 	setup := buildSetup(opts)
 
+	jsonOut, err := startArchive(opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
+		os.Exit(2)
+	}
 	prof, err := startProfiles(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
@@ -336,9 +321,7 @@ func main() {
 	}
 	// SIGINT/SIGTERM (the daemon's signal plumbing, svc.NotifyShutdown):
 	// flush the pprof outputs before exiting so an interrupted profiling
-	// run keeps its samples. The -snapshot save path needs no handling —
-	// it writes its file atomically at the end of the warm run, so an
-	// interrupt aborts it cleanly rather than leaving a truncated state.
+	// run keeps its samples.
 	sigC, release := svc.NotifyShutdown()
 	defer release()
 	go func() {
@@ -353,26 +336,6 @@ func main() {
 		}
 		os.Exit(code)
 	}()
-	if opts.jsonPath != "" {
-		archive = report.NewDocument(opts.seed)
-	}
-	if opts.snapshot != "" || opts.restore != "" {
-		err := error(nil)
-		if opts.snapshot != "" {
-			err = runSnapshotSave(opts, opts.snapshot)
-		} else {
-			err = runSnapshotRestore(opts.restore)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := prof.stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(setup, opts.exp, scaleMaxRacks(opts), ladderConfig(opts)); err != nil {
 		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
 		os.Exit(1)
@@ -382,13 +345,7 @@ func main() {
 		os.Exit(1)
 	}
 	if archive != nil {
-		f, err := os.Create(opts.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := archive.Write(f); err != nil {
+		if err := writeArchive(jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
 			os.Exit(1)
 		}
@@ -399,6 +356,34 @@ func main() {
 // archive collects every simulation result of the invocation when -json
 // is given.
 var archive *report.Document
+
+// startArchive creates the -json file up front — like startProfiles, a
+// bad path must fail before the experiments run, not after — and starts
+// the archive. Without -json it returns nil and leaves the archive off.
+func startArchive(o options) (*os.File, error) {
+	if o.jsonPath == "" {
+		return nil, nil
+	}
+	f, err := os.Create(o.jsonPath)
+	if err != nil {
+		return nil, fmt.Errorf("-json: %w", err)
+	}
+	archive = report.NewDocument(o.seed)
+	return f, nil
+}
+
+// writeArchive writes the archive to out and closes it; a failed Close
+// fails the write, since the report may not have reached the file.
+func writeArchive(out io.WriteCloser) error {
+	err := archive.Write(out)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("-json: %w", err)
+	}
+	return nil
+}
 
 // record adds results to the archive if one is active.
 func record(results map[string]*sim.Result) {

@@ -1,15 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"risa/internal/experiments"
+	"risa/internal/report"
 )
 
 func quickSetup() experiments.Setup {
@@ -211,42 +214,15 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		{"-target-util", "9"},
 		{"-exp", "slo", "-clone"},
 		{"-clone"},
-		{"-exp", "faults", "-snapshot", "warm.gob"},
-		{"-exp", "churn", "-snapshot", "a.gob", "-restore", "b.gob"},
+		// -duration and -target-util on experiments that never read them.
+		{"-exp", "toy1", "-duration", "5"},
+		{"-exp", "toy1", "-target-util", "0.5"},
+		{"-exp", "fig5", "-duration", "50000"},
+		{"-duration", "50000"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
 		}
-	}
-}
-
-// TestParseArgsRefusesFlagsSnapshotIgnores: -snapshot and -restore run
-// one RISA churn cell and write no JSON archive, and -restore rebuilds
-// the cell its file describes, so a flag either would drop is refused
-// with its name instead of being ignored.
-func TestParseArgsRefusesFlagsSnapshotIgnores(t *testing.T) {
-	for _, c := range []struct {
-		flag string
-		args []string
-	}{
-		{"-json", []string{"-exp", "churn", "-snapshot", "f.gob", "-json", "out.json"}},
-		{"-json", []string{"-exp", "churn", "-restore", "f.gob", "-json", "out.json"}},
-		{"-clone", []string{"-exp", "churn", "-snapshot", "f.gob", "-clone"}},
-		{"-clone", []string{"-exp", "churn", "-restore", "f.gob", "-clone"}},
-		{"-racks", []string{"-exp", "churn", "-restore", "f.gob", "-racks", "36"}},
-		{"-seed", []string{"-exp", "churn", "-restore", "f.gob", "-seed", "1"}},
-		{"-uplinks", []string{"-exp", "churn", "-restore", "f.gob", "-uplinks", "4"}},
-		{"-target-util", []string{"-exp", "churn", "-restore", "f.gob", "-target-util", "0.8"}},
-		{"-duration", []string{"-exp", "churn", "-restore", "f.gob", "-duration", "30000"}},
-	} {
-		_, err := parseArgs(c.args)
-		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
-			t.Errorf("parseArgs(%v) = %v, want an error naming %s", c.args, err, c.flag)
-		}
-	}
-	// -snapshot reads the cell's flags: they stay accepted there.
-	if _, err := parseArgs([]string{"-exp", "churn", "-snapshot", "f.gob", "-racks", "36", "-seed", "2", "-uplinks", "4", "-target-util", "0.8", "-duration", "30000"}); err != nil {
-		t.Errorf("-snapshot with cell flags: %v", err)
 	}
 }
 
@@ -316,6 +292,50 @@ func TestStartProfilesRejectsBadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJSONArchiveFailsUpFront: a bad -json path fails before anything
+// runs, like a bad profile path, and a report that could not be written or
+// closed is an error, both named by the flag.
+func TestJSONArchiveFailsUpFront(t *testing.T) {
+	defer func() { archive = nil }()
+	archive = nil
+	if _, err := startArchive(options{jsonPath: t.TempDir() + "/no/such/dir/x.json"}); err == nil || !strings.HasPrefix(err.Error(), "-json: ") {
+		t.Errorf("bad -json path: %v, want an error prefixed -json:", err)
+	}
+	if archive != nil {
+		t.Error("a refused -json path started the archive")
+	}
+	if f, err := startArchive(options{}); f != nil || err != nil || archive != nil {
+		t.Errorf("no -json: file %v, error %v, archive %v; want all nil", f, err, archive)
+	}
+
+	path := t.TempDir() + "/x.json"
+	f, err := startArchive(options{jsonPath: path, seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeArchive(f); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc, err := report.Read(bytes.NewReader(b)); err != nil || doc.Seed != 3 {
+		t.Errorf("written archive reads back as %+v, %v", doc, err)
+	}
+
+	closeErr := errors.New("close failed")
+	if err := writeArchive(failingCloser{closeErr}); !errors.Is(err, closeErr) || !strings.HasPrefix(err.Error(), "-json: ") {
+		t.Errorf("a failed Close gave %v, want %v prefixed -json:", err, closeErr)
+	}
+}
+
+// failingCloser takes every write and fails its Close.
+type failingCloser struct{ err error }
+
+func (failingCloser) Write(p []byte) (int, error) { return len(p), nil }
+func (c failingCloser) Close() error              { return c.err }
 
 func TestRunChurnExperimentWiring(t *testing.T) {
 	// A short duration-capped ladder keeps the wiring test fast.
@@ -388,6 +408,8 @@ func TestParseArgsFaultFlags(t *testing.T) {
 		{"-exp", "slo", "-evict"},
 		{"-evict"},
 		{"-exp", "churn", "-mtbf", "10000"},
+		{"-exp", "churn", "-mttr", "5"},
+		{"-exp", "toy1", "-mttr", "500"},
 		{"-exp", "fig5", "-mtbf", "10000"},
 		{"-exp", "slo", "-preempt"},
 		{"-exp", "churn", "-tiers", "0.2,0.3,0.5"},
@@ -415,4 +437,45 @@ func TestRunFaultsExperimentWiring(t *testing.T) {
 			t.Errorf("%s: %v", exp, err)
 		}
 	}
+}
+
+// TestCloneLadders runs both clone-mode ladders, small, from the command
+// line to the table: each shares warm snapshots and says so.
+func TestCloneLadders(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "churn", "-clone", "-racks", "3", "-duration", "20000", "-target-util", "0.6"},
+		{"-exp", "faults", "-clone", "-evict", "-racks", "3", "-duration", "20000", "-target-util", "0.6", "-mtbf", "4000"},
+	} {
+		o, err := parseArgs(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := stdoutOf(t, func() error { return run(buildSetup(o), o.exp, scaleMaxRacks(o), ladderConfig(o)) })
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(string(out), "clone mode") {
+			t.Errorf("%v printed no clone-mode table:\n%s", args, out)
+		}
+	}
+}
+
+// stdoutOf runs f with os.Stdout redirected and returns what it printed.
+func stdoutOf(t *testing.T, f func() error) ([]byte, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := f()
+	os.Stdout = stdout
+	w.Close()
+	return <-printed, runErr
 }

@@ -132,13 +132,12 @@ type Ladder struct {
 	Cells []Cell
 }
 
-// ChurnPhases computes a ladder's warmup and window lengths: two mean
+// churnPhases computes a ladder's warmup and window lengths: two mean
 // lifetimes of warmup (fills and settles the resident population) and one
 // lifetime per window, both shrunk when a duration cap leaves no room
 // (warmup at most a quarter of the run, at least four windows in the
-// remainder). Exported because the CLI's snapshot/restore path must
-// reproduce the exact phase boundaries of the ladder it snapshots.
-func ChurnPhases(duration int64) (warmup, window int64) {
+// remainder).
+func churnPhases(duration int64) (warmup, window int64) {
 	base := workload.DefaultSyntheticConfig()
 	warmup = 2 * base.LifetimeBase
 	window = base.LifetimeBase
@@ -264,7 +263,7 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 	if err := cfg.Tiers.Validate(); err != nil {
 		return nil, err
 	}
-	warmup, window := ChurnPhases(cfg.Duration)
+	warmup, window := churnPhases(cfg.Duration)
 	if cfg.Clone && cfg.Duration == 0 {
 		// Warmup plus the window budget (one spare so the last counted
 		// window is closed by an event at or past its end).

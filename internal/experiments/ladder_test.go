@@ -295,7 +295,7 @@ func TestChurnCloneMatchesFreshForWarmAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmup, window := ChurnPhases(cfg.Duration)
+	warmup, window := churnPhases(cfg.Duration)
 	runner, stream, err := DefaultSetup().NewCell("RISA", cfg.Util[0].Target, workload.TierMix{}, sim.Faults{})
 	if err != nil {
 		t.Fatal(err)

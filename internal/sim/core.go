@@ -11,9 +11,8 @@ import (
 )
 
 // eventKind ranks simultaneous events (see eventCore for the rule). The
-// numeric values are wire format: EventState.Kind stores them in gob
-// snapshots (risasim -snapshot files, risasvc data directories), so they
-// are pinned. 0 is reserved (a retired kind no snapshot could hold) and
+// numeric values are wire format: EventState.Kind stores them in the gob
+// snapshot of a risasvc data directory, so they are pinned. 0 is reserved (a retired kind no snapshot could hold) and
 // rejected on restore.
 type eventKind uint8
 

@@ -160,7 +160,7 @@ func TestDriversAgree(t *testing.T) {
 }
 
 // TestEventKindWireValues pins the integers EventState.Kind carries in
-// gob snapshots (risasim -snapshot files, risasvc data directories):
+// the gob snapshot of a risasvc data directory:
 // deleting the injection kind must not renumber the others, and the
 // reserved 0 — like any kind that cannot sit in a heap — is refused on
 // restore.

@@ -80,9 +80,7 @@ type EventState struct {
 // off failed hardware, or by a higher-priority arrival (core.Preempt):
 // placing it again is a recovery, not a second acceptance, and losing it
 // for good is not a drop. Seq is the admission sequence: a monotone
-// counter stamped once per arrival and once per eviction. (Snapshots
-// from before sequences or preemption existed decode with zero values
-// and resume unchanged, because equal sequences keep append order.)
+// counter stamped once per arrival and once per eviction.
 type QueuedVMState struct {
 	VM        workload.VM
 	Displaced bool
@@ -157,9 +155,7 @@ type Snapshot struct {
 	Counters SteadyState
 	Windower WindowerState
 	Lat, Rep ReservoirState
-	// TierLat holds the per-tier direct-decision latency reservoirs
-	// (zero-valued in snapshots from before priority tiers existed, which
-	// resume with empty degenerate reservoirs).
+	// TierLat holds the per-tier direct-decision latency reservoirs.
 	TierLat [workload.NumTiers]ReservoirState
 
 	// Stream is the workload stream's replay position, captured after

@@ -307,8 +307,9 @@ func TestSnapshotCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestSnapshotGobRoundtrip: the -snapshot/-restore serialization must
-// preserve resumability exactly.
+// TestSnapshotGobRoundtrip: a Snapshot must survive gob with its
+// resumability exact, because the daemon stores one in its data
+// directory's snapshot.gob.
 func TestSnapshotGobRoundtrip(t *testing.T) {
 	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
 	warm := cfg
@@ -638,8 +639,8 @@ func TestReservoirSnapshotPercentiles(t *testing.T) {
 }
 
 // TestRestoreRejectsTamperedSnapshot feeds the restore path snapshots no
-// run could have written — what a damaged -restore file or daemon data
-// directory decodes to. Each must come back as an error: no panic, and no
+// run could have written — what a damaged daemon data directory decodes
+// to. Each must come back as an error: no panic, and no
 // spin (a zero-length window used to close windows forever), which the
 // watchdog would catch.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
