@@ -16,8 +16,8 @@ import (
 	"risa/internal/workload"
 )
 
-// clientOptions parameterizes HTTP mode: instead of writing a CSV, the
-// generated trace is fired at a running risasvc daemon.
+// clientOptions parameterizes one run against a risasvc daemon;
+// parseArgs has checked every field.
 type clientOptions struct {
 	url        string
 	count      int     // VMs to send (0 = whole trace)
@@ -41,19 +41,16 @@ type clientStats struct {
 	latencies [workload.NumTiers][]time.Duration
 }
 
-// runClient drives the daemon with the trace and prints a saturation
-// summary: offered vs accepted load, shed/expired counts, and client
-// latency percentiles per tier. Retries go through svc.Backoff (capped
-// exponential, seeded jitter) honoring the daemon's Retry-After hint, so
-// a saturated daemon is never spun on; VM IDs make retries idempotent
-// on the daemon side.
-func runClient(tr *workload.Trace, opts clientOptions) error {
+// runClient drives the daemon with the trace, prints a saturation
+// summary — offered vs accepted load, shed/expired counts, and client
+// latency percentiles per tier — and returns the counts behind it.
+// Retries go through svc.Backoff (capped exponential, seeded jitter)
+// honoring the daemon's Retry-After hint, so a saturated daemon is never
+// spun on; VM IDs make retries idempotent on the daemon side.
+func runClient(tr *workload.Trace, opts clientOptions) *clientStats {
 	vms := tr.VMs
 	if opts.count > 0 && opts.count < len(vms) {
 		vms = vms[:opts.count]
-	}
-	if opts.workers <= 0 {
-		opts.workers = 1
 	}
 	var pace <-chan time.Time
 	if opts.rate > 0 {
@@ -86,7 +83,7 @@ func runClient(tr *workload.Trace, opts clientOptions) error {
 	wg.Wait()
 	wall := time.Since(start)
 	printClientSummary(opts, stats, wall)
-	return nil
+	return stats
 }
 
 // sendOne delivers one VM, retrying shed/unavailable/transport failures

@@ -1,77 +1,78 @@
-// Command workloadgen generates and characterizes the paper's workloads
-// as replayable CSV traces, and doubles as the load generator for the
-// risasvc daemon: with -url, the generated trace is sent as HTTP /place
-// requests instead of written out, with capped-backoff retries against
-// backpressure and a saturation summary at the end.
+// Command workloadgen is the load generator for the risasvc daemon: it
+// generates one of the paper's workloads and sends it to the daemon as
+// HTTP /place requests, with capped-backoff retries against backpressure
+// and a saturation summary at the end.
 //
 // Usage:
 //
-//	workloadgen -kind synthetic -out synthetic.csv
-//	workloadgen -kind azure-5000 -seed 7 -out azure5000.csv
-//	workloadgen -kind azure-3000 -characterize     # print Figure 6 histograms
 //	workloadgen -url http://localhost:8080 -count 1500 -rate 300
+//	workloadgen -url http://localhost:8080 -kind azure-3000 -workers 8
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"net/url"
 	"os"
 
-	"risa/internal/metrics"
-	"risa/internal/trace"
-	"risa/internal/units"
 	"risa/internal/workload"
 )
 
+// maxRate is the fastest pace -rate can ask for: one request a
+// nanosecond, the ticker's resolution.
+const maxRate = 1e9
+
 func main() {
-	kind := flag.String("kind", "synthetic", "workload: synthetic, azure-3000, azure-5000, azure-7500")
-	out := flag.String("out", "", "CSV output path (default stdout)")
-	seed := flag.Int64("seed", 1, "generation seed")
-	characterize := flag.Bool("characterize", false, "print request histograms instead of CSV")
-	arrivals := flag.String("arrivals", "poisson", "synthetic arrival process: poisson, uniform, bursty")
-	url := flag.String("url", "", "risasvc base URL; when set, send the trace as /place requests instead of writing CSV")
-	count := flag.Int("count", 0, "HTTP mode: number of VMs to send (0 = whole trace)")
-	rate := flag.Float64("rate", 0, "HTTP mode: offered load in requests/s (0 = closed loop)")
-	workers := flag.Int("workers", 1, "HTTP mode: concurrent senders (>1 forfeits deterministic order; saturation runs only)")
-	deadlineMS := flag.Int64("deadline-ms", 0, "HTTP mode: per-request queue deadline forwarded to the daemon")
-	flag.Parse()
-
-	if *url != "" {
-		tr, err := generate(*kind, *seed, *arrivals)
-		if err == nil {
-			err = runClient(tr, clientOptions{
-				url: *url, count: *count, rate: *rate,
-				workers: *workers, deadlineMS: *deadlineMS, seed: *seed,
-			})
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	kind, opts, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h/-help: usage already printed, a clean exit
 	}
-
-	if err := run(*kind, *out, *seed, *characterize, *arrivals); err != nil {
+	var tr *workload.Trace
+	if err == nil {
+		tr, err = generate(kind, opts.seed)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
+	runClient(tr, opts)
 }
 
-func generate(kind string, seed int64, arrivals string) (*workload.Trace, error) {
+// parseArgs reads the flags and refuses, naming the flag, any value the
+// client cannot send: nothing reaches the daemon from a bad command line.
+func parseArgs(args []string) (kind string, o clientOptions, err error) {
+	fs := flag.NewFlagSet("workloadgen", flag.ContinueOnError)
+	fs.StringVar(&kind, "kind", "synthetic", "workload: synthetic, azure-3000, azure-5000, azure-7500")
+	fs.Int64Var(&o.seed, "seed", 1, "generation seed (also seeds the retry jitter)")
+	fs.StringVar(&o.url, "url", "", "risasvc base URL, e.g. http://localhost:8080 (required)")
+	fs.IntVar(&o.count, "count", 0, "number of VMs to send (0 = whole trace)")
+	fs.Float64Var(&o.rate, "rate", 0, "offered load in requests/s (0 = closed loop)")
+	fs.IntVar(&o.workers, "workers", 1, "concurrent senders (>1 forfeits deterministic order; saturation runs only)")
+	fs.Int64Var(&o.deadlineMS, "deadline-ms", 0, "per-request queue deadline forwarded to the daemon")
+	if err := fs.Parse(args); err != nil {
+		return kind, o, err
+	}
+	if u, perr := url.Parse(o.url); perr != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return kind, o, fmt.Errorf("-url must be an absolute http(s) URL, got %q", o.url)
+	}
+	if o.count < 0 {
+		return kind, o, fmt.Errorf("-count must be non-negative, got %d", o.count)
+	}
+	if !(o.rate >= 0 && o.rate <= maxRate) {
+		return kind, o, fmt.Errorf("-rate must be in [0, %g], got %g", float64(maxRate), o.rate)
+	}
+	if o.workers < 1 {
+		return kind, o, fmt.Errorf("-workers must be at least 1, got %d", o.workers)
+	}
+	return kind, o, nil
+}
+
+func generate(kind string, seed int64) (*workload.Trace, error) {
 	switch kind {
 	case "synthetic":
 		cfg := workload.DefaultSyntheticConfig()
 		cfg.Seed = seed
-		switch arrivals {
-		case "", "poisson":
-			cfg.Arrivals = workload.Poisson
-		case "uniform":
-			cfg.Arrivals = workload.Uniform
-		case "bursty":
-			cfg.Arrivals = workload.Bursty
-		default:
-			return nil, fmt.Errorf("unknown arrival process %q", arrivals)
-		}
 		return workload.Synthetic(cfg)
 	case "azure-3000":
 		return workload.AzureLike(workload.AzureConfig{Subset: workload.Azure3000, Seed: seed})
@@ -82,38 +83,4 @@ func generate(kind string, seed int64, arrivals string) (*workload.Trace, error)
 	default:
 		return nil, fmt.Errorf("unknown workload kind %q", kind)
 	}
-}
-
-func run(kind, out string, seed int64, characterize bool, arrivals string) error {
-	tr, err := generate(kind, seed, arrivals)
-	if err != nil {
-		return err
-	}
-	if characterize {
-		mean := tr.MeanRequest()
-		fmt.Printf("%s: %d VMs, makespan %d tu\n", tr.Name, tr.Len(), tr.Makespan())
-		fmt.Printf("mean request: %.2f cores, %.2f GB RAM, %.2f GB storage\n\n",
-			mean[units.CPU], mean[units.RAM], mean[units.Storage])
-		for _, res := range []units.Resource{units.CPU, units.RAM} {
-			var bars []metrics.Bar
-			for _, vc := range tr.Histogram(res) {
-				bars = append(bars, metrics.Bar{
-					Label: fmt.Sprintf("%d %s", vc.Value, res.Native()),
-					Value: float64(vc.Count),
-				})
-			}
-			fmt.Print(metrics.RenderBars(fmt.Sprintf("%v requests", res), bars, 40, "%.0f"))
-		}
-		return nil
-	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return trace.Write(w, tr)
 }

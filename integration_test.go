@@ -2,20 +2,17 @@ package risa
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"risa/internal/experiments"
 	"risa/internal/report"
-	"risa/internal/trace"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
 
 // TestEndToEndPipeline exercises the full user journey: generate a
-// workload, archive it as CSV, replay it through every scheduler, and
-// archive the results as a JSON report — asserting cross-module
-// consistency at each step.
+// workload, run it through every scheduler, and archive the results as a
+// JSON report — asserting cross-module consistency at each step.
 func TestEndToEndPipeline(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.N = 300
@@ -24,33 +21,15 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// CSV round trip.
-	var csvBuf bytes.Buffer
-	if err := trace.Write(&csvBuf, tr); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := trace.Read(&csvBuf, tr.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulation across all algorithms, both trace copies.
+	// Simulation across all algorithms.
 	setup := experiments.DefaultSetup()
 	doc := report.NewDocument(setup.Seed)
 	for _, alg := range experiments.Algorithms {
-		direct, err := setup.RunOne(alg, tr)
+		res, err := setup.RunOne(alg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		fromCSV, err := setup.RunOne(alg, replayed)
-		if err != nil {
-			t.Fatalf("%s replay: %v", alg, err)
-		}
-		if direct.InterRack != fromCSV.InterRack || direct.Scheduled != fromCSV.Scheduled ||
-			direct.PeakPowerW != fromCSV.PeakPowerW {
-			t.Errorf("%s: CSV replay diverged from direct run", alg)
-		}
-		doc.Add(direct)
+		doc.Add(res)
 	}
 
 	// JSON round trip.
@@ -71,37 +50,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if run.Scheduled != 300 {
 		t.Errorf("archived scheduled = %d", run.Scheduled)
-	}
-}
-
-// TestCSVReplayMatchesDirectRun: the default synthetic trace archived as
-// CSV and read back replays through RISA to the direct run's Result, field
-// for field; only SchedulingTime, a wall clock, may differ.
-func TestCSVReplayMatchesDirectRun(t *testing.T) {
-	setup := experiments.DefaultSetup()
-	tr, err := setup.SyntheticTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := trace.Read(&buf, tr.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := setup.RunOne("RISA", tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCSV, err := setup.RunOne("RISA", replayed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.SchedulingTime, fromCSV.SchedulingTime = 0, 0
-	if !reflect.DeepEqual(direct, fromCSV) {
-		t.Errorf("CSV replay diverged from the direct run:\n direct %+v\nreplayed %+v", direct, fromCSV)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -99,10 +100,10 @@ func TestRunAllDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		if a[alg].InterRack != b[alg].InterRack ||
-			a[alg].Scheduled != b[alg].Scheduled ||
-			a[alg].PeakPowerW != b[alg].PeakPowerW {
-			t.Errorf("%s: runs differ on identical input", alg)
+		// SchedulingTime is a wall clock; every other field must match.
+		a[alg].SchedulingTime, b[alg].SchedulingTime = 0, 0
+		if !reflect.DeepEqual(a[alg], b[alg]) {
+			t.Errorf("%s: runs differ on identical input:\n first %+v\nsecond %+v", alg, a[alg], b[alg])
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Backoff computes capped exponential retry delays with seeded jitter,
-// for clients retrying into a full admission queue (cmd/workloadgen's
-// HTTP mode, or any internal retry path). Without backoff a shed client
+// for clients retrying into a full admission queue (cmd/workloadgen, or
+// any internal retry path). Without backoff a shed client
 // spins on the daemon at line rate, turning backpressure into load; the
 // cap bounds the worst-case retry gap and the jitter decorrelates
 // retrying clients so they do not re-arrive in lockstep.

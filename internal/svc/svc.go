@@ -28,7 +28,7 @@
 //     (metrics.go).
 //
 // Backoff (backoff.go) is the capped, seeded-jitter retry delay used by
-// clients (cmd/workloadgen's HTTP mode) when the daemon sheds them, and
+// clients (cmd/workloadgen) when the daemon sheds them, and
 // signals.go is the SIGINT/SIGTERM plumbing shared with cmd/risasim.
 package svc
 

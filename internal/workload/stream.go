@@ -204,19 +204,15 @@ type SyntheticStream struct {
 
 // NewStream returns the open-ended generator stream for the
 // configuration. N is ignored (the stream never exhausts); everything
-// else — arrival model, request ranges, lifetime schedule, seed and
-// optional Controller — applies as in Synthetic. For a stationary
+// else — request ranges, lifetime schedule, seed and optional
+// Controller — applies as in Synthetic. For a stationary
 // workload (steady-state churn) set LifetimeStep to 0, otherwise the
 // per-set lifetime growth makes occupancy drift upward forever.
 func (c SyntheticConfig) NewStream() (*SyntheticStream, error) {
 	if err := c.validateStream(); err != nil {
 		return nil, err
 	}
-	name := "synthetic"
-	if c.Arrivals != Poisson {
-		name += "-" + c.Arrivals.String()
-	}
-	return &SyntheticStream{generator: newGenerator(name, c.Seed, c.Controller, c.Tiers), cfg: c}, nil
+	return &SyntheticStream{generator: newGenerator("synthetic", c.Seed, c.Controller, c.Tiers), cfg: c}, nil
 }
 
 // Next implements Stream. It draws exactly one interarrival gap, one CPU
@@ -225,7 +221,7 @@ func (c SyntheticConfig) NewStream() (*SyntheticStream, error) {
 // its pulls.
 func (s *SyntheticStream) Next() (VM, bool) {
 	c := &s.cfg
-	gap := c.gap(s.rng, s.now)
+	gap := c.gap(s.rng)
 	cpu := c.CPUMin + units.Amount(s.rng.Int63n(int64(c.CPUMax-c.CPUMin)+1))
 	ram := c.RAMMin + units.Amount(s.rng.Int63n(int64(c.RAMMax-c.RAMMin)+1))
 	return s.emit(gap, c.LifetimeBase+c.LifetimeStep*int64(s.i/c.SetSize), units.Vec(cpu, ram, c.StorageGB))

@@ -70,26 +70,22 @@ func TestStreamDeterministicAcrossPullPatterns(t *testing.T) {
 }
 
 // TestSyntheticIsStreamPrefix pins Synthetic's implementation contract:
-// the finite trace is exactly the open-ended stream's first N arrivals,
-// for every arrival model.
+// the finite trace is exactly the open-ended stream's first N arrivals.
 func TestSyntheticIsStreamPrefix(t *testing.T) {
-	for _, model := range []ArrivalModel{Poisson, Uniform, Bursty} {
-		cfg := DefaultSyntheticConfig()
-		cfg.N = 400
-		cfg.Arrivals = model
-		cfg.Seed = 9
-		tr, err := Synthetic(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := cfg.NewStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameVMs(t, pull(t, s, cfg.N), tr.VMs, model.String())
-		if s.Name() != tr.Name {
-			t.Errorf("%v: stream name %q != trace name %q", model, s.Name(), tr.Name)
-		}
+	cfg := DefaultSyntheticConfig()
+	cfg.N = 400
+	cfg.Seed = 9
+	tr, err := Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cfg.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVMs(t, pull(t, s, cfg.N), tr.VMs, "synthetic")
+	if s.Name() != tr.Name {
+		t.Errorf("stream name %q != trace name %q", s.Name(), tr.Name)
 	}
 }
 

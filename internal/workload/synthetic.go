@@ -7,43 +7,6 @@ import (
 	"risa/internal/units"
 )
 
-// ArrivalModel selects the arrival process of the synthetic generator.
-type ArrivalModel int
-
-const (
-	// Poisson is the paper's process: exponential interarrival gaps.
-	Poisson ArrivalModel = iota
-	// Uniform draws gaps uniformly in [0, 2·mean] — same rate, bounded
-	// burstiness.
-	Uniform
-	// Bursty alternates on/off phases of burstPeriod time units each:
-	// during the on phase the arrival rate is burstFactor× the base rate,
-	// during the off phase 1/burstFactor×. It stresses the schedulers
-	// with cloud-like demand spikes (an extension beyond the paper).
-	Bursty
-)
-
-// The Bursty model's fixed shape: 4× the base rate in the on phase, 1/4×
-// in the off phase, phases of 2000 time units.
-const (
-	burstFactor = 4
-	burstPeriod = 2000
-)
-
-// String names the model.
-func (m ArrivalModel) String() string {
-	switch m {
-	case Poisson:
-		return "poisson"
-	case Uniform:
-		return "uniform"
-	case Bursty:
-		return "bursty"
-	default:
-		return fmt.Sprintf("ArrivalModel(%d)", int(m))
-	}
-}
-
 // SyntheticConfig describes the paper's §5.1 synthetic random workload:
 // CPU uniform in 1..32 cores, RAM uniform in 1..32 GB, storage fixed at
 // 128 GB, Poisson arrivals with a mean interarrival of 10 time units, and
@@ -59,9 +22,6 @@ type SyntheticConfig struct {
 	LifetimeStep     int64        // lifetime increment per completed set
 	SetSize          int          // requests per lifetime set
 	Seed             int64
-
-	// Arrivals selects the arrival process (default Poisson, the paper's).
-	Arrivals ArrivalModel
 
 	// Controller, when non-nil, scales the arrival rate by the
 	// controller's multiplier — only meaningful for the open-ended
@@ -118,9 +78,6 @@ func (c SyntheticConfig) validateStream() error {
 		return fmt.Errorf("workload: bad lifetime schedule base=%d step=%d set=%d",
 			c.LifetimeBase, c.LifetimeStep, c.SetSize)
 	}
-	if c.Arrivals < Poisson || c.Arrivals > Bursty {
-		return fmt.Errorf("workload: unknown arrival model %d", int(c.Arrivals))
-	}
 	if c.Controller != nil {
 		if err := c.Controller.Validate(); err != nil {
 			return err
@@ -129,21 +86,11 @@ func (c SyntheticConfig) validateStream() error {
 	return c.Tiers.Validate()
 }
 
-// gap draws one interarrival gap at simulated time now. Pointer receiver:
-// the stream calls it once per arrival and the config is ~25 words.
-func (c *SyntheticConfig) gap(rng *rand.Rand, now float64) float64 {
-	switch c.Arrivals {
-	case Uniform:
-		return rng.Float64() * 2 * c.MeanInterarrival
-	case Bursty:
-		mean := c.MeanInterarrival / burstFactor // on phase: burstFactor× the rate
-		if int64(now/burstPeriod)%2 == 1 {
-			mean = c.MeanInterarrival * burstFactor // off phase
-		}
-		return rng.ExpFloat64() * mean
-	default:
-		return rng.ExpFloat64() * c.MeanInterarrival
-	}
+// gap draws one exponential interarrival gap: the paper's Poisson
+// process, the generator's only one. Pointer receiver: the stream calls
+// it once per arrival and the config is ~25 words.
+func (c *SyntheticConfig) gap(rng *rand.Rand) float64 {
+	return rng.ExpFloat64() * c.MeanInterarrival
 }
 
 // Synthetic generates the workload deterministically from c.Seed: the

@@ -42,9 +42,6 @@ type VM struct {
 	Tier int
 }
 
-// Departure returns the time the VM releases its resources.
-func (v VM) Departure() int64 { return v.Arrival + v.Lifetime }
-
 // Validate checks a single request for physical sanity.
 func (v VM) Validate() error {
 	if v.Arrival < 0 {
@@ -86,18 +83,6 @@ func (t *Trace) Validate() error {
 
 // Len returns the number of requests.
 func (t *Trace) Len() int { return len(t.VMs) }
-
-// Makespan returns the latest departure time in the trace, i.e. the time
-// by which every VM has left even if all were scheduled.
-func (t *Trace) Makespan() int64 {
-	var m int64
-	for _, v := range t.VMs {
-		if d := v.Departure(); d > m {
-			m = d
-		}
-	}
-	return m
-}
 
 // MeanRequest returns the arithmetic mean request vector (floating point,
 // per resource).

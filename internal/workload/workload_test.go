@@ -27,13 +27,6 @@ func TestVMValidate(t *testing.T) {
 	}
 }
 
-func TestVMDeparture(t *testing.T) {
-	v := VM{Arrival: 100, Lifetime: 50}
-	if v.Departure() != 150 {
-		t.Errorf("Departure = %d", v.Departure())
-	}
-}
-
 func TestTraceValidateOrdering(t *testing.T) {
 	tr := &Trace{Name: "x", VMs: []VM{
 		{ID: 0, Arrival: 10, Lifetime: 1, Req: units.Vec(1, 1, 1)},
@@ -51,9 +44,6 @@ func TestTraceStats(t *testing.T) {
 	}}
 	if tr.Len() != 2 {
 		t.Errorf("Len = %d", tr.Len())
-	}
-	if tr.Makespan() != 25 {
-		t.Errorf("Makespan = %d", tr.Makespan())
 	}
 	mean := tr.MeanRequest()
 	if mean[units.CPU] != 3 || mean[units.RAM] != 6 || mean[units.Storage] != 128 {
@@ -328,73 +318,5 @@ func TestAzureLikeAlwaysValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestArrivalModelString(t *testing.T) {
-	if Poisson.String() != "poisson" || Uniform.String() != "uniform" || Bursty.String() != "bursty" {
-		t.Error("model names wrong")
-	}
-	if ArrivalModel(9).String() == "" {
-		t.Error("unknown model should render")
-	}
-}
-
-func TestUniformArrivals(t *testing.T) {
-	cfg := DefaultSyntheticConfig()
-	cfg.Arrivals = Uniform
-	tr, err := Synthetic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Name != "synthetic-uniform" {
-		t.Errorf("name = %q", tr.Name)
-	}
-	// Same overall rate: mean gap ≈ 10.
-	mean := float64(tr.VMs[tr.Len()-1].Arrival) / float64(tr.Len())
-	if mean < 8 || mean > 12 {
-		t.Errorf("uniform mean gap = %g, want ≈10", mean)
-	}
-	// Uniform gaps are bounded by 2×mean.
-	for i := 1; i < tr.Len(); i++ {
-		if gap := tr.VMs[i].Arrival - tr.VMs[i-1].Arrival; gap > 20 {
-			t.Fatalf("gap %d exceeds the uniform bound", gap)
-		}
-	}
-}
-
-func TestBurstyArrivalsAlternate(t *testing.T) {
-	cfg := DefaultSyntheticConfig()
-	cfg.Arrivals = Bursty
-	tr, err := Synthetic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Count arrivals in on vs off phases (period 2000): the on phases
-	// must receive far more.
-	var on, off int
-	for _, v := range tr.VMs {
-		if (v.Arrival/2000)%2 == 0 {
-			on++
-		} else {
-			off++
-		}
-	}
-	if on < 4*off {
-		t.Errorf("bursty arrivals not bursty: on=%d off=%d", on, off)
-	}
-}
-
-func TestArrivalModelValidation(t *testing.T) {
-	cfg := DefaultSyntheticConfig()
-	cfg.Arrivals = ArrivalModel(9)
-	if _, err := Synthetic(cfg); err == nil {
-		t.Error("unknown arrival model should fail")
 	}
 }
