@@ -32,15 +32,16 @@
 // help text, the all and azure groups and the unknown-name check are
 // computed from it. Ladder flags (-clone, -evict, -duration, -target-util,
 // -mtbf, -mttr, -tiers, -preempt) are rejected on experiments that never
-// read them. The experiment ↔ paper mapping lives in DESIGN.md §5;
-// measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+// read them, and -seed, -racks and -uplinks on the toys, which run the
+// paper's fixed Table 2 datacenter. Every figure is printed to stdout;
+// there is no other output. The experiment ↔ paper mapping lives in
+// DESIGN.md §5; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -51,8 +52,6 @@ import (
 	"syscall"
 
 	"risa/internal/experiments"
-	"risa/internal/report"
-	"risa/internal/sim"
 	"risa/internal/svc"
 	"risa/internal/workload"
 )
@@ -66,7 +65,6 @@ type options struct {
 	parallel   int
 	racks      int
 	racksSet   bool // -racks given explicitly (an explicit 18 caps the scale ladder)
-	jsonPath   string
 	duration   int64
 	targetUtil float64
 	mtbf       int64
@@ -89,7 +87,6 @@ func parseArgs(args []string) (options, error) {
 	fs.IntVar(&o.uplinks, "uplinks", 0, "override box uplinks per box (0 = calibrated default)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker-pool width for experiment grids (0 = one per CPU, 1 = serial)")
 	fs.IntVar(&o.racks, "racks", 18, "cluster size in racks; for -exp scale, the sweep's largest point")
-	fs.StringVar(&o.jsonPath, "json", "", "also archive every run as a JSON report at this path")
 	fs.Int64Var(&o.duration, "duration", 0, "for -exp churn/faults/slo: cap each cell's simulated time in time units (0 = churn: arrival budget only, faults/slo: 50000)")
 	fs.Float64Var(&o.targetUtil, "target-util", 0, "for -exp churn/faults/slo: run one utilization rung at this binding-occupancy fraction instead of the ladder (>= 1 sustains overload, 0 = full ladder)")
 	fs.Int64Var(&o.mtbf, "mtbf", 0, "for -exp faults/slo: per-box mean time between failures in time units (0 = default calm/storm MTBF ladder)")
@@ -149,6 +146,15 @@ func parseArgs(args []string) (options, error) {
 	} {
 		if f.set && !slices.Contains(f.exps, o.exp) {
 			return o, fmt.Errorf("%s requires -exp %s%s, got -exp %s", f.flag, strings.Join(f.exps, " or -exp "), f.note, o.exp)
+		}
+	}
+	// The toys replay the paper's fixed Table 2 datacenter and trace, so
+	// nothing a setup flag changes reaches them.
+	if o.exp == "toy1" || o.exp == "toy2" {
+		for _, name := range []string{"seed", "racks", "uplinks"} {
+			if set[name] {
+				return o, fmt.Errorf("-%s does not apply to -exp %s, which runs the paper's fixed Table 2 datacenter", name, o.exp)
+			}
 		}
 	}
 	if o.tiers != "" {
@@ -309,11 +315,6 @@ func main() {
 	experiments.SetParallelism(opts.parallel)
 	setup := buildSetup(opts)
 
-	jsonOut, err := startArchive(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
-		os.Exit(2)
-	}
 	prof, err := startProfiles(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
@@ -344,55 +345,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
 		os.Exit(1)
 	}
-	if archive != nil {
-		if err := writeArchive(jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("JSON report written to %s (%d runs)\n", opts.jsonPath, len(archive.Runs))
-	}
-}
-
-// archive collects every simulation result of the invocation when -json
-// is given.
-var archive *report.Document
-
-// startArchive creates the -json file up front — like startProfiles, a
-// bad path must fail before the experiments run, not after — and starts
-// the archive. Without -json it returns nil and leaves the archive off.
-func startArchive(o options) (*os.File, error) {
-	if o.jsonPath == "" {
-		return nil, nil
-	}
-	f, err := os.Create(o.jsonPath)
-	if err != nil {
-		return nil, fmt.Errorf("-json: %w", err)
-	}
-	archive = report.NewDocument(o.seed)
-	return f, nil
-}
-
-// writeArchive writes the archive to out and closes it; a failed Close
-// fails the write, since the report may not have reached the file.
-func writeArchive(out io.WriteCloser) error {
-	err := archive.Write(out)
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	return nil
-}
-
-// record adds results to the archive if one is active.
-func record(results map[string]*sim.Result) {
-	if archive == nil {
-		return
-	}
-	for _, r := range results {
-		archive.Add(r)
-	}
 }
 
 // experiment is one -exp name: whether -exp all includes it, whether it is
@@ -418,13 +370,7 @@ type invocation struct {
 var catalog = []experiment{
 	{name: "toy1", all: true, run: func(*invocation) error { return printed(experiments.RunToy1()) }},
 	{name: "toy2", all: true, run: func(*invocation) error { return printed(experiments.RunToy2()) }},
-	{name: "fig5", all: true, run: func(in *invocation) error {
-		f, err := in.setup.RunFig5()
-		if err == nil {
-			record(f.Results)
-		}
-		return rendered(f, err)
-	}},
+	{name: "fig5", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig5()) }},
 	{name: "fig6", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig6()) }},
 	{name: "fig7", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig7)},
 	{name: "fig8", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig8)},
@@ -495,9 +441,6 @@ func azureFigure(render func(*experiments.AzureMatrix) string) func(*invocation)
 			m, err := in.azureSetup().RunAzureMatrix()
 			if err != nil {
 				return err
-			}
-			for _, perAlg := range m.Results {
-				record(perAlg)
 			}
 			in.matrix = m
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"risa/internal/experiments"
-	"risa/internal/report"
 )
 
 func quickSetup() experiments.Setup {
@@ -73,11 +71,6 @@ func TestRunFig5(t *testing.T) {
 	}
 }
 
-func TestRecordWithoutArchiveIsNoop(t *testing.T) {
-	archive = nil
-	record(nil) // must not panic
-}
-
 func TestParseArgsDefaults(t *testing.T) {
 	o, err := parseArgs(nil)
 	if err != nil {
@@ -118,10 +111,23 @@ func TestParseArgsRejectsInvalidValues(t *testing.T) {
 		{"-exp", "fig99"},
 		{"-exp", ""},
 		{"-exp", "fig99", "-cpuprofile", "cpu.pprof"},
+		// risasim prints; it writes no archive.
+		{"-json", "x"},
+		// The toys run the fixed Table 2 datacenter: setup flags would be
+		// silently ignored.
+		{"-exp", "toy1", "-seed", "7"},
+		{"-exp", "toy2", "-racks", "36"},
+		{"-exp", "toy1", "-racks", "18"},
+		{"-exp", "toy2", "-uplinks", "4"},
+		{"-exp", "toy1", "-uplinks", "0"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
 		}
+	}
+	// -exp all runs the toys beside experiments the setup flags do reach.
+	if _, err := parseArgs([]string{"-exp", "all", "-seed", "7", "-racks", "36", "-uplinks", "4"}); err != nil {
+		t.Errorf("-exp all with setup flags: %v", err)
 	}
 }
 
@@ -292,50 +298,6 @@ func TestStartProfilesRejectsBadPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestJSONArchiveFailsUpFront: a bad -json path fails before anything
-// runs, like a bad profile path, and a report that could not be written or
-// closed is an error, both named by the flag.
-func TestJSONArchiveFailsUpFront(t *testing.T) {
-	defer func() { archive = nil }()
-	archive = nil
-	if _, err := startArchive(options{jsonPath: t.TempDir() + "/no/such/dir/x.json"}); err == nil || !strings.HasPrefix(err.Error(), "-json: ") {
-		t.Errorf("bad -json path: %v, want an error prefixed -json:", err)
-	}
-	if archive != nil {
-		t.Error("a refused -json path started the archive")
-	}
-	if f, err := startArchive(options{}); f != nil || err != nil || archive != nil {
-		t.Errorf("no -json: file %v, error %v, archive %v; want all nil", f, err, archive)
-	}
-
-	path := t.TempDir() + "/x.json"
-	f, err := startArchive(options{jsonPath: path, seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeArchive(f); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc, err := report.Read(bytes.NewReader(b)); err != nil || doc.Seed != 3 {
-		t.Errorf("written archive reads back as %+v, %v", doc, err)
-	}
-
-	closeErr := errors.New("close failed")
-	if err := writeArchive(failingCloser{closeErr}); !errors.Is(err, closeErr) || !strings.HasPrefix(err.Error(), "-json: ") {
-		t.Errorf("a failed Close gave %v, want %v prefixed -json:", err, closeErr)
-	}
-}
-
-// failingCloser takes every write and fails its Close.
-type failingCloser struct{ err error }
-
-func (failingCloser) Write(p []byte) (int, error) { return len(p), nil }
-func (c failingCloser) Close() error              { return c.err }
 
 func TestRunChurnExperimentWiring(t *testing.T) {
 	// A short duration-capped ladder keeps the wiring test fast.

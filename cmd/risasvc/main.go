@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -52,38 +53,68 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
+// options is the daemon's command line.
+type options struct {
+	addr, dir, algo        string
+	racks, spares, uplinks int
+	queueCap, snapEvery    int
+	drainTimeout           time.Duration
+}
+
+// parseArgs reads the flags and refuses, naming the flag, a value the
+// daemon would otherwise replace with a default of its own.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("risasvc", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.dir, "dir", "risasvc-data", "data directory for journal and snapshots")
+	fs.StringVar(&o.algo, "algo", "RISA", "genesis scheduler algorithm")
+	fs.IntVar(&o.racks, "racks", 18, "in-service racks at genesis")
+	fs.IntVar(&o.spares, "spare-racks", 2, "dark spare racks available to /addrack")
+	fs.IntVar(&o.uplinks, "uplinks", 16, "box uplinks per box switch")
+	fs.IntVar(&o.queueCap, "queue", 256, "admission queue capacity (data lane)")
+	fs.IntVar(&o.snapEvery, "snapshot-every", svc.DefaultSnapshotEvery, "journal records between automatic snapshots (the default holds replay at a reopen to ≈6.5 ms)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful-drain deadline on shutdown")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.queueCap < 1 {
+		return o, fmt.Errorf("-queue must be at least 1, got %d", o.queueCap)
+	}
+	if o.snapEvery < 1 {
+		return o, fmt.Errorf("-snapshot-every must be at least 1, got %d", o.snapEvery)
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		dir          = flag.String("dir", "risasvc-data", "data directory for journal and snapshots")
-		algo         = flag.String("algo", "RISA", "genesis scheduler algorithm")
-		racks        = flag.Int("racks", 18, "in-service racks at genesis")
-		spares       = flag.Int("spare-racks", 2, "dark spare racks available to /addrack")
-		uplinks      = flag.Int("uplinks", 16, "box uplinks per box switch")
-		queueCap     = flag.Int("queue", 256, "admission queue capacity (data lane)")
-		snapEvery    = flag.Int("snapshot-every", svc.DefaultSnapshotEvery, "journal records between automatic snapshots (the default holds replay at a reopen to ≈6.5 ms)")
-		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "graceful-drain deadline on shutdown")
-	)
-	flag.Parse()
+	o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h/-help: usage already printed, a clean exit
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "risasvc:", err)
+		os.Exit(2)
+	}
 
 	tcfg := topology.DefaultConfig()
-	tcfg.Racks = *racks
+	tcfg.Racks = o.racks
 	ncfg := network.DefaultConfig()
-	ncfg.BoxUplinks = *uplinks
-	cfg := svc.Config{Topology: tcfg, Network: ncfg, Spares: *spares, Algo: *algo}
+	ncfg.BoxUplinks = o.uplinks
+	cfg := svc.Config{Topology: tcfg, Network: ncfg, Spares: o.spares, Algo: o.algo}
 
-	eng, err := svc.Open(*dir, cfg, *snapEvery)
+	eng, err := svc.Open(o.dir, cfg, o.snapEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "risasvc:", err)
 		os.Exit(1)
 	}
-	srv := svc.NewServer(eng, *queueCap)
+	srv := svc.NewServer(eng, o.queueCap)
 	srv.Start()
 
 	// Listen before serving, so the line below names the bound address
 	// (-addr 127.0.0.1:0 picks a free port) and a client that reads it can
 	// connect at once.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "risasvc:", err)
 		os.Exit(1)
@@ -95,17 +126,17 @@ func main() {
 	sigC, release := svc.NotifyShutdown()
 	defer release()
 	fmt.Fprintf(os.Stderr, "risasvc: serving on %s (algo %s, %d racks + %d spares, data %s)\n",
-		ln.Addr(), eng.Algo(), eng.InService(), eng.Spares(), *dir)
+		ln.Addr(), eng.Algo(), eng.InService(), eng.Spares(), o.dir)
 
 	select {
 	case err := <-errC:
 		fmt.Fprintln(os.Stderr, "risasvc:", err)
 		os.Exit(1)
 	case sig := <-sigC:
-		fmt.Fprintf(os.Stderr, "risasvc: %v — draining (deadline %s; signal again to force)\n", sig, *drainTimeout)
+		fmt.Fprintf(os.Stderr, "risasvc: %v — draining (deadline %s; signal again to force)\n", sig, o.drainTimeout)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	go func() {
 		<-sigC // second signal: abandon the drain deadline early

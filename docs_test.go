@@ -91,7 +91,7 @@ var (
 	goSecRE  = regexp.MustCompile(`DESIGN(?:\.md)?\)?(?:\s|//)*§(\d+(?:\.\d+)?)`)
 	headRE   = regexp.MustCompile(`(?m)^#{2,3} (\d+(?:\.\d+)?)\.? `)
 	pathRE   = regexp.MustCompile(`^(?:\./)?((?:[\w.-]+/)*[\w.-]+\.(?:go|sh))(?::(\d+)(?:[–-](\d+))?)?$`)
-	dirRE    = regexp.MustCompile(`^scripts/[\w./-]+$`)
+	dirRE    = regexp.MustCompile(`^(?:scripts|internal|cmd)/[\w./-]+$`)
 	fileRE   = regexp.MustCompile(`\.(?:json|md|wal|gob|txt|csv|ya?ml|mod|pprof|out)$`)
 	testRE   = regexp.MustCompile(`^(?:Test|Fuzz|Example)[\w*]*$`)
 	promRE   = regexp.MustCompile(`^risasvc_[\w*]+`)
@@ -819,9 +819,9 @@ func (s *docScan) checkSpan(doc string, line int, tok string) {
 
 // checkPath resolves a path, a base name or a partial path (a suffix of a
 // repository path), and its line range; it returns what is wrong, if
-// anything.
+// anything. A directory may be written with a trailing slash.
 func (s *docScan) checkPath(tok string) string {
-	p, last := tok, 0
+	p, last := strings.TrimSuffix(tok, "/"), 0
 	if m := pathRE.FindStringSubmatch(tok); m != nil {
 		p = m[1]
 		for _, n := range m[2:] {
@@ -889,6 +889,7 @@ func TestDocsRules(t *testing.T) {
 		{"clean tree", "README.md", "", "", ""},
 		{"broken link", "README.md", "", "[gone](gone.md)", "README.md:6: `gone.md` is a link to nothing"},
 		{"missing file", "README.md", "", "`p/q.go`", "`p/q.go` names no file"},
+		{"missing directory", "README.md", "", "`internal/gone/`", "`internal/gone/` names no file"},
 		{"line past the end", "README.md", "`p/p.go:3`", "`p/p.go:99`", "`p/p.go:99` cites a line past"},
 		{"unknown identifier", "README.md", "", "`p.Old`", "`p.Old` does not resolve"},
 		{"unknown field", "README.md", "", "`Box.Weight`", "`Box.Weight` does not resolve"},

@@ -1,18 +1,16 @@
 package risa
 
 import (
-	"bytes"
 	"testing"
 
 	"risa/internal/experiments"
-	"risa/internal/report"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
 
 // TestEndToEndPipeline exercises the full user journey: generate a
-// workload, run it through every scheduler, and archive the results as a
-// JSON report — asserting cross-module consistency at each step.
+// workload and run it through every scheduler, each on a fresh
+// datacenter.
 func TestEndToEndPipeline(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.N = 300
@@ -20,36 +18,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Simulation across all algorithms.
-	setup := experiments.DefaultSetup()
-	doc := report.NewDocument(setup.Seed)
-	for _, alg := range experiments.Algorithms {
-		res, err := setup.RunOne(alg, tr)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		doc.Add(res)
-	}
-
-	// JSON round trip.
-	var jsonBuf bytes.Buffer
-	if err := doc.Write(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := report.Read(&jsonBuf)
+	results, err := experiments.DefaultSetup().RunAll(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Runs) != len(experiments.Algorithms) {
-		t.Errorf("archived %d runs, want %d", len(got.Runs), len(experiments.Algorithms))
-	}
-	run, ok := got.Runs["synthetic/RISA"]
-	if !ok {
-		t.Fatal("RISA run missing from archive")
-	}
-	if run.Scheduled != 300 {
-		t.Errorf("archived scheduled = %d", run.Scheduled)
+	for _, alg := range experiments.Algorithms {
+		if got := results[alg].Scheduled; got != 300 {
+			t.Errorf("%s scheduled %d, want 300", alg, got)
+		}
 	}
 }
 

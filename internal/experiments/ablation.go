@@ -103,7 +103,7 @@ func (s Setup) RunPackingAblation() (*PackingAblation, error) {
 		jobs = append(jobs, Job{Setup: s, Algorithm: opts.Name, Trace: tr,
 			Scheduler: func(st *sched.State) sched.Scheduler { return core.NewWithOptions(st, opts) }})
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (s Setup) RunUplinkSweep(uplinks []int) (*UplinkSweep, error) {
 			jobs = append(jobs, Job{Setup: setup, Algorithm: alg, Trace: tr})
 		}
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (s Setup) RunAlphaSweep(alphas []float64) (*AlphaSweep, error) {
 		setup.Optics.Alpha = alpha
 		jobs[i] = Job{Setup: setup, Algorithm: "RISA", Trace: tr}
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +264,7 @@ func (s Setup) RunBoxMixAblation() (*BoxMixAblation, error) {
 			jobs = append(jobs, Job{Setup: setup, Algorithm: alg, Trace: tr})
 		}
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -55,37 +55,35 @@ type Job struct {
 
 // run is the one place an experiment's simulation is assembled: state,
 // scheduler, power model, runner, replay.
-func (j Job) run() Outcome {
-	fail := func(err error) Outcome { return Outcome{Job: j, Err: err} }
+func (j Job) run() (Outcome, error) {
 	st, err := j.Setup.NewState()
 	if err != nil {
-		return fail(err)
+		return Outcome{}, err
 	}
 	var sch sched.Scheduler
 	if j.Scheduler != nil {
 		sch = j.Scheduler(st)
 	} else if sch, err = NewScheduler(j.Algorithm, st); err != nil {
-		return fail(err)
+		return Outcome{}, err
 	}
 	cfg := j.Sim
 	if cfg.PowerModel, err = power.NewModel(j.Setup.Optics); err != nil {
-		return fail(err)
+		return Outcome{}, err
 	}
 	runner, err := sim.NewRunner(st, sch, cfg)
 	if err != nil {
-		return fail(err)
+		return Outcome{}, err
 	}
 	res, err := runner.Run(j.Trace)
-	return Outcome{Job: j, Scheduler: sch, Result: res, Err: err}
+	return Outcome{Job: j, Scheduler: sch, Result: res}, err
 }
 
 // Outcome pairs a job with the scheduler instance it ran (whose decision
-// counters outlive the run) and its simulation result or error.
+// counters outlive the run) and its simulation result.
 type Outcome struct {
 	Job       Job
 	Scheduler sched.Scheduler
 	Result    *sim.Result
-	Err       error
 }
 
 // Engine executes experiment grids on a bounded worker pool. The zero
@@ -95,29 +93,25 @@ type Engine struct {
 	Workers int
 }
 
-// Run executes every job and returns the outcomes in job order. All jobs
-// run regardless of individual failures; callers decide whether one error
-// poisons the grid (FirstError helps). Results are deterministic and
-// independent of the pool width because no state is shared between jobs.
-func (e Engine) Run(jobs []Job) []Outcome {
+// Run executes every job and returns the outcomes in job order, so callers
+// folding them may dereference every Result unconditionally. All jobs run
+// regardless of individual failures; a failed grid returns no outcomes and
+// the error of its lowest-index failed job, naming the job. Results are
+// deterministic and independent of the pool width because no state is
+// shared between jobs.
+func (e Engine) Run(jobs []Job) ([]Outcome, error) {
 	out := make([]Outcome, len(jobs))
-	// Job errors travel in the outcomes, so the tasks themselves never fail.
-	_ = e.ForEach(len(jobs), func(i int) error {
-		out[i] = jobs[i].run()
+	err := e.ForEach(len(jobs), func(i int) error {
+		var err error
+		if out[i], err = jobs[i].run(); err != nil {
+			return fmt.Errorf("%s on %s: %w", jobs[i].Algorithm, jobs[i].Trace.Name, err)
+		}
 		return nil
 	})
-	return out
-}
-
-// RunChecked executes every job and fails on the first job error, so
-// callers folding the outcomes may dereference every Result
-// unconditionally.
-func (e Engine) RunChecked(jobs []Job) ([]Outcome, error) {
-	outcomes := e.Run(jobs)
-	if err := FirstError(outcomes); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return outcomes, nil
+	return out, nil
 }
 
 // ForEach runs task(0..n-1) on the engine's worker pool and blocks until
@@ -156,17 +150,6 @@ func (e Engine) ForEach(n int, task func(i int) error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// FirstError returns the first failed outcome's error, annotated with the
-// job that produced it, or nil when the whole grid succeeded.
-func FirstError(outcomes []Outcome) error {
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return fmt.Errorf("%s on %s: %w", o.Job.Algorithm, o.Job.Trace.Name, o.Err)
 		}
 	}
 	return nil

@@ -20,12 +20,12 @@ func TestEngineDeterministicAcrossWidths(t *testing.T) {
 	for _, alg := range Algorithms {
 		jobs = append(jobs, Job{Setup: setup, Algorithm: alg, Trace: tr})
 	}
-	serial := Engine{Workers: 1}.Run(jobs)
-	wide := Engine{Workers: 8}.Run(jobs)
-	if err := FirstError(serial); err != nil {
+	serial, err := Engine{Workers: 1}.Run(jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := FirstError(wide); err != nil {
+	wide, err := Engine{Workers: 8}.Run(jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range jobs {
@@ -42,8 +42,9 @@ func TestEngineDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestEngineErrorIsolation checks that one bad job neither aborts the
-// grid nor contaminates its neighbours, and that FirstError names it.
+// TestEngineErrorIsolation checks that one bad job fails the grid with an
+// error naming the job; that every other job still runs is
+// TestForEachRunsAllReturnsFirst's.
 func TestEngineErrorIsolation(t *testing.T) {
 	setup := DefaultSetup()
 	tr, err := setup.SyntheticTrace()
@@ -55,19 +56,12 @@ func TestEngineErrorIsolation(t *testing.T) {
 		{Setup: setup, Algorithm: "no-such-algorithm", Trace: tr},
 		{Setup: setup, Algorithm: "NULB", Trace: tr},
 	}
-	outcomes := Engine{Workers: 2}.Run(jobs)
-	if outcomes[0].Err != nil || outcomes[0].Result == nil {
-		t.Errorf("healthy job 0 failed: %v", outcomes[0].Err)
+	outcomes, err := Engine{Workers: 2}.Run(jobs)
+	if err == nil || !strings.Contains(err.Error(), "no-such-algorithm on "+tr.Name) {
+		t.Errorf("Run = %v, want the bad job named", err)
 	}
-	if outcomes[1].Err == nil {
-		t.Error("bad algorithm should fail")
-	}
-	if outcomes[2].Err != nil || outcomes[2].Result == nil {
-		t.Errorf("healthy job 2 failed: %v", outcomes[2].Err)
-	}
-	ferr := FirstError(outcomes)
-	if ferr == nil || !strings.Contains(ferr.Error(), "no-such-algorithm") {
-		t.Errorf("FirstError = %v, want the bad job named", ferr)
+	if outcomes != nil {
+		t.Errorf("a failed grid returned %d outcomes", len(outcomes))
 	}
 }
 
@@ -96,11 +90,8 @@ func TestForEachRunsAllReturnsFirst(t *testing.T) {
 
 // TestEngineEmptyGrid makes sure a zero-job grid is a no-op.
 func TestEngineEmptyGrid(t *testing.T) {
-	if out := (Engine{}).Run(nil); len(out) != 0 {
-		t.Errorf("empty grid returned %d outcomes", len(out))
-	}
-	if err := FirstError(nil); err != nil {
-		t.Errorf("FirstError(nil) = %v", err)
+	if out, err := (Engine{}).Run(nil); len(out) != 0 || err != nil {
+		t.Errorf("empty grid returned %d outcomes, error %v", len(out), err)
 	}
 }
 

@@ -93,13 +93,6 @@ func (s Setup) NewState() (*sched.State, error) {
 	return sched.NewState(s.Topology, s.Network)
 }
 
-// RunOne replays the trace through the named algorithm on a fresh
-// datacenter and returns the simulation result.
-func (s Setup) RunOne(algorithm string, tr *workload.Trace) (*sim.Result, error) {
-	out := Job{Setup: s, Algorithm: algorithm, Trace: tr}.run()
-	return out.Result, out.Err
-}
-
 // RunAll replays the trace through every algorithm and returns results
 // keyed by algorithm name. Each algorithm gets its own fresh datacenter,
 // so the four simulations are independent and run on the shared worker
@@ -115,7 +108,7 @@ func (s Setup) runAllOn(eng Engine, tr *workload.Trace) (map[string]*sim.Result,
 	for i, alg := range Algorithms {
 		jobs[i] = Job{Setup: s, Algorithm: alg, Trace: tr}
 	}
-	outcomes, err := eng.RunChecked(jobs)
+	outcomes, err := eng.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +161,7 @@ func (s Setup) RunAzureMatrix() (*AzureMatrix, error) {
 			subsets = append(subsets, subset)
 		}
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}

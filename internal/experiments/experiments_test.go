@@ -65,13 +65,15 @@ func smallTrace(t *testing.T, n int) *workload.Trace {
 	return tr
 }
 
+// TestRunOneSmall runs a one-job grid: the Job alone carries everything
+// a run needs.
 func TestRunOneSmall(t *testing.T) {
-	s := DefaultSetup()
 	tr := smallTrace(t, 100)
-	res, err := s.RunOne("RISA", tr)
+	out, err := Engine{}.Run([]Job{{Setup: DefaultSetup(), Algorithm: "RISA", Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out[0].Result
 	if res.Scheduled != 100 || res.Dropped != 0 {
 		t.Errorf("scheduled/dropped = %d/%d", res.Scheduled, res.Dropped)
 	}
@@ -81,9 +83,8 @@ func TestRunOneSmall(t *testing.T) {
 }
 
 func TestRunOneUnknownAlgorithm(t *testing.T) {
-	s := DefaultSetup()
 	tr := smallTrace(t, 5)
-	if _, err := s.RunOne("nope", tr); err == nil {
+	if _, err := (Engine{}).Run([]Job{{Setup: DefaultSetup(), Algorithm: "nope", Trace: tr}}); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
 }

@@ -44,7 +44,7 @@ func (s Setup) RunPoolOccupancy() (*PoolOccupancy, error) {
 		}
 		add(azure, tr)
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func (s Setup) RunQueueing() (*Queueing, error) {
 	if err != nil {
 		return nil, err
 	}
-	outcomes, err := Engine{}.RunChecked([]Job{
+	outcomes, err := Engine{}.Run([]Job{
 		{Setup: setup, Algorithm: "RISA", Trace: tr},
 		{Setup: setup, Algorithm: "RISA", Trace: tr, Sim: sim.Config{Faults: sim.Faults{Retry: true}}},
 	})

@@ -53,7 +53,7 @@ func (s Setup) RunResilience() (*Resilience, error) {
 			jobs = append(jobs, Job{Setup: s, Algorithm: alg, Trace: tr, Sim: cfg})
 		}
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}

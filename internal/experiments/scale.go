@@ -119,7 +119,7 @@ func (s Setup) RunScale(rackCounts []int, vmsPerRack int) (*ScaleSweep, error) {
 			jobs = append(jobs, Job{Setup: setup, Algorithm: alg, Trace: tr})
 		}
 	}
-	outcomes, err := Engine{Workers: 1}.RunChecked(jobs)
+	outcomes, err := Engine{Workers: 1}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func (s Setup) RunSeedSweep(seeds []int64) (*SeedSweep, error) {
 			synthetic = append(synthetic, false)
 		}
 	}
-	outcomes, err := Engine{}.RunChecked(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
