@@ -7,7 +7,8 @@
 //	risasim -exp fig5                # one experiment; -h lists the names
 //	risasim -exp fig9 -seed 7        # different workload seed
 //	risasim -exp fig5 -uplinks 4     # fabric provisioning ablation
-//	risasim -exp azure -parallel 8   # experiment grid on 8 workers
+//	risasim -exp azure               # Figures 7–10 and 12 (figure grids run serially)
+//	risasim -exp seeds -parallel 8   # experiment grid on 8 workers
 //	risasim -exp all -parallel 1     # force strictly serial runs
 //	risasim -exp scale               # cluster-size sweep, 18 → 16384 racks
 //	risasim -exp scale -racks 288    # sweep capped at 288 racks
@@ -32,9 +33,10 @@
 // help text, the all and azure groups and the unknown-name check are
 // computed from it. Ladder flags (-clone, -evict, -duration, -target-util,
 // -mtbf, -mttr, -tiers, -preempt) are rejected on experiments that never
-// read them, and -seed, -racks and -uplinks on the toys, which run the
-// paper's fixed Table 2 datacenter. Every figure is printed to stdout;
-// there is no other output. The experiment ↔ paper mapping lives in
+// read them, and so are -seed, -racks and -uplinks on the toys, which run
+// the paper's fixed Table 2 datacenter, -racks and -uplinks on fig6, which
+// only generates traces, and -seed on seeds, which sweeps seeds 1 to 5.
+// Every figure is printed to stdout; there is no other output. The experiment ↔ paper mapping lives in
 // DESIGN.md §5; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 package main
 
@@ -148,12 +150,21 @@ func parseArgs(args []string) (options, error) {
 			return o, fmt.Errorf("%s requires -exp %s%s, got -exp %s", f.flag, strings.Join(f.exps, " or -exp "), f.note, o.exp)
 		}
 	}
-	// The toys replay the paper's fixed Table 2 datacenter and trace, so
-	// nothing a setup flag changes reaches them.
-	if o.exp == "toy1" || o.exp == "toy2" {
-		for _, name := range []string{"seed", "racks", "uplinks"} {
-			if set[name] {
-				return o, fmt.Errorf("-%s does not apply to -exp %s, which runs the paper's fixed Table 2 datacenter", name, o.exp)
+	// A setup flag on an experiment that never reads it is refused the
+	// same way.
+	for _, f := range []struct {
+		exp   string
+		flags []string
+		why   string
+	}{
+		{"toy1", []string{"seed", "racks", "uplinks"}, "runs the paper's fixed Table 2 datacenter"},
+		{"toy2", []string{"seed", "racks", "uplinks"}, "runs the paper's fixed Table 2 datacenter"},
+		{"fig6", []string{"racks", "uplinks"}, "only generates the Azure-like traces"},
+		{"seeds", []string{"seed"}, "sweeps seeds 1 to 5"},
+	} {
+		for _, name := range f.flags {
+			if o.exp == f.exp && set[name] {
+				return o, fmt.Errorf("-%s does not apply to -exp %s, which %s", name, o.exp, f.why)
 			}
 		}
 	}
@@ -361,7 +372,10 @@ type invocation struct {
 	setup    experiments.Setup
 	scaleMax int // largest point of the -exp scale ladder
 	ladder   experiments.LadderConfig
-	matrix   *experiments.AzureMatrix // shared by the azure figures, computed on first use
+	// The paper figures' shared result matrices, each computed on first
+	// use: the §5.1 synthetic trace under setup, and the three Azure-like
+	// traces under azureSetup.
+	synthetic, azure *experiments.Matrix
 }
 
 // catalog lists every experiment once, in -exp all's printing order; the
@@ -370,14 +384,14 @@ type invocation struct {
 var catalog = []experiment{
 	{name: "toy1", all: true, run: func(*invocation) error { return printed(experiments.RunToy1()) }},
 	{name: "toy2", all: true, run: func(*invocation) error { return printed(experiments.RunToy2()) }},
-	{name: "fig5", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig5()) }},
+	{name: "fig5", all: true, run: figure(synthetic, func(in *invocation) string { return in.synthetic.RenderFig5() })},
 	{name: "fig6", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig6()) }},
-	{name: "fig7", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig7)},
-	{name: "fig8", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig8)},
-	{name: "fig9", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig9)},
-	{name: "fig10", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig10)},
-	{name: "fig11", all: true, run: func(in *invocation) error { return rendered(in.setup.RunFig11()) }},
-	{name: "fig12", all: true, azure: true, run: azureFigure((*experiments.AzureMatrix).RenderFig12)},
+	{name: "fig7", all: true, azure: true, run: figure(azure, func(in *invocation) string { return in.azure.RenderFig7() })},
+	{name: "fig8", all: true, azure: true, run: figure(azure, func(in *invocation) string { return in.azure.RenderFig8() })},
+	{name: "fig9", all: true, azure: true, run: figure(azure, func(in *invocation) string { return in.azure.RenderFig9() })},
+	{name: "fig10", all: true, azure: true, run: figure(azure, func(in *invocation) string { return in.azure.RenderFig10() })},
+	{name: "fig11", all: true, run: figure(synthetic, func(in *invocation) string { return in.synthetic.RenderFig11() })},
+	{name: "fig12", all: true, azure: true, run: figure(azure, func(in *invocation) string { return in.azure.RenderFig12() })},
 	{name: "seeds", run: func(in *invocation) error { return rendered(in.setup.RunSeedSweep([]int64{1, 2, 3, 4, 5})) }},
 	{name: "scale", run: func(in *invocation) error {
 		return rendered(in.setup.RunScale(experiments.ScaleLadder(in.scaleMax), 0))
@@ -390,7 +404,9 @@ var catalog = []experiment{
 	{name: "stranding", all: true, run: func(in *invocation) error { return rendered(in.setup.RunStranding()) }},
 	{name: "defrag", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunDefrag(2000)) }},
 	{name: "resilience", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunResilience()) }},
-	{name: "pool", all: true, run: func(in *invocation) error { return rendered(in.setup.RunPoolOccupancy()) }},
+	{name: "pool", all: true, run: figure(synthetic|azure, func(in *invocation) string {
+		return experiments.RenderPool(in.synthetic, in.azure)
+	})},
 	{name: "ablations", all: true, run: func(in *invocation) error { return runAblations(in.setup) }},
 }
 
@@ -433,19 +449,40 @@ func run(setup experiments.Setup, exp string, scaleMax int, ladder experiments.L
 // caller's seed, cluster size and fabric overrides.
 func (in *invocation) azureSetup() experiments.Setup { return experiments.AzureSetupFrom(in.setup) }
 
-// azureFigure is the catalog entry of a figure drawn from the shared Azure
-// result matrix.
-func azureFigure(render func(*experiments.AzureMatrix) string) func(*invocation) error {
+// grids names which of an invocation's shared result matrices a figure
+// reads.
+type grids int
+
+const (
+	synthetic grids = 1 << iota // invocation.synthetic
+	azure                       // invocation.azure
+)
+
+// figure is the catalog entry of a figure drawn from the shared result
+// matrices: it computes those of the matrices named by reads that this
+// invocation has not computed yet, then prints render's text.
+func figure(reads grids, render func(*invocation) string) func(*invocation) error {
 	return func(in *invocation) error {
-		if in.matrix == nil {
-			m, err := in.azureSetup().RunAzureMatrix()
+		if reads&synthetic != 0 && in.synthetic == nil {
+			tr, err := in.setup.SyntheticTrace()
 			if err != nil {
 				return err
 			}
-			in.matrix = m
+			if in.synthetic, err = in.setup.RunMatrix(tr); err != nil {
+				return err
+			}
 		}
-		fmt.Println(render(in.matrix))
-		return nil
+		if reads&azure != 0 && in.azure == nil {
+			setup := in.azureSetup()
+			traces, err := setup.AzureTraces()
+			if err != nil {
+				return err
+			}
+			if in.azure, err = setup.RunMatrix(traces...); err != nil {
+				return err
+			}
+		}
+		return printed(render(in), nil)
 	}
 }
 

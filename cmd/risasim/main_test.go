@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,6 +72,40 @@ func TestRunFig5(t *testing.T) {
 	}
 }
 
+// TestRunPaperGroups runs the paper's figures through run: -exp all prints
+// every figure header and the §5.3 table exactly once, -exp azure the
+// Azure figures only, and fig11 and pool, which read the synthetic
+// matrix, print their own alone.
+func TestRunPaperGroups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every paper experiment")
+	}
+	headers := []string{"Figure 5:", "Figure 6:", "Figure 7:", "Figure 8:", "Figure 9:", "Figure 10:", "Figure 11:", "Figure 12:", "§5.3 check:"}
+	for _, c := range []struct {
+		exp  string
+		want []string // headers printed once; the rest never
+	}{
+		{"all", headers},
+		{"azure", []string{"Figure 7:", "Figure 8:", "Figure 9:", "Figure 10:", "Figure 12:"}},
+		{"fig11", []string{"Figure 11:"}},
+		{"pool", []string{"§5.3 check:"}},
+	} {
+		out, err := stdoutOf(t, func() error { return run(quickSetup(), c.exp, 0, experiments.LadderConfig{}) })
+		if err != nil {
+			t.Fatalf("-exp %s: %v", c.exp, err)
+		}
+		for _, h := range headers {
+			want := 0
+			if slices.Contains(c.want, h) {
+				want = 1
+			}
+			if got := strings.Count(string(out), h); got != want {
+				t.Errorf("-exp %s prints %q %d times, want %d", c.exp, h, got, want)
+			}
+		}
+	}
+}
+
 func TestParseArgsDefaults(t *testing.T) {
 	o, err := parseArgs(nil)
 	if err != nil {
@@ -120,6 +155,11 @@ func TestParseArgsRejectsInvalidValues(t *testing.T) {
 		{"-exp", "toy1", "-racks", "18"},
 		{"-exp", "toy2", "-uplinks", "4"},
 		{"-exp", "toy1", "-uplinks", "0"},
+		// Figure 6 only generates traces from the seed; the seed sweep
+		// sets its own seeds.
+		{"-exp", "fig6", "-racks", "36"},
+		{"-exp", "fig6", "-uplinks", "4"},
+		{"-exp", "seeds", "-seed", "7"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)

@@ -13,7 +13,7 @@ import (
 )
 
 // defaultWorkers holds the package-wide worker-pool width used by every
-// grid helper (RunAll, RunAzureMatrix, RunSeedSweep, the sweeps). Zero
+// grid helper except RunMatrix (RunAll, RunSeedSweep, the sweeps). Zero
 // means "one worker per available CPU"; cmd/risasim's -parallel flag sets
 // it explicitly.
 var defaultWorkers atomic.Int32

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"risa/internal/core"
 	"risa/internal/network"
 	"risa/internal/optics"
 	"risa/internal/sched"
@@ -98,17 +99,11 @@ func (s Setup) NewState() (*sched.State, error) {
 // so the four simulations are independent and run on the shared worker
 // pool (see Engine); results are deterministic regardless of pool width.
 func (s Setup) RunAll(tr *workload.Trace) (map[string]*sim.Result, error) {
-	return s.runAllOn(Engine{}, tr)
-}
-
-// runAllOn is RunAll on a caller-chosen engine (RunFig11 passes a serial
-// one so its timing measurements don't contend).
-func (s Setup) runAllOn(eng Engine, tr *workload.Trace) (map[string]*sim.Result, error) {
 	jobs := make([]Job, len(Algorithms))
 	for i, alg := range Algorithms {
 		jobs[i] = Job{Setup: s, Algorithm: alg, Trace: tr}
 	}
-	outcomes, err := eng.Run(jobs)
+	outcomes, err := Engine{}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -133,44 +128,67 @@ func (s Setup) AzureTrace(subset workload.AzureSubset) (*workload.Trace, error) 
 	return workload.AzureLike(workload.AzureConfig{Subset: subset, Seed: s.Seed})
 }
 
-// AzureMatrix runs every algorithm on every Azure subset: the shared
-// backing data of Figures 7, 8, 9, 10 and 12.
-type AzureMatrix struct {
-	Setup   Setup
-	Results map[workload.AzureSubset]map[string]*sim.Result
-}
-
-// RunAzureMatrix computes the full practical-workload result matrix: the
-// whole subset × algorithm grid is flattened into one job list and run on
-// the worker pool, so the twelve simulations overlap instead of running
-// subset by subset.
-func (s Setup) RunAzureMatrix() (*AzureMatrix, error) {
-	m := &AzureMatrix{
-		Setup:   s,
-		Results: make(map[workload.AzureSubset]map[string]*sim.Result),
-	}
-	var jobs []Job
-	var subsets []workload.AzureSubset
+// AzureTraces generates the three Azure-like workloads, in paper order,
+// with the setup's seed.
+func (s Setup) AzureTraces() ([]*workload.Trace, error) {
+	var traces []*workload.Trace
 	for _, subset := range workload.Subsets() {
 		tr, err := s.AzureTrace(subset)
 		if err != nil {
 			return nil, err
 		}
+		traces = append(traces, tr)
+	}
+	return traces, nil
+}
+
+// Matrix is every algorithm run on every trace of a list under one setup:
+// the shared result grid the paper's figures render from. Figures 5 and
+// 11 read the matrix of the §5.1 synthetic trace, Figures 7–10 and 12 the
+// matrix of the three Azure-like traces under AzureSetup, and the §5.3
+// pool check (RenderPool) both.
+type Matrix struct {
+	Rows []MatrixRow // one per trace, in the order given
+}
+
+// MatrixRow is one trace's line of a Matrix.
+type MatrixRow struct {
+	Trace   string                 // the trace's name
+	Results map[string]*sim.Result // by algorithm
+	// Stats are RISA's and RISA-BF's decision counters, read off each
+	// scheduler when its run ends.
+	Stats map[string]core.Stats
+}
+
+// RunMatrix runs every algorithm on every trace, each cell on a fresh
+// datacenter. The grid always runs on one worker, whatever the package
+// parallelism: Figures 11 and 12 report wall-clock scheduling time, and
+// runs contending for cores would inflate each other's measurement.
+func (s Setup) RunMatrix(traces ...*workload.Trace) (*Matrix, error) {
+	var jobs []Job
+	for _, tr := range traces {
 		for _, alg := range Algorithms {
 			jobs = append(jobs, Job{Setup: s, Algorithm: alg, Trace: tr})
-			subsets = append(subsets, subset)
 		}
 	}
-	outcomes, err := Engine{}.Run(jobs)
+	outcomes, err := Engine{Workers: 1}.Run(jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i, o := range outcomes {
-		subset := subsets[i]
-		if m.Results[subset] == nil {
-			m.Results[subset] = make(map[string]*sim.Result, len(Algorithms))
+	m := &Matrix{Rows: make([]MatrixRow, len(traces))}
+	for i, tr := range traces {
+		m.Rows[i] = MatrixRow{
+			Trace:   tr.Name,
+			Results: make(map[string]*sim.Result, len(Algorithms)),
+			Stats:   make(map[string]core.Stats, 2),
 		}
-		m.Results[subset][o.Job.Algorithm] = o.Result
+	}
+	for k, o := range outcomes {
+		row := m.Rows[k/len(Algorithms)]
+		row.Results[o.Job.Algorithm] = o.Result
+		if risa, ok := o.Scheduler.(*core.RISA); ok {
+			row.Stats[o.Job.Algorithm] = risa.Stats()
+		}
 	}
 	return m, nil
 }

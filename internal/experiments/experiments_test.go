@@ -4,10 +4,33 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"risa/internal/units"
 	"risa/internal/workload"
+)
+
+// The paper figures' result matrices, computed once per test binary for
+// every test that reads them: the §5.1 synthetic trace under DefaultSetup
+// and the three Azure-like traces under AzureSetup, as risasim runs them.
+var (
+	syntheticMatrix = sync.OnceValues(func() (*Matrix, error) {
+		s := DefaultSetup()
+		tr, err := s.SyntheticTrace()
+		if err != nil {
+			return nil, err
+		}
+		return s.RunMatrix(tr)
+	})
+	azureMatrix = sync.OnceValues(func() (*Matrix, error) {
+		s := AzureSetup()
+		traces, err := s.AzureTraces()
+		if err != nil {
+			return nil, err
+		}
+		return s.RunMatrix(traces...)
+	})
 )
 
 func TestNewSchedulerNames(t *testing.T) {
@@ -187,14 +210,18 @@ func TestFig5SmokeAndShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthetic workload run")
 	}
-	f, err := DefaultSetup().RunFig5()
+	m, err := syntheticMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nulb := f.Results["NULB"]
-	nalb := f.Results["NALB"]
-	risa := f.Results["RISA"]
-	risabf := f.Results["RISA-BF"]
+	if len(m.Rows) != 1 || m.Rows[0].Trace != "synthetic" {
+		t.Fatalf("synthetic matrix rows = %+v", m.Rows)
+	}
+	res := m.Rows[0].Results
+	nulb := res["NULB"]
+	nalb := res["NALB"]
+	risa := res["RISA"]
+	risabf := res["RISA-BF"]
 	// The paper's Figure 5 shape: hundreds for the baselines, single
 	// digits for RISA, RISA-BF ≤ RISA.
 	if nulb.InterRack < 100 {
@@ -214,7 +241,7 @@ func TestFig5SmokeAndShape(t *testing.T) {
 	if risa.Dropped != 0 || risabf.Dropped != 0 {
 		t.Error("RISA variants should schedule the full synthetic workload")
 	}
-	out := f.Render()
+	out := m.RenderFig5()
 	if !strings.Contains(out, "Figure 5") || !strings.Contains(out, "NULB") {
 		t.Error("render incomplete")
 	}
@@ -224,12 +251,18 @@ func TestAzureMatrixShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Azure matrix")
 	}
-	m, err := AzureSetup().RunAzureMatrix()
+	m, err := azureMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range workload.Subsets() {
-		res := m.Results[sub]
+	if len(m.Rows) != len(workload.Subsets()) {
+		t.Fatalf("Azure matrix has %d rows", len(m.Rows))
+	}
+	for i, sub := range workload.Subsets() {
+		if m.Rows[i].Trace != sub.String() {
+			t.Errorf("row %d is %s, want %v", i, m.Rows[i].Trace, sub)
+		}
+		res := m.Rows[i].Results
 		// Paper §5.2: zero drops everywhere.
 		for _, alg := range Algorithms {
 			if res[alg].Dropped != 0 {
@@ -376,16 +409,16 @@ func TestFig11RendersTimes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full synthetic workload run")
 	}
-	f, err := DefaultSetup().RunFig11()
+	m, err := syntheticMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		if f.Results[alg].SchedulingTime <= 0 {
+		if m.Rows[0].Results[alg].SchedulingTime <= 0 {
 			t.Errorf("%s has no measured scheduling time", alg)
 		}
 	}
-	if !strings.Contains(f.Render(), "Figure 11") {
+	if !strings.Contains(m.RenderFig11(), "Figure 11") {
 		t.Error("render incomplete")
 	}
 }

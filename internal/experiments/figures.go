@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"risa/internal/metrics"
@@ -11,42 +10,46 @@ import (
 	"risa/internal/workload"
 )
 
-// Fig5 reproduces Figure 5: the number of inter-rack VM assignments of the
-// four algorithms on the §5.1 synthetic workload, plus the prose
-// utilization numbers of §5.1.
-type Fig5 struct {
-	Results map[string]*sim.Result // by algorithm
-}
-
-// RunFig5 executes the Figure 5 experiment.
-func (s Setup) RunFig5() (*Fig5, error) {
-	tr, err := s.SyntheticTrace()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.RunAll(tr)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig5{Results: res}, nil
-}
-
-// Render draws the figure as ASCII bars plus the §5.1 utilization lines.
-func (f *Fig5) Render() string {
-	var bars []metrics.Bar
-	for _, alg := range Algorithms {
-		bars = append(bars, metrics.Bar{Label: alg, Value: float64(f.Results[alg].InterRack)})
-	}
+// bars draws one bar group per trace of the matrix, a bar per algorithm
+// valued by value and printed with format. A matrix of one trace draws
+// its group under title itself; otherwise title heads a group per trace.
+func (m *Matrix) bars(title, format string, value func(*sim.Result) float64) string {
 	var b strings.Builder
-	b.WriteString(metrics.RenderBars(
-		"Figure 5: Number of inter-rack VM assignments (synthetic workload)",
-		bars, 40, "%.0f"))
+	if len(m.Rows) != 1 {
+		b.WriteString(title + "\n")
+	}
+	for _, row := range m.Rows {
+		bars := make([]metrics.Bar, len(Algorithms))
+		for i, alg := range Algorithms {
+			bars[i] = metrics.Bar{Label: alg, Value: value(row.Results[alg])}
+		}
+		label := "  " + row.Trace
+		if len(m.Rows) == 1 {
+			label = title
+		}
+		b.WriteString(metrics.RenderBars(label, bars, 40, format))
+	}
+	return b.String()
+}
+
+// schedulingMS is a run's wall-clock time inside Schedule calls, in ms.
+func schedulingMS(r *sim.Result) float64 { return float64(r.SchedulingTime.Microseconds()) / 1000 }
+
+// RenderFig5 draws Figure 5 from the synthetic matrix: the number of
+// inter-rack VM assignments of the four algorithms, plus the prose
+// utilization numbers of §5.1.
+func (m *Matrix) RenderFig5() string {
+	var b strings.Builder
+	b.WriteString(m.bars("Figure 5: Number of inter-rack VM assignments (synthetic workload)", "%.0f",
+		func(r *sim.Result) float64 { return float64(r.InterRack) }))
 	b.WriteString("\n§5.1 prose numbers (time-averaged utilization, %):\n")
-	for _, alg := range Algorithms {
-		r := f.Results[alg]
-		fmt.Fprintf(&b, "  %-8s CPU %.2f  RAM %.2f  STO %.2f  (scheduled %d, dropped %d)\n",
-			alg, r.AvgUtil[units.CPU], r.AvgUtil[units.RAM], r.AvgUtil[units.Storage],
-			r.Scheduled, r.Dropped)
+	for _, row := range m.Rows {
+		for _, alg := range Algorithms {
+			r := row.Results[alg]
+			fmt.Fprintf(&b, "  %-8s CPU %.2f  RAM %.2f  STO %.2f  (scheduled %d, dropped %d)\n",
+				alg, r.AvgUtil[units.CPU], r.AvgUtil[units.RAM], r.AvgUtil[units.Storage],
+				r.Scheduled, r.Dropped)
+		}
 	}
 	return b.String()
 }
@@ -59,15 +62,11 @@ type Fig6 struct {
 
 // RunFig6 generates the three practical workloads.
 func (s Setup) RunFig6() (*Fig6, error) {
-	f := &Fig6{}
-	for _, subset := range workload.Subsets() {
-		tr, err := s.AzureTrace(subset)
-		if err != nil {
-			return nil, err
-		}
-		f.Traces = append(f.Traces, tr)
+	traces, err := s.AzureTraces()
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return &Fig6{Traces: traces}, nil
 }
 
 // Render draws per-subset CPU and RAM histograms.
@@ -91,136 +90,43 @@ func (f *Fig6) Render() string {
 	return b.String()
 }
 
-// subsetOrder returns the matrix's subsets in paper order.
-func (m *AzureMatrix) subsetOrder() []workload.AzureSubset {
-	subs := make([]workload.AzureSubset, 0, len(m.Results))
-	for s := range m.Results {
-		subs = append(subs, s)
-	}
-	sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
-	return subs
+// RenderFig7 draws Figure 7 from the Azure matrix: percentage of
+// inter-rack VM assignments per workload and algorithm.
+func (m *Matrix) RenderFig7() string {
+	return m.bars("Figure 7: Percentage of inter-rack VM assignments", "%.2f%%",
+		func(r *sim.Result) float64 { return r.InterRackPct })
 }
 
-// RenderFig7 draws Figure 7: percentage of inter-rack VM assignments per
-// workload and algorithm.
-func (m *AzureMatrix) RenderFig7() string {
-	var b strings.Builder
-	b.WriteString("Figure 7: Percentage of inter-rack VM assignments\n")
-	for _, sub := range m.subsetOrder() {
-		var bars []metrics.Bar
-		for _, alg := range Algorithms {
-			bars = append(bars, metrics.Bar{Label: alg, Value: m.Results[sub][alg].InterRackPct})
-		}
-		b.WriteString(metrics.RenderBars(fmt.Sprintf("  %v", sub), bars, 40, "%.2f%%"))
-	}
-	return b.String()
+// RenderFig8 draws Figure 8 from the Azure matrix: intra- and inter-rack
+// network utilization.
+func (m *Matrix) RenderFig8() string {
+	return "Figure 8: Network utilization (peak, %)\n" +
+		m.bars("Intra-rack network utilization:", "%.2f%%", func(r *sim.Result) float64 { return r.PeakIntraUtil }) +
+		m.bars("Inter-rack network utilization:", "%.2f%%", func(r *sim.Result) float64 { return r.PeakInterUtil })
 }
 
-// RenderFig8 draws Figure 8: intra- and inter-rack network utilization.
-func (m *AzureMatrix) RenderFig8() string {
-	var b strings.Builder
-	b.WriteString("Figure 8: Network utilization (peak, %)\n")
-	for _, which := range []string{"Intra", "Inter"} {
-		fmt.Fprintf(&b, "%s-rack network utilization:\n", which)
-		for _, sub := range m.subsetOrder() {
-			var bars []metrics.Bar
-			for _, alg := range Algorithms {
-				r := m.Results[sub][alg]
-				v := r.PeakIntraUtil
-				if which == "Inter" {
-					v = r.PeakInterUtil
-				}
-				bars = append(bars, metrics.Bar{Label: alg, Value: v})
-			}
-			b.WriteString(metrics.RenderBars(fmt.Sprintf("  %v", sub), bars, 40, "%.2f%%"))
-		}
-	}
-	return b.String()
+// RenderFig9 draws Figure 9 from the Azure matrix: peak power consumption
+// of optical components.
+func (m *Matrix) RenderFig9() string {
+	return m.bars("Figure 9: Power consumption for optical components (peak, kW)", "%.3f kW",
+		func(r *sim.Result) float64 { return r.PeakPowerW / 1000 })
 }
 
-// RenderFig9 draws Figure 9: peak power consumption of optical components.
-func (m *AzureMatrix) RenderFig9() string {
-	var b strings.Builder
-	b.WriteString("Figure 9: Power consumption for optical components (peak, kW)\n")
-	for _, sub := range m.subsetOrder() {
-		var bars []metrics.Bar
-		for _, alg := range Algorithms {
-			bars = append(bars, metrics.Bar{Label: alg, Value: m.Results[sub][alg].PeakPowerW / 1000})
-		}
-		b.WriteString(metrics.RenderBars(fmt.Sprintf("  %v", sub), bars, 40, "%.3f kW"))
-	}
-	return b.String()
+// RenderFig10 draws Figure 10 from the Azure matrix: average CPU-RAM
+// round-trip latency.
+func (m *Matrix) RenderFig10() string {
+	return m.bars("Figure 10: Average CPU-RAM round-trip delay (ns)", "%.0f ns",
+		func(r *sim.Result) float64 { return float64(r.MeanCPURAMLatency.Nanoseconds()) })
 }
 
-// RenderFig10 draws Figure 10: average CPU-RAM round-trip latency.
-func (m *AzureMatrix) RenderFig10() string {
-	var b strings.Builder
-	b.WriteString("Figure 10: Average CPU-RAM round-trip delay (ns)\n")
-	for _, sub := range m.subsetOrder() {
-		var bars []metrics.Bar
-		for _, alg := range Algorithms {
-			bars = append(bars, metrics.Bar{
-				Label: alg,
-				Value: float64(m.Results[sub][alg].MeanCPURAMLatency.Nanoseconds()),
-			})
-		}
-		b.WriteString(metrics.RenderBars(fmt.Sprintf("  %v", sub), bars, 40, "%.0f ns"))
-	}
-	return b.String()
+// RenderFig11 draws Figure 11 from the synthetic matrix: scheduler
+// execution time (wall-clock spent inside Schedule calls).
+func (m *Matrix) RenderFig11() string {
+	return m.bars("Figure 11: Execution time of synthetic workload (ms of scheduling)", "%.2f ms", schedulingMS)
 }
 
-// RenderFig12 draws Figure 12: scheduler execution time on the practical
-// workloads (wall-clock spent inside Schedule calls).
-func (m *AzureMatrix) RenderFig12() string {
-	var b strings.Builder
-	b.WriteString("Figure 12: Execution time of practical workload (ms of scheduling)\n")
-	for _, sub := range m.subsetOrder() {
-		var bars []metrics.Bar
-		for _, alg := range Algorithms {
-			bars = append(bars, metrics.Bar{
-				Label: alg,
-				Value: float64(m.Results[sub][alg].SchedulingTime.Microseconds()) / 1000,
-			})
-		}
-		b.WriteString(metrics.RenderBars(fmt.Sprintf("  %v", sub), bars, 40, "%.2f ms"))
-	}
-	return b.String()
-}
-
-// Fig11 reproduces Figure 11: scheduler execution time on the synthetic
-// workload.
-type Fig11 struct {
-	Results map[string]*sim.Result
-}
-
-// RunFig11 executes the Figure 11 experiment: the same runs as Figure 5,
-// but forced onto a single worker — the figure reports wall-clock
-// scheduling time, and concurrent runs contending for cores would inflate
-// each other's measurement. (Figure 12 reads timings from the shared
-// Azure matrix; regenerate it with -parallel 1 when the absolute times
-// matter — see EXPERIMENTS.md.)
-func (s Setup) RunFig11() (*Fig11, error) {
-	tr, err := s.SyntheticTrace()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.runAllOn(Engine{Workers: 1}, tr)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig11{Results: res}, nil
-}
-
-// Render draws the figure.
-func (f *Fig11) Render() string {
-	var bars []metrics.Bar
-	for _, alg := range Algorithms {
-		bars = append(bars, metrics.Bar{
-			Label: alg,
-			Value: float64(f.Results[alg].SchedulingTime.Microseconds()) / 1000,
-		})
-	}
-	return metrics.RenderBars(
-		"Figure 11: Execution time of synthetic workload (ms of scheduling)",
-		bars, 40, "%.2f ms")
+// RenderFig12 draws Figure 12 from the Azure matrix: scheduler execution
+// time on the practical workloads.
+func (m *Matrix) RenderFig12() string {
+	return m.bars("Figure 12: Execution time of practical workload (ms of scheduling)", "%.2f ms", schedulingMS)
 }

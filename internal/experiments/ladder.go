@@ -231,7 +231,8 @@ func (s Setup) faultPlan(rung FaultRung, horizon int64) (*faults.Plan, error) {
 		Horizon:      horizon,
 		Racks:        s.Topology.Racks,
 		BoxesPerRack: s.Topology.BoxesPerRack(),
-		Box:          faults.TierRates{MTBF: float64(rung.MTBF), MTTR: float64(rung.MTTR)},
+		MTBF:         float64(rung.MTBF),
+		MTTR:         float64(rung.MTTR),
 	})
 }
 

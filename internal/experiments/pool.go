@@ -3,74 +3,28 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"risa/internal/core"
-	"risa/internal/workload"
 )
 
-// PoolOccupancy verifies the paper's §5.3 claim: "in practice,
-// INTRA_RACK_POOL is not always empty. In fact for the simulation results
-// discussed in preceding subsections, INTRA_RACK_POOL was never empty" —
-// i.e. RISA never had to fall back to NULB on either workload family.
-type PoolOccupancy struct {
-	// Stats per workload name, for RISA and RISA-BF.
-	Stats map[string]map[string]core.Stats
-	Order []string
-}
-
-// RunPoolOccupancy replays the synthetic workload (under the §5.1 setup)
-// and the three Azure workloads (under the §5.2 setup) through RISA and
-// RISA-BF, collecting the decision-path counters.
-func (s Setup) RunPoolOccupancy() (*PoolOccupancy, error) {
-	// Driven through the simulator so departures happen exactly as in the
-	// headline experiments; the counters are read off the instance each
-	// job ran.
-	var jobs []Job
-	add := func(setup Setup, tr *workload.Trace) {
-		for _, variant := range []string{"RISA", "RISA-BF"} {
-			jobs = append(jobs, Job{Setup: setup, Algorithm: variant, Trace: tr})
-		}
-	}
-	synth, err := s.SyntheticTrace()
-	if err != nil {
-		return nil, err
-	}
-	add(s, synth)
-	azure := AzureSetupFrom(s)
-	for _, sub := range workload.Subsets() {
-		tr, err := azure.AzureTrace(sub)
-		if err != nil {
-			return nil, err
-		}
-		add(azure, tr)
-	}
-	outcomes, err := Engine{}.Run(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := &PoolOccupancy{Stats: make(map[string]map[string]core.Stats)}
-	for _, o := range outcomes {
-		name := o.Job.Trace.Name
-		if out.Stats[name] == nil {
-			out.Stats[name] = make(map[string]core.Stats, 2)
-			out.Order = append(out.Order, name)
-		}
-		out.Stats[name][o.Job.Algorithm] = o.Scheduler.(*core.RISA).Stats()
-	}
-	return out, nil
-}
-
-// Render draws the verification table.
-func (p *PoolOccupancy) Render() string {
+// RenderPool draws the §5.3 check from the matrices' RISA and RISA-BF
+// decision counters, one block per trace in order. The paper claims: "in
+// practice, INTRA_RACK_POOL is not always empty. In fact for the
+// simulation results discussed in preceding subsections, INTRA_RACK_POOL
+// was never empty" — i.e. RISA never had to fall back to NULB on either
+// workload family. The counters come from the headline runs themselves
+// (the synthetic and the Azure matrix), so departures happen exactly as
+// in the figures.
+func RenderPool(ms ...*Matrix) string {
 	var b strings.Builder
 	b.WriteString("§5.3 check: INTRA_RACK_POOL occupancy during the headline runs\n")
 	fmt.Fprintf(&b, "  %-12s %-8s %10s %10s %10s %10s %8s\n",
 		"workload", "variant", "intra", "super-rack", "pool-empty", "net-gated", "dropped")
-	for _, name := range p.Order {
-		for _, variant := range []string{"RISA", "RISA-BF"} {
-			s := p.Stats[name][variant]
-			fmt.Fprintf(&b, "  %-12s %-8s %10d %10d %10d %10d %8d\n",
-				name, variant, s.IntraRack, s.SuperRack, s.PoolEmpty, s.NetGated, s.Dropped)
+	for _, m := range ms {
+		for _, row := range m.Rows {
+			for _, variant := range []string{"RISA", "RISA-BF"} {
+				s := row.Stats[variant]
+				fmt.Fprintf(&b, "  %-12s %-8s %10d %10d %10d %10d %8d\n",
+					row.Trace, variant, s.IntraRack, s.SuperRack, s.PoolEmpty, s.NetGated, s.Dropped)
+			}
 		}
 	}
 	b.WriteString("  Paper claim: the pool was never empty. It holds exactly on every\n")

@@ -11,18 +11,19 @@ import (
 // workloads, so RISA never takes the SUPER_RACK fallback there.
 func TestPoolOccupancyNeverEmptyOnAzure(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all four workloads twice")
+		t.Skip("reads the synthetic and Azure matrices")
 	}
-	p, err := DefaultSetup().RunPoolOccupancy()
+	synthetic, err := syntheticMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Order) != 4 {
-		t.Fatalf("workloads = %v", p.Order)
+	azure, err := azureMatrix()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, sub := range workload.Subsets() {
+	for i, sub := range workload.Subsets() {
 		for _, variant := range []string{"RISA", "RISA-BF"} {
-			s := p.Stats[sub.String()][variant]
+			s := azure.Rows[i].Stats[variant]
 			if s.PoolEmpty != 0 || s.SuperRack != 0 {
 				t.Errorf("%v/%s: pool-empty=%d super-rack=%d, want 0/0",
 					sub, variant, s.PoolEmpty, s.SuperRack)
@@ -39,11 +40,11 @@ func TestPoolOccupancyNeverEmptyOnAzure(t *testing.T) {
 	}
 	// The synthetic workload's single RISA inter-rack VM (Figure 5) is a
 	// pool-empty arrival served by the SUPER_RACK path.
-	synth := p.Stats["synthetic"]["RISA"]
+	synth := synthetic.Rows[0].Stats["RISA"]
 	if synth.PoolEmpty+synth.NetGated != synth.SuperRack+synth.Dropped {
 		t.Errorf("fallback accounting inconsistent: %+v", synth)
 	}
-	out := p.Render()
+	out := RenderPool(synthetic, azure)
 	if !strings.Contains(out, "INTRA_RACK_POOL") || !strings.Contains(out, "synthetic") {
 		t.Error("render incomplete")
 	}

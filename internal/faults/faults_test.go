@@ -12,7 +12,8 @@ func genConfig() GenConfig {
 		Horizon:      100000,
 		Racks:        18,
 		BoxesPerRack: 6,
-		Box:          TierRates{MTBF: 20000, MTTR: 2000},
+		MTBF:         20000,
+		MTTR:         2000,
 	}
 }
 
@@ -113,7 +114,7 @@ func TestGeneratePairing(t *testing.T) {
 
 func TestGenerateDisabledTiers(t *testing.T) {
 	cfg := genConfig()
-	cfg.Box = TierRates{}
+	cfg.MTBF, cfg.MTTR = 0, 0
 	p, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		func(c *GenConfig) { c.Horizon = 0 },
 		func(c *GenConfig) { c.Racks = 0 },
 		func(c *GenConfig) { c.BoxesPerRack = 0 },
-		func(c *GenConfig) { c.Box.MTTR = 0 },
+		func(c *GenConfig) { c.MTTR = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := genConfig()

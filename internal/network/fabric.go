@@ -147,12 +147,13 @@ type Config struct {
 	// structure of Shabka & Zervas (the paper's related-work contrast,
 	// its ref [17]): racks group into pods of this size, each pod has a
 	// pod switch, and pod switches connect to a core switch through
-	// PodUplinks links each. Zero keeps the paper's two-tier fabric.
+	// uplinksPerPod links each. Zero keeps the paper's two-tier fabric.
 	RacksPerPod int
-	// PodUplinks is the number of pod→core links per pod (three-tier
-	// only; default 16 when RacksPerPod > 0 and this is 0).
-	PodUplinks int
 }
+
+// uplinksPerPod is the number of pod→core links per pod in the
+// three-tier fabric.
+const uplinksPerPod = 16
 
 // DefaultConfig returns the link provisioning described in DESIGN.md.
 func DefaultConfig() Config {
@@ -170,8 +171,8 @@ func (c Config) Validate() error {
 	if c.LinkCapacity <= 0 {
 		return fmt.Errorf("network: link capacity must be positive, got %v", c.LinkCapacity)
 	}
-	if c.RacksPerPod < 0 || c.PodUplinks < 0 {
-		return fmt.Errorf("network: negative pod parameters (%d, %d)", c.RacksPerPod, c.PodUplinks)
+	if c.RacksPerPod < 0 {
+		return fmt.Errorf("network: negative racks per pod (%d)", c.RacksPerPod)
 	}
 	return nil
 }
@@ -268,20 +269,16 @@ func NewFabric(cl *topology.Cluster, cfg Config) (*Fabric, error) {
 		f.interFree += cfg.LinkCapacity * units.Bandwidth(cfg.RackUplinks)
 	}
 	if cfg.ThreeTier() {
-		podUplinks := cfg.PodUplinks
-		if podUplinks == 0 {
-			podUplinks = 16
-		}
 		pods := (len(racks) + cfg.RacksPerPod - 1) / cfg.RacksPerPod
 		f.podUplinks = make([][]*Link, pods)
 		for pi := range f.podUplinks {
-			group := make([]*Link, podUplinks)
+			group := make([]*Link, uplinksPerPod)
 			for ui := range group {
 				group[ui] = &Link{tier: PodUplink, rack: -1, box: pi, index: ui, cap: cfg.LinkCapacity, free: cfg.LinkCapacity}
 			}
 			f.podUplinks[pi] = group
-			f.podCap += cfg.LinkCapacity * units.Bandwidth(podUplinks)
-			f.podFree += cfg.LinkCapacity * units.Bandwidth(podUplinks)
+			f.podCap += cfg.LinkCapacity * units.Bandwidth(uplinksPerPod)
+			f.podFree += cfg.LinkCapacity * units.Bandwidth(uplinksPerPod)
 		}
 	}
 	return f, nil

@@ -45,7 +45,6 @@ func TestConfigValidate(t *testing.T) {
 		{BoxUplinks: 8, RackUplinks: 16, LinkCapacity: 0},
 		{BoxUplinks: 8, RackUplinks: 16, LinkCapacity: -5},
 		{BoxUplinks: 8, RackUplinks: 16, LinkCapacity: 200, RacksPerPod: -1},
-		{BoxUplinks: 8, RackUplinks: 16, LinkCapacity: 200, PodUplinks: -2},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -80,10 +80,16 @@ func TestReserveSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One link per group; pods {0, 1} and {2, 3}.
-	f, err := NewFabric(cl, Config{BoxUplinks: 1, RackUplinks: 1, PodUplinks: 1, RacksPerPod: 2, LinkCapacity: 100})
+	// One usable link per group; pods {0, 1} and {2, 3}, each with all
+	// but its first uplink failed.
+	f, err := NewFabric(cl, Config{BoxUplinks: 1, RackUplinks: 1, RacksPerPod: 2, LinkCapacity: 100})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, group := range f.podUplinks {
+		for _, l := range group[1:] {
+			f.SetLinkFailed(l, true)
+		}
 	}
 	cpu := func(rack, i int) *topology.Box { return cl.Rack(rack).BoxesOf(units.CPU)[i] }
 	ram := func(rack int) *topology.Box { return cl.Rack(rack).BoxesOf(units.RAM)[0] }

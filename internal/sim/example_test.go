@@ -51,7 +51,7 @@ func ExampleRunner_RunStream() {
 	// 2 000 later.
 	plan, err := faults.Generate(faults.GenConfig{
 		Seed: 1, Horizon: 50_000, Racks: 18, BoxesPerRack: 6,
-		Box: faults.TierRates{MTBF: 50_000, MTTR: 2_000},
+		MTBF: 50_000, MTTR: 2_000,
 	})
 	if err != nil {
 		panic(err)

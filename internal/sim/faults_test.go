@@ -246,7 +246,7 @@ func TestRunStreamFaultDeterminism(t *testing.T) {
 	plan, err := faults.Generate(faults.GenConfig{
 		Seed: 7, Horizon: 4000,
 		Racks: tcfg.Racks, BoxesPerRack: tcfg.BoxesPerRack(),
-		Box: faults.TierRates{MTBF: 20000, MTTR: 300},
+		MTBF: 20000, MTTR: 300,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -88,7 +88,7 @@ func eqPlan(t testing.TB, horizon int64) *faults.Plan {
 	plan, err := faults.Generate(faults.GenConfig{
 		Seed: 7, Horizon: horizon,
 		Racks: tcfg.Racks, BoxesPerRack: tcfg.BoxesPerRack(),
-		Box: faults.TierRates{MTBF: 30000, MTTR: 3000},
+		MTBF: 30000, MTTR: 3000,
 	})
 	if err != nil {
 		t.Fatal(err)
