@@ -87,28 +87,30 @@ func (t Tier) String() string {
 	}
 }
 
-// Link is one shared optical link with bandwidth accounting.
+// Link is one shared optical link with bandwidth accounting. Links live
+// by value in their fabric's slabs (see Fabric), so the fields are packed
+// into 32 bytes: two to a cache line when pick walks a group.
 type Link struct {
-	tier   Tier
-	rack   int // rack the link belongs to
-	box    int // box index within rack (BoxUplink only, else -1)
-	index  int // uplink index within its group
-	cap    units.Bandwidth
 	free   units.Bandwidth
-	failed bool // failed links carry no new flows
+	cap    units.Bandwidth
+	failed bool  // failed links carry no new flows
+	tier   uint8 // the link's Tier
+	rack   int32 // rack the link belongs to (-1 for pod uplinks)
+	box    int32 // box index within rack (BoxUplink), pod index (PodUplink), else -1
+	index  int32 // uplink index within its group
 }
 
 // Tier returns the link's layer.
-func (l *Link) Tier() Tier { return l.tier }
+func (l *Link) Tier() Tier { return Tier(l.tier) }
 
 // Rack returns the rack the link belongs to.
-func (l *Link) Rack() int { return l.rack }
+func (l *Link) Rack() int { return int(l.rack) }
 
 // Box returns the in-rack box index for box uplinks, -1 for rack uplinks.
-func (l *Link) Box() int { return l.box }
+func (l *Link) Box() int { return int(l.box) }
 
 // Index returns the link's position within its uplink group.
-func (l *Link) Index() int { return l.index }
+func (l *Link) Index() int { return int(l.index) }
 
 // Capacity returns the link's total bandwidth.
 func (l *Link) Capacity() units.Bandwidth { return l.cap }
@@ -127,10 +129,14 @@ func (l *Link) Failed() bool { return l.failed }
 
 // String identifies the link for logs and errors.
 func (l *Link) String() string {
-	if l.tier == BoxUplink {
+	switch Tier(l.tier) {
+	case BoxUplink:
 		return fmt.Sprintf("box-uplink r%d/b%d/#%d", l.rack, l.box, l.index)
+	case PodUplink:
+		return fmt.Sprintf("pod-uplink p%d/#%d", l.box, l.index)
+	default:
+		return fmt.Sprintf("rack-uplink r%d/#%d", l.rack, l.index)
 	}
-	return fmt.Sprintf("rack-uplink r%d/#%d", l.rack, l.index)
 }
 
 // Config sizes the fabric. Defaults follow DESIGN.md §3: one brick link
@@ -202,16 +208,22 @@ func (p Policy) String() string {
 }
 
 // Fabric owns every shared link of a cluster and its aggregate counters.
+// The links are held by value: each rack's box and rack uplink groups are
+// windows into one slab of that rack's links, and the pod groups into one
+// slab of their own, so a hop's pick walks contiguous memory and a flow's
+// *Link points into a slab. A slab never grows, which keeps those
+// pointers valid for the fabric's lifetime.
 type Fabric struct {
 	cfg         Config
-	boxUplinks  [][][]*Link // [rack][boxIndex][uplink]
-	rackUplinks [][]*Link   // [rack][uplink]
-	podUplinks  [][]*Link   // [pod][uplink], three-tier only
+	boxUplinks  [][][]Link // [rack][boxIndex][uplink]
+	rackUplinks [][]Link   // [rack][uplink]
+	podUplinks  [][]Link   // [pod][uplink], three-tier only
 
-	intraCap, intraFree units.Bandwidth   // aggregate over all box uplinks
-	interCap, interFree units.Bandwidth   // aggregate over all rack uplinks
-	podCap, podFree     units.Bandwidth   // aggregate over all pod uplinks
-	rackIntraFree       []units.Bandwidth // per-rack free over its box uplinks
+	intraCap, intraFree units.Bandwidth     // aggregate over all box uplinks
+	interCap, interFree units.Bandwidth     // aggregate over all rack uplinks
+	podCap, podFree     units.Bandwidth     // aggregate over all pod uplinks
+	rackIntraFree       []units.Bandwidth   // per-rack free over its healthy box uplinks
+	boxFree             [][]units.Bandwidth // [rack][boxIndex] free over all of the box's uplinks, failed ones too
 
 	// freeFlows recycles the Flow records AllocateFlow hands out, so
 	// direct users of the fabric do not allocate at steady state. The
@@ -244,44 +256,50 @@ func NewFabric(cl *topology.Cluster, cfg Config) (*Fabric, error) {
 	}
 	f := &Fabric{cfg: cfg}
 	racks := cl.Racks()
-	f.boxUplinks = make([][][]*Link, len(racks))
-	f.rackUplinks = make([][]*Link, len(racks))
+	f.boxUplinks = make([][][]Link, len(racks))
+	f.rackUplinks = make([][]Link, len(racks))
 	f.rackIntraFree = make([]units.Bandwidth, len(racks))
+	f.boxFree = make([][]units.Bandwidth, len(racks))
+	boxGroup := cfg.LinkCapacity * units.Bandwidth(cfg.BoxUplinks)
 	for ri, rack := range racks {
 		boxes := rack.Boxes()
-		f.boxUplinks[ri] = make([][]*Link, len(boxes))
+		slab := make([]Link, len(boxes)*cfg.BoxUplinks+cfg.RackUplinks)
+		f.boxUplinks[ri] = make([][]Link, len(boxes))
+		f.boxFree[ri] = make([]units.Bandwidth, len(boxes))
 		for bi := range boxes {
-			group := make([]*Link, cfg.BoxUplinks)
-			for ui := range group {
-				group[ui] = &Link{tier: BoxUplink, rack: ri, box: bi, index: ui, cap: cfg.LinkCapacity, free: cfg.LinkCapacity}
-			}
-			f.boxUplinks[ri][bi] = group
-			f.intraCap += cfg.LinkCapacity * units.Bandwidth(cfg.BoxUplinks)
-			f.intraFree += cfg.LinkCapacity * units.Bandwidth(cfg.BoxUplinks)
-			f.rackIntraFree[ri] += cfg.LinkCapacity * units.Bandwidth(cfg.BoxUplinks)
+			f.boxUplinks[ri][bi] = carve(&slab, cfg.BoxUplinks, BoxUplink, ri, bi, cfg.LinkCapacity)
+			f.boxFree[ri][bi] = boxGroup
+			f.intraCap += boxGroup
+			f.intraFree += boxGroup
+			f.rackIntraFree[ri] += boxGroup
 		}
-		group := make([]*Link, cfg.RackUplinks)
-		for ui := range group {
-			group[ui] = &Link{tier: RackUplink, rack: ri, box: -1, index: ui, cap: cfg.LinkCapacity, free: cfg.LinkCapacity}
-		}
-		f.rackUplinks[ri] = group
+		f.rackUplinks[ri] = carve(&slab, cfg.RackUplinks, RackUplink, ri, -1, cfg.LinkCapacity)
 		f.interCap += cfg.LinkCapacity * units.Bandwidth(cfg.RackUplinks)
 		f.interFree += cfg.LinkCapacity * units.Bandwidth(cfg.RackUplinks)
 	}
 	if cfg.ThreeTier() {
 		pods := (len(racks) + cfg.RacksPerPod - 1) / cfg.RacksPerPod
-		f.podUplinks = make([][]*Link, pods)
+		slab := make([]Link, pods*uplinksPerPod)
+		f.podUplinks = make([][]Link, pods)
 		for pi := range f.podUplinks {
-			group := make([]*Link, uplinksPerPod)
-			for ui := range group {
-				group[ui] = &Link{tier: PodUplink, rack: -1, box: pi, index: ui, cap: cfg.LinkCapacity, free: cfg.LinkCapacity}
-			}
-			f.podUplinks[pi] = group
+			f.podUplinks[pi] = carve(&slab, uplinksPerPod, PodUplink, -1, pi, cfg.LinkCapacity)
 			f.podCap += cfg.LinkCapacity * units.Bandwidth(uplinksPerPod)
 			f.podFree += cfg.LinkCapacity * units.Bandwidth(uplinksPerPod)
 		}
 	}
 	return f, nil
+}
+
+// carve cuts the next n links off the front of *slab as one uplink group
+// and initializes them fully free. The group's capacity is capped at n,
+// so no append can ever spill into a neighbouring group.
+func carve(slab *[]Link, n int, tier Tier, rack, box int, capacity units.Bandwidth) []Link {
+	group := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	for ui := range group {
+		group[ui] = Link{free: capacity, cap: capacity, tier: uint8(tier), rack: int32(rack), box: int32(box), index: int32(ui)}
+	}
+	return group
 }
 
 // InterPodCapacity returns the aggregate pod-uplink capacity (zero in the
@@ -334,29 +352,29 @@ func (f *Fabric) InterRackUtilization() float64 {
 // RISA's AVAIL_INTRA_RACK_NET test is a comparison against this.
 func (f *Fabric) RackIntraFree(rack int) units.Bandwidth { return f.rackIntraFree[rack] }
 
-// BoxUplinkFree returns the total free bandwidth of one box's uplinks.
-// NALB's modified BFS orders candidate boxes by this value, descending.
+// BoxUplinkFree returns the total free bandwidth of one box's uplinks,
+// failed links included. NALB's modified BFS orders candidate boxes by
+// this value, descending. It is a running total kept by take and put, so
+// the read is O(1) where a sum over the group was one per candidate box.
 func (f *Fabric) BoxUplinkFree(box *topology.Box) units.Bandwidth {
-	var total units.Bandwidth
-	for _, l := range f.boxUplinks[box.Rack()][box.Index()] {
-		total += l.free
-	}
-	return total
+	return f.boxFree[box.Rack()][box.Index()]
 }
 
 // pick chooses a link from group under the policy; nil if none fits.
-func pick(group []*Link, bw units.Bandwidth, policy Policy) *Link {
+func pick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 	switch policy {
 	case MaxAvail:
 		var best *Link
-		for _, l := range group {
+		for i := range group {
+			l := &group[i]
 			if !l.failed && l.free >= bw && (best == nil || l.free > best.free) {
 				best = l
 			}
 		}
 		return best
 	default:
-		for _, l := range group {
+		for i := range group {
+			l := &group[i]
 			if !l.failed && l.free >= bw {
 				return l
 			}
@@ -465,7 +483,7 @@ func (f *Fabric) Reserve(fl *Flow, src, dst *topology.Box, bw units.Bandwidth, p
 	// The hop sequence lives in a fixed-size array — at most maxFlowLinks
 	// shared groups (box, rack, pod, pod, rack, box) — so building it is
 	// allocation-free.
-	var hops [maxFlowLinks][]*Link
+	var hops [maxFlowLinks][]Link
 	n := 0
 	hops[n] = f.boxUplinks[src.Rack()][src.Index()]
 	n++
@@ -486,7 +504,7 @@ func (f *Fabric) Reserve(fl *Flow, src, dst *topology.Box, bw units.Bandwidth, p
 	for _, group := range hops[:n] {
 		l := pick(group, bw, policy)
 		if l == nil {
-			tier := group[0].tier
+			tier := Tier(group[0].tier)
 			f.Unreserve(fl)
 			return tierError(tier)
 		}
@@ -568,10 +586,11 @@ func (f *Fabric) take(l *Link, bw units.Bandwidth) {
 		panic(fmt.Sprintf("network: taking %v from %v with only %v free", bw, l, l.free))
 	}
 	l.free -= bw
-	switch l.tier {
+	switch Tier(l.tier) {
 	case BoxUplink:
 		f.intraFree -= bw
 		f.rackIntraFree[l.rack] -= bw
+		f.boxFree[l.rack][l.box] -= bw
 	case RackUplink:
 		f.interFree -= bw
 	case PodUplink:
@@ -584,11 +603,15 @@ func (f *Fabric) put(l *Link, bw units.Bandwidth) {
 		panic(fmt.Sprintf("network: returning %v to %v overflows capacity", bw, l))
 	}
 	l.free += bw
+	if Tier(l.tier) == BoxUplink {
+		// The box total counts failed links too (BoxUplinkFree).
+		f.boxFree[l.rack][l.box] += bw
+	}
 	if l.failed {
 		// The capacity rejoins the aggregates when the link is restored.
 		return
 	}
-	switch l.tier {
+	switch Tier(l.tier) {
 	case BoxUplink:
 		f.intraFree += bw
 		f.rackIntraFree[l.rack] += bw
@@ -612,7 +635,7 @@ func (f *Fabric) SetLinkFailed(l *Link, failed bool) {
 	if failed {
 		delta = -delta
 	}
-	switch l.tier {
+	switch Tier(l.tier) {
 	case BoxUplink:
 		f.intraFree += delta
 		f.rackIntraFree[l.rack] += delta
@@ -628,18 +651,25 @@ func (f *Fabric) CheckInvariants() error {
 	var intraFree, interFree units.Bandwidth
 	perRack := make([]units.Bandwidth, len(f.rackIntraFree))
 	for ri := range f.boxUplinks {
-		for _, group := range f.boxUplinks[ri] {
-			for _, l := range group {
+		for bi, group := range f.boxUplinks[ri] {
+			var perBox units.Bandwidth
+			for i := range group {
+				l := &group[i]
 				if l.free < 0 || l.free > l.cap {
 					return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, l.cap)
 				}
+				perBox += l.free
 				if !l.failed {
 					intraFree += l.free
 					perRack[ri] += l.free
 				}
 			}
+			if perBox != f.boxFree[ri][bi] {
+				return fmt.Errorf("rack %d box %d uplink free %v != link sum %v", ri, bi, f.boxFree[ri][bi], perBox)
+			}
 		}
-		for _, l := range f.rackUplinks[ri] {
+		for i := range f.rackUplinks[ri] {
+			l := &f.rackUplinks[ri][i]
 			if l.free < 0 || l.free > l.cap {
 				return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, l.cap)
 			}
@@ -656,7 +686,8 @@ func (f *Fabric) CheckInvariants() error {
 	}
 	var podFree units.Bandwidth
 	for _, group := range f.podUplinks {
-		for _, l := range group {
+		for i := range group {
+			l := &group[i]
 			if l.free < 0 || l.free > l.cap {
 				return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, l.cap)
 			}

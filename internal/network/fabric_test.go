@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"risa/internal/topology"
 	"risa/internal/units"
@@ -278,6 +279,36 @@ func TestBoxUplinkFree(t *testing.T) {
 	if got := f.BoxUplinkFree(box); got != 16*200-30 {
 		t.Errorf("BoxUplinkFree after flow = %v", got)
 	}
+	// The total counts failed links too: failing the carrying link hides
+	// nothing from it, and a flow released onto the failed link still
+	// raises it, as a sum of every uplink's free bandwidth would.
+	fl, err := f.AllocateFlow(box, dst, 40, FirstFit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carrying := fl.Links()[0]
+	f.SetLinkFailed(carrying, true)
+	if got := f.BoxUplinkFree(box); got != 16*200-70 {
+		t.Errorf("BoxUplinkFree after failing the carrying link = %v", got)
+	}
+	f.ReleaseFlow(fl)
+	if got := f.BoxUplinkFree(box); got != 16*200-30 {
+		t.Errorf("BoxUplinkFree after release onto the failed link = %v", got)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLinkSize pins the link's size. Links sit by value in per-rack slabs
+// and pick walks a whole 16-link group on every hop of every probe, so a
+// group's bytes are what a placement reads: at 32 bytes two links share a
+// cache line, where the 56-byte pointer-reached records cost a line and a
+// pointer load each. A field added here widens every group.
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got > 32 {
+		t.Fatalf("Link is %d bytes, want <= 32", got)
+	}
 }
 
 func TestRackIntraFreeTracksPerRack(t *testing.T) {
@@ -334,11 +365,29 @@ func TestRandomFlowChurnProperty(t *testing.T) {
 		boxes := cl.Boxes()
 		var live []*Flow
 		for step := 0; step < 300; step++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
+			switch r := rng.Intn(6); {
+			case r == 0:
+				// Fail or repair a box or rack uplink — one carrying a
+				// live flow when there is one, so releases land on failed
+				// links and repairs return their bandwidth.
+				var l *Link
+				if len(live) > 0 && rng.Intn(2) == 0 {
+					links := live[rng.Intn(len(live))].Links()
+					l = links[rng.Intn(len(links))]
+				} else {
+					rack := rng.Intn(len(fab.boxUplinks))
+					group := fab.rackUplinks[rack]
+					if rng.Intn(2) == 0 {
+						group = fab.boxUplinks[rack][rng.Intn(len(fab.boxUplinks[rack]))]
+					}
+					l = &group[rng.Intn(len(group))]
+				}
+				fab.SetLinkFailed(l, !l.Failed())
+			case len(live) > 0 && r <= 2:
 				i := rng.Intn(len(live))
 				fab.ReleaseFlow(live[i])
 				live = append(live[:i], live[i+1:]...)
-			} else {
+			default:
 				src := boxes[rng.Intn(len(boxes))]
 				dst := boxes[rng.Intn(len(boxes))]
 				bw := units.Bandwidth(rng.Int63n(250) + 1)
@@ -354,6 +403,10 @@ func TestRandomFlowChurnProperty(t *testing.T) {
 		}
 		for _, fl := range live {
 			fab.ReleaseFlow(fl)
+		}
+		for _, ref := range fab.FailedLinks() {
+			l, _ := fab.LinkByRef(ref)
+			fab.SetLinkFailed(l, false)
 		}
 		return fab.IntraRackFree() == fab.IntraRackCapacity() &&
 			fab.InterRackFree() == fab.InterRackCapacity() &&

@@ -14,7 +14,7 @@ func TestSetLinkFailedExcludesFromAllocation(t *testing.T) {
 
 	// Fail src's first uplink: the next first-fit flow must use #1.
 	intraFree := f.IntraRackFree()
-	l0 := f.boxUplinks[0][src.Index()][0]
+	l0 := &f.boxUplinks[0][src.Index()][0]
 	f.SetLinkFailed(l0, true)
 	if !l0.Failed() || l0.Free() != 0 {
 		t.Fatal("failed link should hide its bandwidth")
@@ -40,7 +40,7 @@ func TestSetLinkFailedExcludesFromAllocation(t *testing.T) {
 
 func TestSetLinkFailedIdempotent(t *testing.T) {
 	_, f := testFabric(t)
-	l := f.rackUplinks[0][0]
+	l := &f.rackUplinks[0][0]
 	interFree := f.InterRackFree()
 	f.SetLinkFailed(l, true)
 	f.SetLinkFailed(l, true)
@@ -91,8 +91,8 @@ func TestAllUplinksFailedBlocksFlows(t *testing.T) {
 	rack := cl.Rack(0)
 	src := rack.BoxesOf(units.CPU)[0]
 	dst := rack.BoxesOf(units.RAM)[0]
-	for _, l := range f.boxUplinks[0][src.Index()] {
-		f.SetLinkFailed(l, true)
+	for i := range f.boxUplinks[0][src.Index()] {
+		f.SetLinkFailed(&f.boxUplinks[0][src.Index()][i], true)
 	}
 	if _, err := f.AllocateFlow(src, dst, 1, FirstFit); err == nil {
 		t.Error("flow through fully failed box should be refused")
@@ -109,8 +109,8 @@ func TestRackUplinkFailureForcesFailure(t *testing.T) {
 	cl, f := testFabric(t)
 	src := cl.Rack(0).BoxesOf(units.CPU)[0]
 	dst := cl.Rack(1).BoxesOf(units.RAM)[0]
-	for _, l := range f.rackUplinks[0] {
-		f.SetLinkFailed(l, true)
+	for i := range f.rackUplinks[0] {
+		f.SetLinkFailed(&f.rackUplinks[0][i], true)
 	}
 	if _, err := f.AllocateFlow(src, dst, 1, FirstFit); err == nil {
 		t.Error("inter-rack flow without rack uplinks should fail")

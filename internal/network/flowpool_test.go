@@ -87,8 +87,8 @@ func TestReserveSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, group := range f.podUplinks {
-		for _, l := range group[1:] {
-			f.SetLinkFailed(l, true)
+		for i := range group[1:] {
+			f.SetLinkFailed(&group[1+i], true)
 		}
 	}
 	cpu := func(rack, i int) *topology.Box { return cl.Rack(rack).BoxesOf(units.CPU)[i] }

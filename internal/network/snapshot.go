@@ -20,7 +20,7 @@ type LinkRef struct {
 
 // Ref returns the structural address of a link in this fabric.
 func (f *Fabric) Ref(l *Link) LinkRef {
-	return LinkRef{Tier: l.tier, Rack: l.rack, Box: l.box, Index: l.index}
+	return LinkRef{Tier: l.Tier(), Rack: l.Rack(), Box: l.Box(), Index: l.Index()}
 }
 
 // LinkByRef resolves a structural address back to the fabric's link.
@@ -32,19 +32,19 @@ func (f *Fabric) LinkByRef(ref LinkRef) (*Link, error) {
 			ref.Index < 0 || ref.Index >= len(f.boxUplinks[ref.Rack][ref.Box]) {
 			return nil, fmt.Errorf("network: no box uplink at %+v", ref)
 		}
-		return f.boxUplinks[ref.Rack][ref.Box][ref.Index], nil
+		return &f.boxUplinks[ref.Rack][ref.Box][ref.Index], nil
 	case RackUplink:
 		if ref.Rack < 0 || ref.Rack >= len(f.rackUplinks) ||
 			ref.Index < 0 || ref.Index >= len(f.rackUplinks[ref.Rack]) {
 			return nil, fmt.Errorf("network: no rack uplink at %+v", ref)
 		}
-		return f.rackUplinks[ref.Rack][ref.Index], nil
+		return &f.rackUplinks[ref.Rack][ref.Index], nil
 	case PodUplink:
 		if ref.Box < 0 || ref.Box >= len(f.podUplinks) ||
 			ref.Index < 0 || ref.Index >= len(f.podUplinks[ref.Box]) {
 			return nil, fmt.Errorf("network: no pod uplink at %+v", ref)
 		}
-		return f.podUplinks[ref.Box][ref.Index], nil
+		return &f.podUplinks[ref.Box][ref.Index], nil
 	default:
 		return nil, fmt.Errorf("network: unknown tier in %+v", ref)
 	}
@@ -88,28 +88,23 @@ func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack,
 // link, in deterministic traversal order, for snapshot capture.
 func (f *Fabric) FailedLinks() []LinkRef {
 	var out []LinkRef
+	collect := func(group []Link) {
+		for i := range group {
+			if group[i].failed {
+				out = append(out, f.Ref(&group[i]))
+			}
+		}
+	}
 	for ri := range f.boxUplinks {
 		for _, group := range f.boxUplinks[ri] {
-			for _, l := range group {
-				if l.failed {
-					out = append(out, f.Ref(l))
-				}
-			}
+			collect(group)
 		}
 	}
 	for _, group := range f.rackUplinks {
-		for _, l := range group {
-			if l.failed {
-				out = append(out, f.Ref(l))
-			}
-		}
+		collect(group)
 	}
 	for _, group := range f.podUplinks {
-		for _, l := range group {
-			if l.failed {
-				out = append(out, f.Ref(l))
-			}
-		}
+		collect(group)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"risa/internal/topology"
@@ -117,8 +118,8 @@ func TestPodUplinkFailure(t *testing.T) {
 	cl, f := threeTierFabric(t)
 	src := cl.Rack(0).BoxesOf(units.CPU)[0]
 	dst := cl.Rack(12).BoxesOf(units.RAM)[0]
-	for _, l := range f.podUplinks[0] {
-		f.SetLinkFailed(l, true)
+	for i := range f.podUplinks[0] {
+		f.SetLinkFailed(&f.podUplinks[0][i], true)
 	}
 	if _, err := f.AllocateFlow(src, dst, 1, FirstFit); err == nil {
 		t.Error("inter-pod flow without pod 0 uplinks should fail")
@@ -159,5 +160,31 @@ func TestThreeTierUnevenPods(t *testing.T) {
 	f.ReleaseFlow(fl)
 	if err := f.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLinkStringNamesEveryTier pins Link.String on an inter-pod path,
+// which crosses all three tiers. A pod uplink has no rack (-1) and is
+// addressed by its pod, so it must not print as a rack uplink of rack -1.
+func TestLinkStringNamesEveryTier(t *testing.T) {
+	cl, f := threeTierFabric(t)
+	src := cl.Rack(0).BoxesOf(units.CPU)[0]
+	dst := cl.Rack(12).BoxesOf(units.RAM)[0]
+	fl, err := f.AllocateFlow(src, dst, 10, FirstFit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("box-uplink r0/b%d/#0", src.Index()),
+		"rack-uplink r0/#0",
+		"pod-uplink p0/#0",
+		"pod-uplink p2/#0",
+		"rack-uplink r12/#0",
+		fmt.Sprintf("box-uplink r12/b%d/#0", dst.Index()),
+	}
+	for i, l := range fl.Links() {
+		if got := l.String(); got != want[i] {
+			t.Errorf("link %d = %q, want %q", i, got, want[i])
+		}
 	}
 }

@@ -13,8 +13,13 @@ package sim
 // bytes — three cache lines, four when the group straddles one — and a
 // sift reads only their ordering keys. Both sifts carry the moving entry
 // beside a hole and write each level once, where a swap would copy three
-// entries per level: the queue's cost is entry bytes moved, and the
-// simulator's loop pops once per departure.
+// entries per level. The simulator's loop pops once per departure, and
+// what a pop paid for was branch mispredictions, not bytes moved (a
+// 32-byte entry measured no faster): choosing among four children whose
+// times race is a coin flip per compare. So Pop picks the least of a full
+// group by time alone with conditional moves (leastByTime) and falls back
+// to Less only when the least time is shared; partial groups and the
+// compare against the moving entry keep Less.
 //
 // The backing array's order is load-bearing, not just the pop order:
 // snapshots persist it verbatim (eventCore.capture/restore) and the eviction
@@ -74,11 +79,14 @@ func (h *eventQueue) Pop() event {
 		if first >= n {
 			break
 		}
-		smallest := first
-		last := min(first+4, n)
-		for c := first + 1; c < last; c++ {
-			if s[c].Less(&s[smallest]) {
-				smallest = c
+		smallest, last := first, min(first+4, n)
+		if j := leastByTime(s[first:last]); j >= 0 {
+			smallest += j
+		} else {
+			for c := first + 1; c < last; c++ {
+				if s[c].Less(&s[smallest]) {
+					smallest = c
+				}
 			}
 		}
 		if !s[smallest].Less(&moving) {
@@ -89,4 +97,37 @@ func (h *eventQueue) Pop() event {
 	}
 	s[i] = moving
 	return top
+}
+
+// leastByTime returns the index in g of its least event when g is a full
+// group of four children whose least time no other child shares — then
+// that child is the least by event.Less too — and -1 otherwise, leaving
+// the choice to a Less scan. It compares times only, in the plain form
+// the compiler turns into conditional moves: a heap's children race on
+// unpredictable times, so Less's early-exit branches mispredicted on most
+// levels.
+func leastByTime(g []event) int {
+	if len(g) != 4 {
+		return -1
+	}
+	km, j := g[0].t, 0
+	if t := g[1].t; t < km {
+		km, j = t, 1
+	}
+	if t := g[2].t; t < km {
+		km, j = t, 2
+	}
+	if t := g[3].t; t < km {
+		km, j = t, 3
+	}
+	ties := 0
+	for c := range g {
+		if g[c].t == km {
+			ties++
+		}
+	}
+	if ties > 1 {
+		return -1
+	}
+	return j
 }

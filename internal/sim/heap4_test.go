@@ -99,6 +99,60 @@ func TestHeap4MatchesSwapSift(t *testing.T) {
 	}
 }
 
+// FuzzEventQueue drives the queue and the swap-sift oracle with fuzzed op
+// sequences and requires identical backing arrays after every op. An op
+// is two bytes: the first pops when its low two bits are 3 (and the queue
+// is not empty) and otherwise pushes an event with time (b>>2)&3, so full
+// groups of four children tie on time often and Pop's exact fallback runs;
+// the second byte gives the event's kind (any of four values, unqueued
+// ranks included) and a sequence number from a range small enough to
+// repeat. The queue drains at the end, still in step with the oracle.
+func FuzzEventQueue(f *testing.F) {
+	for seed := int64(1); seed <= 3; seed++ {
+		// Grow to a few hundred entries, then churn: two pushes a pop.
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 1200)
+		rng.Read(ops)
+		for i := 0; i < len(ops); i += 2 {
+			if i < 600 || rng.Intn(3) > 0 {
+				ops[i] &^= 3
+			} else {
+				ops[i] |= 3
+			}
+		}
+		f.Add(ops)
+	}
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 0, 0, 2, 3, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var h eventQueue
+		var ref swapQueue
+		check := func(step int) {
+			if !slices.Equal(h.s, ref.s) {
+				t.Fatalf("op %d: backing array diverged from the swap sift:\n got %+v\nwant %+v", step, h.s, ref.s)
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], ops[i+1]
+			if op&3 == 3 && h.Len() > 0 {
+				if got, want := h.Pop(), ref.Pop(); got != want {
+					t.Fatalf("op %d: popped %+v, oracle %+v", i/2, got, want)
+				}
+			} else {
+				e := event{t: int64(op>>2) & 3, kind: eventKind(arg & 3), seq: int(arg >> 5)}
+				h.Push(e)
+				ref.Push(e)
+			}
+			check(i / 2)
+		}
+		for h.Len() > 0 {
+			if got, want := h.Pop(), ref.Pop(); got != want {
+				t.Fatalf("drain: popped %+v, oracle %+v", got, want)
+			}
+			check(-1)
+		}
+	})
+}
+
 // refHeap is a minimal container/heap implementation over events — the
 // code the 4-ary heap replaced — kept as the test oracle.
 type refHeap []event
