@@ -36,7 +36,7 @@ func toyState(t testing.TB) *sched.State {
 		if amt == 0 {
 			return
 		}
-		if _, err := st.Cluster.Preoccupy(rack, box, kind, amt); err != nil {
+		if err := st.Cluster.Preoccupy(rack, box, kind, amt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -119,10 +119,10 @@ func TestRebalanceRestoresWhenNoRackFits(t *testing.T) {
 		st, a := interRackAssignment(t, busyUplink)
 		// Shrink rack 1's RAM below the request (max 15 GB in one box) so
 		// migration is impossible: rack 0 has no CPU, rack 1 not enough RAM.
-		if _, err := st.Cluster.Preoccupy(1, 0, units.RAM, 17); err != nil {
+		if err := st.Cluster.Preoccupy(1, 0, units.RAM, 17); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
+		if err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
 			t.Fatal(err)
 		}
 		r := New(st)

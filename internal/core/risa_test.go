@@ -123,10 +123,10 @@ func TestRISASuperRackFallback(t *testing.T) {
 	// does: rack 0 has RAM only, rack 1 has CPU+STO only.
 	st := toyState(t)
 	// Exhaust rack 1's RAM (32 and 16 free).
-	if _, err := st.Cluster.Preoccupy(1, 0, units.RAM, 32); err != nil {
+	if err := st.Cluster.Preoccupy(1, 0, units.RAM, 32); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
+	if err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
 		t.Fatal(err)
 	}
 	risa := New(st)

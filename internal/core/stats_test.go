@@ -32,10 +32,10 @@ func TestStatsCountIntraRack(t *testing.T) {
 func TestStatsCountPoolEmptyAndSuperRack(t *testing.T) {
 	st := toyState(t)
 	// Exhaust rack 1's RAM so no single rack fits the typical VM.
-	if _, err := st.Cluster.Preoccupy(1, 0, units.RAM, 32); err != nil {
+	if err := st.Cluster.Preoccupy(1, 0, units.RAM, 32); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
+	if err := st.Cluster.Preoccupy(1, 1, units.RAM, 16); err != nil {
 		t.Fatal(err)
 	}
 	r := New(st)

@@ -30,7 +30,7 @@ func toyState(t testing.TB) *sched.State {
 	}
 	occupy := func(rack, box int, kind units.Resource, amt units.Amount) {
 		t.Helper()
-		if _, err := st.Cluster.Preoccupy(rack, box, kind, amt); err != nil {
+		if err := st.Cluster.Preoccupy(rack, box, kind, amt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,7 +42,7 @@ func NewToyState() (*sched.State, error) {
 		{0, 0, units.Storage, 512}, {0, 1, units.Storage, 512}, {1, 0, units.Storage, 256},
 	}
 	for _, o := range occupied {
-		if _, err := st.Cluster.Preoccupy(o.rack, o.box, o.kind, o.amt); err != nil {
+		if err := st.Cluster.Preoccupy(o.rack, o.box, o.kind, o.amt); err != nil {
 			return nil, err
 		}
 	}

@@ -361,17 +361,28 @@ func (f *Fabric) BoxUplinkFree(box *topology.Box) units.Bandwidth {
 }
 
 // pick chooses a link from group under the policy; nil if none fits.
+// MaxAvail takes the first non-failed link with the greatest free amount
+// of at least bw (bw ≥ 1, so a failed link read as -1 never fits). Its
+// one pass keeps (index, most) with plain compares, which compile to
+// conditional moves: the links' free amounts race with each other, so a
+// branch on each compare mispredicts often.
 func pick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 	switch policy {
 	case MaxAvail:
-		var best *Link
+		best, most := -1, bw-1
 		for i := range group {
-			l := &group[i]
-			if !l.failed && l.free >= bw && (best == nil || l.free > best.free) {
-				best = l
+			f := group[i].free
+			if group[i].failed {
+				f = -1
+			}
+			if f > most {
+				best, most = i, f
 			}
 		}
-		return best
+		if best < 0 {
+			return nil
+		}
+		return &group[best]
 	default:
 		for i := range group {
 			l := &group[i]

@@ -166,18 +166,18 @@ type BoxTriple [units.NumResources]*topology.Box
 // the returned record's own slots, under the given link policy. On any
 // failure everything is rolled back, the record returns to the pool and
 // the state is exactly as before. Because every compute mutation goes
-// through Cluster.Allocate/Release here, the per-rack free-capacity index
-// (topology's MaxFree/FitsWholeVM/Free) stays current for every scheduler
-// with no extra bookkeeping on their part — including mid-transaction
-// rollbacks.
+// through Cluster.AllocateInto/ReleaseFrom here, the per-rack
+// free-capacity index (topology's MaxFree/FitsWholeVM/Free) stays current
+// for every scheduler with no extra bookkeeping on their part — including
+// mid-transaction rollbacks.
 func (s *State) AllocateVM(vm workload.VM, boxes BoxTriple, policy network.Policy) (*Assignment, error) {
 	a := s.getAssignment(vm)
 	cfg := s.Units()
 	fail := func(err error) (*Assignment, error) {
 		s.releaseFlows(a)
-		s.Cluster.Release(a.STO)
-		s.Cluster.Release(a.RAM)
-		s.Cluster.Release(a.CPU)
+		s.Cluster.ReleaseFrom(&a.STO)
+		s.Cluster.ReleaseFrom(&a.RAM)
+		s.Cluster.ReleaseFrom(&a.CPU)
 		s.putAssignment(a)
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (s *State) AllocateVM(vm workload.VM, boxes BoxTriple, policy network.Polic
 }
 
 // place carves one resource component of vm out of its chosen box into
-// *dst, reusing dst's brick-share buffer.
+// *dst, the record's own placement, reusing its brick-share buffer.
 func (s *State) place(vm workload.VM, boxes BoxTriple, r units.Resource, dst *topology.Placement) error {
 	if vm.Req[r] == 0 {
 		return nil
@@ -217,12 +217,7 @@ func (s *State) place(vm workload.VM, boxes BoxTriple, r units.Resource, dst *to
 	if boxes[r].Kind() != r {
 		return fmt.Errorf("sched: VM %d: box %v chosen for %v", vm.ID, boxes[r], r)
 	}
-	p, err := s.Cluster.AllocateInto(boxes[r], vm.Req[r], dst.Shares[:0])
-	if err != nil {
-		return err
-	}
-	*dst = p
-	return nil
+	return s.Cluster.AllocateInto(boxes[r], vm.Req[r], dst)
 }
 
 const (
@@ -345,9 +340,9 @@ func (s *State) ReleaseVMKeep(a *Assignment) {
 // touching the record's pool state.
 func (s *State) releaseResources(a *Assignment) {
 	s.releaseFlows(a)
-	s.Cluster.Release(a.CPU)
-	s.Cluster.Release(a.RAM)
-	s.Cluster.Release(a.STO)
+	s.Cluster.ReleaseFrom(&a.CPU)
+	s.Cluster.ReleaseFrom(&a.RAM)
+	s.Cluster.ReleaseFrom(&a.STO)
 }
 
 // releaseFlows unreserves whichever circuits a holds, CPU–RAM first, and

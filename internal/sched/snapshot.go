@@ -153,12 +153,9 @@ func (s *State) replay(a *Assignment, h *AssignmentState) error {
 		if ps.Box >= len(boxes) {
 			return fmt.Errorf("sched: VM %d %v: box index %d out of range", h.VM.ID, r, ps.Box)
 		}
-		dst := placementOf(a, r)
-		p, err := s.Cluster.RestorePlacement(boxes[ps.Box], ps.Shares, dst.Shares[:0])
-		if err != nil {
+		if err := s.Cluster.RestorePlacement(boxes[ps.Box], ps.Shares, placementOf(a, r)); err != nil {
 			return fmt.Errorf("sched: VM %d %v: %w", h.VM.ID, r, err)
 		}
-		*dst = p
 	}
 	if err := s.replayCircuit(&a.CPURAMFlow, &a.flows[0], &h.CPURAM); err != nil {
 		return fmt.Errorf("sched: VM %d CPU-RAM flow: %w", h.VM.ID, err)

@@ -148,7 +148,7 @@ func TestRunInterRackAccounting(t *testing.T) {
 	// Shave 1 GB off rack 1's RAM so RAM is strictly the scarcest resource
 	// (16/255 > 8/128); the scarce-box search then lands in rack 0, whose
 	// CPU is gone, forcing the CPU placement to rack 1.
-	if _, err := st.Cluster.Preoccupy(1, 0, units.RAM, 1); err != nil {
+	if err := st.Cluster.Preoccupy(1, 0, units.RAM, 1); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewRunner(st, baseline.NewNULB(st), Config{})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -786,7 +787,9 @@ func (r *reservoir) percentile(p float64) float64 {
 		sort.Float64s(r.sorted)
 		r.sortedOK = true
 	}
-	rank := int(p/100*float64(len(r.sorted))+0.5) - 1
+	// The nearest rank is ceil(p·n/100), 1-based; p·n is taken before the
+	// division so an exact rank (95·20/100 = 19) is not rounded up past it.
+	rank := int(math.Ceil(p*float64(len(r.sorted))/100)) - 1
 	if rank < 0 {
 		rank = 0
 	}

@@ -249,3 +249,29 @@ func TestRetryQueueUnderStreamAdapter(t *testing.T) {
 		t.Errorf("mean wait %g, want positive", res.MeanWait)
 	}
 }
+
+// TestReservoirPercentileNearestRank holds the latency reservoir to the
+// nearest-rank definition: the p-th percentile of n held samples is the
+// ceil(p·n/100)-th smallest. The samples are 1..n in reverse, so the
+// value read is the 1-based rank.
+func TestReservoirPercentileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n             int
+		p50, p95, p99 float64
+	}{
+		{1, 1, 1, 1},
+		{20, 10, 19, 20},
+		{100, 50, 95, 99},
+		{4096, 2048, 3892, 4056},
+	} {
+		r := newReservoir(c.n, 1)
+		for v := c.n; v >= 1; v-- {
+			r.add(float64(v))
+		}
+		for _, q := range []struct{ p, want float64 }{{50, c.p50}, {95, c.p95}, {99, c.p99}} {
+			if got := r.percentile(q.p); got != q.want {
+				t.Errorf("n=%d: P%v = rank %v, want %v", c.n, q.p, got, q.want)
+			}
+		}
+	}
+}

@@ -92,23 +92,18 @@ type Placement struct {
 // IsZero reports whether the placement holds no allocation.
 func (p Placement) IsZero() bool { return p.Box == nil || p.Total == 0 }
 
-// allocate carves amount out of the box, greedily filling bricks in index
-// order (first-fit across bricks). It returns the per-brick shares —
-// appended onto buf, which callers on the zero-allocation hot path pass in
-// from a recycled placement record (nil is fine and simply allocates) — or
-// an error if the box lacks capacity; on error the box is unchanged.
-func (b *Box) allocate(amount units.Amount, buf []BrickShare) (Placement, error) {
-	if amount <= 0 {
-		return Placement{}, fmt.Errorf("topology: allocation amount must be positive, got %d", amount)
+// allocate carves amount out of the box into *dst, greedily filling
+// bricks in index order (first-fit across bricks). The per-brick shares
+// are appended onto dst.Shares[:0], so a recycled placement record reuses
+// its buffer (a nil one simply allocates). The placement is written into
+// *dst field by field: returned by value, its fresh 8-byte field stores
+// were read back by 16-byte moves, which stall store forwarding. On error
+// the box and *dst are unchanged.
+func (b *Box) allocate(amount units.Amount, dst *Placement) error {
+	if amount <= 0 || b.failed || amount > b.free {
+		return b.refusal(amount)
 	}
-	if b.failed {
-		return Placement{}, fmt.Errorf("topology: %v is failed", b)
-	}
-	if amount > b.free {
-		return Placement{}, fmt.Errorf("topology: %v has %d %s free, need %d",
-			b, b.free, b.kind.Native(), amount)
-	}
-	p := Placement{Box: b, Total: amount, Shares: buf}
+	shares := dst.Shares[:0]
 	remaining := amount
 	for i := range b.bricks {
 		if remaining == 0 {
@@ -124,7 +119,7 @@ func (b *Box) allocate(amount units.Amount, buf []BrickShare) (Placement, error)
 		}
 		br.free -= take
 		remaining -= take
-		p.Shares = append(p.Shares, BrickShare{Brick: i, Amount: take})
+		shares = append(shares, BrickShare{Brick: i, Amount: take})
 	}
 	if remaining != 0 {
 		// Cannot happen while free is the sum of brick free amounts;
@@ -132,13 +127,31 @@ func (b *Box) allocate(amount units.Amount, buf []BrickShare) (Placement, error)
 		panic(fmt.Sprintf("topology: %v free counter out of sync (short %d)", b, remaining))
 	}
 	b.free -= amount
-	return p, nil
+	dst.Box = b
+	dst.Shares = shares
+	dst.Total = amount
+	return nil
 }
 
-// release returns a placement's amounts to their bricks. It panics if the
-// placement does not belong to this box or would overfill a brick, since
-// that always indicates double-release or cross-box corruption.
-func (b *Box) release(p Placement) {
+// refusal explains why allocate refused amount: the cold half of
+// allocate, so the error formatting stays out of its body.
+func (b *Box) refusal(amount units.Amount) error {
+	switch {
+	case amount <= 0:
+		return fmt.Errorf("topology: allocation amount must be positive, got %d", amount)
+	case b.failed:
+		return fmt.Errorf("topology: %v is failed", b)
+	default:
+		return fmt.Errorf("topology: %v has %d %s free, need %d",
+			b, b.free, b.kind.Native(), amount)
+	}
+}
+
+// release returns a placement's amounts to their bricks, reading the
+// placement where it lies. It panics if the placement does not belong to
+// this box or would overfill a brick, since that always indicates
+// double-release or cross-box corruption.
+func (b *Box) release(p *Placement) {
 	if p.Box != b {
 		panic(fmt.Sprintf("topology: releasing placement of %v on %v", p.Box, b))
 	}

@@ -200,40 +200,50 @@ func (c *Cluster) ContentionRatio(k units.Resource, req units.Amount) float64 {
 	return float64(req) / float64(c.free[k])
 }
 
-// Allocate carves amount of box's kind out of box, updating cluster totals.
+// Allocate is AllocateInto returning the placement by value. It only
+// delegates; its one non-test caller is bench/layers.go.
 func (c *Cluster) Allocate(box *Box, amount units.Amount) (Placement, error) {
-	return c.AllocateInto(box, amount, nil)
+	var p Placement
+	err := c.AllocateInto(box, amount, &p)
+	return p, err
 }
 
-// AllocateInto is Allocate with a caller-provided brick-share buffer: the
-// placement's Shares are appended onto buf (usually the emptied buffer of
-// a recycled placement record), so steady-state allocation reuses the
-// record's memory instead of growing a fresh slice per placement. Passing
-// nil reproduces Allocate exactly.
-func (c *Cluster) AllocateInto(box *Box, amount units.Amount, buf []BrickShare) (Placement, error) {
-	p, err := box.allocate(amount, buf)
-	if err != nil {
-		return Placement{}, err
+// AllocateInto carves amount of box's kind out of box into *dst, updating
+// the box, rack-index and cluster totals. The brick shares are appended
+// onto dst.Shares[:0] — usually the buffer of a recycled placement record,
+// so steady-state allocation reuses the record's memory instead of growing
+// a fresh slice per placement — and the placement is written into *dst in
+// place. On error nothing changes, *dst included.
+func (c *Cluster) AllocateInto(box *Box, amount units.Amount, dst *Placement) error {
+	if err := box.allocate(amount, dst); err != nil {
+		return err
 	}
 	c.free[box.kind] -= amount
 	c.syncVis(box)
 	c.racks[box.rack].noteDecrease(box, amount)
-	return p, nil
+	return nil
 }
 
-// Release returns a placement's resources to its box and cluster totals.
-// Releasing the zero placement is a no-op. Releasing into a failed box is
-// legal (the VM departs either way) but the freed capacity only rejoins
-// the cluster totals when the box is restored.
-func (c *Cluster) Release(p Placement) {
+// Release is ReleaseFrom for a placement passed by value. It only
+// delegates; its one non-test caller is bench/layers.go.
+func (c *Cluster) Release(p Placement) { c.ReleaseFrom(&p) }
+
+// ReleaseFrom returns the resources of the placement *p to its box and
+// the cluster totals, reading *p where it lies; *p itself is left as it
+// was, for its owner to clear. Releasing the zero placement is a no-op.
+// Releasing into a failed box is legal (the VM departs either way) but
+// the freed capacity only rejoins the cluster totals when the box is
+// restored.
+func (c *Cluster) ReleaseFrom(p *Placement) {
 	if p.IsZero() {
 		return
 	}
-	p.Box.release(p)
-	if !p.Box.failed {
-		c.free[p.Box.kind] += p.Total
-		c.syncVis(p.Box)
-		c.noteRackIncrease(p.Box, p.Total)
+	b := p.Box
+	b.release(p)
+	if !b.failed {
+		c.free[b.kind] += p.Total
+		c.syncVis(b)
+		c.noteRackIncrease(b, p.Total)
 	}
 }
 
@@ -278,17 +288,17 @@ func (c *Cluster) reseedOnRepair(b *Box) {
 
 // Preoccupy permanently consumes amount from the given box; it is used by
 // tests and the toy-example experiments to reconstruct the paper's Table 3
-// availability state. The returned placement may be released like any
-// other.
-func (c *Cluster) Preoccupy(rack, kindIndex int, kind units.Resource, amount units.Amount) (Placement, error) {
+// availability state. Nothing holds the placement, so it is never released.
+func (c *Cluster) Preoccupy(rack, kindIndex int, kind units.Resource, amount units.Amount) error {
 	if rack < 0 || rack >= len(c.racks) {
-		return Placement{}, fmt.Errorf("topology: rack %d out of range", rack)
+		return fmt.Errorf("topology: rack %d out of range", rack)
 	}
 	boxes := c.racks[rack].BoxesOf(kind)
 	if kindIndex < 0 || kindIndex >= len(boxes) {
-		return Placement{}, fmt.Errorf("topology: %v box %d out of range in rack %d", kind, kindIndex, rack)
+		return fmt.Errorf("topology: %v box %d out of range in rack %d", kind, kindIndex, rack)
 	}
-	return c.Allocate(boxes[kindIndex], amount)
+	var p Placement
+	return c.AllocateInto(boxes[kindIndex], amount, &p)
 }
 
 // Stranded returns, per resource, the free amount sitting in racks that

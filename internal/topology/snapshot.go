@@ -7,32 +7,33 @@ import (
 )
 
 // RestorePlacement re-carves an exact recorded brick-share pattern out of
-// box b, updating the box, rack-index and cluster totals the same way
-// AllocateInto does. It is the replay primitive snapshot restoration is
-// built on: Box.allocate is first-fit across bricks and therefore cannot
-// reproduce an arbitrary historical share pattern, while RestorePlacement
-// reproduces the bricks bit-for-bit. The box must be healthy — restore
-// replays placements onto a pristine cluster first and applies failures
-// afterwards. Like AllocateInto, the placement's Shares are appended onto
-// buf, the emptied buffer of the record the placement goes back into. On
-// error the box is left unchanged.
-func (c *Cluster) RestorePlacement(b *Box, shares, buf []BrickShare) (Placement, error) {
+// box b into *dst, updating the box, rack-index and cluster totals the
+// same way AllocateInto does. It is the replay primitive snapshot
+// restoration is built on: Box.allocate is first-fit across bricks and
+// therefore cannot reproduce an arbitrary historical share pattern, while
+// RestorePlacement reproduces the bricks bit-for-bit. The box must be
+// healthy — restore replays placements onto a pristine cluster first and
+// applies failures afterwards. Like AllocateInto, the shares are appended
+// onto dst.Shares[:0], the buffer of the record the placement goes back
+// into, and the placement is written in place. On error the box and *dst
+// are left unchanged.
+func (c *Cluster) RestorePlacement(b *Box, shares []BrickShare, dst *Placement) error {
 	if b.failed {
-		return Placement{}, fmt.Errorf("topology: cannot restore placement onto failed %v", b)
+		return fmt.Errorf("topology: cannot restore placement onto failed %v", b)
 	}
 	if len(shares) == 0 {
-		return Placement{}, fmt.Errorf("topology: cannot restore an empty placement onto %v", b)
+		return fmt.Errorf("topology: cannot restore an empty placement onto %v", b)
 	}
 	var total units.Amount
 	for n, s := range shares {
 		if s.Brick < 0 || s.Brick >= len(b.bricks) {
 			rollbackShares(b, shares[:n])
-			return Placement{}, fmt.Errorf("topology: restored share names brick %d of %v (has %d)", s.Brick, b, len(b.bricks))
+			return fmt.Errorf("topology: restored share names brick %d of %v (has %d)", s.Brick, b, len(b.bricks))
 		}
 		br := &b.bricks[s.Brick]
 		if s.Amount <= 0 || s.Amount > br.free {
 			rollbackShares(b, shares[:n])
-			return Placement{}, fmt.Errorf("topology: restored share of %d does not fit brick %d of %v (free %d)",
+			return fmt.Errorf("topology: restored share of %d does not fit brick %d of %v (free %d)",
 				s.Amount, s.Brick, b, br.free)
 		}
 		br.free -= s.Amount
@@ -42,7 +43,10 @@ func (c *Cluster) RestorePlacement(b *Box, shares, buf []BrickShare) (Placement,
 	c.free[b.kind] -= total
 	c.syncVis(b)
 	c.racks[b.rack].noteDecrease(b, total)
-	return Placement{Box: b, Total: total, Shares: append(buf, shares...)}, nil
+	dst.Box = b
+	dst.Shares = append(dst.Shares[:0], shares...)
+	dst.Total = total
+	return nil
 }
 
 // rollbackShares undoes the brick carving of a partially applied restore.

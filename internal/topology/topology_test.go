@@ -3,9 +3,11 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"risa/internal/units"
 )
@@ -217,6 +219,65 @@ func TestAllocateErrors(t *testing.T) {
 	}
 }
 
+// TestAllocateIntoRefusalLeavesDst holds AllocateInto's in-place
+// contract. A refusal (amount ≤ 0, a failed box, amount above free)
+// leaves *dst exactly as it was — box, total, and the share slice's
+// contents, length, capacity and backing array — and moves no box, rack
+// or cluster free amount. A success with room in dst.Shares writes into
+// that backing array instead of allocating one.
+func TestAllocateIntoRefusalLeavesDst(t *testing.T) {
+	c := mustCluster(t, DefaultConfig())
+	rack := c.Rack(0)
+	box, failed := rack.BoxesOf(units.CPU)[0], rack.BoxesOf(units.CPU)[1]
+	c.SetBoxFailed(failed, true)
+	dst := Placement{Shares: make([]BrickShare, 0, 4)}
+	if err := c.AllocateInto(box, 100, &dst); err != nil {
+		t.Fatal(err)
+	}
+	want := dst
+	wantShares := slices.Clone(dst.Shares)
+	boxFree, failedUsed := box.Free(), failed.Used()
+	rackFree, clusterFree := rack.Free(units.CPU), c.TotalFree(units.CPU)
+	for _, tc := range []struct {
+		name   string
+		box    *Box
+		amount units.Amount
+	}{
+		{"zero amount", box, 0},
+		{"negative amount", box, -4},
+		{"failed box", failed, 8},
+		{"above free", box, box.Free() + 1},
+	} {
+		if err := c.AllocateInto(tc.box, tc.amount, &dst); err == nil {
+			t.Errorf("%s: AllocateInto succeeded", tc.name)
+		}
+		if dst.Box != want.Box || dst.Total != want.Total ||
+			len(dst.Shares) != len(want.Shares) || cap(dst.Shares) != cap(want.Shares) ||
+			unsafe.SliceData(dst.Shares) != unsafe.SliceData(want.Shares) ||
+			!slices.Equal(dst.Shares, wantShares) {
+			t.Errorf("%s: dst = %+v (cap %d), want %+v (cap %d), same backing array",
+				tc.name, dst, cap(dst.Shares), want, cap(want.Shares))
+		}
+		if box.Free() != boxFree || failed.Used() != failedUsed ||
+			rack.Free(units.CPU) != rackFree || c.TotalFree(units.CPU) != clusterFree {
+			t.Errorf("%s: free amounts moved: box %d/%d, failed box used %d/%d, rack %d/%d, cluster %d/%d",
+				tc.name, box.Free(), boxFree, failed.Used(), failedUsed,
+				rack.Free(units.CPU), rackFree, c.TotalFree(units.CPU), clusterFree)
+		}
+	}
+	c.ReleaseFrom(&dst)
+	if err := c.AllocateInto(box, 8, &dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Box != box || dst.Total != 8 || len(dst.Shares) != 1 ||
+		unsafe.SliceData(dst.Shares) != unsafe.SliceData(want.Shares) {
+		t.Errorf("reuse: dst = %+v, want 8 on %v in the old backing array", dst, box)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Errorf("invariants: %v", err)
+	}
+}
+
 func TestReleaseZeroPlacementIsNoop(t *testing.T) {
 	c := mustCluster(t, DefaultConfig())
 	c.Release(Placement{})
@@ -255,7 +316,7 @@ func TestReleaseWrongBoxPanics(t *testing.T) {
 			t.Error("cross-box release should panic")
 		}
 	}()
-	boxA.release(p)
+	boxA.release(&p)
 }
 
 func TestMaxFreeAndFitsWholeVM(t *testing.T) {
@@ -338,7 +399,7 @@ func TestContentionRatio(t *testing.T) {
 
 func TestPreoccupy(t *testing.T) {
 	c := mustCluster(t, DefaultConfig())
-	if _, err := c.Preoccupy(0, 0, units.CPU, 512); err != nil {
+	if err := c.Preoccupy(0, 0, units.CPU, 512); err != nil {
 		t.Fatalf("Preoccupy: %v", err)
 	}
 	if got, _ := c.Rack(0).MaxFree(units.CPU); got != 512 {
@@ -347,10 +408,10 @@ func TestPreoccupy(t *testing.T) {
 	if c.Rack(0).BoxesOf(units.CPU)[0].Free() != 0 {
 		t.Error("preoccupied box should be full")
 	}
-	if _, err := c.Preoccupy(99, 0, units.CPU, 1); err == nil {
+	if err := c.Preoccupy(99, 0, units.CPU, 1); err == nil {
 		t.Error("bad rack should fail")
 	}
-	if _, err := c.Preoccupy(0, 9, units.CPU, 1); err == nil {
+	if err := c.Preoccupy(0, 9, units.CPU, 1); err == nil {
 		t.Error("bad box index should fail")
 	}
 }
