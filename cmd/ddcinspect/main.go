@@ -19,6 +19,10 @@ func main() {
 	racks := flag.Int("racks", 18, "racks in the cluster")
 	uplinks := flag.Int("uplinks", 16, "uplinks per box")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "ddcinspect: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	tcfg := topology.DefaultConfig()
 	tcfg.Racks = *racks
@@ -64,7 +68,7 @@ func run(tcfg topology.Config, ncfg network.Config, ocfg optics.Config) error {
 		name  string
 		ports int
 	}{{"box switch", ocfg.BoxPorts}, {"rack switch", ocfg.RackPorts}, {"inter-rack switch", ocfg.InterRackPorts}} {
-		cells, err := optics.PathCells(sw.ports)
+		cells, err := optics.Stages(sw.ports)
 		if err != nil {
 			return err
 		}

@@ -160,6 +160,9 @@ func TestParseArgsRejectsInvalidValues(t *testing.T) {
 		{"-exp", "fig6", "-racks", "36"},
 		{"-exp", "fig6", "-uplinks", "4"},
 		{"-exp", "seeds", "-seed", "7"},
+		// Every option is a flag: a bare word (here a forgotten -exp) is
+		// refused, not ignored.
+		{"fig5"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)

@@ -78,6 +78,9 @@ func parseArgs(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if o.queueCap < 1 {
 		return o, fmt.Errorf("-queue must be at least 1, got %d", o.queueCap)
 	}

@@ -16,6 +16,7 @@ func TestParseArgsRejectsBadFlags(t *testing.T) {
 		{[]string{"-queue", "-5"}, "-queue"},
 		{[]string{"-snapshot-every", "0"}, "-snapshot-every"},
 		{[]string{"-snapshot-every", "-1"}, "-snapshot-every"},
+		{[]string{"-racks", "4", "stray"}, "stray"},
 	} {
 		if _, err := parseArgs(tc.args); err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("parseArgs(%q) = %v, want an error naming %s", tc.args, err, tc.flag)

@@ -53,6 +53,9 @@ func parseArgs(args []string) (kind string, o clientOptions, err error) {
 	if err := fs.Parse(args); err != nil {
 		return kind, o, err
 	}
+	if fs.NArg() > 0 {
+		return kind, o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if u, perr := url.Parse(o.url); perr != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return kind, o, fmt.Errorf("-url must be an absolute http(s) URL, got %q", o.url)
 	}

@@ -59,6 +59,7 @@ func TestParseArgsRejectsBadFlags(t *testing.T) {
 		{[]string{"-url", "http://localhost:8080", "-count", "-1"}, "-count"},
 		{[]string{"-url", "http://localhost:8080", "-workers", "0"}, "-workers"},
 		{[]string{"-url", "http://localhost:8080", "-workers", "-2"}, "-workers"},
+		{[]string{"-url", "http://localhost:8080", "extra"}, "extra"},
 	} {
 		_, _, err := parseArgs(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

@@ -263,7 +263,7 @@ func TestNALBPrefersHigherBandwidthBox(t *testing.T) {
 		rack := st.Cluster.Rack(0)
 		ram0 := rack.BoxesOf(units.RAM)[0]
 		sto := rack.BoxesOf(units.Storage)[1]
-		for i := 0; i < st.Fabric.Config().BoxUplinks-1; i++ {
+		for i := 0; i < network.DefaultConfig().BoxUplinks-1; i++ {
 			if _, err := st.Fabric.AllocateFlow(ram0, sto, 200, network.FirstFit); err != nil {
 				t.Fatal(err)
 			}

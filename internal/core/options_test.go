@@ -44,8 +44,8 @@ func TestDisableRoundRobinPinsFirstRack(t *testing.T) {
 				i, a.CPU.Box.Rack())
 		}
 	}
-	if r.Cursor() != 0 {
-		t.Errorf("cursor moved to %d with round-robin disabled", r.Cursor())
+	if r.cursor != 0 {
+		t.Errorf("cursor moved to %d with round-robin disabled", r.cursor)
 	}
 }
 

@@ -186,7 +186,6 @@ func (w *walk) next() bool {
 		}
 		w.from = i + 1
 		w.poolSeen = true
-		r.stats.RacksProbed++
 		if r.st.Fabric.RackIntraFree(i) < w.demand {
 			continue
 		}
@@ -326,9 +325,6 @@ func (r *RISA) chooseBoxes(rack *topology.Rack, req units.Vector) (sched.BoxTrip
 	}
 	return boxes, true
 }
-
-// Cursor exposes the round-robin position for tests and ablations.
-func (r *RISA) Cursor() int { return r.cursor }
 
 // SchedulerState implements sched.StatefulScheduler: RISA's carried
 // decision state is the round-robin rack cursor plus the per-rack

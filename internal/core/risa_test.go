@@ -86,14 +86,14 @@ func TestRISARoundRobinBalancesRacks(t *testing.T) {
 func TestRISACursorAdvances(t *testing.T) {
 	st := defaultState(t)
 	risa := New(st)
-	if risa.Cursor() != 0 {
+	if risa.cursor != 0 {
 		t.Fatal("fresh cursor should be 0")
 	}
 	if _, err := risa.Schedule(typicalVM(0)); err != nil {
 		t.Fatal(err)
 	}
-	if risa.Cursor() != 1 {
-		t.Errorf("cursor = %d after first VM, want 1", risa.Cursor())
+	if risa.cursor != 1 {
+		t.Errorf("cursor = %d after first VM, want 1", risa.cursor)
 	}
 }
 

@@ -16,9 +16,6 @@ type Stats struct {
 	// pool rack failed the AVAIL_INTRA_RACK_NET check or the placement
 	// transaction, forcing the fallback.
 	NetGated int
-	// RacksProbed sums pool racks examined across all arrivals — the
-	// round-robin walk length, a proxy for scheduling work.
-	RacksProbed int
 	// Dropped counts VMs neither path could place.
 	Dropped int
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"risa/internal/metrics"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
@@ -535,6 +536,20 @@ func TestQueueingExperiment(t *testing.T) {
 	}
 }
 
+// TestQueueingFollowsRacks: the overloaded cluster is half of the setup's
+// racks, not a fixed 9.
+func TestQueueingFollowsRacks(t *testing.T) {
+	s := DefaultSetup()
+	s.Topology.Racks = 36
+	q, err := s.RunQueueing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Racks != 18 {
+		t.Errorf("queueing ran on %d racks, want 18 (half of 36)", q.Racks)
+	}
+}
+
 func TestThreeTierExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight Azure runs")
@@ -571,6 +586,14 @@ func TestThreeTierExperiment(t *testing.T) {
 	}
 }
 
+// observations returns how many samples s holds: one more sample a unit
+// above the mean moves the mean by 1/(n+1).
+func observations(s metrics.Summary) int {
+	mean := s.Mean()
+	s.Observe(mean + 1)
+	return int(math.Round(1/(s.Mean()-mean))) - 1
+}
+
 func TestSeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full runs per seed")
@@ -580,7 +603,7 @@ func TestSeedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		if sweep.Synthetic[alg].Count() != 2 || sweep.Azure[alg].Count() != 2 {
+		if observations(*sweep.Synthetic[alg]) != 2 || observations(*sweep.Azure[alg]) != 2 {
 			t.Errorf("%s: missing observations", alg)
 		}
 	}

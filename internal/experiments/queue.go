@@ -10,7 +10,7 @@ import (
 
 // Queueing is an extension beyond the paper: the paper drops a VM the
 // moment it cannot be placed; real clouds queue it. This experiment
-// overloads a shrunken cluster (9 racks instead of 18) with Azure-3000
+// overloads half the cluster (9 of the default 18 racks) with Azure-3000
 // and compares drop-on-failure against a FIFO retry queue under RISA.
 type Queueing struct {
 	Racks       int
@@ -20,7 +20,7 @@ type Queueing struct {
 // RunQueueing executes both runs.
 func (s Setup) RunQueueing() (*Queueing, error) {
 	setup := s
-	setup.Topology.Racks = 9 // overload: half the capacity
+	setup.Topology.Racks = max(1, s.Topology.Racks/2) // overload: half the capacity
 	tr, err := setup.AzureTrace(workload.Azure3000)
 	if err != nil {
 		return nil, err

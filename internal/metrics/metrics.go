@@ -34,9 +34,6 @@ func (s *Summary) Observe(x float64) {
 	s.populated = true
 }
 
-// Count returns the number of samples.
-func (s *Summary) Count() int { return s.n }
-
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
 

@@ -9,14 +9,14 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Count() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
+	if s.n != 0 || s.Mean() != 0 || s.StdDev() != 0 {
 		t.Error("empty summary should be zero")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Observe(x)
 	}
-	if s.Count() != 8 {
-		t.Errorf("Count = %d", s.Count())
+	if s.n != 8 {
+		t.Errorf("n = %d", s.n)
 	}
 	if s.Mean() != 5 {
 		t.Errorf("Mean = %g", s.Mean())

@@ -112,9 +112,6 @@ func (l *Link) Box() int { return int(l.box) }
 // Index returns the link's position within its uplink group.
 func (l *Link) Index() int { return int(l.index) }
 
-// Capacity returns the link's total bandwidth.
-func (l *Link) Capacity() units.Bandwidth { return l.cap }
-
 // Free returns the bandwidth available to new flows: the unallocated
 // bandwidth, or zero while the link is failed.
 func (l *Link) Free() units.Bandwidth {
@@ -241,14 +238,6 @@ func (f *Fabric) Pod(rack int) int {
 	return rack / f.cfg.RacksPerPod
 }
 
-// NumPods returns the number of pods (1 in the two-tier fabric).
-func (f *Fabric) NumPods() int {
-	if !f.cfg.ThreeTier() {
-		return 1
-	}
-	return len(f.podUplinks)
-}
-
 // NewFabric builds the fabric matching a cluster's rack/box layout.
 func NewFabric(cl *topology.Cluster, cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
@@ -308,17 +297,6 @@ func (f *Fabric) InterPodCapacity() units.Bandwidth { return f.podCap }
 
 // InterPodFree returns the aggregate free pod-uplink bandwidth.
 func (f *Fabric) InterPodFree() units.Bandwidth { return f.podFree }
-
-// InterPodUtilization returns the used fraction of pod-uplink bandwidth.
-func (f *Fabric) InterPodUtilization() float64 {
-	if f.podCap == 0 {
-		return 0
-	}
-	return float64(f.podCap-f.podFree) / float64(f.podCap)
-}
-
-// Config returns the fabric's configuration.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // IntraRackCapacity returns the aggregate box-uplink capacity.
 func (f *Fabric) IntraRackCapacity() units.Bandwidth { return f.intraCap }

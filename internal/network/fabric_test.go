@@ -246,7 +246,7 @@ func TestAllocationFailureRollsBack(t *testing.T) {
 	dst := rack.BoxesOf(units.RAM)[0]
 	// Saturate every uplink of dst so the second hop must fail.
 	other := rack.BoxesOf(units.Storage)[0]
-	cfg := f.Config()
+	cfg := f.cfg
 	for i := 0; i < cfg.BoxUplinks; i++ {
 		if _, err := f.AllocateFlow(dst, other, 200, FirstFit); err != nil {
 			// dst and other each have 8 uplinks; 8 flows of 200 fill dst's.
@@ -454,8 +454,8 @@ func TestLinkAccessors(t *testing.T) {
 	if links[3].Tier() != BoxUplink || links[3].Rack() != 3 {
 		t.Errorf("fourth link misaddressed: %v", links[3])
 	}
-	if links[0].Capacity() != 200 || links[0].Free() != 190 {
-		t.Errorf("link bookkeeping: cap=%v free=%v", links[0].Capacity(), links[0].Free())
+	if links[0].cap != 200 || links[0].Free() != 190 {
+		t.Errorf("link bookkeeping: cap=%v free=%v", links[0].cap, links[0].Free())
 	}
 	if fl.BW() != 10 {
 		t.Errorf("BW = %v", fl.BW())

@@ -19,7 +19,7 @@ func TestSetLinkFailedExcludesFromAllocation(t *testing.T) {
 	if !l0.Failed() || l0.Free() != 0 {
 		t.Fatal("failed link should hide its bandwidth")
 	}
-	if f.IntraRackFree() != intraFree-l0.Capacity() {
+	if f.IntraRackFree() != intraFree-l0.cap {
 		t.Errorf("aggregate free = %v", f.IntraRackFree())
 	}
 	fl, err := f.AllocateFlow(src, dst, 10, FirstFit)
@@ -44,7 +44,7 @@ func TestSetLinkFailedIdempotent(t *testing.T) {
 	interFree := f.InterRackFree()
 	f.SetLinkFailed(l, true)
 	f.SetLinkFailed(l, true)
-	if f.InterRackFree() != interFree-l.Capacity() {
+	if f.InterRackFree() != interFree-l.cap {
 		t.Error("double-fail corrupted aggregates")
 	}
 	f.SetLinkFailed(l, false)
@@ -75,7 +75,7 @@ func TestReleaseOntoFailedLink(t *testing.T) {
 		t.Error(err)
 	}
 	f.SetLinkFailed(carrying, false)
-	if carrying.Free() != carrying.Capacity() {
+	if carrying.Free() != carrying.cap {
 		t.Error("restored link should be fully free")
 	}
 	if f.IntraRackFree() != f.IntraRackCapacity() {

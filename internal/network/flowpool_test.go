@@ -173,7 +173,7 @@ func TestReplayRefusals(t *testing.T) {
 	}
 	// Seven healthy, roomy links: only the length is wrong.
 	refused("overlong", 1, append(append([]LinkRef(nil), path...), path[:3]...))
-	refused("too-wide", f.Config().LinkCapacity+1, path)
+	refused("too-wide", f.cfg.LinkCapacity+1, path)
 	last, err := f.LinkByRef(path[3])
 	if err != nil {
 		t.Fatal(err)

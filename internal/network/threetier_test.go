@@ -22,11 +22,11 @@ func threeTierFabric(t testing.TB) (*topology.Cluster, *Fabric) {
 
 func TestThreeTierLayout(t *testing.T) {
 	_, f := threeTierFabric(t)
-	if !f.Config().ThreeTier() {
+	if !f.cfg.ThreeTier() {
 		t.Fatal("fabric should be three-tier")
 	}
-	if f.NumPods() != 3 {
-		t.Errorf("pods = %d, want 3", f.NumPods())
+	if len(f.podUplinks) != 3 {
+		t.Errorf("pods = %d, want 3", len(f.podUplinks))
 	}
 	if f.Pod(0) != 0 || f.Pod(5) != 0 || f.Pod(6) != 1 || f.Pod(17) != 2 {
 		t.Error("pod mapping wrong")
@@ -35,20 +35,20 @@ func TestThreeTierLayout(t *testing.T) {
 	if f.InterPodCapacity() != 3*16*200 {
 		t.Errorf("inter-pod capacity = %v", f.InterPodCapacity())
 	}
-	if f.InterPodFree() != f.InterPodCapacity() || f.InterPodUtilization() != 0 {
+	if f.InterPodFree() != f.InterPodCapacity() {
 		t.Error("fresh pod tier should be free")
 	}
 }
 
 func TestTwoTierHasNoPods(t *testing.T) {
 	_, f := testFabric(t)
-	if f.Config().ThreeTier() {
+	if f.cfg.ThreeTier() {
 		t.Fatal("default fabric is two-tier")
 	}
-	if f.NumPods() != 1 || f.Pod(17) != 0 {
-		t.Error("two-tier fabric is one logical pod")
+	if len(f.podUplinks) != 0 || f.Pod(17) != 0 {
+		t.Error("two-tier fabric is one logical pod with no pod uplinks")
 	}
-	if f.InterPodCapacity() != 0 || f.InterPodUtilization() != 0 {
+	if f.InterPodCapacity() != 0 || f.InterPodFree() != 0 {
 		t.Error("no pod tier expected")
 	}
 }
@@ -141,8 +141,8 @@ func TestThreeTierUnevenPods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumPods() != 4 {
-		t.Errorf("pods = %d, want 4", f.NumPods())
+	if len(f.podUplinks) != 4 {
+		t.Errorf("pods = %d, want 4", len(f.podUplinks))
 	}
 	if f.Pod(17) != 3 {
 		t.Errorf("rack 17 pod = %d, want 3", f.Pod(17))

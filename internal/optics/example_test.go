@@ -21,14 +21,19 @@ func ExampleStages() {
 	// 512-port Beneš: 17 stages
 }
 
-func ExampleConfig_SwitchEnergy() {
+func ExampleConfig_PathSwitchingEnergy() {
 	cfg := optics.DefaultConfig()
-	// Equation 1 for a path through the rack switch held for one hour.
-	e, err := cfg.SwitchEnergy(256, time.Hour)
+	// Equation 1 for a path through the rack switch held for one hour: the
+	// one-shot setup term plus the trimming power over the lifetime.
+	setup, err := cfg.PathSwitchingEnergy(256)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%.1f J\n", e)
+	trim, err := cfg.PathTrimmingPower(256)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%.1f J\n", setup+trim*time.Hour.Seconds())
 	// Output:
 	// 1101.8 J
 }

@@ -42,26 +42,13 @@ const (
 )
 
 // Stages returns the number of 2x2-cell stages in an N-port Beneš network:
-// 2·log2(N) − 1. N must be a power of two and ≥ 2.
+// 2·log2(N) − 1. A path crosses one cell per stage, so this is also
+// Equation 1's n. N must be a power of two and ≥ 2.
 func Stages(ports int) (int, error) {
 	if ports < 2 || bits.OnesCount(uint(ports)) != 1 {
 		return 0, fmt.Errorf("optics: Beneš port count must be a power of two ≥ 2, got %d", ports)
 	}
 	return 2*bits.Len(uint(ports-1)) - 1, nil
-}
-
-// PathCells returns n of Equation 1: the number of cells a path crosses in
-// an N-port Beneš switch, one per stage.
-func PathCells(ports int) (int, error) { return Stages(ports) }
-
-// TotalCells returns the total cell count of an N-port Beneš switch:
-// N/2 cells per stage.
-func TotalCells(ports int) (int, error) {
-	s, err := Stages(ports)
-	if err != nil {
-		return 0, err
-	}
-	return ports / 2 * s, nil
 }
 
 // Config parameterizes the device models. The zero value is not useful;
@@ -129,7 +116,7 @@ func (c Config) SwitchLatency(ports int) (time.Duration, error) {
 // one path through an N-port switch: α · n · P_trimcell (the second term of
 // Equation 1 divided by T).
 func (c Config) PathTrimmingPower(ports int) (float64, error) {
-	n, err := PathCells(ports)
+	n, err := Stages(ports)
 	if err != nil {
 		return 0, err
 	}
@@ -141,7 +128,7 @@ func (c Config) PathTrimmingPower(ports int) (float64, error) {
 // (the first term of Equation 1). The paper assumes half the cells along a
 // path change state.
 func (c Config) PathSwitchingEnergy(ports int) (float64, error) {
-	n, err := PathCells(ports)
+	n, err := Stages(ports)
 	if err != nil {
 		return 0, err
 	}
@@ -150,20 +137,6 @@ func (c Config) PathSwitchingEnergy(ports int) (float64, error) {
 		return 0, err
 	}
 	return float64(n) / 2 * c.PSwCell * lat.Seconds(), nil
-}
-
-// SwitchEnergy evaluates Equation 1 for one path through an N-port switch
-// held for lifetime T, in joules.
-func (c Config) SwitchEnergy(ports int, lifetime time.Duration) (float64, error) {
-	setup, err := c.PathSwitchingEnergy(ports)
-	if err != nil {
-		return 0, err
-	}
-	trim, err := c.PathTrimmingPower(ports)
-	if err != nil {
-		return 0, err
-	}
-	return setup + trim*lifetime.Seconds(), nil
 }
 
 // TransceiverPower returns the steady-state power of carrying bw through

@@ -40,32 +40,6 @@ func TestStagesRejectsBadPorts(t *testing.T) {
 	}
 }
 
-func TestPathCellsMatchesPaperSwitches(t *testing.T) {
-	// The three switch classes of §5.2: 64, 256, 512 ports.
-	for ports, want := range map[int]int{64: 11, 256: 15, 512: 17} {
-		got, err := PathCells(ports)
-		if err != nil || got != want {
-			t.Errorf("PathCells(%d) = %d, want %d", ports, got, want)
-		}
-	}
-}
-
-func TestTotalCells(t *testing.T) {
-	// 8-port Beneš: 5 stages x 4 cells = 20 cells.
-	got, err := TotalCells(8)
-	if err != nil || got != 20 {
-		t.Errorf("TotalCells(8) = %d, want 20", got)
-	}
-	// 64-port: 11 stages x 32 cells.
-	got, err = TotalCells(64)
-	if err != nil || got != 352 {
-		t.Errorf("TotalCells(64) = %d, want 352", got)
-	}
-	if _, err := TotalCells(7); err == nil {
-		t.Error("TotalCells(7) should fail")
-	}
-}
-
 func TestDefaultConfigConstants(t *testing.T) {
 	c := DefaultConfig()
 	if c.PTrimCell != 22.67e-3 {
@@ -165,25 +139,27 @@ func TestPathSwitchingEnergy(t *testing.T) {
 	}
 }
 
+// Equation 1's two terms for a rack-switch path, as power.NewModel takes
+// them: n = 15 cells, lat_sw = 1.5 µs.
 func TestSwitchEnergyEquation1(t *testing.T) {
 	c := DefaultConfig()
-	lifetime := 10 * time.Second
-	got, err := c.SwitchEnergy(256, lifetime)
+	setup, err := c.PathSwitchingEnergy(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup, _ := c.PathSwitchingEnergy(256)
-	trim, _ := c.PathTrimmingPower(256)
-	want := setup + trim*10
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("SwitchEnergy = %g, want %g", got, want)
+	trim, err := c.PathTrimmingPower(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 15.0 / 2 * 13.75e-3 * 1.5e-6; math.Abs(setup-want) > 1e-15 {
+		t.Errorf("PathSwitchingEnergy(256) = %g, want %g", setup, want)
+	}
+	if want := 0.9 * 15 * 22.67e-3; math.Abs(trim-want) > 1e-12 {
+		t.Errorf("PathTrimmingPower(256) = %g, want %g", trim, want)
 	}
 	// Trimming dominates for any realistic lifetime.
-	if got < trim*10 {
-		t.Error("energy must at least cover trimming")
-	}
-	if _, err := c.SwitchEnergy(10, lifetime); err == nil {
-		t.Error("bad port count should fail")
+	if setup >= trim {
+		t.Errorf("setup %g J should be below one second of trimming (%g J)", setup, trim)
 	}
 }
 
@@ -199,16 +175,19 @@ func TestTransceiverPower(t *testing.T) {
 	}
 }
 
-// Property: switch energy is monotone in lifetime and in switch size.
+// Property: Equation 1's switch energy, setup + trimming × T, is monotone
+// in lifetime and in switch size.
 func TestSwitchEnergyMonotoneProperty(t *testing.T) {
 	c := DefaultConfig()
+	energy := func(ports int, secs float64) float64 {
+		setup, _ := c.PathSwitchingEnergy(ports)
+		trim, _ := c.PathTrimmingPower(ports)
+		return setup + trim*secs
+	}
 	f := func(secs1, secs2 uint16) bool {
-		t1 := time.Duration(secs1) * time.Second
-		t2 := t1 + time.Duration(secs2)*time.Second
-		e64a, _ := c.SwitchEnergy(64, t1)
-		e64b, _ := c.SwitchEnergy(64, t2)
-		e512, _ := c.SwitchEnergy(512, t1)
-		return e64a <= e64b && e64a <= e512
+		t1 := float64(secs1)
+		t2 := t1 + float64(secs2)
+		return energy(64, t1) <= energy(64, t2) && energy(64, t1) <= energy(512, t1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -59,9 +59,6 @@ func NewModel(cfg optics.Config) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the optics configuration the model was built from.
-func (m *Model) Config() optics.Config { return m.cfg }
-
 // TransceiverPower returns the steady-state transceiver power of a flow:
 // one transceiver pair per link traversal (4 intra-rack, 6 inter-rack),
 // each at 22.5 pJ/bit × the flow's bandwidth.
@@ -115,9 +112,6 @@ type Accountant struct {
 // NewAccountant returns an empty accountant over the model.
 func NewAccountant(m *Model) *Accountant { return &Accountant{model: m} }
 
-// Model returns the accountant's power model.
-func (a *Accountant) Model() *Model { return a.model }
-
 // Add registers an established flow: its steady-state power joins the
 // aggregate and its setup energy is charged once.
 func (a *Accountant) Add(fl *network.Flow) {
@@ -167,6 +161,3 @@ func (a *Accountant) PeakPower() float64 { return a.peak }
 // EnergyJoules returns the integrated energy: steady-state power over time
 // plus all one-shot setup energies.
 func (a *Accountant) EnergyJoules() float64 { return a.energy + a.setup }
-
-// ActiveFlows returns the number of currently registered flows.
-func (a *Accountant) ActiveFlows() int { return a.flows }

@@ -120,7 +120,7 @@ func TestFlowEnergyEquation1(t *testing.T) {
 func TestAccountantAddRemove(t *testing.T) {
 	cl, fab, m := testSetup(t)
 	a := NewAccountant(m)
-	if a.Power() != 0 || a.ActiveFlows() != 0 {
+	if a.Power() != 0 || a.flows != 0 {
 		t.Fatal("fresh accountant should be empty")
 	}
 	fl1 := intraFlow(t, cl, fab, 50)
@@ -131,8 +131,8 @@ func TestAccountantAddRemove(t *testing.T) {
 	if a.Power() <= p1 {
 		t.Error("power must rise with a second flow")
 	}
-	if a.ActiveFlows() != 2 {
-		t.Errorf("flows = %d", a.ActiveFlows())
+	if a.flows != 2 {
+		t.Errorf("flows = %d", a.flows)
 	}
 	if a.PeakPower() != a.Power() {
 		t.Error("peak should track the max")
@@ -146,7 +146,7 @@ func TestAccountantAddRemove(t *testing.T) {
 		t.Error("peak must not fall on remove")
 	}
 	a.Remove(fl1)
-	if a.Power() != 0 || a.ActiveFlows() != 0 {
+	if a.Power() != 0 || a.flows != 0 {
 		t.Error("empty accountant should be at zero")
 	}
 }
@@ -188,17 +188,6 @@ func TestAccountantGuards(t *testing.T) {
 		}()
 		a.AdvanceSeconds(-1)
 	}()
-}
-
-func TestAccountantModelAccessor(t *testing.T) {
-	_, _, m := testSetup(t)
-	a := NewAccountant(m)
-	if a.Model() != m {
-		t.Error("Model accessor broken")
-	}
-	if a.Model().Config().Alpha != 0.9 {
-		t.Error("config should round-trip")
-	}
 }
 
 // Scale sanity: the paper's Figure 9 reports single-digit kW for thousands

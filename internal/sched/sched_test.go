@@ -204,7 +204,7 @@ func TestAllocateVMRollsBackOnNetworkFailure(t *testing.T) {
 	stoBox := rack.BoxesOf(units.Storage)[0]
 	// Saturate the CPU box's uplinks so the CPU-RAM flow cannot be
 	// placed.
-	for i := 0; i < st.Fabric.Config().BoxUplinks; i++ {
+	for i := 0; i < network.DefaultConfig().BoxUplinks; i++ {
 		if _, err := st.Fabric.AllocateFlow(cpuBox, stoBox, 200, network.FirstFit); err != nil {
 			t.Fatal(err)
 		}

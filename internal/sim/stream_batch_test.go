@@ -97,7 +97,9 @@ func runBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, f Faults, tr 
 	}
 	var vecs [units.NumResources][]units.Amount
 	for _, k := range units.Resources() {
-		vecs[k] = append([]units.Amount(nil), st.Cluster.FreeVec(k)...)
+		for _, rack := range st.Cluster.Racks() {
+			vecs[k] = append(vecs[k], rack.FreeVecOf(k)...)
+		}
 	}
 	return normalizeSteady(ss), vecs
 }

@@ -14,12 +14,6 @@ type Brick struct {
 	free     units.Amount
 }
 
-// Capacity returns the brick's total native amount.
-func (b *Brick) Capacity() units.Amount { return b.capacity }
-
-// Free returns the brick's currently unallocated native amount.
-func (b *Brick) Free() units.Amount { return b.free }
-
 // Box is a chassis holding a single resource kind, divided into bricks.
 // A VM's share of one resource always comes from a single box (the paper
 // restricts requests to at most one box worth of each resource) but may
@@ -49,9 +43,6 @@ func (b *Box) KindIndex() int { return b.kindIx }
 // Kind returns the resource kind the box holds.
 func (b *Box) Kind() units.Resource { return b.kind }
 
-// Brick returns a read-only view of brick i.
-func (b *Box) Brick(i int) *Brick { return &b.bricks[i] }
-
 // Capacity returns the box's total native amount.
 func (b *Box) Capacity() units.Amount { return b.cap }
 
@@ -63,9 +54,6 @@ func (b *Box) Free() units.Amount {
 	}
 	return b.free
 }
-
-// Used returns the allocated native amount.
-func (b *Box) Used() units.Amount { return b.cap - b.free }
 
 // Failed reports whether the box is marked failed (see Cluster.SetBoxFailed).
 func (b *Box) Failed() bool { return b.failed }

@@ -35,7 +35,7 @@ func (r *Rack) BoxesOf(k units.Resource) []*Box { return r.byKind[k] }
 // FreeVecOf returns the rack's visible-free vector for kind k:
 // FreeVecOf(k)[i] == BoxesOf(k)[i].Free() (0 while the box is failed),
 // maintained on every mutation. The slice is shared and read-only for
-// callers; it aliases the cluster-wide vector (Cluster.FreeVec), so the
+// callers; it aliases the cluster-wide vector (Cluster.vis), so the
 // structure-of-arrays scan order equals the box-pointer scan order.
 func (r *Rack) FreeVecOf(k units.Resource) []units.Amount { return r.vis[k] }
 
@@ -149,12 +149,6 @@ func New(cfg Config) (*Cluster, error) {
 // of its free amount or failure flag. It is the single write point of the
 // structure-of-arrays mirror.
 func (c *Cluster) syncVis(b *Box) { c.vis[b.kind][b.visIx] = b.Free() }
-
-// FreeVec returns the cluster-wide visible-free vector for kind k,
-// indexed by the dense per-kind box id rack*BoxKindCount(k)+kindIx.
-// FreeVec(k)[id] == that box's Free() at all times. The slice is shared
-// and read-only for callers.
-func (c *Cluster) FreeVec(k units.Resource) []units.Amount { return c.vis[k] }
 
 // Config returns the configuration the cluster was built from.
 func (c *Cluster) Config() Config { return c.cfg }

@@ -194,8 +194,8 @@ func TestUsedSurvivesFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetBoxFailed(box, true)
-	if box.Used() != 100 {
-		t.Errorf("Used = %d after failure, want 100", box.Used())
+	if box.cap-box.free != 100 {
+		t.Errorf("used = %d after failure, want 100", box.cap-box.free)
 	}
 }
 

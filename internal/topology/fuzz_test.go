@@ -72,7 +72,7 @@ func checkIndexAgainstBruteForce(t *testing.T, c *Cluster, op int, need units.Am
 	t.Helper()
 	for _, k := range units.Resources() {
 		firstFit := -1
-		vec := c.FreeVec(k)
+		vec := c.vis[k]
 		off := 0
 		for _, rack := range c.Racks() {
 			var total, max units.Amount
@@ -89,7 +89,7 @@ func checkIndexAgainstBruteForce(t *testing.T, c *Cluster, op int, need units.Am
 						op, rack.Index(), k, i, rv[i], f)
 				}
 				if vec[off+i] != f {
-					t.Fatalf("op %d: FreeVec(%v)[%d] = %d, Free %d", op, k, off+i, vec[off+i], f)
+					t.Fatalf("op %d: vis[%v][%d] = %d, Free %d", op, k, off+i, vec[off+i], f)
 				}
 			}
 			off += len(rack.BoxesOf(k))

@@ -66,9 +66,9 @@ func (o *clusterOracle) maxFree(rack *Rack, k units.Resource) (units.Amount, *Bo
 func (o *clusterOracle) check(t *testing.T, c *Cluster, op int, need units.Amount) {
 	t.Helper()
 	for _, k := range units.Resources() {
-		vec := c.FreeVec(k)
+		vec := c.vis[k]
 		if want := c.NumRacks() * c.Config().BoxKindCount(k); len(vec) != want {
-			t.Fatalf("op %d: FreeVec(%v) has %d entries, want %d", op, k, len(vec), want)
+			t.Fatalf("op %d: vis[%v] has %d entries, want %d", op, k, len(vec), want)
 		}
 		off := 0
 		firstWith := -1
@@ -83,7 +83,7 @@ func (o *clusterOracle) check(t *testing.T, c *Cluster, op int, need units.Amoun
 						op, rack.Index(), k, i, rv[i], f)
 				}
 				if vec[off+i] != f {
-					t.Fatalf("op %d: FreeVec(%v)[%d] = %d, oracle %d", op, k, off+i, vec[off+i], f)
+					t.Fatalf("op %d: vis[%v][%d] = %d, oracle %d", op, k, off+i, vec[off+i], f)
 				}
 			}
 			off += len(rack.BoxesOf(k))
@@ -136,7 +136,7 @@ func (o *clusterOracle) check(t *testing.T, c *Cluster, op int, need units.Amoun
 // TestClusterAgainstOracle drives a small cluster through seeded random
 // alloc/release/fail/heal sequences and checks every query surface
 // against the independent model after each operation — the differential
-// property pin behind the SoA layout: Free/MaxFree/FreeVec/FreeVecOf/
+// property pin behind the SoA layout: Free/MaxFree/vis/FreeVecOf/
 // NextRackWith/NextRackFits answer exactly as a scan of (capacity −
 // allocated, failed) pairs says they must, no matter how lazily the
 // index tiers repair themselves underneath.

@@ -160,8 +160,8 @@ func TestAllocateReleaseRoundTrip(t *testing.T) {
 	if c.TotalFree(units.RAM) != c.TotalCapacity(units.RAM)-100 {
 		t.Errorf("cluster free not decremented")
 	}
-	if box.Used() != 100 {
-		t.Errorf("Used = %d, want 100", box.Used())
+	if box.cap-box.free != 100 {
+		t.Errorf("used = %d, want 100", box.cap-box.free)
 	}
 	c.Release(p)
 	if box.Free() != before {
@@ -190,11 +190,11 @@ func TestAllocateSpansBricksFirstFit(t *testing.T) {
 	if p.Shares[1] != (BrickShare{Brick: 1, Amount: 36}) {
 		t.Errorf("second share = %+v", p.Shares[1])
 	}
-	if box.Brick(0).Free() != 0 || box.Brick(1).Free() != 28 {
-		t.Errorf("brick frees = %d,%d; want 0,28", box.Brick(0).Free(), box.Brick(1).Free())
+	if box.bricks[0].free != 0 || box.bricks[1].free != 28 {
+		t.Errorf("brick frees = %d,%d; want 0,28", box.bricks[0].free, box.bricks[1].free)
 	}
-	if box.Brick(0).Capacity() != 64 {
-		t.Errorf("brick capacity = %d, want 64", box.Brick(0).Capacity())
+	if box.bricks[0].capacity != 64 {
+		t.Errorf("brick capacity = %d, want 64", box.bricks[0].capacity)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestAllocateIntoRefusalLeavesDst(t *testing.T) {
 	}
 	want := dst
 	wantShares := slices.Clone(dst.Shares)
-	boxFree, failedUsed := box.Free(), failed.Used()
+	boxFree, failedUsed := box.Free(), failed.cap-failed.free
 	rackFree, clusterFree := rack.Free(units.CPU), c.TotalFree(units.CPU)
 	for _, tc := range []struct {
 		name   string
@@ -258,10 +258,10 @@ func TestAllocateIntoRefusalLeavesDst(t *testing.T) {
 			t.Errorf("%s: dst = %+v (cap %d), want %+v (cap %d), same backing array",
 				tc.name, dst, cap(dst.Shares), want, cap(want.Shares))
 		}
-		if box.Free() != boxFree || failed.Used() != failedUsed ||
+		if box.Free() != boxFree || failed.cap-failed.free != failedUsed ||
 			rack.Free(units.CPU) != rackFree || c.TotalFree(units.CPU) != clusterFree {
 			t.Errorf("%s: free amounts moved: box %d/%d, failed box used %d/%d, rack %d/%d, cluster %d/%d",
-				tc.name, box.Free(), boxFree, failed.Used(), failedUsed,
+				tc.name, box.Free(), boxFree, failed.cap-failed.free, failedUsed,
 				rack.Free(units.CPU), rackFree, c.TotalFree(units.CPU), clusterFree)
 		}
 	}

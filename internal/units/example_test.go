@@ -25,13 +25,3 @@ func ExampleConfig_UnitsCeil() {
 	// 4
 	// 2
 }
-
-func ExampleVector_FitsIn() {
-	req := units.Vec(8, 16, 128)
-	avail := units.Vec(64, 64, 512)
-	fmt.Println(req.FitsIn(avail))
-	fmt.Println(units.Vec(8, 65, 128).FitsIn(avail))
-	// Output:
-	// true
-	// false
-}

@@ -42,9 +42,6 @@ func (r Resource) String() string {
 	}
 }
 
-// Valid reports whether r names one of the three resource kinds.
-func (r Resource) Valid() bool { return r >= CPU && r < NumResources }
-
 // Native returns the native granularity the resource is measured in.
 func (r Resource) Native() string {
 	switch r {
@@ -83,25 +80,6 @@ func (v Vector) Add(w Vector) Vector {
 		v[r] += w[r]
 	}
 	return v
-}
-
-// Sub returns the element-wise difference v - w.
-func (v Vector) Sub(w Vector) Vector {
-	for r := range v {
-		v[r] -= w[r]
-	}
-	return v
-}
-
-// FitsIn reports whether every component of v is ≤ the matching component
-// of w, i.e. a request v can be satisfied from availability w.
-func (v Vector) FitsIn(w Vector) bool {
-	for r := range v {
-		if v[r] > w[r] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsZero reports whether all components are zero.

@@ -19,19 +19,6 @@ func TestResourceString(t *testing.T) {
 	}
 }
 
-func TestResourceValid(t *testing.T) {
-	for _, r := range Resources() {
-		if !r.Valid() {
-			t.Errorf("%v should be valid", r)
-		}
-	}
-	for _, r := range []Resource{-1, NumResources, 99} {
-		if r.Valid() {
-			t.Errorf("Resource(%d) should be invalid", int(r))
-		}
-	}
-}
-
 func TestResourceNative(t *testing.T) {
 	if CPU.Native() != "cores" {
 		t.Errorf("CPU native = %q", CPU.Native())
@@ -64,33 +51,9 @@ func TestVecAndArithmetic(t *testing.T) {
 	if sum != Vec(9, 18, 131) {
 		t.Errorf("Add = %v", sum)
 	}
-	diff := v.Sub(w)
-	if diff != Vec(7, 14, 125) {
-		t.Errorf("Sub = %v", diff)
-	}
-	// Add/Sub must not mutate the receiver (value semantics).
+	// Add must not mutate the receiver (value semantics).
 	if v != Vec(8, 16, 128) {
 		t.Errorf("receiver mutated: %v", v)
-	}
-}
-
-func TestFitsIn(t *testing.T) {
-	avail := Vec(64, 64, 512)
-	cases := []struct {
-		req  Vector
-		want bool
-	}{
-		{Vec(8, 16, 128), true},
-		{Vec(64, 64, 512), true},
-		{Vec(65, 1, 1), false},
-		{Vec(1, 65, 1), false},
-		{Vec(1, 1, 513), false},
-		{Vec(0, 0, 0), true},
-	}
-	for _, c := range cases {
-		if got := c.req.FitsIn(avail); got != c.want {
-			t.Errorf("%v FitsIn %v = %v, want %v", c.req, avail, got, c.want)
-		}
 	}
 }
 
@@ -206,18 +169,6 @@ func TestUnitsCeilProperty(t *testing.T) {
 		covers := c.AmountOfUnits(r, n) >= a
 		minimal := n == 0 || c.AmountOfUnits(r, n-1) < a
 		return covers && minimal
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Add and Sub are inverse operations.
-func TestAddSubInverseProperty(t *testing.T) {
-	f := func(a1, a2, a3, b1, b2, b3 int32) bool {
-		v := Vec(Amount(a1), Amount(a2), Amount(a3))
-		w := Vec(Amount(b1), Amount(b2), Amount(b3))
-		return v.Add(w).Sub(w) == v && v.Sub(w).Add(w) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
