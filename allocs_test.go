@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"testing"
 
-	"risa/internal/core"
 	"risa/internal/experiments"
 	"risa/internal/network"
 	"risa/internal/sched"
@@ -113,7 +112,7 @@ func TestAllocsScheduleOneScale(t *testing.T) {
 }
 
 // TestAllocsScheduleOneUnderFaults: every round fails the rack holding a
-// resident VM, displaces that VM through core.Displace (the eviction
+// resident VM, displaces that VM through State.Displace (the eviction
 // transaction — its records must recycle through the assignment and flow
 // pools), makes one decision against the degraded cluster, and repairs the
 // rack (re-seeding both topology index tiers).
@@ -133,7 +132,7 @@ func TestAllocsScheduleOneUnderFaults(t *testing.T) {
 		schedtest.ZeroAllocs(t, warmRounds, func() {
 			rack := displaced.CPU.Box.Rack()
 			setRackFailed(rack, true)
-			if !core.Displace(st, sch, displaced) {
+			if !st.Displace(sch, displaced) {
 				t.Fatal("half-loaded cluster must absorb the displaced VM")
 			}
 			decide()
@@ -160,15 +159,14 @@ func TestAllocsScheduleOnePreempt(t *testing.T) {
 			}
 			live = append(live, a)
 		}
-		var scr sched.Scratch
+		var ps sched.PreemptScratch
 		vm := workload.VM{ID: 10_000_000, Lifetime: 1, Tier: 0, Req: typical}
 		schedtest.ZeroAllocs(t, warmRounds, func() {
-			ps := scr.Preemption()
 			ps.Reset()
 			for j, la := range live {
 				ps.Add(la, j)
 			}
-			a, k := core.Preempt(st, sch, ps, vm)
+			a, k := ps.Preempt(st, sch, vm)
 			if a == nil {
 				t.Fatal("saturated cluster must yield a victim")
 			}

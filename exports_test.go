@@ -51,10 +51,28 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	}
 }
 
-// listedPkg is the part of `go list -json` the scan reads.
+// TestSimulatorLinksNoScheduler fails when a non-test dependency of the
+// simulator, the daemon or the scheduler contract is a scheduler package:
+// they drive RISA and the baselines through sched.Scheduler, and the
+// binaries and tests that build one by name import its package themselves.
+func TestSimulatorLinksNoScheduler(t *testing.T) {
+	pkgs, err := goList(".", "./internal/sim", "./internal/svc", "./internal/sched")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		for _, dep := range p.Deps {
+			if dep == "risa/internal/core" || dep == "risa/internal/baseline" {
+				t.Errorf("%s links %s", p.ImportPath, dep)
+			}
+		}
+	}
+}
+
+// listedPkg is the part of `go list -json` the tests read.
 type listedPkg struct {
 	ImportPath, Dir, Export string
-	GoFiles, Imports        []string
+	GoFiles, Imports, Deps  []string
 	Standard                bool
 }
 
@@ -63,7 +81,12 @@ type listedPkg struct {
 // fmt, sort and math/rand are listed too: they declare interfaces the scan
 // counts.
 func listPackages(dir string) ([]listedPkg, error) {
-	args := []string{"list", "-deps", "-export", "-json", "./...", "fmt", "sort", "math/rand"}
+	return goList(dir, "-deps", "-export", "./...", "fmt", "sort", "math/rand")
+}
+
+// goList runs `go list -json` with args in dir and decodes its packages.
+func goList(dir string, args ...string) ([]listedPkg, error) {
+	args = append([]string{"list", "-json"}, args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer

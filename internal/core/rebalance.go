@@ -32,34 +32,6 @@ func Rebalance(r *RISA, assignments []*sched.Assignment) int {
 	return migrated
 }
 
-// Displace re-places one live assignment whose hardware failed: the old
-// holdings are released (placements into failed boxes take the
-// deferred-capacity path, healthy complements free immediately) and the
-// VM is re-scheduled through the bound scheduler's own policy, so a
-// displaced VM lands exactly where a fresh arrival would. It is the
-// eviction half of the fault subsystem, built on the same
-// ReleaseVMKeep/Adopt transaction as Rebalance's migrate: the caller
-// keeps holding a — on success its contents are the new placement, so
-// references to the record (e.g. the simulator's departure event) stay
-// valid.
-//
-// Unlike migrate, a failed re-placement cannot restore the original
-// boxes (they are failed); Displace returns false with a's resources
-// released and its contents cleared, and the caller decides the VM's
-// fate — re-queue it, count it lost — and owns returning the record to
-// the pool (State.ReleaseVM on the emptied record is a cheap no-op
-// release that just pools it).
-func Displace(st *sched.State, sch sched.Scheduler, a *sched.Assignment) bool {
-	vm := a.VM
-	st.ReleaseVMKeep(a)
-	moved, err := sch.Schedule(vm)
-	if err != nil {
-		return false
-	}
-	st.Adopt(a, moved)
-	return true
-}
-
 // migrate attempts to move one inter-rack assignment intra-rack, parking
 // its holdings in held meanwhile.
 func (r *RISA) migrate(a *sched.Assignment, held *sched.AssignmentState) bool {

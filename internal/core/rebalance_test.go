@@ -172,7 +172,7 @@ func TestDisplaceMovesVMOffFailedBox(t *testing.T) {
 	if !a.OnFailedHardware() {
 		t.Fatal("assignment should sit on failed hardware")
 	}
-	if !Displace(st, r, a) {
+	if !st.Displace(r, a) {
 		t.Fatal("a near-empty cluster must re-place the displaced VM")
 	}
 	if a.OnFailedHardware() {
@@ -206,7 +206,7 @@ func TestDisplaceFailureReleasesAndReportsLost(t *testing.T) {
 	for _, b := range st.Cluster.Boxes() {
 		st.Cluster.SetBoxFailed(b, true)
 	}
-	if Displace(st, r, a) {
+	if st.Displace(r, a) {
 		t.Fatal("re-placement into an all-failed cluster must fail")
 	}
 	// The record's holdings were released (into failed boxes, so the

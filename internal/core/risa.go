@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"risa/internal/baseline"
 	"risa/internal/network"
@@ -40,8 +41,8 @@ type RISA struct {
 	cursor int // round-robin rack cursor: next rack index to prefer
 	stats  Stats
 
-	// scratch owns the per-rack, per-resource next-fit box cursors,
-	// stored densely by rack index.
+	// cursors holds the per-rack, per-resource next-fit box cursors,
+	// stored densely by rack index (boxCursors).
 	//
 	// On the cursors themselves: the paper calls its intra-rack packing
 	// "first-fit, box 0 first, then box 1", but Table 4 shows the
@@ -49,7 +50,7 @@ type RISA struct {
 	// still fits (VM 4 with 5 cores goes to box 1 although box 0 has 9
 	// free) — i.e. next-fit. We reproduce Table 4 exactly; see
 	// DESIGN.md §4.
-	scratch sched.Scratch
+	cursors [][units.NumResources]int
 }
 
 func init() {
@@ -252,7 +253,7 @@ func (w *walk) commit() *sched.Assignment {
 		r.cursor = (w.rack + 1) % r.st.Cluster.NumRacks()
 	}
 	if r.opts.Packing == NextFit {
-		cur := r.scratch.Cursors(w.rack)
+		cur := r.boxCursors(w.rack)
 		for _, res := range units.Resources() {
 			if w.boxes[res] != nil {
 				cur[res] = w.boxes[res].KindIndex()
@@ -265,7 +266,7 @@ func (w *walk) commit() *sched.Assignment {
 // chooseBoxes picks one box per requested resource inside the rack
 // according to the packing policy. RISA packs next-fit: scanning starts at
 // the rack's cursor box and wraps, staying on the current box while it
-// fits (this is what the paper's Table 4 traces — see the boxCursor
+// fits (this is what the paper's Table 4 traces — see the cursors
 // comment). RISA-BF takes the fitting box with the least free space
 // (best-fit). First-fit and worst-fit exist for the packing ablation.
 //
@@ -276,7 +277,7 @@ func (w *walk) commit() *sched.Assignment {
 // regardless of cluster size.
 func (r *RISA) chooseBoxes(rack *topology.Rack, req units.Vector) (sched.BoxTriple, bool) {
 	var boxes sched.BoxTriple
-	cur := r.scratch.Cursors(rack.Index())
+	cur := r.boxCursors(rack.Index())
 	for _, res := range units.Resources() {
 		if req[res] == 0 {
 			continue
@@ -331,11 +332,26 @@ func (r *RISA) chooseBoxes(rack *topology.Rack, req units.Vector) (sched.BoxTrip
 // next-fit box cursors. Diagnostic counters are excluded (they never
 // influence a placement).
 func (r *RISA) SchedulerState() sched.SchedulerState {
-	return sched.SchedulerState{Cursor: r.cursor, BoxCursors: r.scratch.CursorState()}
+	st := sched.SchedulerState{Cursor: r.cursor}
+	if len(r.cursors) > 0 {
+		st.BoxCursors = slices.Clone(r.cursors)
+	}
+	return st
 }
 
 // RestoreSchedulerState implements sched.StatefulScheduler.
 func (r *RISA) RestoreSchedulerState(st sched.SchedulerState) {
 	r.cursor = st.Cursor
-	r.scratch.RestoreCursorState(st.BoxCursors)
+	r.cursors = append(r.cursors[:0], st.BoxCursors...)
+}
+
+// boxCursors returns the next-fit box cursors of rack i, growing the
+// dense storage up to that rack on first use: the cluster can grow by
+// whole racks at run time, and append doubles capacity, so this settles
+// after the first pass over the cluster.
+func (r *RISA) boxCursors(i int) *[units.NumResources]int {
+	for len(r.cursors) <= i {
+		r.cursors = append(r.cursors, [units.NumResources]int{})
+	}
+	return &r.cursors[i]
 }

@@ -97,6 +97,31 @@ func TestRISACursorAdvances(t *testing.T) {
 	}
 }
 
+// TestBoxCursorsDenseAndPersistent: the next-fit box cursors are stored
+// densely up to the highest rack touched, persist across lookups, cost
+// nothing to look up once grown, and stay out of SchedulerState until a
+// rack is touched.
+func TestBoxCursorsDenseAndPersistent(t *testing.T) {
+	r := New(defaultState(t))
+	if got := r.SchedulerState().BoxCursors; got != nil {
+		t.Fatalf("untouched scheduler's BoxCursors = %v, want nil", got)
+	}
+	c5 := r.boxCursors(5)
+	c5[units.RAM] = 7
+	if got := r.boxCursors(5)[units.RAM]; got != 7 {
+		t.Fatalf("cursor not persistent: %d", got)
+	}
+	if got := r.boxCursors(2)[units.RAM]; got != 0 {
+		t.Fatalf("untouched cursor = %d, want 0", got)
+	}
+	if n := len(r.SchedulerState().BoxCursors); n != 6 {
+		t.Fatalf("BoxCursors holds %d racks, want 6 (dense up to rack 5)", n)
+	}
+	if avg := testing.AllocsPerRun(100, func() { r.boxCursors(5) }); avg != 0 {
+		t.Fatalf("cursor lookup allocates %.2f times per call, want 0", avg)
+	}
+}
+
 func TestRISASkipsRacksWithoutCapacity(t *testing.T) {
 	st := defaultState(t)
 	risa := New(st)

@@ -57,9 +57,11 @@ func (s Setup) RunRoundRobinAblation(n int) (*RoundRobinAblation, error) {
 		}
 		var s metrics.Summary
 		for _, rack := range st.Cluster.Racks() {
-			used := float64(rack.BoxesOf(units.RAM)[0].Capacity()*2 - rack.Free(units.RAM))
-			cap := float64(rack.BoxesOf(units.RAM)[0].Capacity() * 2)
-			s.Observe(used / cap * 100)
+			var capacity units.Amount
+			for _, b := range rack.BoxesOf(units.RAM) {
+				capacity += b.Capacity()
+			}
+			s.Observe(float64(capacity-rack.Free(units.RAM)) / float64(capacity) * 100)
 		}
 		out.RackRAMStdDev[v.name] = s.StdDev()
 		out.InterRack[v.name] = inter

@@ -6,6 +6,7 @@ import (
 
 	"risa/internal/baseline"
 	"risa/internal/core"
+	"risa/internal/network"
 	"risa/internal/power"
 	"risa/internal/sched"
 	"risa/internal/workload"
@@ -62,8 +63,10 @@ func (s Setup) RunDefrag(n int) (*Defrag, error) {
 	powerOf := func() float64 {
 		var w float64
 		for _, a := range live {
-			for _, fl := range a.Flows() {
-				w += model.FlowPower(fl)
+			for _, fl := range [...]*network.Flow{a.CPURAMFlow, a.RAMSTOFlow} {
+				if fl != nil {
+					w += model.FlowPower(fl)
+				}
 			}
 		}
 		return w

@@ -327,6 +327,27 @@ func TestRoundRobinAblation(t *testing.T) {
 	}
 }
 
+// TestRoundRobinAblationCountsEveryRAMBox: a rack's RAM capacity is the
+// sum over its RAM boxes, however many it has. Every per-rack utilization
+// then lies in [0, 100] %, so no spread can exceed the sample standard
+// deviation of racks split evenly between empty and full.
+func TestRoundRobinAblationCountsEveryRAMBox(t *testing.T) {
+	s := DefaultSetup()
+	s.Topology.RAMBoxes = 3
+	a, err := s.RunRoundRobinAblation(900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(s.Topology.Racks)
+	limit := 50 * math.Sqrt(n/(n-1))
+	for name, sd := range a.RackRAMStdDev {
+		if sd > limit {
+			t.Errorf("%s: per-rack RAM utilization stddev %.2f pp exceeds %.2f, the most percentages can spread",
+				name, sd, limit)
+		}
+	}
+}
+
 func TestUplinkSweepShowsCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple Azure runs")

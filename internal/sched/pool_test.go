@@ -27,21 +27,6 @@ func testTriple(st *State) BoxTriple {
 	}
 }
 
-func TestScratchCursorsDenseAndPersistent(t *testing.T) {
-	var s Scratch
-	c5 := s.Cursors(5)
-	c5[units.RAM] = 7
-	if got := s.Cursors(5)[units.RAM]; got != 7 {
-		t.Fatalf("cursor not persistent: %d", got)
-	}
-	if got := s.Cursors(2)[units.RAM]; got != 0 {
-		t.Fatalf("untouched cursor = %d, want 0", got)
-	}
-	if avg := testing.AllocsPerRun(100, func() { s.Cursors(5) }); avg != 0 {
-		t.Fatalf("cursor lookup allocates %.2f times per call, want 0", avg)
-	}
-}
-
 // TestAssignmentPoolRecycles pins the pooling contract: a released
 // assignment record is handed back by the next AllocateVM, with its
 // brick-share buffers intact, and the steady-state round trip allocates

@@ -132,18 +132,6 @@ func (a *Assignment) OnFailedHardware() bool {
 		(!a.STO.IsZero() && a.STO.Box.Failed())
 }
 
-// Flows returns the assignment's non-nil flows.
-func (a *Assignment) Flows() []*network.Flow {
-	var out []*network.Flow
-	if a.CPURAMFlow != nil {
-		out = append(out, a.CPURAMFlow)
-	}
-	if a.RAMSTOFlow != nil {
-		out = append(out, a.RAMSTOFlow)
-	}
-	return out
-}
-
 // Scheduler is the contract the simulator drives. Implementations are
 // stateful (they own placement cursors and bind to one State) and not safe
 // for concurrent use.
@@ -360,9 +348,8 @@ func (s *State) releaseFlows(a *Assignment) {
 
 // Adopt moves src's contents into dst and retires src's emptied shell to
 // the pool. It is the hand-back half of the ReleaseVMKeep protocol: after
-// re-placing a VM, Rebalance and the fault subsystem's displacement adopt
-// the fresh assignment into the record their caller holds. src must not
-// be used afterwards.
+// re-placing a VM, Rebalance and Displace adopt the fresh assignment into
+// the record their caller holds. src must not be used afterwards.
 //
 // dst's (cleared) brick-share buffers are handed to the pooled shell
 // rather than dropped: without that swap every adoption would retire a
@@ -392,6 +379,32 @@ func (s *State) Adopt(dst, src *Assignment) {
 	src.RAM.Shares = ramBuf
 	src.STO.Shares = stoBuf
 	s.putAssignment(src)
+}
+
+// Displace re-places one live assignment whose hardware failed: the old
+// holdings are released (placements into failed boxes take the
+// deferred-capacity path, healthy complements free immediately) and the
+// VM is re-scheduled through sch's own policy, so a displaced VM lands
+// exactly where a fresh arrival would. It is the eviction half of the
+// fault subsystem, built on the ReleaseVMKeep/Adopt transaction: the
+// caller keeps holding a — on success its contents are the new placement,
+// so references to the record (e.g. the simulator's departure event) stay
+// valid.
+//
+// A failed re-placement cannot restore the original boxes (they are
+// failed); Displace returns false with a's resources released and its
+// contents cleared, and the caller decides the VM's fate — re-queue it,
+// count it lost — and owns returning the record to the pool (ReleaseVM on
+// the emptied record is a cheap no-op release that just pools it).
+func (s *State) Displace(sch Scheduler, a *Assignment) bool {
+	vm := a.VM
+	s.ReleaseVMKeep(a)
+	moved, err := sch.Schedule(vm)
+	if err != nil {
+		return false
+	}
+	s.Adopt(a, moved)
+	return true
 }
 
 // ScarcestResource returns the requested resource with the highest

@@ -6,14 +6,13 @@ import (
 	"sort"
 	"testing"
 
-	"risa/internal/core"
 	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
 
 // This file holds the preemption leg of the conformance suite. The
-// contract under test is core.Preempt over sched.PreemptScratch: a
+// contract under test is sched.PreemptScratch.Preempt: a
 // higher-priority arrival that failed to place may displace a minimal,
 // cheapest-first set of strictly-lower-tier victims; a failed attempt
 // must restore every victim bit-for-bit; and the pooled records flowing
@@ -25,21 +24,20 @@ import (
 // pool. It returns the arrival's assignment (nil when preemption
 // refused), the victims' VM identities in post-sort (cheapest-first)
 // order, and the updated live set.
-func preemptAttempt(st *sched.State, s sched.Scheduler, scr *sched.Scratch,
+func preemptAttempt(st *sched.State, s sched.Scheduler, ps *sched.PreemptScratch,
 	vm workload.VM, live []*sched.Assignment) (*sched.Assignment, []workload.VM, []*sched.Assignment) {
-	ps := scr.Preemption()
 	ps.Reset()
 	for j, a := range live {
 		ps.Add(a, j)
 	}
-	a, k := core.Preempt(st, s, ps, vm)
+	a, k := ps.Preempt(st, s, vm)
 	if a == nil {
 		return nil, nil, live
 	}
 	victims := make([]workload.VM, 0, k)
 	idxs := make([]int, 0, k)
 	for v := 0; v < k; v++ {
-		victims = append(victims, ps.Victim(v).VM)
+		victims = append(victims, live[ps.Ref(v)].VM)
 		idxs = append(idxs, ps.Ref(v))
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(idxs)))
@@ -61,7 +59,7 @@ func tierOrderRespected(t *testing.T, mk Factory) {
 	pristine := snapshot(st)
 	rng := rand.New(rand.NewSource(51))
 	var live []*sched.Assignment
-	var scr sched.Scratch
+	var ps sched.PreemptScratch
 
 	// Saturate the cluster with tier-1 and tier-2 VMs.
 	id := 0
@@ -130,7 +128,7 @@ func tierOrderRespected(t *testing.T, mk Factory) {
 	// refuse and disturb nothing.
 	lowest := failingVM(workload.NumTiers - 1)
 	before := snapshot(st)
-	if a, _, _ := preemptAttempt(st, s, &scr, lowest, live); a != nil {
+	if a, _, _ := preemptAttempt(st, s, &ps, lowest, live); a != nil {
 		t.Fatalf("tier-%d arrival preempted someone; no strictly lower tier exists", lowest.Tier)
 	}
 	if snapshot(st) != before {
@@ -144,7 +142,7 @@ func tierOrderRespected(t *testing.T, mk Factory) {
 		tier := round % 2 // alternate tier 1, tier 0
 		vm := failingVM(tier)
 		want := oracle(vm.Tier)
-		a, victims, nl := preemptAttempt(st, s, &scr, vm, live)
+		a, victims, nl := preemptAttempt(st, s, &ps, vm, live)
 		live = nl
 		if a == nil {
 			continue // genuinely unplaceable even with every victim gone
@@ -186,7 +184,7 @@ func tierOrderRespected(t *testing.T, mk Factory) {
 func preemptionNeverLeaks(t *testing.T, mk Factory) {
 	st := newState(t)
 	pristine := snapshot(st)
-	var scr sched.Scratch
+	var ps sched.PreemptScratch
 	pass := func() {
 		s := mk(st)
 		rng := rand.New(rand.NewSource(77))
@@ -213,7 +211,7 @@ func preemptionNeverLeaks(t *testing.T, mk Factory) {
 				live = append(live, a)
 				continue
 			}
-			_, _, live = preemptAttempt(st, s, &scr, vm, live)
+			_, _, live = preemptAttempt(st, s, &ps, vm, live)
 			if i%101 == 0 {
 				checkAll(t, st)
 			}
@@ -247,7 +245,7 @@ func preemptionHygiene(t *testing.T, mk Factory) {
 		st   *sched.State
 		rng  *rand.Rand
 		live []*sched.Assignment
-		scr  sched.Scratch
+		ps   sched.PreemptScratch
 		sig  []string
 	}
 	newRun := func(seed int64) *run {
@@ -272,7 +270,7 @@ func preemptionHygiene(t *testing.T, mk Factory) {
 			r.sig = append(r.sig, fmt.Sprint("t", vm.Tier, a.CPU.Box, a.RAM.Box, a.STO.Box))
 			return
 		}
-		a, victims, nl := preemptAttempt(r.st, r.s, &r.scr, vm, r.live)
+		a, victims, nl := preemptAttempt(r.st, r.s, &r.ps, vm, r.live)
 		r.live = nl
 		if a == nil {
 			r.sig = append(r.sig, "preempt-fail")

@@ -14,7 +14,6 @@ import (
 	"reflect"
 	"testing"
 
-	"risa/internal/core"
 	"risa/internal/network"
 	"risa/internal/sched"
 	"risa/internal/sim"
@@ -186,7 +185,7 @@ func churnConservation(t *testing.T, mk Factory) {
 // interleavedHygiene: two scheduler instances driven decision-by-decision
 // in alternation on independent datacenters must behave exactly like two
 // isolated runs. This is the property test behind the scratch-buffer and
-// pool reuse discipline (DESIGN.md §9): every instance owns its Scratch
+// pool reuse discipline (DESIGN.md §9): every instance owns its cursors
 // and every State its pools, so nothing an instance buffers between
 // decisions may leak into — or depend on — another instance's timing. A
 // leak (say, a shared cursor table or a placement record recycled across
@@ -393,7 +392,7 @@ func healedBoxReusable(t *testing.T, mk Factory) {
 
 // faultInterleavedHygiene is InterleavedHygiene over the fault paths:
 // the per-decision scripts also fail and heal boxes and displace VMs off
-// failed hardware (core.Displace — the eviction transaction the
+// failed hardware (State.Displace — the eviction transaction the
 // simulator uses), and two instances alternating decision-by-decision
 // must still match their isolated references exactly.
 func faultInterleavedHygiene(t *testing.T, mk Factory) {
@@ -426,7 +425,7 @@ func faultInterleavedHygiene(t *testing.T, mk Factory) {
 				if !a.OnFailedHardware() {
 					continue
 				}
-				if core.Displace(r.st, r.s, a) {
+				if r.st.Displace(r.s, a) {
 					r.sig = append(r.sig, fmt.Sprint("displaced", a.CPU.Box, a.RAM.Box, a.STO.Box))
 				} else {
 					// Lost: the record is emptied; pool it and drop it
@@ -526,7 +525,7 @@ func snapshotHygiene(t *testing.T, mk Factory) {
 				if !a.OnFailedHardware() {
 					continue
 				}
-				if core.Displace(r.st, r.s, a) {
+				if r.st.Displace(r.s, a) {
 					r.sig = append(r.sig, fmt.Sprint("displaced", a.CPU.Box, a.RAM.Box, a.STO.Box))
 				} else {
 					r.st.ReleaseVM(a)

@@ -30,24 +30,6 @@ type StatefulScheduler interface {
 	RestoreSchedulerState(st SchedulerState)
 }
 
-// CursorState returns a copy of the scratch's persistent next-fit
-// cursors, for snapshot capture.
-func (s *Scratch) CursorState() [][units.NumResources]int {
-	if len(s.cursors) == 0 {
-		return nil
-	}
-	out := make([][units.NumResources]int, len(s.cursors))
-	copy(out, s.cursors)
-	return out
-}
-
-// RestoreCursorState replaces the scratch's persistent next-fit cursors
-// with a captured copy.
-func (s *Scratch) RestoreCursorState(cur [][units.NumResources]int) {
-	s.cursors = s.cursors[:0]
-	s.cursors = append(s.cursors, cur...)
-}
-
 // PlacementState is the serializable form of one compute placement: the
 // box's rack-major global index (its position in Cluster.Boxes) and the
 // exact per-brick shares. Box is -1 for the zero placement (resource not

@@ -132,7 +132,7 @@ type eventCore struct {
 	wHead    int
 	admitSeq int
 
-	scratch sched.Scratch // victim-selection workspace (preempt.go)
+	preempt sched.PreemptScratch // victim-selection workspace (preempt.go)
 }
 
 // newEventCore binds a core to one state, scheduler, observer and fault

@@ -3,7 +3,6 @@ package sim
 import (
 	"time"
 
-	"risa/internal/core"
 	"risa/internal/faults"
 	"risa/internal/topology"
 )
@@ -46,7 +45,7 @@ func (c *eventCore) noteFault(b *topology.Box, repair bool) {
 
 // evictDisplaced scans the pending-event queue for departures whose
 // assignments sit on failed hardware and re-places each through
-// core.Displace. A recovered VM keeps its departure event — the record
+// State.Displace. A recovered VM keeps its departure event — the record
 // the event references now holds the new placement, and the pooled
 // record of the transaction recycles, so eviction stays off the
 // allocator. An unrecoverable VM is unseated: to the retry queue, or
@@ -68,7 +67,7 @@ func (c *eventCore) evictDisplaced() {
 		}
 		c.obs.releasing(e.a.VM, e.a, true)
 		start := time.Since(epoch)
-		recovered := core.Displace(c.st, c.sch, e.a)
+		recovered := c.st.Displace(c.sch, e.a)
 		c.obs.displaced(e.a, recovered, time.Since(epoch)-start)
 		if !recovered {
 			c.unseat(e, QueuedVMState{VM: e.a.VM, Displaced: true})

@@ -4,17 +4,17 @@ import (
 	"bytes"
 	"testing"
 
-	"risa/internal/core"
 	"risa/internal/network"
 	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
 )
 
-// assignmentEligible mirrors sched.PreemptScratch.FilterEligible from the
-// outside: a candidate is preemptible by an arrival of the given tier iff
-// it is strictly lower priority, not stranded on failed hardware, and
-// carries no flow over a failed link.
+// assignmentEligible mirrors the eligibility filter of
+// sched.PreemptScratch.Preempt from the outside: a candidate is
+// preemptible by an arrival of the given tier iff it is strictly lower
+// priority, not stranded on failed hardware, and carries no flow over a
+// failed link.
 func assignmentEligible(a *sched.Assignment, tier int) bool {
 	if a.VM.Tier <= tier || a.OnFailedHardware() {
 		return false
@@ -92,7 +92,7 @@ func restoreTwin(t *testing.T, snap *StateSnapshot) (*fuzzInstance, map[int]*sch
 //   - refusal: when Preempt returns nil, releasing every eligible victim
 //     on a restored twin must still leave the arrival unplaceable — the
 //     refusal was genuine, not an early bailout.
-func preemptWithOracle(t *testing.T, in *fuzzInstance, scr *sched.Scratch, vm workload.VM, opIdx int) {
+func preemptWithOracle(t *testing.T, in *fuzzInstance, ps *sched.PreemptScratch, vm workload.VM, opIdx int) {
 	t.Helper()
 	snap, err := CaptureState(in.st, in.sch, in.live)
 	if err != nil {
@@ -100,12 +100,11 @@ func preemptWithOracle(t *testing.T, in *fuzzInstance, scr *sched.Scratch, vm wo
 	}
 	elig := eligibleOracle(in.live, vm.Tier)
 
-	ps := scr.Preemption()
 	ps.Reset()
 	for j, a := range in.live {
 		ps.Add(a, j)
 	}
-	a, k := core.Preempt(in.st, in.sch, ps, vm)
+	a, k := ps.Preempt(in.st, in.sch, vm)
 
 	if a == nil {
 		twin, byID := restoreTwin(t, snap)
@@ -123,7 +122,7 @@ func preemptWithOracle(t *testing.T, in *fuzzInstance, scr *sched.Scratch, vm wo
 		t.Fatalf("op %d: preemption consumed %d victims with %d eligible", opIdx, k, len(elig))
 	}
 	for v := 0; v < k; v++ {
-		victim := ps.Victim(v).VM
+		victim := in.live[ps.Ref(v)].VM
 		if victim.Tier <= vm.Tier {
 			t.Fatalf("op %d: tier-%d arrival evicted tier-%d VM %d", opIdx, vm.Tier, victim.Tier, victim.ID)
 		}
@@ -186,7 +185,7 @@ func FuzzPreemptionChain(f *testing.F) {
 	f.Add([]byte{0, 5, 31, 5, 0, 0, 2, 4, 0, 0, 0, 7})    // displace + fail around tiered allocs
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		in := newFuzzInstance(t)
-		var scr sched.Scratch
+		var ps sched.PreemptScratch
 		vmID := 0
 		nOps := len(ops) / 3
 		// Every failed schedule costs two snapshot-restored oracle twins,
@@ -206,7 +205,7 @@ func FuzzPreemptionChain(f *testing.F) {
 				if a, err := in.sch.Schedule(vm); err == nil {
 					in.live = append(in.live, a)
 				} else {
-					preemptWithOracle(t, in, &scr, vm, i)
+					preemptWithOracle(t, in, &ps, vm, i)
 				}
 			} else {
 				in.step(t, op, sel, amt, vmID)

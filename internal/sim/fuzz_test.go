@@ -74,7 +74,7 @@ func (in *fuzzInstance) step(t *testing.T, op, sel, amt byte, vmID int) (placed 
 		if len(in.live) > 0 {
 			j := int(sel) % len(in.live)
 			a := in.live[j]
-			if !core.Displace(in.st, in.sch, a) {
+			if !in.st.Displace(in.sch, a) {
 				// Unrecoverable: the VM is gone; drop the record.
 				in.live = append(in.live[:j], in.live[j+1:]...)
 			}

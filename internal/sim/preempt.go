@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"risa/internal/core"
 	"risa/internal/sched"
 	"risa/internal/workload"
 )
@@ -18,16 +17,16 @@ var errPreemptFailed = errors.New("sim: preemption found no admissible victim se
 // displacing strictly-lower-tier resident VMs. Candidates are gathered
 // from the event queue — every pending departure with a live assignment
 // is a resident VM; the queue's array order is deterministic for a given
-// event history, and core.Preempt's total cost order makes the victim
-// set independent of it anyway. The transaction picks a cheapest-first
-// minimal prefix or restores everything (see core.Preempt).
+// event history, and Preempt's total cost order makes the victim set
+// independent of it anyway. The transaction picks a cheapest-first
+// minimal prefix or restores everything (see sched.PreemptScratch.Preempt).
 //
 // On success the consumed victims are unseated exactly like lost
 // displacements and re-enter the retry queue as preempted entries,
 // draining behind every equal-or-higher-priority entry under the queue's
 // tier order. The whole attempt is reported as one (indirect) decision.
 func (c *eventCore) tryPreempt(vm workload.VM) (*sched.Assignment, error) {
-	ps := c.scratch.Preemption()
+	ps := &c.preempt
 	ps.Reset()
 	start := time.Since(epoch)
 	for i := range c.h.s {
@@ -37,7 +36,7 @@ func (c *eventCore) tryPreempt(vm workload.VM) (*sched.Assignment, error) {
 		}
 		ps.Add(e.a, i)
 	}
-	a, consumed := core.Preempt(c.st, c.sch, ps, vm)
+	a, consumed := ps.Preempt(c.st, c.sch, vm)
 	c.obs.decided(vm, time.Since(epoch)-start, false)
 	if a == nil {
 		return nil, errPreemptFailed

@@ -128,7 +128,7 @@ type Faults struct {
 	Plan *faults.Plan
 	// Evict, with Plan, activates displaced-VM recovery: when hardware
 	// fails, VMs resident on it are evicted and re-placed through the
-	// scheduler's own policy (core.Displace); a VM that cannot be
+	// scheduler's own policy (State.Displace); a VM that cannot be
 	// re-placed is lost — or parks on the retry queue when Retry is also
 	// set. Without Evict, resident VMs ride out the outage in place
 	// (their circuits are established) and only new arrivals route around
@@ -141,11 +141,12 @@ type Faults struct {
 	// then admission sequence, which is plain FIFO on untiered workloads.
 	Retry bool
 	// Preempt lets a high-priority arrival that fails placement displace
-	// strictly-lower-tier victims via core.Preempt, the victims entering
-	// the retry queue (hence Preempt requires Retry). Stream runs only:
-	// Run refuses it, because a victim is released without the observer's
-	// releasing hook, so Run's accounting piece would count the victim's
-	// circuits twice once the retry queue re-places it.
+	// strictly-lower-tier victims (sched.PreemptScratch.Preempt), the
+	// victims entering the retry queue (hence Preempt requires Retry).
+	// Stream runs only: Run refuses it, because a victim is released
+	// without the observer's releasing hook, so Run's accounting piece
+	// would count the victim's circuits twice once the retry queue
+	// re-places it.
 	Preempt bool
 }
 

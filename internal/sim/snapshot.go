@@ -77,7 +77,7 @@ type EventState struct {
 // QueuedVMState is one retry-queue entry — the live queue's element type
 // and, being plain data, its serialized form. Displaced and Preempted
 // mark a VM that was already accepted at its arrival and then evicted —
-// off failed hardware, or by a higher-priority arrival (core.Preempt):
+// off failed hardware, or by a higher-priority arrival (preemption):
 // placing it again is a recovery, not a second acceptance, and losing it
 // for good is not a drop. Seq is the admission sequence: a monotone
 // counter stamped once per arrival and once per eviction.
