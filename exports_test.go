@@ -36,15 +36,56 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matched := make([]bool, len(exportExemptions))
+	reportFindings(t, found, exportExemptions)
+}
+
+// fieldExemptions are struct fields in internal/ that no non-test file
+// reads, each kept for the reason beside it. An exemption that no longer
+// matches a finding fails the test too.
+var fieldExemptions = []string{
+	// Part of the snapshot's gob layout: goes with ROADMAP 31's layout change.
+	"risa/internal/sched.PlacementState.Total",
+	// TestLadderDigests hashes the %+v of the run results, so cutting any
+	// of these moves ladder_digests.txt for a field cut alone.
+	"risa/internal/sim.SteadyState.DisplacedQueued",
+	"risa/internal/sim.SteadyState.ReplaceP50",
+	"risa/internal/sim.SteadyState.ReplaceP99",
+	"risa/internal/sim.TierStats.TotalArrivals",
+	"risa/internal/sim.TierStats.TotalAccepted",
+	"risa/internal/sim.TierStats.TotalDropped",
+	"risa/internal/sim.TierStats.Dropped",
+	"risa/internal/sim.TierStats.Preempted",
+	"risa/internal/sim.TierStats.PreemptRecovered",
+}
+
+// TestFieldsAreRead fails on any field of a struct type declared in
+// internal/ that no non-test file of the root module or of bench/ reads:
+// a field the program only writes is bookkeeping nothing uses. A read is
+// any use that is not the target of =, :=, op= or ++/--, nor a
+// composite-literal key; reaching a promoted field or method reads the
+// embedded fields on the way. The packages only tests import are not
+// scanned.
+func TestFieldsAreRead(t *testing.T) {
+	found, err := unreadFields(".", "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportFindings(t, found, fieldExemptions)
+}
+
+// reportFindings fails t on every finding that is not exempt, and on every
+// exemption that matches no finding.
+func reportFindings(t *testing.T, found []finding, exemptions []string) {
+	t.Helper()
+	matched := make([]bool, len(exemptions))
 	for _, f := range found {
-		if i := slices.Index(exportExemptions, f.token); i >= 0 {
+		if i := slices.Index(exemptions, f.token); i >= 0 {
 			matched[i] = true
 			continue
 		}
 		t.Error(f)
 	}
-	for i, e := range exportExemptions {
+	for i, e := range exemptions {
 		if !matched[i] {
 			t.Errorf("the exemption for `%s` matches no finding: delete it", e)
 		}
@@ -107,11 +148,23 @@ func goList(dir string, args ...string) ([]listedPkg, error) {
 	}
 }
 
-// unusedExports type-checks the non-test files of the modules in dirs (the
-// first is the root module) in one universe and returns, sorted, the
-// exported functions and methods of risa/internal/... that none of those
-// files uses.
-func unusedExports(dirs ...string) ([]finding, error) {
+// universe is the non-test files of the root module and bench/,
+// type-checked together: what TestExportedFuncsHaveCallers and
+// TestFieldsAreRead scan.
+type universe struct {
+	root     string // working directory, for relative positions
+	fset     *token.FileSet
+	pkgs     []listedPkg
+	checked  map[string]*types.Package
+	files    map[string][]*ast.File // by import path
+	info     *types.Info
+	imported map[string]bool // by a non-test file
+	imp      types.Importer
+}
+
+// loadUniverse type-checks the non-test files of the modules in dirs (the
+// first is the root module) in one universe.
+func loadUniverse(dirs ...string) (*universe, error) {
 	root, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -139,15 +192,23 @@ func unusedExports(dirs ...string) ([]finding, error) {
 	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
 	})
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p := checked[path]; p != nil {
+	u := &universe{
+		root: root, fset: fset, pkgs: pkgs,
+		checked: map[string]*types.Package{},
+		files:   map[string][]*ast.File{},
+		info: &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		imported: map[string]bool{},
+	}
+	u.imp = importerFunc(func(path string) (*types.Package, error) {
+		if p := u.checked[path]; p != nil {
 			return p, nil
 		}
 		return std.Import(path)
 	})
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-	imported := map[string]bool{} // by a non-test file
 	for _, p := range pkgs {
 		if p.Standard {
 			continue
@@ -160,15 +221,33 @@ func unusedExports(dirs ...string) ([]finding, error) {
 			}
 			files = append(files, f)
 		}
-		conf := types.Config{Importer: imp}
-		if checked[p.ImportPath], err = conf.Check(p.ImportPath, fset, files, info); err != nil {
+		conf := types.Config{Importer: u.imp}
+		if u.checked[p.ImportPath], err = conf.Check(p.ImportPath, fset, files, u.info); err != nil {
 			return nil, err
 		}
+		u.files[p.ImportPath] = files
 		for _, ip := range p.Imports {
-			imported[ip] = true
+			u.imported[ip] = true
 		}
 	}
+	return u, nil
+}
 
+// at returns pos as a finding's file (relative to the root) and line.
+func (u *universe) at(pos token.Pos) (string, int) {
+	at := u.fset.Position(pos)
+	file, _ := filepath.Rel(u.root, at.Filename)
+	return filepath.ToSlash(file), at.Line
+}
+
+// unusedExports returns, sorted, the exported functions and methods of
+// risa/internal/... that no non-test file of the modules in dirs uses.
+func unusedExports(dirs ...string) ([]finding, error) {
+	u, err := loadUniverse(dirs...)
+	if err != nil {
+		return nil, err
+	}
+	info, imp := u.info, u.imp
 	used := map[types.Object]bool{}
 	for _, obj := range info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
@@ -203,15 +282,14 @@ func unusedExports(dirs ...string) ([]finding, error) {
 		if used[fn] {
 			return
 		}
-		at := fset.Position(fn.Pos())
-		file, _ := filepath.Rel(root, at.Filename)
-		found = append(found, finding{filepath.ToSlash(file), at.Line, token, "is exported and only tests call it"})
+		file, line := u.at(fn.Pos())
+		found = append(found, finding{file, line, token, "is exported and only tests call it"})
 	}
-	for _, p := range pkgs {
-		if !strings.HasPrefix(p.ImportPath, "risa/internal/") || !imported[p.ImportPath] {
+	for _, p := range u.pkgs {
+		if !strings.HasPrefix(p.ImportPath, "risa/internal/") || !u.imported[p.ImportPath] {
 			continue
 		}
-		scope := checked[p.ImportPath].Scope()
+		scope := u.checked[p.ImportPath].Scope()
 		for _, name := range scope.Names() {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Func:
@@ -239,3 +317,83 @@ func unusedExports(dirs ...string) ([]finding, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// unreadFields returns, sorted, the fields of the struct types declared in
+// risa/internal/... that no non-test file of the modules in dirs reads.
+func unreadFields(dirs ...string) ([]finding, error) {
+	u, err := loadUniverse(dirs...)
+	if err != nil {
+		return nil, err
+	}
+	written := map[*ast.Ident]bool{} // uses that only write
+	target := func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			written[e] = true
+		case *ast.SelectorExpr:
+			written[e.Sel] = true
+		}
+	}
+	for _, files := range u.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[*types.Var]bool{}
+	for id, obj := range u.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, sel := range u.info.Selections {
+		typ := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			f := typ.Underlying().(*types.Struct).Field(i)
+			read[f.Origin()] = true
+			typ = f.Type()
+		}
+	}
+
+	var found []finding
+	for _, p := range u.pkgs {
+		if !strings.HasPrefix(p.ImportPath, "risa/internal/") || !u.imported[p.ImportPath] {
+			continue
+		}
+		scope := u.checked[p.ImportPath].Scope()
+		for _, name := range scope.Names() {
+			obj, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Name() != "_" && !read[f] {
+					file, line := u.at(f.Pos())
+					found = append(found, finding{file, line, p.ImportPath + "." + name + "." + f.Name(), "is a field no non-test file reads"})
+				}
+			}
+		}
+	}
+	slices.SortFunc(found, func(a, b finding) int { return strings.Compare(a.token, b.token) })
+	return found, nil
+}

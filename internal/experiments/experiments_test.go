@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -531,6 +532,32 @@ func TestStrandingExperiment(t *testing.T) {
 	}
 	if !strings.Contains(st.Render(), "stranded RAM") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestStrandingBelowCheckpoint pins the small-cluster case: on 4 racks
+// every algorithm drops long before the 1000-VM checkpoint, so no
+// stranded fraction was measured and the table must say so instead of
+// printing 0.0%.
+func TestStrandingBelowCheckpoint(t *testing.T) {
+	s := DefaultSetup()
+	s.Topology.Racks = 4
+	st, err := s.RunStranding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := st.Render()
+	for _, alg := range Algorithms {
+		if st.Placed[alg] >= st.CheckAt {
+			t.Fatalf("%s placed %d on 4 racks, want fewer than the checkpoint %d", alg, st.Placed[alg], st.CheckAt)
+		}
+		if v, ok := st.StrandedRAMPct[alg]; ok {
+			t.Errorf("%s: stranded %% %g recorded without reaching the checkpoint", alg, v)
+		}
+		want := fmt.Sprintf("  %-8s %22s %20d\n", alg, "—", st.Placed[alg])
+		if !strings.Contains(out, want) {
+			t.Errorf("%s row not rendered as unmeasured; want %q in\n%s", alg, want, out)
+		}
 	}
 }
 

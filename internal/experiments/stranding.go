@@ -19,8 +19,9 @@ type Stranding struct {
 	Reference units.Vector
 	CheckAt   int
 	// Per algorithm: stranded fraction of free RAM at the checkpoint
-	// (RAM is the binding resource for the synthetic mix), and VMs
-	// placed before the first drop.
+	// (RAM is the binding resource for the synthetic mix; absent when the
+	// fill dropped before reaching it), and VMs placed before the first
+	// drop.
 	StrandedRAMPct map[string]float64
 	Placed         map[string]int
 }
@@ -77,8 +78,11 @@ func (st *Stranding) Render() string {
 	fmt.Fprintf(&b, "  %-8s %22s %20s\n", "algo",
 		fmt.Sprintf("stranded RAM %% @%d", st.CheckAt), "placed at 1st drop")
 	for _, alg := range Algorithms {
-		fmt.Fprintf(&b, "  %-8s %21.1f%% %20d\n",
-			alg, st.StrandedRAMPct[alg], st.Placed[alg])
+		pct := "—" // the fill dropped before the checkpoint
+		if v, ok := st.StrandedRAMPct[alg]; ok {
+			pct = fmt.Sprintf("%.1f%%", v)
+		}
+		fmt.Fprintf(&b, "  %-8s %22s %20d\n", alg, pct, st.Placed[alg])
 	}
 	b.WriteString("  Best-fit packs tighter than RISA's next-fit (more VMs before the\n")
 	b.WriteString("  first drop, less stranded capacity) — the paper's §4 claim. The\n")

@@ -154,10 +154,10 @@ type BoxTriple [units.NumResources]*topology.Box
 // the returned record's own slots, under the given link policy. On any
 // failure everything is rolled back, the record returns to the pool and
 // the state is exactly as before. Because every compute mutation goes
-// through Cluster.AllocateInto/ReleaseFrom here, the per-rack
-// free-capacity index (topology's MaxFree/FitsWholeVM/Free) stays current
-// for every scheduler with no extra bookkeeping on their part — including
-// mid-transaction rollbacks.
+// through Cluster.AllocateInto/ReleaseFrom here, the free vectors and the
+// cluster candidate index (topology's MaxFree/FitsWholeVM/Free and
+// NextRackWith/NextRackFits) stay current for every scheduler with no
+// extra bookkeeping on their part — including mid-transaction rollbacks.
 func (s *State) AllocateVM(vm workload.VM, boxes BoxTriple, policy network.Policy) (*Assignment, error) {
 	a := s.getAssignment(vm)
 	cfg := s.Units()

@@ -13,12 +13,11 @@ type Rack struct {
 	byKind [units.NumResources][]*Box // same boxes grouped by resource kind
 	// vis is the rack's window into the cluster's per-kind visible-free
 	// vectors (Cluster.vis): vis[k][i] == byKind[k][i].Free() at all times.
-	// The hot box scans (kindIndex.rescan, the packing policies, the BFS
+	// The hot box scans (MaxFree and Free, the packing policies, the BFS
 	// levels) read these contiguous amounts instead of chasing the box
 	// pointers, which is what keeps the per-decision cost flat at
 	// hyperscale rack counts.
 	vis [units.NumResources][]units.Amount
-	idx [units.NumResources]kindIndex // incremental free-capacity index
 }
 
 // Index returns the rack's position in the cluster.
@@ -42,15 +41,22 @@ func (r *Rack) FreeVecOf(k units.Resource) []units.Amount { return r.vis[k] }
 // MaxFree returns the largest free amount of kind k available in any single
 // box of the rack, and the earliest box attaining it (nil when nothing is
 // free). RISA's INTRA_RACK_POOL test is built on this: a rack can host a
-// whole VM iff MaxFree ≥ request for every kind. The answer comes from the
-// rack's incremental index, so the amortized cost is O(1) rather than a
-// scan of the rack's boxes.
+// whole VM iff MaxFree ≥ request for every kind. The answer is a scan of
+// the rack's visible-free window (one to a few contiguous amounts) with a
+// strict comparison, so a tie goes to the earliest box; the box pointer is
+// loaded once, after the scan.
 func (r *Rack) MaxFree(k units.Resource) (units.Amount, *Box) {
-	ix := &r.idx[k]
-	if ix.dirty {
-		ix.rescan(r.byKind[k], r.vis[k])
+	var max units.Amount
+	best := -1
+	for i, f := range r.vis[k] {
+		if f > max {
+			max, best = f, i
+		}
 	}
-	return ix.max, ix.best
+	if best < 0 {
+		return 0, nil
+	}
+	return max, r.byKind[k][best]
 }
 
 // FitsWholeVM reports whether some single box per kind can hold each
@@ -68,8 +74,14 @@ func (r *Rack) FitsWholeVM(req units.Vector) bool {
 }
 
 // Free returns the total free amount of kind k across the rack's healthy
-// boxes, maintained incrementally (O(1)).
-func (r *Rack) Free(k units.Resource) units.Amount { return r.idx[k].total }
+// boxes: the sum of its visible-free window, where a failed box reads 0.
+func (r *Rack) Free(k units.Resource) units.Amount {
+	var total units.Amount
+	for _, f := range r.vis[k] {
+		total += f
+	}
+	return total
+}
 
 // Cluster is the complete disaggregated datacenter compute plane.
 type Cluster struct {
@@ -90,10 +102,10 @@ type Cluster struct {
 	// well-defined.
 	vis [units.NumResources][]units.Amount
 
-	// cidx is the cluster-level candidate index: per resource kind, a
-	// max-tree over rack indices bounding each rack's cached MaxFree, so
-	// schedulers can enumerate qualifying racks without scanning all of
-	// them. See clusterindex.go.
+	// cidx is the cluster-level candidate index, the one cached index
+	// over the compute plane: per resource kind, a max-tree over rack
+	// indices bounding each rack's MaxFree, so schedulers can enumerate
+	// qualifying racks without scanning all of them. See clusterindex.go.
 	cidx [units.NumResources]maxTree
 }
 
@@ -138,7 +150,6 @@ func New(cfg Config) (*Cluster, error) {
 				idx++
 			}
 		}
-		rack.initIndex()
 		c.racks = append(c.racks, rack)
 	}
 	c.initCandidateIndex()
@@ -203,18 +214,17 @@ func (c *Cluster) Allocate(box *Box, amount units.Amount) (Placement, error) {
 }
 
 // AllocateInto carves amount of box's kind out of box into *dst, updating
-// the box, rack-index and cluster totals. The brick shares are appended
-// onto dst.Shares[:0] — usually the buffer of a recycled placement record,
-// so steady-state allocation reuses the record's memory instead of growing
-// a fresh slice per placement — and the placement is written into *dst in
-// place. On error nothing changes, *dst included.
+// the box, its free-vector slot and the cluster totals. The brick shares
+// are appended onto dst.Shares[:0] — usually the buffer of a recycled
+// placement record, so steady-state allocation reuses the record's memory
+// instead of growing a fresh slice per placement — and the placement is
+// written into *dst in place. On error nothing changes, *dst included.
 func (c *Cluster) AllocateInto(box *Box, amount units.Amount, dst *Placement) error {
 	if err := box.allocate(amount, dst); err != nil {
 		return err
 	}
 	c.free[box.kind] -= amount
 	c.syncVis(box)
-	c.racks[box.rack].noteDecrease(box, amount)
 	return nil
 }
 
@@ -237,7 +247,7 @@ func (c *Cluster) ReleaseFrom(p *Placement) {
 	if !b.failed {
 		c.free[b.kind] += p.Total
 		c.syncVis(b)
-		c.noteRackIncrease(b, p.Total)
+		c.noteRackIncrease(b)
 	}
 }
 
@@ -246,14 +256,9 @@ func (c *Cluster) ReleaseFrom(p *Placement) {
 // accounted and may still be released (the freed capacity rejoins the
 // totals at repair time — see Release). Toggling is idempotent.
 //
-// Repair re-seeds both index tiers exactly rather than relying on the
-// lazy self-repair of the query paths: the rack's kind index is rescanned
-// (so max/best are exact and clean even when earlier decreases had left
-// it dirty) and the cluster candidate tree's bound for the rack is set to
-// that exact maximum (a lazy raise would leave a slack upper bound
-// whenever the rack index was dirty at repair time). Repairs are rare, so
-// the O(boxes-of-kind) rescan is free compared to leaving every
-// post-repair query to tighten the bounds itself.
+// Failing a box leaves the candidate tree alone: its bound for the rack
+// stays a valid upper bound. Repair sets the bound to the rack's exact
+// maximum, like any other increase.
 func (c *Cluster) SetBoxFailed(b *Box, failed bool) {
 	if b.failed == failed {
 		return
@@ -262,37 +267,25 @@ func (c *Cluster) SetBoxFailed(b *Box, failed bool) {
 	c.syncVis(b)
 	if failed {
 		c.free[b.kind] -= b.free
-		c.racks[b.rack].noteDecrease(b, b.free)
 	} else {
 		c.free[b.kind] += b.free
-		c.reseedOnRepair(b)
+		c.noteRackIncrease(b)
 	}
-}
-
-// reseedOnRepair restores the rack-tier and cluster-tier indices to their
-// exact values after b returned to service. b.failed must already be
-// false so the rescan sees the box's true free amount.
-func (c *Cluster) reseedOnRepair(b *Box) {
-	rack := c.racks[b.rack]
-	ix := &rack.idx[b.kind]
-	ix.total += b.free
-	ix.rescan(rack.byKind[b.kind], rack.vis[b.kind])
-	c.cidx[b.kind].set(b.rack, ix.max)
 }
 
 // Preoccupy permanently consumes amount from the given box; it is used by
 // tests and the toy-example experiments to reconstruct the paper's Table 3
 // availability state. Nothing holds the placement, so it is never released.
-func (c *Cluster) Preoccupy(rack, kindIndex int, kind units.Resource, amount units.Amount) error {
+func (c *Cluster) Preoccupy(rack, kindIx int, kind units.Resource, amount units.Amount) error {
 	if rack < 0 || rack >= len(c.racks) {
 		return fmt.Errorf("topology: rack %d out of range", rack)
 	}
 	boxes := c.racks[rack].BoxesOf(kind)
-	if kindIndex < 0 || kindIndex >= len(boxes) {
-		return fmt.Errorf("topology: %v box %d out of range in rack %d", kind, kindIndex, rack)
+	if kindIx < 0 || kindIx >= len(boxes) {
+		return fmt.Errorf("topology: %v box %d out of range in rack %d", kind, kindIx, rack)
 	}
 	var p Placement
-	return c.AllocateInto(boxes[kindIndex], amount, &p)
+	return c.AllocateInto(boxes[kindIx], amount, &p)
 }
 
 // Stranded returns, per resource, the free amount sitting in racks that
@@ -374,28 +367,13 @@ func (c *Cluster) CheckInvariants() error {
 	if cap != c.cap {
 		return fmt.Errorf("cluster capacity %v != box sum %v", c.cap, cap)
 	}
+	// The cluster-level candidate tree must never under-estimate a rack:
+	// a too-small bound would hide a qualifying rack from
+	// NextRackWith/NextRackFits and change placements. MaxFree reads the
+	// free vectors just checked against the boxes, so it is the true max.
 	for _, rack := range c.racks {
 		for _, k := range units.Resources() {
-			ix := &rack.idx[k]
-			var total, max units.Amount
-			var best *Box
-			for _, b := range rack.byKind[k] {
-				f := b.Free()
-				total += f
-				if f > max {
-					max, best = f, b
-				}
-			}
-			if ix.total != total {
-				return fmt.Errorf("rack %d %v index total %d != scan %d", rack.index, k, ix.total, total)
-			}
-			if !ix.dirty && (ix.max != max || ix.best != best) {
-				return fmt.Errorf("rack %d %v index max %d/%v != scan %d/%v",
-					rack.index, k, ix.max, ix.best, max, best)
-			}
-			// The cluster-level candidate tree must never under-estimate a
-			// rack: a too-small bound would hide a qualifying rack from
-			// NextRackWith/NextRackFits and change placements.
+			max, _ := rack.MaxFree(k)
 			if ub := c.cidx[k].leaf(rack.index); ub < max {
 				return fmt.Errorf("rack %d %v candidate bound %d < true max %d", rack.index, k, ub, max)
 			}

@@ -7,7 +7,7 @@ import (
 )
 
 // maxTree is a flat max-tree over rack indices. For one resource kind it
-// stores, per rack, an UPPER BOUND on that rack's cached MaxFree;
+// stores, per rack, an UPPER BOUND on that rack's MaxFree;
 // internal nodes hold the maximum of their children. It answers the
 // cluster-level candidate query every scheduler's rack scan reduces to —
 // "smallest rack index ≥ from whose best box could hold `need`" — in
@@ -25,16 +25,15 @@ import (
 // segment-tree this layout replaced — same candidates in the same order —
 // so placements cannot change.
 //
-// The bound is deliberately lazy, mirroring the rack-level kindIndex:
-// decreases (allocate, fail) can only lower a rack's true maximum, so the
-// stale value already stored is a valid upper bound and the tree is not
-// touched at all. Increases (release, restore) raise the bound — exactly
-// when the rack's own index is clean, conservatively by the grown box's
-// free amount when it is dirty. Queries self-repair: a candidate leaf is
-// verified against the rack's true MaxFree (which may trigger the rack's
-// own O(boxes) rescan) and tightened to it, charging the repair to the
-// mutation that staled it. The tree therefore never claims a qualifying
-// rack does not exist, and never yields a rack without verifying it.
+// The bound is deliberately lazy on one side: decreases (allocate, fail)
+// can only lower a rack's true maximum, so the stale value already stored
+// is a valid upper bound and the tree is not touched at all. Increases
+// (release, repair) set the bound to the rack's exact maximum, read off
+// its free-vector window. Queries self-repair: a candidate leaf is
+// verified against the rack's true MaxFree and tightened to it, charging
+// the repair to the mutation that staled it. The tree therefore never
+// claims a qualifying rack does not exist, and never yields a rack
+// without verifying it.
 type maxTree struct {
 	n      int              // number of racks (leaves in use)
 	levels [][]units.Amount // levels[0] = leaves; each padded to a multiple of fanout
@@ -91,13 +90,6 @@ func (t *maxTree) set(i int, v units.Amount) {
 		}
 		t.levels[j+1][g] = m
 		i = g
-	}
-}
-
-// raise lifts rack i's bound to at least v.
-func (t *maxTree) raise(i int, v units.Amount) {
-	if v > t.levels[0][i] {
-		t.set(i, v)
 	}
 }
 
@@ -170,33 +162,26 @@ func (t *maxTree) checkTree() error {
 	return nil
 }
 
-// initCandidateIndex seeds the per-kind trees from the freshly built
-// racks' (clean, exact) kind indexes.
+// initCandidateIndex seeds the per-kind trees with the freshly built
+// racks' exact maxima.
 func (c *Cluster) initCandidateIndex() {
 	for _, k := range units.Resources() {
 		c.cidx[k] = newMaxTree(len(c.racks))
 		for i, rack := range c.racks {
-			c.cidx[k].set(i, rack.idx[k].max)
+			max, _ := rack.MaxFree(k)
+			c.cidx[k].set(i, max)
 		}
 	}
 }
 
-// noteRackIncrease propagates a box's grown free amount into both the
-// rack-level index and the cluster-level candidate tree. When the rack's
-// index is clean its maximum is exact and the tree bound is tightened to
-// it; when dirty, the true maximum is unknown but can only have grown to
-// the raised box's free amount, so the bound is lifted to cover it.
+// noteRackIncrease sets the candidate tree's bound for b's rack to the
+// rack's exact maximum after b's visible free amount grew (release into a
+// healthy box, or repair); b's free-vector slot must already be synced.
 // Decreases need no counterpart: a shrinking maximum leaves the stored
 // bound a valid upper bound, and the next query tightens it lazily.
-func (c *Cluster) noteRackIncrease(b *Box, delta units.Amount) {
-	rack := c.racks[b.rack]
-	rack.noteIncrease(b, delta)
-	ix := &rack.idx[b.kind]
-	if ix.dirty {
-		c.cidx[b.kind].raise(b.rack, b.Free())
-	} else {
-		c.cidx[b.kind].set(b.rack, ix.max)
-	}
+func (c *Cluster) noteRackIncrease(b *Box) {
+	max, _ := c.racks[b.rack].MaxFree(b.kind)
+	c.cidx[b.kind].set(b.rack, max)
 }
 
 // NextRackWith returns the smallest rack index ≥ from whose MaxFree(k) is

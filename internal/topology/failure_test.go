@@ -81,19 +81,17 @@ func TestReleaseIntoFailedBox(t *testing.T) {
 }
 
 // TestRepairReseedsIndexTiers pins the repair-path contract behind the
-// fault subsystem: healing a box must leave both index tiers exact — the
-// rack's kind index rescanned clean and the cluster candidate bound
-// tightened to the true maximum — not merely self-repairing upper
-// bounds. Before the re-seed fix, healing a box while the rack index was
-// dirty left the index dirty and the candidate bound slack (stuck at the
-// pre-failure maximum).
+// fault subsystem: healing a box must leave the cluster candidate bound
+// tightened to the rack's true maximum, not merely a self-repairing upper
+// bound. Before the re-seed fix, healing a box after its rack's best box
+// had shrunk left the bound slack (stuck at the pre-failure maximum).
 func TestRepairReseedsIndexTiers(t *testing.T) {
 	c := mustCluster(t, DefaultConfig())
 	rack := c.Rack(0)
 	k := units.CPU
 	b0, b1 := rack.BoxesOf(k)[0], rack.BoxesOf(k)[1]
-	// Shrink the non-best box (index stays clean), then the best box
-	// (index goes dirty with the candidate bound stale at 512).
+	// Shrink the second box, then the first (the rack's earliest-max box),
+	// leaving the candidate bound stale at 512.
 	if _, err := c.Allocate(b1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +101,9 @@ func TestRepairReseedsIndexTiers(t *testing.T) {
 	c.SetBoxFailed(b0, true)
 	c.SetBoxFailed(b0, false)
 
-	ix := &rack.idx[k]
-	if ix.dirty {
-		t.Error("rack kind index left dirty after repair")
-	}
 	wantMax, wantBest := b1.Free(), b1 // 412 > the healed box's 312
-	if ix.max != wantMax || ix.best != wantBest {
-		t.Errorf("rack index after repair = (%d, %v), want exact (%d, %v)",
-			ix.max, ix.best, wantMax, wantBest)
+	if max, best := rack.MaxFree(k); max != wantMax || best != wantBest {
+		t.Errorf("MaxFree after repair = (%d, %v), want (%d, %v)", max, best, wantMax, wantBest)
 	}
 	if got := c.cidx[k].leaf(0); got != wantMax {
 		t.Errorf("cluster candidate bound %d after repair, want exact %d", got, wantMax)
@@ -120,10 +113,41 @@ func TestRepairReseedsIndexTiers(t *testing.T) {
 	}
 }
 
+// TestReleaseTightensCandidateBound pins the release side of the same
+// contract: every increase sets the rack's bound to its exact maximum,
+// even when earlier decreases had left the bound slack. A release that
+// only raised the bound would leave it at the pristine 512 here.
+func TestReleaseTightensCandidateBound(t *testing.T) {
+	c := mustCluster(t, DefaultConfig())
+	rack := c.Rack(0)
+	k := units.CPU
+	b0, b1 := rack.BoxesOf(k)[0], rack.BoxesOf(k)[1]
+	if _, err := c.Allocate(b1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Allocate(b0, 200); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Allocate(b0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.cidx[k].leaf(0); got != b0.Capacity() {
+		t.Fatalf("candidate bound %d before the release, want the stale %d", got, b0.Capacity())
+	}
+	c.Release(p)
+	if got, want := c.cidx[k].leaf(0), units.Amount(412); got != want {
+		t.Errorf("candidate bound %d after the release, want exact %d", got, want)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestReleaseIntoFailedThenHealedBox covers the interaction of the
 // Release failed-box skip path with repair, in both orders: a VM
 // departing while its box is down (the freed capacity must surface at
-// repair, with both index tiers exact), and a VM departing after its box
+// repair, with the candidate bound exact), and a VM departing after its box
 // already recovered (a plain healthy-path release).
 func TestReleaseIntoFailedThenHealedBox(t *testing.T) {
 	k := units.CPU

@@ -9,8 +9,8 @@ import (
 // FuzzClusterIndex drives a small cluster through an arbitrary
 // allocate/release/fail/heal sequence decoded from the fuzz input and
 // checks, after every operation, that (a) CheckInvariants holds — which
-// includes the rack kind indices and the cluster candidate tree — and
-// (b) the two query tiers agree with a brute-force rescan of the boxes:
+// includes the free vectors and the cluster candidate tree — and (b) the
+// two query tiers agree with a brute-force rescan of the boxes:
 // MaxFree/Free per rack and NextRackWith over the whole cluster. The
 // boxes' brick counters are the ground truth (CheckInvariants ties the
 // cached sums to them), so any divergence the fuzzer finds is an index
@@ -25,7 +25,7 @@ func FuzzClusterIndex(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 3, 0, 0, 0, 0, 50, 1, 0, 0})           // fail, heal, alloc, release
 	f.Add([]byte{0, 2, 128, 0, 2, 128, 2, 2, 0, 2, 2, 0})        // double-fail idempotence
 	f.Add([]byte{3, 5, 0, 3, 5, 0, 0, 5, 64, 2, 5, 0})           // heal-healthy no-op, alloc, fail
-	f.Add([]byte{0, 1, 40, 0, 0, 90, 2, 0, 0, 3, 0, 0, 1, 0, 0}) // dirty-index fail/heal cycle
+	f.Add([]byte{0, 1, 40, 0, 0, 90, 2, 0, 0, 3, 0, 0, 1, 0, 0}) // stale-bound fail/heal cycle
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		cfg := DefaultConfig()
 		cfg.Racks = 3
@@ -64,7 +64,7 @@ func FuzzClusterIndex(f *testing.F) {
 }
 
 // checkIndexAgainstBruteForce compares every indexed query against a
-// direct scan of the boxes: the cached rack totals and maxima, the SoA
+// direct scan of the boxes: the rack totals and maxima, the SoA
 // visible-free vectors (rack views and the cluster-wide slice, element
 // for element against Free()), the candidate tree behind NextRackWith,
 // and the whole-VM leapfrog behind NextRackFits.

@@ -73,9 +73,10 @@ func bruteNextRackFits(c *Cluster, req units.Vector, from int) int {
 	return -1
 }
 
-// checkIndexAgainstBrute compares every rack's indexed answers with the
-// brute-force scans, including returned-box identity (the index preserves
-// the earliest-max tie-break of the original code).
+// checkIndexAgainstBrute compares every rack's window scans and the
+// cluster tree's answers with the brute-force box scans, including
+// returned-box identity (the window scan keeps the earliest-max tie-break
+// of the original code).
 func checkIndexAgainstBrute(t *testing.T, c *Cluster, rng *rand.Rand) {
 	t.Helper()
 	for _, rack := range c.Racks() {
@@ -122,9 +123,9 @@ func checkIndexAgainstBrute(t *testing.T, c *Cluster, rng *rand.Rand) {
 }
 
 // TestIndexMatchesBruteForce drives random alloc/release/fail/restore
-// sequences and asserts after every operation that the incremental index
-// agrees with a brute-force scan — the equivalence the scheduling hot
-// path relies on.
+// sequences and asserts after every operation that the free-vector scans
+// and the candidate tree agree with a brute-force scan of the boxes — the
+// equivalence the scheduling hot path relies on.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	configs := map[string]Config{
 		"default": DefaultConfig(),
@@ -299,8 +300,9 @@ func TestClusterIndexEnumerationUnderChurn(t *testing.T) {
 }
 
 // TestIndexSurvivesFailureChurn focuses on the failure-injection paths of
-// failure_test.go: releases into failed boxes must not disturb the index,
-// and restores must re-expose exactly the right amounts.
+// failure_test.go: releases into failed boxes must not disturb the rack
+// views or the candidate tree, and restores must re-expose exactly the
+// right amounts.
 func TestIndexSurvivesFailureChurn(t *testing.T) {
 	c := mustCluster(t, DefaultConfig())
 	rng := rand.New(rand.NewSource(7))

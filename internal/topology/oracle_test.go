@@ -61,8 +61,8 @@ func (o *clusterOracle) maxFree(rack *Rack, k units.Resource) (units.Amount, *Bo
 }
 
 // check compares every SoA/index query surface against the model: the
-// rack and cluster visible-free vectors element for element, the cached
-// rack totals and maxima, and the two cluster-level candidate queries.
+// rack and cluster visible-free vectors element for element, the rack
+// totals and maxima, and the two cluster-level candidate queries.
 func (o *clusterOracle) check(t *testing.T, c *Cluster, op int, need units.Amount) {
 	t.Helper()
 	for _, k := range units.Resources() {
@@ -139,7 +139,7 @@ func (o *clusterOracle) check(t *testing.T, c *Cluster, op int, need units.Amoun
 // property pin behind the SoA layout: Free/MaxFree/vis/FreeVecOf/
 // NextRackWith/NextRackFits answer exactly as a scan of (capacity −
 // allocated, failed) pairs says they must, no matter how lazily the
-// index tiers repair themselves underneath.
+// candidate tree repairs itself underneath.
 func TestClusterAgainstOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 7, 42, 20260808} {
 		rng := rand.New(rand.NewSource(seed))

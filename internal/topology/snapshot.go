@@ -7,8 +7,8 @@ import (
 )
 
 // RestorePlacement re-carves an exact recorded brick-share pattern out of
-// box b into *dst, updating the box, rack-index and cluster totals the
-// same way AllocateInto does. It is the replay primitive snapshot
+// box b into *dst, updating the box, its free-vector slot and the cluster
+// totals the same way AllocateInto does. It is the replay primitive snapshot
 // restoration is built on: Box.allocate is first-fit across bricks and
 // therefore cannot reproduce an arbitrary historical share pattern, while
 // RestorePlacement reproduces the bricks bit-for-bit. The box must be
@@ -42,7 +42,6 @@ func (c *Cluster) RestorePlacement(b *Box, shares []BrickShare, dst *Placement) 
 	b.free -= total
 	c.free[b.kind] -= total
 	c.syncVis(b)
-	c.racks[b.rack].noteDecrease(b, total)
 	dst.Box = b
 	dst.Shares = append(dst.Shares[:0], shares...)
 	dst.Total = total

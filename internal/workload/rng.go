@@ -115,26 +115,26 @@ func (s *TraceStream) RestoreStreamState(st StreamState) error {
 	return nil
 }
 
-// StreamState implements StreamSnapshotter for every generator stream.
-func (g *generator) StreamState() StreamState {
-	st := StreamState{Name: g.name, Index: g.i, Now: g.now, Draws: g.src.Draws(), ControllerMult: 1}
-	if g.ctl != nil {
-		st.ControllerMult = g.ctl.Multiplier()
+// StreamState implements StreamSnapshotter.
+func (s *SyntheticStream) StreamState() StreamState {
+	st := StreamState{Name: s.Name(), Index: s.i, Now: s.now, Draws: s.src.Draws(), ControllerMult: 1}
+	if ctl := s.cfg.Controller; ctl != nil {
+		st.ControllerMult = ctl.Multiplier()
 	}
 	return st
 }
 
-// RestoreStreamState implements StreamSnapshotter for every generator
-// stream: the random source is replayed to its draw count, the clock,
-// index and controller multiplier written back.
-func (g *generator) RestoreStreamState(st StreamState) error {
-	if err := checkStreamName(st.Name, g.name); err != nil {
+// RestoreStreamState implements StreamSnapshotter: the random source is
+// replayed to its draw count, the clock, index and controller multiplier
+// written back.
+func (s *SyntheticStream) RestoreStreamState(st StreamState) error {
+	if err := checkStreamName(st.Name, s.Name()); err != nil {
 		return err
 	}
-	g.src.Replay(g.seed, st.Draws)
-	g.i, g.now = st.Index, st.Now
-	if g.ctl != nil {
-		g.ctl.mult = st.ControllerMult
+	s.src.Replay(s.cfg.Seed, st.Draws)
+	s.i, s.now = st.Index, st.Now
+	if ctl := s.cfg.Controller; ctl != nil {
+		ctl.mult = st.ControllerMult
 	}
 	return nil
 }

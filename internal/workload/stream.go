@@ -138,68 +138,17 @@ func (c *UtilizationController) ObserveUtilization(util float64) {
 	c.mult = m
 }
 
-// generator is the part the open-ended generator streams share: the
-// counted random source and the generator over it, the simulated clock
-// and arrival index, the optional rate controller and the tier mix. It
-// carries their one snapshot codec (StreamState/RestoreStreamState in
-// rng.go) and the tail every arrival ends with (emit); a stream's Next
-// keeps only its own draws.
-type generator struct {
-	name  string
-	seed  int64
-	src   *CountingSource
-	rng   *rand.Rand
-	now   float64
-	i     int
-	ctl   *UtilizationController
-	tiers TierMix
-}
-
-// newGenerator seeds a generator at its first arrival.
-func newGenerator(name string, seed int64, ctl *UtilizationController, tiers TierMix) generator {
-	src := NewCountingSource(seed)
-	return generator{name: name, seed: seed, src: src, rng: rand.New(src), ctl: ctl, tiers: tiers}
-}
-
-// Name implements Stream.
-func (g *generator) Name() string { return g.name }
-
-// emit ends one Next: the controller scales the drawn gap (it never
-// touches the random stream), the clock advances by it, and the VM gets
-// the next index — plus one tier draw, the call's last, when the tier mix
-// is enabled.
-func (g *generator) emit(gap float64, lifetime int64, req units.Vector) (VM, bool) {
-	if g.ctl != nil {
-		gap /= g.ctl.Multiplier()
-	}
-	g.now += gap
-	vm := VM{ID: g.i, Arrival: int64(math.Round(g.now)), Lifetime: lifetime, Req: req}
-	if g.tiers.Enabled() {
-		vm.Tier = g.tiers.sample(g.rng)
-	}
-	g.i++
-	return vm, true
-}
-
-// ObserveUtilization implements UtilizationObserver by forwarding to the
-// configured Controller, if any.
-func (g *generator) ObserveUtilization(util float64) {
-	if g.ctl != nil {
-		g.ctl.ObserveUtilization(util)
-	}
-}
-
-// Controller returns the configured rate controller (nil when the stream
-// is uncontrolled).
-func (g *generator) Controller() *UtilizationController { return g.ctl }
-
 // SyntheticStream is the open-ended form of the §5.1 synthetic generator:
 // the same request-size distributions and arrival process as Synthetic,
 // but unbounded — Next never exhausts and the consumer decides when to
 // stop. The finite Synthetic is exactly this stream's first N arrivals.
+// Its snapshot codec (StreamState/RestoreStreamState) is in rng.go.
 type SyntheticStream struct {
-	generator
 	cfg SyntheticConfig
+	src *CountingSource // counts the draws, the stream's snapshot position
+	rng *rand.Rand      // draws from src
+	now float64         // simulated clock, unrounded
+	i   int             // index of the next arrival
 }
 
 // NewStream returns the open-ended generator stream for the
@@ -212,17 +161,48 @@ func (c SyntheticConfig) NewStream() (*SyntheticStream, error) {
 	if err := c.validateStream(); err != nil {
 		return nil, err
 	}
-	return &SyntheticStream{generator: newGenerator("synthetic", c.Seed, c.Controller, c.Tiers), cfg: c}, nil
+	src := NewCountingSource(c.Seed)
+	return &SyntheticStream{cfg: c, src: src, rng: rand.New(src)}, nil
 }
 
+// Name implements Stream.
+func (s *SyntheticStream) Name() string { return "synthetic" }
+
 // Next implements Stream. It draws exactly one interarrival gap, one CPU
-// size and one RAM size per call, in that order — plus emit's tier draw —
-// so the random stream is consumed identically however the caller paces
-// its pulls.
+// size and one RAM size per call, in that order — plus one tier draw, the
+// call's last, when the tier mix is enabled — so the random stream is
+// consumed identically however the caller paces its pulls. The controller
+// scales the drawn gap; it never touches the random stream.
 func (s *SyntheticStream) Next() (VM, bool) {
 	c := &s.cfg
 	gap := c.gap(s.rng)
 	cpu := c.CPUMin + units.Amount(s.rng.Int63n(int64(c.CPUMax-c.CPUMin)+1))
 	ram := c.RAMMin + units.Amount(s.rng.Int63n(int64(c.RAMMax-c.RAMMin)+1))
-	return s.emit(gap, c.LifetimeBase+c.LifetimeStep*int64(s.i/c.SetSize), units.Vec(cpu, ram, c.StorageGB))
+	if c.Controller != nil {
+		gap /= c.Controller.Multiplier()
+	}
+	s.now += gap
+	vm := VM{
+		ID:       s.i,
+		Arrival:  int64(math.Round(s.now)),
+		Lifetime: c.LifetimeBase + c.LifetimeStep*int64(s.i/c.SetSize),
+		Req:      units.Vec(cpu, ram, c.StorageGB),
+	}
+	if c.Tiers.Enabled() {
+		vm.Tier = c.Tiers.sample(s.rng)
+	}
+	s.i++
+	return vm, true
 }
+
+// ObserveUtilization implements UtilizationObserver by forwarding to the
+// configured Controller, if any.
+func (s *SyntheticStream) ObserveUtilization(util float64) {
+	if s.cfg.Controller != nil {
+		s.cfg.Controller.ObserveUtilization(util)
+	}
+}
+
+// Controller returns the configured rate controller (nil when the stream
+// is uncontrolled).
+func (s *SyntheticStream) Controller() *UtilizationController { return s.cfg.Controller }
