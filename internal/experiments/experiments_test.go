@@ -535,28 +535,51 @@ func TestStrandingExperiment(t *testing.T) {
 	}
 }
 
-// TestStrandingBelowCheckpoint pins the small-cluster case: on 4 racks
-// every algorithm drops long before the 1000-VM checkpoint, so no
-// stranded fraction was measured and the table must say so instead of
-// printing 0.0%.
-func TestStrandingBelowCheckpoint(t *testing.T) {
+// TestStrandingSmallCluster pins the checkpoint's scaling with the
+// cluster: on 4 racks it sits at round(1000·4/18) = 222 VMs, which every
+// algorithm reaches before its first drop (≈247), so each records the
+// stranded fraction measured there.
+func TestStrandingSmallCluster(t *testing.T) {
 	s := DefaultSetup()
 	s.Topology.Racks = 4
 	st, err := s.RunStranding()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st.CheckAt != 222 {
+		t.Fatalf("checkpoint on 4 racks = %d, want 222", st.CheckAt)
+	}
+	want := map[string]string{"NULB": "2.5", "NALB": "2.5", "RISA": "0.0", "RISA-BF": "0.0"}
+	for _, alg := range Algorithms {
+		v, ok := st.StrandedRAMPct[alg]
+		if !ok {
+			t.Errorf("%s: no stranded %% recorded (placed %d)", alg, st.Placed[alg])
+			continue
+		}
+		if got := fmt.Sprintf("%.1f", v); got != want[alg] {
+			t.Errorf("%s: stranded RAM %s%%, want %s%%", alg, got, want[alg])
+		}
+	}
+}
+
+// TestStrandingBelowCheckpoint pins how the table shows an algorithm
+// whose fill dropped before the checkpoint: no stranded fraction was
+// measured, so its row reads — instead of 0.0%.
+func TestStrandingBelowCheckpoint(t *testing.T) {
+	st := &Stranding{
+		CheckAt:        1000,
+		StrandedRAMPct: map[string]float64{"NULB": 1.5, "NALB": 2, "RISA-BF": 0},
+		Placed:         map[string]int{"NULB": 1200, "NALB": 1100, "RISA": 990, "RISA-BF": 1300},
+	}
 	out := st.Render()
 	for _, alg := range Algorithms {
-		if st.Placed[alg] >= st.CheckAt {
-			t.Fatalf("%s placed %d on 4 racks, want fewer than the checkpoint %d", alg, st.Placed[alg], st.CheckAt)
-		}
+		pct := "—"
 		if v, ok := st.StrandedRAMPct[alg]; ok {
-			t.Errorf("%s: stranded %% %g recorded without reaching the checkpoint", alg, v)
+			pct = fmt.Sprintf("%.1f%%", v)
 		}
-		want := fmt.Sprintf("  %-8s %22s %20d\n", alg, "—", st.Placed[alg])
+		want := fmt.Sprintf("  %-8s %22s %20d\n", alg, pct, st.Placed[alg])
 		if !strings.Contains(out, want) {
-			t.Errorf("%s row not rendered as unmeasured; want %q in\n%s", alg, want, out)
+			t.Errorf("%s row: want %q in\n%s", alg, want, out)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // Stranding verifies the paper's §4 motivation for RISA-BF: "the main
 // goal for RISA-BF is to better pack resources and reduce resource
 // stranding". It statically fills a fresh cluster with synthetic VMs,
-// measures — at a fixed fill level of 1000 VMs — how much of the free
+// measures — at a fill level of 1000 VMs per 18 racks, the Table 1
+// cluster's checkpoint scaled to the cluster's size — how much of the free
 // capacity is stranded in racks that can no longer host a mean-sized VM
 // whole, and then keeps filling to find how many VMs fit before the
 // first drop.
@@ -40,7 +41,7 @@ func (s Setup) RunStranding() (*Stranding, error) {
 	)
 	out := &Stranding{
 		Reference:      ref,
-		CheckAt:        1000,
+		CheckAt:        int(math.Round(1000 * float64(s.Topology.Racks) / 18)),
 		StrandedRAMPct: make(map[string]float64),
 		Placed:         make(map[string]int),
 	}

@@ -2,32 +2,28 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 
 	"risa/internal/units"
 )
 
-// Brick is the smallest pooling granularity inside a box. All communication
-// within a brick is electronic; the optical fabric starts at the brick's
-// link to the box switch.
-type Brick struct {
-	capacity units.Amount
-	free     units.Amount
-}
-
-// Box is a chassis holding a single resource kind, divided into bricks.
-// A VM's share of one resource always comes from a single box (the paper
-// restricts requests to at most one box worth of each resource) but may
-// span several bricks inside it.
+// Box is a chassis holding a single resource kind, divided into bricks of
+// equal capacity. A brick is the smallest pooling granularity: all
+// communication within it is electronic, and the optical fabric starts at
+// its link to the box switch. A VM's share of one resource always comes
+// from a single box (the paper restricts requests to at most one box worth
+// of each resource) but may span several bricks inside it.
 type Box struct {
-	rack   int            // rack index within the cluster
-	index  int            // box index within the rack (across all kinds)
-	kindIx int            // box index among boxes of the same kind in the rack
-	visIx  int            // dense per-kind cluster id: rack*BoxKindCount(kind)+kindIx
-	kind   units.Resource // the single resource this box holds
-	bricks []Brick
-	free   units.Amount // cached sum of brick free amounts
-	cap    units.Amount // sum of brick capacities
-	failed bool         // failed boxes accept no new placements
+	rack     int            // rack index within the cluster
+	index    int            // box index within the rack (across all kinds)
+	kindIx   int            // box index among boxes of the same kind in the rack
+	visIx    int            // dense per-kind cluster id: rack*BoxKindCount(kind)+kindIx
+	kind     units.Resource // the single resource this box holds
+	avail    uint64         // bit i set while bricks[i] > 0 (hence ≤ 64 bricks)
+	bricks   []units.Amount // free amount per brick
+	brickCap units.Amount   // capacity of every brick
+	free     units.Amount   // cached sum of brick free amounts
+	failed   bool           // failed boxes accept no new placements
 }
 
 // Rack returns the index of the rack containing the box.
@@ -44,7 +40,7 @@ func (b *Box) KindIndex() int { return b.kindIx }
 func (b *Box) Kind() units.Resource { return b.kind }
 
 // Capacity returns the box's total native amount.
-func (b *Box) Capacity() units.Amount { return b.cap }
+func (b *Box) Capacity() units.Amount { return b.brickCap * units.Amount(len(b.bricks)) }
 
 // Free returns the native amount available to new placements: the
 // unallocated amount, or zero while the box is failed.
@@ -81,32 +77,27 @@ type Placement struct {
 func (p Placement) IsZero() bool { return p.Box == nil || p.Total == 0 }
 
 // allocate carves amount out of the box into *dst, greedily filling
-// bricks in index order (first-fit across bricks). The per-brick shares
-// are appended onto dst.Shares[:0], so a recycled placement record reuses
-// its buffer (a nil one simply allocates). The placement is written into
-// *dst field by field: returned by value, its fresh 8-byte field stores
-// were read back by 16-byte moves, which stall store forwarding. On error
-// the box and *dst are unchanged.
+// bricks in index order (first-fit across bricks): it walks the set bits
+// of the availability mask, so drained bricks cost nothing. The per-brick
+// shares are appended onto dst.Shares[:0], so a recycled placement record
+// reuses its buffer (a nil one simply allocates). The placement is
+// written into *dst field by field: returned by value, its fresh 8-byte
+// field stores were read back by 16-byte moves, which stall store
+// forwarding. On error the box and *dst are unchanged.
 func (b *Box) allocate(amount units.Amount, dst *Placement) error {
 	if amount <= 0 || b.failed || amount > b.free {
 		return b.refusal(amount)
 	}
 	shares := dst.Shares[:0]
 	remaining := amount
-	for i := range b.bricks {
-		if remaining == 0 {
-			break
-		}
-		br := &b.bricks[i]
-		if br.free == 0 {
-			continue
-		}
-		take := br.free
-		if take > remaining {
-			take = remaining
-		}
-		br.free -= take
+	for m := b.avail; m != 0 && remaining != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		take := min(b.bricks[i], remaining)
+		b.bricks[i] -= take
 		remaining -= take
+		if b.bricks[i] == 0 {
+			b.avail &^= 1 << uint(i)
+		}
 		shares = append(shares, BrickShare{Brick: i, Amount: take})
 	}
 	if remaining != 0 {
@@ -144,11 +135,12 @@ func (b *Box) release(p *Placement) {
 		panic(fmt.Sprintf("topology: releasing placement of %v on %v", p.Box, b))
 	}
 	for _, s := range p.Shares {
-		br := &b.bricks[s.Brick]
-		if br.free+s.Amount > br.capacity {
+		f := b.bricks[s.Brick] + s.Amount
+		if f > b.brickCap {
 			panic(fmt.Sprintf("topology: releasing %d onto brick %d of %v overflows capacity", s.Amount, s.Brick, b))
 		}
-		br.free += s.Amount
+		b.bricks[s.Brick] = f
+		b.avail |= 1 << uint(s.Brick)
 	}
 	b.free += p.Total
 }

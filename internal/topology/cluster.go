@@ -46,27 +46,35 @@ func (r *Rack) FreeVecOf(k units.Resource) []units.Amount { return r.vis[k] }
 // strict comparison, so a tie goes to the earliest box; the box pointer is
 // loaded once, after the scan.
 func (r *Rack) MaxFree(k units.Resource) (units.Amount, *Box) {
-	var max units.Amount
+	var top units.Amount
 	best := -1
 	for i, f := range r.vis[k] {
-		if f > max {
-			max, best = f, i
+		if f > top {
+			top, best = f, i
 		}
 	}
 	if best < 0 {
 		return 0, nil
 	}
-	return max, r.byKind[k][best]
+	return top, r.byKind[k][best]
+}
+
+// maxFree is MaxFree's amount alone: a max-only scan of the rack's
+// visible-free window, for the callers that never look at the box (the
+// candidate tree, FitsWholeVM, CheckInvariants).
+func (r *Rack) maxFree(k units.Resource) units.Amount {
+	var top units.Amount
+	for _, f := range r.vis[k] {
+		top = max(top, f)
+	}
+	return top
 }
 
 // FitsWholeVM reports whether some single box per kind can hold each
 // component of req, i.e. the rack qualifies for RISA's INTRA_RACK_POOL.
 func (r *Rack) FitsWholeVM(req units.Vector) bool {
 	for _, k := range units.Resources() {
-		if req[k] == 0 {
-			continue
-		}
-		if max, _ := r.MaxFree(k); max < req[k] {
+		if req[k] != 0 && r.maxFree(k) < req[k] {
 			return false
 		}
 	}
@@ -129,24 +137,25 @@ func New(cfg Config) (*Cluster, error) {
 			rack.vis[kind] = c.vis[kind][ri*perKind : (ri+1)*perKind : (ri+1)*perKind]
 			for ki := 0; ki < perKind; ki++ {
 				box := &Box{
-					rack:   ri,
-					index:  idx,
-					kindIx: ki,
-					visIx:  ri*perKind + ki,
-					kind:   kind,
-					bricks: make([]Brick, cfg.BricksPerBox),
+					rack:     ri,
+					index:    idx,
+					kindIx:   ki,
+					visIx:    ri*perKind + ki,
+					kind:     kind,
+					avail:    ^uint64(0) >> (64 - cfg.BricksPerBox),
+					bricks:   make([]units.Amount, cfg.BricksPerBox),
+					brickCap: brickCap,
 				}
 				for bi := range box.bricks {
-					box.bricks[bi] = Brick{capacity: brickCap, free: brickCap}
+					box.bricks[bi] = brickCap
 				}
-				box.cap = brickCap * units.Amount(cfg.BricksPerBox)
-				box.free = box.cap
+				box.free = box.Capacity()
 				c.vis[kind][box.visIx] = box.free
 				rack.boxes = append(rack.boxes, box)
 				rack.byKind[kind] = append(rack.byKind[kind], box)
 				c.boxes = append(c.boxes, box)
-				c.free[kind] += box.cap
-				c.cap[kind] += box.cap
+				c.free[kind] += box.free
+				c.cap[kind] += box.free
 				idx++
 			}
 		}
@@ -321,31 +330,33 @@ func (c *Cluster) StrandedFraction(ref units.Vector) [units.NumResources]float64
 }
 
 // CheckInvariants verifies all bookkeeping identities: per-box free equals
-// the sum of brick frees, 0 ≤ free ≤ capacity everywhere, and cluster
+// the sum of brick frees, 0 ≤ free ≤ capacity everywhere, a box's
+// availability mask names exactly its bricks with free > 0, and cluster
 // totals equal the sums over boxes. It is meant for tests and returns the
 // first violation found.
 func (c *Cluster) CheckInvariants() error {
 	var free, cap units.Vector
 	for _, b := range c.boxes {
-		var brickFree, brickCap units.Amount
-		for i := range b.bricks {
-			br := &b.bricks[i]
-			if br.free < 0 || br.free > br.capacity {
-				return fmt.Errorf("%v brick %d free %d out of [0,%d]", b, i, br.free, br.capacity)
+		var brickFree units.Amount
+		for i, f := range b.bricks {
+			if f < 0 || f > b.brickCap {
+				return fmt.Errorf("%v brick %d free %d out of [0,%d]", b, i, f, b.brickCap)
 			}
-			brickFree += br.free
-			brickCap += br.capacity
+			if set := b.avail&(1<<uint(i)) != 0; set != (f > 0) {
+				return fmt.Errorf("%v brick %d free %d but mask bit %v", b, i, f, set)
+			}
+			brickFree += f
+		}
+		if b.avail>>uint(len(b.bricks)) != 0 {
+			return fmt.Errorf("%v mask %#x names bricks past %d", b, b.avail, len(b.bricks))
 		}
 		if brickFree != b.free {
 			return fmt.Errorf("%v cached free %d != brick sum %d", b, b.free, brickFree)
 		}
-		if brickCap != b.cap {
-			return fmt.Errorf("%v cached capacity %d != brick sum %d", b, b.cap, brickCap)
-		}
 		if !b.failed {
 			free[b.kind] += b.free
 		}
-		cap[b.kind] += b.cap
+		cap[b.kind] += b.Capacity()
 		// The structure-of-arrays mirror must hold exactly the box's
 		// visible free amount at its dense per-kind id.
 		if want := c.cfg.BoxKindCount(b.kind)*b.rack + b.kindIx; b.visIx != want {
@@ -369,13 +380,12 @@ func (c *Cluster) CheckInvariants() error {
 	}
 	// The cluster-level candidate tree must never under-estimate a rack:
 	// a too-small bound would hide a qualifying rack from
-	// NextRackWith/NextRackFits and change placements. MaxFree reads the
+	// NextRackWith/NextRackFits and change placements. maxFree reads the
 	// free vectors just checked against the boxes, so it is the true max.
 	for _, rack := range c.racks {
 		for _, k := range units.Resources() {
-			max, _ := rack.MaxFree(k)
-			if ub := c.cidx[k].leaf(rack.index); ub < max {
-				return fmt.Errorf("rack %d %v candidate bound %d < true max %d", rack.index, k, ub, max)
+			if ub, top := c.cidx[k].leaf(rack.index), rack.maxFree(k); ub < top {
+				return fmt.Errorf("rack %d %v candidate bound %d < true max %d", rack.index, k, ub, top)
 			}
 		}
 	}

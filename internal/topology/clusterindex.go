@@ -20,10 +20,11 @@ import (
 // binary heap costs; at 16k racks that is 5 level hops instead of 14.
 // Every level is padded to a multiple of 8 with unusedLeaf (strictly
 // below any legal bound) so child groups are always full; building stops
-// once a level fits in one group, and queries start by scanning that top
-// group. The query/update semantics are identical to the binary
-// segment-tree this layout replaced — same candidates in the same order —
-// so placements cannot change.
+// once a level fits in one group. A query climbs from its starting leaf
+// only as far as it must and descends from there (firstAtLeast). The
+// query/update semantics are identical to the binary segment-tree this
+// layout replaced — same candidates in the same order — so placements
+// cannot change.
 //
 // The bound is deliberately lazy on one side: decreases (allocate, fail)
 // can only lower a rack's true maximum, so the stale value already stored
@@ -81,9 +82,7 @@ func (t *maxTree) set(i int, v units.Amount) {
 		g := i / fanout
 		m := unusedLeaf
 		for _, c := range t.levels[j][g*fanout : g*fanout+fanout] {
-			if c > m {
-				m = c
-			}
+			m = max(m, c)
 		}
 		if t.levels[j+1][g] == m {
 			return
@@ -95,7 +94,14 @@ func (t *maxTree) set(i int, v units.Amount) {
 
 // firstAtLeast returns the smallest rack index ≥ from whose bound is ≥
 // need, or -1. Candidates still need verification against the rack's true
-// MaxFree — see Cluster.NextRackWith.
+// maximum — see Cluster.NextRackWith.
+//
+// The walk is iterative. It climbs from the leaf from: it scans the rest
+// of the current child group, and once the group is exhausted it moves to
+// the parent's next sibling, whose subtree starts right after everything
+// scanned so far. The first node ≥ need it meets covers the answer, so it
+// then descends, at each level to the first child ≥ need — which exists
+// because every internal node is the maximum of its children.
 func (t *maxTree) firstAtLeast(from int, need units.Amount) int {
 	if from < 0 {
 		from = 0
@@ -103,32 +109,23 @@ func (t *maxTree) firstAtLeast(from int, need units.Amount) int {
 	if from >= t.n {
 		return -1
 	}
-	top := len(t.levels) - 1
-	for i := range t.levels[top] {
-		if r := t.search(top, i, from, need); r >= 0 {
-			return r
+	j, i := 0, from
+	for t.levels[j][i] < need {
+		i++
+		if i%fanout == 0 {
+			if i == len(t.levels[j]) {
+				return -1 // nothing right of here on this level
+			}
+			j, i = j+1, i/fanout
 		}
 	}
-	return -1
-}
-
-// search walks the subtree rooted at element i of level j left to right,
-// pruning subtrees wholly before from or whose maximum bound is below
-// need. An element at level j covers 8^j consecutive leaves.
-func (t *maxTree) search(j, i, from int, need units.Amount) int {
-	// Last leaf covered by this element: (i+1)*8^j - 1.
-	if (i+1)<<(3*uint(j))-1 < from || t.levels[j][i] < need {
-		return -1
-	}
-	if j == 0 {
-		return i
-	}
-	for c := i * fanout; c < i*fanout+fanout; c++ {
-		if r := t.search(j-1, c, from, need); r >= 0 {
-			return r
+	for ; j > 0; j-- {
+		i *= fanout
+		for t.levels[j-1][i] < need {
+			i++
 		}
 	}
-	return -1
+	return i
 }
 
 // checkTree verifies the tree's structural invariants for tests: every
@@ -140,9 +137,7 @@ func (t *maxTree) checkTree() error {
 		for g := 0; g < len(lower)/fanout; g++ {
 			m := unusedLeaf
 			for _, c := range lower[g*fanout : g*fanout+fanout] {
-				if c > m {
-					m = c
-				}
+				m = max(m, c)
 			}
 			if upper[g] != m {
 				return fmt.Errorf("level %d node %d = %d, children max %d", j+1, g, upper[g], m)
@@ -168,8 +163,7 @@ func (c *Cluster) initCandidateIndex() {
 	for _, k := range units.Resources() {
 		c.cidx[k] = newMaxTree(len(c.racks))
 		for i, rack := range c.racks {
-			max, _ := rack.MaxFree(k)
-			c.cidx[k].set(i, max)
+			c.cidx[k].set(i, rack.maxFree(k))
 		}
 	}
 }
@@ -180,8 +174,7 @@ func (c *Cluster) initCandidateIndex() {
 // Decreases need no counterpart: a shrinking maximum leaves the stored
 // bound a valid upper bound, and the next query tightens it lazily.
 func (c *Cluster) noteRackIncrease(b *Box) {
-	max, _ := c.racks[b.rack].MaxFree(b.kind)
-	c.cidx[b.kind].set(b.rack, max)
+	c.cidx[b.kind].set(b.rack, c.racks[b.rack].maxFree(b.kind))
 }
 
 // NextRackWith returns the smallest rack index ≥ from whose MaxFree(k) is
@@ -199,11 +192,11 @@ func (c *Cluster) NextRackWith(k units.Resource, need units.Amount, from int) in
 	// costs what one iteration of the pre-index linear scan did, and the
 	// logarithmic descent is reserved for skipping sparse regions.
 	if from >= 0 && from < t.n && t.leaf(from) >= need {
-		max, _ := c.racks[from].MaxFree(k)
-		if max >= need {
+		top := c.racks[from].maxFree(k)
+		if top >= need {
 			return from
 		}
-		t.set(from, max)
+		t.set(from, top)
 		from++
 	}
 	for {
@@ -211,11 +204,11 @@ func (c *Cluster) NextRackWith(k units.Resource, need units.Amount, from int) in
 		if i < 0 {
 			return -1
 		}
-		max, _ := c.racks[i].MaxFree(k)
-		if max != t.leaf(i) {
-			t.set(i, max)
+		top := c.racks[i].maxFree(k)
+		if top != t.leaf(i) {
+			t.set(i, top)
 		}
-		if max >= need {
+		if top >= need {
 			return i
 		}
 		from = i + 1

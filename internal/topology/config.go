@@ -29,6 +29,11 @@ type Config struct {
 	Units         units.Config
 }
 
+// maxBricksPerBox is the width of a box's brick-availability mask
+// (Box.avail). The paper's 64-port box switch bounds a box at 64 bricks
+// anyway.
+const maxBricksPerBox = 64
+
 // DefaultConfig returns the Table 1 architecture: an 18-rack cluster with
 // 6 boxes per rack (2 of each kind), 8 bricks per box and 16 units per
 // brick, using the default unit sizes.
@@ -63,8 +68,8 @@ func (c Config) Validate() error {
 				k, c.BoxKindCount(k), c.Racks)
 		}
 	}
-	if c.BricksPerBox <= 0 {
-		return fmt.Errorf("topology: bricks per box must be positive, got %d", c.BricksPerBox)
+	if c.BricksPerBox <= 0 || c.BricksPerBox > maxBricksPerBox {
+		return fmt.Errorf("topology: bricks per box must be in [1,%d], got %d", maxBricksPerBox, c.BricksPerBox)
 	}
 	if c.UnitsPerBrick <= 0 {
 		return fmt.Errorf("topology: units per brick must be positive, got %d", c.UnitsPerBrick)

@@ -218,8 +218,8 @@ func TestUsedSurvivesFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetBoxFailed(box, true)
-	if box.cap-box.free != 100 {
-		t.Errorf("used = %d after failure, want 100", box.cap-box.free)
+	if box.Capacity()-box.free != 100 {
+		t.Errorf("used = %d after failure, want 100", box.Capacity()-box.free)
 	}
 }
 

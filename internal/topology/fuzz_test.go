@@ -6,29 +6,37 @@ import (
 	"risa/internal/units"
 )
 
-// FuzzClusterIndex drives a small cluster through an arbitrary
+// FuzzClusterIndex drives a cluster of 1–80 racks — candidate trees of
+// one, two and three levels — through an arbitrary
 // allocate/release/fail/heal sequence decoded from the fuzz input and
 // checks, after every operation, that (a) CheckInvariants holds — which
-// includes the free vectors and the cluster candidate tree — and (b) the
-// two query tiers agree with a brute-force rescan of the boxes:
-// MaxFree/Free per rack and NextRackWith over the whole cluster. The
-// boxes' brick counters are the ground truth (CheckInvariants ties the
-// cached sums to them), so any divergence the fuzzer finds is an index
-// maintenance bug, not an oracle artifact.
+// includes the free vectors, the brick masks and the cluster candidate
+// tree — and (b) the two query tiers agree with a brute-force rescan of
+// the boxes: MaxFree/Free per rack and NextRackWith over the whole
+// cluster, from rack 0 and from a rack the op names. The boxes' brick
+// counters are the ground truth (CheckInvariants ties the cached sums to
+// them), so any divergence the fuzzer finds is an index maintenance bug,
+// not an oracle artifact.
 //
 // The seed corpus covers every opcode and the failed-then-healed release
-// orders; CI additionally runs a 30 s fuzz smoke (see ci.yml).
+// orders on 3 racks, and on 9 and 65 racks a query that has to climb one
+// and two tree levels past failed racks; CI additionally runs a 30 s fuzz
+// smoke (see ci.yml).
 func FuzzClusterIndex(f *testing.F) {
-	// One op is three bytes: opcode, unit selector, amount selector.
-	f.Add([]byte{0, 0, 10, 0, 1, 200, 1, 0, 0})                  // alloc, alloc, release
-	f.Add([]byte{0, 3, 255, 2, 3, 0, 1, 0, 0, 3, 3, 0})          // alloc, fail, release-into-failed, heal
-	f.Add([]byte{2, 0, 0, 3, 0, 0, 0, 0, 50, 1, 0, 0})           // fail, heal, alloc, release
-	f.Add([]byte{0, 2, 128, 0, 2, 128, 2, 2, 0, 2, 2, 0})        // double-fail idempotence
-	f.Add([]byte{3, 5, 0, 3, 5, 0, 0, 5, 64, 2, 5, 0})           // heal-healthy no-op, alloc, fail
-	f.Add([]byte{0, 1, 40, 0, 0, 90, 2, 0, 0, 3, 0, 0, 1, 0, 0}) // stale-bound fail/heal cycle
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	// racks is the rack count minus one, modulo 80. One op is three bytes:
+	// opcode (op%4; op/4 extends the box selector by a high byte, so every
+	// box of a large cluster is reachable), box selector, amount selector.
+	f.Add(byte(2), []byte{0, 0, 10, 0, 1, 200, 1, 0, 0})                  // alloc, alloc, release
+	f.Add(byte(2), []byte{0, 3, 255, 2, 3, 0, 1, 0, 0, 3, 3, 0})          // alloc, fail, release-into-failed, heal
+	f.Add(byte(2), []byte{2, 0, 0, 3, 0, 0, 0, 0, 50, 1, 0, 0})           // fail, heal, alloc, release
+	f.Add(byte(2), []byte{0, 2, 128, 0, 2, 128, 2, 2, 0, 2, 2, 0})        // double-fail idempotence
+	f.Add(byte(2), []byte{3, 5, 0, 3, 5, 0, 0, 5, 64, 2, 5, 0})           // heal-healthy no-op, alloc, fail
+	f.Add(byte(2), []byte{0, 1, 40, 0, 0, 90, 2, 0, 0, 3, 0, 0, 1, 0, 0}) // stale-bound fail/heal cycle
+	f.Add(byte(8), failCPUBoxes(8))                                       // 9 racks: climb one level
+	f.Add(byte(64), failCPUBoxes(64))                                     // 65 racks: climb two levels
+	f.Fuzz(func(t *testing.T, racks byte, ops []byte) {
 		cfg := DefaultConfig()
-		cfg.Racks = 3
+		cfg.Racks = int(racks)%80 + 1
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -36,31 +44,45 @@ func FuzzClusterIndex(f *testing.F) {
 		boxes := c.Boxes()
 		var live []Placement
 		for i := 0; i+2 < len(ops); i += 3 {
-			op, sel, amt := ops[i], ops[i+1], ops[i+2]
+			op, amt := ops[i], ops[i+2]
+			b := boxes[(int(op/4)<<8|int(ops[i+1]))%len(boxes)]
 			switch op % 4 {
 			case 0: // allocate: amount scaled to the box capacity, never 0
-				b := boxes[int(sel)%len(boxes)]
 				amount := units.Amount(amt)%b.Capacity() + 1
 				if p, err := c.Allocate(b, amount); err == nil {
 					live = append(live, p)
 				}
 			case 1: // release a live placement (covers failed boxes too)
 				if len(live) > 0 {
-					j := int(sel) % len(live)
+					j := int(ops[i+1]) % len(live)
 					c.Release(live[j])
 					live = append(live[:j], live[j+1:]...)
 				}
 			case 2:
-				c.SetBoxFailed(boxes[int(sel)%len(boxes)], true)
+				c.SetBoxFailed(b, true)
 			case 3:
-				c.SetBoxFailed(boxes[int(sel)%len(boxes)], false)
+				c.SetBoxFailed(b, false)
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", i/3, err)
 			}
-			checkIndexAgainstBruteForce(t, c, i/3, units.Amount(amt)+1)
+			checkIndexAgainstBruteForce(t, c, i/3, units.Amount(amt)+1, b.Rack())
 		}
 	})
+}
+
+// failCPUBoxes returns fuzz ops that fail both CPU boxes of racks
+// 0..n-1 (on the default layout CPU boxes are a rack's first two), then
+// allocate from rack 0's first RAM box: every CPU query after op 2n has
+// to pass n racks of zero bounds.
+func failCPUBoxes(n int) []byte {
+	var ops []byte
+	for r := 0; r < n; r++ {
+		for _, id := range []int{6 * r, 6*r + 1} {
+			ops = append(ops, byte(2+4*(id>>8)), byte(id), 0)
+		}
+	}
+	return append(ops, 0, 2, 100)
 }
 
 // checkIndexAgainstBruteForce compares every indexed query against a
@@ -68,10 +90,10 @@ func FuzzClusterIndex(f *testing.F) {
 // visible-free vectors (rack views and the cluster-wide slice, element
 // for element against Free()), the candidate tree behind NextRackWith,
 // and the whole-VM leapfrog behind NextRackFits.
-func checkIndexAgainstBruteForce(t *testing.T, c *Cluster, op int, need units.Amount) {
+func checkIndexAgainstBruteForce(t *testing.T, c *Cluster, op int, need units.Amount, from int) {
 	t.Helper()
 	for _, k := range units.Resources() {
-		firstFit := -1
+		firstFit, fromFit := -1, -1
 		vec := c.vis[k]
 		off := 0
 		for _, rack := range c.Racks() {
@@ -103,9 +125,15 @@ func checkIndexAgainstBruteForce(t *testing.T, c *Cluster, op int, need units.Am
 			if firstFit < 0 && max >= need {
 				firstFit = rack.Index()
 			}
+			if fromFit < 0 && max >= need && rack.Index() >= from {
+				fromFit = rack.Index()
+			}
 		}
 		if got := c.NextRackWith(k, need, 0); got != firstFit {
 			t.Fatalf("op %d: NextRackWith(%v, %d) = %d, scan %d", op, k, need, got, firstFit)
+		}
+		if got := c.NextRackWith(k, need, from); got != fromFit {
+			t.Fatalf("op %d: NextRackWith(%v, %d, %d) = %d, scan %d", op, k, need, from, got, fromFit)
 		}
 	}
 	// NextRackFits' leapfrog against a linear FitsWholeVM scan (the rack

@@ -329,3 +329,48 @@ func TestIndexSurvivesFailureChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFirstAtLeastMatchesLinearScan holds the candidate tree's iterative
+// climb-then-descend query to a linear scan of its leaves on trees of one,
+// two and three levels (1–8, 9–64 and 65–512 racks, plus a four-level 600),
+// after random bounds and random set sequences that raise and lower
+// leaves: every from in [-1, n], every need from 0 to the largest bound
+// plus one. checkTree runs after every set.
+func TestFirstAtLeastMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, n := range []int{1, 7, 8, 9, 64, 65, 600} {
+		tree := newMaxTree(n)
+		leaves := make([]units.Amount, n)
+		set := func(i int, v units.Amount) {
+			tree.set(i, v)
+			leaves[i] = v
+			if err := tree.checkTree(); err != nil {
+				t.Fatalf("n=%d after set(%d, %d): %v", n, i, v, err)
+			}
+		}
+		for i := range leaves {
+			set(i, units.Amount(rng.Intn(17)))
+		}
+		for round := 0; round < 20; round++ {
+			for s := rng.Intn(2 * n); s >= 0; s-- {
+				set(rng.Intn(n), units.Amount(rng.Intn(17)))
+			}
+			var top units.Amount
+			for _, v := range leaves {
+				top = max(top, v)
+			}
+			for need := units.Amount(0); need <= top+1; need++ {
+				want := -1 // the first leaf ≥ need at or after from, scanned backwards
+				for from := n; from >= -1; from-- {
+					if from >= 0 && from < n && leaves[from] >= need {
+						want = from
+					}
+					if got := tree.firstAtLeast(from, need); got != want {
+						t.Fatalf("n=%d round %d: firstAtLeast(%d, %d) = %d, scan %d",
+							n, round, from, need, got, want)
+					}
+				}
+			}
+		}
+	}
+}

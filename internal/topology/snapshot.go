@@ -30,13 +30,16 @@ func (c *Cluster) RestorePlacement(b *Box, shares []BrickShare, dst *Placement) 
 			rollbackShares(b, shares[:n])
 			return fmt.Errorf("topology: restored share names brick %d of %v (has %d)", s.Brick, b, len(b.bricks))
 		}
-		br := &b.bricks[s.Brick]
-		if s.Amount <= 0 || s.Amount > br.free {
+		f := b.bricks[s.Brick]
+		if s.Amount <= 0 || s.Amount > f {
 			rollbackShares(b, shares[:n])
 			return fmt.Errorf("topology: restored share of %d does not fit brick %d of %v (free %d)",
-				s.Amount, s.Brick, b, br.free)
+				s.Amount, s.Brick, b, f)
 		}
-		br.free -= s.Amount
+		b.bricks[s.Brick] = f - s.Amount
+		if f == s.Amount {
+			b.avail &^= 1 << uint(s.Brick)
+		}
 		total += s.Amount
 	}
 	b.free -= total
@@ -49,11 +52,12 @@ func (c *Cluster) RestorePlacement(b *Box, shares []BrickShare, dst *Placement) 
 }
 
 // rollbackShares undoes the brick carving of a partially applied restore.
-// Only bricks were touched so far; box and cluster totals are updated
-// once at the end of RestorePlacement.
+// Only bricks and their mask bits were touched so far; box and cluster
+// totals are updated once at the end of RestorePlacement.
 func rollbackShares(b *Box, applied []BrickShare) {
 	for _, s := range applied {
-		b.bricks[s.Brick].free += s.Amount
+		b.bricks[s.Brick] += s.Amount
+		b.avail |= 1 << uint(s.Brick)
 	}
 }
 

@@ -58,6 +58,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RAMBoxes = -1 },
 		func(c *Config) { c.STOBoxes = 0 },
 		func(c *Config) { c.BricksPerBox = 0 },
+		func(c *Config) { c.BricksPerBox = 65 }, // wider than the brick mask
 		func(c *Config) { c.UnitsPerBrick = 0 },
 		func(c *Config) { c.Units.CPUUnitCores = 0 },
 	}
@@ -160,8 +161,8 @@ func TestAllocateReleaseRoundTrip(t *testing.T) {
 	if c.TotalFree(units.RAM) != c.TotalCapacity(units.RAM)-100 {
 		t.Errorf("cluster free not decremented")
 	}
-	if box.cap-box.free != 100 {
-		t.Errorf("used = %d, want 100", box.cap-box.free)
+	if box.Capacity()-box.free != 100 {
+		t.Errorf("used = %d, want 100", box.Capacity()-box.free)
 	}
 	c.Release(p)
 	if box.Free() != before {
@@ -190,11 +191,11 @@ func TestAllocateSpansBricksFirstFit(t *testing.T) {
 	if p.Shares[1] != (BrickShare{Brick: 1, Amount: 36}) {
 		t.Errorf("second share = %+v", p.Shares[1])
 	}
-	if box.bricks[0].free != 0 || box.bricks[1].free != 28 {
-		t.Errorf("brick frees = %d,%d; want 0,28", box.bricks[0].free, box.bricks[1].free)
+	if box.bricks[0] != 0 || box.bricks[1] != 28 {
+		t.Errorf("brick frees = %d,%d; want 0,28", box.bricks[0], box.bricks[1])
 	}
-	if box.bricks[0].capacity != 64 {
-		t.Errorf("brick capacity = %d, want 64", box.bricks[0].capacity)
+	if box.brickCap != 64 {
+		t.Errorf("brick capacity = %d, want 64", box.brickCap)
 	}
 }
 
@@ -236,7 +237,7 @@ func TestAllocateIntoRefusalLeavesDst(t *testing.T) {
 	}
 	want := dst
 	wantShares := slices.Clone(dst.Shares)
-	boxFree, failedUsed := box.Free(), failed.cap-failed.free
+	boxFree, failedUsed := box.Free(), failed.Capacity()-failed.free
 	rackFree, clusterFree := rack.Free(units.CPU), c.TotalFree(units.CPU)
 	for _, tc := range []struct {
 		name   string
@@ -258,10 +259,10 @@ func TestAllocateIntoRefusalLeavesDst(t *testing.T) {
 			t.Errorf("%s: dst = %+v (cap %d), want %+v (cap %d), same backing array",
 				tc.name, dst, cap(dst.Shares), want, cap(want.Shares))
 		}
-		if box.Free() != boxFree || failed.cap-failed.free != failedUsed ||
+		if box.Free() != boxFree || failed.Capacity()-failed.free != failedUsed ||
 			rack.Free(units.CPU) != rackFree || c.TotalFree(units.CPU) != clusterFree {
 			t.Errorf("%s: free amounts moved: box %d/%d, failed box used %d/%d, rack %d/%d, cluster %d/%d",
-				tc.name, box.Free(), boxFree, failed.cap-failed.free, failedUsed,
+				tc.name, box.Free(), boxFree, failed.Capacity()-failed.free, failedUsed,
 				rack.Free(units.CPU), rackFree, c.TotalFree(units.CPU), clusterFree)
 		}
 	}
@@ -474,6 +475,116 @@ func TestFailedAllocationLeavesStateProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanAllocate is the full-scan first-fit carve the availability mask
+// replaced, kept as the oracle: it walks every brick from index 0,
+// skipping drained ones, and takes what each can give until amount is
+// covered.
+func scanAllocate(bricks []units.Amount, amount units.Amount) []BrickShare {
+	var shares []BrickShare
+	for i := range bricks {
+		if amount == 0 {
+			break
+		}
+		if bricks[i] == 0 {
+			continue
+		}
+		take := min(bricks[i], amount)
+		bricks[i] -= take
+		amount -= take
+		shares = append(shares, BrickShare{Brick: i, Amount: take})
+	}
+	return shares
+}
+
+// TestAllocateMatchesBrickScan holds the mask-driven carve to the brick
+// scan it replaced on boxes of 1, 8 and 64 bricks, under random
+// allocations (some over-asking), releases and restores of random share
+// patterns (refused ones roll back part-way): after every op the shares,
+// the brick frees and the mask must match the oracle's.
+func TestAllocateMatchesBrickScan(t *testing.T) {
+	for _, n := range []int{1, 8, 64} {
+		c := mustCluster(t, Config{
+			Racks: 1, CPUBoxes: 1, RAMBoxes: 1, STOBoxes: 1,
+			BricksPerBox: n, UnitsPerBrick: 4, Units: units.DefaultConfig(),
+		})
+		box := c.boxes[0]
+		oracle := make([]units.Amount, n)
+		for i := range oracle {
+			oracle[i] = box.brickCap
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		var live []*Placement
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4: // allocate, over-asking one time in ten
+				free := box.free
+				amount := units.Amount(rng.Int63n(int64(free)+1)) + 1
+				if rng.Intn(10) == 0 {
+					amount = free + 1
+				}
+				p := new(Placement)
+				err := c.AllocateInto(box, amount, p)
+				if amount > free {
+					if err == nil {
+						t.Fatalf("n=%d op %d: allocate %d beyond free %d succeeded", n, op, amount, free)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("n=%d op %d: allocate %d: %v", n, op, amount, err)
+				}
+				if want := scanAllocate(oracle, amount); !slices.Equal(p.Shares, want) {
+					t.Fatalf("n=%d op %d: allocate %d shares %v, scan %v", n, op, amount, p.Shares, want)
+				}
+				live = append(live, p)
+			case r < 8: // release
+				if len(live) == 0 {
+					break
+				}
+				j := rng.Intn(len(live))
+				c.ReleaseFrom(live[j])
+				for _, s := range live[j].Shares {
+					oracle[s.Brick] += s.Amount
+				}
+				live = slices.Delete(live, j, j+1)
+			default: // restore a random share pattern; it fits or is refused whole
+				shares := make([]BrickShare, rng.Intn(4)+1)
+				after := slices.Clone(oracle)
+				fits := true
+				for i := range shares {
+					b := rng.Intn(n)
+					amount := units.Amount(rng.Int63n(int64(after[b])+2)) + 1
+					shares[i] = BrickShare{Brick: b, Amount: amount}
+					if fits = fits && amount <= after[b]; fits {
+						after[b] -= amount
+					}
+				}
+				p := new(Placement)
+				err := c.RestorePlacement(box, shares, p)
+				if (err == nil) != fits {
+					t.Fatalf("n=%d op %d: restore %v: err %v, oracle fits %v", n, op, shares, err, fits)
+				}
+				if fits {
+					oracle = after
+					live = append(live, p)
+				}
+			}
+			var mask uint64
+			for i, f := range oracle {
+				if f > 0 {
+					mask |= 1 << uint(i)
+				}
+			}
+			if !slices.Equal(box.bricks, oracle) || box.avail != mask {
+				t.Fatalf("n=%d op %d: bricks %v mask %#x, scan %v mask %#x", n, op, box.bricks, box.avail, oracle, mask)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d op %d: %v", n, op, err)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestMemoryPerBoxBudget pins the per-box heap footprint of a fully
 // indexed scheduler state (topology + SoA free vectors + candidate trees
 // + fabric + pools) at the hyperscale rungs: the budget in DESIGN.md §14
-// is 2 KiB/box, measured ~1.7 KiB/box, and — the property that actually
+// is 2 KiB/box, measured ~1 KiB/box, and — the property that actually
 // matters — flat in cluster size, so a 16384-rack/98304-box state stays
 // under ~200 MB. A superlinear structure (per-box-pair tables, dense
 // rack×rack matrices) blows the budget at the top rung long before it
