@@ -18,13 +18,6 @@ import (
 	"testing"
 )
 
-// exportExemptions are exported functions that only tests call, each kept
-// for a reason ROADMAP names. An exemption that no longer matches a finding
-// fails the test too, so each goes as soon as its function does.
-var exportExemptions = []string{
-	"risa/internal/svc.Engine.History", // goes with ROADMAP 15(c)
-}
-
 // TestExportedFuncsHaveCallers fails on any exported function or method in
 // internal/ that no non-test file of the root module or of bench/ uses: an
 // API only tests call is code the program does not need. Methods on
@@ -36,26 +29,9 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportFindings(t, found, exportExemptions)
-}
-
-// fieldExemptions are struct fields in internal/ that no non-test file
-// reads, each kept for the reason beside it. An exemption that no longer
-// matches a finding fails the test too.
-var fieldExemptions = []string{
-	// Part of the snapshot's gob layout: goes with ROADMAP 31's layout change.
-	"risa/internal/sched.PlacementState.Total",
-	// TestLadderDigests hashes the %+v of the run results, so cutting any
-	// of these moves ladder_digests.txt for a field cut alone.
-	"risa/internal/sim.SteadyState.DisplacedQueued",
-	"risa/internal/sim.SteadyState.ReplaceP50",
-	"risa/internal/sim.SteadyState.ReplaceP99",
-	"risa/internal/sim.TierStats.TotalArrivals",
-	"risa/internal/sim.TierStats.TotalAccepted",
-	"risa/internal/sim.TierStats.TotalDropped",
-	"risa/internal/sim.TierStats.Dropped",
-	"risa/internal/sim.TierStats.Preempted",
-	"risa/internal/sim.TierStats.PreemptRecovered",
+	for _, f := range found {
+		t.Error(f)
+	}
 }
 
 // TestFieldsAreRead fails on any field of a struct type declared in
@@ -70,25 +46,8 @@ func TestFieldsAreRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportFindings(t, found, fieldExemptions)
-}
-
-// reportFindings fails t on every finding that is not exempt, and on every
-// exemption that matches no finding.
-func reportFindings(t *testing.T, found []finding, exemptions []string) {
-	t.Helper()
-	matched := make([]bool, len(exemptions))
 	for _, f := range found {
-		if i := slices.Index(exemptions, f.token); i >= 0 {
-			matched[i] = true
-			continue
-		}
 		t.Error(f)
-	}
-	for i, e := range exemptions {
-		if !matched[i] {
-			t.Errorf("the exemption for `%s` matches no finding: delete it", e)
-		}
 	}
 }
 

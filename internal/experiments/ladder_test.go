@@ -1,11 +1,12 @@
 package experiments
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 func stripSS(r *sim.SteadyState) {
 	r.SchedulingTime, r.WallTime = 0, 0
 	r.LatencyP50, r.LatencyP95, r.LatencyP99 = 0, 0, 0
-	r.ReplaceP50, r.ReplaceP95, r.ReplaceP99 = 0, 0, 0
+	r.ReplaceP95 = 0
 	for t := range r.Tiers {
 		r.Tiers[t].LatencyP50, r.Tiers[t].LatencyP95, r.Tiers[t].LatencyP99 = 0, 0, 0
 	}
@@ -75,9 +76,9 @@ func quickFaults() LadderConfig {
 	}
 }
 
-// ladderDigestGrids are the small grids TestLadderDigests pins, keyed as
-// in testdata/ladder_digests.txt.
-func ladderDigestGrids() map[string]func(Setup) (*Ladder, error) {
+// ladderDigestGrids are the small grids TestLadderDigests pins, in the
+// order of testdata/ladder_digests.txt.
+func ladderDigestGrids() []ladderGrid {
 	// quickFaults plus the fault-free baseline rung, at the given target.
 	faultsAt := func(target float64, evict bool) LadderConfig {
 		cfg := quickFaults()
@@ -88,64 +89,119 @@ func ladderDigestGrids() map[string]func(Setup) (*Ladder, error) {
 	evict, clone, tiered := faultsAt(0.6, true), faultsAt(0.6, true), faultsAt(0.9, false)
 	clone.Clone = true
 	tiered.Tiers, tiered.Preempt = workload.TierMix{Weights: [workload.NumTiers]float64{0.2, 0.3, 0.5}}, true
-	return map[string]func(Setup) (*Ladder, error){
-		"churn":                func(s Setup) (*Ladder, error) { return s.RunChurn(smallChurn()) },
-		"churn-clone":          func(s Setup) (*Ladder, error) { return s.RunChurn(cloneChurn()) },
-		"faults-evict":         func(s Setup) (*Ladder, error) { return s.RunFaults(evict) },
-		"faults-clone":         func(s Setup) (*Ladder, error) { return s.RunFaults(clone) },
-		"faults-tiers-preempt": func(s Setup) (*Ladder, error) { return s.RunFaults(tiered) },
-		"slo":                  func(s Setup) (*Ladder, error) { return s.RunSLO(faultsAt(0.9, false)) },
+	return []ladderGrid{
+		{"churn", func(s Setup) (*Ladder, error) { return s.RunChurn(smallChurn()) }},
+		{"churn-clone", func(s Setup) (*Ladder, error) { return s.RunChurn(cloneChurn()) }},
+		{"faults-evict", func(s Setup) (*Ladder, error) { return s.RunFaults(evict) }},
+		{"faults-clone", func(s Setup) (*Ladder, error) { return s.RunFaults(clone) }},
+		{"faults-tiers-preempt", func(s Setup) (*Ladder, error) { return s.RunFaults(tiered) }},
+		{"slo", func(s Setup) (*Ladder, error) { return s.RunSLO(faultsAt(0.9, false)) }},
+	}
+}
+
+// ladderGrid is one named grid of TestLadderDigests.
+type ladderGrid struct {
+	name string
+	run  func(Setup) (*Ladder, error)
+}
+
+// ladderDigestFields names, per result type, the fields a cell's digest
+// hashes, in order. A field that holds results of a listed type (the
+// windows, the tiers) is hashed as its length and then each element's
+// own fields. Every other field is listed in ladderWallClockFields.
+var ladderDigestFields = map[reflect.Type][]string{
+	reflect.TypeFor[sim.SteadyState](): {
+		"Algorithm", "Workload", "TotalArrivals", "TotalAccepted", "TotalDropped",
+		"Arrivals", "Accepted", "Dropped", "Windows", "AvgUtil", "LatencySamples",
+		"Displaced", "Recovered", "DisplacedLost", "ReplaceSamples",
+		"Enqueued", "RetrySucceeded", "MeanWait", "Tiers",
+		"Preempted", "PreemptRecovered", "PreemptLost", "End", "Resident", "RateMultiplier",
+	},
+	reflect.TypeFor[sim.WindowStats](): {
+		"Start", "End", "Arrivals", "Accepted", "Dropped", "Displaced", "Recovered",
+		"TierArrivals", "TierAccepted", "TierPreempted", "AvgUtil",
+	},
+	reflect.TypeFor[sim.TierStats](): {"Arrivals", "Accepted", "LatencySamples"},
+}
+
+// ladderWallClockFields are the result fields the digest leaves out: wall
+// clock, which differs from run to run.
+var ladderWallClockFields = []string{"SchedulingTime", "WallTime", "LatencyP50", "LatencyP95", "LatencyP99", "ReplaceP95"}
+
+// ladderDigestHeader is the first line of testdata/ladder_digests.txt.
+const ladderDigestHeader = "# grid cell algorithm sha256(\"%v|\" of each field ladderDigestFields names); recorded at commit 204ed3a"
+
+// digestFields writes the fields ladderDigestFields names for v's type,
+// one "%v|" per value, so floats print exactly.
+func digestFields(w io.Writer, v reflect.Value) {
+	for _, name := range ladderDigestFields[v.Type()] {
+		f := v.FieldByName(name)
+		if k := f.Kind(); (k == reflect.Slice || k == reflect.Array) && ladderDigestFields[f.Type().Elem()] != nil {
+			fmt.Fprintf(w, "%d|", f.Len())
+			for i := range f.Len() {
+				digestFields(w, f.Index(i))
+			}
+			continue
+		}
+		fmt.Fprintf(w, "%v|", f.Interface())
 	}
 }
 
 // TestLadderDigests pins every cell of six small ladders against
-// digests recorded with the per-experiment runners this package had
-// before runLadder (commit 38bfc38): the sha256 of the %+v rendering of
-// each cell's wall-clock-stripped SteadyState. A mismatch means a ladder's
-// placements, counters or windows moved — regenerate the file only when
-// that is the point of the change.
-//
-// SteadyState carried two agent-mode counters when the digests were
-// recorded, always zero on the serial runs pinned here; the rendering
-// puts them back so the rows stay the recorded ones.
+// testdata/ladder_digests.txt: the sha256 of the fields
+// ladderDigestFields names. A mismatch means a ladder's placements,
+// counters or windows moved; the test then prints the whole file the tree
+// would pin, to be pasted in only when that is the point of the change.
 func TestLadderDigests(t *testing.T) {
-	f, err := os.Open("testdata/ladder_digests.txt")
+	data, err := os.ReadFile("testdata/ladder_digests.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	want := map[string][]string{} // grid → "algorithm digest" per cell
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		if strings.HasPrefix(sc.Text(), "#") {
-			continue
-		}
-		var grid, alg, digest string
-		var i int
-		if _, err := fmt.Sscan(sc.Text(), &grid, &i, &alg, &digest); err != nil || i != len(want[grid]) {
-			t.Fatalf("bad digest line %q (%v)", sc.Text(), err)
-		}
-		want[grid] = append(want[grid], alg+" "+digest)
-	}
-	grids := ladderDigestGrids()
-	if len(want) != len(grids) {
-		t.Fatalf("digest file pins %d grids, the test runs %d", len(want), len(grids))
-	}
-	for name, run := range grids {
-		l, err := run(DefaultSetup())
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	got := []string{ladderDigestHeader}
+	cells := []string{"header"} // what each line of got pins
+	for _, g := range ladderDigestGrids() {
+		l, err := g.run(DefaultSetup())
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(l.Cells) != len(want[name]) {
-			t.Fatalf("%s: %d cells, digest file has %d", name, len(l.Cells), len(want[name]))
+			t.Fatalf("%s: %v", g.name, err)
 		}
 		for i, cell := range l.Cells {
-			stripSS(cell.Result)
-			rendered := strings.Replace(fmt.Sprintf("%+v", *cell.Result),
-				" SchedulingTime:", " AgentCommits:0 AgentConflicts:0 SchedulingTime:", 1)
-			got := fmt.Sprintf("%s %x", cell.Algorithm, sha256.Sum256([]byte(rendered)))
-			if got != want[name][i] {
-				t.Errorf("%s cell %d (%s/%s): got %s, want %s",
-					name, i, cell.Fault.Label, cell.Util.Label, got, want[name][i])
+			h := sha256.New()
+			digestFields(h, reflect.ValueOf(*cell.Result))
+			got = append(got, fmt.Sprintf("%s %d %s %x", g.name, i, cell.Algorithm, h.Sum(nil)))
+			cells = append(cells, g.name+" "+cell.Fault.Label+"/"+cell.Util.Label)
+		}
+	}
+	for i := range max(len(got), len(want)) {
+		switch {
+		case i >= len(want):
+			t.Errorf("line %d (%s): got %q, missing from the file", i+1, cells[i], got[i])
+		case i >= len(got):
+			t.Errorf("line %d: file has %q, the grids have no such cell", i+1, want[i])
+		case got[i] != want[i]:
+			t.Errorf("line %d (%s): got %q, want %q", i+1, cells[i], got[i], want[i])
+		}
+	}
+	if t.Failed() {
+		t.Logf("the file this tree pins:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// TestLadderDigestNamesEveryField fails on a field of the pinned result
+// types that ladderDigestFields does not name and ladderWallClockFields
+// does not exempt, and on a listed name that is not a field: a new counter
+// must join the pin on purpose.
+func TestLadderDigestNamesEveryField(t *testing.T) {
+	for typ, names := range ladderDigestFields {
+		for i := range typ.NumField() {
+			name := typ.Field(i).Name
+			if !slices.Contains(names, name) && !slices.Contains(ladderWallClockFields, name) {
+				t.Errorf("%s.%s is neither digested nor wall clock: add it to ladderDigestFields or ladderWallClockFields", typ, name)
+			}
+		}
+		for _, name := range names {
+			if _, ok := typ.FieldByName(name); !ok {
+				t.Errorf("ladderDigestFields names %s.%s, which does not exist", typ, name)
 			}
 		}
 	}
@@ -477,7 +533,7 @@ func TestFaultCellKeepRunningVsEvict(t *testing.T) {
 		t.Error("evict cell displaced nothing")
 	}
 	// Every displaced VM resolves to exactly one of recovered or lost
-	// (DisplacedQueued is a detour marker, not a third outcome).
+	// (a retry-queue detour is not a third outcome).
 	if evict.Recovered+evict.DisplacedLost != evict.Displaced {
 		t.Errorf("displacement outcomes %d+%d do not sum to %d",
 			evict.Recovered, evict.DisplacedLost, evict.Displaced)

@@ -37,7 +37,6 @@ type StatefulScheduler interface {
 type PlacementState struct {
 	Box    int
 	Shares []topology.BrickShare
-	Total  units.Amount
 }
 
 // FlowState is the serializable form of one optical flow: the exact
@@ -71,9 +70,9 @@ func (s *State) Hold(a *Assignment, h *AssignmentState) {
 	h.VM = a.VM
 	for _, r := range units.Resources() {
 		p, ps := placementOf(a, r), heldOf(h, r)
-		ps.Box, ps.Total, ps.Shares = -1, 0, ps.Shares[:0]
+		ps.Box, ps.Shares = -1, ps.Shares[:0]
 		if !p.IsZero() {
-			ps.Box, ps.Total = p.Box.Rack()*bpr+p.Box.Index(), p.Total
+			ps.Box = p.Box.Rack()*bpr + p.Box.Index()
 			ps.Shares = append(ps.Shares, p.Shares...)
 		}
 	}

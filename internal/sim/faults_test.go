@@ -151,9 +151,9 @@ func TestRunStreamEviction(t *testing.T) {
 	if res.Displaced == 0 {
 		t.Fatal("fixture too weak: nothing was resident on the failed rack")
 	}
-	if res.Recovered != res.Displaced || res.DisplacedLost != 0 || res.DisplacedQueued != 0 {
+	if res.Recovered != res.Displaced || res.DisplacedLost != 0 || res.Enqueued != 0 {
 		t.Errorf("displaced %d, recovered %d, lost %d, queued %d — a near-empty cluster must absorb all",
-			res.Displaced, res.Recovered, res.DisplacedLost, res.DisplacedQueued)
+			res.Displaced, res.Recovered, res.DisplacedLost, res.Enqueued)
 	}
 	if res.ReplaceSamples == 0 {
 		t.Error("no re-placement latency samples")
@@ -225,8 +225,11 @@ func TestRunStreamEvictionRetryQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DisplacedQueued == 0 || res.DisplacedLost != 0 {
-		t.Errorf("queued %d, lost %d — retry must park displaced VMs", res.DisplacedQueued, res.DisplacedLost)
+	// With every rack down no displaced VM can be re-placed at once, so
+	// each one parks.
+	if res.Displaced == 0 || res.Enqueued < res.Displaced || res.DisplacedLost != 0 {
+		t.Errorf("displaced %d, queued %d, lost %d — retry must park displaced VMs",
+			res.Displaced, res.Enqueued, res.DisplacedLost)
 	}
 	if res.RetrySucceeded == 0 {
 		t.Error("repair never drained the queue")
@@ -270,7 +273,7 @@ func TestRunStreamFaultDeterminism(t *testing.T) {
 		}
 		res.SchedulingTime, res.WallTime = 0, 0
 		res.LatencyP50, res.LatencyP95, res.LatencyP99 = 0, 0, 0
-		res.ReplaceP50, res.ReplaceP95, res.ReplaceP99 = 0, 0, 0
+		res.ReplaceP95 = 0
 		for t := range res.Tiers {
 			res.Tiers[t].LatencyP50, res.Tiers[t].LatencyP95, res.Tiers[t].LatencyP99 = 0, 0, 0
 		}

@@ -135,20 +135,12 @@ func acceptancePct(accepted, arrivals int) float64 {
 }
 
 // TierStats is the per-priority-tier breakdown of one open-ended run:
-// arrival/outcome counters in both whole-run and measured (post-warmup)
-// form, preemption counters by victim tier, and the tier's own
+// measured (post-warmup) arrivals and acceptances, and the tier's own
 // direct-decision latency percentiles. Untiered workloads put everything
 // in tier 0.
 type TierStats struct {
-	// Whole-run counters (warmup included).
-	TotalArrivals, TotalAccepted, TotalDropped int
 	// Measured (post-warmup) counters.
-	Arrivals, Accepted, Dropped int
-	// Preempted counts this tier's VMs evicted by a higher-priority
-	// arrival (whole run); PreemptRecovered the subset later re-placed
-	// from the retry queue. A recovery never counts as a second
-	// acceptance.
-	Preempted, PreemptRecovered int
+	Arrivals, Accepted int
 	// Direct-decision latency percentiles over the measured phase,
 	// estimated from a per-tier reservoir of LatencySamples observations.
 	LatencyP50, LatencyP95, LatencyP99 time.Duration
@@ -189,19 +181,17 @@ type SteadyState struct {
 	// Faults.Plan/Evict). Displaced counts VMs evicted off failed
 	// hardware over the whole run, Recovered the subset re-placed
 	// (immediately, or later from the retry queue — a recovery never
-	// counts as a second acceptance), DisplacedLost those gone for good,
-	// DisplacedQueued those that took the retry-queue detour. At the end
-	// of a run Displaced == Recovered + DisplacedLost.
-	Displaced       int
-	Recovered       int
-	DisplacedLost   int
-	DisplacedQueued int
+	// counts as a second acceptance), DisplacedLost those gone for good.
+	// At the end of a run Displaced == Recovered + DisplacedLost.
+	Displaced     int
+	Recovered     int
+	DisplacedLost int
 
-	// Re-placement latency percentiles over the measured phase: the
-	// Schedule wall clock of displaced-VM recoveries, estimated from a
-	// second reservoir of ReplaceSamples observations.
-	ReplaceP50, ReplaceP95, ReplaceP99 time.Duration
-	ReplaceSamples                     int
+	// Re-placement latency p95 over the measured phase: the Schedule wall
+	// clock of displaced-VM recoveries, estimated from a second reservoir
+	// of ReplaceSamples observations.
+	ReplaceP95     time.Duration
+	ReplaceSamples int
 
 	// Retry-queue statistics (Faults.Retry, mirroring Result):
 	// Enqueued counts arrivals (and displaced VMs) that waited,
@@ -416,7 +406,6 @@ func (sr *streamRun) arrive(vm workload.VM) error {
 	if err := vm.Validate(); err != nil {
 		return err
 	}
-	sr.res.Tiers[vm.Tier].TotalArrivals++
 	if sr.measured {
 		sr.res.Arrivals++
 		sr.wind.Cur.Arrivals++
@@ -529,7 +518,7 @@ func (sr *streamRun) decided(vm workload.VM, d time.Duration, direct bool) {
 }
 
 func (sr *streamRun) placed(q QueuedVMState, a *sched.Assignment, waited bool) {
-	res, tier := sr.res, &sr.res.Tiers[q.VM.Tier]
+	res := sr.res
 	if sr.acct != nil {
 		sr.acct.placed(a)
 	}
@@ -548,13 +537,11 @@ func (sr *streamRun) placed(q QueuedVMState, a *sched.Assignment, waited bool) {
 	case q.Preempted:
 		// Same: a preemption victim re-placed, not a new acceptance.
 		res.PreemptRecovered++
-		tier.PreemptRecovered++
 	default:
 		res.TotalAccepted++
-		tier.TotalAccepted++
 		if sr.measured {
 			res.Accepted++
-			tier.Accepted++
+			res.Tiers[q.VM.Tier].Accepted++
 			sr.wind.Cur.Accepted++
 			sr.wind.Cur.TierAccepted[q.VM.Tier]++
 		}
@@ -563,12 +550,8 @@ func (sr *streamRun) placed(q QueuedVMState, a *sched.Assignment, waited bool) {
 
 func (sr *streamRun) enqueued(q QueuedVMState) {
 	sr.res.Enqueued++
-	switch {
-	case q.Displaced:
-		sr.res.DisplacedQueued++
-	case q.Preempted:
+	if q.Preempted {
 		sr.res.Preempted++
-		sr.res.Tiers[q.VM.Tier].Preempted++
 		if sr.measured {
 			sr.wind.Cur.TierPreempted[q.VM.Tier]++
 		}
@@ -576,7 +559,7 @@ func (sr *streamRun) enqueued(q QueuedVMState) {
 }
 
 func (sr *streamRun) dropped(q QueuedVMState) {
-	res, tier := sr.res, &sr.res.Tiers[q.VM.Tier]
+	res := sr.res
 	switch {
 	case q.Displaced:
 		res.DisplacedLost++ // was accepted once; its re-admission failed
@@ -584,10 +567,8 @@ func (sr *streamRun) dropped(q QueuedVMState) {
 		res.PreemptLost++ // likewise: a victim never re-placed
 	default:
 		res.TotalDropped++
-		tier.TotalDropped++
 		if sr.measured {
 			res.Dropped++
-			tier.Dropped++
 			sr.wind.Cur.Dropped++
 		}
 	}
@@ -641,7 +622,7 @@ func (sr *streamRun) finish() *SteadyState {
 	res.Windows = sr.wind.Windows
 	res.AvgUtil = sr.wind.overallAvg(c.now)
 	res.LatencySamples, res.LatencyP50, res.LatencyP95, res.LatencyP99 = sr.lat.summary()
-	res.ReplaceSamples, res.ReplaceP50, res.ReplaceP95, res.ReplaceP99 = sr.rep.summary()
+	res.ReplaceSamples, res.ReplaceP95 = sr.rep.samples(), time.Duration(sr.rep.percentile(95))
 	for t := range sr.tlat {
 		ts := &res.Tiers[t]
 		ts.LatencySamples, ts.LatencyP50, ts.LatencyP95, ts.LatencyP99 = sr.tlat[t].summary()

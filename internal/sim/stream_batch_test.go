@@ -70,7 +70,7 @@ func normalizeSteady(ss *SteadyState) *SteadyState {
 	c := *ss
 	c.SchedulingTime, c.WallTime = 0, 0
 	c.LatencyP50, c.LatencyP95, c.LatencyP99 = 0, 0, 0
-	c.ReplaceP50, c.ReplaceP95, c.ReplaceP99 = 0, 0, 0
+	c.ReplaceP95 = 0
 	for i := range c.Tiers {
 		c.Tiers[i].LatencyP50, c.Tiers[i].LatencyP95, c.Tiers[i].LatencyP99 = 0, 0, 0
 	}

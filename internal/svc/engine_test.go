@@ -107,8 +107,8 @@ func applyOps(t *testing.T, e *Engine, ops []op, from int) {
 // the crashed-and-recovered engine b against the uncrashed twin a.
 func assertTwins(t *testing.T, a, b *Engine) {
 	t.Helper()
-	if !reflect.DeepEqual(a.History(), b.History()) {
-		ha, hb := a.History(), b.History()
+	if !reflect.DeepEqual(a.history, b.history) {
+		ha, hb := a.history, b.history
 		for i := range ha {
 			if i >= len(hb) || ha[i] != hb[i] {
 				t.Fatalf("histories diverge at %d:\n  uncrashed: %+v\n  recovered: %+v", i, ha[i], hb[i])
@@ -140,7 +140,7 @@ func assertTwins(t *testing.T, a, b *Engine) {
 func assertCountsMatchHistory(t *testing.T, e *Engine) {
 	t.Helper()
 	var accepted, rejected [workload.NumTiers]int64
-	for _, o := range e.History() {
+	for _, o := range e.history {
 		if o.Accepted {
 			accepted[o.Tier]++
 		} else {
@@ -289,8 +289,8 @@ func TestEngineDedup(t *testing.T) {
 	if e.Resident() != resident {
 		t.Fatalf("retry changed resident count %d → %d", resident, e.Resident())
 	}
-	if len(e.History()) != 1 {
-		t.Fatalf("retry appended to history: %d entries", len(e.History()))
+	if len(e.history) != 1 {
+		t.Fatalf("retry appended to history: %d entries", len(e.history))
 	}
 }
 
@@ -463,7 +463,7 @@ func TestSnapshotFailureKeepsPlacing(t *testing.T) {
 	if err := e.WriteSnapshot(); err == nil {
 		t.Fatal("the explicit path must still return the error")
 	}
-	want := append([]Outcome(nil), e.History()...)
+	want := append([]Outcome(nil), e.history...)
 	e.crash()
 
 	e2, err := Open(dir, testConfig(), 4)
@@ -471,8 +471,8 @@ func TestSnapshotFailureKeepsPlacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.crash()
-	if !reflect.DeepEqual(e2.History(), want) {
-		t.Fatalf("reopen recovered %d of %d acknowledged placements", len(e2.History()), len(want))
+	if !reflect.DeepEqual(e2.history, want) {
+		t.Fatalf("reopen recovered %d of %d acknowledged placements", len(e2.history), len(want))
 	}
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
@@ -595,7 +595,7 @@ func TestJournalFailureIsSticky(t *testing.T) {
 			t.Fatalf("placement %d: %+v, %v", id, out, err)
 		}
 	}
-	want := append([]Outcome(nil), e.History()...)
+	want := append([]Outcome(nil), e.history...)
 	path := filepath.Join(dir, journalFile)
 	durable, err := os.ReadFile(path)
 	if err != nil {
@@ -620,8 +620,8 @@ func TestJournalFailureIsSticky(t *testing.T) {
 	if err := e.Mutate(faults.Event{Tier: faults.RackTier, Rack: 1}); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("mutation after the failure: %v; want the first error again", err)
 	}
-	if !reflect.DeepEqual(e.History(), want) {
-		t.Fatalf("a refused placement was acknowledged: history grew %d → %d", len(want), len(e.History()))
+	if !reflect.DeepEqual(e.history, want) {
+		t.Fatalf("a refused placement was acknowledged: history grew %d → %d", len(want), len(e.history))
 	}
 	// Bytes, not size: an append overwrites zero room and moves no size.
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, durable) {
@@ -634,8 +634,8 @@ func TestJournalFailureIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.crash()
-	if !reflect.DeepEqual(e2.History(), want) {
-		t.Fatalf("reopen recovered %d placements, want the %d acknowledged", len(e2.History()), len(want))
+	if !reflect.DeepEqual(e2.history, want) {
+		t.Fatalf("reopen recovered %d placements, want the %d acknowledged", len(e2.history), len(want))
 	}
 	if out, err := e2.Place(vm(6)); err != nil || !out.Accepted {
 		t.Fatalf("the reopened engine does not place: %+v, %v", out, err)

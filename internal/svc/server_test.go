@@ -158,7 +158,7 @@ func TestServerExpiredRequestDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("expired item never answered")
 	}
-	if len(eng.History()) != 0 {
+	if len(eng.history) != 0 {
 		t.Fatal("expired item reached the engine")
 	}
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
@@ -224,8 +224,8 @@ func TestServerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.crash()
-	if len(eng2.History()) != 1 || eng2.Resident() != 1 {
-		t.Fatalf("reopened after graceful drain: %d decisions, %d resident", len(eng2.History()), eng2.Resident())
+	if len(eng2.history) != 1 || eng2.Resident() != 1 {
+		t.Fatalf("reopened after graceful drain: %d decisions, %d resident", len(eng2.history), eng2.Resident())
 	}
 }
 
