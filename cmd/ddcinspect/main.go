@@ -28,13 +28,13 @@ func main() {
 	tcfg.Racks = *racks
 	ncfg := network.DefaultConfig()
 	ncfg.BoxUplinks = *uplinks
-	if err := run(tcfg, ncfg, optics.DefaultConfig()); err != nil {
+	if err := run(tcfg, ncfg); err != nil {
 		fmt.Fprintf(os.Stderr, "ddcinspect: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(tcfg topology.Config, ncfg network.Config, ocfg optics.Config) error {
+func run(tcfg topology.Config, ncfg network.Config) error {
 	cl, err := topology.New(tcfg)
 	if err != nil {
 		return err
@@ -58,25 +58,25 @@ func run(tcfg topology.Config, ncfg network.Config, ocfg optics.Config) error {
 			r, tcfg.BoxCapacity(r), r.Native(), cl.TotalCapacity(r), r.Native())
 	}
 	fmt.Println("Optical fabric")
-	fmt.Printf("  link capacity       %v (8 x 25 Gb/s SiP channels)\n", ncfg.LinkCapacity)
+	fmt.Printf("  link capacity       %v (8 x 25 Gb/s SiP channels)\n", units.LinkCapacity)
 	fmt.Printf("  box uplinks         %d per box\n", ncfg.BoxUplinks)
-	fmt.Printf("  rack uplinks        %d per rack\n", ncfg.RackUplinks)
+	fmt.Printf("  rack uplinks        %d per rack\n", network.RackUplinks)
 	fmt.Printf("  intra-rack capacity %v\n", fab.IntraRackCapacity())
 	fmt.Printf("  inter-rack capacity %v\n", fab.InterRackCapacity())
 	fmt.Println("Optical device models")
 	for _, sw := range []struct {
 		name  string
 		ports int
-	}{{"box switch", ocfg.BoxPorts}, {"rack switch", ocfg.RackPorts}, {"inter-rack switch", ocfg.InterRackPorts}} {
+	}{{"box switch", optics.BoxSwitchPorts}, {"rack switch", optics.RackSwitchPorts}, {"inter-rack switch", optics.InterRackSwitchPorts}} {
 		cells, err := optics.Stages(sw.ports)
 		if err != nil {
 			return err
 		}
-		lat, err := ocfg.SwitchLatency(sw.ports)
+		lat, err := optics.SwitchLatency(sw.ports)
 		if err != nil {
 			return err
 		}
-		trim, err := ocfg.PathTrimmingPower(sw.ports)
+		trim, err := optics.DefaultConfig().PathTrimmingPower(sw.ports)
 		if err != nil {
 			return err
 		}
@@ -84,8 +84,8 @@ func run(tcfg topology.Config, ncfg network.Config, ocfg optics.Config) error {
 			sw.name, sw.ports, cells, lat, trim*1000)
 	}
 	fmt.Printf("  MRR cell powers     trim %.2f mW, switch %.2f mW, alpha %.2f\n",
-		ocfg.PTrimCell*1000, ocfg.PSwCell*1000, ocfg.Alpha)
+		optics.PTrimCellWatts*1000, optics.PSwCellWatts*1000, optics.DefaultAlpha)
 	fmt.Printf("  transceiver         %.1f pJ/bit (%.2f W per loaded link)\n",
-		ocfg.TransceiverJPerBit*1e12, ocfg.TransceiverPower(ncfg.LinkCapacity))
+		optics.TransceiverJoulesPerBit*1e12, optics.TransceiverPower(units.LinkCapacity))
 	return nil
 }

@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"risa/internal/network"
-	"risa/internal/optics"
 	"risa/internal/topology"
 )
 
 func TestRunDefaults(t *testing.T) {
-	if err := run(topology.DefaultConfig(), network.DefaultConfig(), optics.DefaultConfig()); err != nil {
+	if err := run(topology.DefaultConfig(), network.DefaultConfig()); err != nil {
 		t.Error(err)
 	}
 }
@@ -17,7 +16,7 @@ func TestRunDefaults(t *testing.T) {
 func TestRunRejectsBadTopology(t *testing.T) {
 	bad := topology.DefaultConfig()
 	bad.Racks = 0
-	if err := run(bad, network.DefaultConfig(), optics.DefaultConfig()); err == nil {
+	if err := run(bad, network.DefaultConfig()); err == nil {
 		t.Error("invalid topology should fail")
 	}
 }
@@ -25,15 +24,7 @@ func TestRunRejectsBadTopology(t *testing.T) {
 func TestRunRejectsBadNetwork(t *testing.T) {
 	bad := network.DefaultConfig()
 	bad.BoxUplinks = -1
-	if err := run(topology.DefaultConfig(), bad, optics.DefaultConfig()); err == nil {
+	if err := run(topology.DefaultConfig(), bad); err == nil {
 		t.Error("invalid fabric should fail")
-	}
-}
-
-func TestRunRejectsBadOptics(t *testing.T) {
-	bad := optics.DefaultConfig()
-	bad.BoxPorts = 63 // not a power of two
-	if err := run(topology.DefaultConfig(), network.DefaultConfig(), bad); err == nil {
-		t.Error("invalid optics should fail")
 	}
 }

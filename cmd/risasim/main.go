@@ -397,7 +397,7 @@ var catalog = []experiment{
 	{name: "fig12", all: true, azure: true, run: figure(azure, func(in *invocation) string { return in.azure.RenderFig12() })},
 	{name: "seeds", run: func(in *invocation) error { return rendered(in.setup.RunSeedSweep([]int64{1, 2, 3, 4, 5})) }},
 	{name: "scale", run: func(in *invocation) error {
-		return rendered(in.setup.RunScale(experiments.ScaleLadder(in.scaleMax), 0))
+		return rendered(in.setup.RunScale(experiments.ScaleLadder(in.scaleMax)))
 	}},
 	{name: "churn", run: ladder(experiments.Setup.RunChurn, (*experiments.Ladder).RenderChurn)},
 	{name: "faults", run: ladder(experiments.Setup.RunFaults, (*experiments.Ladder).RenderFaults)},
@@ -405,7 +405,7 @@ var catalog = []experiment{
 	{name: "threetier", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunThreeTier()) }},
 	{name: "queue", all: true, run: func(in *invocation) error { return rendered(in.setup.RunQueueing()) }},
 	{name: "stranding", all: true, run: func(in *invocation) error { return rendered(in.setup.RunStranding()) }},
-	{name: "defrag", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunDefrag(2000)) }},
+	{name: "defrag", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunDefrag()) }},
 	{name: "resilience", all: true, run: func(in *invocation) error { return rendered(in.azureSetup().RunResilience()) }},
 	{name: "pool", all: true, run: figure(synthetic|azure, func(in *invocation) string {
 		return experiments.RenderPool(in.synthetic, in.azure)
@@ -520,7 +520,7 @@ func rendered[R interface{ Render() string }](res R, err error) error {
 
 // runAblations executes the DESIGN.md §6 design-choice studies.
 func runAblations(setup experiments.Setup) error {
-	rr, err := setup.RunRoundRobinAblation(900)
+	rr, err := setup.RunRoundRobinAblation()
 	if err != nil {
 		return err
 	}
@@ -530,12 +530,12 @@ func runAblations(setup experiments.Setup) error {
 		return err
 	}
 	fmt.Println(packing.Render())
-	sweep, err := setup.RunUplinkSweep([]int{2, 4, 8, 16})
+	sweep, err := setup.RunUplinkSweep()
 	if err != nil {
 		return err
 	}
 	fmt.Println(sweep.Render())
-	alpha, err := setup.RunAlphaSweep([]float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+	alpha, err := setup.RunAlphaSweep()
 	if err != nil {
 		return err
 	}

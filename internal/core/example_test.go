@@ -55,15 +55,15 @@ func ExampleNewWithOptions() {
 	if err != nil {
 		panic(err)
 	}
-	// An ablated RISA: worst-fit packing, no round-robin.
+	// An ablated RISA: worst-fit packing, no round-robin. It still reports
+	// the paper's name; an ablation labels its own variants.
 	variant := core.NewWithOptions(st, core.Options{
 		Packing:           core.WorstFit,
 		DisableRoundRobin: true,
-		Name:              "RISA-WF",
 	})
 	fmt.Println(variant.Name())
 	// Output:
-	// RISA-WF
+	// RISA
 }
 
 func ExampleRebalance() {

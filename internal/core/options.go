@@ -39,7 +39,4 @@ type Options struct {
 	// DisableRoundRobin pins the rack cursor at zero, so the first rack
 	// in the pool is always preferred — the load-balancing ablation.
 	DisableRoundRobin bool
-	// Name overrides the scheduler's reported name (useful when several
-	// ablated variants run in one experiment).
-	Name string
 }

@@ -23,11 +23,21 @@ func TestBoxPolicyString(t *testing.T) {
 	}
 }
 
-func TestOptionsNameOverride(t *testing.T) {
+func TestNameFollowsPacking(t *testing.T) {
 	st := defaultState(t)
-	r := NewWithOptions(st, Options{Name: "RISA-NORR", DisableRoundRobin: true})
-	if r.Name() != "RISA-NORR" {
-		t.Errorf("Name = %q", r.Name())
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "RISA"},
+		{Options{Packing: BestFit}, "RISA-BF"},
+		{Options{Packing: BestFit, DisableRoundRobin: true}, "RISA-BF"},
+		{Options{Packing: FirstFit}, "RISA"},
+		{Options{Packing: WorstFit, DisableRoundRobin: true}, "RISA"},
+	} {
+		if got := NewWithOptions(st, c.opts).Name(); got != c.want {
+			t.Errorf("%+v: Name = %q, want %q", c.opts, got, c.want)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func interRackAssignment(t *testing.T, busyUplink bool) (*sched.State, *sched.As
 	if busyUplink {
 		cpus := st.Cluster.Rack(1).BoxesOf(units.CPU)
 		var err error
-		if filler, err = st.Fabric.AllocateFlow(cpus[0], cpus[1], network.DefaultConfig().LinkCapacity, network.FirstFit); err != nil {
+		if filler, err = st.Fabric.AllocateFlow(cpus[0], cpus[1], units.LinkCapacity, network.FirstFit); err != nil {
 			t.Fatal(err)
 		}
 	}

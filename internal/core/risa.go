@@ -71,11 +71,9 @@ func NewWithOptions(st *sched.State, opts Options) *RISA {
 	return &RISA{st: st, opts: opts}
 }
 
-// Name implements sched.Scheduler.
+// Name implements sched.Scheduler: "RISA-BF" under best-fit packing,
+// "RISA" otherwise. An ablation labels its own variants.
 func (r *RISA) Name() string {
-	if r.opts.Name != "" {
-		return r.opts.Name
-	}
 	if r.opts.Packing == BestFit {
 		return "RISA-BF"
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"risa/internal/core"
@@ -24,9 +25,14 @@ type RoundRobinAblation struct {
 	InterRack map[string]int
 }
 
-// RunRoundRobinAblation statically fills a fresh cluster with n typical
-// VMs under both variants and measures the per-rack load spread.
-func (s Setup) RunRoundRobinAblation(n int) (*RoundRobinAblation, error) {
+// roundRobinVMs is the round-robin ablation's static fill: typical VMs
+// offered to each variant.
+const roundRobinVMs = 900
+
+// RunRoundRobinAblation statically fills a fresh cluster with
+// roundRobinVMs typical VMs under both variants and measures the per-rack
+// load spread.
+func (s Setup) RunRoundRobinAblation() (*RoundRobinAblation, error) {
 	out := &RoundRobinAblation{
 		RackRAMStdDev: make(map[string]float64),
 		InterRack:     make(map[string]int),
@@ -36,7 +42,7 @@ func (s Setup) RunRoundRobinAblation(n int) (*RoundRobinAblation, error) {
 		opts core.Options
 	}{
 		{"RISA", core.Options{}},
-		{"RISA-no-RR", core.Options{DisableRoundRobin: true, Name: "RISA-no-RR"}},
+		{"RISA-no-RR", core.Options{DisableRoundRobin: true}},
 	}
 	for _, v := range variants {
 		st, err := s.NewState()
@@ -45,7 +51,7 @@ func (s Setup) RunRoundRobinAblation(n int) (*RoundRobinAblation, error) {
 		}
 		r := core.NewWithOptions(st, v.opts)
 		inter := 0
-		for i := 0; i < n; i++ {
+		for i := 0; i < roundRobinVMs; i++ {
 			vm := workload.VM{ID: i, Lifetime: 1, Req: units.Vec(8, 16, 128)}
 			a, err := r.Schedule(vm)
 			if err != nil {
@@ -101,8 +107,8 @@ func (s Setup) RunPackingAblation() (*PackingAblation, error) {
 	}
 	var jobs []Job
 	for _, p := range []core.BoxPolicy{core.NextFit, core.BestFit, core.FirstFit, core.WorstFit} {
-		opts := core.Options{Packing: p, Name: p.String()}
-		jobs = append(jobs, Job{Setup: s, Algorithm: opts.Name, Trace: tr,
+		opts := core.Options{Packing: p}
+		jobs = append(jobs, Job{Setup: s, Algorithm: p.String(), Trace: tr,
 			Scheduler: func(st *sched.State) sched.Scheduler { return core.NewWithOptions(st, opts) }})
 	}
 	outcomes, err := Engine{}.Run(jobs)
@@ -141,17 +147,21 @@ type UplinkSweep struct {
 	Dropped map[string][]int
 }
 
-// RunUplinkSweep replays Azure-3000 at several box-uplink counts; the
-// uplink × algorithm grid runs on the worker pool.
-func (s Setup) RunUplinkSweep(uplinks []int) (*UplinkSweep, error) {
-	out := &UplinkSweep{Uplinks: uplinks, Dropped: make(map[string][]int)}
+// sweepUplinks are the box-uplink counts the uplink sweep replays, up to
+// the calibrated 16 of DefaultSetup.
+var sweepUplinks = []int{2, 4, 8, 16}
+
+// RunUplinkSweep replays Azure-3000 at each of sweepUplinks box uplinks;
+// the uplink × algorithm grid runs on the worker pool.
+func (s Setup) RunUplinkSweep() (*UplinkSweep, error) {
+	out := &UplinkSweep{Uplinks: slices.Clone(sweepUplinks), Dropped: make(map[string][]int)}
 	algs := []string{"NULB", "RISA"}
 	tr, err := s.AzureTrace(workload.Azure3000)
 	if err != nil {
 		return nil, err
 	}
 	var jobs []Job
-	for _, u := range uplinks {
+	for _, u := range sweepUplinks {
 		setup := s
 		setup.Network.BoxUplinks = u
 		for _, alg := range algs {
@@ -195,15 +205,19 @@ type AlphaSweep struct {
 	PeakKW []float64
 }
 
-// RunAlphaSweep executes the sweep; one pooled job per α.
-func (s Setup) RunAlphaSweep(alphas []float64) (*AlphaSweep, error) {
-	out := &AlphaSweep{Alphas: alphas}
+// sweepAlphas are the α values the sweep runs: the paper's whole range
+// [0.5, 1.0] in steps of 0.1.
+var sweepAlphas = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+
+// RunAlphaSweep executes the sweep over sweepAlphas; one pooled job per α.
+func (s Setup) RunAlphaSweep() (*AlphaSweep, error) {
+	out := &AlphaSweep{Alphas: slices.Clone(sweepAlphas)}
 	tr, err := s.AzureTrace(workload.Azure3000)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]Job, len(alphas))
-	for i, alpha := range alphas {
+	jobs := make([]Job, len(sweepAlphas))
+	for i, alpha := range sweepAlphas {
 		setup := s
 		setup.Optics.Alpha = alpha
 		jobs[i] = Job{Setup: setup, Algorithm: "RISA", Trace: tr}

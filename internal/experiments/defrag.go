@@ -27,15 +27,16 @@ type Defrag struct {
 	PowerAfterKW  float64
 }
 
-// RunDefrag statically places the first n VMs of Azure-3000 with NULB,
-// then rebalances with RISA.
-func (s Setup) RunDefrag(n int) (*Defrag, error) {
+// defragVMs is how many of Azure-3000's 3000 VMs the defrag experiment
+// places before the migration pass.
+const defragVMs = 2000
+
+// RunDefrag statically places the first defragVMs VMs of Azure-3000 with
+// NULB, then rebalances with RISA.
+func (s Setup) RunDefrag() (*Defrag, error) {
 	tr, err := s.AzureTrace(workload.Azure3000)
 	if err != nil {
 		return nil, err
-	}
-	if n > tr.Len() {
-		n = tr.Len()
 	}
 	st, err := s.NewState()
 	if err != nil {
@@ -49,8 +50,8 @@ func (s Setup) RunDefrag(n int) (*Defrag, error) {
 
 	out := &Defrag{}
 	var live []*sched.Assignment
-	for i := 0; i < n; i++ {
-		a, err := nulb.Schedule(tr.VMs[i])
+	for _, vm := range tr.VMs[:defragVMs] {
+		a, err := nulb.Schedule(vm)
 		if err != nil {
 			continue
 		}

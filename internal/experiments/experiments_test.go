@@ -315,7 +315,7 @@ func TestAzureMatrixShape(t *testing.T) {
 }
 
 func TestRoundRobinAblation(t *testing.T) {
-	a, err := DefaultSetup().RunRoundRobinAblation(300)
+	a, err := DefaultSetup().RunRoundRobinAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestRoundRobinAblation(t *testing.T) {
 func TestRoundRobinAblationCountsEveryRAMBox(t *testing.T) {
 	s := DefaultSetup()
 	s.Topology.RAMBoxes = 3
-	a, err := s.RunRoundRobinAblation(900)
+	a, err := s.RunRoundRobinAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,15 +353,19 @@ func TestUplinkSweepShowsCollapse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple Azure runs")
 	}
-	sweep, err := DefaultSetup().RunUplinkSweep([]int{2, 16})
+	sweep, err := DefaultSetup().RunUplinkSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.Dropped["NULB"][0] <= sweep.Dropped["NULB"][1] {
+	last := len(sweep.Uplinks) - 1
+	if sweep.Uplinks[0] != 2 || sweep.Uplinks[last] != 16 {
+		t.Fatalf("sweep spans %v, want 2 to 16 uplinks", sweep.Uplinks)
+	}
+	if sweep.Dropped["NULB"][0] <= sweep.Dropped["NULB"][last] {
 		t.Errorf("NULB should drop more with 2 uplinks: %v", sweep.Dropped["NULB"])
 	}
-	if sweep.Dropped["RISA"][1] != 0 {
-		t.Errorf("RISA at 16 uplinks should drop nothing, got %d", sweep.Dropped["RISA"][1])
+	if sweep.Dropped["RISA"][last] != 0 {
+		t.Errorf("RISA at 16 uplinks should drop nothing, got %d", sweep.Dropped["RISA"][last])
 	}
 	if !strings.Contains(sweep.Render(), "uplinks/box") {
 		t.Error("render incomplete")
@@ -372,12 +376,17 @@ func TestAlphaSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple Azure runs")
 	}
-	sweep, err := DefaultSetup().RunAlphaSweep([]float64{0.5, 1.0})
+	sweep, err := DefaultSetup().RunAlphaSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.PeakKW[0] >= sweep.PeakKW[1] {
-		t.Errorf("power must grow with alpha: %v", sweep.PeakKW)
+	if len(sweep.PeakKW) != len(sweep.Alphas) || sweep.Alphas[0] != 0.5 || sweep.Alphas[len(sweep.Alphas)-1] != 1.0 {
+		t.Fatalf("sweep over %v gave %d peaks, want α from 0.5 to 1.0", sweep.Alphas, len(sweep.PeakKW))
+	}
+	for i := 1; i < len(sweep.PeakKW); i++ {
+		if sweep.PeakKW[i-1] >= sweep.PeakKW[i] {
+			t.Errorf("power must grow with alpha: %v at %v", sweep.PeakKW, sweep.Alphas)
+		}
 	}
 }
 
@@ -479,9 +488,9 @@ func TestResilienceExperiment(t *testing.T) {
 
 func TestDefragExperiment(t *testing.T) {
 	if testing.Short() {
-		t.Skip("static 1000-VM fill")
+		t.Skip("static 2000-VM fill")
 	}
-	d, err := AzureSetup().RunDefrag(1000)
+	d, err := AzureSetup().RunDefrag()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,21 +92,17 @@ func (s Setup) scaleTrace(racks, vmsPerRack int) (*workload.Trace, error) {
 }
 
 // RunScale executes the sweep over the given rack counts (ScaleLadder
-// order is preserved) with vmsPerRack VMs per rack per point; values ≤ 0
-// select DefaultScaleVMsPerRack. Like Figure 11 the grid runs on a single
-// worker: the sweep's headline metric is wall-clock decision time, and
-// concurrent runs contending for cores would inflate each other's
-// measurement.
-func (s Setup) RunScale(rackCounts []int, vmsPerRack int) (*ScaleSweep, error) {
-	if vmsPerRack <= 0 {
-		vmsPerRack = DefaultScaleVMsPerRack
-	}
-	sweep := &ScaleSweep{VMsPerRack: vmsPerRack}
+// order is preserved) with DefaultScaleVMsPerRack VMs per rack per point.
+// Like Figure 11 the grid runs on a single worker: the sweep's headline
+// metric is wall-clock decision time, and concurrent runs contending for
+// cores would inflate each other's measurement.
+func (s Setup) RunScale(rackCounts []int) (*ScaleSweep, error) {
+	sweep := &ScaleSweep{VMsPerRack: DefaultScaleVMsPerRack}
 	var jobs []Job
 	for _, racks := range rackCounts {
 		setup := s
 		setup.Topology.Racks = racks
-		tr, err := setup.scaleTrace(racks, vmsPerRack)
+		tr, err := setup.scaleTrace(racks, DefaultScaleVMsPerRack)
 		if err != nil {
 			return nil, err
 		}

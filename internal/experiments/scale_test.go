@@ -120,7 +120,7 @@ func TestScaleTraceScalesWithRacks(t *testing.T) {
 }
 
 func TestRunScaleSmallSweep(t *testing.T) {
-	sweep, err := DefaultSetup().RunScale([]int{2, 4}, 30)
+	sweep, err := DefaultSetup().RunScale([]int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,14 +137,12 @@ func (l *Link) String() string {
 }
 
 // Config sizes the fabric. Defaults follow DESIGN.md §3: one brick link
-// per brick (dedicated, untracked), 16 uplinks per box and 16 uplinks per
-// rack, all at 200 Gb/s, which respects the paper's switch port counts
-// (box 64 ports: 8 bricks + 16 uplinks; rack 256 ports: 96 down + 16 up;
-// inter-rack 512 ports: 18 racks × 16 = 288).
+// per brick (dedicated, untracked), 16 uplinks per box and RackUplinks per
+// rack, all at units.LinkCapacity, which respects the paper's switch port
+// counts (box 64 ports: 8 bricks + 16 uplinks; rack 256 ports: 96 down +
+// 16 up; inter-rack 512 ports: 18 racks × 16 = 288).
 type Config struct {
-	BoxUplinks   int             // uplinks from each box switch to its rack switch
-	RackUplinks  int             // uplinks from each rack switch to the tier above
-	LinkCapacity units.Bandwidth // capacity of every link
+	BoxUplinks int // uplinks from each box switch to its rack switch
 
 	// RacksPerPod, when positive, switches the fabric to the three-tier
 	// structure of Shabka & Zervas (the paper's related-work contrast,
@@ -154,13 +152,16 @@ type Config struct {
 	RacksPerPod int
 }
 
+// RackUplinks is the number of uplinks from each rack switch to the tier above.
+const RackUplinks = 16
+
 // uplinksPerPod is the number of pod→core links per pod in the
 // three-tier fabric.
 const uplinksPerPod = 16
 
 // DefaultConfig returns the link provisioning described in DESIGN.md.
 func DefaultConfig() Config {
-	return Config{BoxUplinks: 16, RackUplinks: 16, LinkCapacity: units.LinkCapacity}
+	return Config{BoxUplinks: 16}
 }
 
 // ThreeTier reports whether the pod tier is enabled.
@@ -168,11 +169,8 @@ func (c Config) ThreeTier() bool { return c.RacksPerPod > 0 }
 
 // Validate checks structural sanity.
 func (c Config) Validate() error {
-	if c.BoxUplinks <= 0 || c.RackUplinks <= 0 {
-		return fmt.Errorf("network: uplink counts must be positive (box=%d rack=%d)", c.BoxUplinks, c.RackUplinks)
-	}
-	if c.LinkCapacity <= 0 {
-		return fmt.Errorf("network: link capacity must be positive, got %v", c.LinkCapacity)
+	if c.BoxUplinks <= 0 {
+		return fmt.Errorf("network: box uplink count must be positive, got %d", c.BoxUplinks)
 	}
 	if c.RacksPerPod < 0 {
 		return fmt.Errorf("network: negative racks per pod (%d)", c.RacksPerPod)
@@ -249,44 +247,44 @@ func NewFabric(cl *topology.Cluster, cfg Config) (*Fabric, error) {
 	f.rackUplinks = make([][]Link, len(racks))
 	f.rackIntraFree = make([]units.Bandwidth, len(racks))
 	f.boxFree = make([][]units.Bandwidth, len(racks))
-	boxGroup := cfg.LinkCapacity * units.Bandwidth(cfg.BoxUplinks)
+	boxGroup := units.LinkCapacity * units.Bandwidth(cfg.BoxUplinks)
 	for ri, rack := range racks {
 		boxes := rack.Boxes()
-		slab := make([]Link, len(boxes)*cfg.BoxUplinks+cfg.RackUplinks)
+		slab := make([]Link, len(boxes)*cfg.BoxUplinks+RackUplinks)
 		f.boxUplinks[ri] = make([][]Link, len(boxes))
 		f.boxFree[ri] = make([]units.Bandwidth, len(boxes))
 		for bi := range boxes {
-			f.boxUplinks[ri][bi] = carve(&slab, cfg.BoxUplinks, BoxUplink, ri, bi, cfg.LinkCapacity)
+			f.boxUplinks[ri][bi] = carve(&slab, cfg.BoxUplinks, BoxUplink, ri, bi)
 			f.boxFree[ri][bi] = boxGroup
 			f.intraCap += boxGroup
 			f.intraFree += boxGroup
 			f.rackIntraFree[ri] += boxGroup
 		}
-		f.rackUplinks[ri] = carve(&slab, cfg.RackUplinks, RackUplink, ri, -1, cfg.LinkCapacity)
-		f.interCap += cfg.LinkCapacity * units.Bandwidth(cfg.RackUplinks)
-		f.interFree += cfg.LinkCapacity * units.Bandwidth(cfg.RackUplinks)
+		f.rackUplinks[ri] = carve(&slab, RackUplinks, RackUplink, ri, -1)
+		f.interCap += units.LinkCapacity * RackUplinks
+		f.interFree += units.LinkCapacity * RackUplinks
 	}
 	if cfg.ThreeTier() {
 		pods := (len(racks) + cfg.RacksPerPod - 1) / cfg.RacksPerPod
 		slab := make([]Link, pods*uplinksPerPod)
 		f.podUplinks = make([][]Link, pods)
 		for pi := range f.podUplinks {
-			f.podUplinks[pi] = carve(&slab, uplinksPerPod, PodUplink, -1, pi, cfg.LinkCapacity)
-			f.podCap += cfg.LinkCapacity * units.Bandwidth(uplinksPerPod)
-			f.podFree += cfg.LinkCapacity * units.Bandwidth(uplinksPerPod)
+			f.podUplinks[pi] = carve(&slab, uplinksPerPod, PodUplink, -1, pi)
+			f.podCap += units.LinkCapacity * uplinksPerPod
+			f.podFree += units.LinkCapacity * uplinksPerPod
 		}
 	}
 	return f, nil
 }
 
 // carve cuts the next n links off the front of *slab as one uplink group
-// and initializes them fully free. The group's capacity is capped at n,
+// and initializes them fully free at units.LinkCapacity. The group's capacity is capped at n,
 // so no append can ever spill into a neighbouring group.
-func carve(slab *[]Link, n int, tier Tier, rack, box int, capacity units.Bandwidth) []Link {
+func carve(slab *[]Link, n int, tier Tier, rack, box int) []Link {
 	group := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	for ui := range group {
-		group[ui] = Link{free: capacity, cap: capacity, tier: uint8(tier), rack: int32(rack), box: int32(box), index: int32(ui)}
+		group[ui] = Link{free: units.LinkCapacity, cap: units.LinkCapacity, tier: uint8(tier), rack: int32(rack), box: int32(box), index: int32(ui)}
 	}
 	return group
 }

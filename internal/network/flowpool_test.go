@@ -80,13 +80,13 @@ func TestReserveSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One usable link per group; pods {0, 1} and {2, 3}, each with all
-	// but its first uplink failed.
-	f, err := NewFabric(cl, Config{BoxUplinks: 1, RackUplinks: 1, RacksPerPod: 2, LinkCapacity: 100})
+	// One usable link per group: one uplink per box, and every rack and
+	// pod (pods {0, 1} and {2, 3}) with all but its first uplink failed.
+	f, err := NewFabric(cl, Config{BoxUplinks: 1, RacksPerPod: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, group := range f.podUplinks {
+	for _, group := range append(f.rackUplinks, f.podUplinks...) {
 		for i := range group[1:] {
 			f.SetLinkFailed(&group[1+i], true)
 		}
@@ -107,7 +107,7 @@ func TestReserveSentinelErrors(t *testing.T) {
 		{"pod", cpu(0, 0), ram(2), cpu(1, 0), ram(3), ErrNoPodUplink},
 	} {
 		var held, fl Flow
-		if err := f.Reserve(&held, c.heldSrc, c.heldDst, 100, FirstFit); err != nil {
+		if err := f.Reserve(&held, c.heldSrc, c.heldDst, units.LinkCapacity, FirstFit); err != nil {
 			t.Fatalf("%s: saturating circuit: %v", c.name, err)
 		}
 		intra, inter, pod := f.IntraRackFree(), f.InterRackFree(), f.InterPodFree()
@@ -173,7 +173,7 @@ func TestReplayRefusals(t *testing.T) {
 	}
 	// Seven healthy, roomy links: only the length is wrong.
 	refused("overlong", 1, append(append([]LinkRef(nil), path...), path[:3]...))
-	refused("too-wide", f.cfg.LinkCapacity+1, path)
+	refused("too-wide", units.LinkCapacity+1, path)
 	last, err := f.LinkByRef(path[3])
 	if err != nil {
 		t.Fatal(err)

@@ -21,15 +21,14 @@ func ExampleStages() {
 	// 512-port Beneš: 17 stages
 }
 
-func ExampleConfig_PathSwitchingEnergy() {
-	cfg := optics.DefaultConfig()
+func ExamplePathSwitchingEnergy() {
 	// Equation 1 for a path through the rack switch held for one hour: the
 	// one-shot setup term plus the trimming power over the lifetime.
-	setup, err := cfg.PathSwitchingEnergy(256)
+	setup, err := optics.PathSwitchingEnergy(256)
 	if err != nil {
 		panic(err)
 	}
-	trim, err := cfg.PathTrimmingPower(256)
+	trim, err := optics.DefaultConfig().PathTrimmingPower(256)
 	if err != nil {
 		panic(err)
 	}
@@ -38,10 +37,9 @@ func ExampleConfig_PathSwitchingEnergy() {
 	// 1101.8 J
 }
 
-func ExampleConfig_TransceiverPower() {
-	cfg := optics.DefaultConfig()
+func ExampleTransceiverPower() {
 	// A fully loaded 200 Gb/s link: 22.5 pJ/bit × 200e9 b/s.
-	fmt.Printf("%.2f W\n", cfg.TransceiverPower(200))
+	fmt.Printf("%.2f W\n", optics.TransceiverPower(200))
 	// Output:
 	// 4.50 W
 }

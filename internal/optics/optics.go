@@ -19,7 +19,8 @@ import (
 	"risa/internal/units"
 )
 
-// Physical constants from the paper (§3.1-3.2).
+// Physical constants from the paper (§3.1-3.2). Of these only α is also a
+// setting: Config.Alpha, which the α sweep varies.
 const (
 	// PTrimCellWatts is the trimming power that keeps one MRR cell in its
 	// state (P_trimcell = 22.67 mW, from Mirza et al.).
@@ -32,6 +33,10 @@ const (
 	DefaultAlpha = 0.9
 	// TransceiverJoulesPerBit is the Luxtera SiP module energy: 22.5 pJ/bit.
 	TransceiverJoulesPerBit = 22.5e-12
+	// CellLatency is the per-stage reconfiguration latency; the paper's
+	// switch latency (ref [6]) grows with switch size, which we model as
+	// lat_sw = stages × CellLatency (see DESIGN.md §3).
+	CellLatency = 100 * time.Nanosecond
 )
 
 // Switch port counts needed to support the Table 1 architecture (§5.2).
@@ -51,65 +56,33 @@ func Stages(ports int) (int, error) {
 	return 2*bits.Len(uint(ports-1)) - 1, nil
 }
 
-// Config parameterizes the device models. The zero value is not useful;
-// start from DefaultConfig.
+// Config holds the one device parameter an experiment varies: the
+// cell-sharing factor α (the α sweep). Every other device figure is a
+// package constant. The zero value is not valid; start from DefaultConfig.
 type Config struct {
-	PTrimCell float64 // W per cell, holding state
-	PSwCell   float64 // W per cell, during reconfiguration
-	Alpha     float64 // cell sharing factor in [0.5, 1.0]
-	// CellLatency is the per-stage reconfiguration latency; the paper's
-	// switch latency (ref [6]) grows with switch size, which we model as
-	// lat_sw = stages × CellLatency (see DESIGN.md §3).
-	CellLatency time.Duration
-	// TransceiverJPerBit is the SiP module energy per bit.
-	TransceiverJPerBit float64
-	// Port counts of the three switch classes.
-	BoxPorts, RackPorts, InterRackPorts int
+	Alpha float64 // cell sharing factor in [0.5, 1.0]
 }
 
-// DefaultConfig returns the paper's constants.
+// DefaultConfig returns the paper's α.
 func DefaultConfig() Config {
-	return Config{
-		PTrimCell:          PTrimCellWatts,
-		PSwCell:            PSwCellWatts,
-		Alpha:              DefaultAlpha,
-		CellLatency:        100 * time.Nanosecond,
-		TransceiverJPerBit: TransceiverJoulesPerBit,
-		BoxPorts:           BoxSwitchPorts,
-		RackPorts:          RackSwitchPorts,
-		InterRackPorts:     InterRackSwitchPorts,
-	}
+	return Config{Alpha: DefaultAlpha}
 }
 
-// Validate checks physical sanity of the parameters.
+// Validate checks that α lies in the paper's range.
 func (c Config) Validate() error {
-	if c.PTrimCell <= 0 || c.PSwCell <= 0 {
-		return fmt.Errorf("optics: cell powers must be positive (trim=%g sw=%g)", c.PTrimCell, c.PSwCell)
-	}
 	if c.Alpha < 0.5 || c.Alpha > 1.0 {
 		return fmt.Errorf("optics: alpha %g outside [0.5, 1.0]", c.Alpha)
-	}
-	if c.CellLatency <= 0 {
-		return fmt.Errorf("optics: cell latency must be positive, got %v", c.CellLatency)
-	}
-	if c.TransceiverJPerBit <= 0 {
-		return fmt.Errorf("optics: transceiver energy must be positive, got %g", c.TransceiverJPerBit)
-	}
-	for _, p := range []int{c.BoxPorts, c.RackPorts, c.InterRackPorts} {
-		if _, err := Stages(p); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
 // SwitchLatency returns lat_sw for an N-port switch: stages × CellLatency.
-func (c Config) SwitchLatency(ports int) (time.Duration, error) {
+func SwitchLatency(ports int) (time.Duration, error) {
 	s, err := Stages(ports)
 	if err != nil {
 		return 0, err
 	}
-	return time.Duration(s) * c.CellLatency, nil
+	return time.Duration(s) * CellLatency, nil
 }
 
 // PathTrimmingPower returns the steady-state trimming power attributed to
@@ -120,27 +93,29 @@ func (c Config) PathTrimmingPower(ports int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.Alpha * float64(n) * c.PTrimCell, nil
+	return c.Alpha * float64(n) * PTrimCellWatts, nil
 }
 
 // PathSwitchingEnergy returns the one-shot reconfiguration energy of
 // setting up one path through an N-port switch: (n/2) · P_swcell · lat_sw
 // (the first term of Equation 1). The paper assumes half the cells along a
 // path change state.
-func (c Config) PathSwitchingEnergy(ports int) (float64, error) {
+func PathSwitchingEnergy(ports int) (float64, error) {
 	n, err := Stages(ports)
 	if err != nil {
 		return 0, err
 	}
-	lat, err := c.SwitchLatency(ports)
+	lat, err := SwitchLatency(ports)
 	if err != nil {
 		return 0, err
 	}
-	return float64(n) / 2 * c.PSwCell * lat.Seconds(), nil
+	return float64(n) / 2 * PSwCellWatts * lat.Seconds(), nil
 }
 
 // TransceiverPower returns the steady-state power of carrying bw through
 // one transceiver pair (one link traversal): energy-per-bit × bit rate.
-func (c Config) TransceiverPower(bw units.Bandwidth) float64 {
-	return c.TransceiverJPerBit * float64(bw) * 1e9
+// Keep the factors in this order: folding the two constants first would
+// round differently.
+func TransceiverPower(bw units.Bandwidth) float64 {
+	return TransceiverJoulesPerBit * float64(bw) * 1e9
 }

@@ -41,55 +41,53 @@ func TestStagesRejectsBadPorts(t *testing.T) {
 }
 
 func TestDefaultConfigConstants(t *testing.T) {
-	c := DefaultConfig()
-	if c.PTrimCell != 22.67e-3 {
-		t.Errorf("PTrimCell = %g", c.PTrimCell)
+	if PTrimCellWatts != 22.67e-3 {
+		t.Errorf("PTrimCellWatts = %g", PTrimCellWatts)
 	}
-	if c.PSwCell != 13.75e-3 {
-		t.Errorf("PSwCell = %g", c.PSwCell)
+	if PSwCellWatts != 13.75e-3 {
+		t.Errorf("PSwCellWatts = %g", PSwCellWatts)
 	}
-	if c.Alpha != 0.9 {
+	if c := DefaultConfig(); c.Alpha != 0.9 {
 		t.Errorf("Alpha = %g", c.Alpha)
 	}
-	if c.TransceiverJPerBit != 22.5e-12 {
-		t.Errorf("TransceiverJPerBit = %g", c.TransceiverJPerBit)
+	if TransceiverJoulesPerBit != 22.5e-12 {
+		t.Errorf("TransceiverJoulesPerBit = %g", TransceiverJoulesPerBit)
 	}
-	if c.BoxPorts != 64 || c.RackPorts != 256 || c.InterRackPorts != 512 {
+	if CellLatency != 100*time.Nanosecond {
+		t.Errorf("CellLatency = %v", CellLatency)
+	}
+	if BoxSwitchPorts != 64 || RackSwitchPorts != 256 || InterRackSwitchPorts != 512 {
 		t.Error("switch port counts should match §5.2")
 	}
-	if err := c.Validate(); err != nil {
+	for _, p := range []int{BoxSwitchPorts, RackSwitchPorts, InterRackSwitchPorts} {
+		if _, err := Stages(p); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	mutations := []func(*Config){
-		func(c *Config) { c.PTrimCell = 0 },
-		func(c *Config) { c.PSwCell = -1 },
-		func(c *Config) { c.Alpha = 0.4 },
-		func(c *Config) { c.Alpha = 1.1 },
-		func(c *Config) { c.CellLatency = 0 },
-		func(c *Config) { c.TransceiverJPerBit = 0 },
-		func(c *Config) { c.BoxPorts = 63 },
-		func(c *Config) { c.RackPorts = 0 },
-		func(c *Config) { c.InterRackPorts = 3 },
+	for _, alpha := range []float64{0, 0.4, 1.1} {
+		if err := (Config{Alpha: alpha}).Validate(); err == nil {
+			t.Errorf("alpha %g should invalidate config", alpha)
+		}
 	}
-	for i, m := range mutations {
-		c := DefaultConfig()
-		m(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d should invalidate config", i)
+	for _, alpha := range []float64{0.5, 1.0} {
+		if err := (Config{Alpha: alpha}).Validate(); err != nil {
+			t.Errorf("alpha %g is in range: %v", alpha, err)
 		}
 	}
 }
 
 func TestSwitchLatencyScalesWithSize(t *testing.T) {
-	c := DefaultConfig()
-	lat64, err := c.SwitchLatency(64)
+	lat64, err := SwitchLatency(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat512, err := c.SwitchLatency(512)
+	lat512, err := SwitchLatency(512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestSwitchLatencyScalesWithSize(t *testing.T) {
 	if lat512 <= lat64 {
 		t.Error("latency must grow with switch size")
 	}
-	if _, err := c.SwitchLatency(9); err == nil {
+	if _, err := SwitchLatency(9); err == nil {
 		t.Error("bad port count should fail")
 	}
 }
@@ -124,9 +122,8 @@ func TestPathTrimmingPower(t *testing.T) {
 }
 
 func TestPathSwitchingEnergy(t *testing.T) {
-	c := DefaultConfig()
 	// 64-port: (11/2) x 13.75 mW x 1.1 µs.
-	got, err := c.PathSwitchingEnergy(64)
+	got, err := PathSwitchingEnergy(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestPathSwitchingEnergy(t *testing.T) {
 	if math.Abs(got-want) > 1e-15 {
 		t.Errorf("PathSwitchingEnergy(64) = %g, want %g", got, want)
 	}
-	if _, err := c.PathSwitchingEnergy(10); err == nil {
+	if _, err := PathSwitchingEnergy(10); err == nil {
 		t.Error("bad port count should fail")
 	}
 }
@@ -143,7 +140,7 @@ func TestPathSwitchingEnergy(t *testing.T) {
 // them: n = 15 cells, lat_sw = 1.5 µs.
 func TestSwitchEnergyEquation1(t *testing.T) {
 	c := DefaultConfig()
-	setup, err := c.PathSwitchingEnergy(256)
+	setup, err := PathSwitchingEnergy(256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +161,12 @@ func TestSwitchEnergyEquation1(t *testing.T) {
 }
 
 func TestTransceiverPower(t *testing.T) {
-	c := DefaultConfig()
 	// A fully loaded 200 Gb/s link: 22.5 pJ/bit x 200e9 b/s = 4.5 W.
-	got := c.TransceiverPower(units.LinkCapacity)
+	got := TransceiverPower(units.LinkCapacity)
 	if math.Abs(got-4.5) > 1e-9 {
 		t.Errorf("TransceiverPower(200Gb/s) = %g W, want 4.5", got)
 	}
-	if c.TransceiverPower(0) != 0 {
+	if TransceiverPower(0) != 0 {
 		t.Error("zero bandwidth should cost nothing")
 	}
 }
@@ -180,7 +176,7 @@ func TestTransceiverPower(t *testing.T) {
 func TestSwitchEnergyMonotoneProperty(t *testing.T) {
 	c := DefaultConfig()
 	energy := func(ports int, secs float64) float64 {
-		setup, _ := c.PathSwitchingEnergy(ports)
+		setup, _ := PathSwitchingEnergy(ports)
 		trim, _ := c.PathTrimmingPower(ports)
 		return setup + trim*secs
 	}

@@ -25,8 +25,6 @@ import (
 // Model precomputes the per-switch-class path constants so per-flow power
 // is a handful of multiplications.
 type Model struct {
-	cfg optics.Config
-
 	trimBox, trimRack, trimInter    float64 // W per path crossing
 	setupBox, setupRack, setupInter float64 // J per path setup
 }
@@ -36,24 +34,24 @@ func NewModel(cfg optics.Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg}
+	m := &Model{}
 	var err error
-	if m.trimBox, err = cfg.PathTrimmingPower(cfg.BoxPorts); err != nil {
+	if m.trimBox, err = cfg.PathTrimmingPower(optics.BoxSwitchPorts); err != nil {
 		return nil, err
 	}
-	if m.trimRack, err = cfg.PathTrimmingPower(cfg.RackPorts); err != nil {
+	if m.trimRack, err = cfg.PathTrimmingPower(optics.RackSwitchPorts); err != nil {
 		return nil, err
 	}
-	if m.trimInter, err = cfg.PathTrimmingPower(cfg.InterRackPorts); err != nil {
+	if m.trimInter, err = cfg.PathTrimmingPower(optics.InterRackSwitchPorts); err != nil {
 		return nil, err
 	}
-	if m.setupBox, err = cfg.PathSwitchingEnergy(cfg.BoxPorts); err != nil {
+	if m.setupBox, err = optics.PathSwitchingEnergy(optics.BoxSwitchPorts); err != nil {
 		return nil, err
 	}
-	if m.setupRack, err = cfg.PathSwitchingEnergy(cfg.RackPorts); err != nil {
+	if m.setupRack, err = optics.PathSwitchingEnergy(optics.RackSwitchPorts); err != nil {
 		return nil, err
 	}
-	if m.setupInter, err = cfg.PathSwitchingEnergy(cfg.InterRackPorts); err != nil {
+	if m.setupInter, err = optics.PathSwitchingEnergy(optics.InterRackSwitchPorts); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -63,7 +61,7 @@ func NewModel(cfg optics.Config) (*Model, error) {
 // one transceiver pair per link traversal (4 intra-rack, 6 inter-rack),
 // each at 22.5 pJ/bit × the flow's bandwidth.
 func (m *Model) TransceiverPower(fl *network.Flow) float64 {
-	return float64(fl.LinkTraversals()) * m.cfg.TransceiverPower(fl.BW())
+	return float64(fl.LinkTraversals()) * optics.TransceiverPower(fl.BW())
 }
 
 // TrimmingPower returns the steady-state MRR trimming power of the

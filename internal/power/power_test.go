@@ -93,9 +93,8 @@ func TestTrimmingPowerByShape(t *testing.T) {
 func TestSetupEnergy(t *testing.T) {
 	cl, fab, m := testSetup(t)
 	intra := intraFlow(t, cl, fab, 10)
-	cfg := optics.DefaultConfig()
-	sBox, _ := cfg.PathSwitchingEnergy(64)
-	sRack, _ := cfg.PathSwitchingEnergy(256)
+	sBox, _ := optics.PathSwitchingEnergy(64)
+	sRack, _ := optics.PathSwitchingEnergy(256)
 	want := 2*sBox + sRack
 	if got := m.SetupEnergy(intra); math.Abs(got-want) > 1e-15 {
 		t.Errorf("setup energy = %g, want %g", got, want)

@@ -21,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"risa/internal/faults"
 	"risa/internal/sched"
@@ -67,11 +68,17 @@ func (d *Driver) reach(t int64, k eventKind) int64 {
 	c := d.c
 	t = max(t, c.now)
 	// Neither step nor tick can fail: the heap pops in time order, nothing
-	// is queued before the clock, and t is clamped.
+	// is queued before the clock (Place refuses a departure past the end of
+	// time), and t is clamped. A failure is a broken invariant, not a
+	// decision, so it panics rather than letting replay diverge.
 	for c.due(t, k) {
-		_ = c.step()
+		if err := c.step(); err != nil {
+			panic(err)
+		}
 	}
-	_ = c.tick(t)
+	if err := c.tick(t); err != nil {
+		panic(err)
+	}
 	return t
 }
 
@@ -80,10 +87,14 @@ func (d *Driver) reach(t int64, k eventKind) int64 {
 // success the VM's departure is queued at its lifetime's end and the
 // assignment returned with the effective placement time; on failure the
 // scheduling error describes why the VM was rejected, the state
-// untouched. Invalid VMs are rejected before time advances.
+// untouched. Invalid VMs are rejected before time advances, and so is a
+// VM whose departure time would overflow int64.
 func (d *Driver) Place(vm workload.VM) (*sched.Assignment, int64, error) {
 	if err := vm.Validate(); err != nil {
 		return nil, d.c.now, err
+	}
+	if at := max(vm.Arrival, d.c.now); vm.Lifetime > math.MaxInt64-at {
+		return nil, d.c.now, fmt.Errorf("sim: VM %d placed at t=%d with lifetime %d would depart past the end of time", vm.ID, at, vm.Lifetime)
 	}
 	t := d.reach(vm.Arrival, arrival)
 	a, err := d.c.admit(vm)

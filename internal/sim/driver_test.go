@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,6 +174,46 @@ func TestDriverDepartures(t *testing.T) {
 	_, pt, err := d.Place(workload.VM{ID: 2, Arrival: 50, Lifetime: 10, Req: units.Vec(1, 1, 0)})
 	if err != nil || pt != 100 {
 		t.Fatalf("late-stamped place at t=%d, err=%v; want 100", pt, err)
+	}
+}
+
+// TestDriverRefusesOverflowingDeparture: a lifetime whose departure time
+// would pass math.MaxInt64 from the clamped arrival is a rejected decision,
+// taken before time moves; one that lands exactly on math.MaxInt64 is
+// placed. Letting the sum wrap queued a departure in the past, whose
+// release was then lost and its VM held forever.
+func TestDriverRefusesOverflowingDeparture(t *testing.T) {
+	d := newTestDriver(t, "RISA")
+	fresh := newTestDriver(t, "RISA")
+	req := units.Vec(4, 4, 64)
+	if _, _, err := d.Place(workload.VM{ID: 1, Arrival: 10, Lifetime: 5, Req: req}); err != nil {
+		t.Fatal(err)
+	}
+	// Arrival 0 is clamped to the clock, 10: 10 + MaxInt64 wraps.
+	a, pt, err := d.Place(workload.VM{ID: 2, Arrival: 0, Lifetime: math.MaxInt64, Req: req})
+	if err == nil || a != nil || pt != 10 || d.Now() != 10 {
+		t.Fatalf("overflowing lifetime: assignment %v at t=%d, err %v, clock %d; want a refusal at 10", a, pt, err, d.Now())
+	}
+	if _, _, err := d.Place(workload.VM{ID: 3, Arrival: 20, Lifetime: math.MaxInt64 - 20, Req: req}); err != nil {
+		t.Fatalf("a departure at exactly MaxInt64 fits: %v", err)
+	}
+	if _, _, err := d.Place(workload.VM{ID: 4, Arrival: 300, Lifetime: 5, Req: req}); err != nil {
+		t.Fatal(err)
+	}
+	// VM 1 has departed; VMs 3 and 4 hold what the same two placements
+	// hold on a fresh datacenter.
+	if d.Resident() != 2 {
+		t.Fatalf("resident = %d, want 2", d.Resident())
+	}
+	for _, id := range []int{3, 4} {
+		if _, _, err := fresh.Place(workload.VM{ID: id, Arrival: 300, Lifetime: 5, Req: req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range units.Resources() {
+		if got, want := d.c.st.Cluster.TotalFree(r), fresh.c.st.Cluster.TotalFree(r); got != want {
+			t.Errorf("%v free = %d, want %d", r, got, want)
+		}
 	}
 }
 

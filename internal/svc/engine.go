@@ -159,18 +159,29 @@ func Open(dir string, cfg Config, snapEvery int) (*Engine, error) {
 	return e, nil
 }
 
-// genesis builds the pristine datacenter: all configured racks plus the
-// spares, with every spare's boxes failed (dark) through the driver's
-// refcounts. Spare darkness is derived from the config, not journaled —
-// both the uncrashed and the recovered process construct it identically.
-func (e *Engine) genesis() error {
+// datacenter builds the engine's pristine datacenter, the configured racks
+// plus the spares, and the named scheduler over it: the one construction
+// genesis and restore share.
+func (e *Engine) datacenter(algo string) (*sched.State, sched.Scheduler, error) {
 	tcfg := e.cfg.Topology
 	tcfg.Racks += e.cfg.Spares
 	st, err := sched.NewState(tcfg, e.cfg.Network)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	sch, err := sched.New(e.cfg.Algo, st)
+	sch, err := sched.New(algo, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, sch, nil
+}
+
+// genesis builds the pristine datacenter with every spare's boxes failed
+// (dark) through the driver's refcounts. Spare darkness is derived from the
+// config, not journaled — both the uncrashed and the recovered process
+// construct it identically.
+func (e *Engine) genesis() error {
+	st, sch, err := e.datacenter(e.cfg.Algo)
 	if err != nil {
 		return err
 	}
@@ -178,7 +189,7 @@ func (e *Engine) genesis() error {
 	e.d = sim.NewDriver(st, sch)
 	e.algo = e.cfg.Algo
 	e.inService = e.cfg.Topology.Racks
-	for r := e.inService; r < tcfg.Racks; r++ {
+	for r := e.inService; r < st.Cluster.NumRacks(); r++ {
 		if err := e.d.Apply(faults.Event{Tier: faults.RackTier, Rack: r}); err != nil {
 			return err
 		}
@@ -191,13 +202,7 @@ func (e *Engine) genesis() error {
 // re-applies spare darkness from the snapshot's failure set), history
 // verbatim, dedup map and decision counters rebuilt from it.
 func (e *Engine) restore(snap *engineSnapshot) error {
-	tcfg := e.cfg.Topology
-	tcfg.Racks += e.cfg.Spares
-	st, err := sched.NewState(tcfg, e.cfg.Network)
-	if err != nil {
-		return err
-	}
-	sch, err := sched.New(snap.Algo, st)
+	st, sch, err := e.datacenter(snap.Algo)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package svc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -39,7 +40,9 @@ type op struct {
 
 // genOps derives a deterministic operation script from seed: mostly
 // placements with monotone arrivals, seasoned with rack/box fail+heal
-// pairs, at most one add-rack, and scheduler swaps.
+// pairs, at most one add-rack, and scheduler swaps. One placement in
+// sixteen draws an extreme lifetime: its departure lands at or just past
+// math.MaxInt64, where Place refuses it.
 func genOps(seed int64, n int) []op {
 	rng := rand.New(rand.NewSource(seed))
 	algos := sched.Registered()
@@ -52,10 +55,14 @@ func genOps(seed int64, n int) []op {
 		case k < 15: // placement
 			t += rng.Int63n(15)
 			id++
+			lifetime := 1 + rng.Int63n(120)
+			if rng.Intn(16) == 0 {
+				lifetime = math.MaxInt64 - max(t, 1) + rng.Int63n(2)
+			}
 			ops = append(ops, op{kind: RecordPlace, vm: workload.VM{
 				ID:       id,
 				Arrival:  t,
-				Lifetime: 1 + rng.Int63n(120),
+				Lifetime: lifetime,
 				Tier:     rng.Intn(workload.NumTiers),
 				Req: units.Vec(
 					units.Amount(1+rng.Int63n(32)),
@@ -133,6 +140,18 @@ func assertTwins(t *testing.T, a, b *Engine) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("driver snapshots differ after identical op sequences")
 	}
+	// A snapshot is built from the departure heap, so it cannot see
+	// holdings the heap lost: compare the planes themselves.
+	for _, r := range units.Resources() {
+		if fa, fb := a.st.Cluster.TotalFree(r), b.st.Cluster.TotalFree(r); fa != fb {
+			t.Fatalf("free %v diverged: uncrashed %d, recovered %d", r, fa, fb)
+		}
+	}
+	fa, fb := a.st.Fabric, b.st.Fabric
+	if fa.IntraRackFree() != fb.IntraRackFree() || fa.InterRackFree() != fb.InterRackFree() {
+		t.Fatalf("free bandwidth diverged: uncrashed intra %v inter %v, recovered intra %v inter %v",
+			fa.IntraRackFree(), fa.InterRackFree(), fb.IntraRackFree(), fb.InterRackFree())
+	}
 }
 
 // assertCountsMatchHistory requires the O(1) per-tier decision counters
@@ -189,6 +208,45 @@ func TestDecisionCountersSurviveCrash(t *testing.T) {
 	if e2.accepted != e.accepted || e2.rejected != e.rejected {
 		t.Fatalf("recovered counters accepted %v rejected %v, before the crash %v and %v",
 			e2.accepted, e2.rejected, e.accepted, e.rejected)
+	}
+}
+
+// TestOverflowingLifetimeSurvivesReopen: a lifetime that would carry the
+// departure past math.MaxInt64 from the clamped arrival is refused, so the
+// reopened engine holds exactly what the one that wrote the snapshot held.
+// Accepting it queued a wrapped, negative departure that the next step
+// dropped along with the VM's release, and the snapshot lost the holdings.
+func TestOverflowingLifetimeSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, testConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := units.Vec(4, 4, 64)
+	for _, vm := range []workload.VM{
+		{ID: 1, Arrival: 10, Lifetime: 5, Req: req},
+		{ID: 2, Arrival: 0, Lifetime: math.MaxInt64, Req: req},
+		{ID: 3, Arrival: 300, Lifetime: 5, Req: req},
+	} {
+		out, err := e.Place(vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Accepted == (vm.ID == 2) {
+			t.Fatalf("VM %d: accepted %v (%s)", vm.ID, out.Accepted, out.Reason)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(dir, testConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.crash()
+	assertTwins(t, e, e2)
+	if e2.Resident() != 1 {
+		t.Fatalf("resident = %d, want 1", e2.Resident())
 	}
 }
 
