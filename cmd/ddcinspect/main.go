@@ -68,20 +68,9 @@ func run(tcfg topology.Config, ncfg network.Config) error {
 		name  string
 		ports int
 	}{{"box switch", optics.BoxSwitchPorts}, {"rack switch", optics.RackSwitchPorts}, {"inter-rack switch", optics.InterRackSwitchPorts}} {
-		cells, err := optics.Stages(sw.ports)
-		if err != nil {
-			return err
-		}
-		lat, err := optics.SwitchLatency(sw.ports)
-		if err != nil {
-			return err
-		}
-		trim, err := optics.DefaultConfig().PathTrimmingPower(sw.ports)
-		if err != nil {
-			return err
-		}
 		fmt.Printf("  %-18s %3d ports, %2d cells/path, lat_sw %v, trim %.1f mW/path\n",
-			sw.name, sw.ports, cells, lat, trim*1000)
+			sw.name, sw.ports, optics.Stages(sw.ports), optics.SwitchLatency(sw.ports),
+			optics.DefaultConfig().PathTrimmingPower(sw.ports)*1000)
 	}
 	fmt.Printf("  MRR cell powers     trim %.2f mW, switch %.2f mW, alpha %.2f\n",
 		optics.PTrimCellWatts*1000, optics.PSwCellWatts*1000, optics.DefaultAlpha)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"risa/internal/core"
@@ -142,8 +141,7 @@ func (a *PackingAblation) Render() string {
 // with few box uplinks, first-fit placement (NULB) strands compute behind
 // saturated links and drops VMs, while RISA's rack rotation spreads flows.
 type UplinkSweep struct {
-	Uplinks []int
-	// Dropped[alg][i] is the drop count at Uplinks[i].
+	// Dropped[alg][i] is the drop count at sweepUplinks[i].
 	Dropped map[string][]int
 }
 
@@ -154,7 +152,7 @@ var sweepUplinks = []int{2, 4, 8, 16}
 // RunUplinkSweep replays Azure-3000 at each of sweepUplinks box uplinks;
 // the uplink × algorithm grid runs on the worker pool.
 func (s Setup) RunUplinkSweep() (*UplinkSweep, error) {
-	out := &UplinkSweep{Uplinks: slices.Clone(sweepUplinks), Dropped: make(map[string][]int)}
+	out := &UplinkSweep{Dropped: make(map[string][]int)}
 	algs := []string{"NULB", "RISA"}
 	tr, err := s.AzureTrace(workload.Azure3000)
 	if err != nil {
@@ -183,7 +181,7 @@ func (a *UplinkSweep) Render() string {
 	var b strings.Builder
 	b.WriteString("Ablation: box-uplink provisioning sweep (Azure-3000, dropped VMs)\n")
 	b.WriteString("  uplinks/box ")
-	for _, u := range a.Uplinks {
+	for _, u := range sweepUplinks {
 		fmt.Fprintf(&b, "%8d", u)
 	}
 	b.WriteString("\n")
@@ -201,7 +199,7 @@ func (a *UplinkSweep) Render() string {
 // AlphaSweep varies the MRR cell-sharing constant α of Equation 1 and
 // reports the resulting peak optical power for RISA on Azure-3000.
 type AlphaSweep struct {
-	Alphas []float64
+	// PeakKW[i] is the peak power at sweepAlphas[i].
 	PeakKW []float64
 }
 
@@ -211,7 +209,7 @@ var sweepAlphas = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
 // RunAlphaSweep executes the sweep over sweepAlphas; one pooled job per α.
 func (s Setup) RunAlphaSweep() (*AlphaSweep, error) {
-	out := &AlphaSweep{Alphas: slices.Clone(sweepAlphas)}
+	out := &AlphaSweep{}
 	tr, err := s.AzureTrace(workload.Azure3000)
 	if err != nil {
 		return nil, err
@@ -235,7 +233,7 @@ func (s Setup) RunAlphaSweep() (*AlphaSweep, error) {
 // Render draws the sweep.
 func (a *AlphaSweep) Render() string {
 	var bars []metrics.Bar
-	for i, alpha := range a.Alphas {
+	for i, alpha := range sweepAlphas {
 		bars = append(bars, metrics.Bar{
 			Label: fmt.Sprintf("α=%.2f", alpha),
 			Value: a.PeakKW[i],

@@ -45,11 +45,9 @@ type Setup struct {
 // (see EXPERIMENTS.md for the calibration) — and the paper's optical
 // constants.
 func DefaultSetup() Setup {
-	n := network.DefaultConfig()
-	n.BoxUplinks = 16
 	return Setup{
 		Topology: topology.DefaultConfig(),
-		Network:  n,
+		Network:  network.DefaultConfig(),
 		Optics:   optics.DefaultConfig(),
 		Seed:     1,
 	}

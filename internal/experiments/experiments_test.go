@@ -357,9 +357,14 @@ func TestUplinkSweepShowsCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := len(sweep.Uplinks) - 1
-	if sweep.Uplinks[0] != 2 || sweep.Uplinks[last] != 16 {
-		t.Fatalf("sweep spans %v, want 2 to 16 uplinks", sweep.Uplinks)
+	last := len(sweepUplinks) - 1
+	if sweepUplinks[0] != 2 || sweepUplinks[last] != 16 {
+		t.Fatalf("sweep spans %v, want 2 to 16 uplinks", sweepUplinks)
+	}
+	for alg, d := range sweep.Dropped {
+		if len(d) != len(sweepUplinks) {
+			t.Fatalf("%s: %d drop counts for %d uplink counts", alg, len(d), len(sweepUplinks))
+		}
 	}
 	if sweep.Dropped["NULB"][0] <= sweep.Dropped["NULB"][last] {
 		t.Errorf("NULB should drop more with 2 uplinks: %v", sweep.Dropped["NULB"])
@@ -380,12 +385,12 @@ func TestAlphaSweepMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sweep.PeakKW) != len(sweep.Alphas) || sweep.Alphas[0] != 0.5 || sweep.Alphas[len(sweep.Alphas)-1] != 1.0 {
-		t.Fatalf("sweep over %v gave %d peaks, want α from 0.5 to 1.0", sweep.Alphas, len(sweep.PeakKW))
+	if len(sweep.PeakKW) != len(sweepAlphas) || sweepAlphas[0] != 0.5 || sweepAlphas[len(sweepAlphas)-1] != 1.0 {
+		t.Fatalf("sweep over %v gave %d peaks, want α from 0.5 to 1.0", sweepAlphas, len(sweep.PeakKW))
 	}
 	for i := 1; i < len(sweep.PeakKW); i++ {
 		if sweep.PeakKW[i-1] >= sweep.PeakKW[i] {
-			t.Errorf("power must grow with alpha: %v at %v", sweep.PeakKW, sweep.Alphas)
+			t.Errorf("power must grow with alpha: %v at %v", sweep.PeakKW, sweepAlphas)
 		}
 	}
 }
@@ -732,9 +737,9 @@ func TestSeedSweepAzureFollowsRacks(t *testing.T) {
 }
 
 func TestAlphaSweepRender(t *testing.T) {
-	a := &AlphaSweep{Alphas: []float64{0.5, 0.9}, PeakKW: []float64{2.5, 3.5}}
+	a := &AlphaSweep{PeakKW: []float64{2.5, 2.75, 3, 3.25, 3.5, 3.75}}
 	out := a.Render()
-	if !strings.Contains(out, "α=0.50") || !strings.Contains(out, "3.500 kW") {
+	if !strings.Contains(out, "α=0.50") || !strings.Contains(out, "α=1.00") || !strings.Contains(out, "3.500 kW") {
 		t.Errorf("render incomplete:\n%s", out)
 	}
 }

@@ -64,8 +64,7 @@ func (p *ScalePoint) PerVMDecision(alg string) time.Duration {
 
 // ScaleSweep is the full rack-count × algorithm grid.
 type ScaleSweep struct {
-	Points     []ScalePoint
-	VMsPerRack int
+	Points []ScalePoint
 }
 
 // scaleTrace generates the synthetic workload for one cluster size: VM
@@ -97,7 +96,7 @@ func (s Setup) scaleTrace(racks, vmsPerRack int) (*workload.Trace, error) {
 // metric is wall-clock decision time, and concurrent runs contending for
 // cores would inflate each other's measurement.
 func (s Setup) RunScale(rackCounts []int) (*ScaleSweep, error) {
-	sweep := &ScaleSweep{VMsPerRack: DefaultScaleVMsPerRack}
+	sweep := &ScaleSweep{}
 	var jobs []Job
 	for _, racks := range rackCounts {
 		setup := s
@@ -130,7 +129,7 @@ func (s Setup) RunScale(rackCounts []int) (*ScaleSweep, error) {
 func (sw *ScaleSweep) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scale sweep: schedulers vs cluster size (synthetic workload, %d VMs/rack)\n",
-		sw.VMsPerRack)
+		DefaultScaleVMsPerRack)
 	for _, p := range sw.Points {
 		fmt.Fprintf(&b, "racks=%d (%d VMs):\n", p.Racks, p.VMs)
 		fmt.Fprintf(&b, "  %-8s %10s %8s %12s %14s\n",

@@ -1,7 +1,7 @@
 // Package metrics provides the small statistical toolkit the simulator
-// and the experiment harness share: streaming summaries, time-weighted
-// averages, and an ASCII bar renderer used to print the paper's figures
-// in the terminal.
+// and the experiment harness share: streaming summaries, an integrator of
+// time-weighted averages and peaks, and an ASCII bar renderer used to
+// print the paper's figures in the terminal.
 package metrics
 
 import (
@@ -13,10 +13,9 @@ import (
 // Summary accumulates a stream of observations (Welford's algorithm) and
 // reports count, mean, min, max and standard deviation.
 type Summary struct {
-	n         int
-	mean, m2  float64
-	min, max  float64
-	populated bool
+	n        int
+	mean, m2 float64
+	min, max float64
 }
 
 // Observe adds one sample.
@@ -25,13 +24,12 @@ func (s *Summary) Observe(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-	if !s.populated || x < s.min {
+	if s.n == 1 || x < s.min {
 		s.min = x
 	}
-	if !s.populated || x > s.max {
+	if s.n == 1 || x > s.max {
 		s.max = x
 	}
-	s.populated = true
 }
 
 // Mean returns the sample mean (0 when empty).
@@ -51,47 +49,49 @@ func (s *Summary) StdDev() float64 {
 	return math.Sqrt(s.m2 / float64(s.n-1))
 }
 
-// TimeWeighted integrates a piecewise-constant signal over time and
-// reports its time average and peak. Call Set whenever the signal changes;
-// time must be non-decreasing.
-type TimeWeighted struct {
-	lastT    float64
-	value    float64
-	integral float64
-	peak     float64
-	started  bool
-	startT   float64
+// Integrator integrates piecewise-constant signals that all change at the
+// same instants — one clock, one dt per change — and reports each one's
+// time average and peak (from 0). Set takes every signal's value at each
+// change; time must not decrease. A Set at an unchanged instant adds no area.
+type Integrator struct {
+	started       bool
+	startT, lastT float64
+	sig           []signal
 }
 
-// Set records that the signal takes the given value from time t onward.
-func (w *TimeWeighted) Set(t, value float64) {
+type signal struct{ value, integral, peak float64 } // integral: area up to lastT
+
+// NewIntegrator returns an integrator over n signals.
+func NewIntegrator(n int) Integrator { return Integrator{sig: make([]signal, n)} }
+
+// Set records that signal i takes values[i] from time t onward.
+func (w *Integrator) Set(t float64, values []float64) {
 	if !w.started {
-		w.started = true
-		w.startT = t
-	} else {
-		if t < w.lastT {
-			panic(fmt.Sprintf("metrics: time went backwards: %g < %g", t, w.lastT))
-		}
-		w.integral += w.value * (t - w.lastT)
+		w.started, w.startT, w.lastT = true, t, t
+	} else if t < w.lastT {
+		panic(fmt.Sprintf("metrics: time went backwards: %g < %g", t, w.lastT))
 	}
+	dt := t - w.lastT
 	w.lastT = t
-	w.value = value
-	if value > w.peak {
-		w.peak = value
+	for i := range w.sig {
+		s, v := &w.sig[i], values[i]
+		s.integral, s.value = s.integral+s.value*dt, v
+		if v > s.peak {
+			s.peak = v
+		}
 	}
 }
 
-// Average returns the time average of the signal up to time end.
-func (w *TimeWeighted) Average(end float64) float64 {
+// Average returns the time average of signal i up to time end.
+func (w *Integrator) Average(i int, end float64) float64 {
 	if !w.started || end <= w.startT {
 		return 0
 	}
-	integral := w.integral + w.value*(end-w.lastT)
-	return integral / (end - w.startT)
+	return (w.sig[i].integral + w.sig[i].value*(end-w.lastT)) / (end - w.startT)
 }
 
-// Peak returns the largest value the signal took.
-func (w *TimeWeighted) Peak() float64 { return w.peak }
+// Peak returns the largest value signal i took.
+func (w *Integrator) Peak(i int) float64 { return w.sig[i].peak }
 
 // Bar is one labeled value of a chart.
 type Bar struct {

@@ -26,8 +26,9 @@ func ExampleFabric_Reserve() {
 		panic(err)
 	}
 	fmt.Println("inter-rack:", fl.InterRack())
-	fmt.Println("link hops:", fl.LinkTraversals())
-	fmt.Println("switches:", fl.BoxSwitchCrossings(), fl.RackSwitchCrossings(), fl.InterRackSwitchCrossings())
+	c := fl.Class()
+	fmt.Println("link hops:", c.LinkTraversals())
+	fmt.Println("switches:", c.BoxSwitchCrossings(), c.RackSwitchCrossings(), c.InterRackSwitchCrossings())
 	fab.Unreserve(&fl)
 	// Output:
 	// inter-rack: true

@@ -406,49 +406,53 @@ func (fl *Flow) InterPod() bool { return fl.interPod }
 // into the flow, valid until it is released).
 func (fl *Flow) Links() []*Link { return fl.links[:fl.n] }
 
+// Class is a flow's span, which fixes its hop and switch counts: inside
+// one rack, between racks (of one pod on the three-tier fabric), or
+// between pods. The power model keeps its per-flow constants per class.
+type Class uint8
+
+// The flow classes, narrowest first.
+const (
+	IntraRack Class = iota
+	InterRack
+	InterPod
+	// NumClasses is the number of flow classes.
+	NumClasses = 3
+)
+
+// Class returns the flow's span. A flow between pods is between racks
+// too; the fabric builds no other shape.
+func (fl *Flow) Class() Class {
+	switch {
+	case fl.interPod:
+		return InterPod
+	case fl.interRack:
+		return InterRack
+	default:
+		return IntraRack
+	}
+}
+
 // LinkTraversals returns the number of optical link hops including the
 // two dedicated brick links: 4 intra-rack, 6 inter-rack, 8 inter-pod
 // (three-tier). Each traversal is one transceiver pair in the power
 // model.
-func (fl *Flow) LinkTraversals() int {
-	switch {
-	case fl.interPod:
-		return 8
-	case fl.interRack:
-		return 6
-	default:
-		return 4
-	}
-}
+func (c Class) LinkTraversals() int { return [NumClasses]int{4, 6, 8}[c] }
 
-// BoxSwitchCrossings returns how many box switches the flow traverses.
-func (fl *Flow) BoxSwitchCrossings() int { return 2 }
+// BoxSwitchCrossings returns how many box switches a flow traverses.
+func (c Class) BoxSwitchCrossings() int { return 2 }
 
-// RackSwitchCrossings returns how many intra-rack switches the flow
+// RackSwitchCrossings returns how many intra-rack switches a flow
 // traverses.
-func (fl *Flow) RackSwitchCrossings() int {
-	if fl.interRack {
-		return 2
-	}
-	return 1
-}
+func (c Class) RackSwitchCrossings() int { return [NumClasses]int{1, 2, 2}[c] }
 
-// InterRackSwitchCrossings returns how many top-tier switches the flow
+// InterRackSwitchCrossings returns how many top-tier switches a flow
 // traverses: on the two-tier fabric, 1 for inter-rack flows (the
 // inter-rack switch); on the three-tier fabric, 1 for intra-pod
 // inter-rack flows (the pod switch) and 3 for inter-pod flows (two pod
 // switches plus the core). The power model treats all of them as the
 // large 512-port class.
-func (fl *Flow) InterRackSwitchCrossings() int {
-	switch {
-	case fl.interPod:
-		return 3
-	case fl.interRack:
-		return 1
-	default:
-		return 0
-	}
-}
+func (c Class) InterRackSwitchCrossings() int { return [NumClasses]int{0, 1, 3}[c] }
 
 // Reserve reserves bw between the source and destination boxes into the
 // caller-owned fl, choosing one uplink per hop under the given policy. On

@@ -105,10 +105,14 @@ func TestIntraRackFlow(t *testing.T) {
 	if got := len(fl.Links()); got != 2 {
 		t.Errorf("intra flow reserves %d shared links, want 2", got)
 	}
-	if fl.LinkTraversals() != 4 {
-		t.Errorf("intra hops = %d, want 4", fl.LinkTraversals())
+	c := fl.Class()
+	if c != IntraRack {
+		t.Errorf("class = %d, want IntraRack", c)
 	}
-	if fl.BoxSwitchCrossings() != 2 || fl.RackSwitchCrossings() != 1 || fl.InterRackSwitchCrossings() != 0 {
+	if c.LinkTraversals() != 4 {
+		t.Errorf("intra hops = %d, want 4", c.LinkTraversals())
+	}
+	if c.BoxSwitchCrossings() != 2 || c.RackSwitchCrossings() != 1 || c.InterRackSwitchCrossings() != 0 {
 		t.Error("intra switch crossings wrong")
 	}
 	if f.InterRackFree() != f.InterRackCapacity() {
@@ -140,10 +144,14 @@ func TestInterRackFlow(t *testing.T) {
 	if got := len(fl.Links()); got != 4 {
 		t.Errorf("inter flow reserves %d shared links, want 4", got)
 	}
-	if fl.LinkTraversals() != 6 {
-		t.Errorf("inter hops = %d, want 6", fl.LinkTraversals())
+	c := fl.Class()
+	if c != InterRack {
+		t.Errorf("class = %d, want InterRack", c)
 	}
-	if fl.BoxSwitchCrossings() != 2 || fl.RackSwitchCrossings() != 2 || fl.InterRackSwitchCrossings() != 1 {
+	if c.LinkTraversals() != 6 {
+		t.Errorf("inter hops = %d, want 6", c.LinkTraversals())
+	}
+	if c.BoxSwitchCrossings() != 2 || c.RackSwitchCrossings() != 2 || c.InterRackSwitchCrossings() != 1 {
 		t.Error("inter switch crossings wrong")
 	}
 	if got := f.InterRackCapacity() - f.InterRackFree(); got != 30 {

@@ -136,7 +136,8 @@ func TestReserveSentinelErrors(t *testing.T) {
 
 // TestReplayRefusals: the replay primitive refuses a recorded path it
 // cannot hold — more links than any path the fabric builds (what a damaged
-// snapshot decodes to), a failed link, a link without the bandwidth — and
+// snapshot decodes to), a shape it never builds (between pods but inside
+// one rack), a failed link, a link without the bandwidth — and
 // in every case reserves nothing and leaves the flow empty, even after
 // taking earlier links of the path.
 func TestReplayRefusals(t *testing.T) {
@@ -156,9 +157,9 @@ func TestReplayRefusals(t *testing.T) {
 	}
 	intra, inter := f.IntraRackFree(), f.InterRackFree()
 	var replayed Flow
-	refused := func(name string, bw units.Bandwidth, refs []LinkRef) {
+	refused := func(name string, bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) {
 		t.Helper()
-		if err := f.Replay(&replayed, bw, refs, true, false); err == nil {
+		if err := f.Replay(&replayed, bw, refs, interRack, interPod); err == nil {
 			t.Errorf("%s: replayed without error", name)
 		}
 		if replayed != (Flow{}) {
@@ -172,15 +173,16 @@ func TestReplayRefusals(t *testing.T) {
 		}
 	}
 	// Seven healthy, roomy links: only the length is wrong.
-	refused("overlong", 1, append(append([]LinkRef(nil), path...), path[:3]...))
-	refused("too-wide", units.LinkCapacity+1, path)
+	refused("overlong", 1, append(append([]LinkRef(nil), path...), path[:3]...), true, false)
+	refused("pods-not-racks", 20, path, false, true)
+	refused("too-wide", units.LinkCapacity+1, path, true, false)
 	last, err := f.LinkByRef(path[3])
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.SetLinkFailed(last, true)
 	intra, inter = f.IntraRackFree(), f.InterRackFree()
-	refused("failed-link", 20, path) // three links taken before the refusal
+	refused("failed-link", 20, path, true, false) // three links taken before the refusal
 	f.SetLinkFailed(last, false)
 	if err := f.Replay(&replayed, 20, path, true, false); err != nil {
 		t.Fatalf("a valid six-or-fewer link path was refused: %v", err)

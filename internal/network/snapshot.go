@@ -58,7 +58,8 @@ func (f *Fabric) LinkByRef(ref LinkRef) (*Link, error) {
 // reproduces the reservation link for link. All named links must be
 // healthy with enough free bandwidth — restore replays flows onto a
 // pristine fabric first and applies link failures afterwards — and a path
-// longer than any the fabric builds (a damaged snapshot) is refused. On
+// longer than any the fabric builds, or a shape it never builds (between
+// pods but inside one rack), is a damaged snapshot and refused. On
 // error nothing is reserved and fl is left empty, as it must be on entry
 // (see Reserve).
 func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) error {
@@ -67,6 +68,9 @@ func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack,
 	}
 	if len(refs) > maxFlowLinks {
 		return fmt.Errorf("network: restored flow names %d links, a path has at most %d", len(refs), maxFlowLinks)
+	}
+	if interPod && !interRack {
+		return fmt.Errorf("network: restored flow crosses pods without leaving its rack")
 	}
 	fl.mustBeEmpty()
 	*fl = Flow{bw: bw, interRack: interRack, interPod: interPod}

@@ -65,11 +65,15 @@ func TestIntraPodInterRackFlow(t *testing.T) {
 	if !fl.InterRack() || fl.InterPod() {
 		t.Error("flow should be inter-rack but intra-pod")
 	}
-	if fl.LinkTraversals() != 6 {
-		t.Errorf("hops = %d, want 6", fl.LinkTraversals())
+	c := fl.Class()
+	if c != InterRack {
+		t.Errorf("class = %d, want InterRack", c)
 	}
-	if fl.InterRackSwitchCrossings() != 1 {
-		t.Errorf("top-tier crossings = %d, want 1 (the pod switch)", fl.InterRackSwitchCrossings())
+	if c.LinkTraversals() != 6 {
+		t.Errorf("hops = %d, want 6", c.LinkTraversals())
+	}
+	if c.InterRackSwitchCrossings() != 1 {
+		t.Errorf("top-tier crossings = %d, want 1 (the pod switch)", c.InterRackSwitchCrossings())
 	}
 	if f.InterPodFree() != f.InterPodCapacity() {
 		t.Error("intra-pod flow must not use pod uplinks")
@@ -92,11 +96,15 @@ func TestInterPodFlow(t *testing.T) {
 	if !fl.InterRack() || !fl.InterPod() {
 		t.Error("flow should be inter-pod")
 	}
-	if fl.LinkTraversals() != 8 {
-		t.Errorf("hops = %d, want 8", fl.LinkTraversals())
+	c := fl.Class()
+	if c != InterPod {
+		t.Errorf("class = %d, want InterPod", c)
 	}
-	if fl.InterRackSwitchCrossings() != 3 {
-		t.Errorf("top-tier crossings = %d, want 3 (2 pod + core)", fl.InterRackSwitchCrossings())
+	if c.LinkTraversals() != 8 {
+		t.Errorf("hops = %d, want 8", c.LinkTraversals())
+	}
+	if c.RackSwitchCrossings() != 2 || c.InterRackSwitchCrossings() != 3 {
+		t.Errorf("rack/top-tier crossings = %d/%d, want 2/3 (2 pod + core)", c.RackSwitchCrossings(), c.InterRackSwitchCrossings())
 	}
 	if got := len(fl.Links()); got != 6 {
 		t.Errorf("shared links = %d, want 6", got)

@@ -9,11 +9,7 @@ import (
 
 func ExampleStages() {
 	for _, ports := range []int{64, 256, 512} {
-		s, err := optics.Stages(ports)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%d-port Beneš: %d stages\n", ports, s)
+		fmt.Printf("%d-port Beneš: %d stages\n", ports, optics.Stages(ports))
 	}
 	// Output:
 	// 64-port Beneš: 11 stages
@@ -24,14 +20,8 @@ func ExampleStages() {
 func ExamplePathSwitchingEnergy() {
 	// Equation 1 for a path through the rack switch held for one hour: the
 	// one-shot setup term plus the trimming power over the lifetime.
-	setup, err := optics.PathSwitchingEnergy(256)
-	if err != nil {
-		panic(err)
-	}
-	trim, err := optics.DefaultConfig().PathTrimmingPower(256)
-	if err != nil {
-		panic(err)
-	}
+	setup := optics.PathSwitchingEnergy(256)
+	trim := optics.DefaultConfig().PathTrimmingPower(256)
 	fmt.Printf("%.1f J\n", setup+trim*time.Hour.Seconds())
 	// Output:
 	// 1101.8 J

@@ -48,12 +48,14 @@ const (
 
 // Stages returns the number of 2x2-cell stages in an N-port Beneš network:
 // 2·log2(N) − 1. A path crosses one cell per stage, so this is also
-// Equation 1's n. N must be a power of two and ≥ 2.
-func Stages(ports int) (int, error) {
+// Equation 1's n. N must be a power of two ≥ 2; every caller passes one
+// of the port constants above, so any other count is a programming error
+// and panics.
+func Stages(ports int) int {
 	if ports < 2 || bits.OnesCount(uint(ports)) != 1 {
-		return 0, fmt.Errorf("optics: Beneš port count must be a power of two ≥ 2, got %d", ports)
+		panic(fmt.Sprintf("optics: Beneš port count must be a power of two ≥ 2, got %d", ports))
 	}
-	return 2*bits.Len(uint(ports-1)) - 1, nil
+	return 2*bits.Len(uint(ports-1)) - 1
 }
 
 // Config holds the one device parameter an experiment varies: the
@@ -77,39 +79,23 @@ func (c Config) Validate() error {
 }
 
 // SwitchLatency returns lat_sw for an N-port switch: stages × CellLatency.
-func SwitchLatency(ports int) (time.Duration, error) {
-	s, err := Stages(ports)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(s) * CellLatency, nil
+func SwitchLatency(ports int) time.Duration {
+	return time.Duration(Stages(ports)) * CellLatency
 }
 
 // PathTrimmingPower returns the steady-state trimming power attributed to
 // one path through an N-port switch: α · n · P_trimcell (the second term of
 // Equation 1 divided by T).
-func (c Config) PathTrimmingPower(ports int) (float64, error) {
-	n, err := Stages(ports)
-	if err != nil {
-		return 0, err
-	}
-	return c.Alpha * float64(n) * PTrimCellWatts, nil
+func (c Config) PathTrimmingPower(ports int) float64 {
+	return c.Alpha * float64(Stages(ports)) * PTrimCellWatts
 }
 
 // PathSwitchingEnergy returns the one-shot reconfiguration energy of
 // setting up one path through an N-port switch: (n/2) · P_swcell · lat_sw
 // (the first term of Equation 1). The paper assumes half the cells along a
 // path change state.
-func PathSwitchingEnergy(ports int) (float64, error) {
-	n, err := Stages(ports)
-	if err != nil {
-		return 0, err
-	}
-	lat, err := SwitchLatency(ports)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) / 2 * PSwCellWatts * lat.Seconds(), nil
+func PathSwitchingEnergy(ports int) float64 {
+	return float64(Stages(ports)) / 2 * PSwCellWatts * SwitchLatency(ports).Seconds()
 }
 
 // TransceiverPower returns the steady-state power of carrying bw through

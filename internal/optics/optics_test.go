@@ -25,17 +25,23 @@ func TestStages(t *testing.T) {
 		{512, 17},
 	}
 	for _, c := range cases {
-		got, err := Stages(c.ports)
-		if err != nil || got != c.want {
-			t.Errorf("Stages(%d) = %d, %v; want %d", c.ports, got, err, c.want)
+		if got := Stages(c.ports); got != c.want {
+			t.Errorf("Stages(%d) = %d; want %d", c.ports, got, c.want)
 		}
 	}
 }
 
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 func TestStagesRejectsBadPorts(t *testing.T) {
 	for _, p := range []int{0, 1, 3, 6, 100, -8} {
-		if _, err := Stages(p); err == nil {
-			t.Errorf("Stages(%d) should fail", p)
+		if !panics(func() { Stages(p) }) {
+			t.Errorf("Stages(%d) should panic", p)
 		}
 	}
 }
@@ -60,8 +66,8 @@ func TestDefaultConfigConstants(t *testing.T) {
 		t.Error("switch port counts should match §5.2")
 	}
 	for _, p := range []int{BoxSwitchPorts, RackSwitchPorts, InterRackSwitchPorts} {
-		if _, err := Stages(p); err != nil {
-			t.Error(err)
+		if panics(func() { Stages(p) }) {
+			t.Errorf("Stages(%d) panics on a port constant", p)
 		}
 	}
 	if err := DefaultConfig().Validate(); err != nil {
@@ -83,14 +89,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSwitchLatencyScalesWithSize(t *testing.T) {
-	lat64, err := SwitchLatency(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat512, err := SwitchLatency(512)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lat64, lat512 := SwitchLatency(64), SwitchLatency(512)
 	if lat64 != 1100*time.Nanosecond {
 		t.Errorf("lat_sw(64) = %v, want 1.1µs", lat64)
 	}
@@ -100,39 +99,33 @@ func TestSwitchLatencyScalesWithSize(t *testing.T) {
 	if lat512 <= lat64 {
 		t.Error("latency must grow with switch size")
 	}
-	if _, err := SwitchLatency(9); err == nil {
-		t.Error("bad port count should fail")
+	if !panics(func() { SwitchLatency(9) }) {
+		t.Error("bad port count should panic")
 	}
 }
 
 func TestPathTrimmingPower(t *testing.T) {
 	c := DefaultConfig()
 	// 64-port: 0.9 x 11 x 22.67 mW = 224.43 mW.
-	got, err := c.PathTrimmingPower(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := c.PathTrimmingPower(64)
 	want := 0.9 * 11 * 22.67e-3
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("PathTrimmingPower(64) = %g, want %g", got, want)
 	}
-	if _, err := c.PathTrimmingPower(10); err == nil {
-		t.Error("bad port count should fail")
+	if !panics(func() { c.PathTrimmingPower(10) }) {
+		t.Error("bad port count should panic")
 	}
 }
 
 func TestPathSwitchingEnergy(t *testing.T) {
 	// 64-port: (11/2) x 13.75 mW x 1.1 µs.
-	got, err := PathSwitchingEnergy(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := PathSwitchingEnergy(64)
 	want := 11.0 / 2 * 13.75e-3 * 1.1e-6
 	if math.Abs(got-want) > 1e-15 {
 		t.Errorf("PathSwitchingEnergy(64) = %g, want %g", got, want)
 	}
-	if _, err := PathSwitchingEnergy(10); err == nil {
-		t.Error("bad port count should fail")
+	if !panics(func() { PathSwitchingEnergy(10) }) {
+		t.Error("bad port count should panic")
 	}
 }
 
@@ -140,14 +133,7 @@ func TestPathSwitchingEnergy(t *testing.T) {
 // them: n = 15 cells, lat_sw = 1.5 µs.
 func TestSwitchEnergyEquation1(t *testing.T) {
 	c := DefaultConfig()
-	setup, err := PathSwitchingEnergy(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trim, err := c.PathTrimmingPower(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	setup, trim := PathSwitchingEnergy(256), c.PathTrimmingPower(256)
 	if want := 15.0 / 2 * 13.75e-3 * 1.5e-6; math.Abs(setup-want) > 1e-15 {
 		t.Errorf("PathSwitchingEnergy(256) = %g, want %g", setup, want)
 	}
@@ -176,9 +162,7 @@ func TestTransceiverPower(t *testing.T) {
 func TestSwitchEnergyMonotoneProperty(t *testing.T) {
 	c := DefaultConfig()
 	energy := func(ports int, secs float64) float64 {
-		setup, _ := PathSwitchingEnergy(ports)
-		trim, _ := c.PathTrimmingPower(ports)
-		return setup + trim*secs
+		return PathSwitchingEnergy(ports) + c.PathTrimmingPower(ports)*secs
 	}
 	f := func(secs1, secs2 uint16) bool {
 		t1 := float64(secs1)
@@ -195,10 +179,7 @@ func TestSwitchEnergyMonotoneProperty(t *testing.T) {
 func TestStagesGrowthProperty(t *testing.T) {
 	prev := 0
 	for ports := 2; ports <= 4096; ports *= 2 {
-		s, err := Stages(ports)
-		if err != nil {
-			t.Fatalf("Stages(%d): %v", ports, err)
-		}
+		s := Stages(ports)
 		if s%2 != 1 {
 			t.Errorf("Stages(%d) = %d, want odd", ports, s)
 		}

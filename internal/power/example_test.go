@@ -39,12 +39,18 @@ func ExampleModel() {
 		name string
 		fl   *network.Flow
 	}{{"intra-rack", &intra}, {"inter-rack", &inter}} {
-		fmt.Printf("%s %v: %.2f W = %.2f W transceivers + %.2f W trimming\n", c.name, c.fl.BW(),
-			model.FlowPower(c.fl), model.TransceiverPower(c.fl), model.TrimmingPower(c.fl))
+		// One transceiver pair per link traversal; the rest is trimming.
+		trans := float64(c.fl.Class().LinkTraversals()) * optics.TransceiverPower(c.fl.BW())
+		p := model.FlowPower(c.fl)
+		fmt.Printf("%s %v: %.2f W = %.2f W transceivers + %.2f W trimming\n", c.name, c.fl.BW(), p, trans, p-trans)
+	}
+	// Equation 1: the one-shot switch setup plus the steady power over the
+	// lifetime.
+	energy := func(fl *network.Flow, life time.Duration) float64 {
+		return model.SetupEnergy(fl) + model.FlowPower(fl)*life.Seconds()
 	}
 	for _, life := range []time.Duration{time.Minute, time.Hour, 24 * time.Hour} {
-		fmt.Printf("held %v: intra %.1f J, inter %.1f J\n",
-			life, model.FlowEnergy(&intra, life), model.FlowEnergy(&inter, life))
+		fmt.Printf("held %v: intra %.1f J, inter %.1f J\n", life, energy(&intra, life), energy(&inter, life))
 	}
 	fab.Unreserve(&intra)
 	fab.Unreserve(&inter)

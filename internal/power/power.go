@@ -4,9 +4,10 @@
 //
 // Two views are exposed:
 //
-//   - Model: stateless per-flow arithmetic — steady-state power of a flow
-//     (transceivers + MRR cell trimming along every crossed switch) and the
-//     per-VM setup/lifetime energy of the paper's Equation 1.
+//   - Model: stateless per-flow arithmetic, from constants kept per flow
+//     class — steady-state power of a flow (transceivers + MRR cell
+//     trimming along every crossed switch) and the one-shot setup energy
+//     that, with the power over a lifetime, is the paper's Equation 1.
 //   - Accountant: an integrator that tracks the cluster's aggregate optical
 //     power as flows come and go, its peak, and the time-integrated energy.
 //
@@ -16,17 +17,23 @@ package power
 
 import (
 	"fmt"
-	"time"
 
 	"risa/internal/network"
 	"risa/internal/optics"
 )
 
-// Model precomputes the per-switch-class path constants so per-flow power
-// is a handful of multiplications.
+// Model holds, per flow class, the constants of a flow's power: a flow
+// of one class crosses the same switches and links as every other, so
+// per-flow power is one multiplication and one addition.
 type Model struct {
-	trimBox, trimRack, trimInter    float64 // W per path crossing
-	setupBox, setupRack, setupInter float64 // J per path setup
+	cls [network.NumClasses]classPower
+}
+
+// classPower is one flow class's share of the physics.
+type classPower struct {
+	hops  float64 // link traversals: one transceiver pair each
+	trimW float64 // MRR trimming along every crossed switch, W
+	setup float64 // one-shot switch reconfiguration, J (Equation 1's first term)
 }
 
 // NewModel builds a Model from an optics configuration.
@@ -34,66 +41,40 @@ func NewModel(cfg optics.Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	trimBox := cfg.PathTrimmingPower(optics.BoxSwitchPorts)
+	trimRack := cfg.PathTrimmingPower(optics.RackSwitchPorts)
+	trimInter := cfg.PathTrimmingPower(optics.InterRackSwitchPorts)
+	setupBox := optics.PathSwitchingEnergy(optics.BoxSwitchPorts)
+	setupRack := optics.PathSwitchingEnergy(optics.RackSwitchPorts)
+	setupInter := optics.PathSwitchingEnergy(optics.InterRackSwitchPorts)
 	m := &Model{}
-	var err error
-	if m.trimBox, err = cfg.PathTrimmingPower(optics.BoxSwitchPorts); err != nil {
-		return nil, err
-	}
-	if m.trimRack, err = cfg.PathTrimmingPower(optics.RackSwitchPorts); err != nil {
-		return nil, err
-	}
-	if m.trimInter, err = cfg.PathTrimmingPower(optics.InterRackSwitchPorts); err != nil {
-		return nil, err
-	}
-	if m.setupBox, err = optics.PathSwitchingEnergy(optics.BoxSwitchPorts); err != nil {
-		return nil, err
-	}
-	if m.setupRack, err = optics.PathSwitchingEnergy(optics.RackSwitchPorts); err != nil {
-		return nil, err
-	}
-	if m.setupInter, err = optics.PathSwitchingEnergy(optics.InterRackSwitchPorts); err != nil {
-		return nil, err
+	for c := range m.cls {
+		c := network.Class(c)
+		box, rack, inter := float64(c.BoxSwitchCrossings()), float64(c.RackSwitchCrossings()), float64(c.InterRackSwitchCrossings())
+		m.cls[c] = classPower{
+			hops:  float64(c.LinkTraversals()),
+			trimW: box*trimBox + rack*trimRack + inter*trimInter,
+			setup: box*setupBox + rack*setupRack + inter*setupInter,
+		}
 	}
 	return m, nil
 }
 
-// TransceiverPower returns the steady-state transceiver power of a flow:
-// one transceiver pair per link traversal (4 intra-rack, 6 inter-rack),
-// each at 22.5 pJ/bit × the flow's bandwidth.
-func (m *Model) TransceiverPower(fl *network.Flow) float64 {
-	return float64(fl.LinkTraversals()) * optics.TransceiverPower(fl.BW())
-}
-
-// TrimmingPower returns the steady-state MRR trimming power of the
-// switches a flow crosses: α·n·P_trim per switch, n depending on the
-// switch class.
-func (m *Model) TrimmingPower(fl *network.Flow) float64 {
-	return float64(fl.BoxSwitchCrossings())*m.trimBox +
-		float64(fl.RackSwitchCrossings())*m.trimRack +
-		float64(fl.InterRackSwitchCrossings())*m.trimInter
-}
-
 // FlowPower returns the total steady-state optical power of one active
-// flow in watts.
+// flow in watts: one transceiver pair per link traversal (4 intra-rack,
+// 6 inter-rack, 8 inter-pod), each at 22.5 pJ/bit × the flow's
+// bandwidth, plus the MRR trimming power α·n·P_trim of every switch the
+// flow crosses, n depending on the switch class.
 func (m *Model) FlowPower(fl *network.Flow) float64 {
-	return m.TransceiverPower(fl) + m.TrimmingPower(fl)
+	c := &m.cls[fl.Class()]
+	return c.hops*optics.TransceiverPower(fl.BW()) + c.trimW
 }
 
 // SetupEnergy returns the one-shot switch reconfiguration energy of
 // establishing a flow: (n/2)·P_sw·lat_sw summed over crossed switches
-// (first term of Equation 1).
-func (m *Model) SetupEnergy(fl *network.Flow) float64 {
-	return float64(fl.BoxSwitchCrossings())*m.setupBox +
-		float64(fl.RackSwitchCrossings())*m.setupRack +
-		float64(fl.InterRackSwitchCrossings())*m.setupInter
-}
-
-// FlowEnergy evaluates the full Equation 1 for a flow held for the given
-// lifetime, plus the transceiver energy over that lifetime, in joules.
-func (m *Model) FlowEnergy(fl *network.Flow, lifetime time.Duration) float64 {
-	return m.SetupEnergy(fl) +
-		(m.TrimmingPower(fl)+m.TransceiverPower(fl))*lifetime.Seconds()
-}
+// (first term of Equation 1). A flow's Equation 1 energy over a lifetime
+// T is SetupEnergy + FlowPower·T.
+func (m *Model) SetupEnergy(fl *network.Flow) float64 { return m.cls[fl.Class()].setup }
 
 // Accountant integrates cluster-wide optical power over (simulated) time.
 // It is not safe for concurrent use; the simulator drives it from one
@@ -121,12 +102,14 @@ func (a *Accountant) Add(fl *network.Flow) {
 	}
 }
 
-// Remove unregisters a flow that is being torn down.
-func (a *Accountant) Remove(fl *network.Flow) {
+// Remove unregisters a flow that is being torn down and returns the
+// steady-state power it drew, its FlowPower.
+func (a *Accountant) Remove(fl *network.Flow) float64 {
 	if a.flows == 0 {
 		panic("power: Remove with no active flows")
 	}
-	a.power -= a.model.FlowPower(fl)
+	p := a.model.FlowPower(fl)
+	a.power -= p
 	a.flows--
 	// Drift guard: with every flow gone the aggregate must be zero up to
 	// float64 accumulation error. The tolerance scales with the peak
@@ -140,6 +123,7 @@ func (a *Accountant) Remove(fl *network.Flow) {
 	if a.power < 0 {
 		a.power = 0 // guard against float drift
 	}
+	return p
 }
 
 // AdvanceSeconds integrates the current power over dt simulated seconds.

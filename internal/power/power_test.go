@@ -55,37 +55,40 @@ func TestNewModelRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// Transceiver power is what a flow's bandwidth adds: one transceiver
+// pair per link traversal.
 func TestTransceiverPowerByShape(t *testing.T) {
 	cl, fab, m := testSetup(t)
-	intra := intraFlow(t, cl, fab, 100)
-	inter := interFlow(t, cl, fab, 100)
+	transceivers := func(at func(testing.TB, *topology.Cluster, *network.Fabric, units.Bandwidth) *network.Flow) float64 {
+		return m.FlowPower(at(t, cl, fab, 100)) - m.FlowPower(at(t, cl, fab, 0))
+	}
 	// 100 Gb/s x 22.5 pJ/bit = 2.25 W per traversal.
-	if got := m.TransceiverPower(intra); math.Abs(got-4*2.25) > 1e-9 {
+	if got := transceivers(intraFlow); math.Abs(got-4*2.25) > 1e-9 {
 		t.Errorf("intra transceiver power = %g, want 9", got)
 	}
-	if got := m.TransceiverPower(inter); math.Abs(got-6*2.25) > 1e-9 {
+	if got := transceivers(interFlow); math.Abs(got-6*2.25) > 1e-9 {
 		t.Errorf("inter transceiver power = %g, want 13.5", got)
 	}
 }
 
+// Trimming power is what a flow draws at zero bandwidth: α·n·P_trim per
+// crossed switch.
 func TestTrimmingPowerByShape(t *testing.T) {
 	cl, fab, m := testSetup(t)
-	intra := intraFlow(t, cl, fab, 10)
-	inter := interFlow(t, cl, fab, 10)
+	intra := intraFlow(t, cl, fab, 0)
+	inter := interFlow(t, cl, fab, 0)
 	cfg := optics.DefaultConfig()
-	trimBox, _ := cfg.PathTrimmingPower(64)
-	trimRack, _ := cfg.PathTrimmingPower(256)
-	trimInter, _ := cfg.PathTrimmingPower(512)
+	trimBox, trimRack, trimInter := cfg.PathTrimmingPower(64), cfg.PathTrimmingPower(256), cfg.PathTrimmingPower(512)
 	wantIntra := 2*trimBox + trimRack
 	wantInter := 2*trimBox + 2*trimRack + trimInter
-	if got := m.TrimmingPower(intra); math.Abs(got-wantIntra) > 1e-12 {
+	if got := m.FlowPower(intra); math.Abs(got-wantIntra) > 1e-12 {
 		t.Errorf("intra trimming = %g, want %g", got, wantIntra)
 	}
-	if got := m.TrimmingPower(inter); math.Abs(got-wantInter) > 1e-12 {
+	if got := m.FlowPower(inter); math.Abs(got-wantInter) > 1e-12 {
 		t.Errorf("inter trimming = %g, want %g", got, wantInter)
 	}
 	// An inter-rack flow always costs more than intra at equal bandwidth.
-	if m.FlowPower(inter) <= m.FlowPower(intra) {
+	if m.FlowPower(interFlow(t, cl, fab, 10)) <= m.FlowPower(intraFlow(t, cl, fab, 10)) {
 		t.Error("inter-rack flow should cost more power")
 	}
 }
@@ -93,26 +96,109 @@ func TestTrimmingPowerByShape(t *testing.T) {
 func TestSetupEnergy(t *testing.T) {
 	cl, fab, m := testSetup(t)
 	intra := intraFlow(t, cl, fab, 10)
-	sBox, _ := optics.PathSwitchingEnergy(64)
-	sRack, _ := optics.PathSwitchingEnergy(256)
-	want := 2*sBox + sRack
+	want := 2*optics.PathSwitchingEnergy(64) + optics.PathSwitchingEnergy(256)
 	if got := m.SetupEnergy(intra); math.Abs(got-want) > 1e-15 {
 		t.Errorf("setup energy = %g, want %g", got, want)
 	}
 }
 
+// Equation 1 as the simulator evaluates it — SetupEnergy + FlowPower × T
+// — against its two terms built from the device model, plus the
+// transceivers over T.
 func TestFlowEnergyEquation1(t *testing.T) {
 	cl, fab, m := testSetup(t)
 	fl := intraFlow(t, cl, fab, 20)
-	lifetime := 100 * time.Second
-	got := m.FlowEnergy(fl, lifetime)
-	want := m.SetupEnergy(fl) + (m.TrimmingPower(fl)+m.TransceiverPower(fl))*100
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("FlowEnergy = %g, want %g", got, want)
+	cfg := optics.DefaultConfig()
+	energy := func(secs float64) float64 { return m.SetupEnergy(fl) + m.FlowPower(fl)*secs }
+	setup := 2*optics.PathSwitchingEnergy(64) + optics.PathSwitchingEnergy(256)
+	trim := 2*cfg.PathTrimmingPower(64) + cfg.PathTrimmingPower(256)
+	want := setup + (trim+4*optics.TransceiverPower(20))*100
+	if got := energy(100); math.Abs(got-want) > 1e-9 {
+		t.Errorf("Equation 1 over 100 s = %g, want %g", got, want)
 	}
 	// Energy grows with lifetime.
-	if m.FlowEnergy(fl, 2*lifetime) <= got {
+	if energy(200) <= energy(100) {
 		t.Error("energy must grow with lifetime")
+	}
+}
+
+// perCrossing is the power model evaluated switch by switch for one flow,
+// the way it was before the per-class constants: the oracle the class
+// table must reproduce bit for bit.
+type perCrossing struct{ power, setup, trim, trans float64 }
+
+func perCrossingOf(cfg optics.Config, fl *network.Flow) perCrossing {
+	c := fl.Class()
+	box, rack, inter := float64(c.BoxSwitchCrossings()), float64(c.RackSwitchCrossings()), float64(c.InterRackSwitchCrossings())
+	trans := float64(c.LinkTraversals()) * optics.TransceiverPower(fl.BW())
+	trim := box*cfg.PathTrimmingPower(optics.BoxSwitchPorts) +
+		rack*cfg.PathTrimmingPower(optics.RackSwitchPorts) +
+		inter*cfg.PathTrimmingPower(optics.InterRackSwitchPorts)
+	setup := box*optics.PathSwitchingEnergy(optics.BoxSwitchPorts) +
+		rack*optics.PathSwitchingEnergy(optics.RackSwitchPorts) +
+		inter*optics.PathSwitchingEnergy(optics.InterRackSwitchPorts)
+	return perCrossing{power: trans + trim, setup: setup, trim: trim, trans: trans}
+}
+
+// TestClassConstantsMatchPerCrossing holds FlowPower, SetupEnergy, the
+// power Accountant.Remove returns and Equation 1's energy to the
+// per-crossing oracle, bit for bit, for all three flow classes of a
+// three-tier fabric, every α of the sweep and bandwidths from 0 to a
+// full link.
+func TestClassConstantsMatchPerCrossing(t *testing.T) {
+	cl, err := topology.New(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ncfg := network.DefaultConfig()
+	ncfg.RacksPerPod = 6 // 18 racks → 3 pods
+	fab, err := network.NewFabric(cl, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := map[network.Class]*topology.Box{
+		network.IntraRack: cl.Rack(0).BoxesOf(units.RAM)[0],
+		network.InterRack: cl.Rack(3).BoxesOf(units.RAM)[0],
+		network.InterPod:  cl.Rack(12).BoxesOf(units.RAM)[0],
+	}
+	src := cl.Rack(0).BoxesOf(units.CPU)[0]
+	lives := []time.Duration{0, time.Nanosecond, 1500 * time.Millisecond, time.Hour, 1e6 * time.Second}
+	for _, alpha := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
+		m, err := NewModel(optics.Config{Alpha: alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for class, dst := range dsts {
+			for _, bw := range []units.Bandwidth{0, 1, 3, 7, 20, 22, 99, units.LinkCapacity} {
+				var fl network.Flow
+				if err := fab.Reserve(&fl, src, dst, bw, network.FirstFit); err != nil {
+					t.Fatal(err)
+				}
+				if fl.Class() != class {
+					t.Fatalf("flow to %v is class %d, want %d", dst, fl.Class(), class)
+				}
+				want := perCrossingOf(optics.Config{Alpha: alpha}, &fl)
+				same := func(what string, got, want float64) {
+					t.Helper()
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("α %g class %d %v: %s = %v, per crossing %v", alpha, class, bw, what, got, want)
+					}
+				}
+				p := m.FlowPower(&fl)
+				same("FlowPower", p, want.power)
+				same("SetupEnergy", m.SetupEnergy(&fl), want.setup)
+				a := NewAccountant(m)
+				a.Add(&fl)
+				same("Remove", a.Remove(&fl), want.power)
+				for _, life := range lives {
+					// Equation 1 as the finite run sums it, against the
+					// per-crossing FlowEnergy: setup + (trim + trans) × T.
+					same("Equation 1", m.SetupEnergy(&fl)+p*life.Seconds(),
+						want.setup+(want.trim+want.trans)*life.Seconds())
+				}
+				fab.Unreserve(&fl)
+			}
+		}
 	}
 }
 

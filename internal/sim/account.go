@@ -25,18 +25,16 @@ type accounting struct {
 	latencySum          time.Duration
 	eq1EnergyJ          float64
 
-	utilW                  [units.NumResources]metrics.TimeWeighted
-	intraW, interW, powerW metrics.TimeWeighted
+	sig metrics.Integrator // utilization per resource, then the three below
 }
 
-func newAccounting(m *power.Model) *accounting {
-	return &accounting{model: m, meter: power.NewAccountant(m)}
-}
-
-// advance integrates the power drawn over dt time units.
-func (ac *accounting) advance(dt int64) {
-	ac.meter.AdvanceSeconds(float64(dt) * SecondsPerTimeUnit)
-}
+// The signal indices in accounting.sig after the per-resource utilizations.
+const (
+	sigIntra = int(units.NumResources) + iota
+	sigInter
+	sigPower
+	numSignals
+)
 
 // placed counts a placement's span and latency and attaches its circuits.
 func (ac *accounting) placed(a *sched.Assignment) {
@@ -61,32 +59,26 @@ func (ac *accounting) attach(a *sched.Assignment) {
 
 // releasing detaches a's circuits from the accountant (which reads each
 // circuit's shape, so this must precede the release that empties it). A
-// departing VM's circuits add their Equation 1 energy; an evicted VM's do
-// not — their lifetime is cut short.
+// departing VM's circuits add their Equation 1 energy, setup plus the power
+// removed over the lifetime; an evicted VM's do not: its life is cut short.
 func (ac *accounting) releasing(vm workload.VM, a *sched.Assignment, evicted bool) {
-	life := time.Duration(float64(vm.Lifetime) * SecondsPerTimeUnit * float64(time.Second))
+	life := time.Duration(float64(vm.Lifetime) * SecondsPerTimeUnit * float64(time.Second)).Seconds()
 	for _, fl := range [...]*network.Flow{a.CPURAMFlow, a.RAMSTOFlow} {
-		if fl == nil {
-			continue
-		}
-		ac.meter.Remove(fl)
-		if !evicted {
-			ac.eq1EnergyJ += ac.model.FlowEnergy(fl, life)
+		if fl != nil {
+			if p := ac.meter.Remove(fl); !evicted {
+				ac.eq1EnergyJ += ac.model.SetupEnergy(fl) + p*life
+			}
 		}
 	}
 }
 
 // record feeds the signals' values from time t onward into the
-// time-weighted integrators; util is the compute utilization per
-// resource in percent.
-func (ac *accounting) record(t int64, util [units.NumResources]float64, fab *network.Fabric) {
-	ft := float64(t)
-	for k := range util {
-		ac.utilW[k].Set(ft, util[k])
-	}
-	ac.intraW.Set(ft, fab.IntraRackUtilization()*100)
-	ac.interW.Set(ft, fab.InterRackUtilization()*100)
-	ac.powerW.Set(ft, ac.meter.Power())
+// integrator; v holds the compute utilization per resource in percent.
+func (ac *accounting) record(t int64, v [numSignals]float64, fab *network.Fabric) {
+	v[sigIntra] = fab.IntraRackUtilization() * 100
+	v[sigInter] = fab.InterRackUtilization() * 100
+	v[sigPower] = ac.meter.Power()
+	ac.sig.Set(float64(t), v[:])
 }
 
 // result reads a finite run's Result off its counters and this piece.
@@ -96,17 +88,17 @@ func (ac *accounting) result(ss *SteadyState) *Result {
 		Algorithm: ss.Algorithm, Workload: ss.Workload,
 		Scheduled: ss.TotalAccepted, Dropped: ss.TotalDropped,
 		InterRack: ac.interRack, InterPod: ac.interPod,
-		AvgIntraUtil: ac.intraW.Average(end), PeakIntraUtil: ac.intraW.Peak(),
-		AvgInterUtil: ac.interW.Average(end), PeakInterUtil: ac.interW.Peak(),
-		PeakPowerW: ac.meter.PeakPower(), AvgPowerW: ac.powerW.Average(end),
+		AvgIntraUtil: ac.sig.Average(sigIntra, end), PeakIntraUtil: ac.sig.Peak(sigIntra),
+		AvgInterUtil: ac.sig.Average(sigInter, end), PeakInterUtil: ac.sig.Peak(sigInter),
+		PeakPowerW: ac.meter.PeakPower(), AvgPowerW: ac.sig.Average(sigPower, end),
 		EnergyJ: ac.meter.EnergyJoules(), Eq1EnergyJ: ac.eq1EnergyJ,
 		SchedulingTime: ss.SchedulingTime, Makespan: ss.End,
 		Enqueued: ss.Enqueued, RetrySucceeded: ss.RetrySucceeded, MeanWait: ss.MeanWait,
 		Displaced: ss.Displaced, Recovered: ss.Recovered, DisplacedLost: ss.DisplacedLost,
 	}
-	for k := range ac.utilW {
-		res.AvgUtil[k] = ac.utilW[k].Average(end)
-		res.PeakUtil[k] = ac.utilW[k].Peak()
+	for k := range res.AvgUtil {
+		res.AvgUtil[k] = ac.sig.Average(k, end)
+		res.PeakUtil[k] = ac.sig.Peak(k)
 	}
 	if res.Scheduled > 0 {
 		res.MeanCPURAMLatency = ac.latencySum / time.Duration(res.Scheduled)

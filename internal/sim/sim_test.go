@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"risa/internal/baseline"
@@ -119,14 +120,51 @@ func TestRunDeparturesFreeCapacity(t *testing.T) {
 	}
 }
 
+// TestRunValidatesTrace: Run refuses a trace with any invalid VM before
+// anything runs — the finite setting does not check arrivals one by one,
+// so the up-front Trace.Validate must refuse everything the per-arrival
+// check would — and leaves every free vector and the fabric's free
+// bandwidth as they were.
 func TestRunValidatesTrace(t *testing.T) {
-	_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
-	bad := &workload.Trace{Name: "bad", VMs: []workload.VM{
-		{ID: 0, Arrival: 10, Lifetime: 10, Req: units.Vec(1, 1, 1)},
-		{ID: 1, Arrival: 0, Lifetime: 10, Req: units.Vec(1, 1, 1)},
-	}}
-	if _, err := r.Run(bad); err == nil {
-		t.Error("unordered trace should fail")
+	st, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
+	type plane struct {
+		free         [units.NumResources][]units.Amount
+		intra, inter units.Bandwidth
+	}
+	planeOf := func() plane {
+		var p plane
+		for _, k := range units.Resources() {
+			for _, rack := range st.Cluster.Racks() {
+				p.free[k] = append(p.free[k], rack.FreeVecOf(k)...)
+			}
+		}
+		p.intra, p.inter = st.Fabric.IntraRackFree(), st.Fabric.InterRackFree()
+		return p
+	}
+	before := planeOf()
+	ok := func(id int, arrival int64) workload.VM {
+		return workload.VM{ID: id, Arrival: arrival, Lifetime: 10, Req: units.Vec(8, 16, 128)}
+	}
+	// Each bad trace places two good VMs before the bad one and one after.
+	for _, c := range []struct {
+		name string
+		bad  workload.VM
+	}{
+		{"unordered", ok(2, 0)},
+		{"zero-lifetime", workload.VM{ID: 2, Arrival: 10, Lifetime: 0, Req: units.Vec(1, 1, 1)}},
+		{"negative-lifetime", workload.VM{ID: 2, Arrival: 10, Lifetime: -5, Req: units.Vec(1, 1, 1)}},
+		{"zero-request", workload.VM{ID: 2, Arrival: 10, Lifetime: 10}},
+		{"negative-request", workload.VM{ID: 2, Arrival: 10, Lifetime: 10, Req: units.Vec(4, -1, 8)}},
+		{"tier-too-high", workload.VM{ID: 2, Arrival: 10, Lifetime: 10, Req: units.Vec(1, 1, 1), Tier: workload.NumTiers}},
+		{"tier-negative", workload.VM{ID: 2, Arrival: 10, Lifetime: 10, Req: units.Vec(1, 1, 1), Tier: -1}},
+	} {
+		tr := &workload.Trace{Name: c.name, VMs: []workload.VM{ok(0, 5), ok(1, 10), c.bad, ok(3, 20)}}
+		if _, err := r.Run(tr); err == nil {
+			t.Errorf("%s: trace should be refused", c.name)
+		}
+		if !reflect.DeepEqual(planeOf(), before) {
+			t.Errorf("%s: a refused trace changed the cluster or the fabric", c.name)
+		}
 	}
 }
 

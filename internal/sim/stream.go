@@ -7,6 +7,8 @@ import (
 	"sort"
 	"time"
 
+	"risa/internal/metrics"
+	"risa/internal/power"
 	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
@@ -254,24 +256,25 @@ func (r *Runner) Run(tr *workload.Trace) (*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return r.runFinite(workload.NewTraceStream(tr))
-}
-
-// runFinite plays a finite stream in the finite setting: past the last
-// arrival to an empty heap, departures and fault events metered, with
-// the accounting piece and no windows or reservoirs.
-func (r *Runner) runFinite(s workload.Stream) (*Result, error) {
-	sr := r.bind(s, StreamConfig{})
-	sr.finite = true
-	sr.acct = newAccounting(r.model)
-	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
-	sr.c.seedPlan(0)
-	sr.sample(false) // the signals' reading at t = 0
-	sr.pull()
+	sr := r.newFiniteRun(workload.NewTraceStream(tr))
 	if err := sr.loop(); err != nil {
 		return nil, err
 	}
 	return sr.acct.result(sr.finish()), nil
+}
+
+// newFiniteRun sets up a run of s in the finite setting, with the
+// accounting piece and neither windows nor reservoirs. It validates no
+// arrival: Run's Trace.Validate has checked every one before the first.
+func (r *Runner) newFiniteRun(s workload.Stream) *streamRun {
+	sr := r.bind(s, StreamConfig{})
+	sr.finite = true
+	sr.acct = &accounting{model: r.model, meter: power.NewAccountant(r.model), sig: metrics.NewIntegrator(numSignals)}
+	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
+	sr.c.seedPlan(0)
+	sr.sample(false) // the signals' reading at t = 0
+	sr.pull()
+	return sr
 }
 
 // RunStream drives the scheduler over an open-ended arrival stream until
@@ -397,14 +400,16 @@ func (sr *streamRun) nextArrival() workload.VM {
 	return vm
 }
 
-// arrive moves the clock to the arrival and counts it; the caller admits
-// it.
+// arrive moves the clock to the arrival, checks it (the stream setting;
+// see newFiniteRun) and counts it; the caller admits it.
 func (sr *streamRun) arrive(vm workload.VM) error {
 	if err := sr.c.tick(vm.Arrival); err != nil {
 		return fmt.Errorf("stream %q: %w", sr.s.Name(), err)
 	}
-	if err := vm.Validate(); err != nil {
-		return err
+	if !sr.finite {
+		if err := vm.Validate(); err != nil {
+			return err
+		}
 	}
 	if sr.measured {
 		sr.res.Arrivals++
@@ -421,20 +426,20 @@ func (sr *streamRun) arrive(vm workload.VM) error {
 // the run has; after arrivals (feedback) an observing stream receives
 // the binding value, which is how its controller closes the loop.
 func (sr *streamRun) sample(feedback bool) {
-	var perRes [units.NumResources]float64
+	var sig [numSignals]float64 // per resource, then accounting.record's three
 	var binding float64
 	for _, k := range units.Resources() {
 		u := sr.c.st.Cluster.Utilization(k)
-		perRes[k] = u * 100
+		sig[k] = u * 100
 		if u > binding {
 			binding = u
 		}
 	}
 	if sr.wind != nil {
-		sr.wind.set(perRes)
+		sr.wind.set([units.NumResources]float64(sig[:units.NumResources]))
 	}
 	if sr.acct != nil {
-		sr.acct.record(sr.c.now, perRes, sr.c.st.Fabric)
+		sr.acct.record(sr.c.now, sig, sr.c.st.Fabric)
 	}
 	if feedback && sr.obs != nil {
 		sr.obs.ObserveUtilization(binding)
@@ -497,7 +502,7 @@ func (sr *streamRun) loop() error {
 // whole-run counters and the accounting piece.
 func (sr *streamRun) advance(to int64) {
 	if sr.acct != nil {
-		sr.acct.advance(to - sr.c.now)
+		sr.acct.meter.AdvanceSeconds(float64(to-sr.c.now) * SecondsPerTimeUnit)
 	}
 	if sr.wind != nil {
 		sr.wind.advance(to)

@@ -119,10 +119,11 @@ func checkFiniteBurst(t *testing.T, mk func(*sched.State) sched.Scheduler, f Fau
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.runFinite(burstStream(tr, serial))
-		if err != nil {
+		sr := r.newFiniteRun(burstStream(tr, serial))
+		if err := sr.loop(); err != nil {
 			t.Fatal(err)
 		}
+		res := sr.acct.result(sr.finish())
 		res.SchedulingTime = 0
 		return res
 	}
