@@ -68,6 +68,9 @@ func parseArgs(args []string) (kind string, o clientOptions, err error) {
 	if o.workers < 1 {
 		return kind, o, fmt.Errorf("-workers must be at least 1, got %d", o.workers)
 	}
+	if o.deadlineMS < 0 {
+		return kind, o, fmt.Errorf("-deadline-ms must be non-negative, got %d", o.deadlineMS)
+	}
 	return kind, o, nil
 }
 

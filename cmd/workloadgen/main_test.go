@@ -40,9 +40,10 @@ func TestGenerateKinds(t *testing.T) {
 // TestParseArgsRejectsBadFlags: every value the client cannot send is
 // refused with a message naming its flag, before anything is generated
 // or sent. Unchecked, a relative URL retries its transport error
-// forever, a rate above 1e9/s panics in NewTicker, and negative
+// forever, a rate above 1e9/s panics in NewTicker, negative
 // -rate/-count and -workers 0 would have to be guessed at (closed loop,
-// the whole trace, one worker).
+// the whole trace, one worker), and a negative -deadline-ms would be sent
+// to a daemon that refuses it on every request.
 func TestParseArgsRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -59,6 +60,7 @@ func TestParseArgsRejectsBadFlags(t *testing.T) {
 		{[]string{"-url", "http://localhost:8080", "-count", "-1"}, "-count"},
 		{[]string{"-url", "http://localhost:8080", "-workers", "0"}, "-workers"},
 		{[]string{"-url", "http://localhost:8080", "-workers", "-2"}, "-workers"},
+		{[]string{"-url", "http://localhost:8080", "-deadline-ms", "-1"}, "-deadline-ms"},
 		{[]string{"-url", "http://localhost:8080", "extra"}, "extra"},
 	} {
 		_, _, err := parseArgs(tc.args)
@@ -67,11 +69,11 @@ func TestParseArgsRejectsBadFlags(t *testing.T) {
 		}
 	}
 
-	kind, o, err := parseArgs([]string{"-url", "https://localhost:8080", "-rate", "1e9", "-workers", "2"})
+	kind, o, err := parseArgs([]string{"-url", "https://localhost:8080", "-rate", "1e9", "-workers", "2", "-deadline-ms", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != "synthetic" || o.rate != 1e9 || o.workers != 2 || o.seed != 1 {
+	if kind != "synthetic" || o.rate != 1e9 || o.workers != 2 || o.seed != 1 || o.deadlineMS != 0 {
 		t.Errorf("parsed kind %q, options %+v", kind, o)
 	}
 }

@@ -87,17 +87,16 @@ func (t Tier) String() string {
 	}
 }
 
-// Link is one shared optical link with bandwidth accounting. Links live
-// by value in their fabric's slabs (see Fabric), so the fields are packed
-// into 32 bytes: two to a cache line when pick walks a group.
+// Link is one shared optical link of capacity units.LinkCapacity with
+// bandwidth accounting. Links live by value in their fabric's slabs (see
+// Fabric), so the fields are packed into 24 bytes: pick's scan of a group
+// reads one free amount per link.
 type Link struct {
-	free   units.Bandwidth
-	cap    units.Bandwidth
-	failed bool  // failed links carry no new flows
-	tier   uint8 // the link's Tier
-	rack   int32 // rack the link belongs to (-1 for pod uplinks)
-	box    int32 // box index within rack (BoxUplink), pod index (PodUplink), else -1
-	index  int32 // uplink index within its group
+	free  units.Bandwidth
+	tier  uint8 // the link's Tier
+	rack  int32 // rack the link belongs to (-1 for pod uplinks)
+	box   int32 // box index within rack (BoxUplink), pod index (PodUplink), else -1
+	index int32 // uplink index within its group
 }
 
 // Tier returns the link's layer.
@@ -112,17 +111,8 @@ func (l *Link) Box() int { return int(l.box) }
 // Index returns the link's position within its uplink group.
 func (l *Link) Index() int { return int(l.index) }
 
-// Free returns the bandwidth available to new flows: the unallocated
-// bandwidth, or zero while the link is failed.
-func (l *Link) Free() units.Bandwidth {
-	if l.failed {
-		return 0
-	}
-	return l.free
-}
-
-// Failed reports whether the link is marked failed (see Fabric.SetLinkFailed).
-func (l *Link) Failed() bool { return l.failed }
+// Free returns the bandwidth available to new flows.
+func (l *Link) Free() units.Bandwidth { return l.free }
 
 // String identifies the link for logs and errors.
 func (l *Link) String() string {
@@ -217,8 +207,8 @@ type Fabric struct {
 	intraCap, intraFree units.Bandwidth     // aggregate over all box uplinks
 	interCap, interFree units.Bandwidth     // aggregate over all rack uplinks
 	podCap, podFree     units.Bandwidth     // aggregate over all pod uplinks
-	rackIntraFree       []units.Bandwidth   // per-rack free over its healthy box uplinks
-	boxFree             [][]units.Bandwidth // [rack][boxIndex] free over all of the box's uplinks, failed ones too
+	rackIntraFree       []units.Bandwidth   // per-rack free over its box uplinks
+	boxFree             [][]units.Bandwidth // [rack][boxIndex] free over the box's uplinks
 
 	// freeFlows recycles the Flow records AllocateFlow hands out, so
 	// direct users of the fabric do not allocate at steady state. The
@@ -284,7 +274,7 @@ func carve(slab *[]Link, n int, tier Tier, rack, box int) []Link {
 	group := (*slab)[:n:n]
 	*slab = (*slab)[n:]
 	for ui := range group {
-		group[ui] = Link{free: units.LinkCapacity, cap: units.LinkCapacity, tier: uint8(tier), rack: int32(rack), box: int32(box), index: int32(ui)}
+		group[ui] = Link{free: units.LinkCapacity, tier: uint8(tier), rack: int32(rack), box: int32(box), index: int32(ui)}
 	}
 	return group
 }
@@ -328,30 +318,26 @@ func (f *Fabric) InterRackUtilization() float64 {
 // RISA's AVAIL_INTRA_RACK_NET test is a comparison against this.
 func (f *Fabric) RackIntraFree(rack int) units.Bandwidth { return f.rackIntraFree[rack] }
 
-// BoxUplinkFree returns the total free bandwidth of one box's uplinks,
-// failed links included. NALB's modified BFS orders candidate boxes by
-// this value, descending. It is a running total kept by take and put, so
-// the read is O(1) where a sum over the group was one per candidate box.
+// BoxUplinkFree returns the total free bandwidth of one box's uplinks.
+// NALB's modified BFS orders candidate boxes by this value, descending.
+// It is a running total kept by take and put, so the read is O(1) where
+// a sum over the group was one per candidate box.
 func (f *Fabric) BoxUplinkFree(box *topology.Box) units.Bandwidth {
 	return f.boxFree[box.Rack()][box.Index()]
 }
 
 // pick chooses a link from group under the policy; nil if none fits.
-// MaxAvail takes the first non-failed link with the greatest free amount
-// of at least bw (bw ≥ 1, so a failed link read as -1 never fits). Its
-// one pass keeps (index, most) with plain compares, which compile to
-// conditional moves: the links' free amounts race with each other, so a
-// branch on each compare mispredicts often.
+// MaxAvail takes the first link with the greatest free amount of at least
+// bw. Its one pass keeps (index, most) with plain compares, which compile
+// to conditional moves: the links' free amounts race with each other, so
+// a branch on each compare mispredicts often. pick is small enough to
+// inline into Reserve's hop loop; CI fails when it no longer is.
 func pick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 	switch policy {
 	case MaxAvail:
 		best, most := -1, bw-1
 		for i := range group {
-			f := group[i].free
-			if group[i].failed {
-				f = -1
-			}
-			if f > most {
+			if f := group[i].free; f > most {
 				best, most = i, f
 			}
 		}
@@ -361,8 +347,7 @@ func pick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 		return &group[best]
 	default:
 		for i := range group {
-			l := &group[i]
-			if !l.failed && l.free >= bw {
+			if l := &group[i]; l.free >= bw {
 				return l
 			}
 		}
@@ -570,9 +555,6 @@ func (f *Fabric) ReleaseFlow(fl *Flow) {
 }
 
 func (f *Fabric) take(l *Link, bw units.Bandwidth) {
-	if l.failed {
-		panic(fmt.Sprintf("network: taking bandwidth from failed %v", l))
-	}
 	if l.free < bw {
 		panic(fmt.Sprintf("network: taking %v from %v with only %v free", bw, l, l.free))
 	}
@@ -590,50 +572,19 @@ func (f *Fabric) take(l *Link, bw units.Bandwidth) {
 }
 
 func (f *Fabric) put(l *Link, bw units.Bandwidth) {
-	if l.free+bw > l.cap {
+	if l.free+bw > units.LinkCapacity {
 		panic(fmt.Sprintf("network: returning %v to %v overflows capacity", bw, l))
 	}
 	l.free += bw
-	if Tier(l.tier) == BoxUplink {
-		// The box total counts failed links too (BoxUplinkFree).
-		f.boxFree[l.rack][l.box] += bw
-	}
-	if l.failed {
-		// The capacity rejoins the aggregates when the link is restored.
-		return
-	}
 	switch Tier(l.tier) {
 	case BoxUplink:
 		f.intraFree += bw
 		f.rackIntraFree[l.rack] += bw
+		f.boxFree[l.rack][l.box] += bw
 	case RackUplink:
 		f.interFree += bw
 	case PodUplink:
 		f.podFree += bw
-	}
-}
-
-// SetLinkFailed marks a link failed or restores it. A failed link admits
-// no new flows and its free bandwidth leaves the aggregate counters;
-// flows already on the link keep their reservation and may release
-// normally. Toggling is idempotent.
-func (f *Fabric) SetLinkFailed(l *Link, failed bool) {
-	if l.failed == failed {
-		return
-	}
-	l.failed = failed
-	delta := l.free
-	if failed {
-		delta = -delta
-	}
-	switch Tier(l.tier) {
-	case BoxUplink:
-		f.intraFree += delta
-		f.rackIntraFree[l.rack] += delta
-	case RackUplink:
-		f.interFree += delta
-	case PodUplink:
-		f.podFree += delta
 	}
 }
 
@@ -646,27 +597,23 @@ func (f *Fabric) CheckInvariants() error {
 			var perBox units.Bandwidth
 			for i := range group {
 				l := &group[i]
-				if l.free < 0 || l.free > l.cap {
-					return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, l.cap)
+				if err := l.checkFree(); err != nil {
+					return err
 				}
 				perBox += l.free
-				if !l.failed {
-					intraFree += l.free
-					perRack[ri] += l.free
-				}
 			}
 			if perBox != f.boxFree[ri][bi] {
 				return fmt.Errorf("rack %d box %d uplink free %v != link sum %v", ri, bi, f.boxFree[ri][bi], perBox)
 			}
+			intraFree += perBox
+			perRack[ri] += perBox
 		}
 		for i := range f.rackUplinks[ri] {
 			l := &f.rackUplinks[ri][i]
-			if l.free < 0 || l.free > l.cap {
-				return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, l.cap)
+			if err := l.checkFree(); err != nil {
+				return err
 			}
-			if !l.failed {
-				interFree += l.free
-			}
+			interFree += l.free
 		}
 	}
 	if intraFree != f.intraFree {
@@ -679,12 +626,10 @@ func (f *Fabric) CheckInvariants() error {
 	for _, group := range f.podUplinks {
 		for i := range group {
 			l := &group[i]
-			if l.free < 0 || l.free > l.cap {
-				return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, l.cap)
+			if err := l.checkFree(); err != nil {
+				return err
 			}
-			if !l.failed {
-				podFree += l.free
-			}
+			podFree += l.free
 		}
 	}
 	if podFree != f.podFree {
@@ -694,6 +639,14 @@ func (f *Fabric) CheckInvariants() error {
 		if v != f.rackIntraFree[ri] {
 			return fmt.Errorf("rack %d intra free %v != link sum %v", ri, f.rackIntraFree[ri], v)
 		}
+	}
+	return nil
+}
+
+// checkFree reports a free amount outside [0, units.LinkCapacity].
+func (l *Link) checkFree() error {
+	if l.free < 0 || l.free > units.LinkCapacity {
+		return fmt.Errorf("%v free %v out of [0,%v]", l, l.free, units.LinkCapacity)
 	}
 	return nil
 }

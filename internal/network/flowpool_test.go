@@ -81,14 +81,14 @@ func TestReserveSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One usable link per group: one uplink per box, and every rack and
-	// pod (pods {0, 1} and {2, 3}) with all but its first uplink failed.
+	// pod (pods {0, 1} and {2, 3}) with all but its first uplink full.
 	f, err := NewFabric(cl, Config{BoxUplinks: 1, RacksPerPod: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, group := range append(f.rackUplinks, f.podUplinks...) {
 		for i := range group[1:] {
-			f.SetLinkFailed(&group[1+i], true)
+			f.take(&group[1+i], units.LinkCapacity)
 		}
 	}
 	cpu := func(rack, i int) *topology.Box { return cl.Rack(rack).BoxesOf(units.CPU)[i] }
@@ -137,9 +137,9 @@ func TestReserveSentinelErrors(t *testing.T) {
 // TestReplayRefusals: the replay primitive refuses a recorded path it
 // cannot hold — more links than any path the fabric builds (what a damaged
 // snapshot decodes to), a shape it never builds (between pods but inside
-// one rack), a failed link, a link without the bandwidth — and
-// in every case reserves nothing and leaves the flow empty, even after
-// taking earlier links of the path.
+// one rack), a flow wider than any link, a full link — and in every case
+// reserves nothing and leaves the flow empty, even after taking earlier
+// links of the path.
 func TestReplayRefusals(t *testing.T) {
 	cl, f := testFabric(t)
 	src, dst := cl.Rack(0).BoxesOf(units.CPU)[0], cl.Rack(1).BoxesOf(units.RAM)[0]
@@ -180,10 +180,10 @@ func TestReplayRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetLinkFailed(last, true)
+	f.take(last, units.LinkCapacity)
 	intra, inter = f.IntraRackFree(), f.InterRackFree()
-	refused("failed-link", 20, path, true, false) // three links taken before the refusal
-	f.SetLinkFailed(last, false)
+	refused("full-link", 20, path, true, false) // three links taken before the refusal
+	f.put(last, units.LinkCapacity)
 	if err := f.Replay(&replayed, 20, path, true, false); err != nil {
 		t.Fatalf("a valid six-or-fewer link path was refused: %v", err)
 	}

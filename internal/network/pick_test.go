@@ -17,7 +17,7 @@ func branchyPick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 		var best *Link
 		for i := range group {
 			l := &group[i]
-			if !l.failed && l.free >= bw && (best == nil || l.free > best.free) {
+			if l.free >= bw && (best == nil || l.free > best.free) {
 				best = l
 			}
 		}
@@ -25,7 +25,7 @@ func branchyPick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 	default:
 		for i := range group {
 			l := &group[i]
-			if !l.failed && l.free >= bw {
+			if l.free >= bw {
 				return l
 			}
 		}
@@ -35,15 +35,14 @@ func branchyPick(group []Link, bw units.Bandwidth, policy Policy) *Link {
 
 // FuzzLinkPick holds pick to the branchy oracle under both policies. The
 // first byte gives bw (1–3); each further byte, up to 16, is a link whose
-// free amount is its low two bits (0–3, so equal maxima are common) and
-// which is failed when bit 2 is set. The chosen link must be the oracle's,
-// nil included.
+// free amount is its low two bits (0–3, so equal maxima are common). The
+// chosen link must be the oracle's, nil included.
 func FuzzLinkPick(f *testing.F) {
 	f.Add([]byte{0, 3, 3})       // two equal maxima: the first wins
 	f.Add([]byte{0, 2, 3, 1, 3}) // equal maxima apart
-	f.Add([]byte{2, 7, 3, 2, 3}) // the failed maximum is skipped
-	f.Add([]byte{4, 1, 2, 6, 5}) // nothing fits bw 3
-	f.Add([]byte{0, 4, 5, 6, 7}) // every link failed
+	f.Add([]byte{2, 1, 3, 2, 3}) // first fit skips a link short of bw
+	f.Add([]byte{2, 1, 2, 1, 2}) // nothing fits bw 3
+	f.Add([]byte{0, 0, 0, 0, 0}) // every link full
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		seed := make([]byte, 17)
@@ -58,7 +57,7 @@ func FuzzLinkPick(f *testing.F) {
 		links := data[1:min(len(data), 17)]
 		group := make([]Link, len(links))
 		for i, b := range links {
-			group[i] = Link{free: units.Bandwidth(b & 3), failed: b&4 != 0}
+			group[i] = Link{free: units.Bandwidth(b & 3)}
 		}
 		for _, policy := range []Policy{FirstFit, MaxAvail} {
 			if got, want := pick(group, bw, policy), branchyPick(group, bw, policy); got != want {

@@ -55,13 +55,11 @@ func (f *Fabric) LinkByRef(ref LinkRef) (*Link, error) {
 // of sched.State.Replay (snapshot restore, an undone preemption, a refused
 // migration): Reserve picks links by policy against current load and
 // therefore cannot reproduce an arbitrary historical path, while Replay
-// reproduces the reservation link for link. All named links must be
-// healthy with enough free bandwidth — restore replays flows onto a
-// pristine fabric first and applies link failures afterwards — and a path
-// longer than any the fabric builds, or a shape it never builds (between
-// pods but inside one rack), is a damaged snapshot and refused. On
-// error nothing is reserved and fl is left empty, as it must be on entry
-// (see Reserve).
+// reproduces the reservation link for link. Every named link must have
+// enough free bandwidth, and a path longer than any the fabric builds, or
+// a shape it never builds (between pods but inside one rack), is a
+// damaged snapshot and refused. On error nothing is reserved and fl is
+// left empty, as it must be on entry (see Reserve).
 func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack, interPod bool) error {
 	if bw < 0 {
 		return fmt.Errorf("network: negative bandwidth %v", bw)
@@ -76,7 +74,7 @@ func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack,
 	*fl = Flow{bw: bw, interRack: interRack, interPod: interPod}
 	for _, ref := range refs {
 		l, err := f.LinkByRef(ref)
-		if err == nil && (l.failed || l.free < bw) {
+		if err == nil && l.free < bw {
 			err = fmt.Errorf("network: restored flow of %v does not fit %v (free %v)", bw, l, l.Free())
 		}
 		if err != nil {
@@ -86,29 +84,4 @@ func (f *Fabric) Replay(fl *Flow, bw units.Bandwidth, refs []LinkRef, interRack,
 		f.extend(fl, l)
 	}
 	return nil
-}
-
-// FailedLinks returns the structural addresses of every currently failed
-// link, in deterministic traversal order, for snapshot capture.
-func (f *Fabric) FailedLinks() []LinkRef {
-	var out []LinkRef
-	collect := func(group []Link) {
-		for i := range group {
-			if group[i].failed {
-				out = append(out, f.Ref(&group[i]))
-			}
-		}
-	}
-	for ri := range f.boxUplinks {
-		for _, group := range f.boxUplinks[ri] {
-			collect(group)
-		}
-	}
-	for _, group := range f.rackUplinks {
-		collect(group)
-	}
-	for _, group := range f.podUplinks {
-		collect(group)
-	}
-	return out
 }

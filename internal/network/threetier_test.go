@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -122,15 +123,20 @@ func TestInterPodFlow(t *testing.T) {
 	}
 }
 
+// TestPodUplinkFailure: with every pod-0 uplink full, an inter-pod flow
+// out of pod 0 fails at the pod tier, under both policies, while flows
+// inside the pod still place.
 func TestPodUplinkFailure(t *testing.T) {
 	cl, f := threeTierFabric(t)
 	src := cl.Rack(0).BoxesOf(units.CPU)[0]
 	dst := cl.Rack(12).BoxesOf(units.RAM)[0]
 	for i := range f.podUplinks[0] {
-		f.SetLinkFailed(&f.podUplinks[0][i], true)
+		f.take(&f.podUplinks[0][i], units.LinkCapacity)
 	}
-	if _, err := f.AllocateFlow(src, dst, 1, FirstFit); err == nil {
-		t.Error("inter-pod flow without pod 0 uplinks should fail")
+	for _, policy := range []Policy{FirstFit, MaxAvail} {
+		if _, err := f.AllocateFlow(src, dst, 1, policy); !errors.Is(err, ErrNoPodUplink) {
+			t.Errorf("%v: inter-pod flow over full pod 0 uplinks: err = %v, want %v", policy, err, ErrNoPodUplink)
+		}
 	}
 	// Intra-pod flows are unaffected.
 	if _, err := f.AllocateFlow(src, cl.Rack(3).BoxesOf(units.RAM)[0], 1, FirstFit); err != nil {

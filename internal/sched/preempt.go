@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"risa/internal/network"
 	"risa/internal/workload"
 )
 
@@ -108,29 +107,15 @@ func (p *PreemptScratch) Preempt(st *State, sch Scheduler, vm workload.VM) (*Ass
 // filter drops every candidate an arrival of the given tier may not
 // preempt: victims of an equal or higher priority (tier <= the arrival's —
 // tier 0 is highest, so only strictly larger tier numbers are
-// preemptible), victims on failed hardware, and victims with a flow over
-// a failed link. The tier rule is the TierOrderRespected conformance
-// property enforced at the transaction itself, not just at call sites;
-// the hardware rules are restore safety — State.Replay rejects failed
-// boxes and links, and a victim on failed hardware frees no usable
-// capacity anyway (its holdings are pending eviction, not supply).
+// preemptible) and victims on failed hardware. The tier rule is the
+// TierOrderRespected conformance property enforced at the transaction
+// itself, not just at call sites; the hardware rule is restore safety —
+// State.Replay rejects failed boxes, and a victim on failed hardware frees
+// no usable capacity anyway (its holdings are pending eviction, not
+// supply).
 func (p *PreemptScratch) filter(tier int) {
 	p.victims = slices.DeleteFunc(p.victims, func(v victim) bool {
-		return v.a.VM.Tier <= tier || v.a.OnFailedHardware() ||
-			flowOnFailedLink(v.a.CPURAMFlow) || flowOnFailedLink(v.a.RAMSTOFlow)
+		return v.a.VM.Tier <= tier || v.a.OnFailedHardware()
 	})
 	p.holds = p.holds[:len(p.victims)]
-}
-
-// flowOnFailedLink reports whether any link carrying the flow is failed.
-func flowOnFailedLink(fl *network.Flow) bool {
-	if fl == nil {
-		return false
-	}
-	for _, l := range fl.Links() {
-		if l.Failed() {
-			return true
-		}
-	}
-	return false
 }

@@ -142,26 +142,30 @@ func TestPreemptRestoreIntoSameRecord(t *testing.T) {
 	}
 
 	// A replay refused at its last step — the RAM–storage circuit's last
-	// link failed — takes back the shares and the circuit it had already
+	// link full — takes back the shares and the circuit it had already
 	// re-carved, and leaves the kept record empty.
 	st.Hold(a, &h)
 	st.ReleaseVMKeep(a)
-	released, cpuFree := fabricFree(st), st.Cluster.TotalFree(units.CPU)
-	l, err := st.Fabric.LinkByRef(h.RAMSTO.Links[len(h.RAMSTO.Links)-1])
+	lastRef := h.RAMSTO.Links[len(h.RAMSTO.Links)-1]
+	l, err := st.Fabric.LinkByRef(lastRef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Fabric.SetLinkFailed(l, true)
-	if _, err := st.Replay(a, &h); err == nil {
-		t.Fatal("Replay onto a failed link succeeded")
+	var filler network.Flow
+	if err := st.Fabric.Replay(&filler, l.Free(), []network.LinkRef{lastRef}, false, false); err != nil {
+		t.Fatal(err)
 	}
-	st.Fabric.SetLinkFailed(l, false)
+	released, cpuFree := fabricFree(st), st.Cluster.TotalFree(units.CPU)
+	if _, err := st.Replay(a, &h); err == nil {
+		t.Fatal("Replay onto a full link succeeded")
+	}
 	if !a.CPU.IsZero() || a.CPURAMFlow != nil || a.RAMSTOFlow != nil {
 		t.Fatal("a refused Replay left holdings on the kept record")
 	}
 	if got := fabricFree(st); !reflect.DeepEqual(got, released) || st.Cluster.TotalFree(units.CPU) != cpuFree {
 		t.Fatalf("a refused Replay kept capacity:\n got %v\nwant %v", got, released)
 	}
+	st.Fabric.Unreserve(&filler)
 	st.ReleaseVM(a)
 	if err := st.Fabric.CheckInvariants(); err != nil {
 		t.Fatal(err)

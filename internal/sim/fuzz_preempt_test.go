@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"risa/internal/network"
 	"risa/internal/sched"
 	"risa/internal/units"
 	"risa/internal/workload"
@@ -13,23 +12,9 @@ import (
 // assignmentEligible mirrors the eligibility filter of
 // sched.PreemptScratch.Preempt from the outside: a candidate is
 // preemptible by an arrival of the given tier iff it is strictly lower
-// priority, not stranded on failed hardware, and carries no flow over a
-// failed link.
+// priority and not stranded on failed hardware.
 func assignmentEligible(a *sched.Assignment, tier int) bool {
-	if a.VM.Tier <= tier || a.OnFailedHardware() {
-		return false
-	}
-	for _, fl := range []*network.Flow{a.CPURAMFlow, a.RAMSTOFlow} {
-		if fl == nil {
-			continue
-		}
-		for _, l := range fl.Links() {
-			if l.Failed() {
-				return false
-			}
-		}
-	}
-	return true
+	return a.VM.Tier > tier && !a.OnFailedHardware()
 }
 
 // eligibleOracle recomputes the contract's victim order independently of

@@ -31,7 +31,7 @@ func newFuzzInstance(t *testing.T) *fuzzInstance {
 }
 
 // fuzzOps is how many opcodes step decodes; an op byte selects op % fuzzOps.
-const fuzzOps = 7
+const fuzzOps = 6
 
 // step applies one decoded op. Both instances run the same script, so
 // any outcome divergence after the snapshot/restore split is a
@@ -61,16 +61,7 @@ func (in *fuzzInstance) step(t *testing.T, op, sel, amt byte, vmID int) (placed 
 		in.st.Cluster.SetBoxFailed(boxes[int(sel)%len(boxes)], true)
 	case 3: // heal a box
 		in.st.Cluster.SetBoxFailed(boxes[int(sel)%len(boxes)], false)
-	case 4: // fail or heal a box uplink
-		ref := network.LinkRef{
-			Tier: network.BoxUplink,
-			Rack: int(sel) % in.st.Cluster.NumRacks(),
-			Box:  int(amt) % in.st.Cluster.Config().BoxesPerRack(),
-		}
-		if l, err := in.st.Fabric.LinkByRef(ref); err == nil {
-			in.st.Fabric.SetLinkFailed(l, amt%2 == 0)
-		}
-	case 5: // displace a live VM through the scheduler
+	case 4: // displace a live VM through the scheduler
 		if len(in.live) > 0 {
 			j := int(sel) % len(in.live)
 			a := in.live[j]
@@ -79,7 +70,7 @@ func (in *fuzzInstance) step(t *testing.T, op, sel, amt byte, vmID int) (placed 
 				in.live = append(in.live[:j], in.live[j+1:]...)
 			}
 		}
-	case 6: // hold a live VM, release it and replay it in place
+	case 5: // hold a live VM, release it and replay it in place
 		if len(in.live) > 0 {
 			in.holdReplay(t, in.live[int(sel)%len(in.live)])
 		}
@@ -115,8 +106,8 @@ func recordHoldingsOf(a *sched.Assignment) recordHoldings {
 // the same record, then checks the record against what it held before,
 // read off the record itself: the twin comparison alone would miss a
 // Hold/Replay bug both instances share. A VM on failed hardware is left
-// alone — Replay refuses failed boxes and links, as preemption's
-// eligibility filter knows.
+// alone — Replay refuses failed boxes, as preemption's eligibility filter
+// knows.
 func (in *fuzzInstance) holdReplay(t *testing.T, a *sched.Assignment) {
 	t.Helper()
 	if !assignmentEligible(a, -1) {
@@ -188,11 +179,11 @@ func oracleEqual(t *testing.T, op int, a, b *fuzzInstance) {
 func FuzzSnapshotRoundtrip(f *testing.F) {
 	// One op is three bytes: opcode, selector, amount.
 	f.Add([]byte{0, 0, 10, 0, 1, 200, 1, 0, 0, 0, 2, 30})                 // alloc ×2, release, alloc
-	f.Add([]byte{0, 3, 255, 2, 3, 0, 0, 1, 9, 3, 3, 0, 5, 0, 0})          // fail, alloc, heal, displace
-	f.Add([]byte{0, 0, 8, 4, 0, 2, 0, 1, 9, 4, 0, 1, 0, 2, 7})            // link fail/heal around allocs
-	f.Add([]byte{0, 0, 8, 0, 1, 9, 2, 0, 0, 5, 0, 0, 5, 1, 0, 3, 0, 0})   // fail then displace twice
-	f.Add([]byte{0, 5, 31, 0, 6, 15, 1, 1, 0, 2, 4, 0, 0, 7, 3, 5, 0, 0}) // mixed churn
-	f.Add([]byte{0, 0, 8, 0, 1, 9, 6, 1, 0, 2, 0, 0, 6, 0, 0, 6, 1, 0})   // hold-replay around a failed box
+	f.Add([]byte{0, 3, 255, 2, 3, 0, 0, 1, 9, 3, 3, 0, 4, 0, 0})          // fail, alloc, heal, displace
+	f.Add([]byte{0, 0, 8, 0, 1, 9, 2, 0, 0, 4, 0, 0, 5, 0, 0, 1, 0, 0})   // displace, hold-replay, release
+	f.Add([]byte{0, 0, 8, 0, 1, 9, 2, 0, 0, 4, 0, 0, 4, 1, 0, 3, 0, 0})   // fail then displace twice
+	f.Add([]byte{0, 5, 31, 0, 6, 15, 1, 1, 0, 2, 4, 0, 0, 7, 3, 4, 0, 0}) // mixed churn
+	f.Add([]byte{0, 0, 8, 0, 1, 9, 5, 1, 0, 2, 0, 0, 5, 0, 0, 5, 1, 0})   // hold-replay around a failed box
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		orig := newFuzzInstance(t)
 		nOps := len(ops) / 3

@@ -11,10 +11,10 @@
 // VM, assignment-index) tuples in the heap's own array order (the order
 // evictDisplaced scans), and every RNG as (seed, draw count) replayed on
 // restore (workload.CountingSource). Restoration replays placements and
-// flows onto a pristine state first and applies hardware failures
-// afterwards; the resulting brick, link and aggregate values equal the
-// original's exactly, because releases return shares to bricks even on
-// failed hardware, so live placements fully determine the planes.
+// flows onto a pristine state first and applies box failures afterwards;
+// the resulting brick, link and aggregate values equal the original's
+// exactly, because releases return shares to bricks even on failed
+// hardware, so live placements fully determine the planes.
 //
 // The determinism contract: resuming a snapshot under the same
 // configuration (same stream construction, same stop bounds, same fault
@@ -37,7 +37,7 @@ import (
 )
 
 // StateSnapshot captures the datacenter planes — cluster occupancy,
-// fabric occupancy, hardware failures — plus the scheduler's carried
+// fabric occupancy, box failures — plus the scheduler's carried
 // decision state, as the set of live assignments that produce them.
 // It is the part of a Snapshot that FuzzSnapshotRoundtrip and the
 // conformance suite's SnapshotHygiene exercise directly, without an
@@ -47,7 +47,6 @@ type StateSnapshot struct {
 	BoxesPerRack int
 	Assignments  []sched.AssignmentState
 	FailedBoxes  []int // rack-major global box indices
-	FailedLinks  []network.LinkRef
 
 	// SchedName names the scheduler the state was captured under; Sched
 	// holds its carried decision state when it has any (HasSched).
@@ -183,7 +182,6 @@ func (s *Snapshot) Clone() *Snapshot {
 		c.State.Assignments[i] = a
 	}
 	c.State.FailedBoxes = append([]int(nil), s.State.FailedBoxes...)
-	c.State.FailedLinks = append([]network.LinkRef(nil), s.State.FailedLinks...)
 	c.State.Sched.BoxCursors = append([][units.NumResources]int(nil), s.State.Sched.BoxCursors...)
 	c.Events = append([]EventState(nil), s.Events...)
 	c.Waiting = append([]QueuedVMState(nil), s.Waiting...)
@@ -209,7 +207,6 @@ func CaptureState(st *sched.State, sch sched.Scheduler, live []*sched.Assignment
 		Racks:        cl.NumRacks(),
 		BoxesPerRack: cl.Config().BoxesPerRack(),
 		FailedBoxes:  cl.FailedBoxes(),
-		FailedLinks:  st.Fabric.FailedLinks(),
 	}
 	snap.Assignments = make([]sched.AssignmentState, len(live))
 	for i, a := range live {
@@ -230,8 +227,8 @@ func CaptureState(st *sched.State, sch sched.Scheduler, live []*sched.Assignment
 
 // RestoreState replays a captured state onto a pristine st: every live
 // assignment's holdings are put back into a fresh record through
-// State.Replay — exact brick shares, exact links — then hardware
-// failures are applied, then the scheduler's carried state is replayed
+// State.Replay — exact brick shares, exact links — then box failures are
+// applied, then the scheduler's carried state is replayed
 // (only when sch bears the same name the state was captured under —
 // cross-algorithm restores start sch from its zero state). It returns
 // the restored assignments in the snapshot's order. On error the state
@@ -260,13 +257,6 @@ func RestoreState(st *sched.State, sch sched.Scheduler, snap *StateSnapshot) ([]
 		}
 		cl.SetBoxFailed(boxes[bi], true)
 	}
-	for _, ref := range snap.FailedLinks {
-		l, err := st.Fabric.LinkByRef(ref)
-		if err != nil {
-			return nil, err
-		}
-		st.Fabric.SetLinkFailed(l, true)
-	}
 	if snap.HasSched && sch != nil && sch.Name() == snap.SchedName {
 		if ss, ok := sch.(sched.StatefulScheduler); ok {
 			ss.RestoreSchedulerState(snap.Sched)
@@ -291,7 +281,7 @@ func checkPristine(st *sched.State) error {
 		f.InterPodFree() != f.InterPodCapacity() {
 		return fmt.Errorf("sim: restore target not pristine: fabric carries reservations")
 	}
-	if len(cl.FailedBoxes()) > 0 || len(f.FailedLinks()) > 0 {
+	if len(cl.FailedBoxes()) > 0 {
 		return fmt.Errorf("sim: restore target not pristine: hardware failures present")
 	}
 	return nil

@@ -519,7 +519,7 @@ func TestCaptureRestoreStateRoundtrip(t *testing.T) {
 	if len(live) < 100 {
 		t.Fatalf("only %d live placements", len(live))
 	}
-	// Release a few to fragment, then fail a box and a link.
+	// Release a few to fragment, then fail a box.
 	for i := 0; i < len(live); i += 7 {
 		sch.Release(live[i])
 		live[i] = nil
@@ -533,11 +533,6 @@ func TestCaptureRestoreStateRoundtrip(t *testing.T) {
 	live = compact
 	boxes := st.Cluster.Boxes()
 	st.Cluster.SetBoxFailed(boxes[3], true)
-	failLink, err := st.Fabric.LinkByRef(network.LinkRef{Tier: network.BoxUplink, Rack: 0, Box: 0, Index: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Fabric.SetLinkFailed(failLink, true)
 
 	snap, err := CaptureState(st, sch, live)
 	if err != nil {

@@ -200,7 +200,8 @@ func (s *Server) stats() Stats {
 // units (cores for CPU, GB for RAM and storage); Arrival and Lifetime
 // are virtual time (arrival earlier than the daemon's clock is clamped
 // forward). DeadlineMS, when positive, bounds the request's real queue
-// wait: past it the request is dropped undecided with 504.
+// wait: past it the request is dropped undecided with 504. Zero (or no
+// key) means no deadline; a negative one is refused with 400.
 type PlaceRequest struct {
 	ID         int   `json:"id"`
 	Tier       int   `json:"tier"`
@@ -325,8 +326,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.DeadlineMS > maxDeadlineMS {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("deadline_ms above %d", int64(maxDeadlineMS)))
+	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("deadline_ms outside [0, %d]", int64(maxDeadlineMS)))
 		return
 	}
 	decoded := stageClock()

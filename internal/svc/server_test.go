@@ -170,7 +170,8 @@ func TestServerExpiredRequestDropped(t *testing.T) {
 // time.Duration is refused with 400. Unchecked, the conversion wrapped
 // negative, the context was born expired, and the request was answered 504
 // and counted as expired instead of waiting; the largest value that fits
-// still places.
+// still places. A negative deadline_ms is refused with 400 too: unchecked,
+// it failed the handler's "> 0" test and silently meant no deadline.
 func TestServerDeadlineOutOfRange(t *testing.T) {
 	_, ts := newTestServer(t)
 	place := func(id int, deadlineMS int64) int {
@@ -186,6 +187,15 @@ func TestServerDeadlineOutOfRange(t *testing.T) {
 	}
 	if got := place(3, maxDeadlineMS); got != http.StatusOK {
 		t.Errorf("deadline_ms at the bound answered %d, want 200", got)
+	}
+	if got := place(4, -1); got != http.StatusBadRequest {
+		t.Errorf("deadline_ms -1 answered %d, want 400", got)
+	}
+	if got := place(5, math.MinInt64); got != http.StatusBadRequest {
+		t.Errorf("deadline_ms MinInt64 answered %d, want 400", got)
+	}
+	if got := place(6, 0); got != http.StatusOK {
+		t.Errorf("deadline_ms 0 (no deadline) answered %d, want 200", got)
 	}
 	if st := getStats(t, ts.URL); st.Expired != 0 {
 		t.Errorf("%d requests counted as expired", st.Expired)

@@ -63,7 +63,8 @@ func TestDecodePlaceRefusesWhatJSONIgnores(t *testing.T) {
 // written back by json.Marshal, plain or indented, decodePlace reads as
 // json.Unmarshal did. Through the handler every body is answered 200, 400
 // or 413 (504 only for one that set a deadline the worker can miss), never
-// 500 and never a hang, and a refused body journals nothing.
+// 500 and never a hang; a negative deadline is never answered 200, and a
+// refused body journals nothing.
 func FuzzPlaceRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"id":1,"tier":0,"arrival":10,"lifetime":500,"cpu":4,"ram":8,"storage":64}`,
@@ -85,6 +86,7 @@ func FuzzPlaceRequest(f *testing.F) {
 		`{"id":1,}`,
 		`[1]`,
 		``,
+		`{"id":3,"lifetime":100,"cpu":1,"ram":1,"storage":0,"deadline_ms":-1}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -112,6 +114,9 @@ func FuzzPlaceRequest(f *testing.F) {
 		case http.StatusOK:
 			if err != nil {
 				t.Fatalf("%q answered 200, but decodePlace refuses it: %v", body, err)
+			}
+			if got.DeadlineMS < 0 {
+				t.Fatalf("%q answered 200 with a negative deadline", body)
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			if seq := eng.j.NextSeq(); seq != before {
