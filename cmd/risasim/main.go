@@ -120,7 +120,7 @@ func parseArgs(args []string) (options, error) {
 	if o.duration < 0 {
 		return o, fmt.Errorf("-duration must be non-negative, got %d", o.duration)
 	}
-	if o.targetUtil < 0 || o.targetUtil > 4 {
+	if !(o.targetUtil >= 0 && o.targetUtil <= 4) { // NaN fails both
 		return o, fmt.Errorf("-target-util must be 0 (full ladder) or in (0, 4], got %g", o.targetUtil)
 	}
 	if o.mtbf < 0 {

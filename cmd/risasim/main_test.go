@@ -163,6 +163,11 @@ func TestParseArgsRejectsInvalidValues(t *testing.T) {
 		// Every option is a flag: a bare word (here a forgotten -exp) is
 		// refused, not ignored.
 		{"fig5"},
+		// A NaN or infinite weight would pass a "< 0" check and put every
+		// VM in the last positive tier.
+		{"-exp", "slo", "-tiers", "NaN,1,1"},
+		{"-exp", "slo", "-tiers", "+Inf,1,1"},
+		{"-exp", "churn", "-target-util", "NaN"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)

@@ -75,11 +75,6 @@ type observer interface {
 	displaced(a *sched.Assignment, recovered bool, d time.Duration)
 }
 
-// epoch is the origin every measured decision's two edges are read
-// against: time.Since is one monotonic clock read, where time.Now also
-// reads the wall clock.
-var epoch = time.Now()
-
 // errQueuedBehind is admit's verdict for an arrival that joined a
 // non-empty retry queue without a decision of its own.
 var errQueuedBehind = errors.New("sim: queued behind earlier arrivals")
@@ -138,6 +133,9 @@ type eventCore struct {
 // newEventCore binds a core to one state, scheduler, observer and fault
 // surface. The plan's events are not queued yet: see seedPlan.
 func newEventCore(st *sched.State, sch sched.Scheduler, obs observer, f Faults) *eventCore {
+	if obs != nil {
+		initClock() // the Driver observes nothing and reads no clock
+	}
 	return &eventCore{st: st, sch: sch, obs: obs, f: f, downCount: make([]int, len(st.Cluster.Boxes()))}
 }
 
@@ -261,13 +259,13 @@ func (c *eventCore) nextSeq() int {
 // an arrival above the lowest tier under Preempt — displacement of
 // strictly-lower-tier victims.
 func (c *eventCore) decide(vm workload.VM, direct bool) (*sched.Assignment, error) {
-	var start time.Duration
+	var start int64
 	if c.obs != nil {
-		start = time.Since(epoch)
+		start = now()
 	}
 	a, err := c.sch.Schedule(vm)
 	if c.obs != nil {
-		c.obs.decided(vm, time.Since(epoch)-start, direct)
+		c.obs.decided(vm, since(start), direct)
 	}
 	if err != nil && c.f.Preempt && vm.Tier < workload.NumTiers-1 {
 		a, err = c.tryPreempt(vm)

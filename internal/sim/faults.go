@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"time"
-
 	"risa/internal/faults"
 	"risa/internal/topology"
 )
@@ -66,9 +64,9 @@ func (c *eventCore) evictDisplaced() {
 			continue
 		}
 		c.obs.releasing(e.a.VM, e.a, true)
-		start := time.Since(epoch)
+		start := now()
 		recovered := c.st.Displace(c.sch, e.a)
-		c.obs.displaced(e.a, recovered, time.Since(epoch)-start)
+		c.obs.displaced(e.a, recovered, since(start))
 		if !recovered {
 			c.unseat(e, QueuedVMState{VM: e.a.VM, Displaced: true})
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"time"
 
 	"risa/internal/sched"
 	"risa/internal/workload"
@@ -28,7 +27,7 @@ var errPreemptFailed = errors.New("sim: preemption found no admissible victim se
 func (c *eventCore) tryPreempt(vm workload.VM) (*sched.Assignment, error) {
 	ps := &c.preempt
 	ps.Reset()
-	start := time.Since(epoch)
+	start := now()
 	for i := range c.h.s {
 		e := &c.h.s[i]
 		if e.kind != departure || e.a == nil || e.t <= c.now || e.a.VM.Tier <= vm.Tier {
@@ -37,7 +36,7 @@ func (c *eventCore) tryPreempt(vm workload.VM) (*sched.Assignment, error) {
 		ps.Add(e.a, i)
 	}
 	a, consumed := ps.Preempt(c.st, c.sch, vm)
-	c.obs.decided(vm, time.Since(epoch)-start, false)
+	c.obs.decided(vm, since(start), false)
 	if a == nil {
 		return nil, errPreemptFailed
 	}

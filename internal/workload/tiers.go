@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -33,12 +34,19 @@ func (m TierMix) Enabled() bool {
 	return false
 }
 
-// Validate rejects negative weights; an all-zero mix is valid (disabled).
+// Validate rejects negative and NaN weights and weights whose sum is
+// infinite; an all-zero mix is valid (disabled). A non-finite total would
+// make every draw in sample land on the last positive tier.
 func (m TierMix) Validate() error {
+	var total float64
 	for t, w := range m.Weights {
-		if w < 0 {
-			return fmt.Errorf("workload: tier %d weight %g is negative", t, w)
+		if !(w >= 0) {
+			return fmt.Errorf("workload: tier %d weight %g is negative or NaN", t, w)
 		}
+		total += w
+	}
+	if math.IsInf(total, 1) {
+		return fmt.Errorf("workload: tier weights %v sum to +Inf", m.Weights)
 	}
 	return nil
 }

@@ -320,3 +320,24 @@ func TestAzureLikeAlwaysValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTierMixValidate(t *testing.T) {
+	for _, w := range [][NumTiers]float64{{}, {0.2, 0.3, 0.5}, {0, 0, 1}, {math.MaxFloat64, 0, 0}} {
+		if err := (TierMix{Weights: w}).Validate(); err != nil {
+			t.Errorf("%v: %v", w, err)
+		}
+	}
+	// A NaN or infinite weight, or finite weights that overflow, make the
+	// sampler's total non-finite.
+	for _, w := range [][NumTiers]float64{
+		{-1, 1, 1},
+		{math.NaN(), 1, 1},
+		{1, math.Inf(1), 1},
+		{1, 1, math.Inf(-1)},
+		{math.MaxFloat64, math.MaxFloat64, 0},
+	} {
+		if err := (TierMix{Weights: w}).Validate(); err == nil {
+			t.Errorf("%v: want an error", w)
+		}
+	}
+}
