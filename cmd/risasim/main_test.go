@@ -470,6 +470,26 @@ func TestCloneLadders(t *testing.T) {
 	}
 }
 
+// TestCloneRefusesDurationWithoutWarmup: -clone with a -duration too
+// short for a warm phase is refused by name, the duration and its
+// minimum, not by a message from inside the simulator.
+func TestCloneRefusesDurationWithoutWarmup(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "churn", "-clone", "-duration", "3"},
+		{"-exp", "faults", "-clone", "-duration", "2"},
+	} {
+		o, err := parseArgs(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run(buildSetup(o), o.exp, scaleMaxRacks(o), ladderConfig(o))
+		if err == nil || !strings.Contains(err.Error(), "duration "+args[len(args)-1]+" has none") ||
+			!strings.Contains(err.Error(), "minimum 4") {
+			t.Errorf("%v: err = %v", args, err)
+		}
+	}
+}
+
 // stdoutOf runs f with os.Stdout redirected and returns what it printed.
 func stdoutOf(t *testing.T, f func() error) ([]byte, error) {
 	t.Helper()

@@ -705,6 +705,22 @@ func TestSeedSweep(t *testing.T) {
 	}
 }
 
+// TestSeedSweepRender: the Azure range prints at the mean's precision,
+// not as raw floats.
+func TestSeedSweepRender(t *testing.T) {
+	sw := &SeedSweep{Seeds: []int64{1, 2}, Synthetic: map[string]*metrics.Summary{}, Azure: map[string]*metrics.Summary{}}
+	for _, alg := range Algorithms {
+		sw.Synthetic[alg], sw.Azure[alg] = &metrics.Summary{}, &metrics.Summary{}
+		sw.Synthetic[alg].Observe(376)
+		sw.Azure[alg].Observe(31.933333333333337)
+		sw.Azure[alg].Observe(38.4)
+	}
+	out := sw.Render()
+	if !strings.Contains(out, "35.17 ±  4.57 % [31.93, 38.40]") || strings.Contains(out, "31.9333") {
+		t.Errorf("Azure range not printed at two decimals:\n%s", out)
+	}
+}
+
 // TestSeedSweepAzureFollowsRacks: the Azure half of the sweep runs on the
 // caller's cluster size like the synthetic half (it used to stay at 18
 // racks whatever -racks said), and at 18 racks it still reproduces the

@@ -265,6 +265,9 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		return nil, err
 	}
 	warmup, window := churnPhases(cfg.Duration)
+	if cfg.Clone && warmup == 0 {
+		return nil, fmt.Errorf("experiments: clone mode snapshots the warm phase, and duration %d has none (warmup is at most a quarter of the duration: minimum 4)", cfg.Duration)
+	}
 	if cfg.Clone && cfg.Duration == 0 {
 		// Warmup plus the window budget (one spare so the last counted
 		// window is closed by an event at or past its end).

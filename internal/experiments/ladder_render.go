@@ -33,7 +33,7 @@ func (l *Ladder) RenderChurn() string {
 		r := cell.Result
 		meanWin, minWin := windowAcceptance(r.Windows)
 		fmt.Fprintf(&b, "  %-8s %9d %7.2f %6d %5.1f/%4.1f/%4.1f %5d %6.1f (%5.1f) %6s/%6s/%6s %9.0f\n",
-			cell.Algorithm, r.Arrivals, acceptedPct(r), r.Dropped,
+			cell.Algorithm, r.Arrivals, r.AcceptancePct(), r.Dropped,
 			r.AvgUtil[units.CPU], r.AvgUtil[units.RAM], r.AvgUtil[units.Storage],
 			len(r.Windows), meanWin, minWin,
 			shortDur(r.LatencyP50), shortDur(r.LatencyP95), shortDur(r.LatencyP99),
@@ -66,7 +66,7 @@ func (l *Ladder) RenderFaults() string {
 		r := cell.Result
 		meanWin, minWin := windowAcceptance(r.Windows)
 		fmt.Fprintf(&b, "  %-8s %9d %7.2f %6.1f (%5.1f) %6d %6d %6d %12s %5.1f/%4.1f/%4.1f\n",
-			cell.Algorithm, r.Arrivals, acceptedPct(r), meanWin, minWin,
+			cell.Algorithm, r.Arrivals, r.AcceptancePct(), meanWin, minWin,
 			r.Displaced, r.Recovered, r.DisplacedLost, shortDur(r.ReplaceP95),
 			r.AvgUtil[units.CPU], r.AvgUtil[units.RAM], r.AvgUtil[units.Storage])
 	}
@@ -126,15 +126,6 @@ func faultHeader(b *strings.Builder, i int, cell Cell) {
 		fmt.Fprintf(b, "rung %-6s (box MTBF %d, MTTR %d) · target %.0f%%\n",
 			cell.Fault.Label, cell.Fault.MTBF, cell.Fault.MTTR, cell.Util.Target*100)
 	}
-}
-
-// acceptedPct is a run's measured acceptance percentage, 100 when it saw
-// no measured arrivals.
-func acceptedPct(r *sim.SteadyState) float64 {
-	if r.Arrivals == 0 {
-		return 100
-	}
-	return float64(r.Accepted) / float64(r.Arrivals) * 100
 }
 
 // windowAcceptance summarizes per-window acceptance: mean and minimum

@@ -284,6 +284,30 @@ func TestRunChurnValidation(t *testing.T) {
 	}
 }
 
+// TestCloneNeedsWarmPhase: a clone ladder snapshots the warm phase, and
+// a duration under four leaves no warmup, so both clone ladders refuse it
+// by name (they used to fail inside WarmStream with "requires
+// Snapshot.At"); at four the refusal is gone.
+func TestCloneNeedsWarmPhase(t *testing.T) {
+	s := DefaultSetup()
+	s.Topology.Racks = 3
+	util := []ChurnRung{{Label: "60%", Target: 0.6}}
+	fault := []FaultRung{{Label: "smoke", MTBF: 4000, MTTR: 500}}
+	for _, d := range []int64{1, 3, 4} {
+		churn := LadderConfig{Duration: d, Util: util, Clone: true}
+		faults := LadderConfig{Duration: d, Util: util, Faults: fault, Clone: true}
+		_, churnErr := s.RunChurn(churn)
+		_, faultsErr := s.RunFaults(faults)
+		for name, err := range map[string]error{"churn": churnErr, "faults": faultsErr} {
+			refused := err != nil && strings.Contains(err.Error(), fmt.Sprintf("duration %d has none", d)) &&
+				strings.Contains(err.Error(), "minimum 4")
+			if refused != (d < 4) {
+				t.Errorf("%s, duration %d: err = %v", name, d, err)
+			}
+		}
+	}
+}
+
 // TestNewCell: the cell constructor hands back a runner and stream that
 // RunStream drives to the arrival budget, and refuses what it cannot
 // build.

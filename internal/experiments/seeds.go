@@ -82,7 +82,7 @@ func (sw *SeedSweep) Render() string {
 	b.WriteString("  Azure-3000 inter-rack percent (Figure 7):\n")
 	for _, alg := range Algorithms {
 		s := sw.Azure[alg]
-		fmt.Fprintf(&b, "    %-8s %7.2f ± %5.2f %% [%g, %g]\n",
+		fmt.Fprintf(&b, "    %-8s %7.2f ± %5.2f %% [%.2f, %.2f]\n",
 			alg, s.Mean(), s.StdDev(), s.Min(), s.Max())
 	}
 	b.WriteString("  The ordering (baselines ≫ RISA ≈ RISA-BF ≈ 0) holds for every seed.\n")

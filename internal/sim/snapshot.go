@@ -1,25 +1,30 @@
-// Snapshot support: deterministic capture of a complete mid-run
-// simulation state and its restoration into a pristine datacenter, such
-// that a restored run is bit-identical to the original continuing.
+// Snapshot support: deterministic capture of a warm simulation state —
+// a stream run stopped in its warm phase, or a Driver at a decision
+// boundary — and its restoration into a pristine datacenter, such that a
+// restored run is bit-identical to the original continuing.
 //
 // Capture happens only at an event boundary (every event strictly before
 // the snapshot point processed, nothing at or after it started), so no
 // same-instant fault burst or half-applied transaction can be in flight.
+// A stream run is captured in its warm phase (Snapshot.At ≤ Warmup), so
+// nothing has been measured yet: no window is open, no latency sample is
+// kept, every measured counter is zero, and the resumed run opens its
+// measured phase fresh under its own configuration.
 // A snapshot holds plain serializable data — no live pointers: compute
 // placements are recorded as exact per-brick shares, optical flows as
 // structural link paths, heap entries as (time, kind, seq, plan-index,
 // VM, assignment-index) tuples in the heap's own array order (the order
-// evictDisplaced scans), and every RNG as (seed, draw count) replayed on
-// restore (workload.CountingSource). Restoration replays placements and
-// flows onto a pristine state first and applies box failures afterwards;
-// the resulting brick, link and aggregate values equal the original's
-// exactly, because releases return shares to bricks even on failed
-// hardware, so live placements fully determine the planes.
+// evictDisplaced scans), and the stream's RNG as (seed, draw count)
+// replayed on restore (workload.CountingSource). Restoration replays
+// placements and flows onto a pristine state first and applies box
+// failures afterwards; the resulting brick, link and aggregate values
+// equal the original's exactly, because releases return shares to bricks
+// even on failed hardware, so live placements fully determine the planes.
 //
-// The determinism contract: resuming a snapshot under the same
-// configuration (same stream construction, same stop bounds, same fault
-// plan, same scheduler) yields windowed metrics bit-identical to the
-// original run continuing, wall-clock-derived values (latency
+// The determinism contract: resuming a snapshot under the warm run's
+// configuration (same stream construction, same stop bounds and windows,
+// same fault plan, same scheduler) yields windowed metrics bit-identical
+// to the original run continuing, wall-clock-derived values (latency
 // percentiles, SchedulingTime, WallTime) excepted. A snapshot is
 // immutable after capture — ResumeStream copies out of it and never
 // writes into it — so one snapshot may warm many cells, concurrently,
@@ -87,43 +92,18 @@ type QueuedVMState struct {
 	Seq       int
 }
 
-// ReservoirState is the serializable position of one latency reservoir:
-// its buffer plus the (seed, draw-count) replay coordinates of its
-// sampling RNG, so a restored run keeps sampling exactly as the
-// original would have.
-type ReservoirState struct {
-	K     int
-	N     int64
-	Seed  int64
-	Draws uint64
-	Vals  []float64
-}
-
-// WindowerState is the serializable position of the windowed-metrics
-// integrator: the open window, its partial integrals, every closed
-// window, and the overall measured integral.
-type WindowerState struct {
-	Warmup, Window int64
-	Cur            WindowStats
-	CurIntegral    [units.NumResources]float64
-	Windows        []WindowStats
-	Overall        [units.NumResources]float64
-	Val            [units.NumResources]float64
-	LastT          int64
-}
-
-// Snapshot is the complete state of a RunStream execution at an event
-// boundary — or, with everything from WaitSum on and T left zero, of a
-// Driver at a decision boundary: the event core fills the position half
-// (capture in core.go), the stream run the observer half. It is plain
-// data: gob-serializable (the CLI and the daemon each wrap it in a file
-// struct of their own), deep-copyable (Clone), and immutable under
-// ResumeStream and RestoreDriver.
+// Snapshot is the complete state of a stream run at an event boundary in
+// its warm phase — or, with everything from WaitSum on and T left zero,
+// of a Driver at a decision boundary: the event core fills the position
+// half (capture in core.go), the stream run the observer half. It is
+// plain data: gob-serializable (the daemon stores one in its data
+// directory), deep-copyable (Clone), and immutable under ResumeStream and
+// RestoreDriver.
 type Snapshot struct {
-	// T is the snapshot boundary (WarmStream's StreamSnapshot.At):
-	// every event with time < T is reflected in the state, nothing at or
-	// after T is. LastT is the time of the last event actually processed
-	// (≤ T).
+	// T is the snapshot boundary (WarmStream's StreamSnapshot.At, at
+	// most the warm run's Warmup): every event with time < T is
+	// reflected in the state, nothing at or after T is. LastT is the time
+	// of the last event actually processed (≤ T).
 	T     int64
 	LastT int64
 
@@ -148,14 +128,13 @@ type Snapshot struct {
 	PlanLen   int
 	DownCount []int
 
-	// Counters is the partial SteadyState at the boundary (Windows nil —
-	// they live in Windower until the run finishes; WallTime zero — wall
-	// clock restarts on resume).
+	// Counters is the partial SteadyState at the boundary: the whole-run
+	// counters and SchedulingTime, its measured figures still zero
+	// (WallTime zero too — wall clock restarts on resume).
 	Counters SteadyState
-	Windower WindowerState
-	Lat, Rep ReservoirState
-	// TierLat holds the per-tier direct-decision latency reservoirs.
-	TierLat [workload.NumTiers]ReservoirState
+	// Signal is the utilization signal per resource, in percent, as last
+	// sampled: the resumed run integrates it from LastT on.
+	Signal [units.NumResources]float64
 
 	// Stream is the workload stream's replay position, captured after
 	// drawing PendingVM: the stream's next yield is PendingVM's
@@ -187,12 +166,6 @@ func (s *Snapshot) Clone() *Snapshot {
 	c.Waiting = append([]QueuedVMState(nil), s.Waiting...)
 	c.DownCount = append([]int(nil), s.DownCount...)
 	c.Counters.Windows = append([]WindowStats(nil), s.Counters.Windows...)
-	c.Windower = s.Windower.clone()
-	c.Lat.Vals = append([]float64(nil), s.Lat.Vals...)
-	c.Rep.Vals = append([]float64(nil), s.Rep.Vals...)
-	for t := range c.TierLat {
-		c.TierLat[t].Vals = append([]float64(nil), s.TierLat[t].Vals...)
-	}
 	return &c
 }
 
@@ -288,8 +261,11 @@ func checkPristine(st *sched.State) error {
 }
 
 // capture assembles the full Snapshot at the current event boundary:
-// the observer half here, the position half by the event core. It only
-// reads — the run can continue unperturbed afterwards.
+// the observer half here, the position half by the event core. In the
+// warm phase the observer half is the whole-run counters, the retry
+// queue's wait sum, the utilization signal and the stream's position;
+// windows and reservoirs are still empty. It only reads — the run can
+// continue unperturbed afterwards.
 func (sr *streamRun) capture() (*Snapshot, error) {
 	snapper, ok := sr.s.(workload.StreamSnapshotter)
 	if !ok {
@@ -299,30 +275,25 @@ func (sr *streamRun) capture() (*Snapshot, error) {
 		T:         sr.cfg.Snapshot.At,
 		WaitSum:   sr.waitSum,
 		Counters:  *sr.res,
-		Windower:  WindowerState(*sr.wind).clone(),
-		Lat:       sr.lat.state(),
-		Rep:       sr.rep.state(),
+		Signal:    sr.wind.val,
 		Stream:    snapper.StreamState(),
 		PendingVM: sr.pending,
 		More:      sr.more,
 	}
-	snap.Counters.Windows = nil // res.Windows only materializes at finish
-	for t := range sr.tlat {
-		snap.TierLat[t] = sr.tlat[t].state()
-	}
 	return snap, sr.c.capture(snap)
 }
 
-// WarmStream runs the stream up to cfg.Snapshot.At (required) and returns
-// the snapshot captured there, leaving the runner's state warm. The
-// warm configuration's stop bounds (MaxArrivals, Duration, Warmup,
-// Window) must equal the resume configuration's for a resumed run to be
+// WarmStream runs the stream up to cfg.Snapshot.At and returns the
+// snapshot captured there, leaving the runner's state warm. The point
+// must lie in the warm phase, 0 < At ≤ Windows.Warmup. The warm
+// configuration's stop bounds (MaxArrivals, Duration, Warmup, Window)
+// must equal the resume configuration's for a resumed run to be
 // bit-identical to an uninterrupted one — the experiment ladders pass
 // the same StreamConfig to both. It fails if the run ends before the
 // snapshot point.
 func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, error) {
-	if cfg.Snapshot.At <= 0 {
-		return nil, fmt.Errorf("sim: WarmStream requires Snapshot.At")
+	if at := cfg.Snapshot.At; at <= 0 || at > cfg.Windows.Warmup {
+		return nil, fmt.Errorf("sim: WarmStream captures in the warm phase: Snapshot.At %d is outside (0, warmup %d]", at, cfg.Windows.Warmup)
 	}
 	sr, err := r.newStreamRun(s, cfg)
 	if err != nil {
@@ -341,10 +312,11 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // ResumeStream continues a snapshotted run on this runner: the runner's
 // state must be pristine (it is restored from the snapshot), s must be
 // a pristine stream built with the same configuration as the snapshot's
-// (it is repositioned by replay), and cfg must carry the same stop
-// bounds as the warm run's for bit-identical equivalence (Warmup,
-// Window and the reservoir parameters are inherited from the snapshot).
-// It refuses Snapshot.At: a resumed run does not capture again.
+// (it is repositioned by replay), and cfg's warmup must not end before
+// the snapshot point. The measured phase starts fresh under cfg's
+// windows; with the warm run's stop bounds and windows the resumed run
+// is bit-identical to an uninterrupted one. It refuses Snapshot.At: a
+// resumed run does not capture again.
 //
 // Fault-plan linkage follows Snapshot.PlanLen (see eventCore.restore): a
 // plan-free snapshot resumed under a plan starts its faults at the
@@ -365,10 +337,12 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 	if !ok {
 		return nil, fmt.Errorf("sim: stream %q does not support snapshots", s.Name())
 	}
-	if err := sr.c.restore(snap); err != nil {
-		return nil, err
+	// Refused before the restore, so the runner stays pristine; a nil
+	// snapshot is the restore's to refuse.
+	if snap != nil && cfg.Windows.Warmup < snap.T {
+		return nil, fmt.Errorf("sim: warmup %d ends before the snapshot point %d, and a snapshot holds nothing measured", cfg.Windows.Warmup, snap.T)
 	}
-	if err := snap.checkObserver(); err != nil {
+	if err := sr.c.restore(snap); err != nil {
 		return nil, err
 	}
 	if err := snapper.RestoreStreamState(snap.Stream); err != nil {
@@ -380,13 +354,8 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 	resCopy.Workload = s.Name()
 	resCopy.Windows = nil
 	sr.res = &resCopy
-	sr.lat = restoreReservoir(snap.Lat)
-	sr.rep = restoreReservoir(snap.Rep)
-	for t := range sr.tlat {
-		sr.tlat[t] = restoreReservoir(snap.TierLat[t])
-	}
-	wind := windower(snap.Windower.clone())
-	sr.wind = &wind
+	sr.openMeasurement()
+	sr.wind.lastT, sr.wind.val = snap.LastT, snap.Signal
 	sr.waitSum = snap.WaitSum
 	sr.pending, sr.more = snap.PendingVM, snap.More
 	// The pending arrival was drawn under the warm bounds; re-apply this
@@ -401,43 +370,4 @@ func (r *Runner) ResumeStream(s workload.Stream, snap *Snapshot, cfg StreamConfi
 		return nil, err
 	}
 	return sr.finish(), nil
-}
-
-// checkObserver rejects an observer half no run could have captured: a
-// non-positive window would close windows forever, a reservoir larger
-// than its bound (or than reservoirSize) could not have been filled.
-func (s *Snapshot) checkObserver() error {
-	if s.Windower.Window <= 0 {
-		return fmt.Errorf("sim: snapshot window must be positive, got %d", s.Windower.Window)
-	}
-	for _, rs := range append([]ReservoirState{s.Lat, s.Rep}, s.TierLat[:]...) {
-		if rs.K < 0 || rs.K > reservoirSize || len(rs.Vals) > rs.K {
-			return fmt.Errorf("sim: snapshot reservoir holds %d of %d samples, bound %d", len(rs.Vals), rs.K, reservoirSize)
-		}
-	}
-	return nil
-}
-
-// clone returns a copy sharing nothing with ws.
-func (ws WindowerState) clone() WindowerState {
-	ws.Windows = append([]WindowStats(nil), ws.Windows...)
-	return ws
-}
-
-// state captures the reservoir's position.
-func (r *reservoir) state() ReservoirState {
-	return ReservoirState{
-		K: r.k, N: r.n, Seed: r.seed, Draws: r.src.Draws(),
-		Vals: append([]float64(nil), r.vals...),
-	}
-}
-
-// restoreReservoir rebuilds a reservoir from its captured position: the
-// buffer is copied and the sampling RNG replayed to its exact draw.
-func restoreReservoir(st ReservoirState) *reservoir {
-	r := newReservoir(st.K, st.Seed)
-	r.src.Replay(st.Seed, st.Draws)
-	r.n = st.N
-	r.vals = append(r.vals, st.Vals...)
-	return r
 }

@@ -131,8 +131,8 @@ func eqCases() []eqCase {
 		{
 			// The whole tiered fault surface at once: priority mix on
 			// arrivals, fault plan, eviction, retry queue and preemption.
-			// The snapshot must carry tier counters, per-tier reservoirs
-			// and preempted retry entries across the warm/resume boundary.
+			// The snapshot must carry tiered and preempted retry entries
+			// across the warm/resume boundary.
 			name: "tiered-preempt",
 			sim: func(t testing.TB) Config {
 				return Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true, Retry: true, Preempt: true}}
@@ -183,9 +183,9 @@ func requireEqual(t *testing.T, fresh, cloned *SteadyState) {
 
 // TestSnapshotEquivalence is the tentpole acceptance suite: for every
 // scheduler × scenario, a warm-then-resume run must report windowed
-// metrics bit-identical to an uninterrupted fresh run.
+// metrics bit-identical to an uninterrupted fresh run, whether the
+// snapshot is taken at the warmup cut itself or strictly inside warmup.
 func TestSnapshotEquivalence(t *testing.T) {
-	const snapAt = 40000
 	for _, tc := range eqCases() {
 		for _, alg := range eqAlgorithms {
 			t.Run(tc.name+"/"+alg, func(t *testing.T) {
@@ -194,29 +194,34 @@ func TestSnapshotEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				warmCfg := tc.stream(t)
-				warmCfg.Snapshot.At = snapAt
-				_, wr := eqRunner(t, alg, tc.sim(t))
-				snap, err := wr.WarmStream(tc.src(t), warmCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if snap.T != snapAt || snap.LastT >= snapAt {
-					t.Fatalf("snapshot boundary: T=%d LastT=%d, want T=%d LastT<T", snap.T, snap.LastT, snapAt)
-				}
-
-				_, rr := eqRunner(t, alg, tc.sim(t))
-				resumed, err := rr.ResumeStream(tc.src(t), snap, tc.stream(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireEqual(t, fresh, resumed)
 				if fresh.Windows == nil || len(fresh.Windows) < 4 {
 					t.Fatalf("fixture too small: only %d windows", len(fresh.Windows))
 				}
 				if tc.name == "tiered-preempt" && fresh.Preempted == 0 {
 					t.Error("tiered fixture exercised no preemption")
+				}
+
+				warmup := tc.stream(t).Windows.Warmup
+				for _, snapAt := range []int64{warmup, warmup / 2} {
+					t.Run(fmt.Sprintf("at=%d", snapAt), func(t *testing.T) {
+						warmCfg := tc.stream(t)
+						warmCfg.Snapshot.At = snapAt
+						_, wr := eqRunner(t, alg, tc.sim(t))
+						snap, err := wr.WarmStream(tc.src(t), warmCfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if snap.T != snapAt || snap.LastT >= snapAt {
+							t.Fatalf("snapshot boundary: T=%d LastT=%d, want T=%d LastT<T", snap.T, snap.LastT, snapAt)
+						}
+
+						_, rr := eqRunner(t, alg, tc.sim(t))
+						resumed, err := rr.ResumeStream(tc.src(t), snap, tc.stream(t))
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireEqual(t, fresh, resumed)
+					})
 				}
 			})
 		}
@@ -229,7 +234,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 func TestSnapshotSharedAcrossWidths(t *testing.T) {
 	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
 	warm := cfg
-	warm.Snapshot.At = 30000
+	warm.Snapshot.At = cfg.Windows.Warmup
 	_, wr := eqRunner(t, "RISA", Config{})
 	snap, err := wr.WarmStream(eqStream(t), warm)
 	if err != nil {
@@ -282,7 +287,7 @@ func TestSnapshotSharedAcrossWidths(t *testing.T) {
 
 // TestSnapshotCloneIsDeep: mutating a clone must not reach the original.
 func TestSnapshotCloneIsDeep(t *testing.T) {
-	warm := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}, Snapshot: StreamSnapshot{At: 30000}}
+	warm := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}, Snapshot: StreamSnapshot{At: 12600}}
 	_, wr := eqRunner(t, "RISA", Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true, Retry: true}})
 	snap, err := wr.WarmStream(eqStream(t), warm)
 	if err != nil {
@@ -301,7 +306,9 @@ func TestSnapshotCloneIsDeep(t *testing.T) {
 			as.CPU.Shares[0].Amount = -99
 		}
 	}
-	clone.Windower.Windows = append(clone.Windower.Windows, WindowStats{})
+	if len(clone.DownCount) > 0 {
+		clone.DownCount[0] = -99
+	}
 	if reflect.DeepEqual(snap, clone) {
 		t.Fatal("mutating the clone reached the original")
 	}
@@ -313,7 +320,7 @@ func TestSnapshotCloneIsDeep(t *testing.T) {
 func TestSnapshotGobRoundtrip(t *testing.T) {
 	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
 	warm := cfg
-	warm.Snapshot.At = 30000
+	warm.Snapshot.At = cfg.Windows.Warmup
 	_, wr := eqRunner(t, "RISA", Config{})
 	snap, err := wr.WarmStream(eqStream(t), warm)
 	if err != nil {
@@ -347,7 +354,7 @@ func TestSnapshotGobRoundtrip(t *testing.T) {
 func TestResumeCrossAlgorithm(t *testing.T) {
 	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
 	warm := cfg
-	warm.Snapshot.At = 30000
+	warm.Snapshot.At = cfg.Windows.Warmup
 	_, wr := eqRunner(t, "RISA", Config{})
 	snap, err := wr.WarmStream(eqStream(t), warm)
 	if err != nil {
@@ -378,7 +385,7 @@ func TestResumeCrossAlgorithm(t *testing.T) {
 func TestResumePlanFreeWarmWithPlan(t *testing.T) {
 	cfg := StreamConfig{Workload: StreamWorkload{Duration: 160000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
 	warm := cfg
-	warm.Snapshot.At = 30000
+	warm.Snapshot.At = cfg.Windows.Warmup
 	_, wr := eqRunner(t, "RISA", Config{})
 	snap, err := wr.WarmStream(eqStream(t), warm)
 	if err != nil {
@@ -406,7 +413,7 @@ func TestResumePlanFreeWarmWithPlan(t *testing.T) {
 
 // TestSnapshotErrors covers the rejection paths.
 func TestSnapshotErrors(t *testing.T) {
-	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 500}, Windows: StreamWindows{Warmup: 0, Window: 1000}}
+	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 500}, Windows: StreamWindows{Warmup: 2000, Window: 1000}}
 
 	t.Run("warm-requires-snapshot-at", func(t *testing.T) {
 		_, r := eqRunner(t, "RISA", Config{})
@@ -414,29 +421,23 @@ func TestSnapshotErrors(t *testing.T) {
 			t.Fatal("WarmStream without SnapshotAt succeeded")
 		}
 	})
-	t.Run("stream-ends-before-boundary", func(t *testing.T) {
+	t.Run("warm-refuses-measured-phase", func(t *testing.T) {
+		// A snapshot is taken in the warm phase: a point past the warmup
+		// cut would have measured state to carry.
 		warm := cfg
-		warm.Snapshot.At = 1 << 40
+		warm.Snapshot.At = cfg.Windows.Warmup + 1
 		_, r := eqRunner(t, "RISA", Config{})
-		if _, err := r.WarmStream(eqStream(t), warm); err == nil {
-			t.Fatal("snapshot point past the run's end succeeded")
+		if _, err := r.WarmStream(eqStream(t), warm); err == nil || !strings.Contains(err.Error(), "warm phase") {
+			t.Fatalf("WarmStream past the warmup cut: err = %v", err)
 		}
 	})
-	t.Run("trace-stream-supported", func(t *testing.T) {
-		// TraceStream snapshots too (its position is just an index).
-		tr := &workload.Trace{Name: "t"}
-		for i := 0; i < 200; i++ {
-			tr.VMs = append(tr.VMs, workload.VM{ID: i, Arrival: int64(i * 10), Lifetime: 300, Req: units.Vec(2, 2, 2)})
-		}
-		warm := StreamConfig{Workload: StreamWorkload{MaxArrivals: 200}, Windows: StreamWindows{Window: 500}, Snapshot: StreamSnapshot{At: 900}}
+	t.Run("stream-ends-before-boundary", func(t *testing.T) {
+		warm := cfg
+		warm.Windows.Warmup = 1 << 40
+		warm.Snapshot.At = 1 << 40
 		_, r := eqRunner(t, "RISA", Config{})
-		snap, err := r.WarmStream(workload.NewTraceStream(tr), warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, r2 := eqRunner(t, "RISA", Config{})
-		if _, err := r2.ResumeStream(workload.NewTraceStream(tr), snap, StreamConfig{Workload: StreamWorkload{MaxArrivals: 200}, Windows: StreamWindows{Window: 500}}); err != nil {
-			t.Fatal(err)
+		if _, err := r.WarmStream(eqStream(t), warm); err == nil || !strings.Contains(err.Error(), "before the snapshot point") {
+			t.Fatalf("snapshot point past the run's end: err = %v", err)
 		}
 	})
 
@@ -447,6 +448,24 @@ func TestSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	t.Run("trace-stream-unsupported", func(t *testing.T) {
+		// Only the generator stream records a replayable position; a
+		// trace stream is refused on both sides of a snapshot.
+		tr := &workload.Trace{Name: "t"}
+		for i := 0; i < 200; i++ {
+			tr.VMs = append(tr.VMs, workload.VM{ID: i, Arrival: int64(i * 10), Lifetime: 300, Req: units.Vec(2, 2, 2)})
+		}
+		warm := StreamConfig{Workload: StreamWorkload{MaxArrivals: 200}, Windows: StreamWindows{Warmup: 900, Window: 500}, Snapshot: StreamSnapshot{At: 900}}
+		_, r := eqRunner(t, "RISA", Config{})
+		if _, err := r.WarmStream(workload.NewTraceStream(tr), warm); err == nil || !strings.Contains(err.Error(), "does not support snapshots") {
+			t.Fatalf("WarmStream over a trace stream: err = %v", err)
+		}
+		_, r2 := eqRunner(t, "RISA", Config{})
+		if _, err := r2.ResumeStream(workload.NewTraceStream(tr), snap, cfg); err == nil || !strings.Contains(err.Error(), "does not support snapshots") {
+			t.Fatalf("ResumeStream over a trace stream: err = %v", err)
+		}
+	})
 	plannedCfg := Config{Faults: Faults{Plan: eqPlan(t, 160000)}}
 	_, pwr := eqRunner(t, "RISA", plannedCfg)
 	warmPlanned := warmCfg
@@ -468,6 +487,20 @@ func TestSnapshotErrors(t *testing.T) {
 		_, rr := eqRunner(t, "RISA", Config{})
 		if _, err := rr.ResumeStream(eqStream(t), snap, warmCfg); err == nil || !strings.Contains(err.Error(), "only WarmStream") {
 			t.Fatalf("ResumeStream with Snapshot.At: err = %v", err)
+		}
+		if _, err := rr.ResumeStream(eqStream(t), snap, cfg); err != nil {
+			t.Fatalf("the refusal left the runner's state dirty: %v", err)
+		}
+	})
+	t.Run("resume-refuses-warmup-before-snapshot", func(t *testing.T) {
+		// The resumed run measures from its own warmup cut, and the
+		// snapshot holds nothing measured: a cut before the snapshot
+		// point would lose the span between them.
+		early := cfg
+		early.Windows.Warmup = snap.T - 1
+		_, rr := eqRunner(t, "RISA", Config{})
+		if _, err := rr.ResumeStream(eqStream(t), snap, early); err == nil || !strings.Contains(err.Error(), "before the snapshot point") {
+			t.Fatalf("ResumeStream with warmup %d before snapshot point %d: err = %v", early.Windows.Warmup, snap.T, err)
 		}
 		if _, err := rr.ResumeStream(eqStream(t), snap, cfg); err != nil {
 			t.Fatalf("the refusal left the runner's state dirty: %v", err)
@@ -604,42 +637,14 @@ func placementSig(st *sched.State, a *sched.Assignment) string {
 	return fmt.Sprintf("%d/%d/%d", box(a.CPU), box(a.RAM), box(a.STO))
 }
 
-// TestReservoirSnapshotPercentiles pins satellite 4: a restored
-// reservoir fed the same remaining values reports bit-identical
-// percentiles, including its sampling RNG position.
-func TestReservoirSnapshotPercentiles(t *testing.T) {
-	r := newReservoir(8, 42)
-	for i := 0; i < 100; i++ {
-		r.add(float64(i * 37 % 101))
-	}
-	st := r.state()
-	r2 := restoreReservoir(st)
-
-	for i := 100; i < 300; i++ {
-		v := float64(i * 61 % 211)
-		r.add(v)
-		r2.add(v)
-	}
-	if r.samples() != r2.samples() {
-		t.Fatalf("samples: %d vs %d", r.samples(), r2.samples())
-	}
-	for _, p := range []float64{50, 95, 99} {
-		if a, b := r.percentile(p), r2.percentile(p); a != b {
-			t.Errorf("p%.0f: %g vs %g", p, a, b)
-		}
-	}
-	if !reflect.DeepEqual(r.vals, r2.vals) {
-		t.Error("reservoir buffers diverged — sampling RNG not restored to position")
-	}
-}
-
 // TestRestoreRejectsTamperedSnapshot feeds the restore path snapshots no
 // run could have written — what a damaged daemon data directory decodes
 // to. Each must come back as an error: no panic, and no
 // spin (a zero-length window used to close windows forever), which the
-// watchdog would catch.
+// watchdog would catch. The window comes from the resume configuration,
+// so the window cases pass a non-positive one there.
 func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
-	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 500}, Windows: StreamWindows{Window: 1000}}
+	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 500}, Windows: StreamWindows{Warmup: 2000, Window: 1000}}
 	warm := cfg
 	warm.Snapshot.At = 2000
 	_, wr := eqRunner(t, "RISA", Config{})
@@ -647,10 +652,18 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume := func(snap *Snapshot) error {
+	resumeUnder := func(snap *Snapshot, cfg StreamConfig) error {
 		_, r := eqRunner(t, "RISA", Config{})
 		_, err := r.ResumeStream(eqStream(t), snap, cfg)
 		return err
+	}
+	resume := func(snap *Snapshot) error { return resumeUnder(snap, cfg) }
+	window := func(w int64) func() error {
+		return func() error {
+			c := cfg
+			c.Windows.Window = w
+			return resumeUnder(good.Clone(), c)
+		}
 	}
 	if err := resume(good.Clone()); err != nil {
 		t.Fatalf("untampered snapshot refused: %v", err)
@@ -673,11 +686,8 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 			_, err := RestoreDriver(st, r.sch, nil)
 			return err
 		}},
-		{"zero-window", tamper(func(s *Snapshot) { s.Windower.Window = 0 })},
-		{"negative-window", tamper(func(s *Snapshot) { s.Windower.Window = -5 })},
-		{"reservoir-k-negative", tamper(func(s *Snapshot) { s.Lat.K = -1 })},
-		{"reservoir-k-huge", tamper(func(s *Snapshot) { s.Rep.K = 1 << 40 })},
-		{"reservoir-overfull", tamper(func(s *Snapshot) { s.TierLat[1].K, s.TierLat[1].Vals = 2, []float64{1, 2, 3} })},
+		{"zero-window", window(0)},
+		{"negative-window", window(-5)},
 		{"queued-tier-out-of-range", tamper(func(s *Snapshot) {
 			vm := queued
 			vm.Tier = workload.NumTiers

@@ -234,6 +234,10 @@ type SteadyState struct {
 	RateMultiplier float64
 }
 
+// AcceptancePct returns the run's measured acceptance rate in percent
+// (100 when it saw no measured arrivals).
+func (s *SteadyState) AcceptancePct() float64 { return acceptancePct(s.Accepted, s.Arrivals) }
+
 // PlacementsPerSec returns the sustained scheduling throughput: accepted
 // VMs (whole run) per wall-clock second.
 func (s *SteadyState) PlacementsPerSec() float64 {
@@ -365,15 +369,23 @@ func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, 
 	}
 	sr := r.bind(s, cfg)
 	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
-	sr.lat = newReservoir(reservoirSize, 1)
-	sr.rep = newReservoir(reservoirSize, 2) // re-placement latencies, own stream
-	sr.wind = &windower{Warmup: cfg.Windows.Warmup, Window: cfg.Windows.Window}
-	for t := range sr.tlat {
-		sr.tlat[t] = newReservoir(reservoirSize, 3+int64(t)) // per tier, own stream each
-	}
+	sr.openMeasurement()
 	sr.c.seedPlan(0)
 	sr.pull()
 	return sr, nil
+}
+
+// openMeasurement gives the run a fresh measured phase: the windower at
+// the configuration's warmup cut and window, and empty reservoirs. A
+// fresh run and a resumed one both start here, since a snapshot is taken
+// before anything is measured.
+func (sr *streamRun) openMeasurement() {
+	sr.lat = newReservoir(reservoirSize, 1)
+	sr.rep = newReservoir(reservoirSize, 2) // re-placement latencies, own stream
+	sr.wind = &windower{warmup: sr.cfg.Windows.Warmup, window: sr.cfg.Windows.Window}
+	for t := range sr.tlat {
+		sr.tlat[t] = newReservoir(reservoirSize, 3+int64(t)) // per tier, own stream each
+	}
 }
 
 // pull draws the next arrival into pending — unless it lies beyond the
@@ -413,9 +425,9 @@ func (sr *streamRun) arrive(vm workload.VM) error {
 	}
 	if sr.measured {
 		sr.res.Arrivals++
-		sr.wind.Cur.Arrivals++
+		sr.wind.cur.Arrivals++
 		sr.res.Tiers[vm.Tier].Arrivals++
-		sr.wind.Cur.TierArrivals[vm.Tier]++
+		sr.wind.cur.TierArrivals[vm.Tier]++
 	}
 	return nil
 }
@@ -506,9 +518,7 @@ func (sr *streamRun) advance(to int64) {
 	}
 	if sr.wind != nil {
 		sr.wind.advance(to)
-		// wind.Warmup, not Windows.Warmup: a resumed run inherits the warm
-		// phase's boundary from the snapshot (they agree on fresh runs).
-		sr.measured = to >= sr.wind.Warmup
+		sr.measured = to >= sr.cfg.Windows.Warmup
 	}
 }
 
@@ -537,7 +547,7 @@ func (sr *streamRun) placed(q QueuedVMState, a *sched.Assignment, waited bool) {
 		// original arrival, so only the displacement outcome moves.
 		res.Recovered++
 		if sr.measured {
-			sr.wind.Cur.Recovered++
+			sr.wind.cur.Recovered++
 		}
 	case q.Preempted:
 		// Same: a preemption victim re-placed, not a new acceptance.
@@ -547,8 +557,8 @@ func (sr *streamRun) placed(q QueuedVMState, a *sched.Assignment, waited bool) {
 		if sr.measured {
 			res.Accepted++
 			res.Tiers[q.VM.Tier].Accepted++
-			sr.wind.Cur.Accepted++
-			sr.wind.Cur.TierAccepted[q.VM.Tier]++
+			sr.wind.cur.Accepted++
+			sr.wind.cur.TierAccepted[q.VM.Tier]++
 		}
 	}
 }
@@ -558,7 +568,7 @@ func (sr *streamRun) enqueued(q QueuedVMState) {
 	if q.Preempted {
 		sr.res.Preempted++
 		if sr.measured {
-			sr.wind.Cur.TierPreempted[q.VM.Tier]++
+			sr.wind.cur.TierPreempted[q.VM.Tier]++
 		}
 	}
 }
@@ -574,7 +584,7 @@ func (sr *streamRun) dropped(q QueuedVMState) {
 		res.TotalDropped++
 		if sr.measured {
 			res.Dropped++
-			sr.wind.Cur.Dropped++
+			sr.wind.cur.Dropped++
 		}
 	}
 }
@@ -588,7 +598,7 @@ func (sr *streamRun) releasing(vm workload.VM, a *sched.Assignment, evicted bool
 func (sr *streamRun) displaced(a *sched.Assignment, recovered bool, d time.Duration) {
 	sr.res.Displaced++
 	if sr.measured {
-		sr.wind.Cur.Displaced++
+		sr.wind.cur.Displaced++
 	}
 	if recovered {
 		sr.res.Recovered++
@@ -596,7 +606,7 @@ func (sr *streamRun) displaced(a *sched.Assignment, recovered bool, d time.Durat
 			sr.acct.attach(a)
 		}
 		if sr.measured {
-			sr.wind.Cur.Recovered++
+			sr.wind.cur.Recovered++
 			sr.rep.add(float64(d))
 		}
 	}
@@ -624,7 +634,7 @@ func (sr *streamRun) finish() *SteadyState {
 	// A trailing partial window is folded into the overall average but not
 	// reported: it is not a full steady-state window.
 	sr.wind.advance(c.now)
-	res.Windows = sr.wind.Windows
+	res.Windows = sr.wind.windows
 	res.AvgUtil = sr.wind.overallAvg(c.now)
 	res.LatencySamples, res.LatencyP50, res.LatencyP95, res.LatencyP99 = sr.lat.summary()
 	res.ReplaceSamples, res.ReplaceP95 = sr.rep.samples(), time.Duration(sr.rep.percentile(95))
@@ -655,39 +665,46 @@ func finalMultiplier(s workload.Stream) float64 {
 
 // windower integrates the piecewise-constant utilization signal into
 // fixed-length post-warmup windows plus an overall measured average, and
-// attributes arrival counts to the open window. Its whole position is the
-// serializable WindowerState, so a snapshot is a clone of it.
-type windower WindowerState
+// attributes arrival counts to the open window.
+type windower struct {
+	warmup, window int64
+	cur            WindowStats                 // the open window
+	curIntegral    [units.NumResources]float64 // cur's partial integrals
+	windows        []WindowStats               // every closed window
+	overall        [units.NumResources]float64 // the measured span's integral
+	val            [units.NumResources]float64 // the signal since lastT
+	lastT          int64
+}
 
 // set records the signal's value from the last advanced time onward.
-func (w *windower) set(val [units.NumResources]float64) { w.Val = val }
+func (w *windower) set(val [units.NumResources]float64) { w.val = val }
 
 // advance integrates the current signal up to time to, splitting the
 // integral at window boundaries and closing every window it crosses.
 func (w *windower) advance(to int64) {
-	t := w.LastT
-	w.LastT = to
-	if to <= w.Warmup {
+	t := w.lastT
+	w.lastT = to
+	if to <= w.warmup {
 		return
 	}
-	if t < w.Warmup {
-		t = w.Warmup
+	if t < w.warmup {
+		t = w.warmup
 	}
-	if w.Cur.End == 0 { // first measured segment: open window 0
-		w.Cur.Start, w.Cur.End = w.Warmup, w.Warmup+w.Window
+	if w.cur.End == 0 { // first measured segment: open window 0
+		w.cur.Start, w.cur.End = w.warmup, w.warmup+w.window
 	}
 	for t < to {
 		seg := to
-		if w.Cur.End < seg {
-			seg = w.Cur.End
+		if w.cur.End < seg {
+			seg = w.cur.End
 		}
 		dt := float64(seg - t)
-		for k := range w.Val {
-			w.CurIntegral[k] += w.Val[k] * dt
-			w.Overall[k] += w.Val[k] * dt
+		for k := range w.val {
+			w.curIntegral[k] += w.val[k] * dt
+			w.overall[k] += w.val[k] * dt
 		}
 		t = seg
-		if t == w.Cur.End {
+		if t == w.cur.End {
 			w.closeCurrent()
 		}
 	}
@@ -695,24 +712,24 @@ func (w *windower) advance(to int64) {
 
 // closeCurrent finalizes the open window and opens its successor.
 func (w *windower) closeCurrent() {
-	span := float64(w.Cur.End - w.Cur.Start)
-	for k := range w.CurIntegral {
-		w.Cur.AvgUtil[k] = w.CurIntegral[k] / span
+	span := float64(w.cur.End - w.cur.Start)
+	for k := range w.curIntegral {
+		w.cur.AvgUtil[k] = w.curIntegral[k] / span
 	}
-	w.Windows = append(w.Windows, w.Cur)
-	w.Cur = WindowStats{Start: w.Cur.End, End: w.Cur.End + w.Window}
-	w.CurIntegral = [units.NumResources]float64{}
+	w.windows = append(w.windows, w.cur)
+	w.cur = WindowStats{Start: w.cur.End, End: w.cur.End + w.window}
+	w.curIntegral = [units.NumResources]float64{}
 }
 
 // overallAvg returns the measured-span time average per resource.
 func (w *windower) overallAvg(end int64) [units.NumResources]float64 {
 	var out [units.NumResources]float64
-	if end <= w.Warmup {
+	if end <= w.warmup {
 		return out
 	}
-	span := float64(end - w.Warmup)
-	for k := range w.Overall {
-		out[k] = w.Overall[k] / span
+	span := float64(end - w.warmup)
+	for k := range w.overall {
+		out[k] = w.overall[k] / span
 	}
 	return out
 }
@@ -726,9 +743,7 @@ func (w *windower) overallAvg(end int64) [units.NumResources]float64 {
 type reservoir struct {
 	k        int
 	n        int64
-	seed     int64
 	vals     []float64
-	src      *workload.CountingSource // counted so snapshots can replay it
 	rng      *rand.Rand
 	sorted   []float64 // reusable scratch copy of vals, sorted
 	sortedOK bool      // sorted reflects vals
@@ -736,8 +751,7 @@ type reservoir struct {
 
 // newReservoir returns a reservoir holding at most k samples.
 func newReservoir(k int, seed int64) *reservoir {
-	src := workload.NewCountingSource(seed)
-	return &reservoir{k: k, seed: seed, vals: make([]float64, 0, k), src: src, rng: rand.New(src)}
+	return &reservoir{k: k, vals: make([]float64, 0, k), rng: rand.New(rand.NewSource(seed))}
 }
 
 // add offers one observation to the reservoir.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -202,36 +203,28 @@ func TestBatchAdmissionMatchesSerialUnderRetryAndPreempt(t *testing.T) {
 // burst's first arrival, never between two of them.
 func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 	// 205 sits past burst instants 0..200; arming at 200 makes the
-	// boundary coincide with a burst's exact instant.
+	// boundary coincide with a burst's exact instant. Both lie in the
+	// warm phase, where a snapshot is taken.
 	for _, at := range []int64{200, 205} {
 		t.Run(fmt.Sprintf("at=%d", at), func(t *testing.T) {
 			capture := func(serial bool) *Snapshot {
 				cfg := StreamConfig{
 					Workload: StreamWorkload{MaxArrivals: 500},
-					Windows:  StreamWindows{Warmup: 100, Window: 150},
+					Windows:  StreamWindows{Warmup: 300, Window: 150},
 					Snapshot: StreamSnapshot{At: at},
 				}
 				_, r := newRunner(t, func(s *sched.State) sched.Scheduler { return core.New(s) })
-				snap, err := r.WarmStream(burstStream(burstTrace(500), serial), cfg)
+				var s workload.Stream = &countedTrace{TraceStream: workload.NewTraceStream(burstTrace(500))}
+				if serial {
+					s = serialCounted{s.(*countedTrace)}
+				}
+				snap, err := r.WarmStream(s, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Strip the wall-clock observations a snapshot carries:
-				// the aggregate Schedule time and the latency reservoirs'
-				// sample values. Their counts and draw positions stay —
-				// those are decision-count-deterministic.
+				// Strip the one wall-clock observation a snapshot carries,
+				// the aggregate Schedule time.
 				snap.Counters.SchedulingTime = 0
-				for i := range snap.Lat.Vals {
-					snap.Lat.Vals[i] = 0
-				}
-				for i := range snap.Rep.Vals {
-					snap.Rep.Vals[i] = 0
-				}
-				for ti := range snap.TierLat {
-					for i := range snap.TierLat[ti].Vals {
-						snap.TierLat[ti].Vals[i] = 0
-					}
-				}
 				return snap
 			}
 			serial, batched := capture(true), capture(false)
@@ -241,6 +234,35 @@ func TestBatchAdmissionSnapshotBoundary(t *testing.T) {
 		})
 	}
 }
+
+// countedTrace is a trace stream that records its position, the number
+// of arrivals drawn, so WarmStream can capture it; the boundary test only
+// captures, so it is never restored.
+type countedTrace struct {
+	*workload.TraceStream
+	n int
+}
+
+func (s *countedTrace) Next() (workload.VM, bool) {
+	vm, ok := s.TraceStream.Next()
+	if ok {
+		s.n++
+	}
+	return vm, ok
+}
+
+func (s *countedTrace) StreamState() workload.StreamState {
+	return workload.StreamState{Name: s.Name(), Index: s.n}
+}
+
+func (s *countedTrace) RestoreStreamState(workload.StreamState) error {
+	return errors.New("countedTrace is captured, never restored")
+}
+
+// serialCounted is countedTrace as the serial oracle (see serialOracle).
+type serialCounted struct{ *countedTrace }
+
+func (serialCounted) ObserveUtilization(float64) {}
 
 // fuzzBurstTrace decodes fuzz bytes into an arrival stream of bursts.
 // Each 3-byte op is (burst, shape, life): `burst%8+1` VMs arrive in one

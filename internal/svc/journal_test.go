@@ -597,8 +597,8 @@ func TestDirectJournalMatchesBuffered(t *testing.T) {
 func TestMaxFrameCoversRegistry(t *testing.T) {
 	m := int64(math.MinInt64)
 	widest := Record{Seq: m, Kind: RecordSwap,
-		VM:    workload.VM{ID: math.MinInt64, Arrival: m, Lifetime: m, Tier: math.MinInt64, Req: units.Vec(units.Amount(m), units.Amount(m), units.Amount(m))},
-		Fault: faults.Event{T: m, Repair: true, Tier: faults.Tier(math.MinInt64), Rack: math.MinInt64, Box: math.MinInt64}}
+		VM:    workload.VM{ID: math.MinInt, Arrival: m, Lifetime: m, Tier: math.MinInt, Req: units.Vec(units.Amount(m), units.Amount(m), units.Amount(m))},
+		Fault: faults.Event{T: m, Repair: true, Tier: faults.Tier(math.MinInt), Rack: math.MinInt, Box: math.MinInt}}
 	for _, name := range sched.Registered() {
 		widest.Algo = name
 		if n := len(appendFrame(nil, &widest)); n > maxFrame {

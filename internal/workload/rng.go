@@ -64,10 +64,10 @@ func (s *CountingSource) Replay(seed int64, draws uint64) {
 
 // StreamState is the serializable position of a workload stream: enough
 // to rebuild an equally-configured stream mid-sequence so it yields the
-// exact arrivals the original would have yielded next. Generator streams
-// record their RNG position as a draw count (see CountingSource) plus
-// the simulated clock and arrival index; trace streams only need the
-// index. ControllerMult preserves the rate controller's multiplier for
+// exact arrivals the original would have yielded next. The generator
+// stream, the one snapshotter, records its RNG position as a draw count
+// (see CountingSource) plus the simulated clock and arrival index.
+// ControllerMult preserves the rate controller's multiplier for
 // controlled streams (1 for uncontrolled ones).
 type StreamState struct {
 	Name           string
@@ -90,31 +90,6 @@ type StreamSnapshotter interface {
 	RestoreStreamState(st StreamState) error
 }
 
-// checkStreamName rejects state captured from a differently-named stream.
-func checkStreamName(got, want string) error {
-	if got != want {
-		return fmt.Errorf("workload: stream state is for %q, not %q", got, want)
-	}
-	return nil
-}
-
-// StreamState implements StreamSnapshotter.
-func (s *TraceStream) StreamState() StreamState {
-	return StreamState{Name: s.Name(), Index: s.i, ControllerMult: 1}
-}
-
-// RestoreStreamState implements StreamSnapshotter.
-func (s *TraceStream) RestoreStreamState(st StreamState) error {
-	if err := checkStreamName(st.Name, s.Name()); err != nil {
-		return err
-	}
-	if st.Index < 0 || st.Index > len(s.tr.VMs) {
-		return fmt.Errorf("workload: stream index %d out of range for trace of %d VMs", st.Index, len(s.tr.VMs))
-	}
-	s.i = st.Index
-	return nil
-}
-
 // StreamState implements StreamSnapshotter.
 func (s *SyntheticStream) StreamState() StreamState {
 	st := StreamState{Name: s.Name(), Index: s.i, Now: s.now, Draws: s.src.Draws(), ControllerMult: 1}
@@ -128,8 +103,8 @@ func (s *SyntheticStream) StreamState() StreamState {
 // replayed to its draw count, the clock, index and controller multiplier
 // written back.
 func (s *SyntheticStream) RestoreStreamState(st StreamState) error {
-	if err := checkStreamName(st.Name, s.Name()); err != nil {
-		return err
+	if st.Name != s.Name() {
+		return fmt.Errorf("workload: stream state is for %q, not %q", st.Name, s.Name())
 	}
 	s.src.Replay(s.cfg.Seed, st.Draws)
 	s.i, s.now = st.Index, st.Now
