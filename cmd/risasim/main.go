@@ -24,15 +24,13 @@
 //	risasim -exp faults -tiers 0.2,0.3,0.5 -preempt  # ... with preemption
 //	risasim -exp slo                 # SLO ladder: tiers + preemption × faults × utilization
 //	risasim -exp slo -tiers 0.5,0.3,0.2          # custom priority mix
-//	risasim -exp churn -clone        # ladder on shared warm snapshots (one warmup per rung)
-//	risasim -exp faults -clone       # availability ladder on shared fault-free warm states
 //	risasim -exp churn -cpuprofile cpu.pprof   # profile the hot path
 //	risasim -exp all -memprofile mem.pprof     # heap profile on clean exit
 //
 // The experiment names are listed once, in the catalog below: the -exp
 // help text, the all and azure groups and the unknown-name check are
-// computed from it. Ladder flags (-clone, -evict, -duration, -target-util,
-// -mtbf, -mttr, -tiers, -preempt) are rejected on experiments that never
+// computed from it. Ladder flags (-evict, -duration, -target-util, -mtbf,
+// -mttr, -tiers, -preempt) are rejected on experiments that never
 // read them, and so are -seed, -racks and -uplinks on the toys, which run
 // the paper's fixed Table 2 datacenter, -racks and -uplinks on fig6, which
 // only generates traces, and -seed on seeds, which sweeps seeds 1 to 5.
@@ -75,7 +73,6 @@ type options struct {
 	preempt    bool
 	tiers      string
 	tierMix    workload.TierMix // parsed -tiers (zero when the flag is absent)
-	clone      bool
 	cpuprofile string
 	memprofile string
 }
@@ -96,7 +93,6 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.evict, "evict", false, "for -exp faults: evict VMs from failed hardware and re-place them through the scheduler (default: VMs ride out outages in place)")
 	fs.BoolVar(&o.preempt, "preempt", false, "for -exp faults: let higher-tier arrivals preempt strictly-lower-tier residents when placement fails (victims re-enter through the retry queue; pair with -tiers)")
 	fs.StringVar(&o.tiers, "tiers", "", "for -exp faults/slo: priority mix as three comma-separated weights, highest tier first (e.g. 0.2,0.3,0.5; empty = faults untiered, slo default mix)")
-	fs.BoolVar(&o.clone, "clone", false, "for -exp churn/faults: share one warm state per rung across all algorithm cells instead of warming each cell separately (controlled comparison; not comparable to the fresh-warmup ladder)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on clean exit")
 	if err := fs.Parse(args); err != nil {
@@ -140,7 +136,6 @@ func parseArgs(args []string) (options, error) {
 		exps []string
 		note string
 	}{
-		{o.clone, "-clone", []string{"churn", "faults"}, ""},
 		{o.duration > 0, "-duration", []string{"churn", "faults", "slo"}, ""},
 		{o.targetUtil > 0, "-target-util", []string{"churn", "faults", "slo"}, ""},
 		{o.evict, "-evict", []string{"faults"}, " (the slo experiment always evicts)"},
@@ -213,7 +208,7 @@ func parseTiers(s string) (workload.TierMix, error) {
 // -target-util and — for faults and slo, the ladders with a fault axis —
 // to the fault-free baseline plus one rung by -mtbf.
 func ladderConfig(o options) experiments.LadderConfig {
-	cfg := experiments.LadderConfig{Duration: o.duration, Evict: o.evict, Preempt: o.preempt, Tiers: o.tierMix, Clone: o.clone}
+	cfg := experiments.LadderConfig{Duration: o.duration, Evict: o.evict, Preempt: o.preempt, Tiers: o.tierMix}
 	if o.targetUtil > 0 {
 		// %.4g keeps labels clean for fractions like 0.55, where
 		// targetUtil*100 is not exactly 55 in float64.

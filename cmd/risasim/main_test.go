@@ -266,8 +266,6 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		{"-duration", "-1"},
 		{"-target-util", "-0.5"},
 		{"-target-util", "9"},
-		{"-exp", "slo", "-clone"},
-		{"-clone"},
 		// -duration and -target-util on experiments that never read them.
 		{"-exp", "toy1", "-duration", "5"},
 		{"-exp", "toy1", "-target-util", "0.5"},
@@ -277,6 +275,10 @@ func TestParseArgsChurnFlags(t *testing.T) {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)
 		}
+	}
+	// The ladders have one protocol; -clone is not a flag.
+	if _, err := parseArgs([]string{"-exp", "churn", "-clone"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -clone") {
+		t.Errorf("-clone: err = %v, want an undefined flag", err)
 	}
 }
 
@@ -367,7 +369,7 @@ func TestParseArgsFaultFlags(t *testing.T) {
 		t.Errorf("fault flags not plumbed: %+v", o)
 	}
 	cfg := ladderConfig(o)
-	if cfg.Duration != 30000 || !cfg.Evict || cfg.Preempt || cfg.Clone || cfg.Tiers.Enabled() {
+	if cfg.Duration != 30000 || !cfg.Evict || cfg.Preempt || cfg.Tiers.Enabled() {
 		t.Errorf("fault config not built: %+v", cfg)
 	}
 	// -mtbf narrows the ladder to the fault-free baseline plus one rung.
@@ -393,12 +395,12 @@ func TestParseArgsFaultFlags(t *testing.T) {
 			t.Errorf("-exp %s: -tiers not applied or ladder narrowed: %+v", exp, cfg)
 		}
 	}
-	o, err = parseArgs([]string{"-exp", "faults", "-tiers", "0.2,0.3,0.5", "-preempt", "-clone"})
+	o, err = parseArgs([]string{"-exp", "faults", "-tiers", "0.2,0.3,0.5", "-preempt"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg = ladderConfig(o); !cfg.Preempt || !cfg.Clone || cfg.Evict {
-		t.Errorf("-preempt/-clone not applied: %+v", cfg)
+	if cfg = ladderConfig(o); !cfg.Preempt || cfg.Evict {
+		t.Errorf("-preempt not applied: %+v", cfg)
 	}
 
 	o, err = parseArgs(nil)
@@ -449,43 +451,25 @@ func TestRunFaultsExperimentWiring(t *testing.T) {
 	}
 }
 
-// TestCloneLadders runs both clone-mode ladders, small, from the command
-// line to the table: each shares warm snapshots and says so.
-func TestCloneLadders(t *testing.T) {
+// TestLadderRefusesDurationWithoutArrivals: a -duration so short that
+// a rung measures no arrival fails the run (exit 1), naming the rung,
+// the algorithm and the duration, and prints no table of zeros.
+func TestLadderRefusesDurationWithoutArrivals(t *testing.T) {
 	for _, args := range [][]string{
-		{"-exp", "churn", "-clone", "-racks", "3", "-duration", "20000", "-target-util", "0.6"},
-		{"-exp", "faults", "-clone", "-evict", "-racks", "3", "-duration", "20000", "-target-util", "0.6", "-mtbf", "4000"},
+		{"-exp", "churn", "-duration", "4"},
+		{"-exp", "faults", "-duration", "4"},
 	} {
 		o, err := parseArgs(args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out, err := stdoutOf(t, func() error { return run(buildSetup(o), o.exp, scaleMaxRacks(o), ladderConfig(o)) })
-		if err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		if !strings.Contains(string(out), "clone mode") {
-			t.Errorf("%v printed no clone-mode table:\n%s", args, out)
-		}
-	}
-}
-
-// TestCloneRefusesDurationWithoutWarmup: -clone with a -duration too
-// short for a warm phase is refused by name, the duration and its
-// minimum, not by a message from inside the simulator.
-func TestCloneRefusesDurationWithoutWarmup(t *testing.T) {
-	for _, args := range [][]string{
-		{"-exp", "churn", "-clone", "-duration", "3"},
-		{"-exp", "faults", "-clone", "-duration", "2"},
-	} {
-		o, err := parseArgs(args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = run(buildSetup(o), o.exp, scaleMaxRacks(o), ladderConfig(o))
-		if err == nil || !strings.Contains(err.Error(), "duration "+args[len(args)-1]+" has none") ||
-			!strings.Contains(err.Error(), "minimum 4") {
+		if err == nil || !strings.Contains(err.Error(), "NULB at fault rung none, utilization rung 60%") ||
+			!strings.Contains(err.Error(), "duration 4") {
 			t.Errorf("%v: err = %v", args, err)
+		}
+		if len(out) > 0 {
+			t.Errorf("%v printed a table:\n%s", args, out)
 		}
 	}
 }

@@ -64,10 +64,6 @@ func DefaultFaultRungs(mttr int64) []FaultRung {
 	}
 }
 
-// cloneWindows is the per-cell measurement budget, in complete windows,
-// of a Clone ladder that sets no Duration.
-const cloneWindows = 16
-
 // LadderConfig parameterizes a steady-state ladder. RunChurn, RunFaults
 // and RunSLO each fill the zero fields with their own defaults.
 type LadderConfig struct {
@@ -96,21 +92,6 @@ type LadderConfig struct {
 	// Tiers optionally stamps a priority mix on arrivals (zero = every VM
 	// tier 0, bit-identical to a ladder that never heard of tiers).
 	Tiers workload.TierMix
-	// Clone switches the ladder to warm-state sharing: each utilization
-	// rung's cluster is warmed ONCE — fault-free, under RISA, the paper's
-	// scheduler — to the end of warmup and snapshotted there, and every
-	// (fault rung, algorithm) cell of the rung resumes the shared snapshot
-	// instead of re-simulating its own warm phase: the controlled-
-	// comparison protocol of Protean-style cluster studies, all algorithms
-	// starting from the identical warm state. Plan events before the
-	// snapshot point are dropped, so faults begin exactly when measurement
-	// does. Without a Duration each resumed cell runs cloneWindows
-	// measurement windows instead of the full arrival budget, which is
-	// where most of the wall-clock saving comes from. Results stay
-	// deterministic and independent of the worker-pool width, but are NOT
-	// comparable to a default ladder's, whose cells warm up under their
-	// own algorithm, live through early faults and spend the full budget.
-	Clone bool
 }
 
 // Cell is one steady-state run of a ladder.
@@ -124,8 +105,7 @@ type Cell struct {
 // Ladder is a full grid of steady-state runs.
 type Ladder struct {
 	Setup Setup
-	// Config is the configuration as run: defaults filled in, Duration the
-	// cap every cell actually ran under (a Clone ladder derives one).
+	// Config is the configuration as run, defaults filled in.
 	Config LadderConfig
 	// Cells is fault-rung-major, then utilization rung, then Algorithms
 	// order.
@@ -243,7 +223,9 @@ func (s Setup) faultPlan(rung FaultRung, horizon int64) (*faults.Plan, error) {
 // placements, acceptance, utilization and availability are bit-identical
 // whatever the pool width, while latency percentiles and placements/sec
 // are wall-clock and inflate when cells contend for cores (regenerate
-// with -parallel 1 for honest timings, like Figure 12).
+// with -parallel 1 for honest timings, like Figure 12). A cell that
+// measures no arrival fails the ladder: its row would read as a perfect
+// one.
 func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 	if cfg.Arrivals == 0 {
 		cfg.Arrivals = 100000
@@ -265,14 +247,6 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		return nil, err
 	}
 	warmup, window := churnPhases(cfg.Duration)
-	if cfg.Clone && warmup == 0 {
-		return nil, fmt.Errorf("experiments: clone mode snapshots the warm phase, and duration %d has none (warmup is at most a quarter of the duration: minimum 4)", cfg.Duration)
-	}
-	if cfg.Clone && cfg.Duration == 0 {
-		// Warmup plus the window budget (one spare so the last counted
-		// window is closed by an event at or past its end).
-		cfg.Duration = warmup + (cloneWindows+1)*window
-	}
 	base := sim.StreamConfig{
 		Workload: sim.StreamWorkload{MaxArrivals: cfg.Arrivals, Duration: cfg.Duration},
 		Windows:  sim.StreamWindows{Warmup: warmup, Window: window},
@@ -289,28 +263,6 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		}
 	}
 
-	// Clone mode: one fault-free RISA warm run per utilization rung; the
-	// snapshot is immutable and resumed concurrently by the rung's cells.
-	var snaps []*sim.Snapshot
-	if cfg.Clone {
-		snaps = make([]*sim.Snapshot, len(cfg.Util))
-		warm := base
-		warm.Snapshot.At = warmup
-		err := Engine{}.ForEach(len(cfg.Util), func(i int) error {
-			runner, arrivals, err := s.NewCell("RISA", cfg.Util[i].Target, cfg.Tiers, sim.Faults{})
-			if err == nil {
-				snaps[i], err = runner.WarmStream(arrivals, warm)
-			}
-			if err != nil {
-				return fmt.Errorf("warming utilization rung %s: %w", cfg.Util[i].Label, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	out := &Ladder{Setup: s, Config: cfg}
 	for _, fault := range cfg.Faults {
 		for _, util := range cfg.Util {
@@ -319,8 +271,7 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 			}
 		}
 	}
-	perUtil := len(Algorithms)
-	perFault := len(cfg.Util) * perUtil
+	perFault := len(cfg.Util) * len(Algorithms)
 	err := Engine{}.ForEach(len(out.Cells), func(i int) error {
 		cell := &out.Cells[i]
 		var f sim.Faults
@@ -330,11 +281,14 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		if cfg.Preempt {
 			f.Retry, f.Preempt = true, true
 		}
-		var snap *sim.Snapshot
-		if cfg.Clone {
-			snap = snaps[i%perFault/perUtil]
+		runner, arrivals, err := s.NewCell(cell.Algorithm, cell.Util.Target, cfg.Tiers, f)
+		if err == nil {
+			cell.Result, err = runner.RunStream(arrivals, base)
 		}
-		if err := s.runCell(cell, cfg.Tiers, f, base, snap); err != nil {
+		if err == nil && cell.Result.Arrivals == 0 {
+			err = fmt.Errorf("measured no arrival (duration %d, warmup cut at %d)", cfg.Duration, warmup)
+		}
+		if err != nil {
 			return fmt.Errorf("%s at fault rung %s, utilization rung %s: %w", cell.Algorithm, cell.Fault.Label, cell.Util.Label, err)
 		}
 		return nil
@@ -343,23 +297,6 @@ func (s Setup) runLadder(cfg LadderConfig) (*Ladder, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// runCell fills in the cell's result: a fresh run under run and the fault
-// surface f, or — given a warm snapshot — that snapshot resumed. A
-// snapshot warmed under RISA resumes under the cell's own scheduler
-// starting from its zero decision state.
-func (s Setup) runCell(cell *Cell, mix workload.TierMix, f sim.Faults, run sim.StreamConfig, snap *sim.Snapshot) error {
-	runner, arrivals, err := s.NewCell(cell.Algorithm, cell.Util.Target, mix, f)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		cell.Result, err = runner.ResumeStream(arrivals, snap, run)
-	} else {
-		cell.Result, err = runner.RunStream(arrivals, run)
-	}
-	return err
 }
 
 // RunChurn executes the steady-state churn ladder: the utilization axis

@@ -18,9 +18,6 @@ func (l *Ladder) RenderChurn() string {
 	if l.Config.Duration > 0 {
 		fmt.Fprintf(&b, " (time-capped at %d tu)", l.Config.Duration)
 	}
-	if l.Config.Clone {
-		b.WriteString("\n(clone mode: each rung warmed once under RISA, all algorithms resume the shared warm snapshot)")
-	}
 	b.WriteString("\n")
 	b.WriteString("(metrics exclude warmup; acc%/win is mean over complete windows, with the worst window in parentheses;\n")
 	b.WriteString(" latency percentiles and placements/s are wall-clock — regenerate with -parallel 1 for honest timings)\n")
@@ -52,9 +49,6 @@ func (l *Ladder) RenderFaults() string {
 	}
 	fmt.Fprintf(&b, "Availability ladder: box-tier MTBF × utilization, %d racks, %d tu per cell, policy: %s\n",
 		l.Setup.Topology.Racks, l.Config.Duration, mode)
-	if l.Config.Clone {
-		b.WriteString("(clone mode: each target warmed once fault-free under RISA; faults begin at the snapshot point)\n")
-	}
 	b.WriteString("(metrics exclude warmup; acc%/win is mean over complete windows with the worst window in parentheses;\n")
 	b.WriteString(" displ/rec/lost count displaced VMs; re-place p95 is wall-clock — regenerate with -parallel 1 for honest timings)\n")
 	for i, cell := range l.Cells {

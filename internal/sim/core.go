@@ -139,19 +139,24 @@ func newEventCore(st *sched.State, sch sched.Scheduler, obs observer, f Faults) 
 	return &eventCore{st: st, sch: sch, obs: obs, f: f, downCount: make([]int, len(st.Cluster.Boxes()))}
 }
 
-// seedPlan queues the fault plan's events from time `from` on (0 for a
-// fresh run; a plan-free snapshot resumed under a plan starts its faults
-// at the snapshot point).
-func (c *eventCore) seedPlan(from int64) {
+// seedPlan queues every event of the fault plan: a fresh run's start. A
+// restored core finds the pending ones in its snapshot instead.
+func (c *eventCore) seedPlan() {
 	if c.f.Plan == nil {
 		return
 	}
 	for i, ev := range c.f.Plan.Events {
-		if ev.T >= from {
-			c.h.Push(event{t: ev.T, kind: fault, seq: c.seq, fx: int32(i)})
-			c.seq++
-		}
+		c.h.Push(event{t: ev.T, kind: fault, seq: c.seq, fx: int32(i)})
+		c.seq++
 	}
+}
+
+// planLen is the length of the core's fault plan, 0 without one.
+func (c *eventCore) planLen() int {
+	if c.f.Plan == nil {
+		return 0
+	}
+	return len(c.f.Plan.Events)
 }
 
 // due reports whether the heap's minimum precedes an external event of
@@ -382,7 +387,7 @@ func (c *eventCore) unseat(e *event, q QueuedVMState) {
 // the pending events in the heap's backing-array order (the order
 // evictDisplaced scans) referencing live assignments by index, the
 // datacenter state behind them, the clock and counters, the retry queue,
-// the outage refcounts and the plan's length (-1 without one). The
+// the outage refcounts and the plan's length (0 without one). The
 // observer half of a Snapshot is its driver's to fill.
 func (c *eventCore) capture(snap *Snapshot) error {
 	if c.burstFail || c.burstRepair {
@@ -411,10 +416,7 @@ func (c *eventCore) capture(snap *Snapshot) error {
 	snap.LastT, snap.Seq, snap.Resident, snap.AdmitSeq = c.now, c.seq, c.resident, c.admitSeq
 	snap.Waiting = append([]QueuedVMState(nil), c.waiting[c.wHead:]...)
 	snap.DownCount = append([]int(nil), c.downCount...)
-	snap.PlanLen = -1
-	if c.f.Plan != nil {
-		snap.PlanLen = len(c.f.Plan.Events)
-	}
+	snap.PlanLen = c.planLen()
 	return nil
 }
 
@@ -426,22 +428,17 @@ func (c *eventCore) capture(snap *Snapshot) error {
 // departure only with the VM its assignment carries; absent refcounts
 // (a snapshot that ran without faults) start at zero.
 //
-// Fault-plan linkage follows Snapshot.PlanLen: a snapshot taken under a
-// plan requires this core to carry an equally long one (the pending fault
-// events reference it by index, a nil plan counting as empty); a
-// plan-free snapshot restored under a plan queues the plan's events from
-// the snapshot point on — events before it never apply, which is exactly
-// the clone-mode ladders' fault-free warm semantics.
+// A snapshot resumes only under a fault plan as long as the one it was
+// captured with, a nil plan counting as empty: its pending fault events
+// reference the plan by index. Older builds wrote a plan-free snapshot's
+// PlanLen as -1, which reads as 0.
 func (c *eventCore) restore(snap *Snapshot) error {
 	if snap == nil {
 		return errors.New("sim: no snapshot to restore")
 	}
-	planLen := 0
-	if c.f.Plan != nil {
-		planLen = len(c.f.Plan.Events)
-	}
-	if snap.PlanLen >= 0 && snap.PlanLen != planLen {
-		return fmt.Errorf("sim: snapshot was taken under a %d-event fault plan, this run's has %d", snap.PlanLen, planLen)
+	planLen := c.planLen()
+	if captured := max(snap.PlanLen, 0); captured != planLen {
+		return fmt.Errorf("sim: snapshot was taken under a %d-event fault plan, this run's has %d", captured, planLen)
 	}
 	if snap.DownCount != nil && len(snap.DownCount) != len(c.downCount) {
 		return fmt.Errorf("sim: snapshot carries %d outage refcounts, run tracks %d boxes", len(snap.DownCount), len(c.downCount))
@@ -475,8 +472,5 @@ func (c *eventCore) restore(snap *Snapshot) error {
 	}
 	c.now, c.seq, c.resident, c.admitSeq = snap.LastT, snap.Seq, snap.Resident, snap.AdmitSeq
 	c.waiting = append(c.waiting[:0], snap.Waiting...)
-	if snap.PlanLen < 0 {
-		c.seedPlan(snap.T)
-	}
 	return nil
 }

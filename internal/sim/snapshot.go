@@ -56,8 +56,9 @@ type StateSnapshot struct {
 	// SchedName names the scheduler the state was captured under; Sched
 	// holds its carried decision state when it has any (HasSched).
 	// Restore replays Sched only onto a scheduler of the same name —
-	// cross-algorithm restores (the experiment ladders' clone mode) start
-	// the new scheduler from its zero state instead.
+	// cross-algorithm restores (the benchmark's churn set-up resumes one
+	// RISA snapshot under every algorithm) start the new scheduler from
+	// its zero state instead.
 	SchedName string
 	Sched     sched.SchedulerState
 	HasSched  bool
@@ -122,8 +123,8 @@ type Snapshot struct {
 	// from before admission sequences existed).
 	AdmitSeq int
 
-	// PlanLen is the length of the fault plan the run was driven by, or
-	// -1 when it had none (eventCore.restore states the linkage rule);
+	// PlanLen is the length of the fault plan the run was driven by, 0
+	// when it had none (eventCore.restore states the linkage rule);
 	// DownCount holds the per-box outage refcounts.
 	PlanLen   int
 	DownCount []int
@@ -147,8 +148,8 @@ type Snapshot struct {
 // Clone returns a deep copy sharing nothing with s. ResumeStream never
 // mutates a snapshot, so cloning is only needed when a caller wants an
 // independently owned copy (e.g. to serialize one while resuming
-// another); the experiment ladders resume one snapshot many times
-// directly.
+// another); the benchmark's churn set-up resumes one snapshot many
+// times directly.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s
 	c.State.Assignments = make([]sched.AssignmentState, len(s.State.Assignments))
@@ -318,9 +319,8 @@ func (r *Runner) WarmStream(s workload.Stream, cfg StreamConfig) (*Snapshot, err
 // is bit-identical to an uninterrupted one. It refuses Snapshot.At: a
 // resumed run does not capture again.
 //
-// Fault-plan linkage follows Snapshot.PlanLen (see eventCore.restore): a
-// plan-free snapshot resumed under a plan starts its faults at the
-// snapshot point.
+// The runner's fault plan must be as long as the one the snapshot was
+// taken under (see eventCore.restore).
 //
 // The snapshot itself is never written to: many cells may resume the
 // same snapshot, including concurrently from separate goroutines each

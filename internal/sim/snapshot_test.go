@@ -348,8 +348,8 @@ func TestSnapshotGobRoundtrip(t *testing.T) {
 	requireEqual(t, want, got)
 }
 
-// TestResumeCrossAlgorithm: the clone-mode ladders warm with one
-// scheduler and resume with another; the resumed run must be
+// TestResumeCrossAlgorithm: the benchmark's churn set-up warms under
+// RISA and resumes under every algorithm; the resumed run must be
 // deterministic (the foreign scheduler starts from its zero state).
 func TestResumeCrossAlgorithm(t *testing.T) {
 	cfg := StreamConfig{Workload: StreamWorkload{MaxArrivals: 2000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
@@ -376,38 +376,6 @@ func TestResumeCrossAlgorithm(t *testing.T) {
 			}
 			prev = got
 		}
-	}
-}
-
-// TestResumePlanFreeWarmWithPlan: a fault-free warm snapshot resumed on
-// a runner with a plan schedules the plan's events from the snapshot
-// point on — deterministically, and with faults actually striking.
-func TestResumePlanFreeWarmWithPlan(t *testing.T) {
-	cfg := StreamConfig{Workload: StreamWorkload{Duration: 160000}, Windows: StreamWindows{Warmup: 12600, Window: 6300}}
-	warm := cfg
-	warm.Snapshot.At = cfg.Windows.Warmup
-	_, wr := eqRunner(t, "RISA", Config{})
-	snap, err := wr.WarmStream(eqStream(t), warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.PlanLen != -1 {
-		t.Fatalf("plan-free warm snapshot has PlanLen %d", snap.PlanLen)
-	}
-	var prev *SteadyState
-	for rep := 0; rep < 2; rep++ {
-		_, rr := eqRunner(t, "RISA", Config{Faults: Faults{Plan: eqPlan(t, 160000), Evict: true}})
-		got, err := rr.ResumeStream(eqStream(t), snap, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Displaced == 0 {
-			t.Error("plan installed on resume displaced nobody — faults never struck")
-		}
-		if prev != nil {
-			requireEqual(t, prev, got)
-		}
-		prev = got
 	}
 }
 
@@ -480,6 +448,29 @@ func TestSnapshotErrors(t *testing.T) {
 		if _, err := rr.ResumeStream(eqStream(t), plannedSnap, cfg); err == nil {
 			t.Fatal("plan-bearing snapshot resumed without a plan")
 		}
+	})
+	t.Run("plan-free-snapshot-resumed-under-a-plan", func(t *testing.T) {
+		// A snapshot resumes only under the plan length it was captured
+		// with; older builds wrote "no plan" as -1, which reads as 0.
+		legacy := snap.Clone()
+		legacy.PlanLen = -1
+		for name, s := range map[string]*Snapshot{"current": snap, "legacy": legacy} {
+			_, rr := eqRunner(t, "RISA", plannedCfg)
+			if _, err := rr.ResumeStream(eqStream(t), s, cfg); err == nil || !strings.Contains(err.Error(), "0-event fault plan") {
+				t.Errorf("%s plan-free snapshot under a plan: err = %v", name, err)
+			}
+		}
+		_, fr := eqRunner(t, "RISA", Config{})
+		want, err := fr.ResumeStream(eqStream(t), snap, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lr := eqRunner(t, "RISA", Config{})
+		got, err := lr.ResumeStream(eqStream(t), legacy, cfg)
+		if err != nil {
+			t.Fatalf("PlanLen -1 snapshot refused on a plan-free run: %v", err)
+		}
+		requireEqual(t, want, got)
 	})
 	t.Run("resume-refuses-snapshot-at", func(t *testing.T) {
 		// A resumed run does not capture again: WarmStream is the one

@@ -275,7 +275,7 @@ func (r *Runner) newFiniteRun(s workload.Stream) *streamRun {
 	sr.finite = true
 	sr.acct = &accounting{model: r.model, meter: power.NewAccountant(r.model), sig: metrics.NewIntegrator(numSignals)}
 	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
-	sr.c.seedPlan(0)
+	sr.c.seedPlan()
 	sr.sample(false) // the signals' reading at t = 0
 	sr.pull()
 	return sr
@@ -370,7 +370,7 @@ func (r *Runner) newStreamRun(s workload.Stream, cfg StreamConfig) (*streamRun, 
 	sr := r.bind(s, cfg)
 	sr.res = &SteadyState{Algorithm: r.sch.Name(), Workload: s.Name(), RateMultiplier: 1}
 	sr.openMeasurement()
-	sr.c.seedPlan(0)
+	sr.c.seedPlan()
 	sr.pull()
 	return sr, nil
 }
