@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -52,7 +53,6 @@ import (
 	"syscall"
 
 	"risa/internal/experiments"
-	"risa/internal/svc"
 	"risa/internal/workload"
 )
 
@@ -131,21 +131,20 @@ func parseArgs(args []string) (options, error) {
 	// A ladder flag on an experiment that never reads it is a mistake, not
 	// something to ignore silently.
 	for _, f := range []struct {
-		set  bool
 		flag string
 		exps []string
 		note string
 	}{
-		{o.duration > 0, "-duration", []string{"churn", "faults", "slo"}, ""},
-		{o.targetUtil > 0, "-target-util", []string{"churn", "faults", "slo"}, ""},
-		{o.evict, "-evict", []string{"faults"}, " (the slo experiment always evicts)"},
-		{o.preempt, "-preempt", []string{"faults"}, " (the slo experiment always preempts)"},
-		{o.mtbf > 0, "-mtbf", []string{"faults", "slo"}, ""},
-		{set["mttr"], "-mttr", []string{"faults", "slo"}, ""}, // its default is nonzero
-		{o.tiers != "", "-tiers", []string{"faults", "slo"}, ""},
+		{"duration", []string{"churn", "faults", "slo"}, ""},
+		{"target-util", []string{"churn", "faults", "slo"}, ""},
+		{"evict", []string{"faults"}, " (the slo experiment always evicts)"},
+		{"preempt", []string{"faults"}, " (the slo experiment always preempts)"},
+		{"mtbf", []string{"faults", "slo"}, ""},
+		{"mttr", []string{"faults", "slo"}, ""},
+		{"tiers", []string{"faults", "slo"}, ""},
 	} {
-		if f.set && !slices.Contains(f.exps, o.exp) {
-			return o, fmt.Errorf("%s requires -exp %s%s, got -exp %s", f.flag, strings.Join(f.exps, " or -exp "), f.note, o.exp)
+		if set[f.flag] && !slices.Contains(f.exps, o.exp) {
+			return o, fmt.Errorf("-%s requires -exp %s%s, got -exp %s", f.flag, strings.Join(f.exps, " or -exp "), f.note, o.exp)
 		}
 	}
 	// A setup flag on an experiment that never reads it is refused the
@@ -329,11 +328,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "risasim: %v\n", err)
 		os.Exit(2)
 	}
-	// SIGINT/SIGTERM (the daemon's signal plumbing, svc.NotifyShutdown):
-	// flush the pprof outputs before exiting so an interrupted profiling
-	// run keeps its samples.
-	sigC, release := svc.NotifyShutdown()
-	defer release()
+	// SIGINT/SIGTERM: flush the pprof outputs before exiting so an
+	// interrupted profiling run keeps its samples.
+	sigC := make(chan os.Signal, 2)
+	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-sigC
 		fmt.Fprintf(os.Stderr, "risasim: %v — flushing profiles before exit\n", sig)

@@ -168,6 +168,12 @@ func TestParseArgsRejectsInvalidValues(t *testing.T) {
 		{"-exp", "slo", "-tiers", "NaN,1,1"},
 		{"-exp", "slo", "-tiers", "+Inf,1,1"},
 		{"-exp", "churn", "-target-util", "NaN"},
+		// A ladder flag is refused when given, whatever its value.
+		{"-exp", "toy1", "-evict=false", "-duration", "0"},
+		{"-exp", "fig5", "-target-util", "0"},
+		{"-exp", "churn", "-mtbf", "0"},
+		{"-exp", "churn", "-tiers", ""},
+		{"-exp", "slo", "-preempt=false"},
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) should fail", args)

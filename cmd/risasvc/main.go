@@ -21,6 +21,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"risa/internal/network"
@@ -126,8 +128,8 @@ func main() {
 	errC := make(chan error, 1)
 	go func() { errC <- httpSrv.Serve(ln) }()
 
-	sigC, release := svc.NotifyShutdown()
-	defer release()
+	sigC := make(chan os.Signal, 2) // a second, impatient signal is never dropped
+	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "risasvc: serving on %s (algo %s, %d racks + %d spares, data %s)\n",
 		ln.Addr(), eng.Algo(), eng.InService(), eng.Spares(), o.dir)
 

@@ -79,17 +79,12 @@ func (s *Server) observe(at *stamps) {
 // reads them, the snapshot file's size and age among them; the last
 // recovery; and the stage and snapshot histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	it := &item{kind: opStats, res: make(chan response, 1)}
-	if !s.q.enqueueControl(it) {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	resp := <-it.res
-	if resp.status != http.StatusOK { // rejectAll's answer past a drain deadline carries no Stats
+	var st Stats
+	resp := s.control(func() response { st = s.stats(); return response{status: http.StatusOK} })
+	if resp.status != http.StatusOK { // refused, or rejectAll's answer past a drain deadline
 		s.write(w, resp)
 		return
 	}
-	st := resp.body.(Stats)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metric := func(name, kind, help string) {
 		fmt.Fprintf(w, "# HELP risasvc_%s %s\n# TYPE risasvc_%s %s\n", name, help, name, kind)

@@ -108,7 +108,7 @@ func TestStageAttribution(t *testing.T) {
 	t.Run("a control-lane item holding the worker lands in queue", func(t *testing.T) {
 		clock := newSpyClock(t)
 		s, _ := newTestServer(t)
-		hold := &item{kind: opStats, res: make(chan response)} // unbuffered: the worker parks answering it
+		hold := &item{op: func() response { return response{} }, res: make(chan response)} // unbuffered: the worker parks answering it
 		if !s.q.enqueueControl(hold) {
 			t.Fatal("control item refused")
 		}

@@ -4,38 +4,22 @@ import (
 	"context"
 	"sync"
 
-	"risa/internal/faults"
 	"risa/internal/workload"
 )
 
-// opKind discriminates the operations that flow through the admission
-// queue to the worker loop.
-type opKind int
-
-const (
-	opPlace opKind = iota
-	opMutate
-	opAddRack
-	opSwap
-	opStats
-	opPlacements
-	opSnapshot
-)
-
-// item is one queued operation plus its reply channel. Placement items
-// carry the request context so an expired or abandoned request can be
-// dropped at dequeue without ever touching the engine, and the clock
-// readings of their stages (the handler's and the worker's, ordered by
-// the queue and the reply channel).
+// item is one queued operation plus its reply channel: a placement, or
+// an operator call op that the worker runs. Placement items carry the
+// request context so an expired or abandoned request can be dropped at
+// dequeue without ever touching the engine, and the clock readings of
+// their stages (the handler's and the worker's, ordered by the queue and
+// the reply channel).
 type item struct {
-	ctx   context.Context
-	kind  opKind
-	tier  int // shed priority; barrierTier entries are never shed
-	vm    workload.VM
-	fault faults.Event
-	algo  string
-	res   chan response
-	at    stamps
+	ctx  context.Context
+	op   func() response // nil for a placement
+	tier int             // shed priority; barrierTier entries are never shed
+	vm   workload.VM
+	res  chan response
+	at   stamps
 }
 
 // barrierTier marks data-lane entries that must never be shed: a queued

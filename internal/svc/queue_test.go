@@ -8,7 +8,7 @@ import (
 )
 
 func dataItem(tier int) *item {
-	return &item{kind: opPlace, tier: tier, res: make(chan response, 1)}
+	return &item{tier: tier, res: make(chan response, 1)}
 }
 
 // mustAdmit admits one data item or fails the test.
@@ -65,7 +65,7 @@ func TestQueueBarrierNeverShed(t *testing.T) {
 	q := newQueue(1)
 	first := dataItem(0)
 	mustAdmit(t, q, first)
-	barrier := &item{kind: opSwap, tier: barrierTier, res: make(chan response, 1)}
+	barrier := &item{tier: barrierTier, res: make(chan response, 1)}
 	mustAdmit(t, q, barrier) // over cap: barriers are not load
 	// A tier-0 newcomer cannot shed the tier-0 entry nor the barrier.
 	if ok, _ := q.enqueueData(dataItem(0)); ok {
@@ -85,7 +85,7 @@ func TestQueueControlLaneFirst(t *testing.T) {
 	q := newQueue(4)
 	place := dataItem(0)
 	mustAdmit(t, q, place)
-	ctrl := &item{kind: opStats, res: make(chan response, 1)}
+	ctrl := &item{res: make(chan response, 1)}
 	if !q.enqueueControl(ctrl) {
 		t.Fatal("control item rejected")
 	}
@@ -107,7 +107,7 @@ func TestQueueCloseDrains(t *testing.T) {
 	if ok, _ := q.enqueueData(dataItem(0)); ok {
 		t.Fatal("admission after close")
 	}
-	if q.enqueueControl(&item{kind: opStats, res: make(chan response, 1)}) {
+	if q.enqueueControl(&item{res: make(chan response, 1)}) {
 		t.Fatal("control admission after close")
 	}
 	if got := q.pop(); got != it {
@@ -132,7 +132,7 @@ func TestQueueRejectAll(t *testing.T) {
 	a, b := dataItem(0), dataItem(2)
 	mustAdmit(t, q, a)
 	mustAdmit(t, q, b)
-	c := &item{kind: opStats, res: make(chan response, 1)}
+	c := &item{res: make(chan response, 1)}
 	q.enqueueControl(c)
 	q.rejectAll(503)
 	for _, it := range []*item{a, b, c} {
@@ -159,7 +159,7 @@ func TestQueueRejectAll(t *testing.T) {
 func TestQueueShedKeepsCap(t *testing.T) {
 	q := newQueue(2)
 	mustAdmit(t, q, dataItem(0))
-	victim := &item{kind: opPlace, tier: 2, res: make(chan response)}
+	victim := &item{tier: 2, res: make(chan response)}
 	mustAdmit(t, q, victim)
 	shedder := make(chan bool)
 	go func() {

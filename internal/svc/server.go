@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -78,45 +79,26 @@ func (s *Server) worker() {
 	}
 }
 
-// serve applies one item. Placement items whose context expired while
-// queued are dropped here with 504, before any journal or scheduler work:
-// never half-placed.
+// serve applies one item: it runs an operator call, or places a VM. A
+// placement whose context expired while queued is dropped here with 504,
+// before any journal or scheduler work: never half-placed.
 func (s *Server) serve(it *item) response {
-	if it.ctx != nil && it.ctx.Err() != nil {
+	if it.op != nil {
+		return it.op()
+	}
+	if it.ctx.Err() != nil {
 		s.expired.Add(1)
 		return response{status: http.StatusGatewayTimeout}
 	}
-	switch it.kind {
-	case opPlace:
-		// A retry the engine answers from its history journals nothing:
-		// its write and sync stages are empty.
-		s.eng.j.wrote, s.eng.j.synced = it.at[atPickUp], it.at[atPickUp]
-		out, err := s.eng.Place(it.vm)
-		it.at[atWritten], it.at[atSynced], it.at[atApplied] = s.eng.j.wrote, s.eng.j.synced, stageClock()
-		if err != nil {
-			return response{status: http.StatusInternalServerError, err: err}
-		}
-		return response{status: http.StatusOK, outcome: out}
-	case opMutate:
-		return answer(s.eng.Mutate(it.fault), map[string]bool{"ok": true})
-	case opAddRack:
-		rack, err := s.eng.AddRack()
-		return answer(err, map[string]int{"rack": rack, "in_service_racks": s.eng.InService()})
-	case opSwap:
-		return answer(s.eng.Swap(it.algo), map[string]string{"algo": it.algo})
-	case opSnapshot:
-		return answer(s.eng.WriteSnapshot(), map[string]bool{"ok": true})
-	case opStats:
-		return response{status: http.StatusOK, body: s.stats()}
-	case opPlacements:
-		var buf bytes.Buffer
-		if err := s.eng.WritePlacements(&buf); err != nil {
-			return response{status: http.StatusInternalServerError, err: err}
-		}
-		return response{status: http.StatusOK, text: buf.Bytes()}
-	default:
-		return response{status: http.StatusInternalServerError, err: fmt.Errorf("svc: unknown op kind %d", it.kind)}
+	// A retry the engine answers from its history journals nothing: its
+	// write and sync stages are empty.
+	s.eng.j.wrote, s.eng.j.synced = it.at[atPickUp], it.at[atPickUp]
+	out, err := s.eng.Place(it.vm)
+	it.at[atWritten], it.at[atSynced], it.at[atApplied] = s.eng.j.wrote, s.eng.j.synced, stageClock()
+	if err != nil {
+		return response{status: http.StatusInternalServerError, err: err}
 	}
+	return response{status: http.StatusOK, outcome: out}
 }
 
 // answer maps an engine verdict onto a response: engine errors on the
@@ -233,17 +215,26 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /fail", func(w http.ResponseWriter, r *http.Request) { s.handleMutate(w, r, false) })
 	mux.HandleFunc("POST /heal", func(w http.ResponseWriter, r *http.Request) { s.handleMutate(w, r, true) })
 	mux.HandleFunc("POST /addrack", func(w http.ResponseWriter, r *http.Request) {
-		s.control(w, &item{kind: opAddRack, res: make(chan response, 1)})
+		s.write(w, s.control(func() response {
+			rack, err := s.eng.AddRack()
+			return answer(err, map[string]int{"rack": rack, "in_service_racks": s.eng.InService()})
+		}))
 	})
 	mux.HandleFunc("POST /swap", s.handleSwap)
 	mux.HandleFunc("POST /snapshot", func(w http.ResponseWriter, r *http.Request) {
-		s.control(w, &item{kind: opSnapshot, res: make(chan response, 1)})
+		s.write(w, s.control(func() response { return answer(s.eng.WriteSnapshot(), map[string]bool{"ok": true}) }))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		s.control(w, &item{kind: opStats, res: make(chan response, 1)})
+		s.write(w, s.control(func() response { return response{status: http.StatusOK, body: s.stats()} }))
 	})
 	mux.HandleFunc("GET /placements", func(w http.ResponseWriter, r *http.Request) {
-		s.control(w, &item{kind: opPlacements, res: make(chan response, 1)})
+		s.write(w, s.control(func() response {
+			var buf bytes.Buffer
+			if err := s.eng.WritePlacements(&buf); err != nil {
+				return response{status: http.StatusInternalServerError, err: err}
+			}
+			return response{status: http.StatusOK, text: buf.Bytes()}
+		}))
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -277,18 +268,26 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 // decodeBody decodes the request's JSON body into v through encoding/json,
-// reading at most maxBody of it. On failure it has answered — 413 for a
-// body past the limit, 400 for anything else — and returns false.
+// reading at most maxBody of it. Like decodePlace it refuses an unknown key
+// and bytes after the value: a typo such as "bxo":2 would otherwise act on
+// box 0. On failure it has answered — 413 for a body past the limit, 400
+// for anything else — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, ok := readBody(w, r)
 	if !ok {
 		return false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return false
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		err = fmt.Errorf("data after the object at offset %d", dec.InputOffset())
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	return false
 }
 
 // maxDeadlineMS is the largest deadline_ms a time.Duration holds
@@ -337,7 +336,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	it := &item{ctx: ctx, kind: opPlace, tier: vm.Tier, vm: vm, res: make(chan response, 1)}
+	it := &item{ctx: ctx, tier: vm.Tier, vm: vm, res: make(chan response, 1)}
 	it.at[atEntry], it.at[atDecoded] = entry, decoded
 	if ok, hint := s.q.enqueueData(it); !ok {
 		s.shed.Add(1)
@@ -379,7 +378,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, repair boo
 		writeError(w, http.StatusBadRequest, "scope must be box or rack")
 		return
 	}
-	s.control(w, &item{kind: opMutate, fault: ev, res: make(chan response, 1)})
+	s.write(w, s.control(func() response { return answer(s.eng.Mutate(ev), map[string]bool{"ok": true}) }))
 }
 
 // handleSwap rides the data lane as a FIFO barrier: placements admitted
@@ -393,7 +392,9 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown algorithm")
 		return
 	}
-	it := &item{kind: opSwap, tier: barrierTier, algo: req.Algo, res: make(chan response, 1)}
+	it := &item{tier: barrierTier, res: make(chan response, 1), op: func() response {
+		return answer(s.eng.Swap(req.Algo), map[string]string{"algo": req.Algo})
+	}}
 	if ok, _ := s.q.enqueueData(it); !ok {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -401,13 +402,15 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	s.write(w, <-it.res)
 }
 
-// control enqueues one control-lane item and writes its response.
-func (s *Server) control(w http.ResponseWriter, it *item) {
+// control runs op on the worker, ahead of queued placements, and returns
+// its response: 503 once shutdown has begun, or when the drain deadline
+// passes before the worker reaches it.
+func (s *Server) control(op func() response) response {
+	it := &item{op: op, res: make(chan response, 1)}
 	if !s.q.enqueueControl(it) {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
+		return response{status: http.StatusServiceUnavailable, err: errors.New("draining")}
 	}
-	s.write(w, <-it.res)
+	return <-it.res
 }
 
 // write renders one response: errors as {"error": ...}, text payloads

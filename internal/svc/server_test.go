@@ -145,7 +145,7 @@ func TestServerExpiredRequestDropped(t *testing.T) {
 	// the worker ever runs — deterministic, no sleep races.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	it := &item{ctx: ctx, kind: opPlace, tier: 0, res: make(chan response, 1)}
+	it := &item{ctx: ctx, tier: 0, res: make(chan response, 1)}
 	if ok, _ := s.q.enqueueData(it); !ok {
 		t.Fatal("enqueue failed")
 	}
@@ -202,9 +202,11 @@ func TestServerDeadlineOutOfRange(t *testing.T) {
 	}
 }
 
-// TestServerDrain pins graceful shutdown: after Shutdown begins, new
-// placements answer 503 and the engine has written its final snapshot
-// (the next Open replays nothing).
+// TestServerDrain pins graceful shutdown: after Shutdown begins, every
+// endpoint that reaches the worker answers 503 and journals nothing — the
+// placements and the swap barrier on the data lane, the operator calls on
+// the control lane — and the engine has written its final snapshot (the
+// next Open replays nothing).
 func TestServerDrain(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := Open(dir, testConfig(), 1000)
@@ -224,8 +226,33 @@ func TestServerDrain(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if resp, _ := post(t, ts.URL+"/place", `{"id":2,"tier":0,"lifetime":100,"cpu":1,"ram":1,"storage":0}`); resp.StatusCode != 503 {
-		t.Fatal("placement after drain must answer 503")
+	seq := eng.j.NextSeq()
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/place", `{"id":2,"tier":0,"lifetime":100,"cpu":1,"ram":1,"storage":0}`},
+		{http.MethodPost, "/fail", `{"scope":"rack","rack":1}`},
+		{http.MethodPost, "/heal", `{"scope":"rack","rack":1}`},
+		{http.MethodPost, "/addrack", `{}`},
+		{http.MethodPost, "/swap", `{"algo":"NULB"}`},
+		{http.MethodPost, "/snapshot", `{}`},
+		{http.MethodGet, "/stats", ""},
+		{http.MethodGet, "/placements", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s %s after shutdown answered %d, want 503", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+	if got := eng.j.NextSeq(); got != seq {
+		t.Fatalf("requests after shutdown journaled %d records", got-seq)
 	}
 
 	// The final snapshot must carry the full state: reopen and compare.
@@ -236,6 +263,31 @@ func TestServerDrain(t *testing.T) {
 	defer eng2.crash()
 	if len(eng2.history) != 1 || eng2.Resident() != 1 {
 		t.Fatalf("reopened after graceful drain: %d decisions, %d resident", len(eng2.history), eng2.Resident())
+	}
+}
+
+// TestServerRefusesUnknownKeys: /fail, /heal and /swap refuse a key their
+// request does not have, as /place does, with 400 and nothing journaled:
+// dropped, a typo'd "bxo" would fail box 0 of the rack.
+func TestServerRefusesUnknownKeys(t *testing.T) {
+	_, ts := newTestServer(t)
+	if resp, m := post(t, ts.URL+"/fail", `{"scope":"rack","rack":0}`); resp.StatusCode != 200 {
+		t.Fatalf("fail rack 0: %d %v", resp.StatusCode, m)
+	}
+	before := getStats(t, ts.URL)
+	for _, tc := range []struct{ path, body string }{
+		{"/fail", `{"scope":"box","rack":1,"bxo":2}`},
+		{"/fail", `{"scope":"rack","rak":2}`},
+		{"/heal", `{"scope":"rack","rack":0,"force":true}`},
+		{"/swap", `{"algo":"NULB","now":true}`},
+		{"/swap", `{"algo":"NULB"} {"algo":"RISA"}`},
+	} {
+		if resp, m := post(t, ts.URL+tc.path, tc.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s answered %d (%v), want 400", tc.path, tc.body, resp.StatusCode, m)
+		}
+	}
+	if after := getStats(t, ts.URL); after != before {
+		t.Fatalf("refused bodies moved /stats:\n before %+v\n after  %+v", before, after)
 	}
 }
 

@@ -23,13 +23,13 @@
 //
 //   - Server (server.go): the HTTP/JSON surface and the worker loop
 //     draining the queue through the engine, plus graceful drain on
-//     shutdown. POST /place has a hand-written wire codec (wire.go), and
-//     its stages are timed into histograms GET /metrics serves
-//     (metrics.go).
+//     shutdown. A queued item is a placement or an operator handler's
+//     engine call, a closure the worker runs. POST /place has a
+//     hand-written wire codec (wire.go), and its stages are timed into
+//     histograms GET /metrics serves (metrics.go).
 //
 // Backoff (backoff.go) is the capped, seeded-jitter retry delay used by
-// clients (cmd/workloadgen) when the daemon sheds them, and
-// signals.go is the SIGINT/SIGTERM plumbing shared with cmd/risasim.
+// clients (cmd/workloadgen) when the daemon sheds them.
 package svc
 
 import (

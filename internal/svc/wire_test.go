@@ -173,8 +173,9 @@ func serveWithin(t *testing.T, h http.Handler, path string, body []byte) *httpte
 
 // FuzzMutateRequest posts raw bodies to the operator endpoints POST
 // /fail, /heal and /swap (the first argument picks one). Every body is
-// answered 200, 400 or 413, never 500 and never a hang; a refused body
-// journals nothing and an accepted one exactly one record.
+// answered 200, 400 or 413, never 500 and never a hang; a refused body —
+// an unknown key among them — journals nothing and an accepted one exactly
+// one record.
 func FuzzMutateRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"scope":"box","rack":1,"box":2}`,
@@ -188,6 +189,10 @@ func FuzzMutateRequest(f *testing.F) {
 		`{"algo":"` + strings.Repeat("X", 100) + `"}`,
 		`{"rack":1e3}`,
 		`{"scope":1}`,
+		`{"scope":"box","rack":1,"bxo":2}`,
+		`{"scope":"rack","rak":2}`,
+		`{"algo":"NULB","now":true}`,
+		`{"algo":"NULB"} {"algo":"RISA"}`,
 		`null`,
 		`[]`,
 		``,
