@@ -112,10 +112,11 @@ func TestAllocsScheduleOneScale(t *testing.T) {
 }
 
 // TestAllocsScheduleOneUnderFaults: every round fails the rack holding a
-// resident VM, displaces that VM through State.Displace (the eviction
-// transaction — its records must recycle through the assignment and flow
-// pools), makes one decision against the degraded cluster, and repairs the
-// rack (re-seeding both topology index tiers).
+// resident VM, displaces that VM the way the simulator's eviction does
+// (release the record to the pool, schedule the VM afresh, rebind to the
+// new record — both records recycle through the assignment pool), makes
+// one decision against the degraded cluster, and repairs the rack
+// (re-seeding both topology index tiers).
 func TestAllocsScheduleOneUnderFaults(t *testing.T) {
 	forAlgorithms(t, func(t *testing.T, alg string) {
 		st, sch, _ := halfLoaded(t, alg, 18)
@@ -132,7 +133,9 @@ func TestAllocsScheduleOneUnderFaults(t *testing.T) {
 		schedtest.ZeroAllocs(t, warmRounds, func() {
 			rack := displaced.CPU.Box.Rack()
 			setRackFailed(rack, true)
-			if !st.Displace(sch, displaced) {
+			vm := displaced.VM
+			st.ReleaseVM(displaced)
+			if displaced, err = sch.Schedule(vm); err != nil {
 				t.Fatal("half-loaded cluster must absorb the displaced VM")
 			}
 			decide()

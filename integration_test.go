@@ -18,10 +18,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := experiments.DefaultSetup().RunAll(tr)
+	m, err := experiments.DefaultSetup().RunMatrix(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := m.Rows[0].Results
 	for _, alg := range experiments.Algorithms {
 		if got := results[alg].Scheduled; got != 300 {
 			t.Errorf("%s scheduled %d, want 300", alg, got)
@@ -38,11 +39,11 @@ func TestCrossAlgorithmConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := experiments.DefaultSetup()
-	results, err := setup.RunAll(tr)
+	m, err := experiments.DefaultSetup().RunMatrix(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := m.Rows[0].Results
 	base := results["NULB"]
 	for _, alg := range experiments.Algorithms {
 		r := results[alg]

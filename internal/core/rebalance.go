@@ -16,16 +16,18 @@ import "risa/internal/sched"
 // back exactly — same boxes, same brick shares, same uplinks for both
 // circuits; the capacity was just freed, so the replay cannot fail.
 //
-// It returns the number of VMs migrated. The entries of assignments are
-// updated in place to their new placements.
+// It returns the number of VMs migrated. Every VM it visits gets a new
+// record, migrated or restored, and its entry of assignments is rebound
+// to that record; the old one is back in the pool.
 func Rebalance(r *RISA, assignments []*sched.Assignment) int {
 	var held sched.AssignmentState
 	migrated := 0
-	for _, a := range assignments {
+	for i, a := range assignments {
 		if a == nil || !a.InterRack() {
 			continue
 		}
-		if r.migrate(a, &held) {
+		var moved bool
+		if assignments[i], moved = r.migrate(a, &held); moved {
 			migrated++
 		}
 	}
@@ -33,25 +35,22 @@ func Rebalance(r *RISA, assignments []*sched.Assignment) int {
 }
 
 // migrate attempts to move one inter-rack assignment intra-rack, parking
-// its holdings in held meanwhile.
-func (r *RISA) migrate(a *sched.Assignment, held *sched.AssignmentState) bool {
-	// Hold, release, try intra-rack, replay on failure. The caller keeps
-	// holding a, so the release must not recycle it into the assignment
-	// pool (ReleaseVMKeep); the re-placement comes back as a fresh pooled
-	// record whose contents Adopt moves into a.
+// its holdings in held meanwhile, and returns the VM's record: the new
+// placement's, or the restored one's when no rack fits.
+func (r *RISA) migrate(a *sched.Assignment, held *sched.AssignmentState) (*sched.Assignment, bool) {
 	r.st.Hold(a, held)
-	r.st.ReleaseVMKeep(a)
+	r.st.ReleaseVM(a)
 	w := r.newWalk(held.VM)
 	for w.next() {
 		if moved := w.commit(); moved != nil {
-			r.st.Adopt(a, moved)
-			return true
+			return moved, true
 		}
 	}
-	if _, err := r.st.Replay(a, held); err != nil {
+	restored, err := r.st.Replay(nil, held)
+	if err != nil {
 		// Cannot happen: the exact capacity was freed above. Fail loudly
 		// rather than lose a VM silently.
 		panic("core: rebalance failed to restore a released placement: " + err.Error())
 	}
-	return false
+	return restored, false
 }

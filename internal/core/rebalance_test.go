@@ -67,10 +67,12 @@ func heldBy(st *sched.State, a *sched.Assignment) (links [2][]network.LinkRef, s
 func TestRebalanceMigratesInterRackVM(t *testing.T) {
 	st, a := interRackAssignment(t, false)
 	r := New(st)
-	moved := Rebalance(r, []*sched.Assignment{a})
+	as := []*sched.Assignment{a}
+	moved := Rebalance(r, as)
 	if moved != 1 {
 		t.Fatalf("migrated %d, want 1", moved)
 	}
+	a = as[0]
 	if a.InterRack() {
 		t.Error("assignment should now be intra-rack")
 	}
@@ -128,9 +130,11 @@ func TestRebalanceRestoresWhenNoRackFits(t *testing.T) {
 		r := New(st)
 		cpuBox, ramBox := a.CPU.Box, a.RAM.Box
 		links, shares := heldBy(st, a)
-		if moved := Rebalance(r, []*sched.Assignment{a}); moved != 0 {
+		as := []*sched.Assignment{a}
+		if moved := Rebalance(r, as); moved != 0 {
 			t.Fatalf("busyUplink=%v: migration should be impossible", busyUplink)
 		}
+		a = as[0]
 		if a.CPU.Box != cpuBox || a.RAM.Box != ramBox {
 			t.Errorf("busyUplink=%v: failed migration must restore the original boxes", busyUplink)
 		}
@@ -155,80 +159,6 @@ func TestRebalanceHandlesNilEntries(t *testing.T) {
 	r := New(st)
 	if moved := Rebalance(r, []*sched.Assignment{nil, nil}); moved != 0 {
 		t.Error("nil assignments should be skipped")
-	}
-}
-
-func TestDisplaceMovesVMOffFailedBox(t *testing.T) {
-	st := defaultState(t)
-	r := New(st)
-	a, err := r.Schedule(typicalVM(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := a.CPU.Box
-	for _, b := range st.Cluster.Rack(failed.Rack()).Boxes() {
-		st.Cluster.SetBoxFailed(b, true)
-	}
-	if !a.OnFailedHardware() {
-		t.Fatal("assignment should sit on failed hardware")
-	}
-	if !st.Displace(r, a) {
-		t.Fatal("a near-empty cluster must re-place the displaced VM")
-	}
-	if a.OnFailedHardware() {
-		t.Error("displaced VM still on failed hardware")
-	}
-	if a.CPU.Box.Rack() == failed.Rack() {
-		t.Error("displaced VM re-placed into the failed rack")
-	}
-	if a.VM.ID != 0 || a.CPU.Total != 8 || a.RAM.Total != 16 || a.STO.Total != 128 {
-		t.Errorf("displaced record corrupted: VM %d, %d/%d/%d",
-			a.VM.ID, a.CPU.Total, a.RAM.Total, a.STO.Total)
-	}
-	// The caller-held record remains releasable like any other.
-	st.ReleaseVM(a)
-	if err := st.Cluster.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if err := st.Fabric.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDisplaceFailureReleasesAndReportsLost(t *testing.T) {
-	st := defaultState(t)
-	r := New(st)
-	a, err := r.Schedule(typicalVM(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail every box in the cluster: no re-placement can exist.
-	for _, b := range st.Cluster.Boxes() {
-		st.Cluster.SetBoxFailed(b, true)
-	}
-	if st.Displace(r, a) {
-		t.Fatal("re-placement into an all-failed cluster must fail")
-	}
-	// The record's holdings were released (into failed boxes, so the
-	// capacity surfaces at repair) and the shell is safe to pool.
-	if !a.CPU.IsZero() || !a.RAM.IsZero() || !a.STO.IsZero() || a.CPURAMFlow != nil {
-		t.Error("failed displace left holdings on the record")
-	}
-	st.ReleaseVM(a)
-	for _, b := range st.Cluster.Boxes() {
-		st.Cluster.SetBoxFailed(b, false)
-	}
-	// Everything must be pristine after repair.
-	for _, k := range units.Resources() {
-		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
-			t.Errorf("%v not pristine after repair", k)
-		}
-	}
-	if err := st.Cluster.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if err := st.Fabric.CheckInvariants(); err != nil {
-		t.Error(err)
 	}
 }
 

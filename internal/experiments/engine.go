@@ -13,9 +13,9 @@ import (
 )
 
 // defaultWorkers holds the package-wide worker-pool width used by every
-// grid helper except RunMatrix (RunAll, RunSeedSweep, the sweeps). Zero
-// means "one worker per available CPU"; cmd/risasim's -parallel flag sets
-// it explicitly.
+// grid helper except RunMatrix (RunResilience, RunSeedSweep, the sweeps).
+// Zero means "one worker per available CPU"; cmd/risasim's -parallel flag
+// sets it explicitly.
 var defaultWorkers atomic.Int32
 
 // SetParallelism fixes the number of workers grid helpers use; n ≤ 0
@@ -44,9 +44,9 @@ type Job struct {
 	Setup     Setup
 	Algorithm string
 	Trace     *workload.Trace
-	// Sim is the run's configuration (retry queue, fault plan, …). Its
-	// PowerModel is always built from Setup.Optics, whatever it holds.
-	Sim sim.Config
+	// Faults is the run's fault surface (retry queue, fault plan, …); its
+	// power model is built from Setup.Optics.
+	Faults sim.Faults
 	// Scheduler, when non-nil, builds the scheduler on the job's fresh
 	// state instead of the registry lookup of Algorithm — for variants the
 	// registry does not name (the packing policies).
@@ -66,11 +66,11 @@ func (j Job) run() (Outcome, error) {
 	} else if sch, err = NewScheduler(j.Algorithm, st); err != nil {
 		return Outcome{}, err
 	}
-	cfg := j.Sim
-	if cfg.PowerModel, err = power.NewModel(j.Setup.Optics); err != nil {
+	model, err := power.NewModel(j.Setup.Optics)
+	if err != nil {
 		return Outcome{}, err
 	}
-	runner, err := sim.NewRunner(st, sch, cfg)
+	runner, err := sim.NewRunner(st, sch, sim.Config{PowerModel: model, Faults: j.Faults})
 	if err != nil {
 		return Outcome{}, err
 	}

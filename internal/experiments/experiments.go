@@ -92,26 +92,6 @@ func (s Setup) NewState() (*sched.State, error) {
 	return sched.NewState(s.Topology, s.Network)
 }
 
-// RunAll replays the trace through every algorithm and returns results
-// keyed by algorithm name. Each algorithm gets its own fresh datacenter,
-// so the four simulations are independent and run on the shared worker
-// pool (see Engine); results are deterministic regardless of pool width.
-func (s Setup) RunAll(tr *workload.Trace) (map[string]*sim.Result, error) {
-	jobs := make([]Job, len(Algorithms))
-	for i, alg := range Algorithms {
-		jobs[i] = Job{Setup: s, Algorithm: alg, Trace: tr}
-	}
-	outcomes, err := Engine{}.Run(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*sim.Result, len(Algorithms))
-	for _, o := range outcomes {
-		out[o.Job.Algorithm] = o.Result
-	}
-	return out, nil
-}
-
 // SyntheticTrace generates the §5.1 synthetic workload with the setup's
 // seed.
 func (s Setup) SyntheticTrace() (*workload.Trace, error) {

@@ -117,14 +117,15 @@ func TestRunOneUnknownAlgorithm(t *testing.T) {
 func TestRunAllDeterministic(t *testing.T) {
 	s := DefaultSetup()
 	tr := smallTrace(t, 200)
-	a, err := s.RunAll(tr)
+	ma, err := s.RunMatrix(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.RunAll(tr)
+	mb, err := s.RunMatrix(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ma.Rows[0].Results, mb.Rows[0].Results
 	for _, alg := range Algorithms {
 		// SchedulingTime is a wall clock; every other field must match.
 		a[alg].SchedulingTime, b[alg].SchedulingTime = 0, 0

@@ -48,9 +48,9 @@ func (s Setup) RunResilience() (*Resilience, error) {
 	// Healthy then faulty, one pooled grid; the halves differ only in the
 	// plan their runs consume.
 	jobs := make([]Job, 0, 2*len(Algorithms))
-	for _, cfg := range []sim.Config{{}, {Faults: sim.Faults{Plan: out.Plan}}} {
+	for _, f := range []sim.Faults{{}, {Plan: out.Plan}} {
 		for _, alg := range Algorithms {
-			jobs = append(jobs, Job{Setup: s, Algorithm: alg, Trace: tr, Sim: cfg})
+			jobs = append(jobs, Job{Setup: s, Algorithm: alg, Trace: tr, Faults: f})
 		}
 	}
 	outcomes, err := Engine{}.Run(jobs)
@@ -61,7 +61,7 @@ func (s Setup) RunResilience() (*Resilience, error) {
 	out.Faulty = make(map[string]*sim.Result, len(Algorithms))
 	for _, o := range outcomes {
 		half := out.Healthy
-		if o.Job.Sim.Faults.Plan != nil {
+		if o.Job.Faults.Plan != nil {
 			half = out.Faulty
 		}
 		half[o.Job.Algorithm] = o.Result
@@ -80,8 +80,7 @@ func (r *Resilience) Render() string {
 		fmt.Fprintf(&b, "  %-8s %10d/%7d %10d/%7d\n",
 			alg, h.Dropped, h.InterRack, f.Dropped, f.InterRack)
 	}
-	b.WriteString("  All schedulers route new arrivals around the failed rack (drops only\n")
-	b.WriteString("  appear once the remaining 17 racks cannot absorb the load). RISA's\n")
+	b.WriteString("  All schedulers route new arrivals around the failed rack. RISA's\n")
 	b.WriteString("  pool simply stops offering the failed rack and stays at zero\n")
 	b.WriteString("  inter-rack placements throughout.\n")
 	return b.String()

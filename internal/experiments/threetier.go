@@ -21,20 +21,34 @@ type ThreeTier struct {
 	TwoTier, Pods map[string]*sim.Result
 }
 
-// RunThreeTier executes both fabric variants on Azure-3000.
+// RunThreeTier executes both fabric variants on Azure-3000, as one pooled
+// grid; the halves differ only in the fabric's pod size.
 func (s Setup) RunThreeTier() (*ThreeTier, error) {
 	tr, err := s.AzureTrace(workload.Azure3000)
 	if err != nil {
 		return nil, err
 	}
 	out := &ThreeTier{RacksPerPod: 6}
-	if out.TwoTier, err = s.RunAll(tr); err != nil {
-		return nil, err
-	}
 	podSetup := s
 	podSetup.Network.RacksPerPod = out.RacksPerPod
-	if out.Pods, err = podSetup.RunAll(tr); err != nil {
+	jobs := make([]Job, 0, 2*len(Algorithms))
+	for _, setup := range []Setup{s, podSetup} {
+		for _, alg := range Algorithms {
+			jobs = append(jobs, Job{Setup: setup, Algorithm: alg, Trace: tr})
+		}
+	}
+	outcomes, err := Engine{}.Run(jobs)
+	if err != nil {
 		return nil, err
+	}
+	out.TwoTier = make(map[string]*sim.Result, len(Algorithms))
+	out.Pods = make(map[string]*sim.Result, len(Algorithms))
+	for k, o := range outcomes {
+		half := out.TwoTier
+		if k >= len(Algorithms) {
+			half = out.Pods
+		}
+		half[o.Job.Algorithm] = o.Result
 	}
 	return out, nil
 }

@@ -71,8 +71,8 @@ func (p *PreemptScratch) Ref(i int) int { return p.victims[i].ref }
 // The greedy cheapest-first prefix is "minimal" in the cost order: no
 // victim is evicted once the arrival fits, and each eviction was
 // necessary at the time it was made (the scheduler had just failed
-// without it). Like Displace, the transaction is built on
-// ReleaseVMKeep: each victim's record stays with its owner, its exact
+// without it). The transaction is built on ReleaseVMKeep: each
+// victim's record stays with its owner, its exact
 // holdings held in the scratch (Hold), so a failed attempt replays every
 // victim bit-for-bit in reverse and returns (nil, 0) with the state
 // untouched. Nothing else may mutate the state meanwhile (the simulator

@@ -65,8 +65,12 @@ func (s *State) Units() units.Config { return s.Cluster.Config().Units }
 // from its slab (see getAssignment). Assignments are pooled: AllocateVM
 // takes them from the owning State's free list and ReleaseVM returns them,
 // so an assignment — and the flows it points to — must not be read after
-// its release, and must not be copied except through Adopt.
+// its release. It is never copied (a copy's flow pointers would still
+// point into the original; go vet's copylocks check refuses one): a VM
+// placed again gets a new record, and its holder rebinds its pointer.
 type Assignment struct {
+	_ noCopy // first, so the zero-size marker adds no padding
+
 	VM workload.VM
 
 	// Compute placements; a placement is zero when the VM requests none
@@ -144,6 +148,16 @@ type Scheduler interface {
 	// Release returns an assignment's compute and network resources.
 	Release(a *Assignment)
 }
+
+// noCopy makes go vet's copylocks check refuse any copy of the struct
+// that holds it; it has no state and is never locked.
+type noCopy struct{}
+
+// Lock is a no-op; with Unlock it is the method set copylocks checks for.
+func (*noCopy) Lock() {}
+
+// Unlock is a no-op.
+func (*noCopy) Unlock() {}
 
 // BoxTriple names the chosen box per resource; entries for zero-request
 // resources are nil.
@@ -310,10 +324,10 @@ func (s *State) ReleaseVM(a *Assignment) {
 }
 
 // ReleaseVMKeep returns an assignment's resources but leaves the record
-// with the caller instead of recycling it. core.Rebalance needs this: it
-// releases a live assignment, re-places the VM, and copies the new
-// placement back into the caller-visible record — which must therefore
-// stay out of the pool while it happens.
+// with the caller instead of recycling it. PreemptScratch.Preempt needs
+// this: its caller's events keep pointing at the victims' records, and a
+// refused attempt replays each victim's holdings back into its own record
+// (Replay), so the records must stay out of the pool meanwhile.
 func (s *State) ReleaseVMKeep(a *Assignment) {
 	if a == nil || a.pooled {
 		return
@@ -344,67 +358,6 @@ func (s *State) releaseFlows(a *Assignment) {
 		s.Fabric.Unreserve(a.RAMSTOFlow)
 	}
 	a.CPURAMFlow, a.RAMSTOFlow = nil, nil
-}
-
-// Adopt moves src's contents into dst and retires src's emptied shell to
-// the pool. It is the hand-back half of the ReleaseVMKeep protocol: after
-// re-placing a VM, Rebalance and Displace adopt the fresh assignment into
-// the record their caller holds. src must not be used afterwards.
-//
-// dst's (cleared) brick-share buffers are handed to the pooled shell
-// rather than dropped: without that swap every adoption would retire a
-// buffer-less record, and the next Schedule drawing it from the pool
-// would re-grow all three share slices — a per-displacement allocation
-// the fault path's zero-alloc contract (TestAllocsScheduleOneUnderFaults)
-// forbids.
-//
-// The copy carries src's two flows over by value, so the flow pointers —
-// which after a plain copy would still point into src, a shell about to be
-// handed to another VM — are re-pointed at dst's own slots.
-func (s *State) Adopt(dst, src *Assignment) {
-	cpuBuf := dst.CPU.Shares[:0]
-	ramBuf := dst.RAM.Shares[:0]
-	stoBuf := dst.STO.Shares[:0]
-	*dst = *src
-	if dst.CPURAMFlow != nil {
-		dst.CPURAMFlow = &dst.flows[0]
-	}
-	if dst.RAMSTOFlow != nil {
-		dst.RAMSTOFlow = &dst.flows[1]
-	}
-	// Detach src's buffers before pooling the shell: dst now owns them,
-	// and the shell inherits dst's old buffers.
-	*src = Assignment{}
-	src.CPU.Shares = cpuBuf
-	src.RAM.Shares = ramBuf
-	src.STO.Shares = stoBuf
-	s.putAssignment(src)
-}
-
-// Displace re-places one live assignment whose hardware failed: the old
-// holdings are released (placements into failed boxes take the
-// deferred-capacity path, healthy complements free immediately) and the
-// VM is re-scheduled through sch's own policy, so a displaced VM lands
-// exactly where a fresh arrival would. It is the eviction half of the
-// fault subsystem, built on the ReleaseVMKeep/Adopt transaction: the
-// caller keeps holding a — on success its contents are the new placement,
-// so references to the record (e.g. the simulator's departure event) stay
-// valid.
-//
-// A failed re-placement cannot restore the original boxes (they are
-// failed); Displace returns false with a's resources released and its
-// contents cleared, and the caller decides the VM's fate — re-queue it,
-// count it lost — and owns returning the record to the pool (ReleaseVM on
-// the emptied record is a cheap no-op release that just pools it).
-func (s *State) Displace(sch Scheduler, a *Assignment) bool {
-	vm := a.VM
-	s.ReleaseVMKeep(a)
-	moved, err := sch.Schedule(vm)
-	if err != nil {
-		return false
-	}
-	s.Adopt(a, moved)
-	return true
 }
 
 // ScarcestResource returns the requested resource with the highest

@@ -390,11 +390,24 @@ func healedBoxReusable(t *testing.T, mk Factory) {
 	}
 }
 
+// displace re-places a, a live VM on failed hardware, the way the
+// simulator's eviction does: the record goes back to the pool, the VM is
+// scheduled afresh, and the new record comes back (nil when the VM could
+// not be placed) for the caller to hold instead.
+func displace(st *sched.State, s sched.Scheduler, a *sched.Assignment) *sched.Assignment {
+	vm := a.VM
+	st.ReleaseVM(a)
+	moved, err := s.Schedule(vm)
+	if err != nil {
+		return nil
+	}
+	return moved
+}
+
 // faultInterleavedHygiene is InterleavedHygiene over the fault paths:
 // the per-decision scripts also fail and heal boxes and displace VMs off
-// failed hardware (State.Displace — the eviction transaction the
-// simulator uses), and two instances alternating decision-by-decision
-// must still match their isolated references exactly.
+// failed hardware (displace), and two instances alternating
+// decision-by-decision must still match their isolated references exactly.
 func faultInterleavedHygiene(t *testing.T, mk Factory) {
 	type run struct {
 		s    sched.Scheduler
@@ -425,12 +438,12 @@ func faultInterleavedHygiene(t *testing.T, mk Factory) {
 				if !a.OnFailedHardware() {
 					continue
 				}
-				if r.st.Displace(r.s, a) {
-					r.sig = append(r.sig, fmt.Sprint("displaced", a.CPU.Box, a.RAM.Box, a.STO.Box))
+				if moved := displace(r.st, r.s, a); moved != nil {
+					r.live[j] = moved
+					r.sig = append(r.sig, fmt.Sprint("displaced", moved.CPU.Box, moved.RAM.Box, moved.STO.Box))
 				} else {
-					// Lost: the record is emptied; pool it and drop it
-					// from the live set like the simulator does.
-					r.st.ReleaseVM(a)
+					// Lost: drop it from the live set like the
+					// simulator does.
 					r.live = append(r.live[:j], r.live[j+1:]...)
 					r.sig = append(r.sig, "displace-lost")
 				}
@@ -525,10 +538,10 @@ func snapshotHygiene(t *testing.T, mk Factory) {
 				if !a.OnFailedHardware() {
 					continue
 				}
-				if r.st.Displace(r.s, a) {
-					r.sig = append(r.sig, fmt.Sprint("displaced", a.CPU.Box, a.RAM.Box, a.STO.Box))
+				if moved := displace(r.st, r.s, a); moved != nil {
+					r.live[j] = moved
+					r.sig = append(r.sig, fmt.Sprint("displaced", moved.CPU.Box, moved.RAM.Box, moved.STO.Box))
 				} else {
-					r.st.ReleaseVM(a)
 					r.live = append(r.live[:j], r.live[j+1:]...)
 					r.sig = append(r.sig, "displace-lost")
 				}

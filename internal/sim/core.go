@@ -370,7 +370,7 @@ func (c *eventCore) abandon() {
 // VM to the retry queue (waiting from now, its lifetime restarting when
 // re-placed) or, without one, drops it.
 func (c *eventCore) unseat(e *event, q QueuedVMState) {
-	c.st.ReleaseVM(e.a) // holdings already released: pools the shell
+	c.st.ReleaseVM(e.a) // a preemption victim's emptied record; nil after an eviction
 	vm := q.VM          // a copy: q's own restarts its wait below
 	e.a, e.ghost = nil, &vm
 	c.resident--

@@ -42,12 +42,12 @@ func (c *eventCore) noteFault(b *topology.Box, repair bool) {
 }
 
 // evictDisplaced scans the pending-event queue for departures whose
-// assignments sit on failed hardware and re-places each through
-// State.Displace. A recovered VM keeps its departure event — the record
-// the event references now holds the new placement, and the pooled
-// record of the transaction recycles, so eviction stays off the
-// allocator. An unrecoverable VM is unseated: to the retry queue, or
-// lost.
+// assignments sit on failed hardware and re-places each through the
+// scheduler's own policy, so a displaced VM lands where a fresh arrival
+// would: its record goes back to the pool and the departure event is
+// rebound to the record the scheduler returns, keeping its time. Both
+// records come off the pool, so eviction stays off the allocator. An
+// unrecoverable VM is unseated: to the retry queue, or lost.
 //
 // VMs whose departure is due at the failure instant itself (e.t == now)
 // are left alone: they are leaving this tick anyway — faults sort
@@ -63,12 +63,17 @@ func (c *eventCore) evictDisplaced() {
 		if e.kind != departure || e.a == nil || e.t <= c.now || !e.a.OnFailedHardware() {
 			continue
 		}
-		c.obs.releasing(e.a.VM, e.a, true)
+		vm := e.a.VM // read before the release clears the record
+		c.obs.releasing(vm, e.a, true)
 		start := now()
-		recovered := c.st.Displace(c.sch, e.a)
-		c.obs.displaced(e.a, recovered, since(start))
-		if !recovered {
-			c.unseat(e, QueuedVMState{VM: e.a.VM, Displaced: true})
+		c.st.ReleaseVM(e.a)
+		e.a = nil
+		moved, err := c.sch.Schedule(vm)
+		c.obs.displaced(moved, err == nil, since(start))
+		if err != nil {
+			c.unseat(e, QueuedVMState{VM: vm, Displaced: true})
+			continue
 		}
+		e.a = moved
 	}
 }

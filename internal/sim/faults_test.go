@@ -430,8 +430,10 @@ func (s *spyObserver) displaced(a *sched.Assignment, recovered bool, _ time.Dura
 
 // TestEvictDisplacedSkipsHealthyAndGhosts drives the event core's
 // eviction scan directly under a spy observer: only departures on failed
-// hardware are touched, each is announced before it is displaced, and a
-// VM with nowhere to go is dropped as a displaced loss and ghosted.
+// hardware are touched, each is announced before it is displaced, a
+// recovered VM's departure is rebound to its new record at its original
+// time, and a VM with nowhere to go is dropped as a displaced loss and
+// ghosted, its holdings back in the cluster once the hardware heals.
 func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 	st, r := faultRunner(t, Config{})
 	spy := &spyObserver{}
@@ -459,8 +461,24 @@ func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 	if !reflect.DeepEqual(spy.released, []int{1}) {
 		t.Errorf("released before displacement: %v, want [1]", spy.released)
 	}
-	if spy.moved[0] != a1 || a1.OnFailedHardware() {
-		t.Error("recovered VM must keep its record, now off the failed hardware")
+	var dep *event
+	for i := range c.h.s {
+		if c.h.s[i].kind == departure && c.h.s[i].a != nil {
+			dep = &c.h.s[i]
+		}
+	}
+	switch {
+	case dep == nil:
+		t.Fatal("the recovered VM's departure holds no record")
+	case dep.a != spy.moved[0]:
+		t.Error("the departure does not hold the record the recovery reported")
+	case dep.a.VM.ID != vm.ID || dep.a.VM.Lifetime != vm.Lifetime:
+		t.Errorf("the departure holds VM %d (lifetime %d), want VM %d (lifetime %d)",
+			dep.a.VM.ID, dep.a.VM.Lifetime, vm.ID, vm.Lifetime)
+	case dep.a.OnFailedHardware():
+		t.Error("recovered VM still on the failed hardware")
+	case dep.t != vm.Lifetime:
+		t.Errorf("recovered VM departs at t=%d, want its original t=%d", dep.t, vm.Lifetime)
 	}
 	// Fail everything: the VM has nowhere to go and is lost for good.
 	for _, b := range st.Cluster.Boxes() {
@@ -480,6 +498,22 @@ func TestEvictDisplacedSkipsHealthyAndGhosts(t *testing.T) {
 		if e := c.h.Pop(); e.a != nil {
 			t.Errorf("event %+v still holds an assignment: the lost VM must be a ghost", e)
 		}
+	}
+	// The loss released its holdings into failed boxes: repair hands
+	// every unit back.
+	for _, b := range st.Cluster.Boxes() {
+		st.Cluster.SetBoxFailed(b, false)
+	}
+	for _, k := range units.Resources() {
+		if st.Cluster.TotalFree(k) != st.Cluster.TotalCapacity(k) {
+			t.Errorf("%v not pristine after repair", k)
+		}
+	}
+	if err := st.Cluster.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if err := st.Fabric.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -64,9 +64,12 @@ func (in *fuzzInstance) step(t *testing.T, op, sel, amt byte, vmID int) (placed 
 	case 4: // displace a live VM through the scheduler
 		if len(in.live) > 0 {
 			j := int(sel) % len(in.live)
-			a := in.live[j]
-			if !in.st.Displace(in.sch, a) {
-				// Unrecoverable: the VM is gone; drop the record.
+			vm := in.live[j].VM
+			in.st.ReleaseVM(in.live[j])
+			if a, err := in.sch.Schedule(vm); err == nil {
+				in.live[j] = a
+			} else {
+				// Unrecoverable: the VM is gone; drop it.
 				in.live = append(in.live[:j], in.live[j+1:]...)
 			}
 		}

@@ -128,9 +128,9 @@ type Faults struct {
 	Plan *faults.Plan
 	// Evict, with Plan, activates displaced-VM recovery: when hardware
 	// fails, VMs resident on it are evicted and re-placed through the
-	// scheduler's own policy (State.Displace); a VM that cannot be
-	// re-placed is lost — or parks on the retry queue when Retry is also
-	// set. Without Evict, resident VMs ride out the outage in place
+	// scheduler's own policy, as a fresh arrival would be; a VM that
+	// cannot be re-placed is lost — or parks on the retry queue when Retry
+	// is also set. Without Evict, resident VMs ride out the outage in place
 	// (their circuits are established) and only new arrivals route around
 	// the hole.
 	Evict bool
